@@ -47,23 +47,20 @@ def main() -> None:
     for policy_name in ("FCFS", "HF-RF"):
         trace = load_trace(path)
         cfg = SystemConfig(num_cores=1)
-        # Pin the object backend: this example instruments the controller
-        # by wrapping its `_commit` method, and the fast backend fuses the
-        # whole scheduling point into one frame that never calls it.
         system = MultiCoreSystem(
             cfg, make_policy(policy_name), [trace],
             target_insts=min(args.budget, insts), seed=args.seed,
-            backend="object",
         )
         sampler = ReservoirSampler(512, seed=args.seed)
-        orig = system.controller._commit
+        # Every demand read the controller serves comes back through the
+        # hierarchy's fill callback, which requests bind when created.
+        orig = system.hierarchy._on_fill
 
-        def commit(req, ch, now, orig=orig, sampler=sampler):
-            orig(req, ch, now)
-            if not req.is_write:
-                sampler.add(req.done_cycle - req.arrival_cycle)
+        def on_fill(req, now, orig=orig, sampler=sampler):
+            sampler.add(req.done_cycle - req.arrival_cycle)
+            orig(req, now)
 
-        system.controller._commit = commit
+        system.hierarchy._on_fill = on_fill
         system.run()
         core = system.cores[0]
         print(f"\n== {policy_name}: IPC {core.ipc():.3f}, "

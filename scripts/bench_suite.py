@@ -32,9 +32,7 @@ Run:  PYTHONPATH=src python scripts/bench_suite.py \
 """
 
 import argparse
-import contextlib
 import json
-import os
 import platform
 import sys
 import tempfile
@@ -46,22 +44,6 @@ from repro.experiments import ExperimentContext, run_figure2, run_figure3
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import merge_into, plan_cells, run_cells
 from repro.metrics.memory_efficiency import MeProfiler
-from repro.sim.backend import ENV_VAR as BACKEND_ENV_VAR
-
-
-@contextlib.contextmanager
-def _forced_backend(name):
-    """Pin REPRO_BACKEND for one entry (run_multicore resolves the env
-    var on every call, so this reaches every cell the entry times)."""
-    prev = os.environ.get(BACKEND_ENV_VAR)
-    os.environ[BACKEND_ENV_VAR] = name
-    try:
-        yield
-    finally:
-        if prev is None:
-            del os.environ[BACKEND_ENV_VAR]
-        else:
-            os.environ[BACKEND_ENV_VAR] = prev
 
 
 def _timed(repeats, fn, *args, **kwargs):
@@ -216,18 +198,6 @@ def main() -> int:
         "figure2-smoke", run_figure2, make_ctx, args.budget,
         repeats=args.repeats, core_counts=(2,), groups=("MEM",)
     ))
-    # The same panel pinned to the object reference engine.  The unpinned
-    # entry above resolves the backend like every other consumer (auto =
-    # fast on the default config), so the pair is the in-artifact
-    # fast-vs-object head-to-head; BENCH_PR7.json's cpu_seconds ratio is the
-    # committed record of the speedup (docs/PERFORMANCE.md).
-    with _forced_backend("object"):
-        entries.append(_figure_entry(
-            "figure2-smoke-object", run_figure2, make_ctx, args.budget,
-            repeats=args.repeats, core_counts=(2,), groups=("MEM",)
-        ))
-    entries[-1]["backend"] = "object"
-    entries[-2]["backend"] = os.environ.get(BACKEND_ENV_VAR, "auto")
     entries.append(_figure_entry(
         "figure3-smoke", run_figure3, make_ctx, args.budget,
         repeats=args.repeats, groups=("MEM",)

@@ -165,20 +165,8 @@ def check_cli_byte_identity(addr: str, budget: int) -> None:
         sys.stderr.write("--- serial ---\n" + serial.stdout)
         sys.stderr.write("--- distributed ---\n" + distributed.stdout)
         raise SystemExit("repro submit output differs from repro figure 2")
-    # Third cell: the struct-of-arrays engine through the same CLI path.
-    # --backend fast must not move a single byte of figure2 output.
-    fast = subprocess.run(
-        _cli("figure", "2", *common, "--backend", "fast"),
-        capture_output=True, text=True, env=_env(), cwd=ROOT, check=True,
-    )
-    if fast.stdout != serial.stdout:
-        sys.stderr.write("--- object backend ---\n" + serial.stdout)
-        sys.stderr.write("--- fast backend ---\n" + fast.stdout)
-        raise SystemExit(
-            "repro figure 2 --backend fast output differs from the "
-            "object backend")
     print(f"CLI byte-identity: {len(serial.stdout)} bytes of figure2 "
-          f"output identical (serial, distributed, and --backend fast)")
+          f"output identical (serial and distributed)")
 
 
 def check_fleet_artifacts(obs_dir: str, n_workers: int) -> None:

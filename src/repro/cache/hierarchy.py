@@ -125,20 +125,11 @@ class CacheHierarchy:
         :data:`BLOCKED` (retry after :meth:`wait_unblock`).
         """
         self.demand_accesses[core_id] += 1
-        # The L1 and L2 lookups are inlined bodies of
-        # SetAssocCache.lookup — this is the hottest call chain in a
-        # simulation, and the two calls it saves per reference are
-        # measurable.  Keep in sync with cache.py.  The core model inlines
-        # this same L1 prefix itself (see TraceCore._fetch_mem_op) and
-        # jumps straight to :meth:`access_after_l1_miss`.
-        l1 = self.l1d[core_id]
-        tag = addr >> l1._off_bits
-        s = l1._sets[tag & l1._set_mask]
-        if tag in s:
-            s[tag] = s.pop(tag) or is_write  # move-to-back refreshes recency
-            l1.stats.hits += 1
+        # The core model inlines this L1 probe and the L2 probe below in
+        # its fetch loop (TraceCore._advance_fetch) and enters at
+        # :meth:`_after_l2_miss`; this entry point serves everyone else.
+        if self.l1d[core_id].lookup(addr, is_write=is_write):
             return self._l1_hit_latency
-        l1.stats.misses += 1
         return self.access_after_l1_miss(core_id, addr, is_write, now, waiter)
 
     def access_after_l1_miss(
@@ -157,38 +148,12 @@ class CacheHierarchy:
         without any call into the hierarchy.
         """
         line = addr & self._line_mask
-        l2 = self.l2
-        tag = line >> l2._off_bits
-        s = l2._sets[tag & l2._set_mask]
-        if tag in s:
-            s[tag] = s.pop(tag)
-            l2.stats.hits += 1
+        if self.l2.lookup(line):
             if self.prefetcher is not None and line in self._prefetched_lines:
                 self._prefetched_lines.discard(line)
                 self.prefetcher.mark_useful()
-            # -- L1 install (inlined _fill_l1; keep in sync) --
-            l1 = self.l1d[core_id]
-            t1 = line >> l1._off_bits
-            s1 = l1._sets[t1 & l1._set_mask]
-            if t1 in s1:
-                s1[t1] = s1.pop(t1) or is_write
-            else:
-                v_dirty = False
-                if len(s1) >= l1._assoc:
-                    v_tag = next(iter(s1))  # front of dict == LRU
-                    v_dirty = s1.pop(v_tag)
-                    l1.stats.evictions += 1
-                    if v_dirty:
-                        l1.stats.dirty_evictions += 1
-                s1[t1] = is_write
-                l1.stats.fills += 1
-                if v_dirty:
-                    v_addr = v_tag << l1._off_bits
-                    if not l2.set_dirty(v_addr):
-                        self._emit_writeback(core_id, v_addr, now)
+            self._fill_l1(core_id, line, dirty=is_write, now=now)
             return self._l2_hit_latency
-        # L2 demand miss.
-        l2.stats.misses += 1
         return self._after_l2_miss(core_id, line, is_write, now, waiter)
 
     def _after_l2_miss(
@@ -339,7 +304,9 @@ class CacheHierarchy:
         The L2 install, L1 install and MSHR retirement are the inlined
         bodies of SetAssocCache.fill / :meth:`_fill_l1` /
         :meth:`MshrFile.complete` (keep in sync) — this runs once per
-        memory request and is the hottest completion path.
+        memory request and is the hottest completion path (calling the
+        three, plus MshrFile.allocate in :meth:`_after_l2_miss`, added
+        about 8% more Python calls to a 2-core Figure 2 panel).
         """
         line = req.addr
         core = req.core_id
@@ -402,29 +369,13 @@ class CacheHierarchy:
                 cb(now)
 
     def _fill_l1(self, core_id: int, line: int, *, dirty: bool, now: int) -> None:
-        # Inlined body of SetAssocCache.fill (keep in sync with cache.py):
-        # one call per L2 hit and per fill, hot enough to flatten.
-        l1 = self.l1d[core_id]
-        tag = line >> l1._off_bits
-        s = l1._sets[tag & l1._set_mask]
-        if tag in s:
-            s[tag] = s.pop(tag) or dirty
-            return
-        v_dirty = False
-        v_tag = 0
-        if len(s) >= l1._assoc:
-            v_tag = next(iter(s))  # front of dict == LRU
-            v_dirty = s.pop(v_tag)
-            l1.stats.evictions += 1
-            if v_dirty:
-                l1.stats.dirty_evictions += 1
-        s[tag] = dirty
-        l1.stats.fills += 1
-        if not v_dirty:
+        """Install ``line`` in ``core_id``'s L1 (an L2 hit or a fill)."""
+        evicted = self.l1d[core_id].fill(line, dirty=dirty)
+        if evicted is None or not evicted[1]:
             return
         # Dirty L1 victim: update the L2 copy; if L2 lost the line in the
         # meantime (non-inclusive drift), write it back to memory directly.
-        v_addr = v_tag << l1._off_bits
+        v_addr = evicted[0]
         if not self.l2.set_dirty(v_addr):
             self._emit_writeback(core_id, v_addr, now)
 

@@ -52,7 +52,6 @@ from repro.experiments.figure5 import format_figure5
 from repro.experiments.table2 import format_table2
 from repro.metrics.memory_efficiency import MeProfiler
 from repro.metrics.speedup import smt_speedup, unfairness
-from repro.sim.backend import BACKENDS, ENV_VAR as BACKEND_ENV_VAR
 from repro.sim.runner import run_multicore
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_by_name
 from repro.workloads.spec2000 import APPS, app_by_name
@@ -71,12 +70,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=30_000,
                    help="instructions measured per core")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--backend", choices=BACKENDS, default=None,
-                   help="simulation engine: 'fast' (struct-of-arrays lanes), "
-                        "'object' (reference heap engine) or 'auto' (fast "
-                        "when the config supports it; the default).  Stats "
-                        "are bit-identical either way; sets REPRO_BACKEND "
-                        "so spawned workers inherit the choice")
 
 
 def _add_parallel(p: argparse.ArgumentParser) -> None:
@@ -791,11 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None):
-        # Through the environment rather than threading a parameter down
-        # every experiment entry point: worker processes inherit it, and
-        # MultiCoreSystem resolves the env var whenever backend=None.
-        os.environ[BACKEND_ENV_VAR] = args.backend
     try:
         return args.fn(args)
     except KeyboardInterrupt:

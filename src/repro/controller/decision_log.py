@@ -61,15 +61,12 @@ class DecisionLog:
         cls,
         controller,
         telemetry: "Telemetry | None" = None,
-        track: str | None = None,
     ) -> "DecisionLog":
         """Wrap ``controller``'s policy so selections are recorded.
 
         With ``telemetry`` given, each decision is also emitted on the
-        shared telemetry bus as a ``"decision"`` instant event.  The bus
-        track defaults to ``ch{decision.channel}``; pass ``track`` to
-        override it (split sub-controllers see every coordinate re-homed
-        to channel 0, so they need an explicit per-channel track).
+        shared telemetry bus as a ``"decision"`` instant event on the
+        ``ch{decision.channel}`` track.
         """
         log = cls()
         policy = controller.policy
@@ -107,7 +104,7 @@ class DecisionLog:
                         "decision",
                         "instant",
                         d.cycle,
-                        track if track is not None else f"ch{d.channel}",
+                        f"ch{d.channel}",
                         core=d.core_id,
                         write=d.is_write,
                         hit=d.row_hit,

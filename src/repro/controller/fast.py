@@ -1,456 +1,11 @@
-"""Fast-backend memory controller: one fused frame per scheduling point.
+"""The memory controller under the name ``bench/ledger.py`` wraps.
 
-The object controller spends a scheduling point in a chain of calls —
-``_on_schedule_point → _schedule_one → _candidates → policy → _commit →
-DramSystem.execute → Channel.execute → Bank.commit`` — plus a
-``ready_cycle`` snapshot listcomp and a :class:`TransactionTiming`
-allocation per committed transaction.  :class:`FastMemoryController`
-fuses the entire point into one method reading the struct-of-arrays bank
-state of :class:`repro.dram.fast.FastChannel` directly, and routes its
-two event shapes through the :class:`repro.sim.fast.FastEngine` lanes
-(``kick``/``complete``) instead of the heap.
-
-Every observable decision is transcribed from the object path, in the
-same order, including:
-
-* the drain-mode hysteresis (telemetry transitions included);
-* the single-pass candidate partition with the bank-ready horizon filter
-  and future-arrival invisibility (wake merging via ``_min_opt``);
-* drain writes > demand reads > prefetches > idle writes precedence;
-* the global hit-first prefilter and the late-bound policy ``select_*``
-  call (so :class:`~repro.controller.decision_log.DecisionLog` wrappers
-  attach unchanged);
-* queue removal *before* the keep-open probe, stats/latency accounting,
-  span stamping, the DRAM observer hook, space-waiter wakeups, and the
-  re-arm kick.
-
-The RNG draw sequence is untouched (draws happen inside the policy), so
-stats are bit-identical to the object backend — the golden fingerprint
-suite enforces this for every policy.
-
-Not supported (the backend resolver falls back to the object engine):
-refresh scheduling, which mutates :class:`~repro.dram.bank.Bank` objects
-directly, and split per-channel controller groups.
+The benchmark ledger imports ``FastMemoryController`` from here and keys
+its per-layer counters on the controller's qualified method names, so
+this import path stays until the ledger moves to
+:class:`repro.controller.controller.MemoryController`.
 """
 
-from __future__ import annotations
-
-from repro.controller.controller import MemoryController, _min_opt
-from repro.core.policy import SchedulingPolicy
-from repro.dram.channel import TransactionTiming
+from repro.controller.controller import FastMemoryController
 
 __all__ = ["FastMemoryController"]
-
-
-class FastMemoryController(MemoryController):
-    """Policy-driven controller fused onto struct-of-arrays DRAM state."""
-
-    def __init__(
-        self,
-        config,
-        dram,
-        policy,
-        num_cores,
-        engine,
-        rng,
-        line_bytes: int = 64,
-        telemetry=None,
-    ) -> None:
-        super().__init__(
-            config,
-            dram,
-            policy,
-            num_cores,
-            engine,
-            rng,
-            line_bytes=line_bytes,
-            telemetry=telemetry,
-        )
-        if self.refresh is not None:
-            raise ValueError(
-                "fast backend does not support refresh scheduling; "
-                "use backend='object'"
-            )
-        #: FastChannel array — scheduling reads its SoA state directly
-        self._channels = dram.channels
-        t = dram.timing
-        self._t_rp = t.t_rp
-        self._t_rcd = t.t_rcd
-        self._t_cl = t.t_cl
-        self._t_burst = t.t_burst
-        self._t_wr = t.t_wr
-        self._t_rrd = t.t_rrd
-        self._t_faw = t.t_faw
-        self._act_tracking = bool(t.t_rrd or t.t_faw)
-        self._drain_high = config.write_drain_high
-        self._drain_low = config.write_drain_low
-        self._overhead = config.overhead
-        self._open_page = config.page_policy == "open"
-        # Address decode inlined into enqueue: the mapper memoises decoded
-        # lines, so the common case is one dict probe.
-        mapper = dram.mapper
-        self._off_bits = mapper._off_bits
-        self._decode_cache = mapper._decode_cache
-        # Completion-side policy notification: the base
-        # ``on_read_complete`` is a documented no-op, so skip the call
-        # entirely unless the bound policy overrides it (online-ME does).
-        self._on_read_complete = policy.on_read_complete
-        self._notify_read = (
-            getattr(policy.on_read_complete, "__func__", None)
-            is not SchedulingPolicy.on_read_complete
-        )
-        # Pre-grow the per-channel queue views so the hot enqueue/commit
-        # paths can index them unconditionally.
-        nch = len(dram.channels)
-        for by_ch in (self.queues.reads_by_ch, self.queues.writes_by_ch):
-            while len(by_ch) < nch:
-                by_ch.append([])
-        engine.attach_channels(
-            len(dram.channels), self._fast_point, self._fast_deliver
-        )
-
-    # -- request intake --------------------------------------------------------
-
-    def enqueue(self, req, now: int) -> bool:
-        """Fused twin of :meth:`MemoryController.enqueue`.
-
-        Inlines the address decode (memo probe), ``RequestQueues.add``
-        (capacity already checked here; core ids come from the hierarchy
-        and are trusted), the drain-mode no-transition fast path and the
-        decision-slot kick.  Keep in sync with the object path — every
-        observable effect happens in the same order.
-        """
-        qs = self.queues
-        if qs.occupancy >= qs.capacity:
-            return False
-        addr = req.addr
-        coord = self._decode_cache.get(addr >> self._off_bits)
-        if coord is None:
-            coord = self.dram.coord(addr)
-        req._coord = coord
-        req.bank = coord.bank
-        req.row = coord.row
-        req.arrival_cycle = now
-        # -- inlined RequestQueues.add --
-        req.seq = qs._next_seq
-        qs._next_seq += 1
-        qs.occupancy += 1
-        ch = coord.channel
-        if req.is_write:
-            qs.writes.append(req)
-            qs.pending_writes[req.core_id] += 1
-            qs.writes_by_ch[ch].append(req)
-        else:
-            qs.reads.append(req)
-            if not req.is_prefetch:
-                qs.pending_reads[req.core_id] += 1
-            qs.reads_by_ch[ch].append(req)
-        # -- drain-mode hysteresis (fast path; shared method on transition) --
-        nw = len(qs.writes)
-        if self.drain_mode:
-            if nw <= self._drain_low:
-                self._update_drain_mode(now)
-        elif nw >= self._drain_high:
-            self._update_drain_mode(now)
-        # -- inlined _kick_channel + FastEngine.kick --
-        if not self._sched_pending[ch]:
-            self._sched_pending[ch] = True
-            eng = self.engine
-            busy = self._channels[ch].busy_until
-            eng._dec_cycle[ch] = busy if busy > now else now
-            eng._dec_seq[ch] = eng._seq
-            eng._seq += 1
-        return True
-
-    # -- scheduling ------------------------------------------------------------
-
-    def _kick_channel(self, channel: int, now: int) -> None:
-        """Arm the engine's decision slot for ``channel`` (deduped)."""
-        if self._sched_pending[channel]:
-            return
-        self._sched_pending[channel] = True
-        busy = self._channels[channel].busy_until
-        self.engine.kick(channel, busy if busy > now else now)
-
-    def _fast_deliver(self, now: int, req) -> None:
-        """Completion-lane dispatch: twin of the object ``_deliver``."""
-        req.on_complete(req, now)
-        if self._notify_read:
-            self._on_read_complete(req.core_id, self.line_bytes, now)
-
-    def _fast_point(self, now: int, channel: int) -> None:
-        """One scheduling point, start to finish, in a single frame."""
-        self._sched_pending[channel] = False
-        ch = self._channels[channel]
-        qs = self.queues
-        # Drain-mode hysteresis: inline the no-transition fast path, defer
-        # to the shared method (stats + telemetry emit) on a transition.
-        nw = len(qs.writes)
-        if self.drain_mode:
-            if nw <= self._drain_low:
-                self._update_drain_mode(now)
-        elif nw >= self._drain_high:
-            self._update_drain_mode(now)
-        # -- candidates: lazy partition over the SoA ready array ---------
-        # ``next_arrival`` is only consumed on the empty-candidates path,
-        # so the common case — an eligible request exists at the
-        # precedence level that wins — scans exactly one queue view and
-        # skips the wake/future bookkeeping consumers entirely.  The
-        # decision tree is MemoryController._candidates', case-split on
-        # drain mode; beyond-horizon wake minima (``*_wake``) are ``None``
-        # exactly when that kind has no arrived-but-ineligible request,
-        # which is what the object path's conditional guards reduce to.
-        ready_by_bank = ch.ready
-        horizon = now + self._ready_horizon
-        rbc = qs.reads_by_ch
-        wbc = qs.writes_by_ch
-        is_write = False
-        candidates = None
-        writes = ()
-        w_wake = None
-        future = None
-        if self.drain_mode:
-            writes = []
-            any_write = False
-            for w in wbc[channel]:
-                arrival = w.arrival_cycle
-                if arrival <= now:
-                    any_write = True
-                    t = ready_by_bank[w.bank]
-                    if t <= horizon:
-                        writes.append(w)
-                    elif w_wake is None or t < w_wake:
-                        w_wake = t
-                elif future is None or arrival < future:
-                    future = arrival
-            if any_write:
-                if writes:
-                    candidates = writes
-                    is_write = True
-                else:
-                    # Drain wants a write but none is bank-ready: the
-                    # re-arm horizon spans *both* queues' future arrivals.
-                    for r in rbc[channel]:
-                        arrival = r.arrival_cycle
-                        if arrival > now and (
-                            future is None or arrival < future
-                        ):
-                            future = arrival
-                    next_arrival = _min_opt(future, w_wake)
-                    if next_arrival is not None:
-                        self._kick_channel(channel, next_arrival)
-                    return
-        if candidates is None:
-            demand = []
-            prefetch = []
-            d_wake = None
-            p_wake = None
-            r_future = None
-            for r in rbc[channel]:
-                arrival = r.arrival_cycle
-                if arrival <= now:
-                    t = ready_by_bank[r.bank]
-                    if r.is_prefetch:
-                        if t <= horizon:
-                            prefetch.append(r)
-                        elif p_wake is None or t < p_wake:
-                            p_wake = t
-                    elif t <= horizon:
-                        demand.append(r)
-                    elif d_wake is None or t < d_wake:
-                        d_wake = t
-                elif r_future is None or arrival < r_future:
-                    r_future = arrival
-            if demand:
-                candidates = demand
-            elif prefetch:
-                candidates = prefetch
-            else:
-                if not self.drain_mode:
-                    # Writes as last resort: only now is the write view
-                    # scanned on the non-drain path.
-                    writes = []
-                    future = r_future
-                    for w in wbc[channel]:
-                        arrival = w.arrival_cycle
-                        if arrival <= now:
-                            t = ready_by_bank[w.bank]
-                            if t <= horizon:
-                                writes.append(w)
-                            elif w_wake is None or t < w_wake:
-                                w_wake = t
-                        elif future is None or arrival < future:
-                            future = arrival
-                else:
-                    # Drain scan above found no arrived write; it already
-                    # holds the write-queue future and writes == [].
-                    future = _min_opt(future, r_future)
-                if writes:
-                    candidates = writes
-                    is_write = True
-                else:
-                    next_arrival = _min_opt(
-                        future, _min_opt(_min_opt(d_wake, p_wake), w_wake)
-                    )
-                    if next_arrival is not None:
-                        self._kick_channel(channel, next_arrival)
-                    return
-        # -- policy selection --
-        ctx = self._ctx
-        ctx.now = now
-        ctx.channel = channel
-        if ctx.hits_prefiltered and len(candidates) > 1:
-            open_row = ch.open_row
-            hits = [r for r in candidates if open_row[r.bank] == r.row]
-            if hits:
-                candidates = hits
-        if is_write:
-            req = self.policy.select_write(candidates, ctx)
-        else:
-            req = self.policy.select_read(candidates, ctx)
-        # -- commit: fused _commit + Channel.execute + Bank.commit --
-        bank = req.bank
-        row = req.row
-        core = req.core_id
-        is_write_req = req.is_write
-        # Inlined RequestQueues.remove (keep in sync): the request came
-        # from this channel's view, so the per-channel list is known.
-        qs.occupancy -= 1
-        if is_write_req:
-            qs.writes.remove(req)
-            qs.pending_writes[core] -= 1
-            wbc[channel].remove(req)
-        else:
-            qs.reads.remove(req)
-            if not req.is_prefetch:
-                qs.pending_reads[core] -= 1
-            rbc[channel].remove(req)
-        if self._open_page:
-            keep_open = True
-        else:
-            # Inlined RequestQueues.any_for_bank over the channel views.
-            keep_open = False
-            for r in rbc[channel]:
-                if r.bank == bank and r.row == row:
-                    keep_open = True
-                    break
-            if not keep_open:
-                for w in wbc[channel]:
-                    if w.bank == bank and w.row == row:
-                        keep_open = True
-                        break
-        rc = ready_by_bank[bank]
-        start = now if now > rc else rc
-        bank_start = start
-        open_row = ch.open_row
-        hit = open_row[bank] == row
-        conflict = False
-        if hit:
-            cas = start
-        else:
-            if open_row[bank] != -1:
-                start += self._t_rp
-                ch.confs[bank] += 1
-                conflict = True
-            act = start
-            if self._act_tracking:
-                act_times = ch._act_times
-                if self._t_rrd and act_times:
-                    t = act_times[-1] + self._t_rrd
-                    if t > act:
-                        act = t
-                if self._t_faw and len(act_times) == 4:
-                    t = act_times[0] + self._t_faw
-                    if t > act:
-                        act = t
-                act_times.append(act)
-            cas = act + self._t_rcd
-        data_start = cas + self._t_cl
-        if data_start < ch.bus_free_cycle:
-            data_start = ch.bus_free_cycle
-        data_end = data_start + self._t_burst
-        ch.bus_free_cycle = data_end
-        ch.busy_until = now + self._t_burst
-        if hit:
-            ch.hits[bank] += 1
-        else:
-            ch.acts[bank] += 1
-        recovery = self._t_wr if is_write_req else 0
-        if keep_open:
-            open_row[bank] = row
-            ready_by_bank[bank] = data_end + recovery
-        else:
-            open_row[bank] = -1
-            ready_by_bank[bank] = data_end + recovery + self._t_rp
-        ch.transactions += 1
-        if is_write_req:
-            ch.writes += 1
-        ch.data_cycles += data_end - data_start
-        dram = self.dram
-        if dram.observer is not None:
-            timing = TransactionTiming(
-                cas_cycle=cas,
-                data_start=data_start,
-                data_end=data_end,
-                row_hit=hit,
-                start_cycle=bank_start,
-                conflict=conflict,
-            )
-            dram.observer(req.coord, timing, is_write_req, keep_open, conflict)
-        req.issue_cycle = now
-        req.row_hit = hit
-        st = self.stats
-        if is_write_req:
-            req.done_cycle = data_end
-            st.write_count[core] += 1
-            st.bytes_written[core] += self.line_bytes
-        elif req.is_prefetch:
-            done = data_end + self._overhead
-            req.done_cycle = done
-            st.prefetch_count[core] += 1
-            st.bytes_read[core] += self.line_bytes
-            if req.on_complete is not None:
-                self.engine.complete(channel, done, req)
-        else:
-            done = data_end + self._overhead
-            req.done_cycle = done
-            st.read_count[core] += 1
-            lat = done - req.arrival_cycle
-            st.read_latency_sum[core] += lat
-            if lat > st.read_latency_max[core]:
-                st.read_latency_max[core] = lat
-            st.bytes_read[core] += self.line_bytes
-            if hit:
-                st.read_row_hits += 1
-            if req.on_complete is not None:
-                self.engine.complete(channel, done, req)
-        span = req.span
-        if span is not None:
-            coord = req.coord
-            span.arrival = req.arrival_cycle
-            span.pick = now
-            span.track = self.telemetry_track
-            span.channel = ch.index
-            span.bank = coord.bank
-            span.row = coord.row
-            span.bank_start = bank_start
-            span.cas = cas
-            span.data_start = data_start
-            span.data_end = data_end
-            span.done = req.done_cycle
-            span.row_hit = hit
-            span.conflict = conflict
-            self.spans.finish(span)
-        if self._space_waiters:
-            waiters, self._space_waiters = self._space_waiters, []
-            for cb in waiters:
-                cb(now)
-        # More work? Re-arm at the channel's next issue opportunity
-        # (inlined _kick_channel + FastEngine.kick).
-        if qs.occupancy and not self._sched_pending[channel]:
-            self._sched_pending[channel] = True
-            eng = self.engine
-            busy = ch.busy_until
-            eng._dec_cycle[channel] = busy if busy > now else now
-            eng._dec_seq[channel] = eng._seq
-            eng._seq += 1

@@ -128,11 +128,6 @@ class RequestQueues:
         by_ch = self.reads_by_ch
         return list(by_ch[channel]) if channel < len(by_ch) else []
 
-    def writes_for_channel(self, channel: int) -> list[MemoryRequest]:
-        """Pending writes whose line maps to ``channel`` (age order)."""
-        by_ch = self.writes_by_ch
-        return list(by_ch[channel]) if channel < len(by_ch) else []
-
     def any_for_bank(self, channel: int, bank: int, row: int) -> bool:
         """Is any queued request (read or write) targeting this open row?
 

@@ -27,8 +27,7 @@ out of the controller's global hit-first prefilter
 (``hit_first_global = False``, like FCFS/RF) and applies hit-first
 *within* the surviving pool itself — mirroring the paper's priority
 order exactly.  Selection is fully deterministic (oldest within the
-pool), so BLISS draws nothing from the shared tie-break RNG stream and
-runs bit-identically on the object and fast backends.
+pool), so BLISS draws nothing from the shared tie-break RNG stream.
 
 Hardware cost (the paper's headline): one blacklist bit and nothing
 else per core, plus one streak counter, one last-core register and the
@@ -104,9 +103,7 @@ class BlissPolicy(SchedulingPolicy):
 
     def _maybe_clear(self, now: int) -> None:
         # Clearing happens on a fixed cycle grid so the policy's state
-        # depends only on `now`, never on how often scheduling points fire
-        # (the two backends reach select_read at identical cycles but
-        # this keeps the invariant explicit).
+        # depends only on `now`, never on how often scheduling points fire.
         if now < self._next_clear:
             return
         self._blacklisted = [False] * self.num_cores

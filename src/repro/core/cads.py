@@ -33,8 +33,7 @@ Mechanism, as implemented here:
 
 Interval boundaries are evaluated lazily at scheduling points, on a
 ``now``-based grid, so the adaptation depends only on cycle time and
-served counts — both identical across the object and fast backends —
-keeping CADS bit-identical on the two engines.
+served counts, never on how often scheduling points fire.
 
 Hardware cost: a served counter and a rank register per core, plus the
 interval length and its countdown globally — no SRAM table, no division.

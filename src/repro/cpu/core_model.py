@@ -30,7 +30,7 @@ Fidelity approximations (intentional, documented):
   was stalled, slightly conservative).
 * Each core may run up to ``lookahead`` cycles past the globally committed
   simulation time; requests it emits are future-dated and the controller
-  refuses to schedule them early (see ``MemoryController._candidates``),
+  refuses to schedule them early (see ``MemoryController._fast_point``),
   so causality holds, while the bound keeps cross-core L2 interleaving
   honest.
 """
@@ -152,12 +152,9 @@ class TraceCore:
         self._mshr_entries = mshr._entries
         self._mshr_cap = mshr.capacity
         self._l2_mshr_cap = hierarchy.l2_mshr_cap
-        #: the controller's shared buffer, or None for split-controller
-        #: groups (per-channel queues; the probe calls can_accept instead)
-        self._ctrl_queues = getattr(hierarchy.controller, "queues", None)
-        self._cq_cap = (
-            self._ctrl_queues.capacity if self._ctrl_queues is not None else 0
-        )
+        #: the controller's shared buffer
+        self._ctrl_queues = hierarchy.controller.queues
+        self._cq_cap = self._ctrl_queues.capacity
         # Bound-method callbacks created once: the retry/store paths pass
         # these thousands of times per run, and each plain attribute access
         # would build a fresh bound method.
@@ -287,11 +284,7 @@ class TraceCore:
                     if line not in entries and (
                         len(entries) >= self._mshr_cap
                         or h._l2_outstanding >= self._l2_mshr_cap
-                        or (
-                            cq.occupancy >= self._cq_cap
-                            if cq is not None
-                            else not h.controller.can_accept()
-                        )
+                        or cq.occupancy >= self._cq_cap
                     ):
                         self._demand_accesses[self.core_id] += 1
                         self._l1.stats.misses += 1
@@ -302,7 +295,8 @@ class TraceCore:
                                 self.core_id, self.fetch_q // self._Q, line
                             )
                         # Inlined CacheHierarchy.wait_unblock (keep in
-                        # sync) — one call saved per failed retry.
+                        # sync): failed retries are the most frequent
+                        # wake in memory-bound runs.
                         h._unblock_waiters.append(self._on_unblock_cb)
                         if not h._space_watch_armed:
                             h._space_watch_armed = True
@@ -478,7 +472,7 @@ class TraceCore:
         l2stats = h.l2.stats
         l2_hit_latency = h._l2_hit_latency
         l2_lat_is_l1 = l2_hit_latency == l1_hit_latency
-        l1_assoc = l1._assoc
+        fill_l1 = h._fill_l1
         prefetcher = h.prefetcher
         after_l2_miss = h._after_l2_miss
         n_l2_hits = 0  # l2.stats.hits
@@ -571,33 +565,16 @@ class TraceCore:
                 t2 = line >> l2_off_bits
                 s2 = l2_sets[t2 & l2_set_mask]
                 if t2 in s2:
-                    # L2 hit — inlined hit path of access_after_l1_miss
+                    # L2 hit — the hit path of access_after_l1_miss
                     # (keep in sync with hierarchy.py): refresh L2
                     # recency, install into L1 and retire the reference
-                    # here, with no hierarchy call and no waiter.
+                    # here, with no waiter.
                     s2[t2] = s2.pop(t2)
                     n_l2_hits += 1
                     if prefetcher is not None and line in h._prefetched_lines:
                         h._prefetched_lines.discard(line)
                         prefetcher.mark_useful()
-                    t1 = line >> l1_off_bits
-                    s1 = l1_sets[t1 & l1_set_mask]
-                    if t1 in s1:
-                        s1[t1] = s1.pop(t1) or is_write
-                    else:
-                        v_dirty = False
-                        if len(s1) >= l1_assoc:
-                            v_tag = next(iter(s1))  # front of dict == LRU
-                            v_dirty = s1.pop(v_tag)
-                            l1_stats.evictions += 1
-                            if v_dirty:
-                                l1_stats.dirty_evictions += 1
-                        s1[t1] = is_write
-                        l1_stats.fills += 1
-                        if v_dirty:
-                            v_addr = v_tag << l1_off_bits
-                            if not h.l2.set_dirty(v_addr):
-                                h._emit_writeback(core_id, v_addr, cycle)
+                    fill_l1(core_id, line, dirty=is_write, now=cycle)
                     if is_write:
                         n_stores += 1
                     else:

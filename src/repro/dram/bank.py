@@ -1,11 +1,10 @@
-"""DRAM bank state machine.
+"""Per-bank view of a channel's bank state.
 
-A bank tracks the currently open row (if any) and the earliest cycle at
-which a new command may start at it.  The timing arithmetic for a whole
-transaction (activate / CAS / burst / precharge, plus data-bus
-serialisation) lives in :class:`repro.dram.channel.Channel`; the bank only
-answers "is this row open?", "when are you free?", and records the outcome
-of a committed transaction.
+Bank state lives in :class:`repro.dram.channel.Channel`'s parallel arrays
+(``ready``, ``open_row`` and the lifetime counters), which the controller
+reads and writes directly at every scheduling point.  Post-run consumers
+(``repro.metrics.analysis``, tests, debugging) iterate ``channel.banks``
+instead and get one :class:`Bank` snapshot per bank.
 
 Row-hit detection against this state is what the Hit-First component of
 every scheduling policy in the paper consults.
@@ -13,13 +12,11 @@ every scheduling policy in the paper consults.
 
 from __future__ import annotations
 
-from repro.config import DramTimingConfig
-
 __all__ = ["Bank"]
 
 
 class Bank:
-    """One DRAM bank.
+    """Read-only snapshot of one DRAM bank.
 
     Attributes
     ----------
@@ -34,86 +31,19 @@ class Bank:
         (``conflicts`` counts accesses that found a *different* row open
         and had to precharge first — only possible under the open-page
         ablation or while a keep-open decision is pending).
+
+    Mutating a snapshot does not write back to the channel.
     """
 
-    __slots__ = (
-        "index",
-        "timing",
-        "open_row",
-        "ready_cycle",
-        "activations",
-        "row_hits",
-        "conflicts",
-        "_t_rp",
-        "_t_wr",
-    )
+    __slots__ = ("index", "open_row", "ready_cycle", "activations", "row_hits", "conflicts")
 
-    def __init__(self, index: int, timing: DramTimingConfig) -> None:
+    def __init__(self, index, open_row, ready_cycle, activations, row_hits, conflicts):
         self.index = index
-        self.timing = timing
-        # Timing constants flattened out of the (non-slotted, frozen)
-        # config dataclass once at construction — commit() runs per
-        # transaction and must not chase config attributes.
-        self._t_rp = timing.t_rp
-        self._t_wr = timing.t_wr
-        self.open_row: int | None = None
-        self.ready_cycle: int = 0
-        self.activations: int = 0
-        self.row_hits: int = 0
-        self.conflicts: int = 0
-
-    def is_open(self, row: int) -> bool:
-        """True iff ``row`` is latched in the row buffer."""
-        return self.open_row == row
-
-    def access_start(self, now: int) -> int:
-        """Earliest cycle an access could start here."""
-        return max(now, self.ready_cycle)
-
-    def commit(
-        self,
-        row: int,
-        data_end: int,
-        *,
-        was_hit: bool,
-        is_write: bool,
-        keep_open: bool,
-    ) -> None:
-        """Record a transaction whose data burst ends at ``data_end``.
-
-        Parameters
-        ----------
-        was_hit:
-            Whether the access reused the open row (stats only).
-        keep_open:
-            Page-policy decision by the controller: ``True`` leaves the row
-            latched, ``False`` auto-precharges after the access.
-        """
-        if was_hit:
-            self.row_hits += 1
-        else:
-            self.activations += 1
-        recovery = self._t_wr if is_write else 0
-        if keep_open:
-            self.open_row = row
-            self.ready_cycle = data_end + recovery
-        else:
-            self.open_row = None
-            self.ready_cycle = data_end + recovery + self._t_rp
-
-    def precharge(self, now: int) -> None:
-        """Explicitly close the bank (open-page ablation uses this)."""
-        if self.open_row is not None:
-            self.open_row = None
-            self.ready_cycle = max(now, self.ready_cycle) + self.timing.t_rp
-
-    def reset(self) -> None:
-        """Return to the powered-up, all-banks-precharged state."""
-        self.open_row = None
-        self.ready_cycle = 0
-        self.activations = 0
-        self.row_hits = 0
-        self.conflicts = 0
+        self.open_row = open_row
+        self.ready_cycle = ready_cycle
+        self.activations = activations
+        self.row_hits = row_hits
+        self.conflicts = conflicts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bank({self.index}, open_row={self.open_row}, ready={self.ready_cycle})"

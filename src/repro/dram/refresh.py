@@ -11,7 +11,9 @@ Modelled at transaction granularity: a :class:`RefreshScheduler` tracks,
 per channel, when the next refresh window falls; the controller asks it to
 ``advance`` past a cycle and receives the cycle at which the channel is
 next usable, while every bank's ready time is pushed past the window and
-all rows are closed (refresh implies precharge-all).
+all rows are closed (refresh implies precharge-all).  Both are written
+straight into the channel's bank arrays, which the controller reads at
+its next scheduling point.
 """
 
 from __future__ import annotations
@@ -59,16 +61,15 @@ class RefreshScheduler:
         issued back-to-back, as a real controller would catch up.
         """
         start = now
+        ready = channel.ready
+        open_row = channel.open_row
         while self._next_refresh[channel_idx] <= start:
-            window_start = max(
-                self._next_refresh[channel_idx],
-                max(b.ready_cycle for b in channel.banks) if channel.banks else 0,
-            )
+            window_start = max(self._next_refresh[channel_idx], max(ready))
             window_end = window_start + self.t_rfc
-            for bank in channel.banks:
-                bank.open_row = None  # refresh precharges every bank
-                if bank.ready_cycle < window_end:
-                    bank.ready_cycle = window_end
+            for i in range(len(ready)):
+                open_row[i] = -1  # refresh precharges every bank
+                if ready[i] < window_end:
+                    ready[i] = window_end
             self._next_refresh[channel_idx] += self.t_refi
             self.refreshes_issued += 1
             if window_end > start:

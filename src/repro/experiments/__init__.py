@@ -20,7 +20,6 @@ from repro.experiments.ablations import (
     ablation_online_phases,
     ablation_page_policy,
     ablation_prefetch,
-    ablation_split_controllers,
     ablation_table_bits,
     ablation_write_drain,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ablation_online_phases",
     "ablation_page_policy",
     "ablation_prefetch",
-    "ablation_split_controllers",
     "ablation_table_bits",
     "ablation_write_drain",
     "arena_anatomy",

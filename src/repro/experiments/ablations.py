@@ -28,7 +28,6 @@ __all__ = [
     "ablation_page_policy",
     "ablation_write_drain",
     "ablation_lookahead",
-    "ablation_split_controllers",
     "ablation_online_phases",
     "ablation_prefetch",
     "ablation_cell_specs",
@@ -136,47 +135,6 @@ def ablation_write_drain(
             for seed in ctx.seeds
         ]
         out[f"high={high},low={low}"] = sum(vals) / len(vals)
-    return out
-
-
-def ablation_split_controllers(
-    ctx: ExperimentContext,
-    workload: str = "4MEM-1",
-    policy: str = "LREQ",
-) -> dict[str, float]:
-    """Shared controller (the paper's Fig. 1) vs per-channel controllers.
-
-    Per-channel controllers give LREQ-family policies *local* pending
-    counts — a semantic change the paper's shared-buffer design avoids.
-    """
-    from repro.core.registry import make_policy
-    from repro.metrics.speedup import smt_speedup as _speedup
-    from repro.sim.system import MultiCoreSystem
-    from repro.workloads.synthetic import make_trace
-
-    mix = workload_by_name(workload)
-    out: dict[str, float] = {}
-    for kind in ("shared", "split"):
-        vals = []
-        for seed in ctx.seeds:
-            traces = [
-                make_trace(a, seed, "eval", i) for i, a in enumerate(mix.apps())
-            ]
-            sys_ = MultiCoreSystem(
-                ctx.config.with_cores(mix.num_cores),
-                make_policy(policy),
-                traces,
-                ctx.inst_budget,
-                warmup_insts=ctx.warmup_insts,
-                seed=seed,
-                lookahead=ctx.lookahead,
-                controller_kind=kind,
-                policy_factory=(lambda p=policy: make_policy(p)) if kind == "split" else None,
-            )
-            sys_.run()
-            ipcs = [c.ipc() for c in sys_.cores]
-            vals.append(_speedup(ipcs, ctx.single_ipcs(mix, seed)))
-        out[kind] = sum(vals) / len(vals)
     return out
 
 

@@ -21,7 +21,7 @@ the test suite.
 Determinism contract (mirrors :mod:`repro.experiments.arena`): all
 statistics are integers or float-hex-stable floats derived from seeded
 runs, spans are aggregated in a sorted canonical order, and the
-rendered table is byte-identical across backends, process counts and
+rendered table is byte-identical across process counts and
 platforms — pinned by ``tests/golden/golden_cloud.json``.
 """
 
@@ -148,7 +148,6 @@ def run_cloud(
     warmup_insts: int = DEFAULT_WARMUP,
     lookahead: int = 256,
     max_events: int | None = None,
-    backend: str | None = None,
 ) -> CloudResult:
     """Run a cloud mix under ``policy`` on the datacenter-class machine.
 
@@ -194,7 +193,6 @@ def run_cloud(
         seed=seed,
         lookahead=lookahead,
         telemetry=telemetry,
-        backend=backend,
     )
     telemetry.meta.setdefault("run", {}).update(
         mix=mix.name, policy=policy.name, seed=seed, budget=inst_budget,
@@ -208,7 +206,7 @@ def run_cloud(
     end = max((s.done for s in collector.completed), default=None)
     windows = drain_windows(telemetry, end_cycle=end)
     # canonical span order: sorted, not completion order, so aggregation
-    # is invariant to backend-internal event sequencing
+    # is invariant to engine-internal event sequencing
     by_core: dict[int, list] = {i: [] for i in mix.service_cores()}
     for span in collector.completed:
         if span.kind == "read" and span.core_id in by_core:

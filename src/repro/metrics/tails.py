@@ -5,7 +5,7 @@ or p999 read latency is the number an SLO is written against ("Memory
 Controller Design Under Cloud Workloads", arXiv:1611.10316).  This
 module computes those tails *exactly* — nearest-rank percentiles over
 integer cycle counts, no interpolation, no floats — so the numbers are
-bit-identical across backends, process counts and platforms, and can be
+bit-identical across process counts and platforms, and can be
 pinned by golden fingerprints like every other statistic in this repo.
 
 Nearest-rank definition (the classic one): the ``q``-th percentile of

@@ -1,7 +1,8 @@
 """Simulation driver: discrete-event engine, system assembly, run helpers.
 
-:class:`~repro.sim.engine.EventEngine` is a plain binary-heap event queue in
-the CPU clock domain; :class:`~repro.sim.system.MultiCoreSystem` assembles
+:class:`~repro.sim.engine.EventEngine` is the event queue in the CPU clock
+domain (a heap plus O(1) lanes for the controller's decision points and
+read completions); :class:`~repro.sim.system.MultiCoreSystem` assembles
 cores, caches, controller and DRAM from a :class:`~repro.config.SystemConfig`
 and a workload; :mod:`repro.sim.runner` provides the two run shapes the
 paper's methodology needs — single-core profiling runs and multi-core

@@ -1,10 +1,25 @@
-"""Discrete-event engine.
+"""Discrete-event engine: a heap plus per-channel controller lanes.
 
-A minimal binary-heap scheduler in the CPU clock domain.  Components
-schedule ``fn(now, *args)`` callbacks at absolute cycles; the engine pops
-them in (cycle, insertion-order) order, so same-cycle events run in the
-order they were scheduled — deterministic, which the reproducibility tests
-rely on.
+Components schedule ``fn(now, *args)`` callbacks at absolute cycles in the
+CPU clock domain; the engine runs them in (cycle, insertion-order) order,
+so same-cycle events run in the order they were scheduled — deterministic,
+which the reproducibility tests rely on.
+
+Roughly two thirds of a steady-state run's events are two shapes owned by
+the memory controller, and neither needs a heap:
+
+* **decision points** — at most one pending per channel at any time (the
+  controller's ``_sched_pending`` dedupe guarantees it), so one
+  ``(cycle, seq)`` slot per channel suffices;
+* **read/prefetch completions** — per channel these complete in strictly
+  increasing ``data_end`` order (the data bus serialises bursts and the
+  controller adds a constant overhead), so a FIFO deque per channel is
+  already sorted.
+
+The run loop pops the global ``(cycle, seq)`` minimum across the heap
+(core wake timers, online-ME window ticks, telemetry sampler ticks), the
+decision slots and the completion deques.  Every source draws its sequence
+number from one counter and every dispatch counts in ``events_processed``.
 
 Events may be scheduled in the past only up to the current cycle (they are
 clamped to ``now``); attempting to go genuinely backwards would mean a
@@ -13,16 +28,21 @@ models from crashing a run while the invariant `engine.now` never
 decreases still holds.  Every clamp is counted in ``clamped_events`` (the
 telemetry sampler exposes it as a time series), and ``strict=True`` turns
 clamping into :class:`PastEventError` for tests hunting causality bugs.
+Decision points are armed at ``max(busy_until, now) >= now`` and
+completions at ``data_end + overhead > now``, so the lanes never clamp.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
+from collections import deque
 from heapq import heappop, heappush
 from typing import Callable
 
 __all__ = ["EventEngine", "PastEventError"]
+
+#: sentinel cycle for an empty decision slot — beyond any real cycle
+_NEVER = 1 << 62
 
 
 class PastEventError(RuntimeError):
@@ -30,9 +50,23 @@ class PastEventError(RuntimeError):
 
 
 class EventEngine:
-    """Binary-heap discrete-event scheduler."""
+    """Discrete-event scheduler with O(1) lanes for the controller."""
 
-    __slots__ = ("now", "strict", "_heap", "_seq", "events_processed", "clamped_events", "stop_requested")
+    __slots__ = (
+        "now",
+        "strict",
+        "_heap",
+        "_seq",
+        "events_processed",
+        "clamped_events",
+        "stop_requested",
+        "_nch",
+        "_dec_cycle",
+        "_dec_seq",
+        "_comps",
+        "_point_fn",
+        "_deliver_fn",
+    )
 
     def __init__(self, strict: bool = False) -> None:
         self.now: int = 0
@@ -45,6 +79,32 @@ class EventEngine:
         self.stop_requested = False
         #: past-cycle schedules clamped to the present (0 in a clean run)
         self.clamped_events = 0
+        self._nch = 0
+        self._dec_cycle: list[int] = []
+        self._dec_seq: list[int] = []
+        self._comps: list[deque] = []
+        self._point_fn: Callable | None = None
+        self._deliver_fn: Callable | None = None
+
+    def attach_channels(
+        self,
+        num_channels: int,
+        point_fn: Callable[[int, int], None],
+        deliver_fn: Callable[[int, object], None],
+    ) -> None:
+        """Register the controller's lane handlers.
+
+        ``point_fn(now, channel)`` dispatches a decision slot;
+        ``deliver_fn(now, req)`` dispatches a completion.
+        """
+        self._nch = num_channels
+        self._dec_cycle = [_NEVER] * num_channels
+        self._dec_seq = [_NEVER] * num_channels
+        self._comps = [deque() for _ in range(num_channels)]
+        self._point_fn = point_fn
+        self._deliver_fn = deliver_fn
+
+    # -- scheduling ----------------------------------------------------------
 
     def schedule(self, cycle: int, fn: Callable, *args) -> None:
         """Run ``fn(now, *args)`` at ``cycle`` (clamped to the present)."""
@@ -62,23 +122,81 @@ class EventEngine:
         heappush(self._heap, (cycle, self._seq, fn, args))
         self._seq += 1
 
+    def kick(self, channel: int, cycle: int) -> None:
+        """Arm the (single) decision slot for ``channel`` at ``cycle``.
+
+        The caller guarantees the slot is empty (controller dedupe) and
+        ``cycle >= now``.
+        """
+        self._dec_cycle[channel] = cycle
+        self._dec_seq[channel] = self._seq
+        self._seq += 1
+
+    def complete(self, channel: int, cycle: int, req) -> None:
+        """Append a completion to ``channel``'s FIFO lane.
+
+        Valid because per-channel completion cycles are strictly
+        increasing (bus serialisation + constant return overhead).
+        """
+        self._comps[channel].append((cycle, self._seq, req))
+        self._seq += 1
+
+    # -- introspection -------------------------------------------------------
+
     @property
     def pending(self) -> int:
-        """Number of queued events."""
-        return len(self._heap)
+        """Number of queued events across all lanes."""
+        n = len(self._heap)
+        for c in self._dec_cycle:
+            if c != _NEVER:
+                n += 1
+        for q in self._comps:
+            n += len(q)
+        return n
 
     def peek_cycle(self) -> int | None:
         """Cycle of the next event, or ``None`` when idle."""
-        return self._heap[0][0] if self._heap else None
+        best = self._heap[0][0] if self._heap else _NEVER
+        for c in self._dec_cycle:
+            if c < best:
+                best = c
+        for q in self._comps:
+            if q and q[0][0] < best:
+                best = q[0][0]
+        return None if best == _NEVER else best
+
+    # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
-        """Process one event; returns ``False`` when the queue is empty."""
-        if not self._heap:
+        """Process one event; returns ``False`` when every lane is empty."""
+        heap = self._heap
+        if heap:
+            h0 = heap[0]
+            bc, bs, src, ch = h0[0], h0[1], 0, 0
+        else:
+            bc, bs, src, ch = _NEVER, _NEVER, -1, 0
+        for i in range(self._nch):
+            c = self._dec_cycle[i]
+            if c < bc or (c == bc and self._dec_seq[i] < bs):
+                bc, bs, src, ch = c, self._dec_seq[i], 1, i
+            q = self._comps[i]
+            if q:
+                e = q[0]
+                if e[0] < bc or (e[0] == bc and e[1] < bs):
+                    bc, bs, src, ch = e[0], e[1], 2, i
+        if src < 0:
             return False
-        when, _, fn, args = heapq.heappop(self._heap)
-        self.now = when
+        self.now = bc
         self.events_processed += 1
-        fn(when, *args)
+        if src == 0:
+            _, _, fn, args = heappop(heap)
+            fn(bc, *args)
+        elif src == 1:
+            self._dec_cycle[ch] = _NEVER
+            self._dec_seq[ch] = _NEVER
+            self._point_fn(bc, ch)
+        else:
+            self._deliver_fn(bc, self._comps[ch].popleft()[2])
         return True
 
     def run(
@@ -98,14 +216,21 @@ class EventEngine:
             expected to finish via ``until``), exceeding ``max_events``
             raises — that means a livelock bug.
 
-        The unbounded path (no ``max_cycles``/``max_events``) is the hot
-        loop of every simulation: it pops batches of same-cycle events
-        directly off the heap with everything bound to locals, writing
-        ``now`` once per cycle group instead of once per event.  Bounded
-        runs take the straightforward per-event loop — they exist for
-        tests and safety nets, not throughput.
+        The merged pop costs a handful of comparisons per event (channel
+        counts are tiny) and saves a heap push and pop per decision point
+        and completion.
         """
         heap = self._heap
+        dec_c = self._dec_cycle
+        dec_s = self._dec_seq
+        comps = self._comps
+        nch = self._nch
+        point = self._point_fn
+        deliver = self._deliver_fn
+        pop = heappop
+        never = _NEVER
+        bounded = max_cycles is not None or max_events is not None
+        start_events = self.events_processed
         # The simulation allocates millions of short-lived containers (ROB
         # entries, waiter lists, request objects); none of them form cycles
         # that must be reclaimed mid-run, so the generational collector's
@@ -116,43 +241,57 @@ class EventEngine:
         if gc_was_enabled:
             gc.disable()
         try:
-            if max_cycles is None and max_events is None:
-                # Hot path: one heappop per event, but all loop state is
-                # local and `now` advances once per batch of same-cycle
-                # events.
-                pop = heappop
-                processed = self.events_processed
-                try:
-                    while heap:
-                        when = heap[0][0]
-                        self.now = when
-                        # Drain the same-cycle batch. New events scheduled
-                        # for this cycle land behind the batch in
-                        # (cycle, seq) order, so the outer loop picks them
-                        # up next.
-                        while heap and heap[0][0] == when:
-                            _, _, fn, args = pop(heap)
-                            processed += 1
-                            self.events_processed = processed
-                            fn(when, *args)
-                            if self.stop_requested:
-                                return
-                            if until is not None and until():
-                                return
-                finally:
-                    self.events_processed = processed
-                return
-            start_events = self.events_processed
-            while heap:
-                if max_cycles is not None and heap[0][0] > max_cycles:
+            while True:
+                if heap:
+                    h0 = heap[0]
+                    bc = h0[0]
+                    bs = h0[1]
+                    src = 0
+                else:
+                    bc = never
+                    bs = never
+                    src = -1
+                ch = 0
+                i = 0
+                while i < nch:
+                    c = dec_c[i]
+                    if c < bc or (c == bc and dec_s[i] < bs):
+                        bc = c
+                        bs = dec_s[i]
+                        src = 1
+                        ch = i
+                    q = comps[i]
+                    if q:
+                        e = q[0]
+                        c = e[0]
+                        if c < bc or (c == bc and e[1] < bs):
+                            bc = c
+                            bs = e[1]
+                            src = 2
+                            ch = i
+                    i += 1
+                if src < 0:
                     return
-                self.step()
+                if bounded and max_cycles is not None and bc > max_cycles:
+                    return
+                self.now = bc
+                self.events_processed += 1
+                if src == 2:
+                    deliver(bc, comps[ch].popleft()[2])
+                elif src == 1:
+                    dec_c[ch] = never
+                    dec_s[ch] = never
+                    point(bc, ch)
+                else:
+                    _, _, fn, args = pop(heap)
+                    fn(bc, *args)
                 if self.stop_requested:
                     return
                 if until is not None and until():
                     return
                 if (
-                    max_events is not None
+                    bounded
+                    and max_events is not None
                     and self.events_processed - start_events > max_events
                 ):
                     raise RuntimeError(
@@ -170,3 +309,8 @@ class EventEngine:
         self.events_processed = 0
         self.clamped_events = 0
         self.stop_requested = False
+        nch = self._nch
+        self._dec_cycle = [_NEVER] * nch
+        self._dec_seq = [_NEVER] * nch
+        for q in self._comps:
+            q.clear()

@@ -116,16 +116,12 @@ def run_single_core(
     warmup_insts: int = DEFAULT_WARMUP,
     max_events: int | None = None,
     telemetry: Telemetry | None = None,
-    backend: str | None = None,
 ) -> CoreResult:
     """Run ``app`` alone on a single-core machine.
 
     ``phase`` selects the instruction slice: the paper profiles ME on one
     SimPoint and evaluates on different ones; here different phases derive
     different RNG streams.
-
-    ``backend`` selects the simulation engine (see
-    :mod:`repro.sim.backend`); stats are bit-identical either way.
     """
     cfg = (config or SystemConfig()).with_cores(1)
     if isinstance(policy, str):
@@ -139,7 +135,6 @@ def run_single_core(
         warmup_insts=warmup_insts,
         seed=seed,
         telemetry=telemetry,
-        backend=backend,
     )
     if telemetry is not None:
         telemetry.meta.setdefault("run", {}).update(
@@ -162,7 +157,6 @@ def run_multicore(
     lookahead: int = 256,
     max_events: int | None = None,
     telemetry: Telemetry | None = None,
-    backend: str | None = None,
 ) -> RunResult:
     """Run a Table 3 mix under ``policy``.
 
@@ -195,7 +189,6 @@ def run_multicore(
         seed=seed,
         lookahead=lookahead,
         telemetry=telemetry,
-        backend=backend,
     )
     if telemetry is not None:
         telemetry.meta.setdefault("run", {}).update(

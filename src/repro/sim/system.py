@@ -30,7 +30,6 @@ from repro.core.policy import SchedulingPolicy
 from repro.cpu.core_model import TraceCore
 from repro.cpu.trace import TraceSource
 from repro.dram.dram_system import DramSystem
-from repro.sim.backend import resolve_backend
 from repro.sim.engine import EventEngine
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.sampler import Sampler
@@ -80,25 +79,12 @@ class MultiCoreSystem:
         warmup_insts: int = 0,
         seed: int = 0,
         lookahead: int = 256,
-        controller_kind: str = "shared",
-        policy_factory=None,
         telemetry: Telemetry | None = None,
-        backend: str | None = None,
     ) -> None:
-        """``controller_kind='shared'`` is the paper's single controller;
-        ``'split'`` builds one controller per logic channel (an
-        architectural ablation) and requires ``policy_factory`` — a
-        zero-argument callable producing a fresh policy per channel.
-
-        ``telemetry`` attaches a :class:`~repro.telemetry.hub.Telemetry`
+        """``telemetry`` attaches a :class:`~repro.telemetry.hub.Telemetry`
         hub: a periodic sampler rides the event engine and the controller
         publishes drain windows on the hub's bus.  ``None`` (the default)
-        schedules no extra events and costs nothing.
-
-        ``backend`` selects the simulation engine (``'auto'``/``'fast'``/
-        ``'object'``; see :mod:`repro.sim.backend`).  ``None`` consults
-        the ``REPRO_BACKEND`` environment variable, defaulting to auto.
-        Both backends produce bit-identical statistics."""
+        schedules no extra events and costs nothing."""
         config.validate()
         if len(traces) != config.num_cores:
             raise ValueError(
@@ -109,65 +95,20 @@ class MultiCoreSystem:
         self.target_insts = target_insts
         self.warmup_insts = warmup_insts
         self.rng = RngStream(seed, "system")
-        self.backend = resolve_backend(backend, config, controller_kind)
-        if self.backend == "fast":
-            from repro.controller.fast import FastMemoryController
-            from repro.dram.fast import FastDramSystem
-            from repro.sim.fast import FastEngine
-
-            self.engine = FastEngine()
-            self.dram = FastDramSystem(
-                config.dram_topology, config.dram_timing, config.line_bytes
-            )
-            self.controller = FastMemoryController(
-                config.controller,
-                self.dram,
-                policy,
-                config.num_cores,
-                self.engine,
-                self.rng.child("controller"),
-                line_bytes=config.line_bytes,
-                telemetry=telemetry,
-            )
-        elif controller_kind == "shared":
-            self.engine = EventEngine()
-            self.dram = DramSystem(
-                config.dram_topology, config.dram_timing, config.line_bytes
-            )
-            self.controller = MemoryController(
-                config.controller,
-                self.dram,
-                policy,
-                config.num_cores,
-                self.engine,
-                self.rng.child("controller"),
-                line_bytes=config.line_bytes,
-                telemetry=telemetry,
-            )
-        elif controller_kind == "split":
-            from repro.controller.split import SplitControllerGroup
-
-            self.engine = EventEngine()
-            self.dram = DramSystem(
-                config.dram_topology, config.dram_timing, config.line_bytes
-            )
-            if policy_factory is None:
-                raise ValueError("split controllers need a policy_factory")
-            policies = [
-                policy_factory() for _ in range(config.dram_topology.logic_channels)
-            ]
-            self.controller = SplitControllerGroup(
-                config.controller,
-                self.dram,
-                policies,
-                config.num_cores,
-                self.engine,
-                self.rng.child("controller"),
-                line_bytes=config.line_bytes,
-                telemetry=telemetry,
-            )
-        else:
-            raise ValueError(f"unknown controller_kind {controller_kind!r}")
+        self.engine = EventEngine()
+        self.dram = DramSystem(
+            config.dram_topology, config.dram_timing, config.line_bytes
+        )
+        self.controller = MemoryController(
+            config.controller,
+            self.dram,
+            policy,
+            config.num_cores,
+            self.engine,
+            self.rng.child("controller"),
+            line_bytes=config.line_bytes,
+            telemetry=telemetry,
+        )
         self.hierarchy = CacheHierarchy(config, self.controller, config.num_cores)
         self.cores = [
             TraceCore(
@@ -208,7 +149,7 @@ class MultiCoreSystem:
         self.command_log = None
         if telemetry is not None and telemetry.spans is not None:
             # Request-lifecycle tracing: hand the collector to every
-            # producer that stamps a stage transition.  The controller(s)
+            # producer that stamps a stage transition.  The controller
             # picked it up from the hub already.
             spans = telemetry.spans
             spans.timing = config.dram_timing
@@ -222,14 +163,7 @@ class MultiCoreSystem:
             if telemetry.capture_decisions:
                 from repro.controller.decision_log import DecisionLog
 
-                subs = getattr(self.controller, "controllers", None)
-                if subs is not None:
-                    self.decision_log = [
-                        DecisionLog.attach(c, telemetry, track=f"ch{ch}")
-                        for ch, c in enumerate(subs)
-                    ]
-                else:
-                    self.decision_log = DecisionLog.attach(self.controller, telemetry)
+                self.decision_log = DecisionLog.attach(self.controller, telemetry)
             if telemetry.capture_commands:
                 from repro.dram.command import CommandLog
 

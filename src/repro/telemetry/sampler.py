@@ -89,16 +89,6 @@ class Sample:
     clamped_events: int
 
 
-def _controllers(controller) -> list:
-    """The flat list of real controllers behind ``controller``.
-
-    Handles both the paper's shared controller and the split per-channel
-    ablation (:class:`~repro.controller.split.SplitControllerGroup`).
-    """
-    sub = getattr(controller, "controllers", None)
-    return list(sub) if sub is not None else [controller]
-
-
 class Sampler:
     """Epoch-boundary snapshotter for one :class:`MultiCoreSystem`."""
 
@@ -177,16 +167,12 @@ class Sampler:
                 )
             )
 
-        pending_reads = [0] * system.config.num_cores
-        read_q = write_q = 0
-        drain = False
-        for c in _controllers(system.controller):
-            q = c.queues
-            read_q += len(q.reads)
-            write_q += len(q.writes)
-            drain = drain or c.drain_mode
-            for core_id, n in enumerate(q.pending_reads):
-                pending_reads[core_id] += n
+        ctrl = system.controller
+        q = ctrl.queues
+        pending_reads = list(q.pending_reads)
+        read_q = len(q.reads)
+        write_q = len(q.writes)
+        drain = ctrl.drain_mode
 
         Q = system.config.core.issue_width
         cores = []

@@ -198,8 +198,8 @@ def arrival_gaps(profile: ServiceProfile, rng: RngStream):
     """Infinite iterator of integer inter-arrival gaps Δ >= 1 (cycles).
 
     Every draw comes from ``rng`` in a fixed order, so the gap trace is a
-    pure function of the stream's labels — identical across runs,
-    backends and processes.
+    pure function of the stream's labels — identical across runs and
+    processes.
     """
     if profile.arrival == "poisson":
         p = 1.0 / profile.mean_gap

@@ -1,11 +1,8 @@
 """Tests for the command-line interface."""
 
-import os
-
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sim.backend import ENV_VAR as BACKEND_ENV_VAR
 
 
 class TestParser:
@@ -21,14 +18,6 @@ class TestParser:
     def test_figure_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "7"])
-
-    def test_backend_choices(self):
-        args = build_parser().parse_args(["run", "4MEM-1", "LREQ",
-                                          "--backend", "fast"])
-        assert args.backend == "fast"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "4MEM-1", "LREQ",
-                                       "--backend", "turbo"])
 
 
 class TestCommands:
@@ -55,16 +44,3 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SMT speedup" in out
         assert "unfairness" in out
-
-    def test_run_backend_flag_sets_env(self, capsys, monkeypatch):
-        """--backend exports REPRO_BACKEND (workers inherit it) and both
-        engines print byte-identical reports."""
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        outputs = {}
-        for backend in ("object", "fast"):
-            assert main(["run", "2MEM-1", "LREQ", "--budget", "3000",
-                         "--backend", backend]) == 0
-            assert os.environ.get(BACKEND_ENV_VAR) == backend
-            outputs[backend] = capsys.readouterr().out
-            monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert outputs["object"] == outputs["fast"]

@@ -2,8 +2,7 @@
 SLO-violation attribution conservation, and determinism properties.
 
 The reproducibility contract under test: same seed => identical arrival
-trace across runs (and backends — traces are generated host-side, the
-golden suite pins the backends); inter-arrival times match the
+trace across runs; inter-arrival times match the
 configured rate within exact integer accounting; and no wall clock
 leaks into the cloud modules or cell keys.
 """

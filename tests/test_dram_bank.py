@@ -1,79 +1,63 @@
-"""Tests for the DRAM bank state machine."""
+"""Tests for the per-bank state a channel keeps (seen through ``banks``)."""
 
 from repro.config import DramTimingConfig
-from repro.dram.bank import Bank
+from repro.dram.channel import Channel
 
 T = DramTimingConfig()  # tRP=tRCD=tCL=40, burst=16, tWR=48
 
 
-def make_bank():
-    return Bank(0, T)
+def make_channel():
+    return Channel(0, 1, T)
+
+
+def bank(ch):
+    return ch.banks[0]
 
 
 class TestInitialState:
     def test_starts_precharged(self):
-        b = make_bank()
+        b = bank(make_channel())
         assert b.open_row is None
         assert b.ready_cycle == 0
-        assert not b.is_open(5)
 
     def test_access_start_is_now_when_idle(self):
-        b = make_bank()
-        assert b.access_start(100) == 100
+        ch = make_channel()
+        t = ch.execute(0, 5, 100, is_write=False, keep_open=False)
+        assert t.start_cycle == 100
 
 
 class TestCommit:
     def test_keep_open_latches_row(self):
-        b = make_bank()
-        b.commit(7, data_end=200, was_hit=False, is_write=False, keep_open=True)
-        assert b.is_open(7)
-        assert b.ready_cycle == 200  # CAS to same row may follow the burst
+        ch = make_channel()
+        t = ch.execute(0, 7, 0, is_write=False, keep_open=True)
+        assert bank(ch).open_row == 7
+        assert bank(ch).ready_cycle == t.data_end  # CAS to same row may follow
 
     def test_auto_precharge_closes_row(self):
-        b = make_bank()
-        b.commit(7, data_end=200, was_hit=False, is_write=False, keep_open=False)
-        assert b.open_row is None
-        assert b.ready_cycle == 200 + T.t_rp
+        ch = make_channel()
+        t = ch.execute(0, 7, 0, is_write=False, keep_open=False)
+        assert bank(ch).open_row is None
+        assert bank(ch).ready_cycle == t.data_end + T.t_rp
 
     def test_write_recovery_added(self):
-        b = make_bank()
-        b.commit(7, data_end=200, was_hit=False, is_write=True, keep_open=False)
-        assert b.ready_cycle == 200 + T.t_wr + T.t_rp
+        ch = make_channel()
+        t = ch.execute(0, 7, 0, is_write=True, keep_open=False)
+        assert bank(ch).ready_cycle == t.data_end + T.t_wr + T.t_rp
 
     def test_hit_and_activation_counters(self):
-        b = make_bank()
-        b.commit(1, 100, was_hit=False, is_write=False, keep_open=True)
-        b.commit(1, 200, was_hit=True, is_write=False, keep_open=True)
-        assert b.activations == 1
-        assert b.row_hits == 1
-
-
-class TestPrecharge:
-    def test_precharge_open_bank(self):
-        b = make_bank()
-        b.commit(3, data_end=100, was_hit=False, is_write=False, keep_open=True)
-        b.precharge(now=150)
-        assert b.open_row is None
-        assert b.ready_cycle == 150 + T.t_rp
-
-    def test_precharge_waits_for_bank(self):
-        b = make_bank()
-        b.commit(3, data_end=100, was_hit=False, is_write=False, keep_open=True)
-        # bank ready at 100; precharge issued earlier must queue behind it
-        b.precharge(now=50)
-        assert b.ready_cycle == 100 + T.t_rp
-
-    def test_precharge_idempotent_when_closed(self):
-        b = make_bank()
-        b.precharge(now=10)
-        assert b.ready_cycle == 0  # nothing to close
+        ch = make_channel()
+        ch.execute(0, 1, 0, is_write=False, keep_open=True)
+        ch.execute(0, 1, 200, is_write=False, keep_open=True)
+        assert bank(ch).activations == 1
+        assert bank(ch).row_hits == 1
 
 
 class TestReset:
     def test_reset_restores_initial_state(self):
-        b = make_bank()
-        b.commit(3, 100, was_hit=False, is_write=True, keep_open=True)
-        b.reset()
+        ch = make_channel()
+        ch.execute(0, 3, 0, is_write=True, keep_open=True)
+        ch.reset()
+        b = bank(ch)
         assert b.open_row is None
         assert b.ready_cycle == 0
         assert b.activations == 0

@@ -73,11 +73,11 @@ class TestPacing:
     def test_one_decision_per_burst_slot(self):
         ch = make_channel()
         ch.execute(0, row=1, now=100, is_write=False, keep_open=False)
-        assert ch.earliest_issue(100) == 100 + T.t_burst
+        assert ch.busy_until == 100 + T.t_burst
 
     def test_idle_channel_issues_immediately(self):
         ch = make_channel()
-        assert ch.earliest_issue(500) == 500
+        assert ch.busy_until <= 500
 
 
 class TestStatsAndReset:
@@ -96,7 +96,7 @@ class TestStatsAndReset:
         ch.reset()
         assert ch.transactions == 0
         assert ch.bus_free_cycle == 0
-        assert ch.earliest_issue(0) == 0
+        assert ch.busy_until == 0
         assert not ch.is_row_hit(0, 1)
 
     def test_needs_at_least_one_bank(self):

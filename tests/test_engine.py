@@ -159,3 +159,48 @@ class TestControl:
         assert e.peek_cycle() is None
         e.schedule(7, lambda now: None)
         assert e.peek_cycle() == 7
+
+
+class TestLanes:
+    """The controller's decision slots and completion deques."""
+
+    def make(self, seen, channels=2):
+        e = EventEngine()
+        e.attach_channels(
+            channels,
+            lambda now, ch: seen.append((now, "point", ch)),
+            lambda now, req: seen.append((now, "deliver", req)),
+        )
+        return e
+
+    def test_same_cycle_sources_run_in_schedule_order(self):
+        # Heap, decision slot and completion lane share one sequence
+        # counter, so a same-cycle tie goes to whichever was armed first.
+        seen = []
+        e = self.make(seen)
+        e.complete(1, 10, "r")
+        e.schedule(10, lambda now: seen.append((now, "heap", None)))
+        e.kick(0, 10)
+        e.run()
+        assert seen == [(10, "deliver", "r"), (10, "heap", None), (10, "point", 0)]
+        assert e.events_processed == 3
+
+    def test_earlier_cycle_wins_across_lanes(self):
+        seen = []
+        e = self.make(seen)
+        e.kick(1, 30)
+        e.complete(0, 20, "a")
+        e.complete(0, 25, "b")
+        e.schedule(5, lambda now: None)
+        e.run()
+        assert [s[0] for s in seen] == [20, 25, 30]
+
+    def test_pending_peek_and_reset_see_lanes(self):
+        e = self.make([])
+        e.kick(0, 40)
+        e.complete(1, 12, "r")
+        assert e.pending == 2
+        assert e.peek_cycle() == 12
+        e.reset()
+        assert e.pending == 0
+        assert e.peek_cycle() is None

@@ -146,13 +146,6 @@ class TestExtensionStudy:
 
 
 class TestAblations:
-    def test_split_controller_ablation(self, ctx):
-        from repro.experiments import ablation_split_controllers
-
-        res = ablation_split_controllers(ctx, workload="2MEM-1")
-        assert set(res) == {"shared", "split"}
-        assert all(v > 0 for v in res.values())
-
     def test_page_policy_ablation(self, ctx):
         from repro.experiments import ablation_page_policy
 

@@ -4,9 +4,9 @@ Unit tests drive ``select_read`` against a hand-built scheduling context
 (real queues + DRAM, no cores) so the blacklisting state machine of
 arXiv:1504.00390 — streak counting, thresholding, periodic clearing and
 the non-blacklisted > row-hit > oldest precedence — is checked decision
-by decision.  The golden section pins one end-to-end run per backend
-against ``tests/golden/golden_bliss.json`` (float-hex exact; regenerate
-with ``REPRO_REGEN_GOLDEN=1``, always from the object backend).
+by decision.  The golden section pins one end-to-end run against
+``tests/golden/golden_bliss.json`` (float-hex exact; regenerate with
+``REPRO_REGEN_GOLDEN=1``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ MIX = "4MEM-1"
 SEED = 7
 BUDGET = 2500
 WARMUP = 2000
-BACKENDS = ("object", "fast")
 
 
 def make_ctx(num_cores=4, capacity=64):
@@ -187,17 +186,17 @@ class TestParameters:
         assert cost.per_core_bits == 1
 
 
-# -- golden fingerprints (both backends vs one object-made file) -------------
+# -- golden fingerprints -----------------------------------------------------
 
 
 def _hex(x: float) -> str:
     return float(x).hex()
 
 
-def _fingerprint(backend: str) -> dict:
+def _fingerprint() -> dict:
     result = run_multicore(
         workload_by_name(MIX), "BLISS", inst_budget=BUDGET, seed=SEED,
-        warmup_insts=WARMUP, backend=backend,
+        warmup_insts=WARMUP,
     )
     return {
         "mix": MIX,
@@ -222,12 +221,9 @@ def _fingerprint(backend: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_bliss_bit_identical(backend):
-    snap = _fingerprint(backend)
+def test_golden_bliss_bit_identical():
+    snap = _fingerprint()
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        if backend != "object":
-            pytest.skip("golden file is regenerated from the object backend")
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(snap, indent=2) + "\n")
         pytest.skip(f"regenerated {GOLDEN_PATH}")
@@ -236,6 +232,5 @@ def test_golden_bliss_bit_identical(backend):
     )
     golden = json.loads(GOLDEN_PATH.read_text())
     assert snap == golden, (
-        f"BLISS statistics drifted from the golden snapshot under the "
-        f"{backend!r} backend"
+        "BLISS statistics drifted from the golden snapshot"
     )

@@ -1,6 +1,9 @@
 """Tests for the optional DRAM refresh model."""
 
+import json
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,10 @@ from repro.cpu.trace import ListTrace, MemOp
 from repro.dram.channel import Channel
 from repro.dram.refresh import T_REFI, T_RFC, RefreshScheduler
 from repro.sim.system import MultiCoreSystem
+from repro.workloads.mixes import workload_by_name
+from repro.workloads.synthetic import make_trace
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_refresh.json"
 
 
 class TestScheduler:
@@ -68,3 +75,44 @@ class TestEndToEnd:
         assert results[True] >= results[False]
         # refresh overhead is small: well under 10 %
         assert results[True] <= results[False] * 1.10
+
+
+def refresh_fingerprint() -> dict:
+    """End-of-run counters of a 4-core run that crosses refresh windows
+    on both channels."""
+    mix = workload_by_name("4MEM-1")
+    base = SystemConfig().with_cores(mix.num_cores)
+    cfg = replace(base, controller=replace(base.controller, refresh_enabled=True))
+    traces = [
+        make_trace(app, 7, "eval", core_id=i) for i, app in enumerate(mix.apps())
+    ]
+    system = MultiCoreSystem(
+        cfg, make_policy("HF-RF"), traces, 6000, warmup_insts=2000, seed=7
+    )
+    system.run()
+    st = system.controller.stats
+    return {
+        "end_cycle": system.end_cycle,
+        "refreshes_issued": system.controller.refresh.refreshes_issued,
+        "events_processed": system.engine.events_processed,
+        "transactions": system.dram.total_transactions,
+        "row_hits": system.dram.total_row_hits,
+        "activations": system.dram.total_activations,
+        "finish_cycles": [c.finish_cycle for c in system.cores],
+        "read_count": list(st.read_count),
+        "read_latency_sum": list(st.read_latency_sum),
+        "write_count": list(st.write_count),
+        "drain_entries": st.drain_entries,
+    }
+
+
+class TestGolden:
+    def test_refresh_run_bit_identical(self):
+        """Pinned from the Bank-object engine refresh first ran on; the
+        array-backed port must reproduce it exactly."""
+        snap = refresh_fingerprint()
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            GOLDEN_PATH.write_text(json.dumps(snap, indent=2) + "\n")
+            pytest.skip(f"regenerated {GOLDEN_PATH}")
+        assert snap["refreshes_issued"] >= 2
+        assert snap == json.loads(GOLDEN_PATH.read_text())

@@ -333,33 +333,6 @@ class TestSharedSink:
         assert log.decisions
         assert 0.0 <= log.hit_rate() <= 1.0
 
-    def test_split_controllers_emit_per_channel_tracks(self):
-        # The split facade re-homes every coordinate to channel 0, so
-        # decision events need the attach-site track override to keep
-        # the two sub-controllers on distinct trace tracks.
-        m = workload_by_name("2MEM-1")
-        cfg = SystemConfig().with_cores(2)
-        traces = [
-            make_trace(app, 1, "eval", core_id=i)
-            for i, app in enumerate(m.apps())
-        ]
-        tm = Telemetry(sample_every=1000, capture_decisions=True)
-        system = MultiCoreSystem(
-            cfg, None, traces, BUDGET, warmup_insts=1000, seed=1,
-            controller_kind="split",
-            policy_factory=lambda: make_policy("LREQ"),
-            telemetry=tm,
-        )
-        system.run()
-        tracks = {e.track for e in tm.bus.named("decision")}
-        assert tracks == {"ch0", "ch1"}
-        for ch, log in enumerate(system.decision_log):
-            emitted = [
-                e for e in tm.bus.named("decision") if e.track == f"ch{ch}"
-            ]
-            assert len(emitted) == len(log.decisions)
-        assert tm.samples, "sampler must handle split controllers too"
-
     def test_drain_spans_on_bus(self):
         # A write-heavy synthetic mix engages the drain hysteresis.
         tm = Telemetry(sample_every=1000)
