@@ -4,18 +4,24 @@
 Every (workload, policy, seed) cell of a Figure 2-style sweep is an
 independent simulation, so a process pool gives near-linear speedup on a
 multicore host — the difference between minutes and tens of minutes for
-full-figure regenerations.
+full-figure regenerations.  The sweep is planned, sharded and merged by
+:mod:`repro.experiments.parallel`, the same path ``--jobs N`` takes.
 
 Run:  python examples/parallel_sweep.py --cores 4 --workers 0
       (--workers 0 = use every host CPU)
 """
 
 import argparse
-import os
 import time
-from collections import defaultdict
 
-from repro.sim.sweep import grid, run_sweep
+from repro.experiments import ExperimentContext
+from repro.experiments.figure2 import POLICIES
+from repro.experiments.parallel import (
+    default_jobs,
+    merge_into,
+    plan_cells,
+    run_cells,
+)
 from repro.workloads.mixes import mixes_for
 
 
@@ -29,25 +35,28 @@ def main() -> None:
                     help="pool size; 0 = all host CPUs, 1 = serial")
     args = ap.parse_args()
 
-    workloads = [m.name for m in mixes_for(args.cores, args.group)]
-    policies = ["HF-RF", "ME", "RR", "LREQ", "ME-LREQ"]
-    cells = grid(workloads, policies, args.seeds)
-    workers = args.workers or (os.cpu_count() or 1)
+    ctx = ExperimentContext(inst_budget=args.budget,
+                            profile_budget=max(args.budget // 2, 5_000),
+                            seeds=tuple(args.seeds))
+    cells = plan_cells(ctx, figure2=((args.cores,), (args.group,)))
+    workers = args.workers or default_jobs()
     print(f"{len(cells)} cells over {workers} workers "
           f"(budget {args.budget} insts/core)")
 
     t0 = time.time()
-    results = run_sweep(cells, inst_budget=args.budget, workers=workers)
+    report = run_cells(cells, jobs=workers)
+    if report.failures:
+        raise SystemExit(report.failure_report())
+    merge_into(ctx, report)
     wall = time.time() - t0
 
-    by_policy = defaultdict(list)
-    for r in results:
-        by_policy[r.cell.policy].append(r.smt_speedup)
-    base = sum(by_policy["HF-RF"]) / len(by_policy["HF-RF"])
+    mixes = mixes_for(args.cores, args.group)
+    avg = {p: sum(ctx.outcome(m, p).smt_speedup for m in mixes) / len(mixes)
+           for p in POLICIES}
     print(f"\n{args.cores}-core {args.group} group averages:")
-    for p in policies:
-        avg = sum(by_policy[p]) / len(by_policy[p])
-        print(f"  {p:<8} speedup {avg:.3f}  ({avg / base - 1:+.1%} vs HF-RF)")
+    for p in POLICIES:
+        print(f"  {p:<8} speedup {avg[p]:.3f}  "
+              f"({avg[p] / avg['HF-RF'] - 1:+.1%} vs HF-RF)")
     print(f"\nwall time {wall:.1f}s "
           f"({len(cells) / wall:.2f} simulations/s)")
 

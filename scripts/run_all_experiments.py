@@ -281,7 +281,7 @@ def _end_of_run_summary(args, cache) -> None:
 
     Shows where results came from: the local ``.repro-cache/`` counters
     always, and — on a ``--coordinator`` run — the coordinator's
-    lifetime stats plus its ResultStore hit/miss/verify counters (from
+    lifetime stats plus its store hit/miss/verify counters (from
     the fleet metrics snapshot when ``repro serve --telemetry`` is on,
     from the basic status stats otherwise).
     """

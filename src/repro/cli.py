@@ -80,7 +80,8 @@ def _add_parallel(p: argparse.ArgumentParser) -> None:
     g.add_argument("--resume", action="store_true",
                    help="read/write the on-disk result cache")
     g.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="result cache directory (default: .repro-cache)")
+                   help="result cache directory for --resume "
+                        "(default: .repro-cache)")
 
 
 def _engine_profiler(args: argparse.Namespace):
@@ -326,12 +327,12 @@ def _cmd_cloud(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
     from repro.service.coordinator import Coordinator
-    from repro.service.store import ResultStore
     from repro.telemetry.bus import TelemetryBus
 
     store = (None if args.no_store
-             else ResultStore(root=args.store, mode="rw"))
+             else ResultCache(root=args.store or DEFAULT_CACHE_DIR, mode="rw"))
     bus = TelemetryBus(retain=False)
 
     def narrate(ev):
@@ -381,12 +382,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.experiments.cache import ResultCache
     from repro.service.protocol import parse_addr
-    from repro.service.store import ResultStore
     from repro.service.worker import run_worker
 
     host, port = parse_addr(args.coordinator)
-    store = (ResultStore(root=args.store, mode="rw")
+    store = (ResultCache(root=args.store, mode="rw")
              if args.store else None)
     trace_out = args.trace_out
     if trace_out is None and args.telemetry:
@@ -783,7 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "cache_dir", None) and not args.resume:
+        parser.error("--cache-dir needs --resume (without it no result "
+                     "cache is attached)")
     try:
         return args.fn(args)
     except KeyboardInterrupt:

@@ -22,19 +22,21 @@ advisory ``flock`` on ``<dir>/.lock`` (:class:`DirLock`), so two
 writes instead of racing on the same entry.
 
 This module is the single implementation of the content-addressed
-result format: the distributed sweep service
-(:mod:`repro.service.store`) builds directly on the same keys,
-fingerprint, payload codec and on-disk layout, so a directory written
-by a local ``--jobs`` run is a warm store for a coordinator and vice
-versa.
+result format and the single result store: the distributed sweep
+service (:mod:`repro.service`) stores into a :class:`ResultCache` too,
+so a directory written by a local ``--jobs`` run is a warm store for a
+coordinator and vice versa.  Payloads that arrive over the wire pass
+:func:`verify_payload` (SHA-256 against the sender's claim, then a
+decode) before anyone trusts them; :meth:`ResultCache.admit` is that
+check plus the write.
 
-Cache *modes* separate the two read policies callers want:
+Cache *modes* separate the two read policies callers want (callers
+that want no cache pass ``cache=None``):
 
 * ``"rw"``    — read existing entries and write new ones (``--resume`` /
   incremental regeneration);
 * ``"write"`` — record results but never read pre-existing entries (a
-  fresh full regeneration that still leaves a resumable trail);
-* ``"off"``   — inert (handy for threading one optional object through).
+  fresh full regeneration that still leaves a resumable trail).
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ from repro.experiments.cells import CellKey
 from repro.metrics.memory_efficiency import MeProfile
 from repro.sim.runner import CoreResult, RunResult
 
-__all__ = ["CacheStats", "DirLock", "ResultCache", "code_fingerprint",
-           "encode_payload", "decode_payload", "payload_sha"]
+__all__ = ["CacheStats", "DirLock", "PayloadIntegrityError", "ResultCache",
+           "code_fingerprint", "encode_payload", "decode_payload",
+           "payload_sha", "verify_payload"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -226,6 +229,28 @@ def payload_sha(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+class PayloadIntegrityError(ValueError):
+    """A wire payload failed SHA-256 verification or would not decode."""
+
+
+def verify_payload(key: CellKey, payload: dict, sha: str):
+    """Check a wire payload against the sender's SHA-256, then decode it.
+
+    Raises :class:`PayloadIntegrityError` on a mismatch or a payload
+    that does not decode; the caller treats that as a failed attempt.
+    """
+    if payload_sha(payload) != sha:
+        raise PayloadIntegrityError(
+            f"payload SHA mismatch for {key.key_str()}"
+        )
+    try:
+        return decode_payload(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PayloadIntegrityError(
+            f"payload for {key.key_str()} does not decode: {exc}"
+        ) from exc
+
+
 # -- locking ---------------------------------------------------------------------
 
 
@@ -293,7 +318,7 @@ class ResultCache:
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR,
                  mode: str = "rw", fingerprint: str | None = None) -> None:
-        if mode not in ("rw", "write", "off"):
+        if mode not in ("rw", "write"):
             raise ValueError(f"unknown cache mode {mode!r}")
         self.root = Path(root)
         self.mode = mode
@@ -345,8 +370,18 @@ class ResultCache:
         return result
 
     def put(self, key: CellKey, result) -> None:
-        """Store one result atomically (no-op in ``"off"`` mode)."""
+        """Store one result atomically."""
         self.put_payload(key, encode_payload(result))
+
+    def admit(self, key: CellKey, payload: dict, sha: str):
+        """:func:`verify_payload` one wire payload, then store it.
+
+        Returns the decoded result; a payload that fails the check is
+        never written.
+        """
+        result = verify_payload(key, payload, sha)
+        self.put_payload(key, payload)
+        return result
 
     def put_payload(self, key: CellKey, payload: dict) -> None:
         """Store an already-encoded payload atomically, under the lock.
@@ -358,8 +393,6 @@ class ResultCache:
         file is pid-suffixed so same-host writers never collide even on
         platforms where the lock is a no-op.
         """
-        if self.mode == "off":
-            return
         doc = {
             "v": 1,
             "fingerprint": self.fingerprint,

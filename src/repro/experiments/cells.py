@@ -8,8 +8,13 @@ tuple explicitly so one simulation can be
 
 * executed standalone in a worker process (:func:`execute_cell`),
 * cached on disk under a stable key (:class:`CellKey`), and
-* merged back into an :class:`~repro.experiments.harness.ExperimentContext`
-  bit-identically to the serial code path.
+* merged back into an :class:`~repro.experiments.harness.ExperimentContext`,
+  whose own memo misses go through the same :func:`execute_cell`.
+
+The ``*_cell`` builders below (:func:`profile_cell`, :func:`eval_cell`,
+...) turn a context's budgets and configuration into a cell; the
+parallel planner and the context both use them, so a planned cell and
+the cell the context would compute always share one key.
 
 Cell kinds mirror the three run shapes the experiment harnesses use:
 
@@ -46,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.config import SystemConfig
 
@@ -60,6 +65,11 @@ __all__ = [
     "single_cell_key",
     "custom_cell_key",
     "cloud_cell_key",
+    "profile_cell",
+    "single_cell",
+    "eval_cell",
+    "custom_cell",
+    "cloud_cell",
     "policy_from_spec",
     "execute_cell",
 ]
@@ -236,9 +246,94 @@ class Cell:
     me_values: tuple[float, ...] | None = None
     policy_ctor_args: tuple = field(default=())
 
-    def with_me_values(self, values: tuple[float, ...]) -> "Cell":
-        return Cell(key=self.key, config=self.config, me_deps=self.me_deps,
-                    me_values=values, policy_ctor_args=self.policy_ctor_args)
+    def with_resolved_me(self, lookup) -> "Cell | None":
+        """This cell ready to execute.
+
+        An ME-family cell gets the ME vector of the profile payloads
+        ``lookup(dep_key)`` returns for its ``me_deps``; None when one
+        of them has no payload.  Any other cell is returned unchanged.
+        """
+        if self.me_values is not None or self.key.policy not in ME_FAMILY:
+            return self
+        profiles = [lookup(dep) for dep in self.me_deps]
+        if any(p is None for p in profiles):
+            return None
+        return replace(self, me_values=tuple(p.me for p in profiles))
+
+
+# -- cell builders (shared by the planner and the context) ----------------------
+
+
+def profile_cell(ctx, code: str, seed: int) -> Cell:
+    """ME-profiling cell of one application under ``ctx``'s budgets."""
+    return Cell(key=profile_cell_key(code, seed, ctx.profile_budget,
+                                     ctx.config),
+                config=ctx.config)
+
+
+def single_cell(ctx, code: str, seed: int) -> Cell:
+    """Single-core evaluation cell (the SMT-speedup denominator)."""
+    return Cell(key=single_cell_key(code, seed, ctx.profile_budget,
+                                    ctx.config),
+                config=ctx.config)
+
+
+def _profile_deps(ctx, codes, seed: int) -> tuple[CellKey, ...]:
+    # ME profiles always come from the context's baseline machine.
+    return tuple(
+        profile_cell_key(code, seed, ctx.profile_budget, ctx.config)
+        for code in codes
+    )
+
+
+def eval_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
+    """One Table 3 mix under one registered policy."""
+    from repro.workloads.mixes import workload_by_name
+
+    mix = workload_by_name(mix_name)
+    key = eval_cell_key(mix.name, policy, seed, ctx.inst_budget,
+                        ctx.warmup_insts, ctx.lookahead, ctx.config,
+                        ctx.profile_budget)
+    deps = ()
+    if key.policy in ME_FAMILY:
+        deps = _profile_deps(ctx, mix.codes, seed)
+    return Cell(key=key, config=ctx.config, me_deps=deps)
+
+
+def custom_cell(ctx, mix_name: str, policy: str, seed: int,
+                policy_args: tuple = (), config: SystemConfig | None = None,
+                lookahead: int | None = None) -> Cell:
+    """An ablation run: ``config``/``lookahead`` of None mean ``ctx``'s."""
+    from repro.workloads.mixes import workload_by_name
+
+    mix = workload_by_name(mix_name)
+    config = config if config is not None else ctx.config
+    lookahead = lookahead if lookahead is not None else ctx.lookahead
+    key = custom_cell_key(
+        mix.name, policy, policy_args, seed, ctx.inst_budget,
+        ctx.warmup_insts, lookahead, config, ctx.profile_budget,
+        me_config=ctx.config if config is not ctx.config else None,
+    )
+    deps = ()
+    if key.policy in ME_FAMILY:
+        deps = _profile_deps(ctx, mix.codes, seed)
+    return Cell(key=key, config=config, me_deps=deps,
+                policy_ctor_args=tuple(policy_args))
+
+
+def cloud_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
+    """One cloud mix under one policy on the derived cloud machine."""
+    from repro.workloads.cloud import cloud_mix_by_name
+
+    mix = cloud_mix_by_name(mix_name)
+    key = cloud_cell_key(mix.name, policy, seed, ctx.inst_budget,
+                         ctx.warmup_insts, ctx.lookahead, ctx.config,
+                         ctx.profile_budget)
+    deps = ()
+    if key.policy in ME_FAMILY:
+        # Batch cores only: service cores carry pinned ME ranks.
+        deps = _profile_deps(ctx, [a.code for a in mix.batch_apps()], seed)
+    return Cell(key=key, config=ctx.config, me_deps=deps)
 
 
 class CellFault(RuntimeError):
@@ -284,33 +379,21 @@ def execute_cell(cell: Cell, attempt: int = 0):
     Pure function of the cell (given a resolved ``me_values``): no
     telemetry, no shared state — safe to run in any process.
     """
-    from repro.metrics.memory_efficiency import MeProfiler, memory_efficiency
-    from repro.metrics.memory_efficiency import MeProfile
-    from repro.sim.runner import run_multicore, run_single_core
+    from repro.metrics.memory_efficiency import MeProfiler
+    from repro.sim.runner import run_multicore
     from repro.workloads.mixes import workload_by_name
     from repro.workloads.spec2000 import app_by_code
 
     key = cell.key
     _maybe_inject_fault(key, attempt)
 
-    if key.kind == "profile":
+    if key.kind in ("profile", "single"):
+        profiler = MeProfiler(key.inst_budget, seed=key.seed,
+                              config=cell.config)
         app = app_by_code(key.workload)
-        res = run_single_core(
-            app, key.inst_budget, seed=key.seed, phase="profile",
-            config=cell.config,
-        )
-        return MeProfile(
-            app=app.name, code=app.code, ipc=res.ipc, bw_gbps=res.bw_gbps,
-            me=memory_efficiency(res.ipc, res.bw_gbps),
-            avg_read_latency=res.avg_read_latency,
-        )
-
-    if key.kind == "single":
-        app = app_by_code(key.workload)
-        return run_single_core(
-            app, key.inst_budget, seed=key.seed, phase="eval",
-            config=cell.config,
-        )
+        if key.kind == "profile":
+            return profiler.profile(app)
+        return profiler.single_core_result(app, key.phase)
 
     if key.kind in ("eval", "custom"):
         mix = workload_by_name(key.workload)

@@ -1,21 +1,23 @@
 """Shared experiment machinery.
 
 :class:`ExperimentContext` owns the knobs every experiment shares — the
-instruction budget, warmup, seeds and system configuration — plus caches:
-one :class:`~repro.metrics.memory_efficiency.MeProfiler` per seed, and a
-memo of evaluation runs keyed by ``(workload, policy, seed)`` so that
-experiments which share cells (e.g. Figure 2's speedups and Figure 4's
+instruction budget, warmup, seeds and system configuration — plus one
+memo of cell results keyed by :class:`~repro.experiments.cells.CellKey`,
+so experiments that share cells (e.g. Figure 2's speedups and Figure 4's
 latencies over the same runs) never simulate twice.
 
-The in-memory memo is a **read-through layer** over an optional on-disk
-:class:`~repro.experiments.cache.ResultCache`: attach one and every
-evaluation / profiling / single-core run first consults the cache (keys
-include every run determinant — seed, budgets, warmup, lookahead, config
-digest, policy constructor arguments — see
-:mod:`repro.experiments.cells`), falling back to simulation and writing
-the result back.  The parallel runner
-(:mod:`repro.experiments.parallel`) pre-warms both layers so the serial
-harness code emits bit-identical tables at full speed.
+Every lookup (:meth:`~ExperimentContext.run`,
+:meth:`~ExperimentContext.me_values`, ...) builds its cell with the
+builders the parallel planner uses and reads it through one path: the
+memo, then an optional on-disk
+:class:`~repro.experiments.cache.ResultCache` (keys include every run
+determinant — seed, budgets, warmup, lookahead, config digest, policy
+constructor arguments), then the cell's ME dependencies, then
+:func:`~repro.experiments.cells.execute_cell`, writing the result back
+to the cache.  The parallel runner (:mod:`repro.experiments.parallel`)
+computes the same cells elsewhere and installs them in the memo by key,
+so the serial harness code then emits bit-identical tables at full
+speed.
 """
 
 from __future__ import annotations
@@ -24,21 +26,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.config import SystemConfig
-from repro.core.policy import SchedulingPolicy
-from repro.core.registry import make_policy
 from repro.experiments.cells import (
+    Cell,
     CellKey,
-    cloud_cell_key,
-    custom_cell_key,
-    eval_cell_key,
-    policy_from_spec,
-    profile_cell_key,
-    single_cell_key,
+    cloud_cell,
+    custom_cell,
+    eval_cell,
+    execute_cell,
+    profile_cell,
+    single_cell,
 )
-from repro.metrics.memory_efficiency import MeProfiler
+from repro.metrics.memory_efficiency import MeProfile
 from repro.metrics.speedup import smt_speedup, unfairness
-from repro.sim.runner import DEFAULT_WARMUP, RunResult, run_multicore
+from repro.sim.runner import DEFAULT_WARMUP, RunResult
 from repro.workloads.mixes import Mix, workload_by_name
+from repro.workloads.spec2000 import AppProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.cache import ResultCache
@@ -71,9 +73,13 @@ class PolicyOutcome:
         return self.smt_speedup / baseline.smt_speedup - 1.0
 
 
+def _name(workload) -> str:
+    return workload if isinstance(workload, str) else workload.name
+
+
 @dataclass
 class ExperimentContext:
-    """Budget/seed/config bundle with run caching.
+    """Budget/seed/config bundle with a cell-result memo.
 
     Parameters
     ----------
@@ -100,130 +106,53 @@ class ExperimentContext:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("need at least one seed")
-        self._profilers: dict[int, MeProfiler] = {}
-        self._runs: dict[tuple[str, str, int], RunResult] = {}
-        self._custom_runs: dict[CellKey, RunResult] = {}
-        self._cloud_runs: dict[tuple[str, str, int], object] = {}
+        #: every result this context has computed, read or been given
+        self.memo: dict[CellKey, object] = {}
 
-    # -- profiling --------------------------------------------------------------
-
-    def profiler(self, seed: int) -> MeProfiler:
-        prof = self._profilers.get(seed)
-        if prof is None:
-            prof = MeProfiler(self.profile_budget, seed=seed, config=self.config)
-            self._profilers[seed] = prof
-        return prof
-
-    def me_values(self, mix: Mix, seed: int) -> tuple[float, ...]:
-        prof = self.profiler(seed)
+    def _get(self, cell: Cell):
+        """Memo, then disk cache, then ME deps and :func:`execute_cell`."""
+        key = cell.key
+        result = self.memo.get(key)
+        if result is not None:
+            return result
         if self.cache is not None:
-            for app in mix.apps():
-                if prof.has_profile(app.code):
-                    continue
-                key = profile_cell_key(
-                    app.code, seed, self.profile_budget, self.config
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    prof.preload_profile(hit)
-                else:
-                    self.cache.put(key, prof.profile(app))
-        return prof.me_values(mix)
+            result = self.cache.get(key)
+        if result is None:
+            result = execute_cell(cell.with_resolved_me(
+                lambda dep: self._get(Cell(key=dep, config=self.config))))
+            if self.cache is not None:
+                self.cache.put(key, result)
+        self.memo[key] = result
+        return result
 
-    def single_ipcs(self, mix: Mix, seed: int) -> tuple[float, ...]:
-        prof = self.profiler(seed)
-        if self.cache is not None:
-            for app in mix.apps():
-                if prof.has_single(app.code):
-                    continue
-                key = single_cell_key(
-                    app.code, seed, self.profile_budget, self.config
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    prof.preload_single(app.code, hit)
-                else:
-                    self.cache.put(key, prof.single_core_result(app))
-        return prof.single_ipcs(mix)
+    # -- single-core cells --------------------------------------------------------
+
+    def profile(self, app: AppProfile, seed: int) -> MeProfile:
+        """One application's ME profile (the Table 2 row, ME's input)."""
+        return self._get(profile_cell(self, app.code, seed))
 
     def batch_me(self, apps, seed: int) -> tuple[float, ...]:
-        """ME ranks for a list of batch applications (cloud batch cores),
-        read-through to the disk cache like :meth:`me_values`."""
-        prof = self.profiler(seed)
-        if self.cache is not None:
-            for app in apps:
-                if prof.has_profile(app.code):
-                    continue
-                key = profile_cell_key(
-                    app.code, seed, self.profile_budget, self.config
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    prof.preload_profile(hit)
-                else:
-                    self.cache.put(key, prof.profile(app))
-        return tuple(prof.profile(app).me for app in apps)
+        """ME ranks for a list of applications (a mix, or cloud batch
+        cores)."""
+        return tuple(self.profile(app, seed).me for app in apps)
 
     def batch_single_ipcs(self, apps, seed: int) -> tuple[float, ...]:
-        """Single-core eval IPCs for a list of batch applications (the
-        cloud table's speedup denominator), cache read-through like
-        :meth:`single_ipcs`."""
-        prof = self.profiler(seed)
-        if self.cache is not None:
-            for app in apps:
-                if prof.has_single(app.code):
-                    continue
-                key = single_cell_key(
-                    app.code, seed, self.profile_budget, self.config
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    prof.preload_single(app.code, hit)
-                else:
-                    self.cache.put(key, prof.single_core_result(app))
-        return tuple(prof.single_core_ipc(app) for app in apps)
+        """Single-core eval IPCs for a list of applications (the SMT
+        speedup denominator)."""
+        return tuple(self._get(single_cell(self, app.code, seed)).ipc
+                     for app in apps)
 
-    # -- evaluation runs -----------------------------------------------------------
+    def me_values(self, mix: Mix, seed: int) -> tuple[float, ...]:
+        return self.batch_me(mix.apps(), seed)
 
-    def _make_policy(self, name: str, mix: Mix, seed: int) -> SchedulingPolicy:
-        key = name.upper()
-        if key in ("ME", "ME-LREQ"):
-            return make_policy(key, me_values=self.me_values(mix, seed))
-        return make_policy(key)
+    def single_ipcs(self, mix: Mix, seed: int) -> tuple[float, ...]:
+        return self.batch_single_ipcs(mix.apps(), seed)
 
-    def _eval_key(self, mix_name: str, policy: str, seed: int) -> CellKey:
-        return eval_cell_key(
-            mix_name, policy, seed, self.inst_budget, self.warmup_insts,
-            self.lookahead, self.config, self.profile_budget,
-        )
+    # -- multi-core cells ---------------------------------------------------------
 
     def run(self, workload: str | Mix, policy: str, seed: int) -> RunResult:
-        """One evaluation run (memoised; read-through to the disk cache)."""
-        mix = workload_by_name(workload) if isinstance(workload, str) else workload
-        key = (mix.name, policy.upper(), seed)
-        hit = self._runs.get(key)
-        if hit is not None:
-            return hit
-        cell_key = None
-        if self.cache is not None:
-            cell_key = self._eval_key(mix.name, policy, seed)
-            cached = self.cache.get(cell_key)
-            if cached is not None:
-                self._runs[key] = cached
-                return cached
-        result = run_multicore(
-            mix,
-            self._make_policy(policy, mix, seed),
-            inst_budget=self.inst_budget,
-            seed=seed,
-            warmup_insts=self.warmup_insts,
-            config=self.config,
-            lookahead=self.lookahead,
-        )
-        if cell_key is not None:
-            self.cache.put(cell_key, result)
-        self._runs[key] = result
-        return result
+        """One evaluation run of a registered mix."""
+        return self._get(eval_cell(self, _name(workload), policy, seed))
 
     def run_custom(
         self,
@@ -236,105 +165,21 @@ class ExperimentContext:
         lookahead: int | None = None,
     ) -> RunResult:
         """An ablation run: ``policy`` with constructor arguments and/or a
-        non-default config or lookahead (memoised and disk-cached like
-        :meth:`run`; ME-family policies profile on the *context's*
-        baseline machine, matching the paper's offline methodology)."""
-        mix = workload_by_name(workload) if isinstance(workload, str) else workload
-        cfg = config if config is not None else self.config
-        la = lookahead if lookahead is not None else self.lookahead
-        cell_key = custom_cell_key(
-            mix.name, policy, policy_args, seed, self.inst_budget,
-            self.warmup_insts, la, cfg, self.profile_budget,
-            me_config=self.config if cfg is not self.config else None,
-        )
-        hit = self._custom_runs.get(cell_key)
-        if hit is not None:
-            return hit
-        if self.cache is not None:
-            cached = self.cache.get(cell_key)
-            if cached is not None:
-                self._custom_runs[cell_key] = cached
-                return cached
-        name = policy.upper()
-        me = self.me_values(mix, seed) if name in ("ME", "ME-LREQ") else None
-        result = run_multicore(
-            mix,
-            policy_from_spec(name, tuple(policy_args), me),
-            inst_budget=self.inst_budget,
-            seed=seed,
-            warmup_insts=self.warmup_insts,
-            config=cfg,
-            lookahead=la,
-        )
-        if self.cache is not None:
-            self.cache.put(cell_key, result)
-        self._custom_runs[cell_key] = result
-        return result
-
-    def _cloud_key(self, mix_name: str, policy: str, seed: int) -> CellKey:
-        return cloud_cell_key(
-            mix_name, policy, seed, self.inst_budget, self.warmup_insts,
-            self.lookahead, self.config, self.profile_budget,
-        )
+        non-default config or lookahead (ME-family policies profile on the
+        *context's* baseline machine, matching the paper's offline
+        methodology)."""
+        return self._get(custom_cell(
+            self, _name(workload), policy, seed, policy_args=policy_args,
+            config=config, lookahead=lookahead,
+        ))
 
     def cloud_run(self, workload, policy: str, seed: int):
-        """One cloud co-run (memoised; read-through to the disk cache).
+        """One cloud co-run.
 
         ``workload`` is a cloud mix name or :class:`CloudMix`; returns a
         :class:`~repro.experiments.cloud.CloudResult`.
         """
-        from repro.experiments.cloud import run_cloud
-        from repro.workloads.cloud import cloud_mix_by_name
-
-        mix = (
-            cloud_mix_by_name(workload) if isinstance(workload, str) else workload
-        )
-        key = (mix.name, policy.upper(), seed)
-        hit = self._cloud_runs.get(key)
-        if hit is not None:
-            return hit
-        cell_key = None
-        if self.cache is not None:
-            cell_key = self._cloud_key(mix.name, policy, seed)
-            cached = self.cache.get(cell_key)
-            if cached is not None:
-                self._cloud_runs[key] = cached
-                return cached
-        me = None
-        if policy.upper() in ("ME", "ME-LREQ"):
-            me = self.batch_me(mix.batch_apps(), seed)
-        result = run_cloud(
-            mix,
-            policy,
-            inst_budget=self.inst_budget,
-            seed=seed,
-            warmup_insts=self.warmup_insts,
-            config=self.config,
-            lookahead=self.lookahead,
-            me_values=me,
-        )
-        if cell_key is not None:
-            self.cache.put(cell_key, result)
-        self._cloud_runs[key] = result
-        return result
-
-    # -- memo preloading (parallel runner) ------------------------------------------
-
-    def preload_run(self, mix_name: str, policy: str, seed: int,
-                    result: RunResult) -> None:
-        """Install one evaluation result (must match what :meth:`run`
-        would compute — the parallel runner keys cells on every
-        determinant to guarantee it)."""
-        self._runs.setdefault((mix_name, policy.upper(), seed), result)
-
-    def preload_custom(self, cell_key: CellKey, result: RunResult) -> None:
-        """Install one ablation result under its full cell key."""
-        self._custom_runs.setdefault(cell_key, result)
-
-    def preload_cloud(self, mix_name: str, policy: str, seed: int,
-                      result) -> None:
-        """Install one cloud co-run result (parallel runner merge)."""
-        self._cloud_runs.setdefault((mix_name, policy.upper(), seed), result)
+        return self._get(cloud_cell(self, _name(workload), policy, seed))
 
     def outcome(self, workload: str | Mix, policy: str) -> PolicyOutcome:
         """Seed-averaged metrics for one (workload, policy) cell."""

@@ -42,15 +42,14 @@ from dataclasses import dataclass, field
 
 from repro.experiments.cache import CacheStats, ResultCache
 from repro.experiments.cells import (
-    ME_FAMILY,
     Cell,
     CellKey,
-    cloud_cell_key,
-    custom_cell_key,
-    eval_cell_key,
+    cloud_cell,
+    custom_cell,
+    eval_cell,
     execute_cell,
-    profile_cell_key,
-    single_cell_key,
+    profile_cell,
+    single_cell,
 )
 from repro.telemetry.bus import TelemetryBus
 from repro.workloads.mixes import workload_by_name
@@ -114,71 +113,6 @@ class ParallelReport:
 # -- planning --------------------------------------------------------------------
 
 
-def _profile_cell(ctx, code: str, seed: int) -> Cell:
-    return Cell(key=profile_cell_key(code, seed, ctx.profile_budget,
-                                     ctx.config),
-                config=ctx.config)
-
-
-def _single_cell(ctx, code: str, seed: int) -> Cell:
-    return Cell(key=single_cell_key(code, seed, ctx.profile_budget,
-                                    ctx.config),
-                config=ctx.config)
-
-
-def _eval_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
-    mix = workload_by_name(mix_name)
-    key = eval_cell_key(mix.name, policy, seed, ctx.inst_budget,
-                        ctx.warmup_insts, ctx.lookahead, ctx.config,
-                        ctx.profile_budget)
-    deps = ()
-    if key.policy in ME_FAMILY:
-        deps = tuple(
-            profile_cell_key(code, seed, ctx.profile_budget, ctx.config)
-            for code in mix.codes
-        )
-    return Cell(key=key, config=ctx.config, me_deps=deps)
-
-
-def _cloud_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
-    from repro.workloads.cloud import cloud_mix_by_name
-
-    mix = cloud_mix_by_name(mix_name)
-    key = cloud_cell_key(mix.name, policy, seed, ctx.inst_budget,
-                         ctx.warmup_insts, ctx.lookahead, ctx.config,
-                         ctx.profile_budget)
-    deps = ()
-    if key.policy in ME_FAMILY:
-        # Batch cores only: service cores carry pinned ME ranks.
-        deps = tuple(
-            profile_cell_key(app.code, seed, ctx.profile_budget, ctx.config)
-            for app in mix.batch_apps()
-        )
-    return Cell(key=key, config=ctx.config, me_deps=deps)
-
-
-def _custom_cell(ctx, spec) -> Cell:
-    """Build the cell for one ablation spec (see ``ablation_cell_specs``)."""
-    mix = workload_by_name(spec.workload)
-    config = spec.config if spec.config is not None else ctx.config
-    lookahead = spec.lookahead if spec.lookahead is not None else ctx.lookahead
-    key = custom_cell_key(
-        mix.name, spec.policy, spec.policy_args, spec.seed,
-        ctx.inst_budget, ctx.warmup_insts, lookahead, config,
-        ctx.profile_budget,
-        me_config=ctx.config if config is not ctx.config else None,
-    )
-    deps = ()
-    if key.policy in ME_FAMILY:
-        # ME profiles always come from the context's baseline machine.
-        deps = tuple(
-            profile_cell_key(code, spec.seed, ctx.profile_budget, ctx.config)
-            for code in mix.codes
-        )
-    return Cell(key=key, config=config, me_deps=deps,
-                policy_ctor_args=tuple(spec.policy_args))
-
-
 def plan_cells(
     ctx,
     *,
@@ -213,21 +147,23 @@ def plan_cells(
     def add(cell: Cell) -> None:
         cells.setdefault(cell.key, cell)
 
+    def add_run(cell: Cell, baseline_codes) -> None:
+        """A multi-core cell, its ME profiles and its speedup baselines."""
+        add(cell)
+        for dep in cell.me_deps:
+            add(Cell(key=dep, config=ctx.config))
+        for code in baseline_codes:
+            add(single_cell(ctx, code, cell.key.seed))
+
     def add_pairs(pairs) -> None:
         for mix_name, policy in pairs:
-            mix = workload_by_name(mix_name)
+            codes = sorted(set(workload_by_name(mix_name).codes))
             for seed in ctx.seeds:
-                cell = _eval_cell(ctx, mix_name, policy, seed)
-                add(cell)
-                for dep in cell.me_deps:
-                    add(Cell(key=dep, config=ctx.config))
-                # outcome() always needs the single-core baselines
-                for code in sorted(set(mix.codes)):
-                    add(_single_cell(ctx, code, seed))
+                add_run(eval_cell(ctx, mix_name, policy, seed), codes)
 
     if table2:
         for app in APPS:
-            add(_profile_cell(ctx, app.code, ctx.seeds[0]))
+            add(profile_cell(ctx, app.code, ctx.seeds[0]))
     if figure2 is not None:
         core_counts, groups = figure2
         add_pairs(figure2_cells(core_counts=core_counts, groups=groups))
@@ -246,24 +182,18 @@ def plan_cells(
 
         mix_names, policies = cloud
         for mix_name, policy in cloud_cells(mix_names, policies):
-            mix = cloud_mix_by_name(mix_name)
+            # the table's batch-speedup column needs the batch baselines
+            codes = [a.code for a in cloud_mix_by_name(mix_name).batch_apps()]
             for seed in ctx.seeds:
-                cell = _cloud_cell(ctx, mix_name, policy, seed)
-                add(cell)
-                for dep in cell.me_deps:
-                    add(Cell(key=dep, config=ctx.config))
-                # the table's batch-speedup column needs the baselines
-                for app in mix.batch_apps():
-                    add(_single_cell(ctx, app.code, seed))
+                add_run(cloud_cell(ctx, mix_name, policy, seed), codes)
     if ablations:
         for spec in ablation_cell_specs(ctx):
-            cell = _custom_cell(ctx, spec)
-            add(cell)
-            for dep in cell.me_deps:
-                add(Cell(key=dep, config=ctx.config))
-            mix = workload_by_name(spec.workload)
-            for code in sorted(set(mix.codes)):
-                add(_single_cell(ctx, code, spec.seed))
+            add_run(
+                custom_cell(ctx, spec.workload, spec.policy, spec.seed,
+                            policy_args=spec.policy_args,
+                            config=spec.config, lookahead=spec.lookahead),
+                sorted(set(workload_by_name(spec.workload).codes)),
+            )
     return sorted(cells.values(), key=lambda c: c.key.key_str())
 
 
@@ -435,18 +365,15 @@ def run_cells(
 
             ready: list[Cell] = []
             for cell in todo:
-                if cell.key.policy in ME_FAMILY and cell.me_values is None:
-                    try:
-                        me = tuple(results[dep].me for dep in cell.me_deps)
-                    except KeyError:
-                        report.failures.append(CellFailure(
-                            cell.key.key_str(),
-                            "dependency failed: missing ME profile", 0,
-                        ))
-                        progress.emit(cell.key, "failed", 0.0)
-                        continue
-                    cell = cell.with_me_values(me)
-                ready.append(cell)
+                resolved = cell.with_resolved_me(results.get)
+                if resolved is None:
+                    report.failures.append(CellFailure(
+                        cell.key.key_str(),
+                        "dependency failed: missing ME profile", 0,
+                    ))
+                    progress.emit(cell.key, "failed", 0.0)
+                    continue
+                ready.append(resolved)
 
             before = dict(results)
             if not ready:
@@ -486,66 +413,14 @@ def run_cells(
 
 
 def merge_into(ctx, report: ParallelReport) -> int:
-    """Install cell results into a context's memo layers.
+    """Install cell results into a context's memo by cell key.
 
     Iterates in canonical key order (already how ``report.results`` is
-    ordered) — merge order is a function of the cell set, never of
-    completion timing.  Returns the number of entries installed.
-    Cells whose budgets/config do not match the context are rejected:
-    a memo must never hold a result the context would not itself compute.
+    ordered), so merge order is a function of the cell set, never of
+    completion timing.  A result planned under other budgets or another
+    configuration lands under a key the context never builds, so it can
+    never be served.  Returns the number of entries installed.
     """
-    installed = 0
-    cfg_digest = ctx.config.digest()
-    single_digest = ctx.config.with_cores(1).digest()
     for key, payload in report.results.items():
-        if key.kind in ("profile", "single"):
-            if (key.inst_budget != ctx.profile_budget
-                    or key.config_digest != single_digest):
-                raise ValueError(
-                    f"cell {key.key_str()} does not match context "
-                    f"(profile_budget={ctx.profile_budget})"
-                )
-            prof = ctx.profiler(key.seed)
-            if key.kind == "profile":
-                prof.preload_profile(payload)
-            else:
-                prof.preload_single(key.workload, payload)
-        elif key.kind == "eval":
-            if (key.inst_budget != ctx.inst_budget
-                    or key.warmup != ctx.warmup_insts
-                    or key.lookahead != ctx.lookahead
-                    or key.config_digest != cfg_digest
-                    or (key.policy in ME_FAMILY
-                        and key.profile_budget != ctx.profile_budget)):
-                raise ValueError(
-                    f"cell {key.key_str()} does not match context"
-                )
-            ctx.preload_run(key.workload, key.policy, key.seed, payload)
-        elif key.kind == "custom":
-            if (key.inst_budget != ctx.inst_budget
-                    or key.warmup != ctx.warmup_insts
-                    or (key.policy in ME_FAMILY
-                        and key.profile_budget != ctx.profile_budget)):
-                raise ValueError(
-                    f"cell {key.key_str()} does not match context"
-                )
-            ctx.preload_custom(key, payload)
-        elif key.kind == "cloud":
-            from repro.workloads.cloud import cloud_mix_by_name, cloud_system_config
-
-            mix = cloud_mix_by_name(key.workload)
-            expected = cloud_system_config(ctx.config, mix.num_cores).digest()
-            if (key.inst_budget != ctx.inst_budget
-                    or key.warmup != ctx.warmup_insts
-                    or key.lookahead != ctx.lookahead
-                    or key.config_digest != expected
-                    or (key.policy in ME_FAMILY
-                        and key.profile_budget != ctx.profile_budget)):
-                raise ValueError(
-                    f"cell {key.key_str()} does not match context"
-                )
-            ctx.preload_cloud(key.workload, key.policy, key.seed, payload)
-        else:
-            raise ValueError(f"unknown cell kind {key.kind!r}")
-        installed += 1
-    return installed
+        ctx.memo.setdefault(key, payload)
+    return len(report.results)

@@ -33,10 +33,10 @@ class Table2Row:
 
 def run_table2(ctx: ExperimentContext, seed: int | None = None) -> list[Table2Row]:
     """Profile all 26 applications and build the table."""
-    prof = ctx.profiler(seed if seed is not None else ctx.seeds[0])
+    seed = seed if seed is not None else ctx.seeds[0]
     rows = []
     for app in APPS:
-        p = prof.profile(app)
+        p = ctx.profile(app, seed)
         rows.append(
             Table2Row(
                 app=app.name,

@@ -99,26 +99,6 @@ class MeProfiler:
         """Per-core ME vector for a workload mix (feeds ME / ME-LREQ)."""
         return tuple(self.profile(app).me for app in mix.apps())
 
-    # -- cache preloading (parallel runner / disk cache) ----------------------------
-
-    def has_profile(self, code: str) -> bool:
-        return code in self._cache
-
-    def preload_profile(self, profile: MeProfile) -> None:
-        """Install an externally computed profile (cache hit / worker
-        result); must be bit-identical to what :meth:`profile` would
-        compute — the parallel runner guarantees that by keying on every
-        run determinant."""
-        self._cache.setdefault(profile.code, profile)
-
-    def has_single(self, code: str, phase: str = "eval") -> bool:
-        return f"{code}:{phase}" in self._single_core_results
-
-    def preload_single(self, code: str, result: CoreResult,
-                       phase: str = "eval") -> None:
-        """Install an externally computed single-core evaluation run."""
-        self._single_core_results.setdefault(f"{code}:{phase}", result)
-
     def single_core_ipc(self, app: AppProfile, phase: str = "eval") -> float:
         """Single-core IPC on the *evaluation* slice (SMT-speedup baseline).
 

@@ -1,4 +1,4 @@
-"""Distributed sweep service: coordinator, workers, shared result store.
+"""Distributed sweep service: coordinator, workers, client.
 
 The experiment layer reduced every figure/table simulation to a pure
 ``Cell -> result`` function with a canonical merge order
@@ -12,8 +12,6 @@ This package promotes that contract from one process pool to a fleet:
 * :mod:`repro.service.client` — submit a cell set, receive a
   :class:`~repro.experiments.parallel.ParallelReport` that merges
   bit-identically to a serial run;
-* :mod:`repro.service.store` — the shared content-addressed result
-  store (same keys/layout as ``.repro-cache/``);
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire
   format;
 * :mod:`repro.service.leases` — the pure lease/retry bookkeeping.
@@ -36,20 +34,12 @@ from repro.service.protocol import (
     ServiceError,
     parse_addr,
 )
-from repro.service.store import (
-    DEFAULT_STORE_DIR,
-    PayloadIntegrityError,
-    ResultStore,
-)
 from repro.service.worker import run_worker
 
 __all__ = [
     "PROTOCOL_VERSION",
     "Coordinator",
-    "DEFAULT_STORE_DIR",
-    "PayloadIntegrityError",
     "ProtocolError",
-    "ResultStore",
     "ServiceError",
     "TaskBoard",
     "TaskState",

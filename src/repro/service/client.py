@@ -22,6 +22,7 @@ import asyncio
 import sys
 import time
 
+from repro.experiments.cache import code_fingerprint, verify_payload
 from repro.experiments.cells import Cell, CellKey
 from repro.experiments.parallel import CellFailure, ParallelReport
 from repro.service.protocol import (
@@ -33,12 +34,6 @@ from repro.service.protocol import (
     parse_addr,
     read_msg,
     send_msg,
-)
-from repro.service.store import (
-    PayloadIntegrityError,
-    code_fingerprint,
-    decode_payload,
-    payload_sha,
 )
 from repro.telemetry.bus import TelemetryBus
 
@@ -136,13 +131,8 @@ async def submit_cells_async(
             t = msg.get("t")
             if t == "cell_done":
                 key = by_digest[msg["key"]]
-                payload = msg["payload"]
-                if payload_sha(payload) != msg.get("sha"):
-                    raise PayloadIntegrityError(
-                        f"payload SHA mismatch for {key.key_str()} on the "
-                        "client link"
-                    )
-                results[key] = decode_payload(payload)
+                results[key] = verify_payload(key, msg["payload"],
+                                              msg.get("sha"))
                 done += 1
                 progress["done"] = done
                 status = msg.get("status", "run")

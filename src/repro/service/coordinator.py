@@ -1,10 +1,11 @@
 """Asyncio sweep coordinator: dispatch cells to workers, stream results.
 
 One :class:`Coordinator` owns a TCP listener, a :class:`TaskBoard`
-(leases, retry budget, ME-dependency gating) and an optional
-:class:`~repro.service.store.ResultStore`.  Workers and clients connect
-over the newline-delimited JSON protocol (:mod:`repro.service.protocol`)
-and are told apart by their ``hello`` role:
+(leases, retry budget, ME-dependency gating) and an optional result
+store, a plain :class:`~repro.experiments.cache.ResultCache`.  Workers
+and clients connect over the newline-delimited JSON protocol
+(:mod:`repro.service.protocol`) and are told apart by their ``hello``
+role:
 
 * **workers** register, then sit in a request loop: the coordinator
   leases them one cell at a time, they stream back float-hex exact
@@ -49,7 +50,14 @@ import asyncio
 import itertools
 import time
 
-from repro.experiments.cache import payload_sha
+from repro.experiments.cache import (
+    PayloadIntegrityError,
+    ResultCache,
+    code_fingerprint,
+    encode_payload,
+    payload_sha,
+    verify_payload,
+)
 from repro.experiments.cells import CellKey
 from repro.service.leases import TaskBoard, TaskState
 from repro.service.protocol import (
@@ -59,12 +67,6 @@ from repro.service.protocol import (
     decode_cell,
     read_msg,
     send_msg,
-)
-from repro.service.store import (
-    PayloadIntegrityError,
-    ResultStore,
-    code_fingerprint,
-    encode_payload,
 )
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.fleet import FleetObserver, new_run_id
@@ -112,7 +114,7 @@ class Coordinator:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        store: ResultStore | None = None,
+        store: ResultCache | None = None,
         lease_seconds: float = 60.0,
         max_attempts: int = 3,
         bus: TelemetryBus | None = None,
@@ -301,13 +303,7 @@ class Coordinator:
             if self.store is not None:
                 result = self.store.admit(state.cell.key, payload, sha)
             else:
-                if payload_sha(payload) != sha:
-                    raise PayloadIntegrityError(
-                        f"payload SHA mismatch for {state.cell.key.key_str()}"
-                    )
-                from repro.service.store import decode_payload
-
-                result = decode_payload(payload)
+                result = verify_payload(state.cell.key, payload, sha)
         except (PayloadIntegrityError, TypeError) as exc:
             self.stats["sha_mismatch"] += 1
             status = self.board.release(state, repr(exc))

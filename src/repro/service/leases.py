@@ -108,15 +108,8 @@ class TaskBoard:
         when a dependency is missing or failed.
         """
         cell = state.cell
-        if cell.me_values is not None or cell.key.policy not in ME_FAMILY:
-            return cell
-        values: list[float] = []
-        for dep_key in cell.me_deps:
-            payload = self.done.get(dep_key.digest())
-            if payload is None:
-                return cell
-            values.append(payload.me)
-        return cell.with_me_values(tuple(values))
+        return cell.with_resolved_me(
+            lambda dep: self.done.get(dep.digest())) or cell
 
     def lease(self, state: TaskState, worker: str, now: float,
               duration: float, task_id: int) -> None:

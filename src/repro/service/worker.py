@@ -8,9 +8,10 @@ never contribute results), then loops:
 
 1. receive one ``task`` (the coordinator leases at most one cell per
    worker at a time);
-2. consult the optional local :class:`~repro.service.store.ResultStore`
-   (the same read-through the :class:`ExperimentContext` cache layer
-   does, at cell granularity) — a warm entry skips the simulation;
+2. consult the optional local
+   :class:`~repro.experiments.cache.ResultCache` (the same read-through
+   the :class:`ExperimentContext` does, at cell granularity) — a warm
+   entry skips the simulation;
 3. otherwise simulate in a thread (``asyncio.to_thread``), so the
    heartbeat task keeps extending the worker's lease while the
    simulator grinds;
@@ -42,6 +43,12 @@ from __future__ import annotations
 import asyncio
 import os
 
+from repro.experiments.cache import (
+    ResultCache,
+    code_fingerprint,
+    encode_payload,
+    payload_sha,
+)
 from repro.experiments.cells import Cell, execute_cell
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -50,12 +57,6 @@ from repro.service.protocol import (
     expect,
     read_msg,
     send_msg,
-)
-from repro.service.store import (
-    ResultStore,
-    code_fingerprint,
-    encode_payload,
-    payload_sha,
 )
 from repro.telemetry.fleet import (
     ENV_CELL_ID,
@@ -119,7 +120,7 @@ async def _snapshot_loop(trace, stats: dict, interval: float) -> None:
         trace.snapshot("progress", **stats)
 
 
-def _execute(cell: Cell, attempt: int, store: ResultStore | None,
+def _execute(cell: Cell, attempt: int, store: ResultCache | None,
              stats: dict) -> dict:
     """Blocking leg, run in a thread: store read-through + simulate."""
     if store is not None:
@@ -139,7 +140,7 @@ async def run_worker(
     port: int,
     *,
     worker_id: str | None = None,
-    store: ResultStore | None = None,
+    store: ResultCache | None = None,
     connect_retries: int = 0,
     retry_delay: float = 0.5,
     heartbeat_seconds: float | None = None,

@@ -13,7 +13,6 @@ crossing, exactly as in Section 4.1).
 
 from repro.sim.engine import EventEngine
 from repro.sim.runner import CoreResult, RunResult, run_multicore, run_single_core
-from repro.sim.sweep import SweepCell, SweepResult, grid, run_sweep
 from repro.sim.system import MultiCoreSystem
 
 __all__ = [
@@ -21,10 +20,6 @@ __all__ = [
     "EventEngine",
     "MultiCoreSystem",
     "RunResult",
-    "SweepCell",
-    "SweepResult",
-    "grid",
     "run_multicore",
     "run_single_core",
-    "run_sweep",
 ]

@@ -19,6 +19,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "7"])
 
+    @pytest.mark.parametrize(
+        "verb", [["figure", "2"], ["table2"], ["arena"], ["cloud"]])
+    def test_cache_dir_needs_resume(self, verb, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--budget", "1000", "--cache-dir", str(cache)])
+        assert exc.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not cache.exists()
+
 
 class TestCommands:
     def test_policies(self, capsys):

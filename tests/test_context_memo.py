@@ -56,6 +56,21 @@ def test_in_memory_memo_is_per_seed():
     assert ctx.run("2MEM-1", "HF-RF", 2) is r2
 
 
+def test_serial_table2_writes_and_reads_the_cache(tmp_path):
+    """Table 2's profiles go through the same read-through as every
+    other cell, so a serial run leaves a resumable trail."""
+    from repro.experiments.table2 import run_table2
+
+    a = _ctx(tmp_path, cache=ResultCache(root=tmp_path, mode="write"))
+    rows = run_table2(a)
+    assert a.cache.stats.writes == 26
+    assert len(list(tmp_path.glob("*.json"))) == 26
+
+    b = _ctx(tmp_path)
+    assert run_table2(b) == rows
+    assert b.cache.stats.hits == 26 and b.cache.stats.misses == 0
+
+
 def test_profile_budget_isolates_me_family_entries(tmp_path):
     """ME-family results depend on the profiling budget; changing it must
     invalidate exactly those entries and nothing else."""

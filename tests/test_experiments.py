@@ -40,11 +40,10 @@ class TestHarness:
         a = ctx.run("2MEM-1", "HF-RF", 7)
         b = ctx.run("2MEM-1", "HF-RF", 7)
         assert a is b  # cached object
+        with pytest.raises(KeyError):
+            ctx.run("9MEM-1", "HF-RF", 7)  # not a registered mix
 
     def test_profiler_caching(self, ctx):
-        p1 = ctx.profiler(7)
-        p2 = ctx.profiler(7)
-        assert p1 is p2
         mix = workload_by_name("2MEM-1")
         assert ctx.me_values(mix, 7) == ctx.me_values(mix, 7)
 

@@ -82,6 +82,25 @@ def test_merge_order_is_key_order_not_completion_order(serial_rows):
     assert _figure2_rows(ctx) == serial_rows
 
 
+def test_merged_results_planned_under_other_budgets_are_never_served():
+    """A report planned under another ``inst_budget`` merges under keys
+    this context never builds, so its runs are computed afresh."""
+    other = _ctx(inst_budget=BUDGET + 100)
+    cells = [c for c in plan_cells(other, figure2=((2,), ("MEM",)))
+             if c.key.kind != "eval" or c.key.workload == "2MEM-1"]
+    report = run_cells(cells, jobs=1)
+    stale = {k.policy: v for k, v in report.results.items()
+             if k.kind == "eval"}
+
+    ctx = _ctx()
+    merge_into(ctx, report)
+    fresh = _ctx()
+    for policy in ("HF-RF", "ME-LREQ"):
+        want = fresh.run("2MEM-1", policy, SEED)
+        assert stale[policy] != want
+        assert ctx.run("2MEM-1", policy, SEED) == want
+
+
 def test_parallel_reproduces_golden_fingerprints():
     """Worker-process results must match the checked-in golden stats
     (same float bits, compared through ``float.hex``)."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.metrics.serialize import load_results, save_results, to_jsonable
 from repro.sim.runner import CoreResult, RunResult
-from repro.sim.sweep import SweepCell, SweepResult
+from repro.experiments.harness import PolicyOutcome
 
 
 def sample_run_result():
@@ -57,15 +57,16 @@ class TestRoundtrip:
         assert meta == {"budget": 30000}
 
     def test_sweep_results(self, tmp_path):
-        res = SweepResult(
-            cell=SweepCell("4MEM-1", "ME-LREQ", 1),
-            smt_speedup=3.2, unfairness=1.3,
-            avg_read_latency=350.0, per_core_ipc=(1.0, 0.9, 0.8, 0.7),
+        res = PolicyOutcome(
+            workload="4MEM-1", policy="ME-LREQ",
+            smt_speedup=3.2, unfairness=1.3, avg_read_latency=350.0,
+            per_core_latency=(300.0, 320.0, 380.0, 400.0),
+            per_core_ipc=(1.0, 0.9, 0.8, 0.7),
         )
         p = tmp_path / "sweep.json"
         save_results([res], p)
         results, _ = load_results(p)
-        assert results[0]["cell"]["workload"] == "4MEM-1"
+        assert results[0]["workload"] == "4MEM-1"
         assert results[0]["per_core_ipc"] == [1.0, 0.9, 0.8, 0.7]
 
     def test_wrong_format_rejected(self, tmp_path):

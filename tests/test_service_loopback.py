@@ -28,6 +28,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.cache import (
+    ResultCache,
+    code_fingerprint,
+    encode_payload,
+)
 from repro.experiments.harness import ExperimentContext
 from repro.experiments.parallel import plan_cells, run_cells
 from repro.service.client import (
@@ -45,7 +50,6 @@ from repro.service.protocol import (
     read_msg,
     send_msg,
 )
-from repro.service.store import ResultStore, code_fingerprint, encode_payload
 from repro.service.worker import run_worker
 
 BUDGET = 300
@@ -139,7 +143,7 @@ async def _run_scenario(cells, *, n_workers=2, store=None,
 def test_distributed_run_is_byte_identical_to_serial(serial_figure2,
                                                      tmp_path):
     cells = _figure2_cells()
-    store = ResultStore(root=tmp_path, mode="rw")
+    store = ResultCache(root=tmp_path, mode="rw")
     report, coord = asyncio.run(
         _run_scenario(cells, n_workers=2, store=store))
     _assert_identical(report, serial_figure2)
@@ -151,7 +155,7 @@ def test_distributed_run_is_byte_identical_to_serial(serial_figure2,
     # same job from hits alone, with ZERO workers attached
     report2, coord2 = asyncio.run(
         _run_scenario(cells, n_workers=0,
-                      store=ResultStore(root=tmp_path, mode="rw")))
+                      store=ResultCache(root=tmp_path, mode="rw")))
     _assert_identical(report2, serial_figure2)
     assert report2.cache_hits == len(cells) and report2.executed == 0
     assert coord2.stats["hits"] == len(cells)
@@ -344,7 +348,7 @@ def test_corrupt_payload_costs_one_attempt_and_is_retried(
     cells = _hfrf_cells()
     target = cells[0].key.key_str()
     monkeypatch.setenv("REPRO_SERVICE_CORRUPT", target)
-    store = ResultStore(root=tmp_path, mode="rw")
+    store = ResultCache(root=tmp_path, mode="rw")
     report, coord = asyncio.run(
         _run_scenario(cells, n_workers=1, store=store))
     _assert_identical(report, serial_hfrf)

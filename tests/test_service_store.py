@@ -1,5 +1,6 @@
-"""The shared result store: wire-payload admission and the directory
-lock that serialises concurrent invocations on one cache directory.
+"""The result store shared by local runs and the sweep service:
+wire-payload admission and the directory lock that serialises
+concurrent invocations on one cache directory.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ import os
 import pytest
 
 from repro.config import SystemConfig
-from repro.experiments.cache import DirLock, ResultCache
-from repro.experiments.cells import eval_cell_key
-from repro.service.store import (
+from repro.experiments.cache import (
+    DirLock,
     PayloadIntegrityError,
-    ResultStore,
+    ResultCache,
     encode_payload,
     payload_sha,
 )
+from repro.experiments.cells import eval_cell_key
 from repro.sim.runner import CoreResult
 
 CFG = SystemConfig()
@@ -36,7 +37,7 @@ def _result() -> CoreResult:
 
 
 def test_admit_verifies_stores_and_decodes(tmp_path):
-    store = ResultStore(root=tmp_path, mode="rw")
+    store = ResultCache(root=tmp_path, mode="rw")
     payload = encode_payload(_result())
     decoded = store.admit(_key(), payload, payload_sha(payload))
     assert decoded == _result()
@@ -45,7 +46,7 @@ def test_admit_verifies_stores_and_decodes(tmp_path):
 
 
 def test_admit_rejects_sha_mismatch_without_writing(tmp_path):
-    store = ResultStore(root=tmp_path, mode="rw")
+    store = ResultCache(root=tmp_path, mode="rw")
     payload = encode_payload(_result())
     with pytest.raises(PayloadIntegrityError, match="SHA mismatch"):
         store.admit(_key(), payload, "0" * 64)
@@ -54,7 +55,7 @@ def test_admit_rejects_sha_mismatch_without_writing(tmp_path):
 
 
 def test_admit_rejects_undecodable_payload(tmp_path):
-    store = ResultStore(root=tmp_path, mode="rw")
+    store = ResultCache(root=tmp_path, mode="rw")
     junk = {"type": "RunResult", "mix_name": "4MEM-1"}  # missing fields
     with pytest.raises(PayloadIntegrityError, match="does not decode"):
         store.admit(_key(), junk, payload_sha(junk))
@@ -63,13 +64,14 @@ def test_admit_rejects_undecodable_payload(tmp_path):
 
 def test_store_is_interchangeable_with_the_local_cache(tmp_path):
     """A directory warmed by the local runner is warm for the service
-    and vice versa — the addressing is identical by construction."""
+    and vice versa: an admitted wire payload and a locally computed
+    result land in one entry format."""
     local = ResultCache(root=tmp_path, mode="rw")
     local.put(_key("RR"), _result())
-    assert ResultStore(root=tmp_path, mode="rw").get(_key("RR")) == _result()
+    assert ResultCache(root=tmp_path, mode="rw").get(_key("RR")) == _result()
 
-    service = ResultStore(root=tmp_path, mode="rw")
-    service.put(_key("LREQ"), _result())
+    payload = encode_payload(_result())
+    local.admit(_key("LREQ"), payload, payload_sha(payload))
     assert ResultCache(root=tmp_path, mode="rw").get(_key("LREQ")) \
         == _result()
 
