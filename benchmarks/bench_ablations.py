@@ -63,12 +63,3 @@ def test_ablation_online_phases(benchmark, ctx):
     _print("offline vs online ME-LREQ on phase-changing apps (4MEM-1)", res)
     assert set(res) == {"LREQ", "ME-LREQ offline", "ME-LREQ online"}
     assert all(v > 0 for v in res.values())
-
-
-def test_ablation_prefetch(benchmark, ctx):
-    from repro.experiments.ablations import ablation_prefetch
-
-    res = run_once(benchmark, ablation_prefetch, ctx)
-    _print("stream prefetching (HF-RF, 4MEM-1)", res)
-    assert "off" in res
-    assert all(v > 0 for v in res.values())

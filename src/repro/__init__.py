@@ -21,7 +21,6 @@ See DESIGN.md for the architecture and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-from repro.cache.prefetch import PrefetchConfig
 from repro.config import (
     CacheConfig,
     CacheHierarchyConfig,
@@ -72,7 +71,6 @@ __all__ = [
     "MeProfiler",
     "MultiCoreSystem",
     "OnlineMeLreqPolicy",
-    "PrefetchConfig",
     "PriorityTable",
     "RunResult",
     "SchedulingPolicy",

@@ -10,7 +10,6 @@ become writebacks.  MSHRs bound per-core outstanding misses (Table 1:
 from repro.cache.cache import CacheStats, SetAssocCache
 from repro.cache.hierarchy import BLOCKED, MERGED, PENDING, CacheHierarchy
 from repro.cache.mshr import MshrFile
-from repro.cache.prefetch import PrefetchConfig, StridePrefetcher
 
 __all__ = [
     "BLOCKED",
@@ -19,7 +18,5 @@ __all__ = [
     "MERGED",
     "MshrFile",
     "PENDING",
-    "PrefetchConfig",
-    "StridePrefetcher",
     "SetAssocCache",
 ]

@@ -94,20 +94,8 @@ class CacheHierarchy:
         self.demand_accesses = [0] * num_cores
         #: dirty lines written back to memory (telemetry / analyses)
         self.writebacks = 0
-        #: optional stream prefetcher (extension; disabled by default)
-        self.prefetcher = None
-        self._prefetched_lines: set[int] = set()
-        self._prefetch_inflight: set[int] = set()
-        pf_cfg = getattr(config, "prefetch", None)
-        if pf_cfg is not None and pf_cfg.enabled:
-            from repro.cache.prefetch import StridePrefetcher
-
-            self.prefetcher = StridePrefetcher(pf_cfg, num_cores, self.line_bytes)
 
     # -- core-facing API -------------------------------------------------------
-
-    def line_of(self, addr: int) -> int:
-        return addr & self._line_mask
 
     def access(
         self,
@@ -149,9 +137,6 @@ class CacheHierarchy:
         """
         line = addr & self._line_mask
         if self.l2.lookup(line):
-            if self.prefetcher is not None and line in self._prefetched_lines:
-                self._prefetched_lines.discard(line)
-                self.prefetcher.mark_useful()
             self._fill_l1(core_id, line, dirty=is_write, now=now)
             return self._l2_hit_latency
         return self._after_l2_miss(core_id, line, is_write, now, waiter)
@@ -183,10 +168,6 @@ class CacheHierarchy:
             mshr.merges += 1
             if mshr.on_merge is not None:
                 mshr.on_merge(line, now)
-            if line in self._prefetch_inflight:
-                # demand caught up with an in-flight prefetch
-                self.prefetcher.mark_useful()
-                self._prefetch_inflight.discard(line)
             if is_write:
                 self._store_pending.add(line)
             return MERGED
@@ -214,68 +195,7 @@ class CacheHierarchy:
             req.span = self.spans.start_request(core_id, line, "read", now)
         accepted = self.controller.enqueue(req, now)
         assert accepted, "can_accept() checked above"
-        if self.prefetcher is not None:
-            self._maybe_prefetch(core_id, line, now)
         return PENDING
-
-    # -- prefetching (extension) -------------------------------------------------
-
-    def _maybe_prefetch(self, core_id: int, miss_line: int, now: int) -> None:
-        """Train the stride prefetcher and issue speculative line fills."""
-        pf = self.prefetcher
-        mshr = self.mshrs[core_id]
-        for addr in pf.observe_miss(core_id, miss_line):
-            if addr < 0:
-                continue
-            line = self.line_of(addr)
-            if (
-                not pf.can_issue(core_id)
-                or self.l2.probe(line)
-                or mshr.outstanding(line)
-                or mshr.is_full
-                or self._l2_outstanding >= self.l2_mshr_cap
-                or not self.controller.can_accept()
-            ):
-                continue
-            mshr.allocate(line, now=now)
-            self._l2_outstanding += 1
-            self._prefetch_inflight.add(line)
-            req = MemoryRequest(
-                addr=line,
-                core_id=core_id,
-                is_write=False,
-                arrival_cycle=now,
-                on_complete=self._on_prefetch_fill,
-                is_prefetch=True,
-            )
-            if self.spans is not None:
-                req.span = self.spans.start_request(core_id, line, "prefetch", now)
-            accepted = self.controller.enqueue(req, now)
-            assert accepted, "can_accept() checked above"
-            pf.mark_issued(core_id)
-
-    def _on_prefetch_fill(self, req: MemoryRequest, now: int) -> None:
-        """Prefetched data arrived: install in L2 only, wake any merged
-        demand waiters (they made the prefetch 'useful' at merge time)."""
-        line = req.addr
-        core = req.core_id
-        # a store that merged onto this prefetch dirties the L2 copy
-        dirty = line in self._store_pending
-        self._store_pending.discard(line)
-        evicted = self.l2.fill(line, dirty=dirty)
-        self._owner[line] = core
-        if evicted is not None:
-            self._handle_l2_eviction(evicted, now)
-        if line in self._prefetch_inflight:
-            # nobody merged: remember the line so a later demand hit counts
-            self._prefetch_inflight.discard(line)
-            self._prefetched_lines.add(line)
-        self._l2_outstanding -= 1
-        self.prefetcher.mark_completed(core)
-        self.mshrs[core].complete(line, now)
-        if self.spans is not None:
-            self.spans.end_inflight(core, line)
-        self._on_resource_freed(now)
 
     def wait_unblock(self, callback: Callable[[int], None]) -> None:
         """One-shot registration: fire when any structural resource frees."""
@@ -288,8 +208,8 @@ class CacheHierarchy:
 
     def _on_space_freed(self, now: int) -> None:
         self._space_watch_armed = False
-        # Inlined _on_resource_freed: this fires once per freed buffer
-        # slot, the hottest wake fan-out after fills.
+        # Wake every core stalled on a structural hazard: this fires once
+        # per freed buffer slot, the hottest wake fan-out after fills.
         uw = self._unblock_waiters
         if uw:
             self._unblock_waiters = []
@@ -415,13 +335,6 @@ class CacheHierarchy:
                 self._arm_wb_flush()
                 return
             self._wb_overflow.popleft()
-
-    def _on_resource_freed(self, now: int) -> None:
-        if not self._unblock_waiters:
-            return
-        waiters, self._unblock_waiters = self._unblock_waiters, []
-        for cb in waiters:
-            cb(now)
 
     # -- statistics ---------------------------------------------------------------
 

@@ -612,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate a paper figure")
     _add_common(p)
     p.add_argument("number", type=int, choices=(2, 3, 4, 5))
-    p.add_argument("--cores", type=int, nargs="+", default=[4])
+    p.add_argument("--cores", type=int, nargs="+", default=[4],
+                   choices=(2, 4, 8))
     p.add_argument("--groups", nargs="+", default=["MEM"])
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     _add_parallel(p)
@@ -741,7 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("table2", "figure2", "figure3", "figure4",
                             "figure5", "arena", "cloud"))
     _add_common(p)
-    p.add_argument("--cores", type=int, nargs="+", default=[4])
+    p.add_argument("--cores", type=int, nargs="+", default=[4],
+                   choices=(2, 4, 8))
     p.add_argument("--groups", nargs="+", default=["MEM"])
     p.add_argument("--mixes", nargs="+", default=["smoke"],
                    help="arena/cloud sections: mix-set and/or mix names")

@@ -19,12 +19,8 @@ All latencies are stored in CPU cycles (3.2 GHz) — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 from repro.util.units import CPU_FREQ_HZ, ns_to_cycles
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from repro.cache.prefetch import PrefetchConfig
 
 __all__ = [
     "CoreConfig",
@@ -236,8 +232,7 @@ class SystemConfig:
     """Top-level system: cores + caches + DRAM + controller.
 
     ``num_cores`` is the only knob the paper varies (1/2/4/8); everything
-    else defaults to Table 1.  ``prefetch`` enables the stream-prefetcher
-    extension (off in the paper's configuration).
+    else defaults to Table 1.
     """
 
     num_cores: int = 4
@@ -246,7 +241,6 @@ class SystemConfig:
     dram_timing: DramTimingConfig = field(default_factory=DramTimingConfig)
     dram_topology: DramTopologyConfig = field(default_factory=DramTopologyConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    prefetch: "PrefetchConfig | None" = None
 
     @property
     def line_bytes(self) -> int:
@@ -275,8 +269,6 @@ class SystemConfig:
         self.dram_timing.validate()
         self.dram_topology.validate()
         self.controller.validate()
-        if self.prefetch is not None:
-            self.prefetch.validate()
         if self.controller.max_pending_per_core < self.core.data_mshrs:
             raise ValueError(
                 "priority table must cover at least data_mshrs pending requests"

@@ -72,7 +72,6 @@ class ControllerStats:
         "bytes_read",
         "bytes_written",
         "write_count",
-        "prefetch_count",
         "read_row_hits",
         "drain_entries",
     )
@@ -84,9 +83,6 @@ class ControllerStats:
         self.bytes_read = [0] * num_cores
         self.bytes_written = [0] * num_cores
         self.write_count = [0] * num_cores
-        #: speculative line fills served (kept out of the demand read
-        #: latency statistics, but counted in bandwidth)
-        self.prefetch_count = [0] * num_cores
         self.read_row_hits = 0
         self.drain_entries = 0
 
@@ -237,8 +233,7 @@ class FastMemoryController:
             qs.writes_by_ch[ch].append(req)
         else:
             qs.reads.append(req)
-            if not req.is_prefetch:
-                qs.pending_reads[req.core_id] += 1
+            qs.pending_reads[req.core_id] += 1
             qs.reads_by_ch[ch].append(req)
         # -- drain-mode hysteresis (fast path; shared method on transition) --
         nw = len(qs.writes)
@@ -312,11 +307,11 @@ class FastMemoryController:
         elif nw >= self._drain_high:
             self._update_drain_mode(now)
         # -- candidates ----------------------------------------------------
-        # Precedence: drain writes > demand reads > prefetches > idle
-        # writes.  Requests whose ``arrival_cycle`` lies in the future are
-        # invisible — cores running inside their bounded fetch lookahead
-        # may enqueue future-dated requests, and serving one early would
-        # break causality — and requests on busy banks are ineligible (see
+        # Precedence: drain writes > reads > idle writes.  Requests whose
+        # ``arrival_cycle`` lies in the future are invisible — cores
+        # running inside their bounded fetch lookahead may enqueue
+        # future-dated requests, and serving one early would break
+        # causality — and requests on busy banks are ineligible (see
         # ``_ready_horizon``).  ``next_arrival``, the earliest future
         # arrival or bank-ready wake, is only consumed when no candidate
         # is eligible, so the common case scans exactly one queue view.
@@ -363,32 +358,21 @@ class FastMemoryController:
                         self._kick_channel(channel, next_arrival)
                     return
         if candidates is None:
-            demand = []
-            prefetch = []
-            d_wake = None
-            p_wake = None
+            reads = []
+            r_wake = None
             r_future = None
             for r in rbc[channel]:
                 arrival = r.arrival_cycle
                 if arrival <= now:
                     t = ready_by_bank[r.bank]
-                    if r.is_prefetch:
-                        if t <= horizon:
-                            prefetch.append(r)
-                        elif p_wake is None or t < p_wake:
-                            p_wake = t
-                    elif t <= horizon:
-                        demand.append(r)
-                    elif d_wake is None or t < d_wake:
-                        d_wake = t
+                    if t <= horizon:
+                        reads.append(r)
+                    elif r_wake is None or t < r_wake:
+                        r_wake = t
                 elif r_future is None or arrival < r_future:
                     r_future = arrival
-            if demand:
-                candidates = demand
-            elif prefetch:
-                # Demand-first over prefetches: speculative fills only use
-                # slots no demand read can.
-                candidates = prefetch
+            if reads:
+                candidates = reads
             else:
                 if not self.drain_mode:
                     # Idle-channel opportunism: writes proceed when no read
@@ -414,9 +398,7 @@ class FastMemoryController:
                     candidates = writes
                     is_write = True
                 else:
-                    next_arrival = _min_opt(
-                        future, _min_opt(_min_opt(d_wake, p_wake), w_wake)
-                    )
+                    next_arrival = _min_opt(future, _min_opt(r_wake, w_wake))
                     if next_arrival is not None:
                         self._kick_channel(channel, next_arrival)
                     return  # idle; the next enqueue kicks the channel
@@ -449,8 +431,7 @@ class FastMemoryController:
             wbc[channel].remove(req)
         else:
             qs.reads.remove(req)
-            if not req.is_prefetch:
-                qs.pending_reads[core] -= 1
+            qs.pending_reads[core] -= 1
             rbc[channel].remove(req)
         # Page policy.  Closed (paper default): keep the row latched only
         # while another queued request would hit it.  Open: always.
@@ -533,15 +514,6 @@ class FastMemoryController:
             req.done_cycle = data_end
             st.write_count[core] += 1
             st.bytes_written[core] += self.line_bytes
-        elif req.is_prefetch:
-            # Speculative fill: bandwidth is real, but it is not a demand
-            # read — keep it out of the latency statistics.
-            done = data_end + self._overhead
-            req.done_cycle = done
-            st.prefetch_count[core] += 1
-            st.bytes_read[core] += self.line_bytes
-            if req.on_complete is not None:
-                self.engine.complete(channel, done, req)
         else:
             # Reads pay the controller overhead on the return path.
             done = data_end + self._overhead

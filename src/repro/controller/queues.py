@@ -93,11 +93,7 @@ class RequestQueues:
             self.pending_writes[req.core_id] += 1
         else:
             self.reads.append(req)
-            # Prefetches ride the read queue but are invisible to the
-            # pending-read counters LREQ/ME-LREQ consult (the paper's
-            # counters track demand reads).
-            if not req.is_prefetch:
-                self.pending_reads[req.core_id] += 1
+            self.pending_reads[req.core_id] += 1
         coord = req.coord
         if coord is not None:
             by_ch = self.writes_by_ch if req.is_write else self.reads_by_ch
@@ -114,8 +110,7 @@ class RequestQueues:
             self.pending_writes[req.core_id] -= 1
         else:
             self.reads.remove(req)
-            if not req.is_prefetch:
-                self.pending_reads[req.core_id] -= 1
+            self.pending_reads[req.core_id] -= 1
         coord = req.coord
         if coord is not None:
             by_ch = self.writes_by_ch if req.is_write else self.reads_by_ch

@@ -32,11 +32,7 @@ class MemoryRequest:
     core_id:
         Originating core — the identity every core-aware policy keys on.
     is_write:
-        ``True`` for writebacks, ``False`` for demand/line-fill reads.
-    is_prefetch:
-        Line fill issued speculatively by the stream prefetcher; served
-        only when no demand read wants the channel, and excluded from the
-        per-core pending-read counters the policies consult.
+        ``True`` for writebacks, ``False`` for line-fill reads.
     arrival_cycle:
         Cycle the request entered the controller buffer.
     seq:
@@ -54,7 +50,6 @@ class MemoryRequest:
         "row",
         "core_id",
         "is_write",
-        "is_prefetch",
         "arrival_cycle",
         "seq",
         "on_complete",
@@ -71,12 +66,10 @@ class MemoryRequest:
         is_write: bool,
         arrival_cycle: int,
         on_complete: Optional[Callable[["MemoryRequest", int], None]] = None,
-        is_prefetch: bool = False,
     ) -> None:
         self.addr = addr
         self.core_id = core_id
         self.is_write = is_write
-        self.is_prefetch = is_prefetch
         self.arrival_cycle = arrival_cycle
         self.on_complete = on_complete
         self._coord: DramCoord | None = None

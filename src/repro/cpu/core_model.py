@@ -473,7 +473,6 @@ class TraceCore:
         l2_hit_latency = h._l2_hit_latency
         l2_lat_is_l1 = l2_hit_latency == l1_hit_latency
         fill_l1 = h._fill_l1
-        prefetcher = h.prefetcher
         after_l2_miss = h._after_l2_miss
         n_l2_hits = 0  # l2.stats.hits
         n_l2_miss = 0  # l2.stats.misses
@@ -571,9 +570,6 @@ class TraceCore:
                     # here, with no waiter.
                     s2[t2] = s2.pop(t2)
                     n_l2_hits += 1
-                    if prefetcher is not None and line in h._prefetched_lines:
-                        h._prefetched_lines.discard(line)
-                        prefetcher.mark_useful()
                     fill_l1(core_id, line, dirty=is_write, now=cycle)
                     if is_write:
                         n_stores += 1

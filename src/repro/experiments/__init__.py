@@ -19,7 +19,6 @@ from repro.experiments.ablations import (
     ablation_lookahead,
     ablation_online_phases,
     ablation_page_policy,
-    ablation_prefetch,
     ablation_table_bits,
     ablation_write_drain,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "ablation_lookahead",
     "ablation_online_phases",
     "ablation_page_policy",
-    "ablation_prefetch",
     "ablation_table_bits",
     "ablation_write_drain",
     "arena_anatomy",

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from repro.config import SystemConfig
 from repro.experiments.harness import ExperimentContext
 from repro.metrics.speedup import smt_speedup
-from repro.sim.runner import run_multicore
 from repro.workloads.mixes import workload_by_name
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "ablation_write_drain",
     "ablation_lookahead",
     "ablation_online_phases",
-    "ablation_prefetch",
     "ablation_cell_specs",
     "AblationSpec",
 ]
@@ -135,44 +133,6 @@ def ablation_write_drain(
             for seed in ctx.seeds
         ]
         out[f"high={high},low={low}"] = sum(vals) / len(vals)
-    return out
-
-
-def ablation_prefetch(
-    ctx: ExperimentContext,
-    workload: str = "4MEM-1",
-    policy: str = "HF-RF",
-    degrees: tuple[int, ...] = (0, 2, 4),
-) -> dict[str, float]:
-    """Stream prefetching under multiprogrammed memory scheduling.
-
-    Degree 0 is the paper's configuration (no prefetcher).  Under
-    contention, speculative fills compete with demand reads even though
-    the controller serves them demand-first — this ablation quantifies
-    whether the stream apps' latency hiding wins or the extra bandwidth
-    pressure loses.
-    """
-    from repro.cache.prefetch import PrefetchConfig
-
-    out: dict[str, float] = {}
-    for degree in degrees:
-        if degree == 0:
-            cfg = ctx.config
-            label = "off"
-        else:
-            cfg = replace(
-                ctx.config, prefetch=PrefetchConfig(enabled=True, degree=degree)
-            )
-            label = f"degree={degree}"
-        vals = []
-        for seed in ctx.seeds:
-            mix = workload_by_name(workload)
-            r = run_multicore(
-                mix, policy, inst_budget=ctx.inst_budget, seed=seed,
-                warmup_insts=ctx.warmup_insts, config=cfg, lookahead=ctx.lookahead,
-            )
-            vals.append(smt_speedup(r.ipcs(), ctx.single_ipcs(mix, seed)))
-        out[label] = sum(vals) / len(vals)
     return out
 
 

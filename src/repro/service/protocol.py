@@ -181,11 +181,6 @@ def encode_config(config: SystemConfig) -> dict:
 
 
 def decode_config(doc: dict) -> SystemConfig:
-    prefetch = None
-    if doc.get("prefetch") is not None:
-        from repro.cache.prefetch import PrefetchConfig
-
-        prefetch = PrefetchConfig(**doc["prefetch"])
     return SystemConfig(
         num_cores=doc["num_cores"],
         core=CoreConfig(**doc["core"]),
@@ -197,7 +192,6 @@ def decode_config(doc: dict) -> SystemConfig:
         dram_timing=DramTimingConfig(**doc["dram_timing"]),
         dram_topology=DramTopologyConfig(**doc["dram_topology"]),
         controller=ControllerConfig(**doc["controller"]),
-        prefetch=prefetch,
     )
 
 

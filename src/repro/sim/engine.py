@@ -11,7 +11,7 @@ the memory controller, and neither needs a heap:
 * **decision points** — at most one pending per channel at any time (the
   controller's ``_sched_pending`` dedupe guarantees it), so one
   ``(cycle, seq)`` slot per channel suffices;
-* **read/prefetch completions** — per channel these complete in strictly
+* **read completions** — per channel these complete in strictly
   increasing ``data_end`` order (the data bus serialises bursts and the
   controller adds a constant overhead), so a FIFO deque per channel is
   already sorted.

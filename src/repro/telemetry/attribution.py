@@ -70,8 +70,8 @@ def decompose(
     """Split one completed span into its additive latency components.
 
     ``t_cl`` is the DRAM CAS latency, ``overhead`` the controller
-    return-path cycles (applied to reads and prefetches only — exactly
-    mirroring how the controller stamps ``done``), ``windows`` the
+    return-path cycles (applied to reads only — exactly mirroring how
+    the controller stamps ``done``), ``windows`` the
     sorted write-drain (begin, end) intervals of the span's controller.
     """
     if not span.complete:

@@ -1,4 +1,4 @@
-"""Engine profiling hooks: cProfile wrapped for bench/CLI consumption.
+"""Engine profiling hooks: cProfile wrapped for the CLI's ``--profile``.
 
 :class:`EngineProfiler` is a context manager that profiles whatever runs
 inside it (the engine loop, a figure sweep) and writes two artifacts
@@ -12,15 +12,14 @@ plus an in-memory summary:
   line carries the callee's own time attributed to one direct caller —
   enough for a "where does time go, called from where" flame view
   without the sampling error of a statistical profiler;
-* :attr:`top` — the top-N functions by cumulative time, embedded by
-  ``bench_suite.py --profile`` into the bench artifact so committed
-  ``BENCH_PR<n>.json`` baselines carry a residual-profile fingerprint
-  (which functions dominate, not just how long the run took).
+* :attr:`top` — the top-N functions by cumulative time, which
+  ``repro run --profile`` / ``repro profile --profile`` print (which
+  functions dominate, not just how long the run took).
 
 Profiling is a measurement tool, not a telemetry stream: it perturbs
-timings (typically 1.3–2×), so the bench suite runs a *separate*
-profiled pass after the timed pass rather than profiling the timing
-legs themselves.
+timings (typically 1.3–2×), so a profiled run is never a timed run;
+``bench/run.py --trace 1`` reports per-layer cost from its own ledger,
+apart from its timed runs.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ class ChannelSample:
     """One logic channel over one epoch."""
 
     index: int
-    #: DRAM bytes moved this epoch (reads + writes + prefetches)
+    #: DRAM bytes moved this epoch (reads + writes)
     bytes: int
     bw_gbps: float
     #: fraction of the epoch the data bus spent bursting

@@ -78,7 +78,7 @@ class RequestSpan:
     def __init__(self, core_id: int, addr: int, kind: str, cycle: int) -> None:
         self.core_id = core_id
         self.addr = addr
-        #: "read" | "write" | "prefetch"
+        #: "read" | "write"
         self.kind = kind
         self.first_attempt = cycle
         self.arrival = cycle
@@ -179,8 +179,8 @@ class SpanCollector:
         Returns a span for every ``sample_every``-th offer, else ``None``.
         A demand read consumes any pending structural-stall stamp for its
         core either way, so a stale stamp can never leak onto a later
-        request (writebacks and prefetches are not core-issued and leave
-        the stamp alone).
+        request (writebacks are not core-issued and leave the stamp
+        alone).
         """
         blocked = self._blocked.pop(core_id, None) if kind == "read" else None
         self.offered += 1
@@ -195,8 +195,8 @@ class SpanCollector:
         if blocked is not None and blocked[1] == line:
             span.first_attempt = blocked[0]
         if kind != "write":
-            # Reads and prefetches own an MSHR entry until the fill
-            # returns; later misses can merge onto them.
+            # Reads own an MSHR entry until the fill returns; later
+            # misses can merge onto them.
             self._inflight[(core_id, line)] = span
         return span
 

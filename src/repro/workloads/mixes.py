@@ -83,10 +83,18 @@ def workload_by_name(name: str) -> Mix:
 def mixes_for(num_cores: int, group: str | None = None) -> tuple[Mix, ...]:
     """All Table 3 mixes with ``num_cores`` cores, optionally one group.
 
+    Raises ``ValueError`` for a core count no mix has, or an unknown group.
+
     >>> [m.name for m in mixes_for(4, "MEM")][:2]
     ['4MEM-1', '4MEM-2']
     """
     out = [m for m in WORKLOAD_MIXES if m.num_cores == num_cores]
+    if not out:
+        counts = sorted({m.num_cores for m in WORKLOAD_MIXES})
+        raise ValueError(
+            f"no Table 3 mix has {num_cores} cores "
+            f"(supported: {', '.join(map(str, counts))})"
+        )
     if group is not None:
         g = group.upper()
         if g not in ("MEM", "MIX"):

@@ -19,6 +19,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "7"])
 
+    @pytest.mark.parametrize("verb", [["figure", "2"], ["submit", "h:1"]])
+    def test_cores_without_a_mix_is_a_usage_error(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*verb, "--cores", "3"])
+        assert exc.value.code == 2
+        assert "--cores" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "verb", [["figure", "2"], ["table2"], ["arena"], ["cloud"]])
     def test_cache_dir_needs_resume(self, verb, tmp_path, capsys):

@@ -175,10 +175,3 @@ class TestAblations:
         )
         assert set(res) == {"LREQ", "ME-LREQ offline", "ME-LREQ online"}
         assert all(v > 0 for v in res.values())
-
-    def test_prefetch_ablation(self, ctx):
-        from repro.experiments import ablation_prefetch
-
-        res = ablation_prefetch(ctx, workload="2MEM-1", degrees=(0, 2))
-        assert set(res) == {"off", "degree=2"}
-        assert all(v > 0 for v in res.values())

@@ -81,6 +81,8 @@ class TestMixes:
             workload_by_name("4MEM-9")
         with pytest.raises(ValueError):
             mixes_for(4, "WEIRD")
+        with pytest.raises(ValueError, match="supported: 2, 4, 8"):
+            mixes_for(3)
 
 
 class TestSyntheticStream:
