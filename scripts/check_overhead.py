@@ -29,11 +29,13 @@ import tempfile
 import time
 
 from repro import Telemetry, run_multicore, workload_by_name
+from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.export import JsonlRecorder
 from repro.telemetry.fleet import (
     ENV_RUN_ID,
     ENV_WORKER_ID,
-    FleetTraceWriter,
     new_run_id,
+    wall_us,
 )
 
 
@@ -47,19 +49,21 @@ def timed_run(mix, policy, budget, seed, telemetry=None):
 
 def timed_fleet_run(mix, policy, budget, seed, trace_dir):
     """One run instrumented the way a sweep worker instruments it: the
-    correlation env vars exported and a fleet-trace cell slice recorded
-    around the engine call."""
+    correlation env vars exported and a cell slice published on a bus a
+    fleet-trace recorder subscribes to, around the engine call."""
     run_id = new_run_id()
     path = os.path.join(trace_dir, f"fleet-{run_id}.jsonl")
     os.environ[ENV_RUN_ID] = run_id
     os.environ[ENV_WORKER_ID] = "overhead-w0"
     try:
-        trace = FleetTraceWriter(path, role="worker", run_id=run_id,
-                                 worker_id="overhead-w0")
+        bus = TelemetryBus(retain=False)
+        trace = JsonlRecorder(path, role="worker", run_id=run_id,
+                              worker_id="overhead-w0")
+        bus.subscribe(trace)
         t0 = time.perf_counter()
-        trace.event("cell overhead", "B", track="cells")
+        bus.emit("cell overhead", "begin", wall_us(), "cells")
         result = run_multicore(mix, policy, inst_budget=budget, seed=seed)
-        trace.event("cell overhead", "E", track="cells", status="done")
+        bus.emit("cell overhead", "end", wall_us(), "cells", status="done")
         dt = time.perf_counter() - t0
         trace.close()
     finally:

@@ -16,15 +16,17 @@ docs/DISTRIBUTED.md end to end:
 
 ``--fleet-obs`` runs the same cluster with fleet observability enabled
 (coordinator ``--telemetry`` + trace/metrics/Prometheus outputs, worker
-fleet traces), so the golden and byte-identity legs double as the
-*observability-enabled* bit-identity gate; after shutdown it asserts
-the metrics JSONL and Prometheus snapshots are well-formed and
-non-empty, and runs ``repro obs merge-trace`` over the per-process
-traces, requiring coordinator lease slices and worker cell slices that
-share one ``run_id`` in the merged Chrome trace.
+fleet traces, a ``submit --trace-out`` client trace), so the golden and
+byte-identity legs double as the *observability-enabled* bit-identity
+gate; after shutdown it asserts the metrics JSONL and Prometheus
+snapshots are well-formed and non-empty, reads every fleet trace with
+the run telemetry's JSONL reader, and runs ``repro obs merge-trace``
+over them, requiring coordinator lease slices, worker cell slices and
+client result arrivals that share one ``run_id`` in the merged Chrome
+trace.
 
-Exits non-zero on any mismatch.  Used by the ``distributed-smoke`` and
-``observability-smoke`` CI jobs; runnable locally with no arguments.
+Exits non-zero on any mismatch.  Used by the ``distributed-smoke`` CI
+job; runnable locally with no arguments.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from repro.experiments.cells import (  # noqa: E402
     profile_cell_key,
 )
 from repro.service.client import request_shutdown, submit_cells  # noqa: E402
+from repro.telemetry.export import read_jsonl  # noqa: E402
 from repro.workloads.mixes import workload_by_name  # noqa: E402
 
 SERVING_RE = re.compile(r"serving on ([\d.]+):(\d+)")
@@ -150,15 +153,18 @@ def check_golden(addr: str) -> None:
           f"all float-hex exact")
 
 
-def check_cli_byte_identity(addr: str, budget: int) -> None:
+def check_cli_byte_identity(addr: str, budget: int,
+                            obs_dir: str | None = None) -> None:
     common = ("--budget", str(budget), "--seeds", "7",
               "--cores", "2", "--groups", "MEM")
     serial = subprocess.run(
         _cli("figure", "2", *common),
         capture_output=True, text=True, env=_env(), cwd=ROOT, check=True,
     )
+    client_obs = () if obs_dir is None else (
+        "--trace-out", os.path.join(obs_dir, "client.fleet.jsonl"))
     distributed = subprocess.run(
-        _cli("submit", addr, "figure2", *common),
+        _cli("submit", addr, "figure2", *common, *client_obs),
         capture_output=True, text=True, env=_env(), cwd=ROOT, check=True,
     )
     if distributed.stdout != serial.stdout:
@@ -191,7 +197,11 @@ def check_fleet_artifacts(obs_dir: str, n_workers: int) -> None:
         float(ln.rsplit(" ", 1)[1])  # every sample parses as a number
 
     traces = [os.path.join(obs_dir, "coord.fleet.jsonl")] + [
-        os.path.join(obs_dir, f"w{i}.fleet.jsonl") for i in range(n_workers)]
+        os.path.join(obs_dir, f"w{i}.fleet.jsonl") for i in range(n_workers)
+    ] + [os.path.join(obs_dir, "client.fleet.jsonl")]
+    for path in traces:  # the run telemetry's reader parses every one
+        header = read_jsonl(path)["header"]
+        assert header["fleet"]["run_id"] in run_ids, (path, header)
     merged_path = os.path.join(obs_dir, "merged.trace.json")
     subprocess.run(
         _cli("obs", "merge-trace", *traces, "--out", merged_path),
@@ -203,14 +213,20 @@ def check_fleet_artifacts(obs_dir: str, n_workers: int) -> None:
               if e.get("ph") == "B" and e["name"].startswith("lease ")]
     cells = [e for e in events
              if e.get("ph") == "B" and e["name"].startswith("cell ")]
+    arrivals = [e for e in events if e.get("name") == "experiment.cell"]
     assert leases, "merged trace has no coordinator lease slices"
     assert cells, "merged trace has no worker cell slices"
+    assert arrivals, "merged trace has no client result arrivals"
+    roles = [s["role"] for s in merged["otherData"]["sources"]]
+    assert roles == ["coordinator"] + ["worker"] * n_workers + ["client"], \
+        roles
     merged_run = merged["otherData"]["run_id"]
     assert merged_run in run_ids, \
         f"merged-trace run {merged_run} != metrics run {run_ids}"
     print(f"fleet artifacts: {len(snaps)} metric snapshots, "
-          f"{len(fleet_lines)} Prometheus series, merged trace has "
-          f"{len(leases)} lease + {len(cells)} cell slices on run "
+          f"{len(fleet_lines)} Prometheus series, merged trace of "
+          f"{len(traces)} processes has {len(leases)} lease + {len(cells)} "
+          f"cell slices and {len(arrivals)} client arrivals on run "
           f"{merged_run}")
 
 
@@ -237,7 +253,7 @@ def main(argv=None) -> int:
                   f"store {store}"
                   + (", fleet observability on" if obs_dir else ""))
             check_golden(addr)
-            check_cli_byte_identity(addr, args.budget)
+            check_cli_byte_identity(addr, args.budget, obs_dir)
         finally:
             try:
                 request_shutdown(addr)

@@ -66,6 +66,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError("must be a positive number")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=30_000,
                    help="instructions measured per core")
@@ -330,38 +344,40 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
     from repro.service.coordinator import Coordinator
     from repro.telemetry.bus import TelemetryBus
+    from repro.telemetry.export import JsonlRecorder
+    from repro.telemetry.fleet import write_snapshots
 
     store = (None if args.no_store
              else ResultCache(root=args.store or DEFAULT_CACHE_DIR, mode="rw"))
     bus = TelemetryBus(retain=False)
 
     def narrate(ev):
-        if ev.name == "service.cell" and not args.verbose:
+        if ev.name not in ("service.worker", "service.job") and not (
+                args.verbose and ev.name.startswith("lease ")):
             return
         detail = " ".join(f"{k}={v}" for k, v in sorted(ev.args.items()))
         print(f"  [{ev.name}] {detail}", file=sys.stderr)
 
     bus.subscribe(narrate)
 
-    observer = None
-    if (args.telemetry or args.trace_out or args.metrics_out
-            or args.prometheus_out):
-        from repro.telemetry.fleet import FleetObserver
-
-        observer = FleetObserver(
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            prometheus_out=args.prometheus_out,
-            snapshot_every=args.sample_every,
-        )
+    outputs = args.trace_out or args.metrics_out or args.prometheus_out
 
     async def serve() -> Coordinator:
         coord = Coordinator(
             host=args.host, port=args.port, store=store,
             lease_seconds=args.lease, max_attempts=args.max_attempts,
-            bus=bus, observer=observer,
+            bus=bus, telemetry=bool(args.telemetry or outputs),
         )
+        trace = snapshots = None
+        if args.trace_out:
+            trace = JsonlRecorder(args.trace_out, role="coordinator",
+                                  run_id=coord.run_id)
+            bus.subscribe(trace)
         await coord.start()
+        if args.metrics_out or args.prometheus_out:
+            snapshots = asyncio.create_task(write_snapshots(
+                coord.fleet_snapshot, args.sample_every, args.metrics_out,
+                args.prometheus_out))
         print(f"serving on {coord.host}:{coord.port} "
               f"(fingerprint {coord.fingerprint}, "
               f"store {'off' if store is None else store.root}, "
@@ -372,6 +388,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await coord.wait_stopped()
         finally:
             await coord.stop()
+            if snapshots is not None:
+                snapshots.cancel()  # writes the final snapshot
+                await asyncio.gather(snapshots, return_exceptions=True)
+            if trace is not None:
+                trace.close(coord.metrics.registry)
             print(f"coordinator stopped: {coord.summary()}", file=sys.stderr)
         return coord
 
@@ -445,7 +466,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     }
     cells = plan_cells(ctx, **plan_by_section[args.section])
 
-    bus = TelemetryBus(retain=False)
+    # retained events become the client lane of the fleet trace
+    bus = TelemetryBus(retain=bool(args.trace_out))
 
     def narrate(ev):
         if ev.name != "experiment.cell":
@@ -455,15 +477,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
               file=sys.stderr)
 
     bus.subscribe(narrate)
-    trace_events: list[tuple[float, dict]] = []
-    if args.trace_out or args.telemetry:
-        import time as _time
-
-        def record(ev):
-            if ev.name == "experiment.cell":
-                trace_events.append((_time.time(), dict(ev.args)))
-
-        bus.subscribe(record)
     watch_seconds = args.sample_every if args.watch else None
     report = submit_cells(args.coordinator, cells, bus=bus,
                           watch_seconds=watch_seconds)
@@ -474,17 +487,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if report.run_id:
         print(f"run: {report.run_id}", file=sys.stderr)
     if args.trace_out and report.run_id:
-        # Client-lane fleet trace: one instant per completed cell, so the
-        # merged timeline shows when results landed back at the client.
-        from repro.telemetry.fleet import FleetTraceWriter
+        # the merged timeline shows when results landed back here
+        from repro.telemetry.export import JsonlRecorder
 
-        trace = FleetTraceWriter(args.trace_out, role="client",
-                                 run_id=report.run_id)
-        for t, a in trace_events:
-            trace.event(f"cell {a['key'].split(':cfg=')[0]}", "i",
-                        track="cells", t=t, status=a["status"],
-                        done=a["done"], total=a["total"])
-        trace.close(cells=len(trace_events))
+        trace = JsonlRecorder(args.trace_out, role="client",
+                              run_id=report.run_id)
+        for ev in bus.events:
+            trace(ev)
+        trace.close()
         print(f"fleet trace: {args.trace_out}", file=sys.stderr)
     if args.telemetry:
         doc = coordinator_status(args.coordinator)
@@ -518,7 +528,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_merge(args: argparse.Namespace) -> int:
-    from repro.telemetry.fleet import write_merged_trace
+    from repro.telemetry.export import write_merged_trace
 
     doc = write_merged_trace(args.traces, args.out)
     other = doc["otherData"]
@@ -686,10 +696,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: .repro-cache)")
     p.add_argument("--no-store", action="store_true",
                    help="run without a persistent result store")
-    p.add_argument("--lease", type=float, default=60.0, metavar="SECONDS",
+    p.add_argument("--lease", type=_positive_float, default=60.0,
+                   metavar="SECONDS",
                    help="cell lease duration before a silent worker is "
                         "presumed dead (default 60)")
-    p.add_argument("--max-attempts", type=int, default=3, metavar="N",
+    p.add_argument("--max-attempts", type=_positive_int, default=3,
+                   metavar="N",
                    help="attempts per cell before it is reported failed")
     p.add_argument("--verbose", action="store_true",
                    help="also narrate per-cell service events")
@@ -708,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the latest snapshot in Prometheus text "
                         "format (textfile-collector ready); implies "
                         "--telemetry")
-    g.add_argument("--sample-every", type=float, default=5.0,
+    g.add_argument("--sample-every", type=_positive_float, default=5.0,
                    metavar="SECONDS",
                    help="metrics snapshot period (default 5)")
     p.set_defaults(fn=_cmd_serve)
@@ -718,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None, help="worker name (default: auto)")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="local read-through result store (optional)")
-    p.add_argument("--connect-retries", type=int, default=10, metavar="N",
+    p.add_argument("--connect-retries", type=_non_negative_int, default=10,
+                   metavar="N",
                    help="retry the initial connection N times, 0.5s apart "
                         "(default 10 — lets the worker start first)")
     g = p.add_argument_group("fleet observability (docs/OBSERVABILITY.md)")
@@ -728,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--trace-out", metavar="PATH",
                    help="fleet trace file (JSONL; merge with "
                         "'repro obs merge-trace'); implies --telemetry")
-    g.add_argument("--sample-every", type=float, default=30.0,
+    g.add_argument("--sample-every", type=_positive_float, default=30.0,
                    metavar="SECONDS",
                    help="progress-snapshot period in the trace (default 30)")
     p.set_defaults(fn=_cmd_worker)
@@ -763,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--trace-out", metavar="PATH",
                    help="record result arrivals as a client-lane fleet "
                         "trace (JSONL; merge with 'repro obs merge-trace')")
-    g.add_argument("--sample-every", type=float, default=1.0,
+    g.add_argument("--sample-every", type=_positive_float, default=1.0,
                    metavar="SECONDS",
                    help="--watch refresh period (default 1)")
     p.set_defaults(fn=_cmd_submit)

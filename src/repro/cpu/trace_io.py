@@ -23,34 +23,9 @@ import numpy as np
 
 from repro.cpu.trace import ListTrace, MemOp, TraceSource
 
-__all__ = ["TraceRecorder", "save_trace", "load_trace", "record_trace"]
+__all__ = ["save_trace", "load_trace", "record_trace"]
 
 _MAGIC = b"REPROTR1"
-
-
-class TraceRecorder:
-    """Wrap a trace source, remembering every op that flows through.
-
-    Drop-in :class:`TraceSource`: hand it to a core in place of the
-    original source, then :meth:`save` what was actually consumed.
-    """
-
-    __slots__ = ("source", "ops")
-
-    def __init__(self, source: TraceSource) -> None:
-        self.source = source
-        self.ops: list[MemOp] = []
-
-    def next_op(self) -> MemOp | None:
-        op = self.source.next_op()
-        if op is not None:
-            self.ops.append(op)
-        return op
-
-    def save(self, path: str | os.PathLike) -> int:
-        """Write the recorded ops to ``path``; returns the op count."""
-        save_trace(self.ops, path)
-        return len(self.ops)
 
 
 def _encode(ops: list[MemOp]) -> bytes:

@@ -5,15 +5,14 @@
   (max/min slowdown, Section 5.3);
 * :mod:`repro.metrics.memory_efficiency` — profiling of Eq. 1's
   ``ME = IPC_single / BW_single`` with result caching;
-* :mod:`repro.metrics.stats` — generic accumulators (mean/max histograms)
-  used by ablation experiments;
+* :mod:`repro.metrics.stats` — a deterministic reservoir sampler for
+  percentiles over unbounded streams;
 * :mod:`repro.metrics.tails` — exact integer-cycle tail percentiles
   (p50/p99/p999) and SLO-violation counts for the cloud workload family.
 """
 
 from repro.metrics.memory_efficiency import MeProfiler, memory_efficiency
 from repro.metrics.speedup import slowdowns, smt_speedup, unfairness
-from repro.metrics.stats import OnlineStat, WindowedCounter
 from repro.metrics.tails import (
     PERCENTILES,
     TailStats,
@@ -25,10 +24,8 @@ from repro.metrics.tails import (
 
 __all__ = [
     "MeProfiler",
-    "OnlineStat",
     "PERCENTILES",
     "TailStats",
-    "WindowedCounter",
     "count_violations",
     "memory_efficiency",
     "nearest_rank",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["bar", "bar_chart", "grouped_bar_chart", "histogram"]
+__all__ = ["bar", "bar_chart", "histogram"]
 
 
 def bar(value: float, scale: float, width: int = 40, fill: str = "#") -> str:
@@ -42,28 +42,6 @@ def bar_chart(
         lines.append(
             f"{k:<{label_w}} {fmt.format(v)} {bar(v, top, width)}"
         )
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(
-    groups: Mapping[str, Mapping[str, float]],
-    width: int = 30,
-    fmt: str = "{:.3f}",
-) -> str:
-    """Bar chart with an outer grouping (workload -> policy -> value)."""
-    if not groups:
-        return "(no data)"
-    top = max(v for g in groups.values() for v in g.values())
-    if top <= 0:
-        top = 1.0
-    label_w = max(len(k) for g in groups.values() for k in g)
-    lines = []
-    for gname, series in groups.items():
-        lines.append(f"{gname}:")
-        for k, v in series.items():
-            lines.append(
-                f"  {k:<{label_w}} {fmt.format(v)} {bar(v, top, width)}"
-            )
     return "\n".join(lines)
 
 

@@ -1,25 +1,22 @@
 """JSON serialisation of experiment results.
 
-Downstream analysis (plotting notebooks, regression tracking) wants
-experiment outputs as plain data, not Python objects.  These helpers map
-the result dataclasses (:class:`~repro.sim.runner.RunResult`,
+Downstream analysis (plotting notebooks, regression tracking, the
+telemetry exporters) wants experiment outputs as plain data, not Python
+objects.  :func:`to_jsonable` maps the result dataclasses
+(:class:`~repro.sim.runner.RunResult`,
 :class:`~repro.experiments.harness.PolicyOutcome`,
-:class:`~repro.experiments.figure2.Figure2Row`, sweep results, ...) onto
-JSON-able dicts and back-compatible files.  Dataclasses are introspected
-recursively, so new result fields serialise without touching this module.
+:class:`~repro.experiments.figure2.Figure2Row`, ...) onto JSON-able
+dicts.  Dataclasses are introspected recursively, so new result fields
+serialise without touching this module.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from typing import Any
 
-__all__ = ["to_jsonable", "save_results", "load_results"]
-
-#: file-format marker so later versions can migrate old result files
-FORMAT = "repro-results-v1"
+__all__ = ["to_jsonable"]
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -46,36 +43,3 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [to_jsonable(x) for x in obj]
     raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
-
-
-def save_results(
-    results: Any,
-    path: str | os.PathLike,
-    meta: dict | None = None,
-) -> None:
-    """Write results (any jsonable-izable structure) plus metadata.
-
-    The envelope records the format marker and caller-supplied metadata
-    (budget, seeds, git revision, ...) so a result file is
-    self-describing.
-    """
-    envelope = {
-        "format": FORMAT,
-        "meta": to_jsonable(meta or {}),
-        "results": to_jsonable(results),
-    }
-    with open(path, "w") as f:
-        json.dump(envelope, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_results(path: str | os.PathLike) -> tuple[Any, dict]:
-    """Read a result file; returns ``(results, meta)``.
-
-    Raises ``ValueError`` for files this library did not write.
-    """
-    with open(path) as f:
-        envelope = json.load(f)
-    if not isinstance(envelope, dict) or envelope.get("format") != FORMAT:
-        raise ValueError(f"{path}: not a {FORMAT} file")
-    return envelope["results"], envelope.get("meta", {})

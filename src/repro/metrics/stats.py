@@ -1,9 +1,5 @@
 """Generic statistics accumulators.
 
-Small, dependency-free helpers used by experiments and ablations:
-:class:`OnlineStat` is a Welford mean/variance accumulator (numerically
-stable, single pass); :class:`WindowedCounter` tracks a counter's delta
-over measurement windows (the online-ME sampling primitive);
 :class:`ReservoirSampler` keeps a fixed-size uniform sample of an
 unbounded observation stream (latency percentiles without storing every
 request).
@@ -11,64 +7,9 @@ request).
 
 from __future__ import annotations
 
-import math
-
 from repro.util.rng import RngStream
 
-__all__ = ["OnlineStat", "ReservoirSampler", "WindowedCounter"]
-
-
-class OnlineStat:
-    """Single-pass mean / variance / extrema (Welford's algorithm)."""
-
-    __slots__ = ("n", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        """Fold one observation in."""
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0 for fewer than 2 points."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStat") -> None:
-        """Fold another accumulator in (parallel Welford merge)."""
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n, self._mean, self._m2 = other.n, other._mean, other._m2
-            self.min, self.max = other.min, other.max
-            return
-        n = self.n + other.n
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.n * other.n / n
-        self._mean += delta * other.n / n
-        self.n = n
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
+__all__ = ["ReservoirSampler"]
 
 
 class ReservoirSampler:
@@ -117,29 +58,3 @@ class ReservoirSampler:
     def clear(self) -> None:
         self.sample.clear()
         self.seen = 0
-
-
-class WindowedCounter:
-    """Delta tracker over measurement windows.
-
-    >>> w = WindowedCounter()
-    >>> w.sample(10)
-    10
-    >>> w.sample(25)
-    15
-    """
-
-    __slots__ = ("_last",)
-
-    def __init__(self, initial: int = 0) -> None:
-        self._last = initial
-
-    def sample(self, current: int) -> int:
-        """Return the delta since the previous sample and advance."""
-        if current < self._last:
-            raise ValueError(
-                f"counter went backwards: {current} < {self._last}"
-            )
-        delta = current - self._last
-        self._last = current
-        return delta

@@ -13,7 +13,10 @@ timing cannot leak into the output.
 Progress streams onto an optional telemetry bus as the same
 ``experiment.cell`` / ``experiment.cache`` instant events the local
 parallel runner emits, so existing subscribers (the stderr narrator of
-``run_all_experiments.py``) work on distributed runs too.
+``run_all_experiments.py``) work on distributed runs too.  They are
+stamped in wall-clock microseconds, the fleet clock, which is what lets
+``repro submit --trace-out`` record them as the client lane of a fleet
+trace.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.service.protocol import (
     send_msg,
 )
 from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.fleet import wall_us
 
 __all__ = ["submit_cells", "submit_cells_async", "request_shutdown",
            "coordinator_status"]
@@ -143,7 +147,7 @@ async def submit_cells_async(
                     if status == "retried":
                         report.retried.append(key.key_str())
                 if bus is not None:
-                    bus.emit("experiment.cell", "instant", cycle=done,
+                    bus.emit("experiment.cell", "instant", cycle=wall_us(),
                              track="experiments", key=key.key_str(),
                              status=status, seconds=0.0, done=done,
                              total=total)
@@ -156,7 +160,7 @@ async def submit_cells_async(
                     int(msg.get("attempts", 0)),
                 ))
                 if bus is not None:
-                    bus.emit("experiment.cell", "instant", cycle=done,
+                    bus.emit("experiment.cell", "instant", cycle=wall_us(),
                              track="experiments", key=key.key_str(),
                              status="failed", seconds=0.0, done=done,
                              total=total)
@@ -184,7 +188,7 @@ async def submit_cells_async(
     report.cache_stats.hits = report.cache_hits
     report.cache_stats.misses = report.executed
     if bus is not None:
-        bus.emit("experiment.cache", "instant", cycle=len(report.results),
+        bus.emit("experiment.cache", "instant", cycle=wall_us(),
                  track="experiments", **report.cache_stats.as_dict())
     return report
 

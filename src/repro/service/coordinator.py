@@ -29,19 +29,24 @@ The coordinator never orders results: clients reassemble their report in
 canonical cell-key order, which is what keeps distributed output
 byte-identical to serial (see docs/DISTRIBUTED.md).
 
-Progress is mirrored onto an optional telemetry bus as instant events:
-``service.worker`` (join/leave), ``service.cell`` (dispatch / done /
-failed, with worker and attempt count) and ``service.job``
-(submit/done).
+Everything the coordinator does is published on its telemetry bus,
+stamped in wall-clock microseconds, on the track of the worker involved:
 
-Fleet observability (opt-in): pass a
-:class:`~repro.telemetry.fleet.FleetObserver` and the coordinator
-mirrors every lease grant/complete/expire/retry, heartbeat, store probe
-and worker join/leave into fleet metrics and wall-clock trace slices,
-serves the live metrics snapshot through ``status_reply.fleet``, and
-stamps its ``run_id`` into every ``welcome`` so workers and clients can
-correlate their own artifacts with the coordinator's timeline.  Without
-an observer the only addition over PR 6 is the ``run_id`` string itself.
+* ``service.worker`` instants (join / leave) and ``service.heartbeat``;
+* one lease slice per attempt, ``lease <cell>``: it begins at dispatch
+  and ends with the attempt's ``status`` — done, corrupt, failed,
+  expired or disconnect — and whether the cell was ``requeued``; a late
+  result arriving after its lease expired is an instant instead;
+* ``service.job`` instants on the ``jobs`` track (submitted, with its
+  store hits and misses, and done).
+
+Its counters (:class:`~repro.telemetry.fleet.FleetMetrics`, behind
+:attr:`Coordinator.stats`), a fleet trace file
+(:class:`~repro.telemetry.export.JsonlRecorder`) and the ``serve``
+narration are all consumers of that bus.  The coordinator stamps its
+``run_id`` into every ``welcome`` so workers and clients can correlate
+their own artifacts with its timeline; with ``telemetry`` on, the live
+metrics snapshot is served through ``status_reply.fleet``.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from repro.experiments.cache import (
     payload_sha,
     verify_payload,
 )
-from repro.experiments.cells import CellKey
 from repro.service.leases import TaskBoard, TaskState
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -69,9 +73,13 @@ from repro.service.protocol import (
     send_msg,
 )
 from repro.telemetry.bus import TelemetryBus
-from repro.telemetry.fleet import FleetObserver, new_run_id
+from repro.telemetry.fleet import FleetMetrics, new_run_id, wall_us
 
 __all__ = ["Coordinator"]
+
+
+def _lease_name(state: TaskState) -> str:
+    return "lease " + state.cell.key.key_str().split(":cfg=")[0]
 
 
 class _WorkerConn:
@@ -119,32 +127,26 @@ class Coordinator:
         max_attempts: int = 3,
         bus: TelemetryBus | None = None,
         fingerprint: str | None = None,
-        observer: FleetObserver | None = None,
+        telemetry: bool = False,
     ) -> None:
         self.host = host
         self.port = port
         self.store = store
         self.lease_seconds = lease_seconds
-        self.bus = bus
         self.fingerprint = fingerprint or code_fingerprint()
-        self.observer = observer
-        self.run_id = observer.run_id if observer is not None else new_run_id()
-        if observer is not None:
-            observer.board_counts = lambda: self.board.counts()
+        self.telemetry = telemetry
+        self.run_id = new_run_id()
         self.board = TaskBoard(max_attempts=max_attempts)
+        self.bus = bus if bus is not None else TelemetryBus(retain=False)
+        self.metrics = FleetMetrics(self.run_id)
+        self.bus.subscribe(self.metrics)
         self.workers: dict[str, _WorkerConn] = {}
         self.jobs: dict[int, _Job] = {}
         #: digest -> jobs waiting on that cell
         self._watchers: dict[str, list[_Job]] = {}
-        self.stats = {
-            "results": 0, "hits": 0, "reassigned": 0, "expired": 0,
-            "sha_mismatch": 0, "worker_errors": 0, "failed_cells": 0,
-            "jobs": 0,
-        }
         self._task_ids = itertools.count(1)
         self._job_ids = itertools.count(1)
         self._anon_ids = itertools.count(1)
-        self._event_seq = itertools.count(1)
         self._dispatch_lock = asyncio.Lock()
         self._stopping = asyncio.Event()
         self._server: asyncio.AbstractServer | None = None
@@ -159,8 +161,6 @@ class Coordinator:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._reaper = asyncio.create_task(self._reap_loop())
-        if self.observer is not None:
-            self.observer.start()
 
     async def wait_stopped(self) -> None:
         """Block until a ``shutdown`` message arrives (CLI serve loop)."""
@@ -169,8 +169,6 @@ class Coordinator:
     async def stop(self) -> None:
         """Close the listener and every connection; cancel the reaper."""
         self._stopping.set()
-        if self.observer is not None:
-            await self.observer.stop()
         if self._reaper is not None:
             self._reaper.cancel()
             try:
@@ -189,10 +187,30 @@ class Coordinator:
 
     # -- telemetry ---------------------------------------------------------------
 
-    def _emit(self, name: str, **args) -> None:
-        if self.bus is not None:
-            self.bus.emit(name, "instant", cycle=next(self._event_seq),
-                          track="service", **args)
+    @property
+    def stats(self) -> dict:
+        """Lifetime counters, as ``status_reply.stats`` reports them."""
+        return self.metrics.stats()
+
+    def fleet_snapshot(self) -> dict:
+        """The live fleet-metrics document (``status_reply.fleet``)."""
+        return self.metrics.snapshot(queue=self.board.counts())
+
+    def _emit(self, name: str, track: str, kind: str = "instant",
+              **args) -> None:
+        self.bus.emit(name, kind, cycle=wall_us(), track=track, **args)
+
+    def _attempt_over(self, state: TaskState, status: str,
+                      lessee: str | None, sender: str | None = None) -> None:
+        """Publish how one attempt at a cell ended, once the board has
+        moved the cell on: the end of ``lessee``'s open lease slice, or,
+        with no lease open (a late result after its lease expired), an
+        instant on the ``sender``'s track."""
+        track = lessee or sender
+        args = {} if status == "done" else {
+            "requeued": state.status == "pending"}
+        self._emit(_lease_name(state), track, "end" if lessee else "instant",
+                   worker=track, cell_id=state.digest, status=status, **args)
 
     # -- connection handling -----------------------------------------------------
 
@@ -253,9 +271,7 @@ class Coordinator:
             "heartbeat": round(max(self.lease_seconds / 3.0, 0.05), 3),
             "run_id": self.run_id,
         })
-        self._emit("service.worker", status="join", worker=name)
-        if self.observer is not None:
-            self.observer.on_worker_join(name)
+        self._emit("service.worker", name, status="join", worker=name)
         try:
             await self._dispatch()
             while True:
@@ -266,8 +282,7 @@ class Coordinator:
                 if t == "heartbeat":
                     self.board.extend_leases(name, time.monotonic(),
                                              self.lease_seconds)
-                    if self.observer is not None:
-                        self.observer.on_heartbeat(name)
+                    self._emit("service.heartbeat", name, worker=name)
                 elif t == "result":
                     await self._on_result(conn, msg)
                 elif t == "task_failed":
@@ -277,12 +292,10 @@ class Coordinator:
         finally:
             self.workers.pop(name, None)
             released = self.board.release_worker(name)
-            self.stats["reassigned"] += sum(
-                1 for s in released if s.status == "pending")
-            self._emit("service.worker", status="leave", worker=name,
+            for state in released:
+                self._attempt_over(state, "disconnect", name)
+            self._emit("service.worker", name, status="leave", worker=name,
                        executed=conn.executed, released=len(released))
-            if self.observer is not None:
-                self.observer.on_worker_leave(name, conn.executed)
             for state in released:
                 if state.status == "failed":
                     await self._finish_cell(state.digest)
@@ -297,6 +310,7 @@ class Coordinator:
         if state is None or state.status == "done":
             await self._dispatch()  # stale or duplicate result; ignore
             return
+        lessee = state.worker if state.status == "leased" else None
         payload = msg.get("payload")
         sha = msg.get("sha", "")
         try:
@@ -305,25 +319,15 @@ class Coordinator:
             else:
                 result = verify_payload(state.cell.key, payload, sha)
         except (PayloadIntegrityError, TypeError) as exc:
-            self.stats["sha_mismatch"] += 1
             status = self.board.release(state, repr(exc))
-            self._emit("service.cell", status="corrupt", key=digest,
-                       worker=conn.name, attempts=state.attempts)
-            if self.observer is not None:
-                self.observer.on_lease_ended(digest, "corrupt")
+            self._attempt_over(state, "corrupt", lessee, conn.name)
             if status == "failed":
                 await self._finish_cell(digest)
-            else:
-                self.stats["reassigned"] += 1
             await self._dispatch()
             return
         self.board.mark_done(digest, result)
-        self.stats["results"] += 1
         conn.executed += 1
-        self._emit("service.cell", status="done", key=digest,
-                   worker=conn.name, attempts=state.attempts)
-        if self.observer is not None:
-            self.observer.on_lease_ended(digest, "done")
+        self._attempt_over(state, "done", lessee, conn.name)
         await self._finish_cell(digest)
         await self._dispatch()
 
@@ -335,15 +339,11 @@ class Coordinator:
         if state is None or state.status != "leased":
             await self._dispatch()
             return
-        self.stats["worker_errors"] += 1
-        if self.observer is not None:
-            self.observer.on_lease_ended(digest, "failed")
         status = self.board.release(state,
                                     str(msg.get("error", "worker error")))
+        self._attempt_over(state, "failed", state.worker)
         if status == "failed":
             await self._finish_cell(digest)
-        else:
-            self.stats["reassigned"] += 1
         await self._dispatch()
 
     # -- client side -------------------------------------------------------------
@@ -371,13 +371,11 @@ class Coordinator:
                         "workers": sorted(self.workers),
                         "tasks": self.board.counts(),
                         "jobs": len(self.jobs),
-                        "stats": dict(self.stats),
+                        "stats": self.stats,
                         "run_id": self.run_id,
                     }
-                    if self.observer is not None:
-                        fleet = self.observer.status_doc()
-                        if fleet is not None:
-                            reply["fleet"] = fleet
+                    if self.telemetry:
+                        reply["fleet"] = self.fleet_snapshot()
                     await send_msg(writer, reply)
                 elif t == "shutdown":
                     await send_msg(writer, {"t": "bye"})
@@ -396,19 +394,17 @@ class Coordinator:
         job = _Job(next(self._job_ids), writer,
                    {c.key.digest() for c in cells})
         self.jobs[job.job_id] = job
-        self.stats["jobs"] += 1
-        hits = 0
+        hits = misses = 0
         for cell in cells:
             state = self.board.add(cell)
-            if state.status == "pending" and state.attempts == 0:
+            if (self.store is not None and state.status == "pending"
+                    and state.attempts == 0):
                 # probe the warm store once per cell
-                cached = (self.store.get(cell.key)
-                          if self.store is not None else None)
-                if self.observer is not None and self.store is not None:
-                    self.observer.on_store_probe(cached is not None)
-                if cached is not None:
+                cached = self.store.get(cell.key)
+                if cached is None:
+                    misses += 1
+                else:
                     self.board.mark_done(state.digest, cached)
-                    self.stats["hits"] += 1
                     hits += 1
         for digest in job.remaining:
             self._watchers.setdefault(digest, []).append(job)
@@ -416,10 +412,8 @@ class Coordinator:
             "t": "accepted", "job": job.job_id, "total": job.total,
             "hits": hits,
         })
-        self._emit("service.job", status="submitted", job=job.job_id,
-                   total=job.total, hits=hits)
-        if self.observer is not None:
-            self.observer.on_job("submitted", job.job_id, job.total)
+        self._emit("service.job", "jobs", status="submitted", job=job.job_id,
+                   total=job.total, hits=hits, misses=misses)
         # flush cells that are already settled (store hits, results or
         # failures shared with an earlier job)
         for digest in sorted(job.remaining):
@@ -472,8 +466,6 @@ class Coordinator:
         """A cell settled (done or failed): fan out to waiting jobs."""
         if self.board.tasks.get(digest) is None:
             return
-        if self.board.tasks[digest].status == "failed":
-            self.stats["failed_cells"] += 1
         for job in self._watchers.pop(digest, []):
             await self._notify_job(job, digest)
             await self._maybe_finish_job(job)
@@ -487,10 +479,8 @@ class Coordinator:
             "seconds": round(time.perf_counter() - job.t0, 4),
         })
         self.jobs.pop(job.job_id, None)
-        self._emit("service.job", status="done", job=job.job_id,
+        self._emit("service.job", "jobs", status="done", job=job.job_id,
                    total=job.total, failures=job.failures)
-        if self.observer is not None:
-            self.observer.on_job("completed", job.job_id, job.total)
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -511,6 +501,10 @@ class Coordinator:
                     task_id = next(self._task_ids)
                     self.board.lease(state, conn.name, now,
                                      self.lease_seconds, task_id)
+                    self._emit(_lease_name(state), conn.name, "begin",
+                               worker=conn.name, cell_id=state.digest,
+                               key=cell.key.key_str(),
+                               attempt=state.attempts - 1)
                     conn.current = state.digest
                     from repro.service.protocol import encode_cell
 
@@ -523,16 +517,10 @@ class Coordinator:
                                 "cell_id": state.digest,
                             })
                     except (ConnectionError, OSError):
-                        # the worker loop's finally-clause requeues
+                        # the worker loop's finally-clause requeues (and
+                        # closes the lease slice as a disconnect)
                         conn.current = None
                         continue
-                    self._emit("service.cell", status="dispatch",
-                               key=state.digest, worker=conn.name,
-                               attempts=state.attempts)
-                    if self.observer is not None:
-                        self.observer.on_lease_granted(
-                            conn.name, state.digest, cell.key.key_str(),
-                            state.attempts - 1)
                 if len(ready) <= len(idle):
                     return
 
@@ -545,18 +533,12 @@ class Coordinator:
             expired = self.board.expire(time.monotonic())
             if not expired:
                 continue
-            self.stats["expired"] += len(expired)
             for state in expired:
                 # the worker keeps grinding (or is gone); either way the
                 # cell is someone else's now
-                self._emit("service.cell", status="expired",
-                           key=state.digest, attempts=state.attempts)
-                if self.observer is not None:
-                    self.observer.on_lease_ended(state.digest, "expired")
+                self._attempt_over(state, "expired", state.worker)
                 if state.status == "failed":
                     await self._finish_cell(state.digest)
-                else:
-                    self.stats["reassigned"] += 1
             await self._dispatch()
 
     # -- introspection -----------------------------------------------------------

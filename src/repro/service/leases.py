@@ -52,7 +52,7 @@ class TaskState:
     digest: str
     status: str = "pending"  # pending | leased | done | failed
     attempts: int = 0  # number of leases handed out so far
-    worker: str | None = None
+    worker: str | None = None  # lessee of the current or last lease
     task_id: int = 0
     lease_deadline: float = 0.0
     error: str = ""
@@ -130,7 +130,6 @@ class TaskBoard:
 
     def release(self, state: TaskState, error: str) -> str:
         """One attempt failed; requeue or exhaust.  Returns new status."""
-        state.worker = None
         state.error = error
         state.status = ("failed" if state.attempts >= self.max_attempts
                         else "pending")

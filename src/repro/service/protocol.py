@@ -51,10 +51,9 @@ is unchanged:
   value ``result.key`` echoes back), exported by workers as
   ``REPRO_CELL_ID`` while the cell executes.
 * ``status_reply.run_id`` / ``status_reply.fleet`` — the run identifier
-  and, when the coordinator carries a
-  :class:`~repro.telemetry.fleet.FleetObserver`, the live fleet-metrics
-  snapshot (queue depths, instrument values, per-worker table) the
-  ``repro submit --watch`` dashboard renders.
+  and, when the coordinator runs with telemetry on, the live
+  fleet-metrics snapshot (queue depths, instrument values, per-worker
+  table) the ``repro submit --watch`` dashboard renders.
 
 Exactness
 ---------

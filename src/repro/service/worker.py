@@ -32,15 +32,19 @@ Fleet observability (opt-in): after the ``welcome`` the worker adopts
 the coordinator's ``run_id`` and exports it (with its own worker name
 and the currently-executing ``cell_id``) through the ``REPRO_RUN_ID`` /
 ``REPRO_WORKER_ID`` / ``REPRO_CELL_ID`` environment variables, so any
-telemetry artifact written inside the worker is correlatable; with
-``trace_out`` set it also records a wall-clock fleet trace (one
-begin/end slice per cell, hits and failures tagged) that ``repro obs
-merge-trace`` aligns against the coordinator's lease slices.
+telemetry artifact written inside the worker is correlatable.  It
+publishes one begin/end slice per cell (hits and failures tagged) on a
+telemetry bus of its own; with ``trace_out`` set a
+:class:`~repro.telemetry.export.JsonlRecorder` records that bus, plus a
+``progress`` counter every ``snapshot_seconds`` and at exit, as the
+worker's fleet trace, which ``repro obs merge-trace`` aligns against the
+coordinator's lease slices.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 
 from repro.experiments.cache import (
@@ -58,11 +62,13 @@ from repro.service.protocol import (
     read_msg,
     send_msg,
 )
+from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.export import JsonlRecorder
 from repro.telemetry.fleet import (
     ENV_CELL_ID,
     ENV_RUN_ID,
     ENV_WORKER_ID,
-    FleetTraceWriter,
+    wall_us,
 )
 
 __all__ = ["run_worker"]
@@ -112,12 +118,17 @@ async def _heartbeat_loop(writer: asyncio.StreamWriter, lock: asyncio.Lock,
         return  # the main loop will see the EOF and wind down
 
 
-async def _snapshot_loop(trace, stats: dict, interval: float) -> None:
-    """Periodic progress records in the fleet trace (merged as a counter
-    track, so worker throughput is visible over time, not just in sum)."""
+def _progress(bus: TelemetryBus, stats: dict) -> None:
+    """One progress counter (merged as a counter track, so worker
+    throughput is visible over time, not just in sum)."""
+    bus.emit("progress", "counter", wall_us(), "progress", **stats)
+
+
+async def _snapshot_loop(bus: TelemetryBus, stats: dict,
+                         interval: float) -> None:
     while True:
         await asyncio.sleep(interval)
-        trace.snapshot("progress", **stats)
+        _progress(bus, stats)
 
 
 def _execute(cell: Cell, attempt: int, store: ResultCache | None,
@@ -154,24 +165,22 @@ async def run_worker(
     ``connect_retries`` makes startup robust to the coordinator coming
     up a moment later (two-terminal quickstart, CI orchestration).
     """
-    last_exc: Exception | None = None
-    for attempt in range(connect_retries + 1):
+    for attempt in itertools.count():
         try:
             reader, writer = await asyncio.open_connection(
                 host, port, limit=MAX_LINE_BYTES)
             break
-        except OSError as exc:
-            last_exc = exc
-            if attempt == connect_retries:
+        except OSError:
+            if attempt >= connect_retries:
                 raise
             await asyncio.sleep(retry_delay)
-    del last_exc
 
     stats = {"executed": 0, "hits": 0, "failed": 0}
     send_lock = asyncio.Lock()
     heartbeat: asyncio.Task | None = None
     snapshotter: asyncio.Task | None = None
-    trace: FleetTraceWriter | None = None
+    bus = TelemetryBus(retain=False)
+    trace: JsonlRecorder | None = None
     env_ids = _EnvIds()
     try:
         await send_msg(writer, {
@@ -184,15 +193,16 @@ async def run_worker(
         env_ids.set(ENV_RUN_ID, run_id)
         env_ids.set(ENV_WORKER_ID, name)
         if trace_out is not None and run_id:
-            trace = FleetTraceWriter(trace_out, role="worker",
-                                     run_id=run_id, worker_id=name)
+            trace = JsonlRecorder(trace_out, role="worker", run_id=run_id,
+                                  worker_id=name)
+            bus.subscribe(trace)
         interval = (heartbeat_seconds if heartbeat_seconds is not None
                     else float(welcome.get("heartbeat", 5.0)))
         heartbeat = asyncio.create_task(
             _heartbeat_loop(writer, send_lock, name, interval))
         if trace is not None and snapshot_seconds:
             snapshotter = asyncio.create_task(
-                _snapshot_loop(trace, stats, snapshot_seconds))
+                _snapshot_loop(bus, stats, snapshot_seconds))
 
         while True:
             msg = await read_msg(reader)
@@ -203,20 +213,18 @@ async def run_worker(
             cell = decode_cell(msg["cell"])
             attempt = int(msg.get("attempt", 0))
             cell_id = msg.get("cell_id") or cell.key.digest()
-            slice_name = cell.key.key_str().split(":cfg=")[0]
+            slice_name = "cell " + cell.key.key_str().split(":cfg=")[0]
             env_ids.set(ENV_CELL_ID, cell_id)
-            if trace is not None:
-                trace.event(f"cell {slice_name}", "B", track="cells",
-                            cell_id=cell_id, attempt=attempt)
+            bus.emit(slice_name, "begin", wall_us(), "cells",
+                     cell_id=cell_id, attempt=attempt)
             hits_before = stats["hits"]
             try:
                 payload = await asyncio.to_thread(
                     _execute, cell, attempt, store, stats)
             except Exception as exc:
                 stats["failed"] += 1
-                if trace is not None:
-                    trace.event(f"cell {slice_name}", "E", track="cells",
-                                status="failed", error=repr(exc))
+                bus.emit(slice_name, "end", wall_us(), "cells",
+                         status="failed", error=repr(exc))
                 async with send_lock:
                     await send_msg(writer, {
                         "t": "task_failed", "task": msg.get("task"),
@@ -225,10 +233,8 @@ async def run_worker(
                 continue
             finally:
                 env_ids.set(ENV_CELL_ID, None)
-            if trace is not None:
-                trace.event(f"cell {slice_name}", "E", track="cells",
-                            status="hit" if stats["hits"] > hits_before
-                            else "done")
+            bus.emit(slice_name, "end", wall_us(), "cells",
+                     status="hit" if stats["hits"] > hits_before else "done")
             sha = _maybe_corrupt_sha(cell.key.key_str(),
                                      payload_sha(payload), attempt)
             async with send_lock:
@@ -246,7 +252,8 @@ async def run_worker(
                 except asyncio.CancelledError:
                     pass
         if trace is not None:
-            trace.close(**stats)
+            _progress(bus, stats)  # the lifetime totals
+            trace.close()
         env_ids.restore()
         writer.close()
         try:

@@ -11,7 +11,9 @@ One :class:`Telemetry` hub per run collects three complementary views:
   pending reads, MSHR occupancy and ROB stall fraction.
 
 Exporters (:mod:`repro.telemetry.export`) write JSONL, CSV, and Chrome
-trace-event JSON that Perfetto loads; :mod:`repro.telemetry.report`
+trace-event JSON that Perfetto loads — one JSONL schema and one Chrome
+writer for single runs and for the fleet traces of the distributed
+sweep service (:mod:`repro.telemetry.fleet`); :mod:`repro.telemetry.report`
 renders a terminal summary.  Opt-in request-lifecycle tracing
 (:mod:`repro.telemetry.spans`, ``Telemetry(capture_spans=True)``) stamps
 sampled requests at every stage and :mod:`repro.telemetry.attribution`
@@ -39,25 +41,24 @@ from repro.telemetry.attribution import (
 )
 from repro.telemetry.bus import TelemetryBus, TraceEvent
 from repro.telemetry.export import (
+    JsonlRecorder,
+    merge_traces,
     read_jsonl,
     run_metadata,
     write_chrome_trace,
     write_csv,
     write_jsonl,
+    write_merged_trace,
     write_spans_jsonl,
 )
 from repro.telemetry.fleet import (
     FleetMetrics,
-    FleetObserver,
-    FleetTraceWriter,
     fleet_ids,
-    merge_traces,
     new_run_id,
     prometheus_text,
-    read_fleet_trace,
     render_dashboard,
-    write_merged_trace,
     write_prometheus,
+    write_snapshots,
 )
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.profiling import EngineProfiler
@@ -94,21 +95,20 @@ __all__ = [
     "format_attribution",
     "run_metadata",
     "write_jsonl",
+    "JsonlRecorder",
     "read_jsonl",
     "write_csv",
     "write_chrome_trace",
     "write_spans_jsonl",
+    "merge_traces",
+    "write_merged_trace",
     "render_summary",
     "FleetMetrics",
-    "FleetObserver",
-    "FleetTraceWriter",
     "fleet_ids",
     "new_run_id",
     "prometheus_text",
     "write_prometheus",
-    "read_fleet_trace",
-    "merge_traces",
-    "write_merged_trace",
+    "write_snapshots",
     "render_dashboard",
     "EngineProfiler",
 ]

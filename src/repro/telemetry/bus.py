@@ -7,13 +7,18 @@ and command log publish here (keeping their own public query APIs), the
 write-drain hysteresis publishes here, and the exporters in
 :mod:`repro.telemetry.export` consume the single resulting stream; that
 is what lets one Chrome trace show scheduling decisions *over* the drain
-windows they landed in.
+windows they landed in.  The processes of a distributed sweep publish
+their leases, cells and progress on buses of their own, which is what
+lets one file schema and one Chrome writer serve runs and the fleet.
 
 Events carry a ``track`` (the Perfetto thread they render on: the
-controller, one channel, one core) and a ``kind``:
+controller, one channel, one core, one fleet worker), a ``cycle`` (the
+emitter's clock: simulated CPU cycles in a run, wall-clock microseconds
+since the epoch in a fleet process) and a ``kind``:
 
 * ``"instant"`` — a point event;
-* ``"begin"`` / ``"end"`` — a span (matched per name+track in order).
+* ``"begin"`` / ``"end"`` — a span (matched per name+track in order);
+* ``"counter"`` — a sample of the numeric values in ``args``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable
 
 __all__ = ["TraceEvent", "TelemetryBus"]
 
-_KINDS = ("instant", "begin", "end")
+_KINDS = ("instant", "begin", "end", "counter")
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,7 @@ class TraceEvent:
     """One discrete instrumentation event."""
 
     name: str
-    kind: str  # "instant" | "begin" | "end"
+    kind: str  # "instant" | "begin" | "end" | "counter"
     cycle: int
     track: str
     args: dict = field(default_factory=dict)

@@ -1,21 +1,27 @@
 """Trace export: JSONL, CSV, and Chrome trace-event (Perfetto) formats.
 
-Three consumers, three formats:
+One record schema, three consumers:
 
 * :func:`write_jsonl` — one self-describing JSON object per line (header,
-  then samples, then events, then a registry footer); the format scripts
-  and notebooks should parse (:func:`read_jsonl` round-trips it).
+  then samples, events, spans and a registry footer); the format scripts
+  and notebooks should parse.  :class:`JsonlRecorder` streams the same
+  records from a live bus — it is how every process of a distributed
+  sweep records its fleet trace — and :func:`read_jsonl` reads both.
 * :func:`write_csv` — the sampled time series flattened to columns for
   spreadsheet / pandas consumption.
 * :func:`write_chrome_trace` — the Trace Event Format JSON that
   ``chrome://tracing`` and https://ui.perfetto.dev load directly: sampled
   series become counter tracks, bus spans become duration slices, bus
   instants become instant events, each on its own named thread.
+  :func:`merge_traces` renders fleet trace files through the same
+  writer, one process per Chrome ``pid``.
 
 Timestamps: the simulator runs in CPU cycles; trace-event ``ts`` is in
 microseconds, so cycles are divided by ``cycles_per_us`` (default: the
 paper's 3.2 GHz clock, 3200 cycles/µs).  Wall-clock in Perfetto therefore
-reads as *simulated* time.
+reads as *simulated* time.  Fleet processes stamp their events in
+wall-clock microseconds, which merged traces show relative to the
+earliest event.
 """
 
 from __future__ import annotations
@@ -23,11 +29,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import socket
 import subprocess
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Any
 
 from repro.metrics.serialize import to_jsonable
+from repro.telemetry.bus import TraceEvent
+from repro.telemetry.fleet import fleet_ids
 from repro.util.units import CPU_FREQ_HZ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,12 +45,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "FORMAT",
+    "metadata",
     "run_metadata",
     "write_jsonl",
+    "JsonlRecorder",
     "read_jsonl",
     "write_csv",
     "write_chrome_trace",
     "write_spans_jsonl",
+    "merge_traces",
+    "write_merged_trace",
 ]
 
 #: format marker on the JSONL header line
@@ -68,63 +81,96 @@ def _git_rev() -> str | None:
     return rev if out.returncode == 0 and rev else None
 
 
-def run_metadata(telemetry: "Telemetry") -> dict:
-    """Self-describing header every exporter embeds.
+def metadata(fleet: dict | None = None, **fields) -> dict:
+    """The self-describing header every telemetry file opens with.
 
-    Carries the format marker, export wall-clock time, the git revision
-    the artifact was produced from, and the run description the runner
-    stashed in ``telemetry.meta`` (policy, mix/app, seed, budget and the
-    config hash).  When the process runs inside a fleet (the distributed
-    service or the parallel runner set ``REPRO_RUN_ID`` /
-    ``REPRO_WORKER_ID`` / ``REPRO_CELL_ID``), a ``fleet`` section names
-    the run/worker/cell this trace belongs to, so ``repro obs
-    merge-trace`` and humans can correlate per-process artifacts.
+    The format marker, creation wall-clock time and the git revision the
+    file was produced from, then ``fields``, then a ``fleet`` section
+    naming the fleet run this file belongs to: ``fleet`` when given, else
+    the correlation ids of the environment (``REPRO_RUN_ID`` /
+    ``REPRO_WORKER_ID`` / ``REPRO_CELL_ID``, set by the distributed
+    service and the parallel runner), omitted outside any fleet.
     """
     doc = {
         "format": FORMAT,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_rev": _git_rev(),
-        "sample_every": telemetry.sample_every,
-        "meta": to_jsonable(telemetry.meta),
+        **fields,
     }
-    from repro.telemetry.fleet import fleet_ids
-
-    ids = fleet_ids()
-    if ids:
-        doc["fleet"] = ids
+    fleet = fleet_ids() if fleet is None else fleet
+    if fleet:
+        doc["fleet"] = fleet
     return doc
+
+
+def run_metadata(telemetry: "Telemetry") -> dict:
+    """The :func:`metadata` header of a run's exports.
+
+    Adds the sampler epoch and the run description the runner stashed in
+    ``telemetry.meta`` (policy, mix/app, seed, budget and the config
+    hash).  Inside a fleet the ``fleet`` section names the run/worker/cell
+    this trace belongs to, so ``repro obs merge-trace`` and humans can
+    correlate per-process artifacts.
+    """
+    return metadata(sample_every=telemetry.sample_every,
+                    meta=to_jsonable(telemetry.meta))
 
 
 # -- JSONL ----------------------------------------------------------------------
 
 
+def _line(record_type: str, /, **fields) -> str:
+    """One JSONL record of the given ``type``."""
+    return json.dumps({"type": record_type, **fields}) + "\n"
+
+
 def write_jsonl(telemetry: "Telemetry", path: str | os.PathLike) -> int:
     """Write the whole hub as line-delimited JSON; returns lines written."""
-    n = 0
+    spans = _span_records(telemetry)
     with open(path, "w") as f:
-        header = {"type": "header"}
-        header.update(run_metadata(telemetry))
-        f.write(json.dumps(header) + "\n")
-        n += 1
+        f.write(_line("header", **run_metadata(telemetry)))
         for s in telemetry.samples:
-            rec = {"type": "sample"}
-            rec.update(to_jsonable(s))
-            f.write(json.dumps(rec) + "\n")
-            n += 1
+            f.write(_line("sample", **to_jsonable(s)))
         for e in telemetry.bus.events:
-            rec = {"type": "event"}
-            rec.update(to_jsonable(e))
+            f.write(_line("event", **to_jsonable(e)))
+        for rec in spans:
             f.write(json.dumps(rec) + "\n")
-            n += 1
-        for rec in _span_records(telemetry):
-            f.write(json.dumps(rec) + "\n")
-            n += 1
-        f.write(
-            json.dumps({"type": "registry", "instruments": telemetry.registry.snapshot()})
-            + "\n"
-        )
-        n += 1
-    return n
+        f.write(_line("registry", instruments=telemetry.registry.snapshot()))
+    return 2 + len(telemetry.samples) + len(telemetry.bus.events) + len(spans)
+
+
+class JsonlRecorder:
+    """Streams bus events into a JSONL file as they are published.
+
+    Subscribe an instance to a :class:`~repro.telemetry.bus.TelemetryBus`:
+    every process of a distributed sweep records its fleet trace this
+    way.  The header's ``fleet`` section names the process (``role``,
+    ``run_id``, ``worker_id``, ``pid``, ``host``); each event becomes one
+    ``event`` record, written through a line-buffered file, so a killed
+    process leaves a readable prefix.  :meth:`close` appends a
+    ``registry`` record when given a registry; events published after
+    it are dropped.
+    """
+
+    def __init__(self, path: str | os.PathLike, *, role: str, run_id: str,
+                 worker_id: str | None = None) -> None:
+        fleet = {"role": role, "run_id": run_id}
+        if worker_id:
+            fleet["worker_id"] = worker_id
+        fleet.update(pid=os.getpid(), host=socket.gethostname())
+        self._f = open(path, "w", buffering=1)
+        self._f.write(_line("header", **metadata(fleet)))
+
+    def __call__(self, event: TraceEvent) -> None:
+        if not self._f.closed:
+            self._f.write(_line("event", **to_jsonable(event)))
+
+    def close(self, registry=None) -> None:
+        if self._f.closed:
+            return
+        if registry is not None:
+            self._f.write(_line("registry", instruments=registry.snapshot()))
+        self._f.close()
 
 
 def _span_records(telemetry: "Telemetry") -> list[dict]:
@@ -168,12 +214,13 @@ def _span_records(telemetry: "Telemetry") -> list[dict]:
 
 
 def read_jsonl(path: str | os.PathLike) -> dict[str, Any]:
-    """Parse a :func:`write_jsonl` file.
+    """Parse a :func:`write_jsonl` or :class:`JsonlRecorder` file.
 
     Returns ``{"header": ..., "samples": [...], "events": [...],
     "spans": [...], "registry": {...}}`` with samples/events/spans as
-    plain dicts.  Raises ``ValueError`` for files this library did not
-    write.
+    plain dicts (a fleet trace has no samples or spans, and no registry
+    when its process died before closing it).  Raises ``ValueError`` for
+    files this library did not write.
     """
     out: dict[str, Any] = {
         "header": None, "samples": [], "events": [], "spans": [], "registry": {},
@@ -255,22 +302,76 @@ def write_csv(telemetry: "Telemetry", path: str | os.PathLike) -> int:
 
 # -- Chrome trace-event format --------------------------------------------------
 
-#: fixed thread ids: controller first, then channels, then cores
-_TID_CONTROLLER = 0
+#: bus event kind -> trace-event phase
+_PHASES = {"begin": "B", "end": "E", "instant": "i", "counter": "C"}
 
 
-def _track_tids(telemetry: "Telemetry") -> dict[str, int]:
-    """Stable track-name -> tid mapping covering samples and bus events."""
-    tids: dict[str, int] = {"controller": _TID_CONTROLLER}
-    if telemetry.samples:
-        first = telemetry.samples[0]
-        for c in first.channels:
-            tids.setdefault(f"ch{c.index}", len(tids))
-        for c in first.cores:
-            tids.setdefault(f"core{c.index}", len(tids))
-    for e in telemetry.bus.events:
+def _chrome_events(pid: int, process: str, events: list[TraceEvent],
+                   cat: str, ts, tids: dict[str, int],
+                   args: dict | None = None) -> list[dict]:
+    """Trace events for one process: its name, one named thread per
+    track (numbered in order of first use after the ones ``tids``
+    already holds), then every event — spans as ``B``/``E``,
+    thread-scoped ``i`` instants and ``C`` counters, timestamped by
+    ``ts(cycle)``.  ``args`` joins the args of every non-counter event.
+    """
+    for e in events:
         tids.setdefault(e.track, len(tids))
-    return tids
+    out = [{"ph": "M", "pid": pid, "name": "process_name",
+            "args": {"name": process}}]
+    for track, tid in tids.items():
+        out.append({"ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
+                    "args": {"name": track}})
+    for e in events:
+        rec = {"ph": _PHASES[e.kind], "pid": pid, "tid": tids[e.track],
+               "ts": ts(e.cycle), "name": e.name}
+        extra = e.args
+        if e.kind != "counter":
+            rec["cat"] = cat
+            if e.kind == "instant":
+                rec["s"] = "t"  # thread-scoped instant
+            if args:
+                extra = {**extra, **args}
+        if extra:
+            rec["args"] = to_jsonable(extra)
+        out.append(rec)
+    return out
+
+
+def _sample_counters(samples) -> list[TraceEvent]:
+    """The sampled series as counter events on the controller, channel
+    and core tracks."""
+    out: list[TraceEvent] = []
+
+    def put(name: str, cycle: int, track: str, **values) -> None:
+        out.append(TraceEvent(name, "counter", cycle, track, values))
+
+    for s in samples:
+        put("queue depth", s.cycle, "controller",
+            reads=s.read_queue, writes=s.write_queue)
+        for c in s.channels:
+            ch = f"ch{c.index}"
+            put(f"{ch} bandwidth (GB/s)", s.cycle, ch,
+                **{"GB/s": round(c.bw_gbps, 4)})
+            put(f"{ch} bus util", s.cycle, ch, util=round(c.bus_util, 4),
+                row_hit=round(c.row_hit_rate, 4))
+        for c in s.cores:
+            core = f"core{c.index}"
+            put(f"{core} IPC", s.cycle, core, ipc=round(c.ipc, 4))
+            put(f"{core} memory", s.cycle, core,
+                pending_reads=c.pending_reads, mshr=c.mshr_occupancy,
+                stall_frac=round(c.rob_stall_frac, 4))
+    return out
+
+
+def _chrome_doc(events: list[dict], other: dict) -> dict:
+    return {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
+
+
+def _write_json(path: str | os.PathLike, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f)
+        f.write("\n")
 
 
 def write_chrome_trace(
@@ -284,86 +385,81 @@ def write_chrome_trace(
     """
     if cycles_per_us <= 0:
         raise ValueError("cycles_per_us must be positive")
-    pid = 1
-    tids = _track_tids(telemetry)
 
     def ts(cycle: int) -> float:
         return cycle / cycles_per_us
 
-    events: list[dict] = [
-        {"ph": "M", "pid": pid, "name": "process_name",
-         "args": {"name": "repro-sim"}},
-    ]
-    for track, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append(
-            {"ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
-             "args": {"name": track}}
-        )
-
-    for s in telemetry.samples:
-        t = ts(s.cycle)
-        events.append(
-            {"ph": "C", "pid": pid, "tid": _TID_CONTROLLER, "ts": t,
-             "name": "queue depth",
-             "args": {"reads": s.read_queue, "writes": s.write_queue}}
-        )
-        for c in s.channels:
-            tid = tids[f"ch{c.index}"]
-            events.append(
-                {"ph": "C", "pid": pid, "tid": tid, "ts": t,
-                 "name": f"ch{c.index} bandwidth (GB/s)",
-                 "args": {"GB/s": round(c.bw_gbps, 4)}}
-            )
-            events.append(
-                {"ph": "C", "pid": pid, "tid": tid, "ts": t,
-                 "name": f"ch{c.index} bus util",
-                 "args": {"util": round(c.bus_util, 4),
-                          "row_hit": round(c.row_hit_rate, 4)}}
-            )
-        for c in s.cores:
-            tid = tids[f"core{c.index}"]
-            events.append(
-                {"ph": "C", "pid": pid, "tid": tid, "ts": t,
-                 "name": f"core{c.index} IPC",
-                 "args": {"ipc": round(c.ipc, 4)}}
-            )
-            events.append(
-                {"ph": "C", "pid": pid, "tid": tid, "ts": t,
-                 "name": f"core{c.index} memory",
-                 "args": {"pending_reads": c.pending_reads,
-                          "mshr": c.mshr_occupancy,
-                          "stall_frac": round(c.rob_stall_frac, 4)}}
-            )
-
-    ph_map = {"begin": "B", "end": "E", "instant": "i"}
-    for e in telemetry.bus.events:
-        rec = {
-            "ph": ph_map[e.kind],
-            "pid": pid,
-            "tid": tids[e.track],
-            "ts": ts(e.cycle),
-            "name": e.name,
-            "cat": "sim",
-        }
-        if e.kind == "instant":
-            rec["s"] = "t"  # thread-scoped instant
-        if e.args:
-            rec["args"] = to_jsonable(e.args)
-        events.append(rec)
-
-    events += _span_slices(telemetry, pid, tids, ts)
-
+    tids = {"controller": 0}
+    events = _chrome_events(
+        1, "repro-sim",
+        _sample_counters(telemetry.samples) + telemetry.bus.events,
+        "sim", ts, tids)
+    events += _span_slices(telemetry, 1, tids, ts)
     meta = run_metadata(telemetry)
     meta["cycles_per_us"] = cycles_per_us
-    doc = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": meta,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    _write_json(path, _chrome_doc(events, meta))
     return len(events)
+
+
+#: lane order of a merged fleet trace
+_ROLE_RANK = {"coordinator": 0, "worker": 1, "client": 2}
+
+
+def merge_traces(paths) -> dict:
+    """Stitch per-process fleet traces into one Chrome trace document.
+
+    Every input must be a :class:`JsonlRecorder` file, and all must carry
+    the same fleet ``run_id`` (mixing runs in one timeline would be
+    meaningless — a mismatch raises ``ValueError``).  Each process
+    becomes one Chrome ``pid`` (coordinator first, then workers and
+    clients sorted by name), rendered like :func:`write_chrome_trace`
+    renders a run; every non-counter event also carries the ``run_id``.
+    Timestamps are wall-clock microseconds relative to the earliest event
+    across all files, so lanes line up and gaps between slices read as
+    idle time.
+    """
+    procs = []
+    for path in paths:
+        doc = read_jsonl(path)
+        fleet = doc["header"].get("fleet", {})
+        if "role" not in fleet:
+            raise ValueError(f"{path}: not a fleet trace (its header names "
+                             "no fleet role)")
+        procs.append((os.fspath(path), fleet,
+                      [TraceEvent(**e) for e in doc["events"]]))
+    if not procs:
+        raise ValueError("no fleet trace files given")
+    run_ids = {fleet["run_id"] for _, fleet, _ in procs}
+    if len(run_ids) != 1:
+        raise ValueError(
+            f"fleet traces span {len(run_ids)} run_ids {sorted(run_ids)}; "
+            "merge one run at a time")
+    run_id = run_ids.pop()
+    procs.sort(key=lambda p: (_ROLE_RANK.get(p[1]["role"], 3),
+                              p[1].get("worker_id") or "", p[0]))
+    t0 = min((e.cycle for _, _, events in procs for e in events), default=0)
+
+    def ts(cycle: int) -> float:
+        return float(cycle - t0)
+
+    events: list[dict] = []
+    sources = []
+    for pid, (path, fleet, evs) in enumerate(procs, start=1):
+        worker = fleet.get("worker_id")
+        sources.append({"path": path, "pid": pid, "role": fleet["role"],
+                        "worker_id": worker, "events": len(evs)})
+        label = fleet["role"] + (f" {worker}" if worker else "")
+        events += _chrome_events(pid, label, evs, "fleet", ts, {},
+                                 {"run_id": run_id})
+    return _chrome_doc(events, {"format": FORMAT, "run_id": run_id,
+                                "sources": sources})
+
+
+def write_merged_trace(paths, out_path) -> dict:
+    """``repro obs merge-trace``'s body: merge and write; returns doc."""
+    doc = merge_traces(paths)
+    _write_json(out_path, doc)
+    return doc
 
 
 #: inner phase boundaries of a span slice, in timeline order
@@ -446,17 +542,14 @@ def write_spans_jsonl(telemetry: "Telemetry", path: str | os.PathLike) -> int:
     request with every lifecycle stamp and its attribution components,
     without the sampled time series.
     """
-    n = 0
+    header = run_metadata(telemetry)
+    if telemetry.spans is not None:
+        header["span_sample_every"] = telemetry.spans.sample_every
+        header["spans_offered"] = telemetry.spans.offered
+        header["spans_dropped"] = telemetry.spans.dropped
+    spans = _span_records(telemetry)
     with open(path, "w") as f:
-        header = {"type": "header"}
-        header.update(run_metadata(telemetry))
-        if telemetry.spans is not None:
-            header["span_sample_every"] = telemetry.spans.sample_every
-            header["spans_offered"] = telemetry.spans.offered
-            header["spans_dropped"] = telemetry.spans.dropped
-        f.write(json.dumps(header) + "\n")
-        n += 1
-        for rec in _span_records(telemetry):
+        f.write(_line("header", **header))
+        for rec in spans:
             f.write(json.dumps(rec) + "\n")
-            n += 1
-    return n
+    return 1 + len(spans)

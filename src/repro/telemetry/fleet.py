@@ -1,4 +1,4 @@
-"""Fleet observability: cross-process traces, metrics and dashboards.
+"""Fleet observability: correlation ids, coordinator metrics, dashboards.
 
 The per-run telemetry hub (:mod:`repro.telemetry.hub`) observes *one
 simulation in one process*.  This module observes the machinery that
@@ -7,33 +7,33 @@ service (:mod:`repro.service`) and the local parallel runner — and
 answers the fleet-level questions the hub cannot: which worker is slow,
 why a lease was retried, where fleet wall-clock goes.
 
-Three pieces, all strictly opt-in (a fleet with observability disabled
-does no extra work and produces bit-identical results):
+Every fleet process publishes what it does on a
+:class:`~repro.telemetry.bus.TelemetryBus`, stamped in wall-clock
+microseconds (:func:`wall_us`): the coordinator its worker, lease, job
+and heartbeat events, a worker its cell slices and progress counters, a
+client its ``experiment.cell`` arrivals.  Consumers of those buses:
 
-* :class:`FleetTraceWriter` — an append-only JSONL recorder of
-  wall-clock events, one file per process.  Every file carries the
-  shared ``run_id`` in its header (plus the process role and worker
-  name), so :func:`merge_traces` can stitch coordinator lease slices
-  and worker cell slices from separate hosts into one Chrome trace
-  timeline (``repro obs merge-trace``): one lane per process, slices =
-  work, gaps = idle.
-* :class:`FleetMetrics` — a coordinator-side instrument registry
-  (reusing :class:`~repro.telemetry.registry.TelemetryRegistry`) of
-  queue depths, lease grant/complete/expire/retry counters, per-worker
-  throughput and heartbeat-gap histograms, and result-store
-  hit/miss/verify counters.  :func:`prometheus_text` renders a snapshot
-  in the Prometheus text exposition format; :class:`FleetObserver`
-  snapshots periodically to JSONL and a ``.prom`` file and serves the
-  live view through the coordinator's ``status`` request.
+* :class:`~repro.telemetry.export.JsonlRecorder` — the fleet trace of
+  one process, in the run telemetry's JSONL schema;
+  :func:`~repro.telemetry.export.merge_traces` stitches the files of one
+  run into one Chrome trace (``repro obs merge-trace``).
+* :class:`FleetMetrics` — the coordinator's counters: an instrument
+  registry (reusing :class:`~repro.telemetry.registry.TelemetryRegistry`)
+  of lease grant/complete/expire/retry counters, per-worker throughput
+  and heartbeat-gap histograms and result-store hit/miss/verify
+  counters, plus the coordinator's lifetime ``stats``.
+  :func:`prometheus_text` renders a snapshot in the Prometheus text
+  exposition format and :func:`write_snapshots` writes snapshots
+  periodically to JSONL and a ``.prom`` file.
 * :func:`render_dashboard` — the TTY progress-bar + worker-table view
-  ``repro submit --watch`` refreshes from those status snapshots.
+  ``repro submit --watch`` refreshes from the coordinator's status.
 
 Correlation identifiers travel two ways: inside the service protocol
 (``welcome.run_id``, ``task.cell_id`` — optional, backward-compatible
 protocol-v1 fields) and through the ``REPRO_RUN_ID`` /
 ``REPRO_WORKER_ID`` / ``REPRO_CELL_ID`` environment variables, which
-every exporter stamps into its run-metadata header
-(:func:`repro.telemetry.export.run_metadata`) so even a per-simulation
+every exporter stamps into its metadata header
+(:func:`repro.telemetry.export.metadata`) so even a per-simulation
 Chrome trace written inside a worker names the fleet run it was part of.
 """
 
@@ -41,30 +41,22 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import time
 import uuid
-from datetime import datetime, timezone
 
+from repro.telemetry.bus import TraceEvent
 from repro.telemetry.registry import TelemetryRegistry
 
 __all__ = [
-    "FLEET_FORMAT",
     "new_run_id",
     "fleet_ids",
-    "FleetTraceWriter",
+    "wall_us",
     "FleetMetrics",
-    "FleetObserver",
     "prometheus_text",
     "write_prometheus",
-    "read_fleet_trace",
-    "merge_traces",
-    "write_merged_trace",
+    "write_snapshots",
     "render_dashboard",
 ]
-
-#: format marker on the JSONL header line of a fleet trace file
-FLEET_FORMAT = "repro-fleet-trace-v1"
 
 #: environment variables carrying correlation ids across process spawns
 ENV_RUN_ID = "REPRO_RUN_ID"
@@ -94,83 +86,23 @@ def fleet_ids() -> dict:
     return out
 
 
-# -- trace recording -------------------------------------------------------------
-
-
-class FleetTraceWriter:
-    """Append-only JSONL recorder of wall-clock fleet events.
-
-    One writer per process per run.  Records are flushed line-by-line so
-    a crashed process leaves a readable prefix.  Record types:
-
-    * ``header``   — format marker, role, ``run_id``, worker name, pid;
-    * ``event``    — ``ph`` ``"B"``/``"E"``/``"i"`` (begin/end/instant)
-      on a named ``track`` at wall-clock ``t`` (``time.time()``);
-    * ``snapshot`` — a periodic counter sample (worker throughput,
-      queue depths) rendered as counter tracks by the merger;
-    * ``footer``   — lifetime totals, written by :meth:`close`.
-    """
-
-    def __init__(self, path, *, role: str, run_id: str,
-                 worker_id: str | None = None) -> None:
-        self.path = os.fspath(path)
-        self.role = role
-        self.run_id = run_id
-        self.worker_id = worker_id
-        self.events_written = 0
-        self._f = open(self.path, "w")
-        self._write({
-            "type": "header",
-            "format": FLEET_FORMAT,
-            "role": role,
-            "run_id": run_id,
-            "worker_id": worker_id,
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-            "created": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-        })
-
-    def _write(self, rec: dict) -> None:
-        self._f.write(json.dumps(rec) + "\n")
-        self._f.flush()
-
-    def event(self, name: str, ph: str, track: str,
-              t: float | None = None, **args) -> None:
-        """Record one begin/end/instant event on a track."""
-        if ph not in ("B", "E", "i"):
-            raise ValueError(f"unknown fleet event phase {ph!r}")
-        rec = {"type": "event", "name": name, "ph": ph,
-               "t": time.time() if t is None else t, "track": track}
-        if args:
-            rec["args"] = args
-        self._write(rec)
-        self.events_written += 1
-
-    def snapshot(self, track: str, t: float | None = None, **values) -> None:
-        """Record one periodic counter sample on a track."""
-        self._write({"type": "snapshot", "t": time.time() if t is None
-                     else t, "track": track, "values": values})
-        self.events_written += 1
-
-    def close(self, **totals) -> None:
-        if self._f.closed:
-            return
-        self._write({"type": "footer", "t": time.time(), "totals": totals,
-                     "events": self.events_written})
-        self._f.close()
+def wall_us() -> int:
+    """The fleet clock: wall-clock microseconds since the epoch."""
+    return time.time_ns() // 1000
 
 
 # -- coordinator metrics ---------------------------------------------------------
 
 
 class FleetMetrics:
-    """Coordinator-side fleet instrument registry + per-worker table.
+    """The coordinator's counters, folded from the events on its bus.
 
-    Instrument names are fixed (no per-worker instruments) so the
-    Prometheus output has bounded cardinality on the registry side;
-    per-worker detail lives in :meth:`worker_table`, exported as
-    labelled series by :func:`prometheus_text`.
+    The coordinator subscribes one instance to its own bus.  Instrument
+    names are fixed (no per-worker instruments) so the Prometheus output
+    has bounded cardinality on the registry side; per-worker detail
+    lives in :meth:`worker_table`, exported as labelled series by
+    :func:`prometheus_text`.  :meth:`stats` is the coordinator's
+    lifetime summary (``status_reply.stats``).
     """
 
     def __init__(self, run_id: str) -> None:
@@ -191,68 +123,100 @@ class FleetMetrics:
         self.workers_left = r.counter("fleet.workers.left")
         self.cell_seconds = r.histogram("fleet.cell.seconds")
         self.heartbeat_gap = r.histogram("fleet.worker.heartbeat_gap")
+        #: the counter each failed attempt's status bumps
+        self._failures = {"expired": self.lease_expired,
+                          "corrupt": self.store_verify_failures,
+                          "failed": self.lease_failed}
+        #: accepted results; failed attempts whose cell was requeued /
+        #: whose cell exhausted its retry budget
+        self.results = self.reassigned = self.failed_cells = 0
         #: worker name -> mutable per-worker stats row
         self.workers: dict[str, dict] = {}
+        #: worker name -> wall-clock µs its open lease began
+        self._lease_start: dict[str, int] = {}
         self._t0 = time.time()
 
-    # -- worker lifecycle --------------------------------------------------------
-
-    def _row(self, worker: str) -> dict:
+    def _row(self, worker: str, now: float) -> dict:
         row = self.workers.get(worker)
         if row is None:
             row = self.workers[worker] = {
                 "cells": 0, "busy_seconds": 0.0, "connected": True,
-                "joined": time.time(), "last_heartbeat": time.time(),
+                "joined": now, "last_heartbeat": now,
                 "heartbeat_gap_max": 0.0, "current": None,
             }
         return row
 
-    def on_worker_join(self, worker: str) -> None:
-        self.workers_joined.inc()
-        self._row(worker)
-
-    def on_worker_leave(self, worker: str) -> None:
-        self.workers_left.inc()
-        row = self._row(worker)
-        row["connected"] = False
-        row["current"] = None
-
-    def on_heartbeat(self, worker: str) -> None:
-        row = self._row(worker)
-        now = time.time()
-        gap = now - row["last_heartbeat"]
-        row["last_heartbeat"] = now
-        if gap > row["heartbeat_gap_max"]:
-            row["heartbeat_gap_max"] = gap
-        self.heartbeat_gap.observe(gap)
-
-    # -- lease lifecycle ---------------------------------------------------------
-
-    def on_lease_granted(self, worker: str, key_str: str,
-                         attempt: int) -> None:
-        self.lease_granted.inc()
-        if attempt > 0:
-            self.lease_retried.inc()
-        self._row(worker)["current"] = key_str
-
-    def on_lease_ended(self, worker: str, status: str,
-                       seconds: float) -> None:
-        """``status``: done | failed | corrupt | expired | disconnect."""
-        row = self._row(worker)
-        row["current"] = None
-        if status == "done":
-            self.lease_completed.inc()
-            self.cell_seconds.observe(seconds)
-            row["cells"] += 1
-            row["busy_seconds"] += seconds
-        elif status == "expired":
-            self.lease_expired.inc()
-        elif status == "corrupt":
-            self.store_verify_failures.inc()
-        elif status == "failed":
-            self.lease_failed.inc()
+    def __call__(self, ev: TraceEvent) -> None:
+        """Bus subscriber: fold one coordinator event into the counters."""
+        a = ev.args
+        if ev.name == "service.job":
+            if a["status"] == "submitted":
+                self.jobs_submitted.inc()
+                self.store_hits.inc(a["hits"])
+                self.store_misses.inc(a["misses"])
+            else:
+                self.jobs_completed.inc()
+            return
+        if ev.name not in ("service.worker", "service.heartbeat") \
+                and not ev.name.startswith("lease "):
+            return
+        now = ev.cycle / 1e6
+        row = self._row(ev.track, now)
+        if ev.name == "service.worker":
+            if a["status"] == "join":
+                self.workers_joined.inc()
+            else:
+                self.workers_left.inc()
+                row["connected"] = False
+                row["current"] = None
+        elif ev.name == "service.heartbeat":
+            gap = now - row["last_heartbeat"]
+            row["last_heartbeat"] = now
+            row["heartbeat_gap_max"] = max(row["heartbeat_gap_max"], gap)
+            self.heartbeat_gap.observe(gap)
+        elif ev.kind == "begin":  # a lease granted
+            self.lease_granted.inc()
+            if a["attempt"] > 0:
+                self.lease_retried.inc()
+            row["current"] = a["key"]
+            self._lease_start[ev.track] = ev.cycle
+        else:  # an attempt's outcome: "end" closes the open lease
+            status = a["status"]
+            if ev.kind == "end":
+                row["current"] = None
+                start = self._lease_start.pop(ev.track, ev.cycle)
+                if status == "done":
+                    seconds = (ev.cycle - start) / 1e6
+                    self.lease_completed.inc()
+                    self.cell_seconds.observe(seconds)
+                    row["cells"] += 1
+                    row["busy_seconds"] += seconds
+            if status == "done":
+                self.results += 1
+                return
+            if status in self._failures:
+                self._failures[status].inc()
+            if a["requeued"]:
+                self.reassigned += 1
+            else:
+                self.failed_cells += 1
 
     # -- snapshots ---------------------------------------------------------------
+
+    def stats(self) -> dict:
+        """Lifetime counts: results, store hits, reassigned cells,
+        expired leases, corrupt payloads, worker errors, failed cells
+        and jobs."""
+        return {
+            "results": self.results,
+            "hits": self.store_hits.value,
+            "reassigned": self.reassigned,
+            "expired": self.lease_expired.value,
+            "sha_mismatch": self.store_verify_failures.value,
+            "worker_errors": self.lease_failed.value,
+            "failed_cells": self.failed_cells,
+            "jobs": self.jobs_submitted.value,
+        }
 
     def worker_table(self) -> dict[str, dict]:
         """Per-worker derived stats (cells/sec, heartbeat age, ...)."""
@@ -349,300 +313,34 @@ def write_prometheus(snapshot: dict, path) -> None:
     os.replace(tmp, path)
 
 
-# -- the coordinator-side observer ----------------------------------------------
+# -- periodic snapshots ----------------------------------------------------------
 
 
-class FleetObserver:
-    """Everything the coordinator records about its own fleet.
+async def write_snapshots(snapshot, every: float, metrics_out=None,
+                          prometheus_out=None) -> None:
+    """Write ``snapshot()`` every ``every`` seconds until cancelled.
 
-    Bundles the optional pieces — a :class:`FleetMetrics` registry, a
-    :class:`FleetTraceWriter`, and the periodic snapshot loop writing
-    metrics JSONL and a Prometheus textfile — behind one object whose
-    every hook tolerates any subset being disabled.  The coordinator
-    calls the ``on_*`` hooks from its message handlers; ``start()`` /
-    ``stop()`` bracket the asyncio snapshot task.
+    Each snapshot is appended to the ``metrics_out`` JSONL and rewrites
+    the ``prometheus_out`` textfile; one more is written on
+    cancellation, so even a run shorter than the period leaves a final
+    point.
     """
+    import asyncio
 
-    def __init__(
-        self,
-        run_id: str | None = None,
-        *,
-        metrics: bool = True,
-        trace_out=None,
-        metrics_out=None,
-        prometheus_out=None,
-        snapshot_every: float = 5.0,
-    ) -> None:
-        self.run_id = run_id or new_run_id()
-        self.metrics = FleetMetrics(self.run_id) if metrics else None
-        self.trace = (FleetTraceWriter(trace_out, role="coordinator",
-                                       run_id=self.run_id)
-                      if trace_out else None)
-        self.metrics_out = (os.fspath(metrics_out) if metrics_out
-                            else None)
-        self.prometheus_out = (os.fspath(prometheus_out) if prometheus_out
-                               else None)
-        self.snapshot_every = snapshot_every
-        self.snapshots_written = 0
-        #: live board-counts supplier, set by the coordinator
-        self.board_counts = lambda: {}
-        #: worker -> (cell digest, key_str, lease wall-clock start)
-        self._open: dict[str, tuple[str, str, float]] = {}
-        self._digest_worker: dict[str, str] = {}
-        self._snap_task = None
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin the periodic snapshot loop (requires a running loop)."""
-        if self.metrics is None or not (self.metrics_out
-                                        or self.prometheus_out):
-            return
-        import asyncio
-
-        self._snap_task = asyncio.create_task(self._snapshot_loop())
-
-    async def _snapshot_loop(self) -> None:
-        import asyncio
-
-        while True:
-            await asyncio.sleep(self.snapshot_every)
-            self.write_snapshot()
-
-    def write_snapshot(self) -> dict:
-        """Take one metrics snapshot and flush it to the output files."""
-        snap = self.metrics.snapshot(queue=self.board_counts())
-        if self.metrics_out:
-            with open(self.metrics_out, "a") as f:
+    def flush() -> None:
+        snap = snapshot()
+        if metrics_out:
+            with open(metrics_out, "a") as f:
                 f.write(json.dumps(snap) + "\n")
-        if self.prometheus_out:
-            write_prometheus(snap, self.prometheus_out)
-        self.snapshots_written += 1
-        return snap
+        if prometheus_out:
+            write_prometheus(snap, prometheus_out)
 
-    async def stop(self) -> None:
-        if self._snap_task is not None:
-            import asyncio
-
-            self._snap_task.cancel()
-            try:
-                await self._snap_task
-            except asyncio.CancelledError:
-                pass
-            self._snap_task = None
-        if self.metrics is not None and (self.metrics_out
-                                         or self.prometheus_out):
-            self.write_snapshot()  # final point, even on short runs
-        if self.trace is not None:
-            totals = (self.metrics.snapshot(queue=self.board_counts())
-                      if self.metrics is not None else {})
-            self.trace.close(**{"snapshots": self.snapshots_written,
-                                "queue": totals.get("queue", {})})
-
-    # -- hooks (all safe with any piece disabled) --------------------------------
-
-    def on_worker_join(self, worker: str) -> None:
-        if self.metrics is not None:
-            self.metrics.on_worker_join(worker)
-        if self.trace is not None:
-            self.trace.event("worker join", "i", track=worker)
-
-    def on_worker_leave(self, worker: str, executed: int) -> None:
-        self._end_lease_of(worker, "disconnect")
-        if self.metrics is not None:
-            self.metrics.on_worker_leave(worker)
-        if self.trace is not None:
-            self.trace.event("worker leave", "i", track=worker,
-                             executed=executed)
-
-    def on_heartbeat(self, worker: str) -> None:
-        if self.metrics is not None:
-            self.metrics.on_heartbeat(worker)
-
-    def on_lease_granted(self, worker: str, digest: str, key_str: str,
-                         attempt: int) -> None:
-        now = time.time()
-        self._open[worker] = (digest, key_str, now)
-        self._digest_worker[digest] = worker
-        if self.metrics is not None:
-            self.metrics.on_lease_granted(worker, key_str, attempt)
-        if self.trace is not None:
-            self.trace.event(f"lease {key_str.split(':cfg=')[0]}", "B",
-                             track=worker, t=now, cell_id=digest,
-                             attempt=attempt)
-
-    def on_lease_ended(self, digest: str, status: str) -> None:
-        """Close the open lease slice for ``digest`` (if any)."""
-        worker = self._digest_worker.pop(digest, None)
-        if worker is None:
-            return
-        open_lease = self._open.get(worker)
-        if open_lease is None or open_lease[0] != digest:
-            return
-        del self._open[worker]
-        now = time.time()
-        seconds = now - open_lease[2]
-        if self.metrics is not None:
-            self.metrics.on_lease_ended(worker, status, seconds)
-        if self.trace is not None:
-            self.trace.event(f"lease {open_lease[1].split(':cfg=')[0]}",
-                             "E", track=worker, t=now, status=status)
-
-    def _end_lease_of(self, worker: str, status: str) -> None:
-        open_lease = self._open.get(worker)
-        if open_lease is not None:
-            self.on_lease_ended(open_lease[0], status)
-
-    def on_store_probe(self, hit: bool) -> None:
-        if self.metrics is not None:
-            (self.metrics.store_hits if hit
-             else self.metrics.store_misses).inc()
-
-    def on_job(self, status: str, job_id: int, total: int) -> None:
-        if self.metrics is not None:
-            (self.metrics.jobs_submitted if status == "submitted"
-             else self.metrics.jobs_completed).inc()
-        if self.trace is not None:
-            self.trace.event(f"job {job_id} {status}", "i", track="jobs",
-                             total=total)
-
-    # -- status ------------------------------------------------------------------
-
-    def status_doc(self) -> dict | None:
-        """The ``fleet`` section of a ``status_reply`` (None = disabled)."""
-        if self.metrics is None:
-            return None
-        return self.metrics.snapshot(queue=self.board_counts())
-
-
-# -- trace merging ---------------------------------------------------------------
-
-
-def read_fleet_trace(path) -> dict:
-    """Parse one :class:`FleetTraceWriter` file.
-
-    Returns ``{"header": ..., "events": [...], "snapshots": [...],
-    "footer": ...}``; raises ``ValueError`` for files this library did
-    not write (missing or foreign header).
-    """
-    out: dict = {"header": None, "events": [], "snapshots": [],
-                 "footer": None}
-    with open(path) as f:
-        for lineno, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            kind = rec.get("type")
-            if lineno == 0:
-                if kind != "header" or rec.get("format") != FLEET_FORMAT:
-                    raise ValueError(f"{path}: not a {FLEET_FORMAT} file")
-                out["header"] = rec
-            elif kind == "event":
-                out["events"].append(rec)
-            elif kind == "snapshot":
-                out["snapshots"].append(rec)
-            elif kind == "footer":
-                out["footer"] = rec
-            else:
-                raise ValueError(
-                    f"{path}:{lineno + 1}: unknown record type {kind!r}")
-    if out["header"] is None:
-        raise ValueError(f"{path}: empty fleet trace")
-    return out
-
-
-def merge_traces(paths) -> dict:
-    """Stitch per-process fleet traces into one Chrome trace document.
-
-    Every input file must carry the same ``run_id`` (mixing runs in one
-    timeline would be meaningless — a mismatch raises ``ValueError``).
-    Each process becomes one Chrome ``pid`` (coordinator first, then
-    workers and clients sorted by name), each track within it one
-    ``tid``; begin/end events become duration slices, instants stay
-    instants, snapshots become counter tracks.  Timestamps are
-    wall-clock microseconds relative to the earliest event across all
-    files, so lanes line up and gaps between slices read as idle time.
-    """
-    traces = [(os.fspath(p), read_fleet_trace(p)) for p in paths]
-    if not traces:
-        raise ValueError("no fleet trace files given")
-    run_ids = {t["header"]["run_id"] for _, t in traces}
-    if len(run_ids) != 1:
-        raise ValueError(
-            f"fleet traces span {len(run_ids)} run_ids {sorted(run_ids)}; "
-            "merge one run at a time")
-    run_id = run_ids.pop()
-
-    def source_rank(item):
-        header = item[1]["header"]
-        role_rank = {"coordinator": 0, "worker": 1, "client": 2}.get(
-            header["role"], 3)
-        return (role_rank, header.get("worker_id") or "", item[0])
-
-    traces.sort(key=source_rank)
-    t0 = min((e["t"] for _, t in traces for e in t["events"]
-              + t["snapshots"]), default=0.0)
-
-    def ts(t: float) -> float:
-        return (t - t0) * 1e6
-
-    events: list[dict] = []
-    sources = []
-    for pid, (path, trace) in enumerate(traces, start=1):
-        header = trace["header"]
-        label = header["role"]
-        if header.get("worker_id"):
-            label += f" {header['worker_id']}"
-        sources.append({"path": path, "pid": pid, "role": header["role"],
-                        "worker_id": header.get("worker_id"),
-                        "events": len(trace["events"])})
-        events.append({"ph": "M", "pid": pid, "name": "process_name",
-                       "args": {"name": label}})
-        tids: dict[str, int] = {}
-
-        def tid(track: str) -> int:
-            t = tids.get(track)
-            if t is None:
-                t = tids[track] = len(tids)
-                events.append({"ph": "M", "pid": pid, "tid": t,
-                               "name": "thread_name",
-                               "args": {"name": track}})
-            return t
-
-        for e in trace["events"]:
-            rec = {"ph": e["ph"], "pid": pid, "tid": tid(e["track"]),
-                   "ts": ts(e["t"]), "name": e["name"], "cat": "fleet"}
-            if e["ph"] == "i":
-                rec["s"] = "t"
-            args = dict(e.get("args", {}))
-            args["run_id"] = run_id
-            rec["args"] = args
-            events.append(rec)
-        for s in trace["snapshots"]:
-            events.append({"ph": "C", "pid": pid,
-                           "tid": tid(s.get("track", "counters")),
-                           "ts": ts(s["t"]),
-                           "name": s.get("track", "counters"),
-                           "args": s.get("values", {})})
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "format": FLEET_FORMAT,
-            "run_id": run_id,
-            "sources": sources,
-        },
-    }
-
-
-def write_merged_trace(paths, out_path) -> dict:
-    """``repro obs merge-trace``'s body: merge and write; returns doc."""
-    doc = merge_traces(paths)
-    with open(out_path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
-    return doc
+    try:
+        while True:
+            await asyncio.sleep(every)
+            flush()
+    finally:
+        flush()
 
 
 # -- TTY dashboard ---------------------------------------------------------------

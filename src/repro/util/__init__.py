@@ -6,7 +6,7 @@ Everything in the simulator that needs randomness draws from a
 every run is exactly reproducible.
 """
 
-from repro.util.fixedpoint import FixedPointCodec, quantize_ratio
+from repro.util.fixedpoint import FixedPointCodec
 from repro.util.rng import RngStream, derive_seed
 from repro.util.units import (
     CPU_FREQ_HZ,
@@ -24,6 +24,5 @@ __all__ = [
     "derive_seed",
     "gbps",
     "ns_to_cycles",
-    "quantize_ratio",
     "seconds",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FixedPointCodec", "quantize_ratio"]
+__all__ = ["FixedPointCodec"]
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,3 @@ class FixedPointCodec:
         if not 0 <= code < self.levels:
             raise ValueError(f"code {code} out of range for {self.bits}-bit codec")
         return code * self.scale
-
-
-def quantize_ratio(numer: float, denom: float, codec: FixedPointCodec) -> int:
-    """Quantise ``numer / denom`` with the given codec.
-
-    A zero (or negative) denominator yields the top code: in the controller
-    this case never reaches the table (cores with zero pending reads are
-    skipped), but property tests exercise it and saturation is the safe
-    hardware behaviour.
-    """
-    if denom <= 0:
-        return codec.levels - 1
-    return codec.encode(numer / denom)

@@ -14,7 +14,7 @@ and memory-efficiency rank order match the paper's Table 2.
 verbatim.
 """
 
-from repro.workloads.builder import custom_mix, random_mix, random_workload_suite
+from repro.workloads.builder import custom_mix
 from repro.workloads.cloud import (
     CLOUD_MIXES,
     SERVICES,
@@ -51,8 +51,6 @@ __all__ = [
     "make_cloud_trace",
     "make_trace",
     "mixes_for",
-    "random_mix",
-    "random_workload_suite",
     "service_by_code",
     "workload_by_name",
 ]

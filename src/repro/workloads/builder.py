@@ -1,23 +1,13 @@
-"""Workload construction utilities.
-
-Table 3's mixes were 'constructed randomly' from the classified
-applications (paper Section 4.2); this module provides the same
-construction procedure so studies can extend beyond the published 36
-mixes: random MEM-only mixes, random MIX mixes (half memory-intensive,
-half compute-intensive, like 4MIX-2 = hzde), and fully custom mixes from
-explicit codes.
+"""Workload construction: custom mixes from explicit application codes,
+so studies can extend beyond the published 36 Table 3 mixes.
 """
 
 from __future__ import annotations
 
-from repro.util.rng import RngStream
 from repro.workloads.mixes import Mix
-from repro.workloads.spec2000 import APPS, app_by_code
+from repro.workloads.spec2000 import app_by_code
 
-__all__ = ["custom_mix", "random_mix", "random_workload_suite"]
-
-_MEM_CODES = "".join(sorted(a.code for a in APPS if a.klass == "MEM"))
-_ILP_CODES = "".join(sorted(a.code for a in APPS if a.klass == "ILP"))
+__all__ = ["custom_mix"]
 
 
 def custom_mix(codes: str, name: str | None = None):
@@ -45,60 +35,3 @@ def custom_mix(codes: str, name: str | None = None):
     mix = Mix(name=name or f"{n}CUSTOM-{codes}", codes=codes)
     mix.validate()
     return mix
-
-
-def random_mix(
-    num_cores: int,
-    group: str,
-    seed: int,
-    index: int = 1,
-    allow_duplicates: bool = True,
-) -> Mix:
-    """Randomly construct one mix, following the paper's recipe.
-
-    ``group='MEM'`` draws all applications from the memory-intensive
-    class; ``group='MIX'`` draws half MEM, half ILP (ILP first, as in the
-    published MIX workloads ``arbc``, ``hzde``...).  The paper's own
-    8-core mixes contain duplicates, so duplicates are allowed by default.
-    """
-    if num_cores < 1:
-        raise ValueError("num_cores must be >= 1")
-    g = group.upper()
-    if g not in ("MEM", "MIX"):
-        raise ValueError("group must be 'MEM' or 'MIX'")
-    rng = RngStream(seed, "mix", g, num_cores, index)
-
-    def draw(pool: str, k: int) -> list[str]:
-        if allow_duplicates:
-            return [pool[rng.randint(0, len(pool))] for _ in range(k)]
-        if k > len(pool):
-            raise ValueError(f"cannot draw {k} distinct apps from {len(pool)}")
-        chosen: list[str] = []
-        remaining = list(pool)
-        for _ in range(k):
-            pick = remaining.pop(rng.randint(0, len(remaining)))
-            chosen.append(pick)
-        return chosen
-
-    if g == "MEM":
-        codes = draw(_MEM_CODES, num_cores)
-    else:
-        ilp = draw(_ILP_CODES, num_cores // 2)
-        mem = draw(_MEM_CODES, num_cores - num_cores // 2)
-        codes = ilp + mem
-    mix = Mix(name=f"{num_cores}{g}-R{index}", codes="".join(codes))
-    mix.validate()
-    return mix
-
-
-def random_workload_suite(
-    num_cores: int, seed: int, mixes_per_group: int = 6
-) -> tuple[Mix, ...]:
-    """A full Table 3-style group: N MEM mixes + N MIX mixes."""
-    if mixes_per_group < 1:
-        raise ValueError("mixes_per_group must be >= 1")
-    out: list[Mix] = []
-    for group in ("MEM", "MIX"):
-        for i in range(1, mixes_per_group + 1):
-            out.append(random_mix(num_cores, group, seed, index=i))
-    return tuple(out)

@@ -26,6 +26,23 @@ class TestParser:
         assert exc.value.code == 2
         assert "--cores" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--sample-every", "0"],
+        ["serve", "--sample-every", "-1"],
+        ["serve", "--lease", "0"],
+        ["serve", "--max-attempts", "0"],
+        ["worker", "h:1", "--sample-every", "0"],
+        ["worker", "h:1", "--sample-every", "-1"],
+        ["worker", "h:1", "--connect-retries", "-1"],
+        ["submit", "h:1", "--sample-every", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_service_numbers_that_break_it_are_usage_errors(self, argv,
+                                                            capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "verb", [["figure", "2"], ["table2"], ["arena"], ["cloud"]])
     def test_cache_dir_needs_resume(self, verb, tmp_path, capsys):

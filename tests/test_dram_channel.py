@@ -148,3 +148,31 @@ class TestActivateRateConstraints:
             tr = ch.execute(0, row=1, now=200 * (i + 1), is_write=False, keep_open=True)
             assert tr.row_hit
         assert len(ch._act_times) == 1
+
+    def test_running_controller_enforces_trrd_and_tfaw(self):
+        """The controller runs its own inlined copy of Channel.execute;
+        judge the ACT stream of a real run against tRRD and tFAW."""
+        from dataclasses import replace
+
+        from repro import Telemetry, run_multicore, workload_by_name
+        from repro.config import SystemConfig
+
+        cfg = SystemConfig()
+        constrained = replace(cfg, dram_timing=replace(
+            cfg.dram_timing, t_rrd=24, t_faw=120))
+        mix = workload_by_name("4MEM-1")
+        tm = Telemetry(capture_commands=True)
+        slow = run_multicore(mix, "HF-RF", inst_budget=2000, seed=1,
+                             config=constrained, telemetry=tm)
+        base = run_multicore(mix, "HF-RF", inst_budget=2000, seed=1)
+        acts: dict[str, list[int]] = {}
+        for e in tm.bus.named("cmd"):
+            if e.args["op"] == "ACT":
+                acts.setdefault(e.track, []).append(e.cycle)
+        assert sum(map(len, acts.values())) > 1000
+        for channel, cycles in acts.items():
+            cycles.sort()
+            rrd = [b - a for a, b in zip(cycles, cycles[1:]) if b - a < 24]
+            faw = [b - a for a, b in zip(cycles, cycles[4:]) if b - a < 120]
+            assert rrd == [] and faw == [], channel
+        assert slow.end_cycle > base.end_cycle

@@ -5,24 +5,30 @@ import json
 import pytest
 
 from repro import Telemetry
-from repro.telemetry.export import read_jsonl, write_chrome_trace, write_jsonl
+from repro.telemetry.bus import TelemetryBus, TraceEvent
+from repro.telemetry.export import (
+    FORMAT,
+    JsonlRecorder,
+    merge_traces,
+    read_jsonl,
+    write_chrome_trace,
+    write_jsonl,
+    write_merged_trace,
+)
 from repro.telemetry.fleet import (
     ENV_CELL_ID,
     ENV_RUN_ID,
     ENV_WORKER_ID,
-    FLEET_FORMAT,
     FleetMetrics,
-    FleetObserver,
-    FleetTraceWriter,
     fleet_ids,
-    merge_traces,
     new_run_id,
     prometheus_text,
-    read_fleet_trace,
     render_dashboard,
-    write_merged_trace,
     write_prometheus,
+    write_snapshots,
 )
+
+S = 1_000_000  # one second on the fleet clock (wall-clock µs)
 
 
 class TestIds:
@@ -44,57 +50,93 @@ class TestIds:
         assert fleet_ids() == {"run_id": "r1", "worker_id": "w0"}
 
 
+def _recording_bus(path, **fleet):
+    bus = TelemetryBus(retain=False)
+    trace = JsonlRecorder(path, **fleet)
+    bus.subscribe(trace)
+    return bus, trace
+
+
 class TestTraceWriter:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "w.jsonl"
-        tw = FleetTraceWriter(p, role="worker", run_id="r1", worker_id="w0")
-        tw.event("cell a", "B", track="cells", t=10.0, attempt=0)
-        tw.event("cell a", "E", track="cells", t=11.5, status="done")
-        tw.snapshot("progress", t=11.0, executed=1, hits=0)
-        tw.event("note", "i", track="cells", t=11.2)
-        tw.close(executed=1)
-        doc = read_fleet_trace(p)
-        assert doc["header"]["format"] == FLEET_FORMAT
-        assert doc["header"]["run_id"] == "r1"
-        assert doc["header"]["worker_id"] == "w0"
-        assert [e["ph"] for e in doc["events"]] == ["B", "E", "i"]
+        bus, trace = _recording_bus(p, role="worker", run_id="r1",
+                                    worker_id="w0")
+        bus.emit("cell a", "begin", 10 * S, "cells", attempt=0)
+        bus.emit("progress", "counter", 11 * S, "progress", executed=1,
+                 hits=0)
+        bus.emit("note", "instant", 11 * S, "cells")
+        bus.emit("cell a", "end", 12 * S, "cells", status="done")
+        registry = FleetMetrics("r1").registry
+        trace.close(registry)
+        doc = read_jsonl(p)
+        assert doc["header"]["format"] == FORMAT
+        fleet = doc["header"]["fleet"]
+        assert (fleet["role"], fleet["run_id"], fleet["worker_id"]) == (
+            "worker", "r1", "w0")
+        assert {"pid", "host"} <= set(fleet)
+        assert [e["kind"] for e in doc["events"]] == [
+            "begin", "counter", "instant", "end"]
         assert doc["events"][0]["args"] == {"attempt": 0}
-        assert doc["snapshots"][0]["values"] == {"executed": 1, "hits": 0}
-        assert doc["footer"]["totals"] == {"executed": 1}
-        assert doc["footer"]["events"] == 4
+        assert doc["events"][1]["args"] == {"executed": 1, "hits": 0}
+        assert doc["events"][3]["cycle"] == 12 * S
+        assert doc["registry"] == registry.snapshot()
+        assert doc["samples"] == [] and doc["spans"] == []
 
     def test_bad_phase_rejected(self, tmp_path):
-        tw = FleetTraceWriter(tmp_path / "x.jsonl", role="worker",
-                              run_id="r1")
-        with pytest.raises(ValueError, match="phase"):
-            tw.event("oops", "X", track="cells")
-        tw.close()
+        bus, trace = _recording_bus(tmp_path / "x.jsonl", role="worker",
+                                    run_id="r1")
+        with pytest.raises(ValueError, match="kind"):
+            bus.emit("oops", "X", 0, "cells")
+        trace.close()
+        assert read_jsonl(tmp_path / "x.jsonl")["events"] == []
 
     def test_close_idempotent(self, tmp_path):
-        tw = FleetTraceWriter(tmp_path / "x.jsonl", role="worker",
-                              run_id="r1")
-        tw.close()
-        tw.close()  # second close is a no-op, not a crash
+        bus, trace = _recording_bus(tmp_path / "x.jsonl", role="worker",
+                                    run_id="r1")
+        trace.close()
+        trace.close()  # second close is a no-op, not a crash
+        bus.emit("late", "instant", 0, "cells")  # after close: dropped
+        assert read_jsonl(tmp_path / "x.jsonl")["events"] == []
 
     def test_crashed_process_leaves_readable_prefix(self, tmp_path):
         p = tmp_path / "crash.jsonl"
-        tw = FleetTraceWriter(p, role="worker", run_id="r1")
-        tw.event("cell a", "B", track="cells", t=1.0)
+        bus, trace = _recording_bus(p, role="worker", run_id="r1")
+        bus.emit("cell a", "begin", S, "cells")
         # no close(): simulates a killed worker — flushed lines remain
-        doc = read_fleet_trace(p)
+        doc = read_jsonl(p)
         assert len(doc["events"]) == 1
-        assert doc["footer"] is None
-        tw.close()
+        assert doc["registry"] == {}
+        trace.close()
 
     def test_foreign_file_rejected(self, tmp_path):
         p = tmp_path / "foreign.jsonl"
         p.write_text('{"type": "header", "format": "something-else"}\n')
-        with pytest.raises(ValueError, match=FLEET_FORMAT):
-            read_fleet_trace(p)
+        with pytest.raises(ValueError, match=FORMAT):
+            read_jsonl(p)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            read_fleet_trace(empty)
+            read_jsonl(empty)
+
+    def test_one_reader_for_run_and_fleet_files(self, tmp_path):
+        """A run export and a fleet trace share one schema and reader;
+        only the fleet trace names a fleet role, which merging needs."""
+        run = tmp_path / "run.jsonl"
+        tm = Telemetry()
+        tm.bus.emit("write_drain", "begin", 5, "controller")
+        write_jsonl(tm, run)
+        fleet = tmp_path / "coord.jsonl"
+        bus, trace = _recording_bus(fleet, role="coordinator", run_id="r1")
+        bus.emit("service.job", "instant", S, "jobs", status="done")
+        trace.close()
+        docs = [read_jsonl(run), read_jsonl(fleet)]
+        assert [d["header"]["format"] for d in docs] == [FORMAT, FORMAT]
+        assert [d["events"][0]["name"] for d in docs] == [
+            "write_drain", "service.job"]
+        assert set(docs[0]) == set(docs[1])
+        with pytest.raises(ValueError, match="not a fleet trace"):
+            merge_traces([fleet, run])
 
 
 def _two_process_traces(tmp_path, run_id="r1"):
@@ -102,22 +144,23 @@ def _two_process_traces(tmp_path, run_id="r1"):
     the way two live processes write them."""
     cp = tmp_path / "coord.jsonl"
     wp = tmp_path / "worker.jsonl"
-    coord = FleetTraceWriter(cp, role="coordinator", run_id=run_id)
-    work = FleetTraceWriter(wp, role="worker", run_id=run_id,
-                            worker_id="w0")
+    coord, coord_trace = _recording_bus(cp, role="coordinator",
+                                        run_id=run_id)
+    work, work_trace = _recording_bus(wp, role="worker", run_id=run_id,
+                                      worker_id="w0")
     # flushes alternate between the two files (concurrent processes)
-    coord.event("lease eval:4MEM-1", "B", track="w0", t=100.0, cell_id="d1")
-    work.event("cell eval:4MEM-1", "B", track="cells", t=100.1,
-               cell_id="d1")
-    coord.snapshot("queue", t=100.5, pending=3, leased=1)
-    work.snapshot("progress", t=100.6, executed=0, hits=0)
-    work.event("cell eval:4MEM-1", "E", track="cells", t=101.0,
+    coord.emit("lease eval:4MEM-1", "begin", 100 * S, "w0", cell_id="d1")
+    work.emit("cell eval:4MEM-1", "begin", 100 * S + S // 10, "cells",
+              cell_id="d1")
+    work.emit("progress", "counter", 100 * S + S // 2, "progress",
+              executed=0, hits=0)
+    work.emit("cell eval:4MEM-1", "end", 101 * S, "cells", status="done")
+    coord.emit("lease eval:4MEM-1", "end", 101 * S + S // 10, "w0",
                status="done")
-    coord.event("lease eval:4MEM-1", "E", track="w0", t=101.1,
-                status="done")
-    coord.event("job 1 completed", "i", track="jobs", t=101.2)
-    coord.close()
-    work.close(executed=1)
+    coord.emit("service.job", "instant", 101 * S + S // 5, "jobs",
+               status="done")
+    coord_trace.close()
+    work_trace.close()
     return cp, wp
 
 
@@ -126,14 +169,11 @@ class TestMerge:
         cp, wp = _two_process_traces(tmp_path)
         doc = merge_traces([wp, cp])  # order given must not matter
         assert doc["otherData"]["run_id"] == "r1"
-        assert doc["otherData"]["format"] == FLEET_FORMAT
+        assert doc["otherData"]["format"] == FORMAT
         # coordinator sorts first regardless of argument order
         assert [s["role"] for s in doc["otherData"]["sources"]] == [
             "coordinator", "worker"]
         events = doc["traceEvents"]
-        by_pid = {}
-        for e in events:
-            by_pid.setdefault(e["pid"], []).append(e)
         names = {e["args"]["name"] for e in events if e["ph"] == "M"
                  and e["name"] == "process_name"}
         assert names == {"coordinator", "worker w0"}
@@ -146,19 +186,19 @@ class TestMerge:
         assert lease_b[0]["args"]["run_id"] == "r1"
         assert cell_b[0]["args"]["run_id"] == "r1"
         assert lease_b[0]["pid"] != cell_b[0]["pid"]
-        # timestamps are µs relative to the earliest event (t=100.0)
+        # timestamps are µs relative to the earliest event (t=100 s)
         assert lease_b[0]["ts"] == 0.0
         assert cell_b[0]["ts"] == pytest.approx(0.1e6)
         counters = [e for e in events if e["ph"] == "C"]
-        assert {c["name"] for c in counters} == {"queue", "progress"}
+        assert [c["name"] for c in counters] == ["progress"]
+        assert counters[0]["args"] == {"executed": 0, "hits": 0}
         instants = [e for e in events if e["ph"] == "i"]
         assert instants and all(e["s"] == "t" for e in instants)
 
     def test_mixed_run_ids_rejected(self, tmp_path):
         cp, _ = _two_process_traces(tmp_path, run_id="r1")
         other = tmp_path / "other.jsonl"
-        tw = FleetTraceWriter(other, role="worker", run_id="r2")
-        tw.close()
+        JsonlRecorder(other, role="worker", run_id="r2").close()
         with pytest.raises(ValueError, match="one run at a time"):
             merge_traces([cp, other])
 
@@ -184,16 +224,32 @@ class TestMerge:
         assert json.loads(out.read_text())["otherData"]["run_id"] == "r1"
 
 
+def _ev(name, kind, t, track, **args):
+    """A coordinator event at ``t`` seconds on the fleet clock."""
+    return TraceEvent(name, kind, int(t * S), track, args)
+
+
+def _join(m, worker, t=0.0):
+    m(_ev("service.worker", "instant", t, worker, status="join",
+          worker=worker))
+
+
+def _lease(m, worker, key, t0, t1, status, attempt=0, requeued=None):
+    name = "lease " + key.split(":cfg=")[0]
+    m(_ev(name, "begin", t0, worker, key=key, attempt=attempt))
+    args = {} if requeued is None else {"requeued": requeued}
+    m(_ev(name, "end", t1, worker, status=status, **args))
+
+
 class TestFleetMetrics:
     def test_lease_lifecycle_counters(self):
         m = FleetMetrics("r1")
-        m.on_worker_join("w0")
-        m.on_lease_granted("w0", "eval:4MEM-1:HF-RF", attempt=0)
-        m.on_lease_ended("w0", "done", 2.0)
-        m.on_lease_granted("w0", "eval:4MEM-1:RR", attempt=1)
-        m.on_lease_ended("w0", "failed", 0.5)
-        m.on_lease_granted("w0", "eval:4MEM-1:RR", attempt=2)
-        m.on_lease_ended("w0", "expired", 0.0)
+        _join(m, "w0")
+        _lease(m, "w0", "eval:4MEM-1:HF-RF", 1.0, 3.0, "done")
+        _lease(m, "w0", "eval:4MEM-1:RR", 3.0, 3.5, "failed", attempt=1,
+               requeued=True)
+        _lease(m, "w0", "eval:4MEM-1:RR", 4.0, 4.0, "expired", attempt=2,
+               requeued=False)
         snap = m.snapshot(queue={"pending": 4})
         inst = snap["instruments"]
         assert inst["fleet.lease.granted"]["value"] == 3
@@ -202,6 +258,7 @@ class TestFleetMetrics:
         assert inst["fleet.lease.failed"]["value"] == 1
         assert inst["fleet.lease.expired"]["value"] == 1
         assert inst["fleet.cell.seconds"]["count"] == 1
+        assert inst["fleet.cell.seconds"]["sum"] == 2.0
         assert snap["queue"] == {"pending": 4}
         assert snap["run_id"] == "r1"
         row = snap["workers"]["w0"]
@@ -209,32 +266,174 @@ class TestFleetMetrics:
         assert row["busy_seconds"] == 2.0
         assert row["current"] is None
 
+    def test_stats_count_every_outcome(self):
+        """The coordinator's eight lifetime counts, folded from its bus;
+        a late result after its lease expired is an instant: it counts
+        as a result and a corrupt payload as a verify failure, but
+        neither closes a lease."""
+        m = FleetMetrics("r1")
+        m(_ev("service.job", "instant", 0, "jobs", status="submitted",
+              job=1, total=3, hits=1, misses=2))
+        _join(m, "w0")
+        _join(m, "w1")
+        _lease(m, "w0", "eval:a", 1, 2, "expired", requeued=True)
+        _lease(m, "w1", "eval:a", 2, 3, "corrupt", attempt=1, requeued=True)
+        m(_ev("lease eval:a", "instant", 3.5, "w0", status="corrupt",
+              requeued=False))
+        m(_ev("lease eval:a", "instant", 3.6, "w0", status="done"))
+        _lease(m, "w1", "eval:b", 4, 5, "disconnect", requeued=True)
+        _lease(m, "w0", "eval:b", 5, 6, "done", attempt=1)
+        m(_ev("service.job", "instant", 7, "jobs", status="done", job=1))
+        assert m.stats() == {
+            "results": 2, "hits": 1, "reassigned": 3, "expired": 1,
+            "sha_mismatch": 2, "worker_errors": 0, "failed_cells": 1,
+            "jobs": 1,
+        }
+        inst = m.snapshot()["instruments"]
+        assert inst["fleet.lease.completed"]["value"] == 1
+        assert inst["fleet.store.misses"]["value"] == 2
+        assert inst["fleet.jobs.completed"]["value"] == 1
+
     def test_worker_leave_marks_disconnected(self):
         m = FleetMetrics("r1")
-        m.on_worker_join("w0")
-        m.on_lease_granted("w0", "eval:x", attempt=0)
+        _join(m, "w0")
+        m(_ev("lease eval:x", "begin", 1, "w0", key="eval:x", attempt=0))
         assert m.workers["w0"]["current"] == "eval:x"
-        m.on_worker_leave("w0")
+        m(_ev("lease eval:x", "end", 2, "w0", status="disconnect",
+              requeued=True))
+        m(_ev("service.worker", "instant", 2, "w0", status="leave",
+              worker="w0"))
         table = m.worker_table()
         assert table["w0"]["connected"] is False
         assert table["w0"]["current"] is None
+        assert table["w0"]["cells"] == 0
+        assert m.lease_completed.value == 0
+        assert m.stats()["reassigned"] == 1
+
+    def test_late_result_closes_no_lease(self):
+        m = FleetMetrics("r1")
+        _join(m, "w0")
+        m(_ev("lease eval:x", "instant", 1, "w0", status="done"))
+        assert m.lease_completed.value == 0  # no open lease to complete
+        assert m.cell_seconds.count == 0
+        assert m.stats()["results"] == 1
+
+    def test_other_events_ignored(self):
+        m = FleetMetrics("r1")
+        m(_ev("experiment.cell", "instant", 1, "experiments", status="run"))
+        assert m.workers == {}
+        assert all(v == 0 for v in m.stats().values())
 
     def test_heartbeat_gap_tracked(self):
         m = FleetMetrics("r1")
-        m.on_worker_join("w0")
-        m.workers["w0"]["last_heartbeat"] -= 3.0  # simulate a silent spell
-        m.on_heartbeat("w0")
-        assert m.workers["w0"]["heartbeat_gap_max"] >= 3.0
+        _join(m, "w0", t=10.0)
+        m(_ev("service.heartbeat", "instant", 13.0, "w0", worker="w0"))
+        assert m.workers["w0"]["heartbeat_gap_max"] == 3.0
         snap = m.snapshot()
-        assert snap["instruments"]["fleet.worker.heartbeat_gap"]["max"] >= 3.0
+        assert snap["instruments"]["fleet.worker.heartbeat_gap"]["max"] == 3.0
+
+
+class TestCoordinatorTrace:
+    """The coordinator's trace file, recorded from its bus the way
+    ``repro serve --trace-out`` wires it, against a raw-protocol worker."""
+
+    def test_trace_slices_and_disconnect(self, tmp_path):
+        import asyncio
+
+        from repro.experiments.cache import (
+            code_fingerprint,
+            encode_payload,
+            payload_sha,
+        )
+        from repro.experiments.cells import execute_cell
+        from repro.experiments.harness import ExperimentContext
+        from repro.experiments.parallel import plan_cells
+        from repro.service.coordinator import Coordinator
+        from repro.service.protocol import (
+            MAX_LINE_BYTES,
+            PROTOCOL_VERSION,
+            decode_cell,
+            encode_cell,
+            expect,
+            read_msg,
+            send_msg,
+        )
+
+        ctx = ExperimentContext(inst_budget=300, warmup_insts=200,
+                                profile_budget=200, seeds=(7,))
+        cells = [c for c in plan_cells(ctx, figure2=((2,), ("MEM",)))
+                 if c.key.policy == "HF-RF"][:2]
+        assert len(cells) == 2
+        p = tmp_path / "coord.jsonl"
+
+        async def connect(coord, hello):
+            reader, writer = await asyncio.open_connection(
+                coord.host, coord.port, limit=MAX_LINE_BYTES)
+            await send_msg(writer, {"protocol": PROTOCOL_VERSION,
+                                    "fingerprint": code_fingerprint(),
+                                    **hello})
+            expect(await read_msg(reader), "welcome")
+            return reader, writer
+
+        async def scenario():
+            coord = Coordinator()
+            trace = JsonlRecorder(p, role="coordinator",
+                                  run_id=coord.run_id)
+            coord.bus.subscribe(trace)
+            await coord.start()
+            try:
+                wr, ww = await connect(coord, {"t": "hello",
+                                               "role": "worker",
+                                               "worker": "w0"})
+                cr, cw = await connect(coord, {"t": "hello",
+                                               "role": "client"})
+                await send_msg(cw, {"t": "submit", "cells": [
+                    encode_cell(c) for c in cells]})
+                expect(await read_msg(cr), "accepted")
+                task = expect(await read_msg(wr), "task")
+                payload = encode_payload(
+                    execute_cell(decode_cell(task["cell"])))
+                await send_msg(ww, {"t": "result", "task": task["task"],
+                                    "key": task["cell_id"],
+                                    "payload": payload,
+                                    "sha": payload_sha(payload)})
+                expect(await read_msg(wr), "task")
+                # worker vanishes mid-lease: the open slice closes as
+                # disconnect
+                ww.close()
+                for _ in range(200):
+                    if "w0" not in coord.workers:
+                        break
+                    await asyncio.sleep(0.01)
+                cw.close()
+            finally:
+                await coord.stop()
+                trace.close()
+            return coord
+
+        coord = asyncio.run(asyncio.wait_for(scenario(), 60))
+        doc = read_jsonl(p)
+        assert doc["header"]["fleet"]["role"] == "coordinator"
+        slices = [(e["name"], e["kind"], e["args"].get("status"))
+                  for e in doc["events"] if e["name"].startswith("lease ")]
+        first, second = (e["name"] for e in doc["events"]
+                         if e["name"].startswith("lease ")
+                         and e["kind"] == "begin")
+        assert slices == [
+            (first, "begin", None),
+            (first, "end", "done"),
+            (second, "begin", None),
+            (second, "end", "disconnect"),
+        ]
+        assert first != second
+        assert coord.metrics.lease_completed.value == 1
 
 
 class TestPrometheus:
     def _snapshot(self):
         m = FleetMetrics("r1")
-        m.on_worker_join("w0")
-        m.on_lease_granted("w0", "eval:x", attempt=0)
-        m.on_lease_ended("w0", "done", 1.5)
+        _join(m, "w0")
+        _lease(m, "w0", "eval:x", 1.0, 2.5, "done")
         return m.snapshot(queue={"pending": 2, "leased": 0})
 
     def test_format(self):
@@ -264,70 +463,36 @@ class TestPrometheus:
         assert "repro_fleet_uptime_seconds" in path.read_text()
 
 
-class TestFleetObserver:
-    def test_hooks_noop_with_everything_disabled(self):
-        obs = FleetObserver("r1", metrics=False)
-        obs.on_worker_join("w0")
-        obs.on_heartbeat("w0")
-        obs.on_lease_granted("w0", "d1", "eval:x", 0)
-        obs.on_lease_ended("d1", "done")
-        obs.on_worker_leave("w0", executed=1)
-        obs.on_store_probe(True)
-        obs.on_job("submitted", 1, 4)
-        assert obs.status_doc() is None
-
-    def test_snapshot_files(self, tmp_path):
-        obs = FleetObserver("r1", metrics_out=tmp_path / "m.jsonl",
-                            prometheus_out=tmp_path / "f.prom")
-        obs.board_counts = lambda: {"pending": 1}
-        obs.on_worker_join("w0")
-        obs.on_store_probe(False)
-        obs.write_snapshot()
-        obs.write_snapshot()
-        snaps = [json.loads(ln) for ln in
-                 (tmp_path / "m.jsonl").read_text().splitlines()]
-        assert len(snaps) == 2  # JSONL appends
-        assert snaps[-1]["queue"] == {"pending": 1}
-        assert snaps[-1]["instruments"]["fleet.store.misses"]["value"] == 1
-        prom = (tmp_path / "f.prom").read_text()
-        assert "repro_fleet_store_misses_total 1" in prom  # prom rewrites
-
-    def test_trace_slices_and_disconnect(self, tmp_path):
-        p = tmp_path / "coord.jsonl"
-        obs = FleetObserver("r1", metrics=True, trace_out=p)
-        obs.on_worker_join("w0")
-        obs.on_lease_granted("w0", "d1", "eval:x:cfg=abc", 0)
-        obs.on_lease_ended("d1", "done")
-        obs.on_lease_granted("w0", "d2", "eval:y:cfg=abc", 0)
-        # worker vanishes mid-lease: the open slice closes as disconnect
-        obs.on_worker_leave("w0", executed=1)
-        obs.trace.close()
-        doc = read_fleet_trace(p)
-        slices = [(e["name"], e["ph"], e.get("args", {}).get("status"))
-                  for e in doc["events"] if e["name"].startswith("lease ")]
-        assert slices == [
-            ("lease eval:x", "B", None),
-            ("lease eval:x", "E", "done"),
-            ("lease eval:y", "B", None),
-            ("lease eval:y", "E", "disconnect"),
-        ]
-        assert obs.metrics.lease_completed.value == 1
-
-    def test_stale_lease_end_ignored(self):
-        obs = FleetObserver("r1")
-        obs.on_lease_ended("never-granted", "done")  # tolerated, no-op
-        assert obs.metrics.lease_completed.value == 0
-
-    def test_stop_writes_final_snapshot(self, tmp_path):
+class TestSnapshots:
+    def _run(self, every, seconds, **outputs):
         import asyncio
 
+        m = FleetMetrics("r1")
+        _join(m, "w0")
+
         async def scenario():
-            obs = FleetObserver("r1", metrics_out=tmp_path / "m.jsonl",
-                                snapshot_every=3600.0)
-            obs.start()
-            await obs.stop()
+            task = asyncio.create_task(write_snapshots(
+                lambda: m.snapshot(queue={"pending": 1}), every, **outputs))
+            await asyncio.sleep(seconds)
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
 
         asyncio.run(scenario())
+
+    def test_snapshot_files(self, tmp_path):
+        self._run(0.01, 0.2, metrics_out=tmp_path / "m.jsonl",
+                  prometheus_out=tmp_path / "f.prom")
+        snaps = [json.loads(ln) for ln in
+                 (tmp_path / "m.jsonl").read_text().splitlines()]
+        assert len(snaps) >= 2  # JSONL appends
+        assert snaps[-1]["queue"] == {"pending": 1}
+        assert snaps[-1]["instruments"]["fleet.workers.joined"]["value"] == 1
+        prom = (tmp_path / "f.prom").read_text()
+        assert "repro_fleet_workers_joined_total 1" in prom  # prom rewrites
+        assert prom.count("# TYPE repro_fleet_uptime_seconds") == 1
+
+    def test_stop_writes_final_snapshot(self, tmp_path):
+        self._run(3600.0, 0.0, metrics_out=tmp_path / "m.jsonl")
         snaps = (tmp_path / "m.jsonl").read_text().splitlines()
         assert len(snaps) == 1  # run shorter than the interval still lands
 
@@ -335,10 +500,11 @@ class TestFleetObserver:
 class TestDashboard:
     def _status(self):
         m = FleetMetrics("r1")
-        m.on_worker_join("w0")
-        m.on_lease_granted("w0", "eval:4MEM-1:HF-RF:cfg=abc", attempt=0)
-        m.on_lease_ended("w0", "done", 1.0)
-        m.on_lease_granted("w0", "eval:4MEM-1:RR:cfg=abc", attempt=0)
+        _join(m, "w0")
+        _lease(m, "w0", "eval:4MEM-1:HF-RF:cfg=abc", 1.0, 2.0, "done")
+        key = "eval:4MEM-1:RR:cfg=abc"
+        m(_ev("lease eval:4MEM-1:RR", "begin", 2.0, "w0", key=key,
+              attempt=0))
         return {"tasks": {"pending": 2, "leased": 1, "done": 1,
                           "failed": 0},
                 "fleet": m.snapshot()}

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.metrics.memory_efficiency import memory_efficiency
 from repro.metrics.speedup import slowdowns, smt_speedup, unfairness
-from repro.metrics.stats import OnlineStat, WindowedCounter
 
 ipc_lists = st.lists(
     st.floats(min_value=0.01, max_value=8.0, allow_nan=False), min_size=1, max_size=8
@@ -73,74 +72,6 @@ class TestMemoryEfficiency:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             memory_efficiency(-1.0, 1.0)
-
-
-class TestOnlineStat:
-    def test_mean_and_variance(self):
-        s = OnlineStat()
-        for x in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            s.add(x)
-        assert s.mean == pytest.approx(5.0)
-        assert s.stddev == pytest.approx(2.138, abs=1e-3)
-        assert s.min == 2.0 and s.max == 9.0
-
-    def test_empty(self):
-        s = OnlineStat()
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_merge_equivalent_to_sequential(self):
-        xs = [1.0, 5.0, 2.5, 7.0, 3.3]
-        a, b, whole = OnlineStat(), OnlineStat(), OnlineStat()
-        for x in xs[:2]:
-            a.add(x)
-        for x in xs[2:]:
-            b.add(x)
-        for x in xs:
-            whole.add(x)
-        a.merge(b)
-        assert a.n == whole.n
-        assert a.mean == pytest.approx(whole.mean)
-        assert a.variance == pytest.approx(whole.variance)
-        assert a.min == whole.min and a.max == whole.max
-
-    def test_merge_empty_sides(self):
-        a, b = OnlineStat(), OnlineStat()
-        b.add(3.0)
-        a.merge(b)
-        assert a.mean == 3.0
-        a.merge(OnlineStat())
-        assert a.mean == 3.0
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-    def test_matches_numpy(self, xs):
-        import numpy as np
-
-        s = OnlineStat()
-        for x in xs:
-            s.add(x)
-        assert s.mean == pytest.approx(float(np.mean(xs)), rel=1e-9, abs=1e-6)
-        assert s.variance == pytest.approx(
-            float(np.var(xs, ddof=1)), rel=1e-6, abs=1e-6
-        )
-
-
-class TestWindowedCounter:
-    def test_deltas(self):
-        w = WindowedCounter()
-        assert w.sample(10) == 10
-        assert w.sample(10) == 0
-        assert w.sample(25) == 15
-
-    def test_initial_offset(self):
-        w = WindowedCounter(initial=100)
-        assert w.sample(130) == 30
-
-    def test_backwards_rejected(self):
-        w = WindowedCounter()
-        w.sample(10)
-        with pytest.raises(ValueError):
-            w.sample(5)
 
 
 class TestReservoirSampler:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.report import bar, bar_chart, grouped_bar_chart, histogram
+from repro.metrics.report import bar, bar_chart, histogram
 
 
 class TestBar:
@@ -39,23 +39,6 @@ class TestBarChart:
     def test_all_zero(self):
         out = bar_chart({"a": 0.0})
         assert "a" in out
-
-
-class TestGroupedBarChart:
-    def test_groups_rendered(self):
-        out = grouped_bar_chart({"4MEM-1": {"HF-RF": 1.0}, "4MEM-2": {"HF-RF": 2.0}})
-        assert "4MEM-1:" in out and "4MEM-2:" in out
-
-    def test_shared_scale(self):
-        out = grouped_bar_chart(
-            {"g1": {"x": 1.0}, "g2": {"x": 2.0}}, width=10
-        )
-        lines = [l for l in out.splitlines() if "#" in l]
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
-
-    def test_empty(self):
-        assert grouped_bar_chart({}) == "(no data)"
 
 
 class TestHistogram:

@@ -51,6 +51,7 @@ from repro.service.protocol import (
     send_msg,
 )
 from repro.service.worker import run_worker
+from repro.telemetry.bus import TelemetryBus
 
 BUDGET = 300
 WARMUP = 200
@@ -192,26 +193,30 @@ def test_two_concurrent_jobs_share_one_execution(serial_hfrf):
 
 
 def test_fleet_observability_end_to_end(serial_hfrf, tmp_path, monkeypatch):
-    """Fleet observability on the loopback cluster: the coordinator and
-    workers share one run_id, results stay byte-identical, the merged
-    Chrome timeline pairs lease slices with cell slices, and the
-    correlation env vars do not leak out of the in-process workers."""
+    """Fleet observability on the loopback cluster: the coordinator,
+    workers and client share one run_id, results stay byte-identical,
+    the merged Chrome timeline pairs lease slices with cell slices and
+    result arrivals, and the correlation env vars do not leak out of the
+    in-process workers."""
     import os
 
-    from repro.telemetry.fleet import ENV_RUN_ID, FleetObserver, merge_traces
+    from repro.telemetry.bus import TelemetryBus
+    from repro.telemetry.export import JsonlRecorder, merge_traces
+    from repro.telemetry.fleet import ENV_RUN_ID, write_snapshots
 
     monkeypatch.delenv(ENV_RUN_ID, raising=False)
     cells = _hfrf_cells()
-    obs = FleetObserver(
-        trace_out=tmp_path / "coord.fleet.jsonl",
-        metrics_out=tmp_path / "metrics.jsonl",
-        prometheus_out=tmp_path / "fleet.prom",
-        snapshot_every=0.2,
-    )
+    client_bus = TelemetryBus()
 
     async def scenario():
-        coord = Coordinator(port=0, observer=obs)
+        coord = Coordinator(port=0, telemetry=True)
+        trace = JsonlRecorder(tmp_path / "coord.fleet.jsonl",
+                              role="coordinator", run_id=coord.run_id)
+        coord.bus.subscribe(trace)
         await coord.start()
+        snapshots = asyncio.create_task(write_snapshots(
+            coord.fleet_snapshot, 0.2, tmp_path / "metrics.jsonl",
+            tmp_path / "fleet.prom"))
         workers = [
             asyncio.create_task(run_worker(
                 coord.host, coord.port, worker_id=f"w{i}",
@@ -221,41 +226,59 @@ def test_fleet_observability_end_to_end(serial_hfrf, tmp_path, monkeypatch):
         ]
         try:
             report = await asyncio.wait_for(
-                submit_cells_async(coord.host, coord.port, cells), TIMEOUT)
+                submit_cells_async(coord.host, coord.port, cells,
+                                   bus=client_bus), TIMEOUT)
+            status = await asyncio.to_thread(
+                coordinator_status, f"{coord.host}:{coord.port}")
         finally:
             await coord.stop()
+            snapshots.cancel()
+            await asyncio.gather(snapshots, return_exceptions=True)
+            trace.close(coord.metrics.registry)
             for w in workers:
                 try:
                     await asyncio.wait_for(w, 10)
                 except (ConnectionError, ServiceError,
                         asyncio.IncompleteReadError):
                     pass
-        return report, coord
+        return report, coord, status
 
-    report, coord = asyncio.run(scenario())
+    report, coord, status = asyncio.run(scenario())
     _assert_identical(report, serial_hfrf)
-    assert report.run_id == coord.run_id == obs.run_id
+    assert report.run_id == coord.run_id
     assert ENV_RUN_ID not in os.environ  # workers restored their env
+    assert status["fleet"]["run_id"] == coord.run_id
+    assert status["stats"] == coord.stats
 
     snaps = [json.loads(ln) for ln in
              (tmp_path / "metrics.jsonl").read_text().splitlines()]
-    assert snaps  # stop() wrote at least the final snapshot
+    assert snaps  # the final snapshot always lands
     done = snaps[-1]["instruments"]["fleet.lease.completed"]["value"]
     assert done == len(cells)
     assert "repro_fleet_lease_completed_total" in \
         (tmp_path / "fleet.prom").read_text()
 
-    traces = [tmp_path / "coord.fleet.jsonl",
-              tmp_path / "w0.fleet.jsonl", tmp_path / "w1.fleet.jsonl"]
+    client = JsonlRecorder(tmp_path / "client.fleet.jsonl", role="client",
+                           run_id=report.run_id)
+    for ev in client_bus.events:
+        client(ev)
+    client.close()
+    traces = [tmp_path / "coord.fleet.jsonl", tmp_path / "w0.fleet.jsonl",
+              tmp_path / "w1.fleet.jsonl", tmp_path / "client.fleet.jsonl"]
     merged = merge_traces(traces)
-    assert merged["otherData"]["run_id"] == obs.run_id
+    assert merged["otherData"]["run_id"] == coord.run_id
+    assert [s["role"] for s in merged["otherData"]["sources"]] == [
+        "coordinator", "worker", "worker", "client"]
     events = merged["traceEvents"]
     leases = [e for e in events
               if e.get("ph") == "B" and e["name"].startswith("lease ")]
     cells_b = [e for e in events
                if e.get("ph") == "B" and e["name"].startswith("cell ")]
+    arrivals = [e for e in events if e["name"] == "experiment.cell"]
     assert len(leases) == len(cells) and len(cells_b) == len(cells)
-    assert {e["args"]["run_id"] for e in leases + cells_b} == {obs.run_id}
+    assert len(arrivals) == len(cells)
+    assert {e["args"]["run_id"] for e in leases + cells_b + arrivals} \
+        == {coord.run_id}
 
 
 # -- fault paths -------------------------------------------------------------------
@@ -305,15 +328,25 @@ def test_worker_killed_mid_cell_is_reassigned(serial_hfrf):
     async def after(coord):
         await asyncio.wait_for(holder["sab"], 10)
 
+    bus = TelemetryBus()
     report, coord = asyncio.run(
         _run_scenario(cells, n_workers=1, before_submit=before,
-                      after_submit=after))
+                      after_submit=after,
+                      coordinator_kwargs={"bus": bus}))
     assert taken.is_set()
     _assert_identical(report, serial_hfrf)
     # the dropped cell cost one reassignment, and the client saw the
     # retry (attempts > 1 on at least one cell)
     assert coord.stats["reassigned"] >= 1
     assert report.retried
+    # the saboteur's open lease slice closed as a disconnect, before it
+    # left; the cells all completed on the real worker
+    sab = [(e.name.split()[0], e.kind, e.args.get("status"))
+           for e in bus.events if e.track == "saboteur"]
+    assert sab == [("service.worker", "instant", "join"),
+                   ("lease", "begin", None), ("lease", "end", "disconnect"),
+                   ("service.worker", "instant", "leave")]
+    assert coord.metrics.lease_completed.value == len(cells)
 
 
 def test_hung_worker_lease_expires_and_cell_is_reassigned(serial_hfrf):
@@ -408,6 +441,7 @@ def test_status_and_shutdown_round_trip():
         assert status["workers"] == ["w0"]
         assert status["tasks"] == {"pending": 0, "leased": 0, "done": 0,
                                    "failed": 0}
+        assert "fleet" not in status  # only with telemetry on
         await asyncio.to_thread(
             request_shutdown, f"{coord.host}:{coord.port}")
         await asyncio.wait_for(coord.wait_stopped(), 5)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu.trace import ListTrace, MemOp
-from repro.cpu.trace_io import TraceRecorder, load_trace, record_trace, save_trace
+from repro.cpu.trace_io import load_trace, record_trace, save_trace
 from repro.workloads.spec2000 import app_by_code
 from repro.workloads.synthetic import make_trace
 
@@ -52,15 +52,5 @@ class TestErrors:
 
 
 class TestRecorder:
-    def test_passthrough_and_capture(self, tmp_path):
-        ops = [MemOp(1, 64), MemOp(2, 128)]
-        rec = TraceRecorder(ListTrace(ops))
-        seen = [rec.next_op(), rec.next_op(), rec.next_op()]
-        assert seen == ops + [None]
-        assert rec.ops == ops
-        p = tmp_path / "rec.trace"
-        assert rec.save(p) == 2
-        assert len(load_trace(p)) == 2
-
     def test_record_stops_at_end(self):
         assert record_trace(ListTrace([MemOp(0, 0)]), 10) == [MemOp(0, 0)]

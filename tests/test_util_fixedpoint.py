@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.fixedpoint import FixedPointCodec, quantize_ratio
+from repro.util.fixedpoint import FixedPointCodec
 
 
 class TestFixedPointCodec:
@@ -60,15 +60,3 @@ class TestFixedPointCodec:
         c = FixedPointCodec(bits=10, max_value=1000.0)
         lo, hi = min(a, b), max(a, b)
         assert c.encode(lo) <= c.encode(hi)
-
-
-class TestQuantizeRatio:
-    def test_basic(self):
-        c = FixedPointCodec(bits=10, max_value=10.0)
-        assert quantize_ratio(5.0, 1.0, c) == c.encode(5.0)
-        assert quantize_ratio(5.0, 2.0, c) == c.encode(2.5)
-
-    def test_zero_denominator_saturates(self):
-        c = FixedPointCodec(bits=10, max_value=10.0)
-        assert quantize_ratio(5.0, 0.0, c) == c.levels - 1
-        assert quantize_ratio(5.0, -1.0, c) == c.levels - 1

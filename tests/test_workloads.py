@@ -218,46 +218,6 @@ class TestBuilder:
         with pytest.raises(KeyError):
             custom_mix(codes)
 
-    def test_random_mem_mix_all_mem(self):
-        from repro.workloads.builder import random_mix
-
-        mix = random_mix(4, "MEM", seed=9)
-        assert all(a.klass == "MEM" for a in mix.apps())
-        assert mix.group == "MEM"
-
-    def test_random_mix_half_and_half(self):
-        from repro.workloads.builder import random_mix
-
-        mix = random_mix(4, "MIX", seed=9)
-        klasses = [a.klass for a in mix.apps()]
-        assert klasses.count("ILP") == 2
-        assert klasses.count("MEM") == 2
-
-    def test_random_mix_deterministic(self):
-        from repro.workloads.builder import random_mix
-
-        assert random_mix(8, "MEM", seed=3).codes == random_mix(8, "MEM", seed=3).codes
-        assert random_mix(8, "MEM", seed=3).codes != random_mix(8, "MEM", seed=4).codes
-
-    def test_no_duplicates_option(self):
-        from repro.workloads.builder import random_mix
-
-        mix = random_mix(8, "MEM", seed=5, allow_duplicates=False)
-        assert len(set(mix.codes)) == 8
-
-    def test_no_duplicates_overflow(self):
-        from repro.workloads.builder import random_mix
-
-        with pytest.raises(ValueError):
-            random_mix(20, "MEM", seed=5, allow_duplicates=False)
-
-    def test_suite_shape(self):
-        from repro.workloads.builder import random_workload_suite
-
-        suite = random_workload_suite(4, seed=2, mixes_per_group=3)
-        assert len(suite) == 6
-        assert {m.group for m in suite} == {"MEM", "MIX"}
-        assert all(m.num_cores == 4 for m in suite)
 
 
 class TestMpkiContract:
