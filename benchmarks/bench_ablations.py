@@ -13,7 +13,6 @@ from conftest import run_once
 
 from repro.experiments.ablations import (
     ablation_lookahead,
-    ablation_online_phases,
     ablation_page_policy,
     ablation_table_bits,
     ablation_write_drain,
@@ -56,10 +55,3 @@ def test_ablation_lookahead(benchmark, ctx):
     vals = list(res.values())
     # a fidelity knob, not a result: spread must stay small
     assert max(vals) / min(vals) < 1.15
-
-
-def test_ablation_online_phases(benchmark, ctx):
-    res = run_once(benchmark, ablation_online_phases, ctx)
-    _print("offline vs online ME-LREQ on phase-changing apps (4MEM-1)", res)
-    assert set(res) == {"LREQ", "ME-LREQ offline", "ME-LREQ online"}
-    assert all(v > 0 for v in res.values())

@@ -40,11 +40,7 @@ def main() -> None:
     print(header)
     details = {}
     for pol_name in args.policies:
-        policy = (
-            make_policy(pol_name, me_values=me)
-            if pol_name in ("ME", "ME-LREQ")
-            else make_policy(pol_name)
-        )
+        policy = make_policy(pol_name, me_values=me)
         cfg = SystemConfig(num_cores=mix.num_cores)
         traces = [
             make_trace(a, args.seed, "eval", i) for i, a in enumerate(mix.apps())

@@ -47,8 +47,8 @@ GOLDEN_PATH = ROOT / "tests" / "golden" / "golden_stats.json"
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.config import SystemConfig  # noqa: E402
+from repro.core.registry import reads_me  # noqa: E402
 from repro.experiments.cells import (  # noqa: E402
-    ME_FAMILY,
     Cell,
     eval_cell_key,
     profile_cell_key,
@@ -122,7 +122,7 @@ def golden_cells() -> list[Cell]:
     for policy in ("HF-RF", "ME-LREQ", "RR", "LREQ"):
         key = eval_cell_key(mix.name, policy, 7, 2500, 2000, 256, cfg, 2000)
         deps = ()
-        if policy in ME_FAMILY:
+        if reads_me(policy):
             deps = tuple(profile_cell_key(c, 7, 2000, cfg)
                          for c in mix.codes)
             cells.extend(Cell(key=d, config=cfg) for d in deps)

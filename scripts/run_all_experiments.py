@@ -28,6 +28,7 @@ import argparse
 import sys
 import time
 
+from repro.cli import _non_negative_int, _positive_int
 from repro.experiments import (
     ExperimentContext,
     ablation_lookahead,
@@ -323,8 +324,8 @@ def _end_of_run_summary(args, cache) -> None:
 
 def _main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--budget", type=int, default=30_000)
-    ap.add_argument("--profile-budget", type=int, default=20_000)
+    ap.add_argument("--budget", type=_positive_int, default=30_000)
+    ap.add_argument("--profile-budget", type=_positive_int, default=20_000)
     ap.add_argument("--warmup", type=int, default=None,
                     help="warmup instructions per core (default: harness)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
@@ -334,7 +335,7 @@ def _main(argv=None) -> int:
                     help="4-core MEM Figure 2 panel only (smoke run)")
     ap.add_argument("--only", nargs="+", choices=SECTIONS, metavar="SECTION",
                     help=f"run a subset of sections: {', '.join(SECTIONS)}")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
+    ap.add_argument("--jobs", type=_non_negative_int, default=1, metavar="N",
                     help="shard simulation cells over N worker processes "
                          "(0 = one per CPU); output stays byte-identical")
     ap.add_argument("--coordinator", default=None, metavar="HOST:PORT",

@@ -36,7 +36,7 @@ import sys
 from typing import Sequence
 
 from repro.config import SystemConfig
-from repro.core.registry import available_policies
+from repro.core.registry import available_policies, policy_class
 from repro.experiments import (
     ExperimentContext,
     run_figure2,
@@ -45,14 +45,13 @@ from repro.experiments import (
     run_figure5,
     run_table2,
 )
+from repro.experiments.cells import eval_cell, execute_cell
 from repro.experiments.figure2 import format_figure2
 from repro.experiments.figure3 import format_figure3
 from repro.experiments.figure4 import format_figure4
 from repro.experiments.figure5 import format_figure5
 from repro.experiments.table2 import format_table2
-from repro.metrics.memory_efficiency import MeProfiler
 from repro.metrics.speedup import smt_speedup, unfairness
-from repro.sim.runner import run_multicore
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_by_name
 from repro.workloads.spec2000 import APPS, app_by_name
 
@@ -80,15 +79,39 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _output_path(text: str) -> str:
+    """A file the verb writes after simulating: its directory must exist
+    now, not only when the results are in."""
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent}")
+    return text
+
+
+def _policy_error(policy: str, workload: str) -> str | None:
+    """Why ``policy`` cannot schedule ``workload``, or None if it can."""
+    try:
+        policy_class(policy)
+    except ValueError as exc:
+        return str(exc)
+    mix = workload_by_name(workload)
+    cores = [str(c) for c in range(mix.num_cores)]
+    key = policy.upper()
+    if key.startswith("FIX-") and sorted(key[len("FIX-"):]) != cores:
+        return (f"policy {policy}: {mix.name} has {mix.num_cores} cores, "
+                f"so a FIX order must permute {''.join(cores)}")
+    return None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=30_000,
+    p.add_argument("--budget", type=_positive_int, default=30_000,
                    help="instructions measured per core")
     p.add_argument("--seed", type=int, default=1)
 
 
 def _add_parallel(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("parallel execution (docs/PERFORMANCE.md)")
-    g.add_argument("--jobs", type=int, default=1, metavar="N",
+    g.add_argument("--jobs", type=_non_negative_int, default=1, metavar="N",
                    help="shard simulation cells over N worker processes "
                         "(0 = one per CPU); output stays bit-identical")
     g.add_argument("--resume", action="store_true",
@@ -119,12 +142,12 @@ def _report_profile(prof) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    prof = MeProfiler(inst_budget=args.budget, seed=args.seed)
+    ctx = ExperimentContext(seeds=(args.seed,), profile_budget=args.budget)
     apps = [app_by_name(args.app)] if args.app else list(APPS)
     with _engine_profiler(args) as eng:
         print(f"{'app':<9} {'class':<5} {'IPC':>6} {'BW GB/s':>8} {'ME':>10}")
         for app in apps:
-            p = prof.profile(app)
+            p = ctx.profile(app, args.seed)
             print(
                 f"{p.app:<9} {app.klass:<5} {p.ipc:>6.2f} {p.bw_gbps:>8.3f} "
                 f"{p.me:>10.3f}"
@@ -194,15 +217,15 @@ def _export_telemetry(tm, args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     mix = workload_by_name(args.workload)
-    prof = MeProfiler(inst_budget=max(args.budget // 2, 5000), seed=args.seed)
-    me = prof.me_values(mix)
-    single = prof.single_ipcs(mix)
+    ctx = ExperimentContext(inst_budget=args.budget, seeds=(args.seed,),
+                            profile_budget=max(args.budget // 2, 5000))
+    # ME profiles run here, and only for a policy that reads them; the
+    # --profile window below covers the evaluation run alone.
+    cell = ctx.resolve(eval_cell(ctx, mix.name, args.policy, args.seed))
+    single = ctx.single_ipcs(mix, args.seed)
     tm = _make_telemetry(args)
     with _engine_profiler(args) as eng:
-        result = run_multicore(
-            mix, args.policy, inst_budget=args.budget, seed=args.seed,
-            me_values=me, telemetry=tm,
-        )
+        result = execute_cell(cell, telemetry=tm)
     print(f"workload {mix.name} under {result.policy_name}")
     for c, s in zip(result.per_core, single):
         print(
@@ -577,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_profile(p):
         p.add_argument("--profile", nargs="?", const="profile",
-                       metavar="BASE",
+                       type=_output_path, metavar="BASE",
                        help="cProfile the engine: write BASE.pstats and "
                             "BASE.folded (collapsed stacks) and print the "
                             "top functions by cumulative time "
@@ -585,13 +608,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="single-core ME profiling")
     _add_common(p)
-    p.add_argument("--app", help="benchmark name (default: all 26)")
+    p.add_argument("--app", choices=[a.name for a in APPS], metavar="NAME",
+                   help="benchmark name (default: all 26)")
     add_engine_profile(p)
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("run", help="run one workload under one policy")
     _add_common(p)
-    p.add_argument("workload", help="Table 3 mix name, e.g. 4MEM-1")
+    p.add_argument("workload", type=str.upper, metavar="workload",
+                   choices=[m.name for m in WORKLOAD_MIXES],
+                   help="Table 3 mix name, e.g. 4MEM-1")
     p.add_argument("policy", help="policy name, e.g. ME-LREQ")
     g = p.add_argument_group("telemetry (docs/OBSERVABILITY.md)")
     g.add_argument("--telemetry", action="store_true",
@@ -599,21 +625,21 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sample-every", type=_positive_int, default=2000,
                    metavar="CYCLES",
                    help="sampler epoch length in cycles (default 2000)")
-    g.add_argument("--trace-out", metavar="PATH",
+    g.add_argument("--trace-out", type=_output_path, metavar="PATH",
                    help="write a Chrome trace-event file (Perfetto-loadable); "
                         "implies --telemetry and decision capture")
     g.add_argument("--trace-commands", action="store_true",
                    help="with --trace-out, also capture per-DRAM-command events")
-    g.add_argument("--telemetry-out", metavar="PATH",
+    g.add_argument("--telemetry-out", type=_output_path, metavar="PATH",
                    help="write the telemetry stream as JSONL; implies --telemetry")
-    g.add_argument("--telemetry-csv", metavar="PATH",
+    g.add_argument("--telemetry-csv", type=_output_path, metavar="PATH",
                    help="write the sampled series as CSV; implies --telemetry")
     g.add_argument("--spans", action="store_true",
                    help="trace sampled request lifecycles and print the "
                         "per-core latency-attribution table")
     g.add_argument("--span-sample", type=_positive_int, default=64, metavar="N",
                    help="trace every Nth request (default 64; 1 = all)")
-    g.add_argument("--spans-out", metavar="PATH",
+    g.add_argument("--spans-out", type=_output_path, metavar="PATH",
                    help="write traced spans + attribution as JSONL; "
                         "implies --spans")
     add_engine_profile(p)
@@ -624,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("number", type=int, choices=(2, 3, 4, 5))
     p.add_argument("--cores", type=int, nargs="+", default=[4],
                    choices=(2, 4, 8))
-    p.add_argument("--groups", nargs="+", default=["MEM"])
+    p.add_argument("--groups", nargs="+", default=["MEM"],
+                   choices=("MEM", "MIX"))
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     _add_parallel(p)
     p.set_defaults(fn=_cmd_figure)
@@ -757,7 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cores", type=int, nargs="+", default=[4],
                    choices=(2, 4, 8))
-    p.add_argument("--groups", nargs="+", default=["MEM"])
+    p.add_argument("--groups", nargs="+", default=["MEM"],
+                   choices=("MEM", "MIX"))
     p.add_argument("--mixes", nargs="+", default=["smoke"],
                    help="arena/cloud sections: mix-set and/or mix names")
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
@@ -804,6 +832,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "cache_dir", None) and not args.resume:
         parser.error("--cache-dir needs --resume (without it no result "
                      "cache is attached)")
+    if args.command == "run":
+        problem = _policy_error(args.policy, args.workload)
+        if problem:
+            parser.error(problem)
     try:
         return args.fn(args)
     except KeyboardInterrupt:

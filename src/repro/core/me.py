@@ -33,6 +33,8 @@ class MemoryEfficiencyPolicy(SchedulingPolicy):
         — see :mod:`repro.metrics.memory_efficiency`.
     """
 
+    reads_me = True
+
     def __init__(self, me_values: Sequence[float]) -> None:
         super().__init__()
         if not me_values:

@@ -43,6 +43,8 @@ class MeLreqPolicy(SchedulingPolicy):
         implementation, used by the quantisation ablation.
     """
 
+    reads_me = True
+
     def __init__(
         self,
         me_values: Sequence[float],
@@ -112,6 +114,9 @@ class OnlineMeLreqPolicy(MeLreqPolicy):
     :meth:`observe_window`; until the first window closes the policy falls
     back to equal priorities, i.e. pure LREQ behaviour.
     """
+
+    #: estimates ME at run time; takes no offline profile
+    reads_me = False
 
     def __init__(
         self,

@@ -117,6 +117,11 @@ class SchedulingPolicy(ABC):
     #: policy's selection (Section 4.1); FCFS/RF opt out
     hit_first_global: bool = True
 
+    #: construction takes the profiled memory-efficiency vector
+    #: (``me_values``, Eq. 1), so this policy's runs depend on the offline
+    #: ME profile; ME and ME-LREQ opt in
+    reads_me: bool = False
+
     def __init__(self) -> None:
         self.num_cores: int = 0
 

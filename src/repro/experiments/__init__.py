@@ -17,7 +17,6 @@ short-run noise of the scaled-down instruction budgets.
 
 from repro.experiments.ablations import (
     ablation_lookahead,
-    ablation_online_phases,
     ablation_page_policy,
     ablation_table_bits,
     ablation_write_drain,
@@ -42,10 +41,6 @@ from repro.experiments.cloud import (
     format_cloud,
     run_cloud,
     run_cloud_table,
-)
-from repro.experiments.extensions_study import (
-    format_extension_study,
-    run_extension_study,
 )
 from repro.experiments.figure2 import Figure2Row, run_figure2
 from repro.experiments.figure3 import run_figure3
@@ -80,7 +75,6 @@ __all__ = [
     "ResultCache",
     "ServiceStats",
     "ablation_lookahead",
-    "ablation_online_phases",
     "ablation_page_policy",
     "ablation_table_bits",
     "ablation_write_drain",
@@ -89,7 +83,6 @@ __all__ = [
     "format_arena",
     "format_arena_per_mix",
     "format_cloud",
-    "format_extension_study",
     "run_arena",
     "run_arena_per_mix",
     "run_cloud",
@@ -97,7 +90,6 @@ __all__ = [
     "merge_into",
     "plan_cells",
     "run_cells",
-    "run_extension_study",
     "run_figure2",
     "run_figure3",
     "run_figure4",

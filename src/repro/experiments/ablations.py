@@ -27,7 +27,6 @@ __all__ = [
     "ablation_page_policy",
     "ablation_write_drain",
     "ablation_lookahead",
-    "ablation_online_phases",
     "ablation_cell_specs",
     "AblationSpec",
 ]
@@ -133,68 +132,6 @@ def ablation_write_drain(
             for seed in ctx.seeds
         ]
         out[f"high={high},low={low}"] = sum(vals) / len(vals)
-    return out
-
-
-def ablation_online_phases(
-    ctx: ExperimentContext,
-    workload: str = "4MEM-1",
-    phase_period: int = 3_000,
-    window: int = 20_000,
-) -> dict[str, float]:
-    """Offline vs online ME-LREQ on *phase-changing* applications.
-
-    The paper's offline profile is a long-run average; when applications
-    alternate between memory-heavy and compute phases
-    (``AppProfile.phase_period``), the online estimator (Section 3.1's
-    future-work sketch) can track the change while the offline table
-    cannot.  Returns seed-averaged SMT speedups for LREQ, offline
-    ME-LREQ, and online ME-LREQ on the phased variant of ``workload``.
-    """
-    import dataclasses
-
-    from repro.core.me_lreq import MeLreqPolicy, OnlineMeLreqPolicy
-    from repro.core.registry import make_policy
-    from repro.metrics.speedup import smt_speedup as _speedup
-    from repro.sim.system import MultiCoreSystem
-    from repro.workloads.synthetic import make_trace
-
-    base_mix = workload_by_name(workload)
-    phased_apps = [
-        dataclasses.replace(a, phase_period=phase_period)
-        for a in base_mix.apps()
-    ]
-
-    def run_with(policy_builder, seed):
-        traces = [
-            make_trace(a, seed, "eval", i) for i, a in enumerate(phased_apps)
-        ]
-        sys_ = MultiCoreSystem(
-            ctx.config.with_cores(base_mix.num_cores),
-            policy_builder(seed),
-            traces,
-            ctx.inst_budget,
-            warmup_insts=ctx.warmup_insts,
-            seed=seed,
-            lookahead=ctx.lookahead,
-        )
-        sys_.run()
-        ipcs = [c.ipc() for c in sys_.cores]
-        # note: the speedup baseline uses the stationary single-core IPCs;
-        # all three variants share it, so comparisons are unaffected
-        return _speedup(ipcs, ctx.single_ipcs(base_mix, seed))
-
-    out: dict[str, float] = {}
-    variants = {
-        "LREQ": lambda seed: make_policy("LREQ"),
-        "ME-LREQ offline": lambda seed: MeLreqPolicy(
-            ctx.me_values(base_mix, seed)
-        ),
-        "ME-LREQ online": lambda seed: OnlineMeLreqPolicy(window=window),
-    }
-    for label, builder in variants.items():
-        vals = [run_with(builder, seed) for seed in ctx.seeds]
-        out[label] = sum(vals) / len(vals)
     return out
 
 

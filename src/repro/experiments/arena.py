@@ -39,6 +39,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.core.registry import policy_complexity, registered_policies
+from repro.experiments.cells import eval_cell, execute_cell
 from repro.experiments.harness import ExperimentContext, mean
 from repro.metrics.speedup import slowdowns
 from repro.workloads.mixes import Mix, mixes_for, workload_by_name
@@ -165,9 +166,7 @@ def run_arena(
                 for core in r.per_core:
                     digest.update(core.ipc.hex().encode())
                     digest.update(core.avg_read_latency.hex().encode())
-        cost = policy_complexity(
-            "FIX" if label.upper() == FIX_LABEL else label, max_cores
-        )
+        cost = policy_complexity(label, max_cores)
         rows.append(
             ArenaRow(
                 policy=label.upper(),
@@ -303,12 +302,12 @@ def arena_anatomy(
 ) -> str:
     """Per-policy latency anatomy on the mix set's first mix.
 
-    Reruns the first mix once per policy with request-span tracing and
-    renders the stall-attribution breakdown under each policy heading.
-    These runs are outside the memo/cache (they carry telemetry), so the
-    anatomy is an optional appendix, not part of the ranking contract.
+    Reruns the first mix's eval cell once per policy with request-span
+    tracing and renders the stall-attribution breakdown under each
+    policy heading.  These capture runs bypass the memo and the cache
+    (they carry a live telemetry hub), so the anatomy is an optional
+    appendix, not part of the ranking contract.
     """
-    from repro.sim.runner import run_multicore
     from repro.telemetry import Telemetry
     from repro.telemetry.attribution import attribute, format_attribution
 
@@ -317,24 +316,9 @@ def arena_anatomy(
     seed = ctx.seeds[0]
     blocks: list[str] = [f"== latency anatomy ({mix.name}, seed {seed}) =="]
     for label in pols:
-        name = concrete_policy(label, mix)
         hub = Telemetry(capture_spans=True, span_sample=span_sample)
-        me = (
-            ctx.me_values(mix, seed)
-            if name in ("ME", "ME-LREQ")
-            else None
-        )
-        run_multicore(
-            mix,
-            name,
-            inst_budget=ctx.inst_budget,
-            seed=seed,
-            me_values=me,
-            warmup_insts=ctx.warmup_insts,
-            config=ctx.config,
-            lookahead=ctx.lookahead,
-            telemetry=hub,
-        )
+        cell = eval_cell(ctx, mix.name, concrete_policy(label, mix), seed)
+        execute_cell(ctx.resolve(cell), telemetry=hub)
         report = attribute(hub, kind="read")
         blocks.append(f"\n-- {label.upper()} --")
         blocks.append(format_attribution(report))

@@ -54,9 +54,9 @@ import os
 from dataclasses import dataclass, field, replace
 
 from repro.config import SystemConfig
+from repro.core.registry import make_policy, reads_me
 
 __all__ = [
-    "ME_FAMILY",
     "CellKey",
     "Cell",
     "CellFault",
@@ -70,13 +70,8 @@ __all__ = [
     "eval_cell",
     "custom_cell",
     "cloud_cell",
-    "policy_from_spec",
     "execute_cell",
 ]
-
-#: policies whose construction consumes the profiled ME vector — their
-#: results (and cache keys) therefore depend on the profiling budget.
-ME_FAMILY = ("ME", "ME-LREQ")
 
 
 @dataclass(frozen=True)
@@ -85,9 +80,10 @@ class CellKey:
 
     Every field that can change the simulated statistics is part of the
     key; nothing else is.  ``profile_budget`` is 0 for cells whose result
-    does not depend on profiling (non-ME policies, profile/single cells
-    carry their budget in ``inst_budget``), so changing the profiling
-    budget invalidates exactly the ME-dependent entries.
+    does not depend on profiling (policies that do not read ME;
+    profile/single cells carry their budget in ``inst_budget``), so
+    changing the profiling budget invalidates exactly the ME-dependent
+    entries.
     """
 
     kind: str  # "profile" | "single" | "eval" | "custom" | "cloud"
@@ -176,7 +172,7 @@ def eval_cell_key(mix_name: str, policy: str, seed: int, inst_budget: int,
         kind="eval", workload=mix_name, policy=policy, seed=seed,
         inst_budget=inst_budget, warmup=warmup,
         config_digest=config.digest(), lookahead=lookahead,
-        profile_budget=profile_budget if policy in ME_FAMILY else 0,
+        profile_budget=profile_budget if reads_me(policy) else 0,
     )
 
 
@@ -192,7 +188,7 @@ def custom_cell_key(mix_name: str, policy: str, policy_args: tuple,
     ablation profiles on the baseline machine but runs on the variant).
     """
     policy = policy.upper()
-    needs_me = policy in ME_FAMILY
+    needs_me = reads_me(policy)
     args = tuple(sorted(tuple(kv) for kv in policy_args))
     if needs_me and me_config is not None:
         me_digest = me_config.with_cores(1).digest()
@@ -213,7 +209,7 @@ def cloud_cell_key(mix_name: str, policy: str, seed: int, inst_budget: int,
 
     ``config`` is the base machine; the digest is taken over the derived
     datacenter-class configuration.  ``profile_budget`` matters only for
-    ME-family policies, whose *batch-core* ranks come from profiling
+    policies that read ME, whose *batch-core* ranks come from profiling
     (service cores carry pinned ranks in their profiles).
     """
     from repro.workloads.cloud import cloud_mix_by_name, cloud_system_config
@@ -225,7 +221,7 @@ def cloud_cell_key(mix_name: str, policy: str, seed: int, inst_budget: int,
         inst_budget=inst_budget, warmup=warmup,
         config_digest=cloud_system_config(config, mix.num_cores).digest(),
         lookahead=lookahead,
-        profile_budget=profile_budget if policy in ME_FAMILY else 0,
+        profile_budget=profile_budget if reads_me(policy) else 0,
     )
 
 
@@ -236,8 +232,8 @@ class Cell:
     ``me_values`` is resolved by the scheduler from the profile cells the
     cell depends on (``me_deps``, one per core in mix order) before
     dispatch; a cell executed standalone with ``me_values=None`` and a
-    ME-family policy profiles in-process (bit-identical — the profile is
-    itself deterministic).
+    policy that reads ME profiles in-process (bit-identical — the profile
+    is itself deterministic).
     """
 
     key: CellKey
@@ -249,11 +245,11 @@ class Cell:
     def with_resolved_me(self, lookup) -> "Cell | None":
         """This cell ready to execute.
 
-        An ME-family cell gets the ME vector of the profile payloads
-        ``lookup(dep_key)`` returns for its ``me_deps``; None when one
-        of them has no payload.  Any other cell is returned unchanged.
+        A cell with ``me_deps`` gets the ME vector of the profile payloads
+        ``lookup(dep_key)`` returns for them; None when one of them has
+        no payload.  Any other cell is returned unchanged.
         """
-        if self.me_values is not None or self.key.policy not in ME_FAMILY:
+        if self.me_values is not None or not self.me_deps:
             return self
         profiles = [lookup(dep) for dep in self.me_deps]
         if any(p is None for p in profiles):
@@ -278,7 +274,11 @@ def single_cell(ctx, code: str, seed: int) -> Cell:
                 config=ctx.config)
 
 
-def _profile_deps(ctx, codes, seed: int) -> tuple[CellKey, ...]:
+def _me_deps(ctx, policy: str, codes, seed: int) -> tuple[CellKey, ...]:
+    """Profile cells a run of ``policy`` waits for: one per code when it
+    reads ME, none otherwise."""
+    if not reads_me(policy):
+        return ()
     # ME profiles always come from the context's baseline machine.
     return tuple(
         profile_cell_key(code, seed, ctx.profile_budget, ctx.config)
@@ -294,10 +294,8 @@ def eval_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
     key = eval_cell_key(mix.name, policy, seed, ctx.inst_budget,
                         ctx.warmup_insts, ctx.lookahead, ctx.config,
                         ctx.profile_budget)
-    deps = ()
-    if key.policy in ME_FAMILY:
-        deps = _profile_deps(ctx, mix.codes, seed)
-    return Cell(key=key, config=ctx.config, me_deps=deps)
+    return Cell(key=key, config=ctx.config,
+                me_deps=_me_deps(ctx, policy, mix.codes, seed))
 
 
 def custom_cell(ctx, mix_name: str, policy: str, seed: int,
@@ -314,10 +312,8 @@ def custom_cell(ctx, mix_name: str, policy: str, seed: int,
         ctx.warmup_insts, lookahead, config, ctx.profile_budget,
         me_config=ctx.config if config is not ctx.config else None,
     )
-    deps = ()
-    if key.policy in ME_FAMILY:
-        deps = _profile_deps(ctx, mix.codes, seed)
-    return Cell(key=key, config=config, me_deps=deps,
+    return Cell(key=key, config=config,
+                me_deps=_me_deps(ctx, policy, mix.codes, seed),
                 policy_ctor_args=tuple(policy_args))
 
 
@@ -329,10 +325,8 @@ def cloud_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
     key = cloud_cell_key(mix.name, policy, seed, ctx.inst_budget,
                          ctx.warmup_insts, ctx.lookahead, ctx.config,
                          ctx.profile_budget)
-    deps = ()
-    if key.policy in ME_FAMILY:
-        # Batch cores only: service cores carry pinned ME ranks.
-        deps = _profile_deps(ctx, [a.code for a in mix.batch_apps()], seed)
+    # Batch cores only: service cores carry pinned ME ranks.
+    deps = _me_deps(ctx, policy, [a.code for a in mix.batch_apps()], seed)
     return Cell(key=key, config=ctx.config, me_deps=deps)
 
 
@@ -355,20 +349,7 @@ def _maybe_inject_fault(key: CellKey, attempt: int) -> None:
     raise CellFault(f"injected fault for {key.key_str()} (attempt {attempt})")
 
 
-def policy_from_spec(name: str, args: tuple,
-                     me_values: tuple[float, ...] | None):
-    """Build a policy from its canonical (name, ctor-args) spec."""
-    from repro.core.registry import make_policy
-
-    kwargs = {k: v for k, v in args if not k.startswith("__")}
-    if name.upper() in ME_FAMILY:
-        if me_values is None:
-            raise ValueError(f"policy {name} requires me_values")
-        return make_policy(name, me_values=me_values, **kwargs)
-    return make_policy(name, **kwargs)
-
-
-def execute_cell(cell: Cell, attempt: int = 0):
+def execute_cell(cell: Cell, attempt: int = 0, telemetry=None):
     """Run one cell standalone; returns its payload.
 
     * ``profile`` -> :class:`MeProfile`
@@ -377,7 +358,11 @@ def execute_cell(cell: Cell, attempt: int = 0):
     * ``cloud``   -> :class:`~repro.experiments.cloud.CloudResult`
 
     Pure function of the cell (given a resolved ``me_values``): no
-    telemetry, no shared state — safe to run in any process.
+    shared state — safe to run in any process.  ``telemetry`` attaches a
+    live :class:`~repro.telemetry.hub.Telemetry` hub to an eval/custom
+    run (a capture run: ``repro run --telemetry``, ``arena --anatomy``);
+    the statistics are unchanged, but the result carries the hub, so
+    capture results are never memoised or cached.
     """
     from repro.metrics.memory_efficiency import MeProfiler
     from repro.sim.runner import run_multicore
@@ -398,18 +383,19 @@ def execute_cell(cell: Cell, attempt: int = 0):
     if key.kind in ("eval", "custom"):
         mix = workload_by_name(key.workload)
         me = cell.me_values
-        if me is None and key.policy in ME_FAMILY:
+        if me is None and reads_me(key.policy):
             # Standalone fallback: profile in-process, exactly as
             # MeProfiler would (deterministic, so still bit-identical).
             profiler = MeProfiler(
                 key.profile_budget, seed=key.seed, config=cell.config
             )
             me = profiler.me_values(mix)
-        policy = policy_from_spec(key.policy, cell.policy_ctor_args, me)
+        policy = make_policy(key.policy, me_values=me,
+                             **dict(cell.policy_ctor_args))
         return run_multicore(
             mix, policy, inst_budget=key.inst_budget, seed=key.seed,
             warmup_insts=key.warmup, config=cell.config,
-            lookahead=key.lookahead,
+            lookahead=key.lookahead, telemetry=telemetry,
         )
 
     if key.kind == "cloud":
@@ -418,7 +404,7 @@ def execute_cell(cell: Cell, attempt: int = 0):
 
         mix = cloud_mix_by_name(key.workload)
         me = cell.me_values  # batch-core ME ranks (batch-core order)
-        if me is None and key.policy in ME_FAMILY:
+        if me is None and reads_me(key.policy):
             profiler = MeProfiler(
                 key.profile_budget, seed=key.seed, config=cell.config
             )

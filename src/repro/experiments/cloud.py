@@ -165,13 +165,9 @@ def run_cloud(
     base = config or SystemConfig()
     cfg = cloud_system_config(base, mix.num_cores)
     if isinstance(policy, str):
-        name = policy.upper()
-        if name in ("ME", "ME-LREQ"):
-            if me_values is None:
-                raise ValueError(f"policy {name} requires me_values (batch cores)")
-            policy = make_policy(name, me_values=_full_me_vector(mix, me_values))
-        else:
-            policy = make_policy(name)
+        if me_values is not None:
+            me_values = _full_me_vector(mix, me_values)
+        policy = make_policy(policy, me_values=me_values)
     traces = []
     for i, c in enumerate(mix.codes):
         if c.isupper():
@@ -260,7 +256,7 @@ def run_cloud(
 
 def _full_me_vector(mix: CloudMix, batch_me: tuple[float, ...]) -> tuple[float, ...]:
     """Interleave pinned service ME ranks with the measured batch ranks
-    into the full per-core vector the ME-family policies expect."""
+    into the full per-core vector the policies that read ME expect."""
     if len(batch_me) != len(mix.batch_cores()):
         raise ValueError(
             f"{mix.name} has {len(mix.batch_cores())} batch cores, "

@@ -118,12 +118,17 @@ class ExperimentContext:
         if self.cache is not None:
             result = self.cache.get(key)
         if result is None:
-            result = execute_cell(cell.with_resolved_me(
-                lambda dep: self._get(Cell(key=dep, config=self.config))))
+            result = execute_cell(self.resolve(cell))
             if self.cache is not None:
                 self.cache.put(key, result)
         self.memo[key] = result
         return result
+
+    def resolve(self, cell: Cell) -> Cell:
+        """``cell`` ready to execute: its ME vector (if it has ``me_deps``)
+        read from this context's profile cells."""
+        return cell.with_resolved_me(
+            lambda dep: self._get(Cell(key=dep, config=self.config)))
 
     # -- single-core cells --------------------------------------------------------
 

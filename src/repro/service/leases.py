@@ -22,8 +22,8 @@ Lifecycle of one cell::
   (worker exception, SHA mismatch, lease expiry, disconnect) goes back
   to ``pending`` until it has been leased ``max_attempts`` times, then
   it is ``failed`` permanently and reported to every submitting client.
-* **Dependencies** — an ME-family cell without a resolved ME vector is
-  not ready until every profile cell it depends on has finished; the
+* **Dependencies** — a cell with ``me_deps`` and no resolved ME vector
+  is not ready until every profile cell it depends on has finished; the
   board resolves the vector at dispatch (:meth:`resolve`).  A dependency
   that is *absent from the board* or permanently failed does not block
   the cell: it ships with ``me_values=None`` and the worker profiles
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.experiments.cells import ME_FAMILY, Cell
+from repro.experiments.cells import Cell
 
 __all__ = ["TaskState", "TaskBoard"]
 
@@ -86,7 +86,7 @@ class TaskBoard:
 
     def _blocked(self, state: TaskState) -> bool:
         cell = state.cell
-        if cell.me_values is not None or cell.key.policy not in ME_FAMILY:
+        if cell.me_values is not None:
             return False
         for dep_key in cell.me_deps:
             dep = self.tasks.get(dep_key.digest())

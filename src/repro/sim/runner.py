@@ -160,22 +160,17 @@ def run_multicore(
 ) -> RunResult:
     """Run a Table 3 mix under ``policy``.
 
-    ``policy`` may be a name (``'ME'``/``'ME-LREQ'`` then require
-    ``me_values``, the per-core memory-efficiency profile) or a
-    ready-built :class:`SchedulingPolicy`.
+    ``policy`` may be a name (a policy that
+    :attr:`~repro.core.policy.SchedulingPolicy.reads_me` then requires
+    ``me_values``, the per-core memory-efficiency profile; the others
+    ignore it) or a ready-built :class:`SchedulingPolicy`.
 
     ``telemetry`` attaches a telemetry hub to the run; the same hub
     object comes back under ``result.extra['telemetry']``.
     """
     cfg = (config or SystemConfig()).with_cores(mix.num_cores)
     if isinstance(policy, str):
-        name = policy.upper()
-        if name in ("ME", "ME-LREQ"):
-            if me_values is None:
-                raise ValueError(f"policy {name} requires me_values")
-            policy = make_policy(name, me_values=me_values)
-        else:
-            policy = make_policy(name)
+        policy = make_policy(policy, me_values=me_values)
     apps = mix.apps()
     traces = [
         make_trace(app, seed, phase, core_id=i) for i, app in enumerate(apps)

@@ -48,12 +48,6 @@ class AppProfile:
     hot_kb: int = 16  # L1-resident working set
     l2_set_kb: int = 48  # L2-resident working set
     l2_frac: float = 0.10  # fraction of ops hitting the L2-resident set
-    #: phase behaviour (extension; 0 = stationary, the calibrated default).
-    #: With a period set, the app alternates every ``phase_period`` memory
-    #: ops between its nominal miss rate and ``mpki * phase_mpki_scale`` --
-    #: the 'changes of running phases' the paper's online-ME sketch targets.
-    phase_period: int = 0
-    phase_mpki_scale: float = 0.1
 
     def validate(self) -> None:
         if self.klass not in ("MEM", "ILP"):
@@ -78,10 +72,6 @@ class AppProfile:
             raise ValueError(f"{self.name}: stride_lines must be >= 1")
         if self.mpki > self.mem_ratio * 1000:
             raise ValueError(f"{self.name}: more misses than memory ops")
-        if self.phase_period < 0:
-            raise ValueError(f"{self.name}: phase_period must be >= 0")
-        if self.phase_mpki_scale < 0:
-            raise ValueError(f"{self.name}: phase_mpki_scale must be >= 0")
 
 
 def _m(name, code, me, mpki, seq, burst, **kw) -> AppProfile:

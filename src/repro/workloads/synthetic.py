@@ -103,8 +103,6 @@ class SyntheticApp:
         "_hot_base",
         "_l2_base",
         "_prologue_left",
-        "_phase_scale",
-        "ops_generated",
         "_grandom",
         "_gints",
         "_ggeom",
@@ -112,7 +110,6 @@ class SyntheticApp:
         "_burst_len_pc",
         "_store_frac",
         "_l2_frac",
-        "_phase_period",
         "_prologue_gaps",
     )
 
@@ -150,7 +147,6 @@ class SyntheticApp:
         # Per-op profile constants, flattened off the frozen dataclass.
         self._store_frac = p.store_frac
         self._l2_frac = p.l2_frac
-        self._phase_period = p.phase_period
         # Concurrent strided array streams: [line_cursor, accesses_left].
         self._streams: list[list[int]] = [[0, 0] for _ in range(p.n_streams)]
         self._stream_idx = 0
@@ -171,8 +167,6 @@ class SyntheticApp:
         # per-application mpki targets).
         self._prologue_left = hot_count + l2_count
         self._prologue_gaps: list[int] | None = None
-        self._phase_scale = 1.0
-        self.ops_generated = 0
         for s in self._streams:
             self._reseat_stream(s)
 
@@ -237,29 +231,12 @@ class SyntheticApp:
         else:
             line = self._l2_base + (idx - self._hot_lines)
         gap = gaps[idx] - 1
-        self.ops_generated += 1
         return MemOp(gap, self.base_addr + line * LINE, False)
-
-    def _phase_tick(self) -> None:
-        """Alternate the miss-rate scale between program phases.
-
-        With ``phase_period`` ops per phase, even phases run at the
-        nominal mpki and odd phases at ``mpki * phase_mpki_scale`` — the
-        runtime behaviour change the online-ME extension is meant to
-        track (stationary by default: period 0).
-        """
-        p = self.profile
-        if p.phase_period <= 0:
-            return
-        phase = (self.ops_generated // p.phase_period) & 1
-        self._phase_scale = 1.0 if phase == 0 else p.phase_mpki_scale
 
     def next_op(self) -> MemOp:
         """Generate the next memory operation (never ``None``: infinite)."""
         if self._prologue_left > 0:
             return self._prologue_op()
-        if self._phase_period > 0:  # stationary profiles skip the call
-            self._phase_tick()
         if self._burst_left > 0:
             # Inside a miss burst: tight gaps keep the misses within one
             # ROB window so they overlap (that is what MLP means here).
@@ -267,11 +244,10 @@ class SyntheticApp:
             gap = int(self._ggeom(0.5)) - 1  # mean 1
             addr = self._miss_addr()
             is_write = bool(self._grandom() < self._store_frac)
-            self.ops_generated += 1
             return MemOp(gap, addr, is_write)
         gap = int(self._ggeom(self._gap_pc)) - 1
         roll = self._grandom()
-        if roll < self._burst_start_p * self._phase_scale:
+        if roll < self._burst_start_p:
             # Start a new miss burst; this op is its first miss.
             length = int(self._ggeom(self._burst_len_pc))
             self._burst_left = length - 1
@@ -281,7 +257,6 @@ class SyntheticApp:
         else:
             addr = self._hot_addr()
         is_write = bool(self._grandom() < self._store_frac)
-        self.ops_generated += 1
         return MemOp(gap, addr, is_write)
 
 

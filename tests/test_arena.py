@@ -144,3 +144,34 @@ class TestPerMixDrillDown:
         )
 
         assert parallel_table == serial_table
+
+
+class TestAnatomy:
+    """``repro arena --anatomy``: capture runs of the arena's own eval
+    cells, appended after the ranking table."""
+
+    POLICIES = ("HF-RF", "ME-LREQ")
+
+    def test_one_attribution_row_per_core_under_each_policy(self):
+        from repro.experiments import arena_anatomy
+
+        text = arena_anatomy(small_ctx(), mixes=MIXES,
+                             policies=self.POLICIES)
+        assert text.startswith("== latency anatomy (2MEM-1, seed 1) ==")
+        blocks = text.split("\n-- ")[1:]
+        assert [b.split(" --")[0] for b in blocks] == list(self.POLICIES)
+        for block in blocks:
+            rows = [line.split()[0] for line in block.splitlines()[3:]]
+            assert rows == ["0", "1"]
+
+    def test_cli_appends_anatomy_after_the_unchanged_table(self, capsys):
+        from repro.cli import main
+
+        argv = ["arena", "--mixes", *MIXES, "--policies", *self.POLICIES,
+                "--budget", str(BUDGET)]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--anatomy"]) == 0
+        full = capsys.readouterr().out
+        assert full.startswith(plain)
+        assert full[len(plain):].startswith("\n== latency anatomy")

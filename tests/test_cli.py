@@ -43,6 +43,40 @@ class TestParser:
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--budget", "0"],
+        ["figure", "2", "--cores", "2", "--budget", "0"],
+        ["run", "2MEM-1", "HF-RF", "--budget", "-5"],
+        ["profile", "--budget", "0"],
+        ["submit", "h:1", "--budget", "0"],
+        ["figure", "2", "--jobs", "-3"],
+        ["figure", "2", "--groups", "FOO"],
+        ["submit", "h:1", "--groups", "FOO"],
+        ["run", "9MEM-1", "HF-RF"],
+        ["profile", "--app", "nosuch"],
+        ["run", "2MEM-1", "HF-RF", "--telemetry-csv", "/nonexistent/x.csv"],
+        ["run", "2MEM-1", "HF-RF", "--telemetry-out", "/nonexistent/x.jsonl"],
+        ["run", "2MEM-1", "HF-RF", "--trace-out", "/nonexistent/x.json"],
+        ["run", "2MEM-1", "HF-RF", "--spans-out", "/nonexistent/x.jsonl"],
+        ["run", "2MEM-1", "HF-RF", "--profile", "/nonexistent/prof"],
+        ["profile", "--profile", "/nonexistent/prof"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_inputs_that_break_a_verb_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["nonsense", "FIX-3210", "FIX-00"])
+    def test_policy_that_cannot_run_the_mix_is_a_usage_error(self, policy,
+                                                             capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "2MEM-1", policy, "--budget", "1000"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert policy in out.err
+        assert out.out == ""  # rejected before anything simulated
+
     @pytest.mark.parametrize(
         "verb", [["figure", "2"], ["table2"], ["arena"], ["cloud"]])
     def test_cache_dir_needs_resume(self, verb, tmp_path, capsys):
@@ -78,3 +112,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SMT speedup" in out
         assert "unfairness" in out
+
+    @pytest.mark.parametrize("policy, profiles", [("HF-RF", 0),
+                                                  ("ME-LREQ", 2)])
+    def test_run_profiles_me_only_for_policies_that_read_it(
+            self, policy, profiles, monkeypatch, capsys):
+        from repro.metrics.memory_efficiency import MeProfiler
+
+        calls = []
+        real = MeProfiler.profile
+
+        def counting(self, app):
+            calls.append(app.code)
+            return real(self, app)
+
+        monkeypatch.setattr(MeProfiler, "profile", counting)
+        assert main(["run", "2MEM-1", policy, "--budget", "2000"]) == 0
+        assert len(calls) == profiles
+
+    def test_capture_leaves_run_results_unchanged(self, capsys):
+        argv = ["run", "2MEM-1", "ME-LREQ", "--budget", "3000"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--spans"]) == 0
+        traced = capsys.readouterr().out
+        assert traced.startswith(plain)
+        assert "latency attribution" in traced[len(plain):]

@@ -128,22 +128,6 @@ class TestTable2:
         assert rank_correlation(rows) == pytest.approx(-1.0)
 
 
-class TestExtensionStudy:
-    def test_tiny_study(self, ctx):
-        from repro.experiments.extensions_study import (
-            format_extension_study,
-            run_extension_study,
-        )
-
-        outcomes = run_extension_study(
-            ctx, num_cores=2, policies=("HF-RF", "LREQ", "FQ")
-        )
-        assert [o.policy for o in outcomes] == ["HF-RF", "LREQ", "FQ"]
-        assert all(o.avg_speedup > 0 for o in outcomes)
-        text = format_extension_study(outcomes)
-        assert "FQ" in text and "vs HF-RF" in text
-
-
 class TestAblations:
     def test_page_policy_ablation(self, ctx):
         from repro.experiments import ablation_page_policy
@@ -166,12 +150,3 @@ class TestAblations:
 
         res = ablation_lookahead(ctx, workload="2MEM-1", lookaheads=(64, 256))
         assert set(res) == {64, 256}
-
-    def test_online_phase_ablation(self, ctx):
-        from repro.experiments import ablation_online_phases
-
-        res = ablation_online_phases(
-            ctx, workload="2MEM-1", phase_period=1000, window=5000
-        )
-        assert set(res) == {"LREQ", "ME-LREQ offline", "ME-LREQ online"}
-        assert all(v > 0 for v in res.values())

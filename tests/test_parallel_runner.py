@@ -18,13 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.registry import reads_me
 from repro.experiments.cache import ResultCache
-from repro.experiments.cells import (
-    ME_FAMILY,
-    Cell,
-    eval_cell_key,
-    profile_cell_key,
-)
+from repro.experiments.cells import Cell, eval_cell_key, profile_cell_key
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.harness import ExperimentContext
 from repro.experiments.parallel import merge_into, plan_cells, run_cells
@@ -111,7 +107,7 @@ def test_parallel_reproduces_golden_fingerprints():
     for policy in ("HF-RF", "ME-LREQ", "RR", "LREQ"):
         key = eval_cell_key(mix.name, policy, 7, 2500, 2000, 256, cfg, 2000)
         deps = ()
-        if policy in ME_FAMILY:
+        if reads_me(policy):
             deps = tuple(profile_cell_key(c, 7, 2000, cfg)
                          for c in mix.codes)
             cells.extend(Cell(key=d, config=cfg) for d in deps)

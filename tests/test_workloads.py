@@ -247,47 +247,3 @@ class TestMpkiContract:
         measured_mpki = misses / insts * 1000
         # generous band: stochastic burst structure wobbles short windows
         assert measured_mpki == pytest.approx(app.mpki, rel=0.35, abs=0.05)
-
-
-class TestPhaseBehaviour:
-    """Optional phase alternation (extension for the online-ME study)."""
-
-    def _miss_count(self, trace, n_ops):
-        from repro.workloads.synthetic import _CHASE_BASE_LINE
-
-        misses = 0
-        for _ in range(n_ops):
-            op = trace.next_op()
-            if (op.addr - trace.base_addr) // 64 >= _CHASE_BASE_LINE:
-                misses += 1
-        return misses
-
-    def test_stationary_by_default(self):
-        app = app_by_code("c")
-        assert app.phase_period == 0
-
-    def test_phases_modulate_miss_rate(self):
-        import dataclasses
-
-        base = app_by_code("c")
-        phased = dataclasses.replace(
-            base, phase_period=4000, phase_mpki_scale=0.05
-        )
-        t = make_trace(phased, seed=3, phase="eval")
-        for _ in range(t._hot_lines + t._l2_lines):
-            t.next_op()
-        # phase 0 (nominal) vs phase 1 (scaled down)
-        hot_phase = self._miss_count(t, 3500)
-        t.next_op()  # cross into odd phase territory
-        while (t.ops_generated // 4000) % 2 == 0:
-            t.next_op()
-        cold_phase = self._miss_count(t, 3500)
-        assert cold_phase < hot_phase * 0.5
-
-    def test_phase_validation(self):
-        import dataclasses
-
-        with pytest.raises(ValueError):
-            dataclasses.replace(app_by_code("c"), phase_period=-1).validate()
-        with pytest.raises(ValueError):
-            dataclasses.replace(app_by_code("c"), phase_mpki_scale=-0.1).validate()
