@@ -28,7 +28,7 @@ import argparse
 import sys
 import time
 
-from repro.cli import _non_negative_int, _positive_int
+from repro.cli import _non_negative_int, _output_path, _positive_int
 from repro.experiments import (
     ExperimentContext,
     ablation_lookahead,
@@ -329,7 +329,8 @@ def _main(argv=None) -> int:
     ap.add_argument("--warmup", type=int, default=None,
                     help="warmup instructions per core (default: harness)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--out", help="write the markdown here as well as stdout")
+    ap.add_argument("--out", type=_output_path,
+                    help="write the markdown here as well as stdout")
     ap.add_argument("--skip-ablations", action="store_true")
     ap.add_argument("--quick", action="store_true",
                     help="4-core MEM Figure 2 panel only (smoke run)")

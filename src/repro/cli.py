@@ -736,14 +736,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--telemetry", action="store_true",
                    help="collect fleet metrics (lease/queue/worker "
                         "counters) and serve them via status requests")
-    g.add_argument("--trace-out", metavar="PATH",
+    g.add_argument("--trace-out", type=_output_path, metavar="PATH",
                    help="record coordinator lease slices as a fleet trace "
                         "(JSONL; merge with 'repro obs merge-trace'); "
                         "implies --telemetry")
-    g.add_argument("--metrics-out", metavar="PATH",
+    g.add_argument("--metrics-out", type=_output_path, metavar="PATH",
                    help="append periodic metrics snapshots as JSONL; "
                         "implies --telemetry")
-    g.add_argument("--prometheus-out", metavar="PATH",
+    g.add_argument("--prometheus-out", type=_output_path, metavar="PATH",
                    help="write the latest snapshot in Prometheus text "
                         "format (textfile-collector ready); implies "
                         "--telemetry")
@@ -765,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--telemetry", action="store_true",
                    help="record a fleet trace of executed cells "
                         "(default file: fleet-worker-<id>.jsonl)")
-    g.add_argument("--trace-out", metavar="PATH",
+    g.add_argument("--trace-out", type=_output_path, metavar="PATH",
                    help="fleet trace file (JSONL; merge with "
                         "'repro obs merge-trace'); implies --telemetry")
     g.add_argument("--sample-every", type=_positive_float, default=30.0,
@@ -801,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--telemetry", action="store_true",
                    help="print the coordinator's fleet snapshot after the "
                         "job completes")
-    g.add_argument("--trace-out", metavar="PATH",
+    g.add_argument("--trace-out", type=_output_path, metavar="PATH",
                    help="record result arrivals as a client-lane fleet "
                         "trace (JSONL; merge with 'repro obs merge-trace')")
     g.add_argument("--sample-every", type=_positive_float, default=1.0,

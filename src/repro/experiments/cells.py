@@ -242,18 +242,19 @@ class Cell:
     me_values: tuple[float, ...] | None = None
     policy_ctor_args: tuple = field(default=())
 
-    def with_resolved_me(self, lookup) -> "Cell | None":
+    def with_resolved_me(self, lookup) -> "Cell":
         """This cell ready to execute.
 
         A cell with ``me_deps`` gets the ME vector of the profile payloads
-        ``lookup(dep_key)`` returns for them; None when one of them has
-        no payload.  Any other cell is returned unchanged.
+        ``lookup(dep_key)`` returns for them.  When one of them has no
+        payload, or the cell has no ``me_deps``, it is returned unchanged
+        (and profiles in-process if its policy reads ME).
         """
         if self.me_values is not None or not self.me_deps:
             return self
         profiles = [lookup(dep) for dep in self.me_deps]
         if any(p is None for p in profiles):
-            return None
+            return self
         return replace(self, me_values=tuple(p.me for p in profiles))
 
 

@@ -7,10 +7,10 @@ seed)``.  This module
 1. **plans** the exact cell set behind the figure/table harnesses
    (:func:`plan_cells` — eval cells plus the profile / single-core cells
    their outcomes need),
-2. **shards** the cells across ``jobs`` worker processes
-   (:func:`run_cells` — with an on-disk :class:`ResultCache`
-   read-through, one retry per crashed cell, and a broken-pool fallback
-   that finishes the round serially instead of hanging), and
+2. **runs** the cells on ``jobs`` worker processes (:func:`run_cells` —
+   with an on-disk :class:`ResultCache` read-through, one retry per
+   failed cell, and a broken-pool fallback that finishes the sweep in
+   the parent instead of hanging), and
 3. **merges** the results into an :class:`ExperimentContext`
    (:func:`merge_into` — insertion in canonical cell-key order, never
    completion order).
@@ -20,16 +20,18 @@ unchanged and finds every simulation memoised, so the emitted tables are
 *bit-identical* to a serial run by construction: the same code computes
 every derived number from the same per-cell results.
 
-Scheduling runs in two rounds — single-core cells (profiles and
-speedup baselines) first, then multi-core cells — because ME-family
-policies consume the profiled ME vector; the scheduler resolves those
-values from round one and ships them with the cell, so workers never
-re-profile.
+Scheduling is the coordinator's
+:class:`~repro.experiments.board.TaskBoard`: policies that read ME
+consume the profiled ME vector, so the board holds each such cell back
+until its own profile cells land, then resolves the vector and ships it
+with the cell (workers never re-profile).  A cell whose profile failed
+for good profiles in-process instead — deterministic, hence still
+bit-identical.
 
 Progress: pass a :class:`~repro.telemetry.bus.TelemetryBus` and every
 cell completion emits an ``experiment.cell`` instant event (key, status
-``hit``/``run``/``retried``, seconds); a final ``experiment.cache``
-event carries the hit/miss statistics.
+``hit``/``run``/``retried``/``failed``, seconds); a final
+``experiment.cache`` event carries the hit/miss statistics.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def default_jobs() -> int:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """One cell that failed after its retry (or lost a dependency)."""
+    """One cell that failed after its retry."""
 
     key_str: str
     error: str
@@ -206,110 +208,79 @@ def _timed_execute(cell: Cell, attempt: int):
     return payload, time.perf_counter() - t0
 
 
-class _Progress:
-    """Counts completions and forwards them to the telemetry bus."""
-
-    def __init__(self, bus: TelemetryBus | None, total: int) -> None:
-        self.bus = bus
-        self.total = total
-        self.done = 0
-
-    def emit(self, key: CellKey, status: str, seconds: float) -> None:
-        self.done += 1
-        if self.bus is not None:
-            self.bus.emit(
-                "experiment.cell", "instant", cycle=self.done,
-                track="experiments", key=key.key_str(), status=status,
-                seconds=round(seconds, 4), done=self.done, total=self.total,
-            )
+def _release(board, state, error: str, settle) -> None:
+    """One attempt failed: requeue the cell, or settle it as failed."""
+    if board.release(state, error) == "failed":
+        settle(state, "failed")
 
 
-def _run_round_serial(cells, progress, failures, retried, results,
-                      attempt0: int = 0):
-    """Execute cells in-parent, in key order, with one retry each."""
-    executed = 0
-    for cell in cells:
-        try:
-            payload, dt = _timed_execute(cell, attempt0)
-            status = "retried" if attempt0 > 0 else "run"
-        except Exception:
-            try:
-                payload, dt = _timed_execute(cell, 1)
-                status = "retried"
-            except Exception as exc:
-                failures.append(CellFailure(cell.key.key_str(), repr(exc), 2))
-                progress.emit(cell.key, "failed", 0.0)
-                continue
-        if status == "retried":
-            retried.append(cell.key.key_str())
-        results[cell.key] = payload
-        executed += 1
-        progress.emit(cell.key, status, dt)
-    return executed
+def _run_round_serial(board, settle, *, after_crash: bool = False) -> None:
+    """Run the board's ready cells in the parent until it is settled.
 
-
-def _run_round_pool(cells, jobs, progress, failures, retried, results):
-    """Execute one round on a process pool; returns (executed, broken).
-
-    Worker exceptions are collected and the cell retried once in the
-    parent; a broken pool (hard worker crash) aborts the pool and the
-    unfinished cells run serially — a clear report, never a hung pool.
+    ``after_crash``: the parent is finishing a broken pool, so it never
+    runs a cell's first attempt — the test-only exit fault of
+    :func:`~repro.experiments.cells.execute_cell` would kill the parent.
     """
-    executed = 0
+    while ready := board.ready():
+        for state in ready:
+            attempt = max(state.attempts, 1) if after_crash else state.attempts
+            board.lease(state, "local", 0.0, 0.0, 0)  # never expires
+            try:
+                payload, dt = _timed_execute(board.resolve(state), attempt)
+            except Exception as exc:
+                _release(board, state, repr(exc), settle)
+            else:
+                settle(state, "run", payload, dt)
+
+
+def _run_round_pool(board, workers: int, settle) -> bool:
+    """Keep ``workers`` processes busy with the board's ready cells.
+
+    A cell starts as soon as its own ME profiles land, and a failed
+    attempt goes back on the board for its retry.  Returns False when a
+    hard worker crash broke the pool: the cells in flight are released
+    (their attempts count) and the caller finishes the sweep in-parent —
+    a clear report, never a hung pool.
+    """
+    pool = ProcessPoolExecutor(max_workers=workers)
+    in_flight = {}
     broken = False
-    pending_retry: list[Cell] = []
-    unfinished: list[Cell] = list(cells)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
     try:
-        futures = {pool.submit(_timed_execute, c, 0): c for c in cells}
-        not_done = set(futures)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+        while not broken:
+            for state in board.ready()[: workers - len(in_flight)]:
+                fut = pool.submit(_timed_execute, board.resolve(state),
+                                  state.attempts)
+                board.lease(state, "local", 0.0, 0.0, 0)
+                in_flight[fut] = state
+            if not in_flight:
+                break
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for fut in done:
-                cell = futures[fut]
+                state = in_flight.pop(fut)
                 try:
                     payload, dt = fut.result()
-                except BrokenProcessPool:
-                    raise
-                except Exception:
-                    pending_retry.append(cell)
-                    continue
-                results[cell.key] = payload
-                unfinished.remove(cell)
-                executed += 1
-                progress.emit(cell.key, "run", dt)
-        pool.shutdown(wait=True)
-    except BrokenProcessPool:
-        pool.shutdown(wait=False, cancel_futures=True)
+                except Exception as exc:
+                    broken = broken or isinstance(exc, BrokenProcessPool)
+                    _release(board, state, repr(exc), settle)
+                else:
+                    settle(state, "run", payload, dt)
+    except BrokenProcessPool:  # submit() found the pool already broken
         broken = True
-        # Everything not yet merged (including would-be retries) runs
-        # serially in the parent; that is their one retry.
-        leftovers = [c for c in unfinished if c not in pending_retry]
-        executed += _run_round_serial(
-            pending_retry + leftovers, progress, failures, retried, results,
-            attempt0=1,
-        )
-        return executed, broken
-    except (KeyboardInterrupt, SystemExit):
-        # Ctrl-C: release the pool without waiting for in-flight cells
-        # (the workers share our process group and die on the same
-        # SIGINT) and let the caller flush its partial report — never a
-        # hung pool, never a traceback dump from inside the executor.
+    except BaseException:
+        # Ctrl-C (or a failed cache write): release the pool without
+        # waiting for in-flight cells (on Ctrl-C the workers share our
+        # process group and die on the same SIGINT) and let the caller
+        # flush its partial report — never a hung pool, never a
+        # traceback dump from inside the executor.
         pool.shutdown(wait=False, cancel_futures=True)
         raise
-
-    for cell in pending_retry:
-        try:
-            payload, dt = _timed_execute(cell, 1)
-        except Exception as exc:
-            failures.append(CellFailure(cell.key.key_str(), repr(exc), 2))
-            progress.emit(cell.key, "failed", 0.0)
-            continue
-        results[cell.key] = payload
-        retried.append(cell.key.key_str())
-        executed += 1
-        progress.emit(cell.key, "retried", dt)
-    return executed, broken
+    if not broken:
+        pool.shutdown(wait=True)
+        return True
+    pool.shutdown(wait=False, cancel_futures=True)
+    for state in in_flight.values():
+        _release(board, state, "process pool broke", settle)
+    return False
 
 
 def run_cells(
@@ -324,19 +295,19 @@ def run_cells(
     Deterministic by construction: the returned ``results`` mapping is
     ordered by canonical cell key regardless of completion order, cache
     hits return bit-exact payloads, and ME vectors are resolved from the
-    profile round so workers reproduce the serial numbers exactly.
+    profile cells so workers reproduce the serial numbers exactly.
     """
+    from repro.experiments.board import TaskBoard
     from repro.telemetry.fleet import ENV_RUN_ID, new_run_id
 
     t0 = time.perf_counter()
-    unique: dict[CellKey, Cell] = {}
-    for cell in cells:
-        unique.setdefault(cell.key, cell)
-    ordered = sorted(unique.values(), key=lambda c: c.key.key_str())
+    board = TaskBoard(max_attempts=2)  # one retry per cell
+    for cell in sorted(cells, key=lambda c: c.key.key_str()):
+        board.add(cell)
 
     report = ParallelReport()
     # Correlation id for this sweep: pool children inherit the parent's
-    # environment at fork/spawn time, so setting it before any pool is
+    # environment at fork/spawn time, so setting it before the pool is
     # created stamps every exporter artifact (run_metadata "fleet"
     # section) written by any process of this run.  An id inherited from
     # an enclosing fleet context wins — we are then part of *that* run.
@@ -344,67 +315,57 @@ def run_cells(
     report.run_id = inherited or new_run_id()
     if inherited is None:
         os.environ[ENV_RUN_ID] = report.run_id
-    results: dict[CellKey, object] = {}
-    progress = _Progress(bus, total=len(ordered))
 
-    rounds = (
-        [c for c in ordered if c.key.kind in ("profile", "single")],
-        [c for c in ordered if c.key.kind in ("eval", "custom", "cloud")],
-    )
-    try:
-        for round_cells in rounds:
-            todo: list[Cell] = []
-            for cell in round_cells:
-                hit = cache.get(cell.key) if cache is not None else None
-                if hit is not None:
-                    results[cell.key] = hit
-                    report.cache_hits += 1
-                    progress.emit(cell.key, "hit", 0.0)
-                else:
-                    todo.append(cell)
-
-            ready: list[Cell] = []
-            for cell in todo:
-                resolved = cell.with_resolved_me(results.get)
-                if resolved is None:
-                    report.failures.append(CellFailure(
-                        cell.key.key_str(),
-                        "dependency failed: missing ME profile", 0,
-                    ))
-                    progress.emit(cell.key, "failed", 0.0)
-                    continue
-                ready.append(resolved)
-
-            before = dict(results)
-            if not ready:
-                pass
-            elif jobs <= 1 or len(ready) == 1:
-                report.executed += _run_round_serial(
-                    ready, progress, report.failures, report.retried, results
-                )
+    def settle(state, status, payload=None, seconds=0.0):
+        """Record one finished cell, store it, and announce it."""
+        key = state.cell.key
+        if status == "failed":
+            report.failures.append(CellFailure(key.key_str(), state.error,
+                                               state.attempts))
+        else:
+            board.mark_done(state.digest, payload)
+            if status == "hit":
+                report.cache_hits += 1
             else:
-                executed, broken = _run_round_pool(
-                    ready, jobs, progress, report.failures, report.retried,
-                    results,
-                )
-                report.executed += executed
-                report.pool_broken = report.pool_broken or broken
-            if cache is not None:
-                for cell in ready:
-                    if cell.key not in before and cell.key in results:
-                        cache.put(cell.key, results[cell.key])
+                report.executed += 1
+                if state.attempts > 1:
+                    status = "retried"
+                    report.retried.append(key.key_str())
+                if cache is not None:
+                    cache.put(key, payload)
+        if bus is not None:
+            done = len(board.done) + len(report.failures)
+            bus.emit(
+                "experiment.cell", "instant", cycle=done,
+                track="experiments", key=key.key_str(), status=status,
+                seconds=round(seconds, 4), done=done, total=len(board.tasks),
+            )
+
+    try:
+        if cache is not None:
+            for state in board.tasks.values():
+                hit = cache.get(state.cell.key)
+                if hit is not None:
+                    settle(state, "hit", hit)
+        pending = board.counts()["pending"]
+        if jobs <= 1 or pending <= 1:
+            _run_round_serial(board, settle)
+        elif not _run_round_pool(board, min(jobs, pending), settle):
+            report.pool_broken = True
+            _run_round_serial(board, settle, after_crash=True)
     finally:
         if inherited is None:
             os.environ.pop(ENV_RUN_ID, None)
 
-    report.results = dict(
-        sorted(results.items(), key=lambda kv: kv[0].key_str())
-    )
+    # the board holds its cells in canonical key order
+    report.results = {s.cell.key: board.done[s.digest]
+                      for s in board.tasks.values() if s.status == "done"}
     report.seconds = time.perf_counter() - t0
     if cache is not None:
         report.cache_stats = cache.stats
     if bus is not None:
-        bus.emit("experiment.cache", "instant", cycle=progress.done,
+        bus.emit("experiment.cache", "instant",
+                 cycle=len(board.done) + len(report.failures),
                  track="experiments", **report.cache_stats.as_dict())
     return report
 

@@ -6,15 +6,16 @@ The experiment layer reduced every figure/table simulation to a pure
 This package promotes that contract from one process pool to a fleet:
 
 * :mod:`repro.service.coordinator` — asyncio TCP coordinator: leases,
-  heartbeats, retry budgets, dependency-aware dispatch, result fan-out;
+  heartbeats, result fan-out; its retry budget and dependency-aware
+  dispatch are the :class:`~repro.experiments.board.TaskBoard` that
+  also schedules the local ``--jobs N`` pool;
 * :mod:`repro.service.worker` — executes cells and streams float-hex
   exact payloads back;
 * :mod:`repro.service.client` — submit a cell set, receive a
   :class:`~repro.experiments.parallel.ParallelReport` that merges
   bit-identically to a serial run;
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire
-  format;
-* :mod:`repro.service.leases` — the pure lease/retry bookkeeping.
+  format.
 
 CLI: ``repro serve`` / ``repro worker`` / ``repro submit``.
 Docs: docs/DISTRIBUTED.md (protocol, semantics, security posture).
@@ -27,7 +28,6 @@ from repro.service.client import (
     submit_cells_async,
 )
 from repro.service.coordinator import Coordinator
-from repro.service.leases import TaskBoard, TaskState
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -41,8 +41,6 @@ __all__ = [
     "Coordinator",
     "ProtocolError",
     "ServiceError",
-    "TaskBoard",
-    "TaskState",
     "coordinator_status",
     "parse_addr",
     "request_shutdown",

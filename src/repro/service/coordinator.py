@@ -1,8 +1,10 @@
 """Asyncio sweep coordinator: dispatch cells to workers, stream results.
 
-One :class:`Coordinator` owns a TCP listener, a :class:`TaskBoard`
-(leases, retry budget, ME-dependency gating) and an optional result
-store, a plain :class:`~repro.experiments.cache.ResultCache`.  Workers
+One :class:`Coordinator` owns a TCP listener, a
+:class:`~repro.experiments.board.TaskBoard` (leases, retry budget,
+ME-dependency gating — the same board that schedules a local
+``--jobs N`` pool) and an optional result store, a plain
+:class:`~repro.experiments.cache.ResultCache`.  Workers
 and clients connect over the newline-delimited JSON protocol
 (:mod:`repro.service.protocol`) and are told apart by their ``hello``
 role:
@@ -55,6 +57,7 @@ import asyncio
 import itertools
 import time
 
+from repro.experiments.board import TaskBoard, TaskState
 from repro.experiments.cache import (
     PayloadIntegrityError,
     ResultCache,
@@ -63,7 +66,6 @@ from repro.experiments.cache import (
     payload_sha,
     verify_payload,
 )
-from repro.service.leases import TaskBoard, TaskState
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,

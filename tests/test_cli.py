@@ -35,6 +35,11 @@ class TestParser:
         ["worker", "h:1", "--sample-every", "-1"],
         ["worker", "h:1", "--connect-retries", "-1"],
         ["submit", "h:1", "--sample-every", "0"],
+        ["serve", "--trace-out", "/nonexistent/c.jsonl"],
+        ["serve", "--metrics-out", "/nonexistent/m.jsonl"],
+        ["serve", "--prometheus-out", "/nonexistent/p.prom"],
+        ["worker", "h:1", "--trace-out", "/nonexistent/w.jsonl"],
+        ["submit", "h:1", "--trace-out", "/nonexistent/c.jsonl"],
     ], ids=lambda argv: " ".join(argv))
     def test_service_numbers_that_break_it_are_usage_errors(self, argv,
                                                             capsys):

@@ -2,6 +2,9 @@
 
 * a worker that raises is retried once, then reported with its cell key
   — the pool never hangs;
+* a profile cell that fails for good does not sink the cells that read
+  its ME value: they profile in-process, bit-identically;
+* one sweep builds one process pool;
 * an interrupted run resumes from the on-disk cache, completing only the
   missing cells;
 * a corrupted / truncated cache entry is detected (payload digest
@@ -19,6 +22,7 @@ import json
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.cells import CellFault, execute_cell
 from repro.experiments.harness import ExperimentContext
@@ -102,6 +106,61 @@ def test_hard_worker_crash_falls_back_serially(monkeypatch, cells):
     assert report.pool_broken
     assert not report.failures, report.failure_report()
     assert report.results == baseline.results
+
+
+def test_parent_never_runs_a_first_attempt_after_the_pool_breaks(
+        monkeypatch, cells):
+    """Every cell hard-kills its process on attempt 0: the pool breaks on
+    the first cells it runs, and the parent finishes the rest without
+    running any cell's first attempt (that would kill the parent)."""
+    baseline = run_cells(cells, jobs=1)
+
+    monkeypatch.setenv("REPRO_PARALLEL_FAULT", f"seed={SEED}")
+    monkeypatch.setenv("REPRO_PARALLEL_FAULT_KIND", "exit")
+    report = run_cells(cells, jobs=2)
+    assert report.pool_broken
+    assert not report.failures, report.failure_report()
+    assert report.results == baseline.results
+
+
+def _mix_cells():
+    """The 2MEM-1 panel cells: every policy, with their profiles and
+    baselines (ME and ME-LREQ read the profiles of apps b and c)."""
+    return [c for c in plan_cells(_ctx(), figure2=((2,), ("MEM",)))
+            if c.key.workload in ("2MEM-1", "b", "c")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_profile_does_not_sink_its_dependents(monkeypatch, jobs):
+    cells = _mix_cells()
+    baseline = run_cells(cells, jobs=1)
+    profile = next(c for c in cells if c.key.kind == "profile")
+    dependents = [c for c in cells if profile.key in c.me_deps]
+    assert dependents
+
+    monkeypatch.setenv("REPRO_PARALLEL_FAULT", profile.key.key_str())
+    monkeypatch.setenv("REPRO_PARALLEL_FAULT_ALWAYS", "1")
+    report = run_cells(cells, jobs=jobs)
+    assert [f.key_str for f in report.failures] == [profile.key.key_str()]
+    for cell in cells:
+        if cell.key.kind == "eval":
+            assert report.results[cell.key] == baseline.results[cell.key]
+
+
+def test_one_sweep_builds_one_pool(monkeypatch):
+    built = []
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    cells = _mix_cells()
+    assert {c.key.kind for c in cells} == {"profile", "single", "eval"}
+    report = run_cells(cells, jobs=2)
+    assert not report.failures, report.failure_report()
+    assert len(built) == 1
 
 
 def test_interrupted_run_resumes_only_missing_cells(tmp_path, cells):

@@ -8,15 +8,22 @@ Three guarantees, each pinned here:
   float-hex fingerprints (``tests/golden/golden_stats.json``) exactly —
   the bit-identity contract extends to worker processes;
 * a cache hit returns the identical result without re-simulating.
+
+It also checks that the local path (package, experiment layer, CLI)
+never imports asyncio, which only the service verbs need.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import SystemConfig
 from repro.core.registry import reads_me
 from repro.experiments.cache import ResultCache
@@ -185,3 +192,16 @@ def test_progress_events_on_bus():
     assert all(e.args["status"] == "run" for e in done)
     stats = bus.named("experiment.cache")
     assert len(stats) == 1
+
+
+def test_local_path_never_loads_asyncio():
+    """Only the service verbs need an event loop: importing the package,
+    the experiment layer (whose pool runs on the coordinator's task
+    board) and the CLI must not pull asyncio in."""
+    src = Path(repro.__file__).resolve().parents[1]
+    code = ("import sys, repro, repro.experiments, repro.cli; "
+            "print('asyncio' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "False"

@@ -1,5 +1,5 @@
 """Unit tests for the coordinator's pure bookkeeping core
-(:class:`repro.service.leases.TaskBoard`).
+(:class:`repro.experiments.board.TaskBoard`).
 
 The board has no sockets or clocks, so every lease / retry / expiry /
 dependency rule is pinned here with explicit timestamps — the loopback
@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.experiments.board import TaskBoard
 from repro.experiments.cells import Cell, eval_cell_key, profile_cell_key
 from repro.metrics.memory_efficiency import MeProfile
-from repro.service.leases import TaskBoard
 
 CFG = SystemConfig()
 
