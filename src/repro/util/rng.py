@@ -11,11 +11,10 @@ for profiling and evaluation: we use different derived streams.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngStream"]
+__all__ = ["derive_seed", "geometric_p", "RngStream"]
 
 
 def derive_seed(root_seed: int, *labels: object) -> int:
@@ -34,11 +33,16 @@ def derive_seed(root_seed: int, *labels: object) -> int:
     return int.from_bytes(digest[:8], "little") & (2**63 - 1)
 
 
+def geometric_p(p: float) -> float:
+    """``p`` clamped into [1e-12, 1], the range numpy's geometric accepts."""
+    return min(max(p, 1e-12), 1.0)
+
+
 class RngStream:
     """A labelled, reproducible random stream.
 
-    Thin wrapper over :class:`numpy.random.Generator` adding convenience
-    draws used by the trace generators, plus cheap child-stream spawning.
+    Thin wrapper over :class:`numpy.random.Generator` adding the scalar
+    draws the simulator's components use, plus cheap child-stream spawning.
 
     Parameters
     ----------
@@ -61,41 +65,17 @@ class RngStream:
 
     # -- draws -------------------------------------------------------------
 
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return float(self._gen.random())
-
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high) — numpy ``integers`` semantics."""
         return int(self._gen.integers(low, high))
 
     def geometric(self, p: float) -> int:
         """Geometric draw (number of trials to first success, >= 1)."""
-        return int(self._gen.geometric(min(max(p, 1e-12), 1.0)))
-
-    def choice(self, seq: Sequence, p: Iterable[float] | None = None):
-        """Pick one element of ``seq`` (optionally weighted)."""
-        idx = self._gen.choice(len(seq), p=None if p is None else list(p))
-        return seq[int(idx)]
-
-    def choice_index(self, weights: Sequence[float]) -> int:
-        """Pick an index weighted by ``weights`` (need not be normalised)."""
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive sum")
-        return int(self._gen.choice(len(w), p=w / total))
-
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher–Yates shuffle."""
-        self._gen.shuffle(seq)
-
-    def uniform_floats(self, n: int) -> np.ndarray:
-        """Vector of ``n`` uniforms — for batch trace generation."""
-        return self._gen.random(n)
+        return int(self._gen.geometric(geometric_p(p)))
 
     def generator(self) -> np.random.Generator:
-        """Expose the underlying numpy generator for vectorised use."""
+        """Expose the underlying numpy generator (vectorised draws, and
+        the trace kernel's bit generator)."""
         return self._gen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -37,7 +37,7 @@ import threading
 from collections import OrderedDict
 
 from repro.cpu.trace import MemOp
-from repro.util.rng import RngStream
+from repro.util.rng import RngStream, geometric_p
 from repro.workloads.spec2000 import AppProfile
 
 __all__ = ["SyntheticApp", "ReplayTrace", "make_trace", "clear_trace_cache"]
@@ -71,11 +71,21 @@ _STREAM_BASE_LINE = 4 << 30
 #: L2 would thrash structurally at 4+ cores.
 _PLACEMENT_SPAN = 1 << 16
 
+#: the kernel computes addresses in int64: keep base + line * LINE inside it
+_MAX_BASE_ADDR = 1 << 62
+
+#: ops per kernel call when a stream is read op by op or recorded
+CHUNK_OPS = 256
+
 
 class SyntheticApp:
     """Infinite reference stream for one application on one core.
 
-    Implements the :class:`~repro.cpu.trace.TraceSource` protocol.
+    Implements the :class:`~repro.cpu.trace.TraceSource` protocol.  The
+    per-op draws run in the C kernel ``_tracegen.c`` (loaded through
+    :mod:`repro.workloads.tracegen` at the first generation), one chunk
+    of ops per call; :meth:`next_op` and :meth:`take` serve the same
+    chunks, so any mix of the two yields one stream.
 
     Parameters
     ----------
@@ -92,172 +102,123 @@ class SyntheticApp:
         "profile",
         "rng",
         "base_addr",
-        "_gap_p",
-        "_burst_start_p",
-        "_burst_cont_p",
-        "_streams",
-        "_stream_idx",
-        "_burst_left",
         "_hot_lines",
         "_l2_lines",
         "_hot_base",
         "_l2_base",
-        "_prologue_left",
-        "_grandom",
-        "_gints",
-        "_ggeom",
-        "_gap_pc",
-        "_burst_len_pc",
-        "_store_frac",
-        "_l2_frac",
-        "_prologue_gaps",
+        "_kernel",
+        "_ops",
+        "_pos",
     )
 
     def __init__(self, profile: AppProfile, rng: RngStream, base_addr: int = 0) -> None:
-        if base_addr < 0:
-            raise ValueError("base_addr must be >= 0")
+        if not 0 <= base_addr < _MAX_BASE_ADDR:
+            raise ValueError(f"base_addr must be in [0, {_MAX_BASE_ADDR:#x})")
         self.profile = profile
         self.rng = rng
         self.base_addr = base_addr
-        p = profile
+        # Hot and L2-resident sets as fixed line pools.
+        self._hot_lines = max(profile.hot_kb * 1024 // LINE, 1)
+        self._l2_lines = max(profile.l2_set_kb * 1024 // LINE, 1)
+        # Random placement of the resident regions (cache-set diversity
+        # across program instances).
+        self._hot_base = _HOT_BASE_LINE + rng.randint(0, _PLACEMENT_SPAN)
+        self._l2_base = _L2SET_BASE_LINE + rng.randint(0, _PLACEMENT_SPAN)
+        #: the kernel's state for this stream, from the first generation on
+        self._kernel = None
+        #: generated ops not yet served, and the index of the next one
+        self._ops: list[MemOp] = []
+        self._pos = 0
+
+    def _start(self) -> list[MemOp]:
+        """First generation: seat the array streams, then the prologue.
+
+        The prologue touches every resident line once, so the caches warm
+        deterministically inside the measurement warmup window (models
+        program initialisation; without it, 'resident' sets would leak
+        cold misses through the whole run and swamp the per-application
+        mpki targets).
+        """
+        from repro.workloads.tracegen import TraceKernel
+
+        p = self.profile
         # Mean gap between memory ops: (1 - mem_ratio)/mem_ratio plain
         # instructions per memory instruction.
         mean_gap = (1.0 - p.mem_ratio) / p.mem_ratio
-        self._gap_p = 1.0 / (1.0 + mean_gap)
+        gap_p = geometric_p(1.0 / (1.0 + mean_gap))
         # Miss bursts: expected misses per kilo-instruction is p.mpki; each
         # burst carries ~burst_mean misses, ops per kinst is mem_ratio*1000.
         ops_per_kinst = p.mem_ratio * 1000.0
         bursts_per_kinst = p.mpki / max(p.burst_mean, 1.0)
-        self._burst_start_p = min(bursts_per_kinst / ops_per_kinst, 1.0)
         # Geometric continuation keeps the mean burst length at burst_mean.
-        self._burst_cont_p = 1.0 - 1.0 / max(p.burst_mean, 1.0)
-        # Bound numpy-generator methods and pre-clamped geometric
-        # parameters for the per-op draw loop: the draws below are the
-        # inlined bodies of RngStream.random/randint/geometric (keep in
-        # sync with util/rng.py) — same generator, same argument values,
-        # so the draw sequence is bit-identical, minus a wrapper frame per
-        # draw.  int()/bool() conversions are kept so gaps, addresses and
-        # flags stay plain Python objects.
-        g = rng.generator()
-        self._grandom = g.random
-        self._gints = g.integers
-        self._ggeom = g.geometric
-        self._gap_pc = min(max(self._gap_p, 1e-12), 1.0)
-        self._burst_len_pc = min(max(1.0 - self._burst_cont_p, 1e-12), 1.0)
-        # Per-op profile constants, flattened off the frozen dataclass.
-        self._store_frac = p.store_frac
-        self._l2_frac = p.l2_frac
-        # Concurrent strided array streams: [line_cursor, accesses_left].
-        self._streams: list[list[int]] = [[0, 0] for _ in range(p.n_streams)]
-        self._stream_idx = 0
-        self._burst_left = 0
-        # Hot and L2-resident sets as fixed line pools.
-        hot_count = max(p.hot_kb * 1024 // LINE, 1)
-        l2_count = max(p.l2_set_kb * 1024 // LINE, 1)
-        self._hot_lines = hot_count
-        self._l2_lines = l2_count
-        # Random placement of the resident regions (cache-set diversity
-        # across program instances).
-        self._hot_base = _HOT_BASE_LINE + self.rng.randint(0, _PLACEMENT_SPAN)
-        self._l2_base = _L2SET_BASE_LINE + self.rng.randint(0, _PLACEMENT_SPAN)
-        # Initialisation prologue: touch every resident line once so the
-        # caches warm deterministically inside the measurement warmup
-        # window (models program initialisation; without it, 'resident'
-        # sets would leak cold misses through the whole run and swamp the
-        # per-application mpki targets).
-        self._prologue_left = hot_count + l2_count
-        self._prologue_gaps: list[int] | None = None
-        for s in self._streams:
-            self._reseat_stream(s)
+        burst_cont_p = 1.0 - 1.0 / max(p.burst_mean, 1.0)
+        generator = self.rng.generator()
+        self._kernel = TraceKernel(
+            generator,
+            p.n_streams,
+            gap_p=gap_p,
+            burst_start_p=min(bursts_per_kinst / ops_per_kinst, 1.0),
+            burst_len_p=geometric_p(1.0 - burst_cont_p),
+            l2_frac=p.l2_frac,
+            seq_frac=p.seq_frac,
+            store_frac=p.store_frac,
+            base_addr=self.base_addr,
+            line_bytes=LINE,
+            hot_base=self._hot_base,
+            hot_lines=self._hot_lines,
+            l2_base=self._l2_base,
+            l2_lines=self._l2_lines,
+            chase_base=_CHASE_BASE_LINE,
+            chase_lines=CHASE_REGION_LINES,
+            stream_base=_STREAM_BASE_LINE,
+            stream_regions=STREAM_REGIONS,
+            stream_run=STREAM_RUN_LINES,
+            stride=p.stride_lines,
+        )
+        # Hot set first, then the L2 set.  The prologue's gap draws are
+        # consecutive, and a vectorized geometric draw is element-wise
+        # stream-identical to the scalar loop.
+        n_hot, n_l2 = self._hot_lines, self._l2_lines
+        gaps = (generator.geometric(gap_p, n_hot + n_l2) - 1).tolist()
+        lines = [*range(self._hot_base, self._hot_base + n_hot),
+                 *range(self._l2_base, self._l2_base + n_l2)]
+        base = self.base_addr
+        return [MemOp(gap, base + line * LINE, False)
+                for gap, line in zip(gaps, lines)]
 
-    # -- address components ------------------------------------------------------
-
-    def _reseat_stream(self, stream: list[int]) -> None:
-        """Point one array stream at a fresh region of fresh lines.
-
-        The random sub-stride offset picks the (channel, bank) the stream
-        will live in — without it every stream would start at line 0 of
-        its region and alias onto channel 0 / bank 0.
-        """
-        region = int(self._gints(0, STREAM_REGIONS))
-        offset = int(self._gints(0, min(self.profile.stride_lines, STREAM_RUN_LINES)))
-        stream[0] = _STREAM_BASE_LINE + region * STREAM_RUN_LINES + offset
-        stream[1] = max(STREAM_RUN_LINES // self.profile.stride_lines, 1)
-
-    def _miss_addr(self) -> int:
-        """A line expected to miss the L2 (strided-stream or random)."""
-        if self._grandom() < self.profile.seq_frac:
-            # Round-robin across the concurrent array streams; each stream
-            # advances by stride_lines (same bank, next row column).
-            stream = self._streams[self._stream_idx]
-            self._stream_idx = (self._stream_idx + 1) % len(self._streams)
-            if stream[1] <= 0:
-                self._reseat_stream(stream)
-            line = stream[0]
-            stream[0] += self.profile.stride_lines
-            stream[1] -= 1
+    def _refill(self, n: int) -> list[MemOp]:
+        """Replace the spent chunk with the stream's next one: the whole
+        prologue first, then ``n`` ops from the kernel."""
+        kernel = self._kernel
+        if kernel is None:
+            ops = self._start()
         else:
-            line = _CHASE_BASE_LINE + int(self._gints(0, CHASE_REGION_LINES))
-        return self.base_addr + line * LINE
-
-    def _hot_addr(self) -> int:
-        """A reference into the L1-resident hot set."""
-        line = self._hot_base + int(self._gints(0, self._hot_lines))
-        return self.base_addr + line * LINE
-
-    def _l2_addr(self) -> int:
-        """A reference into the L2-resident (L1-missing) set."""
-        line = self._l2_base + int(self._gints(0, self._l2_lines))
-        return self.base_addr + line * LINE
+            ops = list(map(MemOp, *kernel.fill(n)))
+        self._ops = ops
+        self._pos = 0
+        return ops
 
     # -- TraceSource ---------------------------------------------------------------
 
-    def _prologue_op(self) -> MemOp:
-        """One initialisation touch: hot set first, then the L2 set."""
-        gaps = self._prologue_gaps
-        if gaps is None:
-            # The prologue's draws are consecutive (nothing else touches
-            # the generator until it ends), and a vectorized geometric
-            # draw is element-wise stream-identical to the scalar loop —
-            # one numpy call replaces thousands (golden tests pin the
-            # equivalence).
-            gaps = self._prologue_gaps = self._ggeom(
-                self._gap_pc, self._prologue_left
-            ).tolist()
-        idx = (self._hot_lines + self._l2_lines) - self._prologue_left
-        self._prologue_left -= 1
-        if idx < self._hot_lines:
-            line = self._hot_base + idx
-        else:
-            line = self._l2_base + (idx - self._hot_lines)
-        gap = gaps[idx] - 1
-        return MemOp(gap, self.base_addr + line * LINE, False)
-
     def next_op(self) -> MemOp:
         """Generate the next memory operation (never ``None``: infinite)."""
-        if self._prologue_left > 0:
-            return self._prologue_op()
-        if self._burst_left > 0:
-            # Inside a miss burst: tight gaps keep the misses within one
-            # ROB window so they overlap (that is what MLP means here).
-            self._burst_left -= 1
-            gap = int(self._ggeom(0.5)) - 1  # mean 1
-            addr = self._miss_addr()
-            is_write = bool(self._grandom() < self._store_frac)
-            return MemOp(gap, addr, is_write)
-        gap = int(self._ggeom(self._gap_pc)) - 1
-        roll = self._grandom()
-        if roll < self._burst_start_p:
-            # Start a new miss burst; this op is its first miss.
-            length = int(self._ggeom(self._burst_len_pc))
-            self._burst_left = length - 1
-            addr = self._miss_addr()
-        elif roll < self._burst_start_p + self._l2_frac:
-            addr = self._l2_addr()
-        else:
-            addr = self._hot_addr()
-        is_write = bool(self._grandom() < self._store_frac)
-        return MemOp(gap, addr, is_write)
+        ops, pos = self._ops, self._pos
+        if pos == len(ops):
+            ops, pos = self._refill(CHUNK_OPS), 0
+        self._pos = pos + 1
+        return ops[pos]
+
+    def take(self, n: int) -> list[MemOp]:
+        """The stream's next ``n`` ops."""
+        out: list[MemOp] = []
+        while len(out) < n:
+            ops, pos = self._ops, self._pos
+            if pos == len(ops):
+                ops, pos = self._refill(n - len(out)), 0
+            got = ops[pos:pos + n - len(out)]
+            self._pos = pos + len(got)
+            out += got
+        return out
 
 
 def _raw_trace(
@@ -272,19 +233,20 @@ def _raw_trace(
 #
 # Experiments re-simulate the *same* reference streams many times: a policy
 # sweep runs every policy over identical (mix, seed) traces, and profiling
-# vs evaluation re-derive per-core streams across runs.  Generating a
-# stream is RNG-bound (numpy draws are ~20% of simulation wall time), so
-# regenerating it per run is pure waste.  ``make_trace`` therefore records
-# the MemOps of each distinct stream the first time it is generated and
-# replays the recording on subsequent requests for the same
+# vs evaluation re-derive per-core streams across runs.  Regenerating a
+# stream per run would be pure waste, so ``make_trace`` records the MemOps
+# of each distinct stream the first time it is generated and replays the
+# recording on subsequent requests for the same
 # ``(profile, seed, phase, core_id)``.  Replayed ops are the *same*
 # ``MemOp`` values in the same order, so every simulated statistic is
 # bit-identical to regeneration (MemOp is immutable).
 #
-# Bounds: at most ``_CACHE_MAX_STREAMS`` streams are retained (LRU), and
-# each recording stops at ``_STREAM_OP_CAP`` ops — a consumer running past
-# the cap falls back to live generation (taking over the positioned
-# generator when it is first past the end, or regenerating and
+# The recording grows one chunk of ``CHUNK_OPS`` at a time, so a
+# direct-indexing consumer (TraceCore) leaves its loop once per chunk, not
+# once per op.  Bounds: at most ``_CACHE_MAX_STREAMS`` streams are retained
+# (LRU), and each recording stops at ``_STREAM_OP_CAP`` ops — a consumer
+# running past the cap falls back to live generation (taking over the
+# positioned generator when it is first past the end, or regenerating and
 # fast-forwarding otherwise).  Set ``REPRO_TRACE_CACHE=0`` to disable.
 
 #: max recorded ops per stream (~20 MB at the cap; typical runs use a few
@@ -358,10 +320,9 @@ class ReplayTrace:
                 return ops[pos]
             src = rec.source
             if src is not None and pos < _STREAM_OP_CAP:
-                op = src.next_op()
-                ops.append(op)
+                ops.extend(src.take(min(CHUNK_OPS, _STREAM_OP_CAP - pos)))
                 self._pos = pos + 1
-                return op
+                return ops[pos]
             if src is not None:
                 # Recording is full and this consumer sits exactly at the
                 # frontier: take exclusive ownership of the positioned
@@ -373,8 +334,7 @@ class ReplayTrace:
         # fast-forward to this cursor (one-time O(pos) cost, cap-bounded
         # recordings make this path rare).
         tail = _raw_trace(*self._key)
-        for _ in range(pos):
-            tail.next_op()
+        tail.take(pos)
         self._tail = tail
         return tail.next_op()
 
@@ -402,7 +362,8 @@ class ReplayTrace:
         """Fused ``sync_pos`` + ``next_op`` + cursor read-back.
 
         One method call instead of three on the generation-frontier path,
-        which runs once per op on the *first* simulation of each stream.
+        which runs once per recorded chunk on the *first* simulation of
+        each stream.
         """
         self._pos = pos
         op = self.next_op()
