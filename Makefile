@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench bench-full experiments quick-experiments clean
+.PHONY: install test bench experiments quick-experiments clean
 
 install:
 	pip install -e . || $(PY) setup.py develop
@@ -10,16 +10,9 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-test-fast:
-	$(PY) -m pytest tests/ -x -q -m "not slow"
-
+# The repository benchmark (bench/README.md): every workload, 10 runs each
 bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
-
-# Record-quality bench scale (slow; see EXPERIMENTS.md)
-bench-full:
-	REPRO_BENCH_BUDGET=30000 REPRO_BENCH_SEEDS=1,2 \
-		$(PY) -m pytest benchmarks/ --benchmark-only -s
+	python3 bench/run.py --runs 10 --seed 1 --out bench/out/results.json
 
 experiments:
 	$(PY) scripts/run_all_experiments.py --budget 30000 --seeds 1 2 \
@@ -29,5 +22,5 @@ quick-experiments:
 	$(PY) scripts/run_all_experiments.py --quick --budget 8000 --seeds 1
 
 clean:
-	rm -rf .pytest_cache .benchmarks src/repro.egg-info
+	rm -rf .pytest_cache src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

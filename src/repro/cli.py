@@ -103,10 +103,39 @@ def _policy_error(policy: str, workload: str) -> str | None:
     return None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
+    """``--budget``, plus ``--seed`` (profile, run) or ``--seeds`` (the
+    sweep verbs, which average over them)."""
     p.add_argument("--budget", type=_positive_int, default=30_000,
                    help="instructions measured per core")
-    p.add_argument("--seed", type=int, default=1)
+    if sweep:
+        p.add_argument("--seeds", type=int, nargs="+", default=[1],
+                       metavar="N", help="seeds to average over")
+    else:
+        p.add_argument("--seed", type=int, default=1,
+                       help="RNG seed for the run")
+
+
+def _add_panels(p: argparse.ArgumentParser) -> None:
+    """``--cores`` and ``--groups``: the Figure 2 panels (figure, submit)."""
+    p.add_argument("--cores", type=int, nargs="+", default=[4],
+                   choices=(2, 4, 8))
+    p.add_argument("--groups", nargs="+", default=["MEM"],
+                   choices=("MEM", "MIX"))
+
+
+def _add_field(p: argparse.ArgumentParser, *, policies: bool = True) -> None:
+    """``--mixes`` (arena, cloud, submit) and ``--policies`` (arena,
+    cloud)."""
+    p.add_argument("--mixes", nargs="+", default=["smoke"],
+                   help="mix-set names (smoke, 2core, 4core, 8core, full) "
+                        "and/or explicit mix names: Table 3 mixes for "
+                        "arena, cloud mixes for cloud (default: smoke)")
+    if policies:
+        p.add_argument("--policies", nargs="+", default=None,
+                       metavar="NAME",
+                       help="restrict the field (default: every registered "
+                            "policy plus FIX-DESC)")
 
 
 def _add_parallel(p: argparse.ArgumentParser) -> None:
@@ -257,13 +286,79 @@ def _make_ctx(args: argparse.Namespace) -> ExperimentContext:
     return ctx
 
 
-def _prewarm(ctx: ExperimentContext, args: argparse.Namespace,
-             **plan_kwargs) -> None:
+# -- sweep sections: what each asks of plan_cells, and how it prints ---------
+
+
+def _field(args: argparse.Namespace):
+    """``(mixes, policies)`` of an arena or cloud section."""
+    policies = (tuple(p.upper() for p in args.policies)
+                if args.policies else None)
+    return tuple(args.mixes), policies
+
+
+def _render_arena(ctx: ExperimentContext, args: argparse.Namespace) -> str:
+    from repro.experiments.arena import (
+        format_arena,
+        format_arena_per_mix,
+        run_arena,
+        run_arena_per_mix,
+    )
+
+    mixes, policies = _field(args)
+    if args.per_mix:
+        return format_arena_per_mix(
+            run_arena_per_mix(ctx, mixes=mixes, policies=policies))
+    return format_arena(run_arena(ctx, mixes=mixes, policies=policies), mixes)
+
+
+def _render_cloud(ctx: ExperimentContext, args: argparse.Namespace) -> str:
+    from repro.experiments.cloud import format_cloud, run_cloud_table
+
+    mixes, policies = _field(args)
+    return format_cloud(run_cloud_table(ctx, mixes=mixes, policies=policies))
+
+
+#: section -> (its ``plan_cells`` keywords for ``args``, its printout).
+#: ``figure``, ``table2``, ``arena``, ``cloud`` and ``submit`` all read
+#: this table; they differ only in the executor that fills the memo.
+SECTIONS = {
+    "table2": (lambda a: {"table2": True},
+               lambda ctx, a: format_table2(run_table2(ctx))),
+    "figure2": (lambda a: {"figure2": (tuple(a.cores), tuple(a.groups))},
+                lambda ctx, a: format_figure2(run_figure2(
+                    ctx, core_counts=tuple(a.cores),
+                    groups=tuple(a.groups)))),
+    "figure3": (lambda a: {"figure3": tuple(a.groups)},
+                lambda ctx, a: format_figure3(
+                    run_figure3(ctx, groups=tuple(a.groups)))),
+    "figure4": (lambda a: {"figure4": True},
+                lambda ctx, a: format_figure4(run_figure4(ctx))),
+    "figure5": (lambda a: {"figure5": True},
+                lambda ctx, a: format_figure5(run_figure5(ctx))),
+    "arena": (lambda a: {"arena": _field(a)}, _render_arena),
+    "cloud": (lambda a: {"cloud": _field(a)}, _render_cloud),
+}
+
+
+def _sweep(args: argparse.Namespace, execute) -> ExperimentContext:
+    """Plan ``args.section``, let ``execute(ctx, args, plan)`` fill the
+    context's memo, then print the section from the memo.
+
+    The printout is bit-identical whichever executor ran the cells: the
+    merge is ordered by cell key, never by completion order."""
+    plan, render = SECTIONS[args.section]
+    ctx = _make_ctx(args)
+    execute(ctx, args, plan(args))
+    print(render(ctx, args))
+    return ctx
+
+
+def _run_local(ctx: ExperimentContext, args: argparse.Namespace,
+               plan: dict) -> None:
     """Shard the section's cells over ``--jobs`` workers, merge back.
 
-    The figure code below then runs entirely from the memo, emitting
-    bit-identical output (the merge is ordered by cell key, never by
-    completion order)."""
+    Serially and without a result cache there is nothing to shard: the
+    section then computes its cells as it prints."""
     from repro.experiments.parallel import (
         default_jobs,
         merge_into,
@@ -274,87 +369,27 @@ def _prewarm(ctx: ExperimentContext, args: argparse.Namespace,
     jobs = args.jobs if args.jobs > 0 else default_jobs()
     if jobs <= 1 and ctx.cache is None:
         return
-    report = run_cells(plan_cells(ctx, **plan_kwargs), jobs=jobs,
-                       cache=ctx.cache)
+    report = run_cells(plan_cells(ctx, **plan), jobs=jobs, cache=ctx.cache)
     if report.failures:
         print(report.failure_report(), file=sys.stderr)
     merge_into(ctx, report)
     print(report.summary(), file=sys.stderr)
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    ctx = _make_ctx(args)
-    plan_by_number = {
-        2: {"figure2": (tuple(args.cores), tuple(args.groups))},
-        3: {"figure3": tuple(args.groups)},
-        4: {"figure4": True},
-        5: {"figure5": True},
-    }
-    _prewarm(ctx, args, **plan_by_number[args.number])
-    if args.number == 2:
-        rows = run_figure2(
-            ctx, core_counts=tuple(args.cores), groups=tuple(args.groups)
-        )
-        print(format_figure2(rows))
-    elif args.number == 3:
-        print(format_figure3(run_figure3(ctx, groups=tuple(args.groups))))
-    elif args.number == 4:
-        print(format_figure4(run_figure4(ctx)))
-    elif args.number == 5:
-        print(format_figure5(run_figure5(ctx)))
-    else:  # pragma: no cover - argparse choices guard
-        raise ValueError(f"no figure {args.number}")
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    _sweep(args, _run_local)
     return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    ctx = _make_ctx(args)
-    _prewarm(ctx, args, table2=True)
-    print(format_table2(run_table2(ctx)))
-    return 0
-
-
-def _arena_spec(args: argparse.Namespace):
-    mixes = tuple(args.mixes)
-    policies = (tuple(p.upper() for p in args.policies)
-                if args.policies else None)
-    return mixes, policies
 
 
 def _cmd_arena(args: argparse.Namespace) -> int:
-    from repro.experiments.arena import (
-        arena_anatomy,
-        format_arena,
-        format_arena_per_mix,
-        run_arena,
-        run_arena_per_mix,
-    )
-
-    mixes, policies = _arena_spec(args)
-    ctx = _make_ctx(args)
-    _prewarm(ctx, args, arena=(mixes, policies))
-    if args.per_mix:
-        print(format_arena_per_mix(
-            run_arena_per_mix(ctx, mixes=mixes, policies=policies)))
-    else:
-        print(format_arena(
-            run_arena(ctx, mixes=mixes, policies=policies), mixes))
+    ctx = _sweep(args, _run_local)
     if args.anatomy:
+        from repro.experiments.arena import arena_anatomy
+
+        mixes, policies = _field(args)
         print()
         print(arena_anatomy(ctx, mixes=mixes, policies=policies,
                             span_sample=args.span_sample))
-    return 0
-
-
-def _cmd_cloud(args: argparse.Namespace) -> int:
-    from repro.experiments.cloud import format_cloud, run_cloud_table
-
-    mixes = tuple(args.mixes)
-    policies = (tuple(p.upper() for p in args.policies)
-                if args.policies else None)
-    ctx = _make_ctx(args)
-    _prewarm(ctx, args, cloud=(mixes, policies))
-    print(format_cloud(run_cloud_table(ctx, mixes=mixes, policies=policies)))
     return 0
 
 
@@ -450,13 +485,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import merge_into, plan_cells
-    from repro.service.client import (
-        coordinator_status,
-        request_shutdown,
-        submit_cells,
-    )
-    from repro.telemetry.bus import TelemetryBus
+    from repro.service.client import coordinator_status, request_shutdown
 
     if args.stop:
         request_shutdown(args.coordinator)
@@ -476,19 +505,18 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             total = sum(doc["tasks"].values())
             print(render_dashboard(doc, done, total))
         return 0
+    _sweep(args, _run_remote)
+    return 0
 
-    ctx = _make_ctx(args)
-    plan_by_section = {
-        "table2": {"table2": True},
-        "figure2": {"figure2": (tuple(args.cores), tuple(args.groups))},
-        "figure3": {"figure3": tuple(args.groups)},
-        "figure4": {"figure4": True},
-        "figure5": {"figure5": True},
-        "arena": {"arena": (tuple(args.mixes), None)},
-        "cloud": {"cloud": (tuple(args.mixes), None)},
-    }
-    cells = plan_cells(ctx, **plan_by_section[args.section])
 
+def _run_remote(ctx: ExperimentContext, args: argparse.Namespace,
+                plan: dict) -> None:
+    """Run the section's cells on the coordinator, merge back."""
+    from repro.experiments.parallel import merge_into, plan_cells
+    from repro.service.client import coordinator_status, submit_cells
+    from repro.telemetry.bus import TelemetryBus
+
+    cells = plan_cells(ctx, **plan)
     # retained events become the client lane of the fleet trace
     bus = TelemetryBus(retain=bool(args.trace_out))
 
@@ -526,28 +554,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
             print(render_dashboard(doc, len(report.results), len(cells)),
                   file=sys.stderr)
-
-    if args.section == "table2":
-        print(format_table2(run_table2(ctx)))
-    elif args.section == "figure2":
-        print(format_figure2(run_figure2(
-            ctx, core_counts=tuple(args.cores), groups=tuple(args.groups))))
-    elif args.section == "figure3":
-        print(format_figure3(run_figure3(ctx, groups=tuple(args.groups))))
-    elif args.section == "figure4":
-        print(format_figure4(run_figure4(ctx)))
-    elif args.section == "figure5":
-        print(format_figure5(run_figure5(ctx)))
-    elif args.section == "arena":
-        from repro.experiments.arena import format_arena, run_arena
-
-        mixes = tuple(args.mixes)
-        print(format_arena(run_arena(ctx, mixes=mixes), mixes))
-    elif args.section == "cloud":
-        from repro.experiments.cloud import format_cloud, run_cloud_table
-
-        print(format_cloud(run_cloud_table(ctx, mixes=tuple(args.mixes))))
-    return 0
 
 
 def _cmd_obs_merge(args: argparse.Namespace) -> int:
@@ -607,14 +613,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default BASE: 'profile')")
 
     p = sub.add_parser("profile", help="single-core ME profiling")
-    _add_common(p)
+    _add_common(p, sweep=False)
     p.add_argument("--app", choices=[a.name for a in APPS], metavar="NAME",
                    help="benchmark name (default: all 26)")
     add_engine_profile(p)
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("run", help="run one workload under one policy")
-    _add_common(p)
+    _add_common(p, sweep=False)
     p.add_argument("workload", type=str.upper, metavar="workload",
                    choices=[m.name for m in WORKLOAD_MIXES],
                    help="Table 3 mix name, e.g. 4MEM-1")
@@ -646,35 +652,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
-    _add_common(p)
-    p.add_argument("number", type=int, choices=(2, 3, 4, 5))
-    p.add_argument("--cores", type=int, nargs="+", default=[4],
-                   choices=(2, 4, 8))
-    p.add_argument("--groups", nargs="+", default=["MEM"],
-                   choices=("MEM", "MIX"))
-    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    p.add_argument("section", metavar="number", type=lambda n: f"figure{n}",
+                   choices=("figure2", "figure3", "figure4", "figure5"),
+                   help="2, 3, 4 or 5")
+    _add_common(p, sweep=True)
+    _add_panels(p)
     _add_parallel(p)
-    p.set_defaults(fn=_cmd_figure)
+    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("table2", help="regenerate Table 2")
-    _add_common(p)
-    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    _add_common(p, sweep=True)
     _add_parallel(p)
-    p.set_defaults(fn=_cmd_table2)
+    p.set_defaults(fn=_cmd_sweep, section="table2")
 
     p = sub.add_parser(
         "arena",
         help="rank every registered policy on speedup, fairness and "
              "hardware cost (docs/POLICIES.md)")
-    _add_common(p)
-    p.add_argument("--mixes", nargs="+", default=["smoke"],
-                   help="mix-set names (smoke, 2core, 4core, 8core, full) "
-                        "and/or explicit Table 3 mix names "
-                        "(default: smoke)")
-    p.add_argument("--policies", nargs="+", default=None, metavar="NAME",
-                   help="restrict the field (default: every registered "
-                        "policy plus FIX-DESC)")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    _add_common(p, sweep=True)
+    _add_field(p)
     p.add_argument("--per-mix", action="store_true", dest="per_mix",
                    help="per-mix drill-down table (no averaging over "
                         "mixes) instead of the aggregate ranking")
@@ -686,23 +682,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --anatomy, trace every Nth request "
                         "(default 16)")
     _add_parallel(p)
-    p.set_defaults(fn=_cmd_arena)
+    p.set_defaults(fn=_cmd_arena, section="arena")
 
     p = sub.add_parser(
         "cloud",
         help="tail-latency / SLO table for the open-loop cloud workload "
              "family (docs/WORKLOADS.md)")
-    _add_common(p)
-    p.add_argument("--mixes", nargs="+", default=["smoke"],
-                   help="cloud mix-set names (smoke, 2core, 4core, 8core, "
-                        "full) and/or explicit cloud mix names "
-                        "(default: smoke)")
-    p.add_argument("--policies", nargs="+", default=None, metavar="NAME",
-                   help="restrict the field (default: every registered "
-                        "policy plus FIX-DESC)")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    _add_common(p, sweep=True)
+    _add_field(p)
     _add_parallel(p)
-    p.set_defaults(fn=_cmd_cloud)
+    p.set_defaults(fn=_cmd_sweep, section="cloud")
 
     p = sub.add_parser("workloads",
                        help="list Table 3 mixes and cloud mixes")
@@ -749,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--telemetry")
     g.add_argument("--sample-every", type=_positive_float, default=5.0,
                    metavar="SECONDS",
-                   help="metrics snapshot period (default 5)")
+                   help="metrics snapshot period in seconds (default 5)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("worker", help="attach a sweep worker")
@@ -770,7 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "'repro obs merge-trace'); implies --telemetry")
     g.add_argument("--sample-every", type=_positive_float, default=30.0,
                    metavar="SECONDS",
-                   help="progress-snapshot period in the trace (default 30)")
+                   help="progress-snapshot period in the trace, in "
+                        "seconds (default 30)")
     p.set_defaults(fn=_cmd_worker)
 
     p = sub.add_parser(
@@ -779,16 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
              "to the serial command")
     p.add_argument("coordinator", metavar="HOST:PORT")
     p.add_argument("section", nargs="?", default="figure2",
-                   choices=("table2", "figure2", "figure3", "figure4",
-                            "figure5", "arena", "cloud"))
-    _add_common(p)
-    p.add_argument("--cores", type=int, nargs="+", default=[4],
-                   choices=(2, 4, 8))
-    p.add_argument("--groups", nargs="+", default=["MEM"],
-                   choices=("MEM", "MIX"))
-    p.add_argument("--mixes", nargs="+", default=["smoke"],
-                   help="arena/cloud sections: mix-set and/or mix names")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+                   choices=tuple(SECTIONS))
+    _add_common(p, sweep=True)
+    _add_panels(p)
+    _add_field(p, policies=False)
     p.add_argument("--status", action="store_true",
                    help="print the coordinator's status and exit")
     p.add_argument("--stop", action="store_true",
@@ -806,8 +790,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "trace (JSONL; merge with 'repro obs merge-trace')")
     g.add_argument("--sample-every", type=_positive_float, default=1.0,
                    metavar="SECONDS",
-                   help="--watch refresh period (default 1)")
-    p.set_defaults(fn=_cmd_submit)
+                   help="--watch refresh period in seconds (default 1)")
+    # arena and cloud race every registered policy; arena prints the
+    # aggregate ranking
+    p.set_defaults(fn=_cmd_submit, policies=None, per_mix=False)
 
     p = sub.add_parser(
         "obs", help="fleet observability utilities (docs/OBSERVABILITY.md)")

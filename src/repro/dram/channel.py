@@ -166,7 +166,7 @@ class Channel:
         only resolves *when* it completes, and advances the bank and bus
         state.  The memory controller inlines this body at its scheduling
         point (keep the two in sync); this method serves the command-log
-        tests, the policy unit tests and the microbenchmarks.
+        tests and the policy unit tests.
         """
         ready = self.ready
         open_row = self.open_row

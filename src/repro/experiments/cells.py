@@ -60,6 +60,7 @@ __all__ = [
     "CellKey",
     "Cell",
     "CellFault",
+    "machine_digest",
     "eval_cell_key",
     "profile_cell_key",
     "single_cell_key",
@@ -131,6 +132,21 @@ class CellKey:
         return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
+def machine_digest(kind: str, workload: str, config: SystemConfig) -> str:
+    """The ``config_digest`` of a ``kind`` cell of ``workload`` run from
+    the base machine ``config``: its single-core machine (profile,
+    single), its derived datacenter machine (cloud) or itself.  The key
+    builders and the service's cell decoder both call it."""
+    if kind in ("profile", "single"):
+        return config.with_cores(1).digest()
+    if kind == "cloud":
+        from repro.workloads import cloud
+
+        mix = cloud.cloud_mix_by_name(workload)
+        return cloud.cloud_system_config(config, mix.num_cores).digest()
+    return config.digest()
+
+
 def profile_cell_key(code: str, seed: int, profile_budget: int,
                      config: SystemConfig) -> CellKey:
     """ME-profiling run of one application (``"profile"`` phase).
@@ -143,7 +159,7 @@ def profile_cell_key(code: str, seed: int, profile_budget: int,
     return CellKey(
         kind="profile", workload=code, policy="", seed=seed,
         inst_budget=profile_budget, warmup=DEFAULT_WARMUP,
-        config_digest=config.with_cores(1).digest(), phase="profile",
+        config_digest=machine_digest("profile", code, config), phase="profile",
     )
 
 
@@ -159,7 +175,7 @@ def single_cell_key(code: str, seed: int, profile_budget: int,
     return CellKey(
         kind="single", workload=code, policy="", seed=seed,
         inst_budget=profile_budget, warmup=DEFAULT_WARMUP,
-        config_digest=config.with_cores(1).digest(), phase="eval",
+        config_digest=machine_digest("single", code, config), phase="eval",
     )
 
 
@@ -171,7 +187,8 @@ def eval_cell_key(mix_name: str, policy: str, seed: int, inst_budget: int,
     return CellKey(
         kind="eval", workload=mix_name, policy=policy, seed=seed,
         inst_budget=inst_budget, warmup=warmup,
-        config_digest=config.digest(), lookahead=lookahead,
+        config_digest=machine_digest("eval", mix_name, config),
+        lookahead=lookahead,
         profile_budget=profile_budget if reads_me(policy) else 0,
     )
 
@@ -191,12 +208,13 @@ def custom_cell_key(mix_name: str, policy: str, policy_args: tuple,
     needs_me = reads_me(policy)
     args = tuple(sorted(tuple(kv) for kv in policy_args))
     if needs_me and me_config is not None:
-        me_digest = me_config.with_cores(1).digest()
+        me_digest = machine_digest("profile", mix_name, me_config)
         args = args + (("__me_config__", me_digest),)
     return CellKey(
         kind="custom", workload=mix_name, policy=policy, seed=seed,
         inst_budget=inst_budget, warmup=warmup,
-        config_digest=config.digest(), lookahead=lookahead,
+        config_digest=machine_digest("custom", mix_name, config),
+        lookahead=lookahead,
         profile_budget=profile_budget if needs_me else 0,
         policy_args=args,
     )
@@ -212,14 +230,14 @@ def cloud_cell_key(mix_name: str, policy: str, seed: int, inst_budget: int,
     policies that read ME, whose *batch-core* ranks come from profiling
     (service cores carry pinned ranks in their profiles).
     """
-    from repro.workloads.cloud import cloud_mix_by_name, cloud_system_config
+    from repro.workloads.cloud import cloud_mix_by_name
 
     policy = policy.upper()
     mix = cloud_mix_by_name(mix_name)
     return CellKey(
         kind="cloud", workload=mix.name, policy=policy, seed=seed,
         inst_budget=inst_budget, warmup=warmup,
-        config_digest=cloud_system_config(config, mix.num_cores).digest(),
+        config_digest=machine_digest("cloud", mix.name, config),
         lookahead=lookahead,
         profile_budget=profile_budget if reads_me(policy) else 0,
     )

@@ -248,7 +248,13 @@ class Coordinator:
             else:
                 await send_msg(writer, {"t": "error",
                                         "error": f"unknown role {role!r}"})
-        except (ConnectionError, ProtocolError, asyncio.IncompleteReadError):
+        except ProtocolError as exc:
+            # say why before hanging up (a client raises it as ServiceError)
+            try:
+                await send_msg(writer, {"t": "error", "error": str(exc)})
+            except (ConnectionError, OSError):
+                pass
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()

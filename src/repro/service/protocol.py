@@ -81,7 +81,7 @@ from repro.config import (
     DramTopologyConfig,
     SystemConfig,
 )
-from repro.experiments.cells import Cell, CellKey
+from repro.experiments.cells import Cell, CellKey, machine_digest
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -253,8 +253,7 @@ def decode_cell(doc: dict) -> Cell:
     """
     key = decode_key(doc["key"])
     config = decode_config(doc["config"])
-    expected = (config.with_cores(1).digest()
-                if key.kind in ("profile", "single") else config.digest())
+    expected = machine_digest(key.kind, key.workload, config)
     if key.config_digest != expected:
         raise ProtocolError(
             f"cell {key.key_str()}: decoded config digest {expected} does "

@@ -32,7 +32,6 @@ exactly like the paper's setup.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 
@@ -247,7 +246,7 @@ def _raw_trace(
 # (LRU), and each recording stops at ``_STREAM_OP_CAP`` ops — a consumer
 # running past the cap falls back to live generation (taking over the
 # positioned generator when it is first past the end, or regenerating and
-# fast-forwarding otherwise).  Set ``REPRO_TRACE_CACHE=0`` to disable.
+# fast-forwarding otherwise).
 
 #: max recorded ops per stream (~20 MB at the cap; typical runs use a few
 #: tens of thousands of ops per core)
@@ -396,8 +395,6 @@ def make_trace(
     recorded stream (see the trace replay cache above); the returned ops
     are bit-identical to a fresh generator's either way.
     """
-    if os.environ.get("REPRO_TRACE_CACHE", "1") == "0":
-        return _raw_trace(profile, seed, phase, core_id)
     key = (profile, seed, phase, core_id)
     with _trace_cache_lock:
         rec = _trace_cache.get(key)

@@ -1,8 +1,36 @@
 """Tests for the command-line interface."""
 
+import argparse
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _verbs(parser: argparse.ArgumentParser) -> dict:
+    """Top-level verb name -> the option strings its parser declares."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {verb: {opt for action in p._actions
+                   for opt in action.option_strings}
+            for verb, p in sub.choices.items()}
+
+
+def _readme_flag_rows() -> list[tuple[str, set[str]]]:
+    """``(flag, verbs)`` of every row of README's "All flags" table."""
+    lines = README.read_text().split("All flags:", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in lines[start + 2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        flag_cell, verbs_cell = line.split("|")[1:3]
+        flag = flag_cell.strip().strip("`").split()[0]
+        rows.append((flag, {v.strip() for v in verbs_cell.split(",")}))
+    return rows
 
 
 class TestParser:
@@ -81,6 +109,27 @@ class TestParser:
         out = capsys.readouterr()
         assert policy in out.err
         assert out.out == ""  # rejected before anything simulated
+
+    @pytest.mark.parametrize("verb", [
+        ["figure", "2"], ["table2"], ["arena"], ["cloud"], ["submit", "h:1"],
+    ], ids=lambda verb: verb[0])
+    def test_seed_on_a_sweep_verb_means_seeds(self, verb):
+        # the sweep verbs average over --seeds; --seed abbreviates it
+        args = build_parser().parse_args([*verb, "--seed", "5"])
+        assert args.seeds == [5]
+        assert not hasattr(args, "seed")
+
+    def test_readme_flag_table_matches_the_parser(self):
+        declared = _verbs(build_parser())
+        rows = _readme_flag_rows()
+        assert len(rows) >= 20, "README's flag table was not found"
+        drift = {}
+        for flag, listed in rows:
+            actual = {verb for verb, opts in declared.items() if flag in opts}
+            if actual != listed:
+                drift[flag] = {"README": sorted(listed),
+                               "parser": sorted(actual)}
+        assert not drift
 
     @pytest.mark.parametrize(
         "verb", [["figure", "2"], ["table2"], ["arena"], ["cloud"]])

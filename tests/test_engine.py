@@ -138,6 +138,20 @@ class TestControl:
         with pytest.raises(RuntimeError):
             e.run(max_events=50)
 
+    def test_self_rescheduling_chain_runs_every_event_once(self):
+        e = EventEngine()
+        ticks = []
+
+        def tick(now):
+            ticks.append(now)
+            if len(ticks) < 10_000:
+                e.schedule(now + 1, tick)
+
+        e.schedule(0, tick)
+        e.run()
+        assert ticks == list(range(10_000))
+        assert e.events_processed == 10_000
+
     def test_events_with_args(self):
         e = EventEngine()
         seen = []

@@ -25,15 +25,6 @@ class TestExamples:
         assert "SMT speedup" in r.stdout
         assert "simulated machine" in r.stdout
 
-    def test_policy_comparison(self):
-        r = run_example(
-            "policy_comparison.py", "--cores", "2", "--group", "MEM",
-            "--budget", "4000",
-        )
-        assert r.returncode == 0, r.stderr
-        assert "best policy" in r.stdout
-        assert "2MEM-1" in r.stdout
-
     def test_fairness_study(self):
         r = run_example("fairness_study.py", "--budget", "5000")
         assert r.returncode == 0, r.stderr

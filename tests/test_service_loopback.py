@@ -426,6 +426,27 @@ def test_fingerprint_mismatch_is_rejected_at_handshake():
     asyncio.run(scenario())
 
 
+def test_submit_of_a_tampered_cell_fails_naming_the_cell():
+    from dataclasses import replace
+
+    cell = _hfrf_cells()[0]
+    tampered = replace(cell, config=replace(cell.config, num_cores=16))
+
+    async def scenario():
+        coord = Coordinator(port=0)
+        await coord.start()
+        try:
+            with pytest.raises(ServiceError) as exc:
+                await submit_cells_async(coord.host, coord.port, [tampered])
+        finally:
+            await coord.stop()
+        return str(exc.value)
+
+    error = asyncio.run(scenario())
+    assert cell.key.key_str() in error
+    assert "digest" in error
+
+
 # -- administrative verbs ----------------------------------------------------------
 
 

@@ -102,6 +102,34 @@ def test_cell_roundtrip_profile_uses_single_core_digest():
     assert back.key == key
 
 
+@pytest.fixture(scope="module")
+def planned_by_kind():
+    """The first planned cell of every kind ``plan_cells`` produces."""
+    from repro.experiments.harness import ExperimentContext
+    from repro.experiments.parallel import plan_cells
+
+    ctx = ExperimentContext(inst_budget=300, warmup_insts=200,
+                            profile_budget=200, seeds=(7,))
+    cells = plan_cells(ctx, table2=True, figure2=((2,), ("MEM",)),
+                       ablations=True, cloud=(("smoke",), None))
+    by_kind = {}
+    for cell in cells:
+        by_kind.setdefault(cell.key.kind, cell)
+    return by_kind
+
+
+@pytest.mark.parametrize("kind",
+                         ["profile", "single", "eval", "custom", "cloud"])
+def test_cell_roundtrip_every_planned_kind(planned_by_kind, kind):
+    # a cloud key names the derived datacenter machine, not the base
+    # config the cell carries; the decoder must derive the same machine
+    cell = planned_by_kind[kind]
+    back = decode_cell(json.loads(json.dumps(encode_cell(cell))))
+    assert back.key == cell.key
+    assert back.config == cell.config
+    assert back.me_deps == cell.me_deps
+
+
 def test_decode_cell_rejects_config_digest_mismatch():
     key = eval_cell_key("4MEM-1", "HF-RF", 7, 300, 200, 256, CFG, 200)
     doc = encode_cell(Cell(key=key, config=CFG))
