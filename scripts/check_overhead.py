@@ -11,9 +11,9 @@ the subsystem's promises:
    (default 5 %, override with REPRO_OVERHEAD_BUDGET);
 3. span-tracing overhead (1-in-64 sampling) stays under its own budget
    (default 10 %, override with REPRO_SPANS_OVERHEAD_BUDGET);
-4. fleet observability (worker-style trace recording + correlation env
-   vars around the run) stays under its budget (default 5 %, override
-   with REPRO_FLEET_OVERHEAD_BUDGET) — and the base leg doubles as the
+4. fleet observability (worker-style trace recording around the run)
+   stays under its budget (default 5 %, override with
+   REPRO_FLEET_OVERHEAD_BUDGET) — and the base leg doubles as the
    fleet-*disabled* bit-identity gate, since it runs with no fleet
    state at all.
 
@@ -31,12 +31,7 @@ import time
 from repro import Telemetry, run_multicore, workload_by_name
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.export import JsonlRecorder
-from repro.telemetry.fleet import (
-    ENV_RUN_ID,
-    ENV_WORKER_ID,
-    new_run_id,
-    wall_us,
-)
+from repro.telemetry.fleet import new_run_id, wall_us
 
 
 def timed_run(mix, policy, budget, seed, telemetry=None):
@@ -48,27 +43,21 @@ def timed_run(mix, policy, budget, seed, telemetry=None):
 
 
 def timed_fleet_run(mix, policy, budget, seed, trace_dir):
-    """One run instrumented the way a sweep worker instruments it: the
-    correlation env vars exported and a cell slice published on a bus a
-    fleet-trace recorder subscribes to, around the engine call."""
+    """One run instrumented the way a sweep worker instruments it: a
+    cell slice published on a bus a fleet-trace recorder subscribes to,
+    around the engine call."""
     run_id = new_run_id()
     path = os.path.join(trace_dir, f"fleet-{run_id}.jsonl")
-    os.environ[ENV_RUN_ID] = run_id
-    os.environ[ENV_WORKER_ID] = "overhead-w0"
-    try:
-        bus = TelemetryBus(retain=False)
-        trace = JsonlRecorder(path, role="worker", run_id=run_id,
-                              worker_id="overhead-w0")
-        bus.subscribe(trace)
-        t0 = time.perf_counter()
-        bus.emit("cell overhead", "begin", wall_us(), "cells")
-        result = run_multicore(mix, policy, inst_budget=budget, seed=seed)
-        bus.emit("cell overhead", "end", wall_us(), "cells", status="done")
-        dt = time.perf_counter() - t0
-        trace.close()
-    finally:
-        os.environ.pop(ENV_RUN_ID, None)
-        os.environ.pop(ENV_WORKER_ID, None)
+    bus = TelemetryBus(retain=False)
+    trace = JsonlRecorder(path, role="worker", run_id=run_id,
+                          worker_id="overhead-w0")
+    bus.subscribe(trace)
+    t0 = time.perf_counter()
+    bus.emit("cell overhead", "begin", wall_us(), "cells")
+    result = run_multicore(mix, policy, inst_budget=budget, seed=seed)
+    bus.emit("cell overhead", "end", wall_us(), "cells", status="done")
+    dt = time.perf_counter() - t0
+    trace.close()
     return result, dt
 
 

@@ -15,8 +15,8 @@ docs/DISTRIBUTED.md end to end:
    byte-for-byte what the serial ``repro figure 2`` prints.
 
 ``--fleet-obs`` runs the same cluster with fleet observability enabled
-(coordinator ``--telemetry`` + trace/metrics/Prometheus outputs, worker
-fleet traces, a ``submit --trace-out`` client trace), so the golden and
+(coordinator trace/metrics/Prometheus outputs, worker fleet traces, a
+``submit --trace-out`` client trace), so the golden and
 byte-identity legs double as the *observability-enabled* bit-identity
 gate; after shutdown it asserts the metrics JSONL and Prometheus
 snapshots are well-formed and non-empty, reads every fleet trace with
@@ -82,7 +82,6 @@ def start_cluster(store: str, n_workers: int, obs_dir: str | None = None):
     serve_obs = []
     if obs_dir is not None:
         serve_obs = [
-            "--telemetry",
             "--trace-out", os.path.join(obs_dir, "coord.fleet.jsonl"),
             "--metrics-out", os.path.join(obs_dir, "metrics.jsonl"),
             "--prometheus-out", os.path.join(obs_dir, "fleet.prom"),

@@ -282,9 +282,8 @@ def _end_of_run_summary(args, cache) -> None:
 
     Shows where results came from: the local ``.repro-cache/`` counters
     always, and — on a ``--coordinator`` run — the coordinator's
-    lifetime stats plus its store hit/miss/verify counters (from
-    the fleet metrics snapshot when ``repro serve --telemetry`` is on,
-    from the basic status stats otherwise).
+    lifetime stats plus its store hit/miss/verify counters (from the
+    fleet metrics snapshot of its status reply).
     """
     lines = ["== end-of-run summary =="]
     if cache is not None:
@@ -310,15 +309,14 @@ def _end_of_run_summary(args, cache) -> None:
                 f"{s.get('sha_mismatch', 0)} corrupt payloads, "
                 f"{s.get('expired', 0)} expired leases, "
                 f"{s.get('failed_cells', 0)} failed cells")
-            inst = (doc.get("fleet") or {}).get("instruments") or {}
-            if inst:
-                def val(name):
-                    return inst.get(name, {}).get("value", 0)
+            inst = doc["fleet"]["instruments"]
 
-                lines.append(
-                    f"coordinator store: {val('fleet.store.hits')} hits, "
-                    f"{val('fleet.store.misses')} misses, "
-                    f"{val('fleet.store.verify_failures')} verify failures")
+            def val(name):
+                return inst[f"fleet.store.{name}"]["value"]
+
+            lines.append(f"coordinator store: {val('hits')} hits, "
+                         f"{val('misses')} misses, "
+                         f"{val('verify_failures')} verify failures")
     print("\n".join(lines), file=sys.stderr)
 
 

@@ -343,7 +343,3 @@ class CacheHierarchy:
 
     def l2_miss_count(self, core_id: int) -> int:
         return self.l2_misses[core_id]
-
-    def mshr_occupancies(self) -> list[int]:
-        """Current per-core MSHR occupancy (telemetry sampling point)."""
-        return [m.occupancy for m in self.mshrs]

@@ -21,16 +21,18 @@ Distributed sweeps (docs/DISTRIBUTED.md):
 * ``submit``    — run a figure/table sweep on a coordinator and render
                   it exactly as the serial command would (byte-identical).
 
-Fleet observability (docs/OBSERVABILITY.md): ``serve``/``worker`` accept
-``--telemetry``/``--trace-out`` to record fleet metrics and wall-clock
-traces, ``submit --watch`` renders a live progress dashboard, ``obs
-merge-trace`` stitches per-process traces into one Perfetto timeline,
-and ``run``/``profile`` accept ``--profile`` to cProfile the engine.
+Fleet observability (docs/OBSERVABILITY.md): ``serve`` records fleet
+metrics and a wall-clock trace (``--trace-out``/``--metrics-out``/
+``--prometheus-out``), ``worker``/``submit`` record their own traces,
+``submit --watch`` renders a live progress dashboard, ``obs merge-trace``
+stitches per-process traces into one Perfetto timeline, and
+``run``/``profile`` accept ``--profile`` to cProfile the engine.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Sequence
@@ -117,17 +119,18 @@ def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
 
 
 def _add_panels(p: argparse.ArgumentParser) -> None:
-    """``--cores`` and ``--groups``: the Figure 2 panels (figure, submit)."""
-    p.add_argument("--cores", type=int, nargs="+", default=[4],
-                   choices=(2, 4, 8))
-    p.add_argument("--groups", nargs="+", default=["MEM"],
-                   choices=("MEM", "MIX"))
+    """``--cores`` and ``--groups``: the Figure 2 panels (figure, submit).
+
+    Their defaults live in :data:`SECTION_FLAGS`, so ``main`` can tell a
+    flag the user gave from one they did not."""
+    p.add_argument("--cores", type=int, nargs="+", choices=(2, 4, 8))
+    p.add_argument("--groups", nargs="+", choices=("MEM", "MIX"))
 
 
 def _add_field(p: argparse.ArgumentParser, *, policies: bool = True) -> None:
     """``--mixes`` (arena, cloud, submit) and ``--policies`` (arena,
     cloud)."""
-    p.add_argument("--mixes", nargs="+", default=["smoke"],
+    p.add_argument("--mixes", nargs="+",
                    help="mix-set names (smoke, 2core, 4core, 8core, full) "
                         "and/or explicit mix names: Table 3 mixes for "
                         "arena, cloud mixes for cloud (default: smoke)")
@@ -152,8 +155,6 @@ def _add_parallel(p: argparse.ArgumentParser) -> None:
 
 def _engine_profiler(args: argparse.Namespace):
     """``--profile [BASE]`` -> an EngineProfiler, or a no-op context."""
-    import contextlib
-
     if getattr(args, "profile", None) is None:
         return contextlib.nullcontext(None)
     from repro.telemetry import EngineProfiler
@@ -318,26 +319,32 @@ def _render_cloud(ctx: ExperimentContext, args: argparse.Namespace) -> str:
     return format_cloud(run_cloud_table(ctx, mixes=mixes, policies=policies))
 
 
-#: section -> (its ``plan_cells`` keywords for ``args``, its printout).
-#: ``figure``, ``table2``, ``arena``, ``cloud`` and ``submit`` all read
-#: this table; they differ only in the executor that fills the memo.
+#: section -> (the :data:`SECTION_FLAGS` it reads, its ``plan_cells``
+#: keywords for ``args``, its printout).  ``figure``, ``table2``,
+#: ``arena``, ``cloud`` and ``submit`` all read this table; they differ
+#: only in the executor that fills the memo.
 SECTIONS = {
-    "table2": (lambda a: {"table2": True},
+    "table2": ((), lambda a: {"table2": True},
                lambda ctx, a: format_table2(run_table2(ctx))),
-    "figure2": (lambda a: {"figure2": (tuple(a.cores), tuple(a.groups))},
+    "figure2": (("cores", "groups"),
+                lambda a: {"figure2": (tuple(a.cores), tuple(a.groups))},
                 lambda ctx, a: format_figure2(run_figure2(
                     ctx, core_counts=tuple(a.cores),
                     groups=tuple(a.groups)))),
-    "figure3": (lambda a: {"figure3": tuple(a.groups)},
+    "figure3": (("groups",), lambda a: {"figure3": tuple(a.groups)},
                 lambda ctx, a: format_figure3(
                     run_figure3(ctx, groups=tuple(a.groups)))),
-    "figure4": (lambda a: {"figure4": True},
+    "figure4": ((), lambda a: {"figure4": True},
                 lambda ctx, a: format_figure4(run_figure4(ctx))),
-    "figure5": (lambda a: {"figure5": True},
+    "figure5": ((), lambda a: {"figure5": True},
                 lambda ctx, a: format_figure5(run_figure5(ctx))),
-    "arena": (lambda a: {"arena": _field(a)}, _render_arena),
-    "cloud": (lambda a: {"cloud": _field(a)}, _render_cloud),
+    "arena": (("mixes",), lambda a: {"arena": _field(a)}, _render_arena),
+    "cloud": (("mixes",), lambda a: {"cloud": _field(a)}, _render_cloud),
 }
+
+#: flags that shape a section, with the value a section that reads one
+#: gets when it is not given; a section that does not read one rejects it
+SECTION_FLAGS = {"cores": (4,), "groups": ("MEM",), "mixes": ("smoke",)}
 
 
 def _sweep(args: argparse.Namespace, execute) -> ExperimentContext:
@@ -346,7 +353,7 @@ def _sweep(args: argparse.Namespace, execute) -> ExperimentContext:
 
     The printout is bit-identical whichever executor ran the cells: the
     merge is ordered by cell key, never by completion order."""
-    plan, render = SECTIONS[args.section]
+    _, plan, render = SECTIONS[args.section]
     ctx = _make_ctx(args)
     execute(ctx, args, plan(args))
     print(render(ctx, args))
@@ -396,6 +403,19 @@ def _cmd_arena(args: argparse.Namespace) -> int:
 # -- distributed sweep verbs (docs/DISTRIBUTED.md) ---------------------------------
 
 
+@contextlib.contextmanager
+def _service_call(verb: str, addr: str):
+    """A coordinator that cannot be reached, or that refuses, ends the
+    verb with one line on stderr and exit status 1 — not a traceback."""
+    from repro.service.protocol import ServiceError
+
+    try:
+        yield
+    except (OSError, ServiceError) as exc:
+        print(f"repro {verb}: {addr}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -418,13 +438,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     bus.subscribe(narrate)
 
-    outputs = args.trace_out or args.metrics_out or args.prometheus_out
-
     async def serve() -> Coordinator:
         coord = Coordinator(
             host=args.host, port=args.port, store=store,
             lease_seconds=args.lease, max_attempts=args.max_attempts,
-            bus=bus, telemetry=bool(args.telemetry or outputs),
+            bus=bus,
         )
         trace = snapshots = None
         if args.trace_out:
@@ -471,12 +489,13 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     trace_out = args.trace_out
     if trace_out is None and args.telemetry:
         trace_out = f"fleet-worker-{args.id or os.getpid()}.jsonl"
-    stats = asyncio.run(run_worker(
-        host, port, worker_id=args.id, store=store,
-        connect_retries=args.connect_retries,
-        trace_out=trace_out,
-        snapshot_seconds=args.sample_every if trace_out else None,
-    ))
+    with _service_call("worker", args.coordinator):
+        stats = asyncio.run(run_worker(
+            host, port, worker_id=args.id, store=store,
+            connect_retries=args.connect_retries,
+            trace_out=trace_out,
+            snapshot_seconds=args.sample_every if trace_out else None,
+        ))
     print(f"worker done: {stats['executed']} executed, "
           f"{stats['hits']} store hits, {stats['failed']} failed")
     if trace_out:
@@ -488,22 +507,22 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import coordinator_status, request_shutdown
 
     if args.stop:
-        request_shutdown(args.coordinator)
+        with _service_call("submit", args.coordinator):
+            request_shutdown(args.coordinator)
         print("coordinator stopped", file=sys.stderr)
         return 0
     if args.status:
-        doc = coordinator_status(args.coordinator)
+        from repro.telemetry.fleet import render_dashboard
+
+        with _service_call("submit", args.coordinator):
+            doc = coordinator_status(args.coordinator)
         print(f"workers: {', '.join(doc['workers']) or '(none)'}")
         print(f"tasks:   {doc['tasks']}")
         print(f"stats:   {doc['stats']}")
-        if doc.get("run_id"):
-            print(f"run:     {doc['run_id']}")
-        if doc.get("fleet"):
-            from repro.telemetry.fleet import render_dashboard
-
-            done = doc["tasks"].get("done", 0)
-            total = sum(doc["tasks"].values())
-            print(render_dashboard(doc, done, total))
+        print(f"run:     {doc['run_id']}")
+        done = doc["tasks"].get("done", 0)
+        total = sum(doc["tasks"].values())
+        print(render_dashboard(doc, done, total))
         return 0
     _sweep(args, _run_remote)
     return 0
@@ -529,8 +548,9 @@ def _run_remote(ctx: ExperimentContext, args: argparse.Namespace,
 
     bus.subscribe(narrate)
     watch_seconds = args.sample_every if args.watch else None
-    report = submit_cells(args.coordinator, cells, bus=bus,
-                          watch_seconds=watch_seconds)
+    with _service_call("submit", args.coordinator):
+        report = submit_cells(args.coordinator, cells, bus=bus,
+                              watch_seconds=watch_seconds)
     if report.failures:
         print(report.failure_report(), file=sys.stderr)
     merge_into(ctx, report)
@@ -548,12 +568,12 @@ def _run_remote(ctx: ExperimentContext, args: argparse.Namespace,
         trace.close()
         print(f"fleet trace: {args.trace_out}", file=sys.stderr)
     if args.telemetry:
-        doc = coordinator_status(args.coordinator)
-        if doc.get("fleet"):
-            from repro.telemetry.fleet import render_dashboard
+        from repro.telemetry.fleet import render_dashboard
 
-            print(render_dashboard(doc, len(report.results), len(cells)),
-                  file=sys.stderr)
+        with _service_call("submit", args.coordinator):
+            doc = coordinator_status(args.coordinator)
+        print(render_dashboard(doc, len(report.results), len(cells)),
+              file=sys.stderr)
 
 
 def _cmd_obs_merge(args: argparse.Namespace) -> int:
@@ -722,20 +742,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="also narrate per-cell service events")
     g = p.add_argument_group("fleet observability (docs/OBSERVABILITY.md)")
-    g.add_argument("--telemetry", action="store_true",
-                   help="collect fleet metrics (lease/queue/worker "
-                        "counters) and serve them via status requests")
     g.add_argument("--trace-out", type=_output_path, metavar="PATH",
                    help="record coordinator lease slices as a fleet trace "
-                        "(JSONL; merge with 'repro obs merge-trace'); "
-                        "implies --telemetry")
+                        "(JSONL; merge with 'repro obs merge-trace')")
     g.add_argument("--metrics-out", type=_output_path, metavar="PATH",
-                   help="append periodic metrics snapshots as JSONL; "
-                        "implies --telemetry")
+                   help="append periodic metrics snapshots as JSONL")
     g.add_argument("--prometheus-out", type=_output_path, metavar="PATH",
                    help="write the latest snapshot in Prometheus text "
-                        "format (textfile-collector ready); implies "
-                        "--telemetry")
+                        "format (textfile-collector ready)")
     g.add_argument("--sample-every", type=_positive_float, default=5.0,
                    metavar="SECONDS",
                    help="metrics snapshot period in seconds (default 5)")
@@ -780,8 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_argument_group("fleet observability (docs/OBSERVABILITY.md)")
     g.add_argument("--watch", action="store_true",
                    help="live dashboard on stderr while the job runs "
-                        "(progress bar + worker table; needs a coordinator "
-                        "started with --telemetry for the worker table)")
+                        "(progress bar + worker table)")
     g.add_argument("--telemetry", action="store_true",
                    help="print the coordinator's fleet snapshot after the "
                         "job completes")
@@ -822,6 +835,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         problem = _policy_error(args.policy, args.workload)
         if problem:
             parser.error(problem)
+    if getattr(args, "section", None) in SECTIONS:
+        reads = SECTIONS[args.section][0]
+        for flag, default in SECTION_FLAGS.items():
+            if getattr(args, flag, None) is None:
+                setattr(args, flag, default)
+            elif flag not in reads:
+                parser.error(f"--{flag}: {args.section} does not read it")
     try:
         return args.fn(args)
     except KeyboardInterrupt:

@@ -130,12 +130,6 @@ class CloudResult:
     end_cycle: int
     row_hit_rate: float
 
-    def all_latencies(self) -> list[int]:
-        out: list[int] = []
-        for s in self.services:
-            out.extend(s.latencies)
-        return out
-
 
 def run_cloud(
     mix: CloudMix | str,

@@ -87,8 +87,7 @@ class ParallelReport:
     cache_hits: int = 0
     seconds: float = 0.0
     pool_broken: bool = False
-    #: fleet-run correlation id (minted per run_cells invocation, or the
-    #: coordinator's id when the report came over the wire)
+    #: the coordinator's fleet-run id, when the report came over the wire
     run_id: str | None = None
 
     def summary(self) -> str:
@@ -298,7 +297,6 @@ def run_cells(
     profile cells so workers reproduce the serial numbers exactly.
     """
     from repro.experiments.board import TaskBoard
-    from repro.telemetry.fleet import ENV_RUN_ID, new_run_id
 
     t0 = time.perf_counter()
     board = TaskBoard(max_attempts=2)  # one retry per cell
@@ -306,15 +304,6 @@ def run_cells(
         board.add(cell)
 
     report = ParallelReport()
-    # Correlation id for this sweep: pool children inherit the parent's
-    # environment at fork/spawn time, so setting it before the pool is
-    # created stamps every exporter artifact (run_metadata "fleet"
-    # section) written by any process of this run.  An id inherited from
-    # an enclosing fleet context wins — we are then part of *that* run.
-    inherited = os.environ.get(ENV_RUN_ID)
-    report.run_id = inherited or new_run_id()
-    if inherited is None:
-        os.environ[ENV_RUN_ID] = report.run_id
 
     def settle(state, status, payload=None, seconds=0.0):
         """Record one finished cell, store it, and announce it."""
@@ -341,21 +330,17 @@ def run_cells(
                 seconds=round(seconds, 4), done=done, total=len(board.tasks),
             )
 
-    try:
-        if cache is not None:
-            for state in board.tasks.values():
-                hit = cache.get(state.cell.key)
-                if hit is not None:
-                    settle(state, "hit", hit)
-        pending = board.counts()["pending"]
-        if jobs <= 1 or pending <= 1:
-            _run_round_serial(board, settle)
-        elif not _run_round_pool(board, min(jobs, pending), settle):
-            report.pool_broken = True
-            _run_round_serial(board, settle, after_crash=True)
-    finally:
-        if inherited is None:
-            os.environ.pop(ENV_RUN_ID, None)
+    if cache is not None:
+        for state in board.tasks.values():
+            hit = cache.get(state.cell.key)
+            if hit is not None:
+                settle(state, "hit", hit)
+    pending = board.counts()["pending"]
+    if jobs <= 1 or pending <= 1:
+        _run_round_serial(board, settle)
+    elif not _run_round_pool(board, min(jobs, pending), settle):
+        report.pool_broken = True
+        _run_round_serial(board, settle, after_crash=True)
 
     # the board holds its cells in canonical key order
     report.results = {s.cell.key: board.done[s.digest]

@@ -47,8 +47,8 @@ Its counters (:class:`~repro.telemetry.fleet.FleetMetrics`, behind
 (:class:`~repro.telemetry.export.JsonlRecorder`) and the ``serve``
 narration are all consumers of that bus.  The coordinator stamps its
 ``run_id`` into every ``welcome`` so workers and clients can correlate
-their own artifacts with its timeline; with ``telemetry`` on, the live
-metrics snapshot is served through ``status_reply.fleet``.
+their own artifacts with its timeline, and serves the live metrics
+snapshot through ``status_reply.fleet``.
 """
 
 from __future__ import annotations
@@ -129,14 +129,12 @@ class Coordinator:
         max_attempts: int = 3,
         bus: TelemetryBus | None = None,
         fingerprint: str | None = None,
-        telemetry: bool = False,
     ) -> None:
         self.host = host
         self.port = port
         self.store = store
         self.lease_seconds = lease_seconds
         self.fingerprint = fingerprint or code_fingerprint()
-        self.telemetry = telemetry
         self.run_id = new_run_id()
         self.board = TaskBoard(max_attempts=max_attempts)
         self.bus = bus if bus is not None else TelemetryBus(retain=False)
@@ -374,17 +372,15 @@ class Coordinator:
                 if t == "submit":
                     job = await self._on_submit(msg, writer)
                 elif t == "status":
-                    reply = {
+                    await send_msg(writer, {
                         "t": "status_reply",
                         "workers": sorted(self.workers),
                         "tasks": self.board.counts(),
                         "jobs": len(self.jobs),
                         "stats": self.stats,
                         "run_id": self.run_id,
-                    }
-                    if self.telemetry:
-                        reply["fleet"] = self.fleet_snapshot()
-                    await send_msg(writer, reply)
+                        "fleet": self.fleet_snapshot(),
+                    })
                 elif t == "shutdown":
                     await send_msg(writer, {"t": "bye"})
                     self._stopping.set()

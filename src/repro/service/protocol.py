@@ -45,15 +45,14 @@ older peer, and every consumer tolerates that, so the protocol version
 is unchanged:
 
 * ``welcome.run_id`` — the coordinator's fleet-run identifier.  Workers
-  adopt it for their trace files and ``REPRO_RUN_ID``; clients stamp it
-  on their :class:`~repro.experiments.parallel.ParallelReport`.
+  adopt it for their trace files; clients stamp it on their
+  :class:`~repro.experiments.parallel.ParallelReport`.
 * ``task.cell_id`` — the cell-key digest of the leased cell (the same
-  value ``result.key`` echoes back), exported by workers as
-  ``REPRO_CELL_ID`` while the cell executes.
+  value ``result.key`` echoes back), which workers tag their cell
+  slices with.
 * ``status_reply.run_id`` / ``status_reply.fleet`` — the run identifier
-  and, when the coordinator runs with telemetry on, the live
-  fleet-metrics snapshot (queue depths, instrument values, per-worker
-  table) the ``repro submit --watch`` dashboard renders.
+  and the live fleet-metrics snapshot (queue depths, instrument values,
+  per-worker table) the ``repro submit --watch`` dashboard renders.
 
 Exactness
 ---------

@@ -28,17 +28,14 @@ whose key matches — exercising the coordinator's integrity check — and
 the ``REPRO_PARALLEL_FAULT*`` hooks of :mod:`repro.experiments.cells`
 work unchanged, since execution goes through ``execute_cell``.
 
-Fleet observability (opt-in): after the ``welcome`` the worker adopts
-the coordinator's ``run_id`` and exports it (with its own worker name
-and the currently-executing ``cell_id``) through the ``REPRO_RUN_ID`` /
-``REPRO_WORKER_ID`` / ``REPRO_CELL_ID`` environment variables, so any
-telemetry artifact written inside the worker is correlatable.  It
-publishes one begin/end slice per cell (hits and failures tagged) on a
-telemetry bus of its own; with ``trace_out`` set a
+Fleet observability (opt-in): the worker publishes one begin/end slice
+per cell (hits and failures tagged, each with the ``cell_id`` of its
+task) on a telemetry bus of its own; with ``trace_out`` set a
 :class:`~repro.telemetry.export.JsonlRecorder` records that bus, plus a
 ``progress`` counter every ``snapshot_seconds`` and at exit, as the
-worker's fleet trace, which ``repro obs merge-trace`` aligns against the
-coordinator's lease slices.
+worker's fleet trace.  Its header names the coordinator's ``run_id``
+from the ``welcome``, so ``repro obs merge-trace`` aligns it against
+the coordinator's lease slices.
 """
 
 from __future__ import annotations
@@ -64,39 +61,9 @@ from repro.service.protocol import (
 )
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.export import JsonlRecorder
-from repro.telemetry.fleet import (
-    ENV_CELL_ID,
-    ENV_RUN_ID,
-    ENV_WORKER_ID,
-    wall_us,
-)
+from repro.telemetry.fleet import wall_us
 
 __all__ = ["run_worker"]
-
-
-class _EnvIds:
-    """Scoped REPRO_RUN_ID/WORKER_ID/CELL_ID management.
-
-    The loopback tests run workers inside the test process, so the
-    correlation ids must be restored on exit rather than left behind.
-    """
-
-    def __init__(self) -> None:
-        self._saved = {env: os.environ.get(env)
-                       for env in (ENV_RUN_ID, ENV_WORKER_ID, ENV_CELL_ID)}
-
-    def set(self, env: str, value: str | None) -> None:
-        if value:
-            os.environ[env] = value
-        else:
-            os.environ.pop(env, None)
-
-    def restore(self) -> None:
-        for env, value in self._saved.items():
-            if value is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = value
 
 
 def _maybe_corrupt_sha(key_str: str, sha: str, attempt: int) -> str:
@@ -181,7 +148,6 @@ async def run_worker(
     snapshotter: asyncio.Task | None = None
     bus = TelemetryBus(retain=False)
     trace: JsonlRecorder | None = None
-    env_ids = _EnvIds()
     try:
         await send_msg(writer, {
             "t": "hello", "role": "worker", "protocol": PROTOCOL_VERSION,
@@ -190,8 +156,6 @@ async def run_worker(
         welcome = expect(await read_msg(reader), "welcome")
         name = welcome.get("worker") or worker_id or "worker"
         run_id = welcome.get("run_id")
-        env_ids.set(ENV_RUN_ID, run_id)
-        env_ids.set(ENV_WORKER_ID, name)
         if trace_out is not None and run_id:
             trace = JsonlRecorder(trace_out, role="worker", run_id=run_id,
                                   worker_id=name)
@@ -214,7 +178,6 @@ async def run_worker(
             attempt = int(msg.get("attempt", 0))
             cell_id = msg.get("cell_id") or cell.key.digest()
             slice_name = "cell " + cell.key.key_str().split(":cfg=")[0]
-            env_ids.set(ENV_CELL_ID, cell_id)
             bus.emit(slice_name, "begin", wall_us(), "cells",
                      cell_id=cell_id, attempt=attempt)
             hits_before = stats["hits"]
@@ -231,8 +194,6 @@ async def run_worker(
                         "key": cell.key.digest(), "error": repr(exc),
                     })
                 continue
-            finally:
-                env_ids.set(ENV_CELL_ID, None)
             bus.emit(slice_name, "end", wall_us(), "cells",
                      status="hit" if stats["hits"] > hits_before else "done")
             sha = _maybe_corrupt_sha(cell.key.key_str(),
@@ -254,7 +215,6 @@ async def run_worker(
         if trace is not None:
             _progress(bus, stats)  # the lifetime totals
             trace.close()
-        env_ids.restore()
         writer.close()
         try:
             await writer.wait_closed()

@@ -1,9 +1,7 @@
 """repro.telemetry — unified, low-overhead instrumentation & trace export.
 
-One :class:`Telemetry` hub per run collects three complementary views:
+One :class:`Telemetry` hub per run collects two complementary views:
 
-* a registry of named counters / gauges / histograms
-  (:mod:`repro.telemetry.registry`) with no-op stubs when disabled;
 * a shared event bus (:mod:`repro.telemetry.bus`) the decision log,
   command log and write-drain hysteresis all publish through;
 * a periodic time series (:mod:`repro.telemetry.sampler`): per-channel
@@ -13,12 +11,13 @@ One :class:`Telemetry` hub per run collects three complementary views:
 Exporters (:mod:`repro.telemetry.export`) write JSONL, CSV, and Chrome
 trace-event JSON that Perfetto loads — one JSONL schema and one Chrome
 writer for single runs and for the fleet traces of the distributed
-sweep service (:mod:`repro.telemetry.fleet`); :mod:`repro.telemetry.report`
-renders a terminal summary.  Opt-in request-lifecycle tracing
-(:mod:`repro.telemetry.spans`, ``Telemetry(capture_spans=True)``) stamps
-sampled requests at every stage and :mod:`repro.telemetry.attribution`
-decomposes them into additive latency components.  See
-docs/OBSERVABILITY.md for the tour.
+sweep service (:mod:`repro.telemetry.fleet`, whose coordinator metrics
+live in an instrument registry, :mod:`repro.telemetry.registry`);
+:mod:`repro.telemetry.report` renders a terminal summary.  Opt-in
+request-lifecycle tracing (:mod:`repro.telemetry.spans`,
+``Telemetry(capture_spans=True)``) stamps sampled requests at every
+stage and :mod:`repro.telemetry.attribution` decomposes them into
+additive latency components.  See docs/OBSERVABILITY.md for the tour.
 
 Quick start::
 
@@ -53,7 +52,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.fleet import (
     FleetMetrics,
-    fleet_ids,
     new_run_id,
     prometheus_text,
     render_dashboard,
@@ -62,13 +60,7 @@ from repro.telemetry.fleet import (
 )
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.profiling import EngineProfiler
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    NULL_INSTRUMENT,
-    TelemetryRegistry,
-)
+from repro.telemetry.registry import Counter, Histogram, TelemetryRegistry
 from repro.telemetry.report import render_summary
 from repro.telemetry.sampler import ChannelSample, CoreSample, Sample, Sampler
 from repro.telemetry.spans import RequestSpan, SpanCollector
@@ -79,9 +71,7 @@ __all__ = [
     "TraceEvent",
     "TelemetryRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
-    "NULL_INSTRUMENT",
     "Sampler",
     "Sample",
     "ChannelSample",
@@ -104,7 +94,6 @@ __all__ = [
     "write_merged_trace",
     "render_summary",
     "FleetMetrics",
-    "fleet_ids",
     "new_run_id",
     "prometheus_text",
     "write_prometheus",

@@ -48,7 +48,8 @@ class TelemetryBus:
     Subscribers (``fn(event)``) see every event as it is emitted —
     streaming exporters hook in here — while the retained list serves
     post-run export and analysis.  ``retain=False`` turns the bus into a
-    pure pipe for runs too long to buffer.
+    pure pipe for long-lived processes (the fleet's coordinator and
+    workers) whose events only stream to subscribers.
     """
 
     __slots__ = ("events", "retain", "_subscribers")

@@ -3,10 +3,10 @@
 One record schema, three consumers:
 
 * :func:`write_jsonl` — one self-describing JSON object per line (header,
-  then samples, events, spans and a registry footer); the format scripts
-  and notebooks should parse.  :class:`JsonlRecorder` streams the same
-  records from a live bus — it is how every process of a distributed
-  sweep records its fleet trace — and :func:`read_jsonl` reads both.
+  then samples, events and spans); the format scripts and notebooks
+  should parse.  :class:`JsonlRecorder` streams the same records from a
+  live bus — it is how every process of a distributed sweep records its
+  fleet trace — and :func:`read_jsonl` reads both.
 * :func:`write_csv` — the sampled time series flattened to columns for
   spreadsheet / pandas consumption.
 * :func:`write_chrome_trace` — the Trace Event Format JSON that
@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.metrics.serialize import to_jsonable
 from repro.telemetry.bus import TraceEvent
-from repro.telemetry.fleet import fleet_ids
 from repro.util.units import CPU_FREQ_HZ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,11 +84,9 @@ def metadata(fleet: dict | None = None, **fields) -> dict:
     """The self-describing header every telemetry file opens with.
 
     The format marker, creation wall-clock time and the git revision the
-    file was produced from, then ``fields``, then a ``fleet`` section
-    naming the fleet run this file belongs to: ``fleet`` when given, else
-    the correlation ids of the environment (``REPRO_RUN_ID`` /
-    ``REPRO_WORKER_ID`` / ``REPRO_CELL_ID``, set by the distributed
-    service and the parallel runner), omitted outside any fleet.
+    file was produced from, then ``fields``, then, for a fleet trace,
+    the ``fleet`` section naming the process and the fleet run it
+    belongs to.
     """
     doc = {
         "format": FORMAT,
@@ -97,7 +94,6 @@ def metadata(fleet: dict | None = None, **fields) -> dict:
         "git_rev": _git_rev(),
         **fields,
     }
-    fleet = fleet_ids() if fleet is None else fleet
     if fleet:
         doc["fleet"] = fleet
     return doc
@@ -108,9 +104,7 @@ def run_metadata(telemetry: "Telemetry") -> dict:
 
     Adds the sampler epoch and the run description the runner stashed in
     ``telemetry.meta`` (policy, mix/app, seed, budget and the config
-    hash).  Inside a fleet the ``fleet`` section names the run/worker/cell
-    this trace belongs to, so ``repro obs merge-trace`` and humans can
-    correlate per-process artifacts.
+    hash).
     """
     return metadata(sample_every=telemetry.sample_every,
                     meta=to_jsonable(telemetry.meta))
@@ -135,8 +129,7 @@ def write_jsonl(telemetry: "Telemetry", path: str | os.PathLike) -> int:
             f.write(_line("event", **to_jsonable(e)))
         for rec in spans:
             f.write(json.dumps(rec) + "\n")
-        f.write(_line("registry", instruments=telemetry.registry.snapshot()))
-    return 2 + len(telemetry.samples) + len(telemetry.bus.events) + len(spans)
+    return 1 + len(telemetry.samples) + len(telemetry.bus.events) + len(spans)
 
 
 class JsonlRecorder:
@@ -148,8 +141,9 @@ class JsonlRecorder:
     ``run_id``, ``worker_id``, ``pid``, ``host``); each event becomes one
     ``event`` record, written through a line-buffered file, so a killed
     process leaves a readable prefix.  :meth:`close` appends a
-    ``registry`` record when given a registry; events published after
-    it are dropped.
+    ``registry`` record when given a registry (the coordinator passes
+    its :class:`~repro.telemetry.fleet.FleetMetrics` registry); events
+    published after it are dropped.
     """
 
     def __init__(self, path: str | os.PathLike, *, role: str, run_id: str,
@@ -218,8 +212,9 @@ def read_jsonl(path: str | os.PathLike) -> dict[str, Any]:
 
     Returns ``{"header": ..., "samples": [...], "events": [...],
     "spans": [...], "registry": {...}}`` with samples/events/spans as
-    plain dicts (a fleet trace has no samples or spans, and no registry
-    when its process died before closing it).  Raises ``ValueError`` for
+    plain dicts.  A fleet trace has no samples or spans; ``registry`` is
+    ``{}`` unless the file ends in a registry record, which only a
+    coordinator's closed fleet trace does.  Raises ``ValueError`` for
     files this library did not write.
     """
     out: dict[str, Any] = {

@@ -3,9 +3,9 @@
 The per-run telemetry hub (:mod:`repro.telemetry.hub`) observes *one
 simulation in one process*.  This module observes the machinery that
 runs many simulations across many processes — the distributed sweep
-service (:mod:`repro.service`) and the local parallel runner — and
-answers the fleet-level questions the hub cannot: which worker is slow,
-why a lease was retried, where fleet wall-clock goes.
+service (:mod:`repro.service`) — and answers the fleet-level questions
+the hub cannot: which worker is slow, why a lease was retried, where
+fleet wall-clock goes.
 
 Every fleet process publishes what it does on a
 :class:`~repro.telemetry.bus.TelemetryBus`, stamped in wall-clock
@@ -28,13 +28,12 @@ client its ``experiment.cell`` arrivals.  Consumers of those buses:
 * :func:`render_dashboard` — the TTY progress-bar + worker-table view
   ``repro submit --watch`` refreshes from the coordinator's status.
 
-Correlation identifiers travel two ways: inside the service protocol
+Correlation identifiers travel inside the service protocol
 (``welcome.run_id``, ``task.cell_id`` — optional, backward-compatible
-protocol-v1 fields) and through the ``REPRO_RUN_ID`` /
-``REPRO_WORKER_ID`` / ``REPRO_CELL_ID`` environment variables, which
-every exporter stamps into its metadata header
-(:func:`repro.telemetry.export.metadata`) so even a per-simulation
-Chrome trace written inside a worker names the fleet run it was part of.
+protocol-v1 fields): the coordinator mints the ``run_id``
+(:func:`new_run_id`), and every fleet trace names it in its header's
+``fleet`` section, which is what lets ``repro obs merge-trace`` refuse
+to mix runs.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.telemetry.registry import TelemetryRegistry
 
 __all__ = [
     "new_run_id",
-    "fleet_ids",
     "wall_us",
     "FleetMetrics",
     "prometheus_text",
@@ -58,32 +56,10 @@ __all__ = [
     "render_dashboard",
 ]
 
-#: environment variables carrying correlation ids across process spawns
-ENV_RUN_ID = "REPRO_RUN_ID"
-ENV_WORKER_ID = "REPRO_WORKER_ID"
-ENV_CELL_ID = "REPRO_CELL_ID"
-
 
 def new_run_id() -> str:
     """A fresh fleet-run identifier (short, log-friendly, unique)."""
     return uuid.uuid4().hex[:12]
-
-
-def fleet_ids() -> dict:
-    """Correlation ids of the current process, from the environment.
-
-    The service sets these (coordinator mints the ``run_id``, workers
-    adopt it from ``welcome`` and stamp the executing ``cell_id``); the
-    local parallel runner sets ``run_id`` before forking its pool.
-    Empty dict outside any fleet context.
-    """
-    out = {}
-    for field, env in (("run_id", ENV_RUN_ID), ("worker_id", ENV_WORKER_ID),
-                       ("cell_id", ENV_CELL_ID)):
-        value = os.environ.get(env)
-        if value:
-            out[field] = value
-    return out
 
 
 def wall_us() -> int:
@@ -107,7 +83,7 @@ class FleetMetrics:
 
     def __init__(self, run_id: str) -> None:
         self.run_id = run_id
-        self.registry = TelemetryRegistry(enabled=True)
+        self.registry = TelemetryRegistry()
         r = self.registry
         self.lease_granted = r.counter("fleet.lease.granted")
         self.lease_completed = r.counter("fleet.lease.completed")
@@ -281,8 +257,6 @@ def prometheus_text(snapshot: dict) -> str:
         base = _prom_name(name)
         if inst["kind"] == "counter":
             emit(base + "_total", "counter", inst["value"])
-        elif inst["kind"] == "gauge":
-            emit(base, "gauge", inst["value"])
         else:  # histogram summary
             emit(base + "_count", "gauge", inst["count"])
             emit(base + "_sum", "gauge", inst["sum"])

@@ -1,16 +1,15 @@
-"""The per-run telemetry hub: registry + event bus + sampled series.
+"""The per-run telemetry hub: event bus + sampled series + spans.
 
 One :class:`Telemetry` instance accompanies one simulation run.  Pass it
 to :class:`~repro.sim.system.MultiCoreSystem` (or the
 :func:`~repro.sim.runner.run_multicore` helpers, or the CLI's
-``--telemetry`` flag) and after the run it holds three views of what
-happened:
+``--telemetry`` flag) and after the run it holds what happened:
 
-* ``registry`` — named counters/gauges/histograms components updated;
 * ``bus``      — the discrete event stream (drain windows, decisions,
   commands) every producer shares;
 * ``samples``  — the periodic time series the
-  :class:`~repro.telemetry.sampler.Sampler` took.
+  :class:`~repro.telemetry.sampler.Sampler` took;
+* ``spans``    — the sampled request lifecycles, when captured.
 
 Exporters in :mod:`repro.telemetry.export` turn a hub into JSONL, CSV or
 a Chrome/Perfetto trace;
@@ -24,7 +23,6 @@ that is discarded.
 from __future__ import annotations
 
 from repro.telemetry.bus import TelemetryBus
-from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.sampler import Sample
 
 __all__ = ["Telemetry"]
@@ -48,8 +46,6 @@ class Telemetry:
         additive latency components by
         :func:`repro.telemetry.attribution.attribute`.  ``span_sample=1``
         traces every request.
-    retain_events:
-        ``False`` turns the bus into a pure pipe for streaming consumers.
     """
 
     def __init__(
@@ -59,15 +55,13 @@ class Telemetry:
         capture_commands: bool = False,
         capture_spans: bool = False,
         span_sample: int = 64,
-        retain_events: bool = True,
     ) -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.sample_every = sample_every
         self.capture_decisions = capture_decisions
         self.capture_commands = capture_commands
-        self.registry = TelemetryRegistry(enabled=True)
-        self.bus = TelemetryBus(retain=retain_events)
+        self.bus = TelemetryBus()
         self.samples: list[Sample] = []
         #: request-lifecycle span collector, or None when not capturing
         self.spans = None

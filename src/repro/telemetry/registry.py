@@ -1,31 +1,22 @@
-"""Instrument registry: named counters, gauges and histograms.
+"""Instrument registry: named counters and histograms.
 
-The registry is the metric half of the telemetry subsystem (the event/
-span half lives in :mod:`repro.telemetry.bus`).  Components request
-instruments once, at construction time, and update them on their hot
-paths::
+The fleet's metric store: :class:`~repro.telemetry.fleet.FleetMetrics`
+requests its instruments once, at construction time, and updates them
+as coordinator events arrive::
 
-    clamped = telemetry.registry.counter("engine.clamped_events")
+    granted = registry.counter("fleet.lease.granted")
     ...
-    clamped.inc()
+    granted.inc()
 
-When telemetry is disabled every lookup returns a shared *null*
-instrument whose update methods are empty ``pass`` bodies — the cheapest
-thing Python can call — so instrumented components never need an
-``if telemetry:`` branch around each update.  Truly hot per-event paths
-should still prefer plain integer attributes that the periodic
-:class:`~repro.telemetry.sampler.Sampler` reads at epoch boundaries;
-instruments are for values that have no natural home on a component.
+:meth:`TelemetryRegistry.snapshot` is what the coordinator's status
+reply, metrics JSONL, Prometheus textfile and fleet-trace footer carry.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
-    "NullInstrument",
-    "NULL_INSTRUMENT",
     "TelemetryRegistry",
 ]
 
@@ -46,29 +37,12 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Gauge:
-    """Last-written named value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, v: float) -> None:
-        self.value = v
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value})"
-
-
 class Histogram:
     """Streaming summary of a sample: count / sum / min / max.
 
-    Full distributions are deliberately not kept — a run can observe
-    millions of values and the summary is what the report renderer and
-    exporters consume.  Callers that need quantiles should export the raw
-    series through the event bus instead.
+    Full distributions are deliberately not kept — only the summary is
+    exported.  Callers that need quantiles should export the raw series
+    through the event bus instead.
     """
 
     __slots__ = ("name", "count", "total", "min", "max")
@@ -96,49 +70,20 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3g})"
 
 
-class NullInstrument:
-    """No-op stand-in for every instrument kind when telemetry is off."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-    count = 0
-    total = 0.0
-    min = 0.0
-    max = 0.0
-    mean = 0.0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def observe(self, v: float) -> None:
-        pass
-
-
-#: the shared disabled-mode instrument; identity-comparable in tests
-NULL_INSTRUMENT = NullInstrument()
-
-
 class TelemetryRegistry:
-    """Name -> instrument mapping with disabled-mode null stubs.
+    """Name -> instrument mapping.
 
     Requesting the same name twice returns the same instrument, so
     independent components may share a counter by agreeing on its name.
     A name is bound to one instrument kind for the registry's lifetime.
     """
 
-    __slots__ = ("enabled", "_instruments")
+    __slots__ = ("_instruments",)
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+    def __init__(self) -> None:
+        self._instruments: dict[str, Counter | Histogram] = {}
 
     def _get(self, name: str, cls):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         inst = self._instruments.get(name)
         if inst is None:
             inst = self._instruments[name] = cls(name)
@@ -152,9 +97,6 @@ class TelemetryRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
@@ -164,8 +106,6 @@ class TelemetryRegistry:
         for name, inst in sorted(self._instruments.items()):
             if isinstance(inst, Counter):
                 out[name] = {"kind": "counter", "value": inst.value}
-            elif isinstance(inst, Gauge):
-                out[name] = {"kind": "gauge", "value": inst.value}
             else:
                 out[name] = {
                     "kind": "histogram",
@@ -176,6 +116,3 @@ class TelemetryRegistry:
                     "mean": inst.mean,
                 }
         return out
-
-    def __len__(self) -> int:
-        return len(self._instruments)

@@ -80,15 +80,4 @@ def render_summary(telemetry: "Telemetry") -> str:
         )
     lines.append("pending demand reads (mean):")
     lines.append(bar_chart(pend, width=30, fmt="{:.2f}"))
-
-    if telemetry.registry.snapshot():
-        lines.append("\ninstruments:")
-        for name, rec in telemetry.registry.snapshot().items():
-            if rec["kind"] == "histogram":
-                lines.append(
-                    f"  {name}: n={rec['count']} mean={rec['mean']:.4g} "
-                    f"min={rec['min']:.4g} max={rec['max']:.4g}"
-                )
-            else:
-                lines.append(f"  {name}: {rec['value']}")
     return "\n".join(lines)

@@ -33,6 +33,16 @@ def _readme_flag_rows() -> list[tuple[str, set[str]]]:
     return rows
 
 
+#: valid section-flag invocations -> the values the section then reads
+_READ_FLAGS = [
+    (["figure", "2", "--cores", "2"], {"cores": (2,), "groups": ("MEM",)}),
+    (["figure", "3", "--groups", "MIX"], {"groups": ("MIX",)}),
+    (["figure", "2"], {"cores": (4,), "groups": ("MEM",)}),
+    (["arena"], {"mixes": ("smoke",)}),
+    (["submit", "h:1", "cloud", "--mixes", "2core"], {"mixes": ("2core",)}),
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -130,6 +140,50 @@ class TestParser:
                 drift[flag] = {"README": sorted(listed),
                                "parser": sorted(actual)}
         assert not drift
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "3", "--cores", "8"],
+        ["figure", "4", "--cores", "2"],
+        ["figure", "5", "--cores", "4"],
+        ["figure", "4", "--groups", "MIX"],
+        ["figure", "5", "--groups", "MEM"],
+        *(["submit", "h:1", section, "--cores", "2"]
+          for section in ("figure3", "figure4", "figure5", "table2",
+                          "arena", "cloud")),
+        *(["submit", "h:1", section, "--groups", "MIX"]
+          for section in ("figure4", "figure5", "table2", "arena",
+                          "cloud")),
+        *(["submit", "h:1", section, "--mixes", "smoke"]
+          for section in ("table2", "figure2", "figure3", "figure4",
+                          "figure5")),
+    ], ids=lambda argv: " ".join(argv))
+    def test_flag_the_section_does_not_read_is_a_usage_error(
+            self, argv, monkeypatch, capsys):
+        import repro.cli as cli
+
+        def planned(*_args):
+            raise AssertionError("planned a section it should have rejected")
+
+        monkeypatch.setattr(cli, "_sweep", planned)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        section = argv[2] if argv[0] == "submit" else f"figure{argv[1]}"
+        err = capsys.readouterr().err
+        assert argv[-2] in err and section in err
+
+    @pytest.mark.parametrize("argv, expected", _READ_FLAGS,
+                             ids=[" ".join(argv) for argv, _ in _READ_FLAGS])
+    def test_flags_the_section_reads_keep_their_defaults(
+            self, argv, expected, monkeypatch):
+        import repro.cli as cli
+
+        swept = []
+        monkeypatch.setattr(cli, "_sweep",
+                            lambda args, _execute: swept.append(args))
+        assert main(argv) == 0
+        assert {flag: tuple(getattr(swept[0], flag))
+                for flag in expected} == expected
 
     @pytest.mark.parametrize(
         "verb", [["figure", "2"], ["table2"], ["arena"], ["cloud"]])

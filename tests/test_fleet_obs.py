@@ -11,16 +11,11 @@ from repro.telemetry.export import (
     JsonlRecorder,
     merge_traces,
     read_jsonl,
-    write_chrome_trace,
     write_jsonl,
     write_merged_trace,
 )
 from repro.telemetry.fleet import (
-    ENV_CELL_ID,
-    ENV_RUN_ID,
-    ENV_WORKER_ID,
     FleetMetrics,
-    fleet_ids,
     new_run_id,
     prometheus_text,
     render_dashboard,
@@ -37,17 +32,6 @@ class TestIds:
         assert a != b
         assert len(a) == 12
         assert all(c in "0123456789abcdef" for c in a)
-
-    def test_fleet_ids_empty_outside_fleet(self, monkeypatch):
-        for env in (ENV_RUN_ID, ENV_WORKER_ID, ENV_CELL_ID):
-            monkeypatch.delenv(env, raising=False)
-        assert fleet_ids() == {}
-
-    def test_fleet_ids_reads_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_RUN_ID, "r1")
-        monkeypatch.setenv(ENV_WORKER_ID, "w0")
-        monkeypatch.delenv(ENV_CELL_ID, raising=False)
-        assert fleet_ids() == {"run_id": "r1", "worker_id": "w0"}
 
 
 def _recording_bus(path, **fleet):
@@ -525,33 +509,18 @@ class TestDashboard:
 
 
 class TestExporterFleetCorrelation:
-    """Exporter edge cases the fleet adds: empty runs and id stamping."""
+    """Exporter edge cases next to the fleet: empty runs, and run
+    exports that are not fleet traces."""
 
-    def test_empty_run_exports_cleanly_with_fleet_ids(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setenv(ENV_RUN_ID, "r42")
-        monkeypatch.setenv(ENV_WORKER_ID, "w7")
-        monkeypatch.setenv(ENV_CELL_ID, "c9")
+    def test_empty_run_exports_cleanly(self, tmp_path):
         tm = Telemetry()  # nothing ran: no samples, no events, no spans
         p = tmp_path / "empty.jsonl"
-        write_jsonl(tm, p)
+        assert write_jsonl(tm, p) == 1  # the header alone
         doc = read_jsonl(p)
         assert doc["samples"] == [] and doc["events"] == []
-        assert doc["header"]["fleet"] == {
-            "run_id": "r42", "worker_id": "w7", "cell_id": "c9"}
+        assert doc["spans"] == [] and doc["registry"] == {}
 
-    def test_chrome_trace_carries_fleet_ids(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_RUN_ID, "r42")
-        monkeypatch.delenv(ENV_WORKER_ID, raising=False)
-        monkeypatch.delenv(ENV_CELL_ID, raising=False)
-        p = tmp_path / "trace.json"
-        write_chrome_trace(Telemetry(), p)
-        doc = json.loads(p.read_text())
-        assert doc["otherData"]["fleet"] == {"run_id": "r42"}
-
-    def test_no_fleet_section_outside_fleet(self, tmp_path, monkeypatch):
-        for env in (ENV_RUN_ID, ENV_WORKER_ID, ENV_CELL_ID):
-            monkeypatch.delenv(env, raising=False)
+    def test_no_fleet_section_outside_fleet(self, tmp_path):
         p = tmp_path / "plain.jsonl"
         write_jsonl(Telemetry(), p)
         assert "fleet" not in read_jsonl(p)["header"]

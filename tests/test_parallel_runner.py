@@ -194,6 +194,23 @@ def test_progress_events_on_bus():
     assert len(stats) == 1
 
 
+def test_run_cells_leaves_the_environment_alone():
+    """``run_cells`` is a library call: a pooled sweep sets no
+    environment variable in the calling process while it runs."""
+    from repro.telemetry.bus import TelemetryBus
+
+    before = dict(os.environ)
+    seen = []
+    bus = TelemetryBus()
+    bus.subscribe(lambda ev: seen.append(dict(os.environ))
+                  if ev.name == "experiment.cell" else None)
+    cells = [c for c in plan_cells(_ctx(), figure2=((2,), ("MEM",)))
+             if c.key.policy == "HF-RF"][:2]
+    run_cells(cells, jobs=2, bus=bus)
+    assert len(seen) == len(cells)
+    assert all(env == before for env in seen)
+
+
 def test_local_path_never_loads_asyncio():
     """Only the service verbs need an event loop: importing the package,
     the experiment layer (whose pool runs on the coordinator's task

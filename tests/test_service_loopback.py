@@ -192,24 +192,20 @@ def test_two_concurrent_jobs_share_one_execution(serial_hfrf):
     assert coord.stats["jobs"] == 2
 
 
-def test_fleet_observability_end_to_end(serial_hfrf, tmp_path, monkeypatch):
+def test_fleet_observability_end_to_end(serial_hfrf, tmp_path):
     """Fleet observability on the loopback cluster: the coordinator,
     workers and client share one run_id, results stay byte-identical,
-    the merged Chrome timeline pairs lease slices with cell slices and
-    result arrivals, and the correlation env vars do not leak out of the
-    in-process workers."""
-    import os
-
+    and the merged Chrome timeline pairs lease slices with cell slices
+    and result arrivals."""
     from repro.telemetry.bus import TelemetryBus
     from repro.telemetry.export import JsonlRecorder, merge_traces
-    from repro.telemetry.fleet import ENV_RUN_ID, write_snapshots
+    from repro.telemetry.fleet import write_snapshots
 
-    monkeypatch.delenv(ENV_RUN_ID, raising=False)
     cells = _hfrf_cells()
     client_bus = TelemetryBus()
 
     async def scenario():
-        coord = Coordinator(port=0, telemetry=True)
+        coord = Coordinator(port=0)
         trace = JsonlRecorder(tmp_path / "coord.fleet.jsonl",
                               role="coordinator", run_id=coord.run_id)
         coord.bus.subscribe(trace)
@@ -246,7 +242,6 @@ def test_fleet_observability_end_to_end(serial_hfrf, tmp_path, monkeypatch):
     report, coord, status = asyncio.run(scenario())
     _assert_identical(report, serial_hfrf)
     assert report.run_id == coord.run_id
-    assert ENV_RUN_ID not in os.environ  # workers restored their env
     assert status["fleet"]["run_id"] == coord.run_id
     assert status["stats"] == coord.stats
 
@@ -462,7 +457,7 @@ def test_status_and_shutdown_round_trip():
         assert status["workers"] == ["w0"]
         assert status["tasks"] == {"pending": 0, "leased": 0, "done": 0,
                                    "failed": 0}
-        assert "fleet" not in status  # only with telemetry on
+        assert status["fleet"]["run_id"] == coord.run_id  # always served
         await asyncio.to_thread(
             request_shutdown, f"{coord.host}:{coord.port}")
         await asyncio.wait_for(coord.wait_stopped(), 5)
@@ -571,6 +566,60 @@ def test_cli_submit_matches_serial_figure_output(capsys):
         cluster.stop()
     assert rc == 0
     assert capsys.readouterr().out == serial_out
+
+
+def _closed_port_addr() -> str:
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"127.0.0.1:{port}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["submit", "ADDR", "table2", "--budget", "1000"],
+    ["submit", "ADDR", "--status"],
+    ["submit", "ADDR", "--stop"],
+    ["worker", "ADDR", "--connect-retries", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_unreachable_coordinator_fails_in_one_line(argv, capsys):
+    from repro.cli import main as cli_main
+
+    addr = _closed_port_addr()
+    with pytest.raises(SystemExit) as exc:
+        cli_main([addr if a == "ADDR" else a for a in argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: {addr}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_submit_refused_by_coordinator_fails_in_one_line(capsys):
+    from repro.cli import main as cli_main
+
+    def submit(addr):
+        try:
+            return cli_main(["submit", addr, "table2", "--budget", "1000"])
+        except SystemExit as exc:
+            return exc.code
+
+    async def scenario():
+        coord = Coordinator(port=0, fingerprint="deadbeef00000000")
+        await coord.start()
+        try:
+            return await asyncio.wait_for(asyncio.to_thread(
+                submit, f"{coord.host}:{coord.port}"), TIMEOUT)
+        finally:
+            await coord.stop()
+
+    assert asyncio.run(scenario()) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+    assert out.err.startswith("repro submit: 127.0.0.1:")
+    assert "fingerprint mismatch" in out.err
+    assert "deadbeef00000000" in out.err
 
 
 def test_script_interrupt_exits_130_with_guidance(run_all, monkeypatch,

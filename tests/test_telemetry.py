@@ -17,7 +17,6 @@ from repro.core.registry import make_policy
 from repro.metrics.serialize import to_jsonable
 from repro.sim.system import MultiCoreSystem
 from repro.telemetry import (
-    NULL_INSTRUMENT,
     Telemetry,
     TelemetryBus,
     TelemetryRegistry,
@@ -62,9 +61,6 @@ class TestRegistry:
         c.inc()
         c.inc(4)
         assert c.value == 5
-        g = reg.gauge("g")
-        g.set(2.5)
-        assert g.value == 2.5
         h = reg.histogram("h")
         for v in (1.0, 3.0, 2.0):
             h.observe(v)
@@ -75,18 +71,7 @@ class TestRegistry:
         reg = TelemetryRegistry()
         assert reg.counter("x") is reg.counter("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_disabled_registry_returns_null_stubs(self):
-        reg = TelemetryRegistry(enabled=False)
-        c = reg.counter("c")
-        assert c is NULL_INSTRUMENT
-        assert c is reg.histogram("h") is reg.gauge("g")
-        c.inc()
-        c.set(9)
-        c.observe(1.0)  # all no-ops
-        assert c.value == 0
-        assert len(reg) == 0
+            reg.histogram("x")
 
     def test_snapshot(self):
         reg = TelemetryRegistry()
@@ -232,9 +217,11 @@ class TestExporters:
         tm, _ = captured
         path = tmp_path / "run.jsonl"
         lines = write_jsonl(tm, path)
-        # header + samples + events + registry footer
-        assert lines == 1 + len(tm.samples) + len(tm.bus.events) + 1
+        # header + samples + events: a run has no registry footer
+        assert lines == 1 + len(tm.samples) + len(tm.bus.events)
+        assert len(path.read_text().splitlines()) == lines
         back = read_jsonl(path)
+        assert back["registry"] == {}
         assert back["header"]["sample_every"] == tm.sample_every
         assert back["samples"] == [to_jsonable(s) for s in tm.samples]
         assert len(back["events"]) == len(tm.bus.events)
