@@ -28,7 +28,13 @@ import argparse
 import sys
 import time
 
-from repro.cli import _non_negative_int, _output_path, _positive_int
+from repro.cli import (
+    _coordinator_addr,
+    _non_negative_int,
+    _output_path,
+    _positive_int,
+    _service_call,
+)
 from repro.experiments import (
     ExperimentContext,
     ablation_lookahead,
@@ -261,7 +267,9 @@ def prewarm(ctx, sections, args) -> None:
 
         print(f"prewarm: {len(cells)} cells via coordinator "
               f"{args.coordinator}", file=sys.stderr)
-        report = submit_cells(args.coordinator, cells, bus=_progress_bus())
+        with _service_call("run_all_experiments.py", args.coordinator):
+            report = submit_cells(args.coordinator, cells,
+                                  bus=_progress_bus())
     else:
         jobs = args.jobs if args.jobs > 0 else default_jobs()
         print(f"prewarm: {len(cells)} cells over {jobs} jobs",
@@ -337,7 +345,8 @@ def _main(argv=None) -> int:
     ap.add_argument("--jobs", type=_non_negative_int, default=1, metavar="N",
                     help="shard simulation cells over N worker processes "
                          "(0 = one per CPU); output stays byte-identical")
-    ap.add_argument("--coordinator", default=None, metavar="HOST:PORT",
+    ap.add_argument("--coordinator", type=_coordinator_addr, default=None,
+                    metavar="HOST:PORT",
                     help="run the cells on a distributed sweep coordinator "
                          "(repro serve) instead of a local pool; output "
                          "stays byte-identical (docs/DISTRIBUTED.md)")

@@ -336,6 +336,15 @@ class CacheHierarchy:
                 return
             self._wb_overflow.popleft()
 
+    def close(self) -> None:
+        """Drop the waiters and queued writebacks of a finished run (see
+        :meth:`~repro.sim.system.MultiCoreSystem.close`); the caches and
+        counters stay readable."""
+        self._unblock_waiters = []
+        for mshr in self.mshrs:
+            mshr._entries.clear()
+        self._wb_overflow.clear()
+
     # -- statistics ---------------------------------------------------------------
 
     def l1_miss_rate(self, core_id: int) -> float:

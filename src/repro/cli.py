@@ -81,6 +81,28 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError("must be a port in 0-65535")
+    return value
+
+
+def _coordinator_addr(text: str) -> str:
+    """A coordinator's HOST:PORT, checked before anything connects."""
+    # protocol imports asyncio: load it only for the verbs that connect
+    from repro.service.protocol import parse_addr
+
+    try:
+        _host, port = parse_addr(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 1 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"port must be in 1-65535, got {text!r}")
+    return text
+
+
 def _output_path(text: str) -> str:
     """A file the verb writes after simulating: its directory must exist
     now, not only when the results are in."""
@@ -404,15 +426,16 @@ def _cmd_arena(args: argparse.Namespace) -> int:
 
 
 @contextlib.contextmanager
-def _service_call(verb: str, addr: str):
+def _service_call(prog: str, addr: str):
     """A coordinator that cannot be reached, or that refuses, ends the
-    verb with one line on stderr and exit status 1 — not a traceback."""
+    program (``"repro VERB"``, or a script's name) with one line on stderr
+    and exit status 1 — not a traceback."""
     from repro.service.protocol import ServiceError
 
     try:
         yield
     except (OSError, ServiceError) as exc:
-        print(f"repro {verb}: {addr}: {exc}", file=sys.stderr)
+        print(f"{prog}: {addr}: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
 
 
@@ -489,7 +512,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     trace_out = args.trace_out
     if trace_out is None and args.telemetry:
         trace_out = f"fleet-worker-{args.id or os.getpid()}.jsonl"
-    with _service_call("worker", args.coordinator):
+    with _service_call("repro worker", args.coordinator):
         stats = asyncio.run(run_worker(
             host, port, worker_id=args.id, store=store,
             connect_retries=args.connect_retries,
@@ -507,14 +530,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import coordinator_status, request_shutdown
 
     if args.stop:
-        with _service_call("submit", args.coordinator):
+        with _service_call("repro submit", args.coordinator):
             request_shutdown(args.coordinator)
         print("coordinator stopped", file=sys.stderr)
         return 0
     if args.status:
         from repro.telemetry.fleet import render_dashboard
 
-        with _service_call("submit", args.coordinator):
+        with _service_call("repro submit", args.coordinator):
             doc = coordinator_status(args.coordinator)
         print(f"workers: {', '.join(doc['workers']) or '(none)'}")
         print(f"tasks:   {doc['tasks']}")
@@ -548,7 +571,7 @@ def _run_remote(ctx: ExperimentContext, args: argparse.Namespace,
 
     bus.subscribe(narrate)
     watch_seconds = args.sample_every if args.watch else None
-    with _service_call("submit", args.coordinator):
+    with _service_call("repro submit", args.coordinator):
         report = submit_cells(args.coordinator, cells, bus=bus,
                               watch_seconds=watch_seconds)
     if report.failures:
@@ -570,7 +593,7 @@ def _run_remote(ctx: ExperimentContext, args: argparse.Namespace,
     if args.telemetry:
         from repro.telemetry.fleet import render_dashboard
 
-        with _service_call("submit", args.coordinator):
+        with _service_call("repro submit", args.coordinator):
             doc = coordinator_status(args.coordinator)
         print(render_dashboard(doc, len(report.results), len(cells)),
               file=sys.stderr)
@@ -725,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default 127.0.0.1; see the security "
                         "note in docs/DISTRIBUTED.md before widening)")
-    p.add_argument("--port", type=int, default=0,
+    p.add_argument("--port", type=_port, default=0,
                    help="TCP port (default 0 = pick a free one)")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="content-addressed result store "
@@ -756,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("worker", help="attach a sweep worker")
-    p.add_argument("coordinator", metavar="HOST:PORT")
+    p.add_argument("coordinator", type=_coordinator_addr, metavar="HOST:PORT")
     p.add_argument("--id", default=None, help="worker name (default: auto)")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="local read-through result store (optional)")
@@ -781,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="run a figure/table sweep on a coordinator, byte-identical "
              "to the serial command")
-    p.add_argument("coordinator", metavar="HOST:PORT")
+    p.add_argument("coordinator", type=_coordinator_addr, metavar="HOST:PORT")
     p.add_argument("section", nargs="?", default="figure2",
                    choices=tuple(SECTIONS))
     _add_common(p, sweep=True)

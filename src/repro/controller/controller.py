@@ -256,6 +256,14 @@ class FastMemoryController:
         """Register a one-shot callback for the next freed buffer slot."""
         self._space_waiters.append(callback)
 
+    def close(self) -> None:
+        """Drop the space waiters and the completion callbacks of requests
+        still queued, which reach back into the cache hierarchy (see
+        :meth:`~repro.sim.system.MultiCoreSystem.close`)."""
+        self._space_waiters = []
+        for req in self.queues.reads:
+            req.on_complete = None
+
     # -- scheduling ------------------------------------------------------------
 
     def _update_drain_mode(self, now: int) -> None:

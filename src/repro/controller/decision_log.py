@@ -119,6 +119,13 @@ class DecisionLog:
         policy.select_write = wrap(orig_write, True)
         return log
 
+    @staticmethod
+    def detach(controller) -> None:
+        """Undo :meth:`attach`: ``controller``'s policy selects through its
+        own methods again, unrecorded, and holds no log."""
+        for name in ("select_read", "select_write"):
+            vars(controller.policy).pop(name, None)
+
     # -- analyses ---------------------------------------------------------------
 
     def service_share(self, num_cores: int) -> tuple[float, ...]:

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 from repro.cache.hierarchy import BLOCKED, MERGED, PENDING, CacheHierarchy
 from repro.config import CoreConfig
-from repro.cpu.trace import MemOp, TraceSource
+from repro.cpu.trace import TraceSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import EventEngine
@@ -113,8 +113,7 @@ class TraceCore:
         self.core_id = core_id
         self.config = config
         self.trace = trace
-        #: bound trace feed — _fetch_mem_op pulls one op per memory
-        #: instruction and skips the method lookup chain
+        #: bound trace feed for sources that are not recordings
         self._next_op = trace.next_op
         self.hierarchy = hierarchy
         self.engine = engine
@@ -130,7 +129,7 @@ class TraceCore:
         self._rob_size = config.rob_size
         self._l1_hit_latency = hierarchy.config.caches.l1d.hit_latency
         # This core's L1 internals, bound once for the inlined hit path in
-        # _fetch_mem_op.  The set list and geometry are stable for the
+        # _advance_fetch.  The set list and geometry are stable for the
         # cache's lifetime (clear() empties the sets in place); the stats
         # object is re-read per access because clear() replaces it.
         l1 = hierarchy.l1d[core_id]
@@ -171,8 +170,11 @@ class TraceCore:
         self.stall_q = 0
         #: loads in the instruction window: [inst_no, ready_cycle]
         self._rob: deque[list[int]] = deque()
-        #: next memory op waiting to be fetched, and its instruction index
-        self._cur_op: MemOp | None = None
+        #: next memory op waiting to be fetched — its address (``None``
+        #: once the trace has ended) and store flag — and its instruction
+        #: index
+        self._cur_addr: int | None = None
+        self._cur_write = False
         self._cur_op_inst = 0
         self._trace_done = False
         self._blocked = False
@@ -188,16 +190,17 @@ class TraceCore:
         #: span collector for structural-stall stamps (wired by
         #: MultiCoreSystem when the telemetry hub captures spans)
         self.spans = None
-        self._pull_next_op()
         # Replay fast path: when the trace is a recording (see
-        # ReplayTrace.replay_state), the fetch loop indexes the op list
-        # directly and only falls back to next_op() at the frontier.
+        # ReplayTrace.replay_state), the fetch loop indexes its three
+        # columns directly and only calls back into the trace at their end.
         state = getattr(trace, "replay_state", None)
         if state is not None:
-            self._replay_ops, self._trace_pos = state()
+            gaps, addrs, writes, self._trace_pos = state()
+            self._replay_ops = (gaps, addrs, writes)
         else:
             self._replay_ops = None
             self._trace_pos = 0
+        self._pull_next_op(0)
 
     # -- public control --------------------------------------------------------
 
@@ -208,6 +211,12 @@ class TraceCore:
     def stop(self) -> None:
         """Freeze the core (end of simulation)."""
         self._stopped = True
+
+    def close(self) -> None:
+        """Drop the callbacks that reference this core or its machine (see
+        :meth:`~repro.sim.system.MultiCoreSystem.close`)."""
+        self._on_unblock_cb = self._store_cb = None
+        self.on_warmup = self.on_finish = None
 
     @property
     def finished(self) -> bool:
@@ -230,23 +239,29 @@ class TraceCore:
 
     # -- trace feed --------------------------------------------------------------
 
-    def _pull_next_op(self) -> None:
+    def _pull_next_op(self, fetched: int) -> None:
+        """Make the trace's next op the pending one, ``fetched``
+        instructions into the stream.  A recording serves it from its
+        columns, grown at their end; other sources, and a recording's
+        live tail past its cap, serve it through ``next_op()``."""
+        cols = self._replay_ops
+        if cols is not None:
+            pos = self._trace_pos
+            gaps, addrs, writes = cols
+            if pos < len(gaps) or self.trace.grow(pos):
+                self._cur_op_inst = fetched + gaps[pos]
+                self._cur_addr = addrs[pos]
+                self._cur_write = writes[pos]
+                self._trace_pos = pos + 1
+                return
         op = self._next_op()
         if op is None:
             self._trace_done = True
-            self._cur_op = None
+            self._cur_addr = None
         else:
-            self._cur_op = op
-            self._cur_op_inst = self.fetched + op.gap
-
-    def _pull_fallback(self) -> MemOp | None:
-        """Pull one op through the trace object (non-replay sources, and
-        the generation frontier of a recording).  Keeps the replay cursor
-        in ``self._trace_pos`` coherent with the trace's own."""
-        if self._replay_ops is None:
-            return self._next_op()
-        op, self._trace_pos = self.trace.pull(self._trace_pos)
-        return op
+            self._cur_op_inst = fetched + op.gap
+            self._cur_addr = op.addr
+            self._cur_write = op.is_write
 
     # -- engine callbacks ----------------------------------------------------------
 
@@ -270,9 +285,8 @@ class TraceCore:
         # because commit state is already maximal at every event boundary
         # (commit has no time cap) and _fetch_was_full is never set while
         # blocked, so the skipped passes are provably no-ops.
-        op = self._cur_op
-        if op is not None:
-            addr = op.addr
+        addr = self._cur_addr
+        if addr is not None:
             tag = addr >> self._l1_off_bits
             if tag not in self._l1_sets[tag & self._l1_set_mask]:
                 line = addr & self._line_mask
@@ -477,18 +491,21 @@ class TraceCore:
         n_l2_hits = 0  # l2.stats.hits
         n_l2_miss = 0  # l2.stats.misses
         n_l2_load_hits = 0  # stats.l2_hits
-        r_ops = self._replay_ops
+        r_cols = self._replay_ops
+        if r_cols is not None:
+            r_gaps, r_addrs, r_writes = r_cols
         r_pos = self._trace_pos
         # Recording length, hoisted: another consumer may extend the
-        # recording, but only through next_op()/pull() — so the cached
-        # length can only be stale-short, and the fallback path (which
-        # serves from the recording too) refreshes it.  Op values are
-        # identical either way.
-        n_ops = len(r_ops) if r_ops is not None else 0
+        # recording meanwhile, so the cached length can only be
+        # stale-short, and the frontier path (which serves from the
+        # recording too) refreshes it.  Op values are identical either way.
+        n_ops = len(r_gaps) if r_cols is not None else 0
         committed = self.committed
         fetched = self.fetched
         fetch_q = self.fetch_q
-        op = self._cur_op
+        # The pending memory op (addr is None once the trace has ended).
+        addr = self._cur_addr
+        is_write = self._cur_write
         cur_inst = self._cur_op_inst
         progressed = False
         while fetch_q < limit_q:
@@ -496,34 +513,18 @@ class TraceCore:
             if space <= 0:
                 self._fetch_was_full = True
                 break  # window full: wait for commit
-            if op is None:
-                if self._trace_done:
-                    # Tail: plain instructions so a finite trace can still
-                    # reach its budget (tests); stop at the budget.
-                    remaining = self.warmup_insts + self.target_insts - fetched
-                    if remaining <= 0:
-                        break
-                    take = min(remaining, space, limit_q - fetch_q)
-                    if take <= 0:
-                        break
-                    fetched += take
-                    fetch_q += take
-                    progressed = True
-                    continue
-                if r_pos < n_ops:
-                    op = r_ops[r_pos]
-                    r_pos += 1
-                    cur_inst = fetched + op.gap
-                else:
-                    self._trace_pos = r_pos
-                    op = self._pull_fallback()
-                    r_pos = self._trace_pos
-                    if r_ops is not None:
-                        n_ops = len(r_ops)
-                    if op is None:
-                        self._trace_done = True
-                    else:
-                        cur_inst = fetched + op.gap
+            if addr is None:
+                # Tail: plain instructions so a finite trace can still
+                # reach its budget (tests); stop at the budget.
+                remaining = self.warmup_insts + self.target_insts - fetched
+                if remaining <= 0:
+                    break
+                take = min(remaining, space, limit_q - fetch_q)
+                if take <= 0:
+                    break
+                fetched += take
+                fetch_q += take
+                progressed = True
                 continue
             plain = cur_inst - fetched
             if plain > 0:
@@ -540,8 +541,6 @@ class TraceCore:
                 continue
             # The memory instruction itself is due this slot.
             cycle = fetch_q // Q
-            is_write = op.is_write
-            addr = op.addr
             n_demand += 1
             tag = addr >> l1_off_bits
             s = l1_sets[tag & l1_set_mask]
@@ -621,24 +620,25 @@ class TraceCore:
             fetched += 1
             fetch_q += 1
             if r_pos < n_ops:
-                op = r_ops[r_pos]
+                cur_inst = fetched + r_gaps[r_pos]
+                addr = r_addrs[r_pos]
+                is_write = r_writes[r_pos]
                 r_pos += 1
-                cur_inst = fetched + op.gap
             else:
                 self._trace_pos = r_pos
-                op = self._pull_fallback()
+                self._pull_next_op(fetched)
                 r_pos = self._trace_pos
-                if r_ops is not None:
-                    n_ops = len(r_ops)
-                if op is None:
-                    self._trace_done = True
-                else:
-                    cur_inst = fetched + op.gap
+                addr = self._cur_addr
+                is_write = self._cur_write
+                cur_inst = self._cur_op_inst
+                if r_cols is not None:
+                    n_ops = len(r_gaps)
             progressed = True
         self.fetched = fetched
         self.fetch_q = fetch_q
         self._trace_pos = r_pos
-        self._cur_op = op
+        self._cur_addr = addr
+        self._cur_write = is_write
         self._cur_op_inst = cur_inst
         if n_demand:
             demand[core_id] += n_demand

@@ -238,7 +238,7 @@ def run_cloud(
     batch = tuple(
         _core_result(system, i, mix.app_at(i)) for i in mix.batch_cores()
     )
-    return CloudResult(
+    result = CloudResult(
         mix_name=mix.name,
         policy_name=policy.name,
         services=tuple(services),
@@ -246,6 +246,8 @@ def run_cloud(
         end_cycle=system.end_cycle,
         row_hit_rate=system.dram.row_hit_rate(),
     )
+    system.close()
+    return result
 
 
 def _full_me_vector(mix: CloudMix, batch_me: tuple[float, ...]) -> tuple[float, ...]:

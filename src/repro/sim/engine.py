@@ -301,6 +301,14 @@ class EventEngine:
             if gc_was_enabled:
                 gc.enable()
 
+    def close(self) -> None:
+        """Drop every pending event and the lane handlers, keeping the
+        clock and the counters; the engine cannot run again."""
+        self._heap.clear()
+        for q in self._comps:
+            q.clear()
+        self._point_fn = self._deliver_fn = None
+
     def reset(self) -> None:
         """Drop all pending events and rewind the clock."""
         self._heap.clear()

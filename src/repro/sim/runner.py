@@ -9,7 +9,9 @@ These are the two run shapes the paper's methodology uses:
   reports per-core results plus system-level statistics.
 
 Both return plain dataclasses so experiment harnesses and benchmarks can
-format paper-style rows without touching simulator internals.
+format paper-style rows without touching simulator internals, and both
+close their machine once its results are read, so it is freed by
+reference counting (see :meth:`MultiCoreSystem.close`).
 """
 
 from __future__ import annotations
@@ -142,7 +144,9 @@ def run_single_core(
             config_hash=cfg.digest(),
         )
     system.run(max_events=max_events)
-    return _core_result(system, 0, app)
+    result = _core_result(system, 0, app)
+    system.close()
+    return result
 
 
 def run_multicore(
@@ -195,7 +199,7 @@ def run_multicore(
         _core_result(system, i, app) for i, app in enumerate(apps)
     )
     extra = {} if telemetry is None else {"telemetry": telemetry}
-    return RunResult(
+    result = RunResult(
         mix_name=mix.name,
         policy_name=policy.name,
         per_core=per_core,
@@ -204,3 +208,5 @@ def run_multicore(
         drain_entries=system.controller.stats.drain_entries,
         extra=extra,
     )
+    system.close()
+    return result

@@ -263,6 +263,29 @@ class MultiCoreSystem:
                 f"instructions within the simulation bounds"
             )
 
+    def close(self) -> None:
+        """Free the finished machine by reference counting.
+
+        A machine is a web of reference cycles: the engine's pending
+        events and lane handlers, callbacks bound to the cores, hierarchy
+        and controller, in-flight requests, the snapshot hooks and the
+        telemetry links that point back at the system.  Only the cycle
+        collector could reclaim them.  ``close`` drops them all, so the
+        machine is freed the moment its last outside reference goes.  Its
+        counters, snapshots, caches and queues stay readable; it cannot
+        run again.  :meth:`run` does not close, so a caller may inspect
+        the live machine after it.
+        """
+        self.engine.close()
+        self.controller.close()
+        self.hierarchy.close()
+        for core in self.cores:
+            core.close()
+        if self.decision_log is not None:
+            self.decision_log.detach(self.controller)
+        self.dram.observer = None  # the command log's link
+        self.sampler = None
+
     @property
     def end_cycle(self) -> int:
         """Cycle the last core crossed its budget."""

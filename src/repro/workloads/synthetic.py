@@ -106,7 +106,9 @@ class SyntheticApp:
         "_hot_base",
         "_l2_base",
         "_kernel",
-        "_ops",
+        "_gaps",
+        "_addrs",
+        "_writes",
         "_pos",
     )
 
@@ -125,11 +127,14 @@ class SyntheticApp:
         self._l2_base = _L2SET_BASE_LINE + rng.randint(0, _PLACEMENT_SPAN)
         #: the kernel's state for this stream, from the first generation on
         self._kernel = None
-        #: generated ops not yet served, and the index of the next one
-        self._ops: list[MemOp] = []
+        #: the current chunk as columns (gaps, addresses, store flags), and
+        #: the index of its next unserved op
+        self._gaps: list[int] = []
+        self._addrs: list[int] = []
+        self._writes: list[bool] = []
         self._pos = 0
 
-    def _start(self) -> list[MemOp]:
+    def _start(self) -> tuple[list[int], list[int], list[bool]]:
         """First generation: seat the array streams, then the prologue.
 
         The prologue touches every resident line once, so the caches warm
@@ -179,45 +184,50 @@ class SyntheticApp:
         # stream-identical to the scalar loop.
         n_hot, n_l2 = self._hot_lines, self._l2_lines
         gaps = (generator.geometric(gap_p, n_hot + n_l2) - 1).tolist()
-        lines = [*range(self._hot_base, self._hot_base + n_hot),
-                 *range(self._l2_base, self._l2_base + n_l2)]
         base = self.base_addr
-        return [MemOp(gap, base + line * LINE, False)
-                for gap, line in zip(gaps, lines)]
+        addrs = [base + line * LINE for line in (
+            *range(self._hot_base, self._hot_base + n_hot),
+            *range(self._l2_base, self._l2_base + n_l2))]
+        return gaps, addrs, [False] * len(addrs)
 
-    def _refill(self, n: int) -> list[MemOp]:
+    def _refill(self, n: int) -> None:
         """Replace the spent chunk with the stream's next one: the whole
         prologue first, then ``n`` ops from the kernel."""
         kernel = self._kernel
-        if kernel is None:
-            ops = self._start()
-        else:
-            ops = list(map(MemOp, *kernel.fill(n)))
-        self._ops = ops
+        cols = self._start() if kernel is None else kernel.fill(n)
+        self._gaps, self._addrs, self._writes = cols
         self._pos = 0
-        return ops
+
+    def take_columns(self, n: int) -> tuple[list[int], list[int], list[bool]]:
+        """The stream's next ``n`` ops as (gaps, addresses, store flags)."""
+        gaps: list[int] = []
+        addrs: list[int] = []
+        writes: list[bool] = []
+        while len(gaps) < n:
+            if self._pos == len(self._gaps):
+                self._refill(n - len(gaps))
+            pos = self._pos
+            end = min(pos + n - len(gaps), len(self._gaps))
+            gaps += self._gaps[pos:end]
+            addrs += self._addrs[pos:end]
+            writes += self._writes[pos:end]
+            self._pos = end
+        return gaps, addrs, writes
 
     # -- TraceSource ---------------------------------------------------------------
 
     def next_op(self) -> MemOp:
         """Generate the next memory operation (never ``None``: infinite)."""
-        ops, pos = self._ops, self._pos
-        if pos == len(ops):
-            ops, pos = self._refill(CHUNK_OPS), 0
+        pos = self._pos
+        if pos == len(self._gaps):
+            self._refill(CHUNK_OPS)
+            pos = 0
         self._pos = pos + 1
-        return ops[pos]
+        return MemOp(self._gaps[pos], self._addrs[pos], self._writes[pos])
 
     def take(self, n: int) -> list[MemOp]:
         """The stream's next ``n`` ops."""
-        out: list[MemOp] = []
-        while len(out) < n:
-            ops, pos = self._ops, self._pos
-            if pos == len(ops):
-                ops, pos = self._refill(n - len(out)), 0
-            got = ops[pos:pos + n - len(out)]
-            self._pos = pos + len(got)
-            out += got
-        return out
+        return list(map(MemOp, *self.take_columns(n)))
 
 
 def _raw_trace(
@@ -233,22 +243,24 @@ def _raw_trace(
 # Experiments re-simulate the *same* reference streams many times: a policy
 # sweep runs every policy over identical (mix, seed) traces, and profiling
 # vs evaluation re-derive per-core streams across runs.  Regenerating a
-# stream per run would be pure waste, so ``make_trace`` records the MemOps
-# of each distinct stream the first time it is generated and replays the
-# recording on subsequent requests for the same
-# ``(profile, seed, phase, core_id)``.  Replayed ops are the *same*
-# ``MemOp`` values in the same order, so every simulated statistic is
-# bit-identical to regeneration (MemOp is immutable).
+# stream per run would be pure waste, so ``make_trace`` records each
+# distinct stream the first time it is generated and replays the recording
+# on subsequent requests for the same ``(profile, seed, phase, core_id)``.
+# Replayed ops are the same values in the same order, so every simulated
+# statistic is bit-identical to regeneration.
 #
-# The recording grows one chunk of ``CHUNK_OPS`` at a time, so a
-# direct-indexing consumer (TraceCore) leaves its loop once per chunk, not
-# once per op.  Bounds: at most ``_CACHE_MAX_STREAMS`` streams are retained
-# (LRU), and each recording stops at ``_STREAM_OP_CAP`` ops — a consumer
-# running past the cap falls back to live generation (taking over the
-# positioned generator when it is first past the end, or regenerating and
-# fast-forwarding otherwise).
+# A recording is three columns of plain values — gaps, addresses and store
+# flags — not one ``MemOp`` per op: building a ``MemOp`` costs more than
+# drawing the op, and a long-lived recording of objects the cycle collector
+# tracks is scanned by every full collection.  It grows one chunk of
+# ``CHUNK_OPS`` at a time, so a direct-indexing consumer (TraceCore) leaves
+# its loop once per chunk, not once per op.  Bounds: at most
+# ``_CACHE_MAX_STREAMS`` streams are retained (LRU), and each recording
+# stops at ``_STREAM_OP_CAP`` ops — a consumer running past the cap falls
+# back to live generation (taking over the positioned generator when it is
+# first past the end, or regenerating and fast-forwarding otherwise).
 
-#: max recorded ops per stream (~20 MB at the cap; typical runs use a few
+#: max recorded ops per stream (~21 MB at the cap; typical runs use a few
 #: tens of thousands of ops per core)
 _STREAM_OP_CAP = 1 << 18
 
@@ -266,15 +278,19 @@ _trace_cache_lock = threading.Lock()
 class _RecordedStream:
     """Shared recording of one deterministic stream.
 
-    ``ops`` is the recorded prefix; ``source`` is the live generator
-    positioned exactly at ``len(ops)``, or ``None`` once a consumer past
-    the cap has taken it over.
+    ``gaps``, ``addrs`` and ``writes`` are the recorded prefix, one column
+    per op field; ``source`` is the live generator positioned exactly at
+    ``len(gaps)``, or ``None`` once a consumer past the cap has taken it
+    over.  An extension appends to ``gaps`` last, so a reader that finds
+    ``pos < len(gaps)`` without the lock finds op ``pos`` in every column.
     """
 
-    __slots__ = ("ops", "source", "app", "lock")
+    __slots__ = ("gaps", "addrs", "writes", "source", "app", "lock")
 
     def __init__(self, app: SyntheticApp) -> None:
-        self.ops: list[MemOp] = []
+        self.gaps: list[int] = []
+        self.addrs: list[int] = []
+        self.writes: list[bool] = []
         self.source: SyntheticApp | None = app
         #: kept (even after detach) for attribute passthrough
         self.app = app
@@ -302,71 +318,66 @@ class ReplayTrace:
         self._tail: SyntheticApp | None = None
 
     def next_op(self) -> MemOp:
-        tail = self._tail
-        if tail is not None:
-            return tail.next_op()
         pos = self._pos
-        rec = self._rec
-        ops = rec.ops
-        if pos < len(ops):
+        if self.grow(pos):
+            rec = self._rec
             self._pos = pos + 1
-            return ops[pos]
+            return MemOp(rec.gaps[pos], rec.addrs[pos], rec.writes[pos])
+        return self._tail.next_op()
+
+    # -- direct-indexing fast path ------------------------------------------
+    #
+    # A hot consumer (TraceCore) bypasses next_op() while its cursor is
+    # inside the recording: it reads the columns and its start cursor once
+    # via replay_state(), indexes the columns directly (their identity is
+    # stable; other consumers may extend them in place) with a private
+    # cursor, and calls grow() when the cursor reaches their end.  Once
+    # grow() answers False the cursor stays frozen at the cap and the
+    # consumer reads every further op through next_op().
+
+    def replay_state(self) -> tuple[list[int], list[int], list[bool], int]:
+        """The shared recording's columns (gaps, addresses, store flags)
+        and this consumer's cursor."""
+        rec = self._rec
+        return rec.gaps, rec.addrs, rec.writes, self._pos
+
+    def grow(self, pos: int) -> bool:
+        """Whether the recording holds op ``pos``, growing it by one chunk
+        from the live generator when ``pos`` is its frontier (a cursor
+        never passes the frontier).  ``False`` once ``pos`` is past the
+        cap: this consumer has then gone live, and :meth:`next_op` serves
+        the ops from ``pos`` on."""
+        if self._tail is not None:
+            return False
+        rec = self._rec
+        if pos < len(rec.gaps):
+            return True
         with rec.lock:
             # Re-check under the lock: another consumer thread may have
             # extended the recording past this cursor while we waited.
-            if pos < len(ops):
-                self._pos = pos + 1
-                return ops[pos]
+            if pos < len(rec.gaps):
+                return True
             src = rec.source
             if src is not None and pos < _STREAM_OP_CAP:
-                ops.extend(src.take(min(CHUNK_OPS, _STREAM_OP_CAP - pos)))
-                self._pos = pos + 1
-                return ops[pos]
+                gaps, addrs, writes = src.take_columns(
+                    min(CHUNK_OPS, _STREAM_OP_CAP - pos))
+                rec.writes += writes
+                rec.addrs += addrs
+                rec.gaps += gaps  # last: publishes the chunk
+                return True
             if src is not None:
                 # Recording is full and this consumer sits exactly at the
                 # frontier: take exclusive ownership of the positioned
                 # generator and go live.
                 rec.source = None
                 self._tail = src
-                return src.next_op()
+                return False
         # The generator was taken by another consumer: rebuild one and
         # fast-forward to this cursor (one-time O(pos) cost, cap-bounded
         # recordings make this path rare).
-        tail = _raw_trace(*self._key)
-        tail.take(pos)
-        self._tail = tail
-        return tail.next_op()
-
-    # -- direct-indexing fast path ------------------------------------------
-    #
-    # A hot consumer (TraceCore) may bypass next_op() while its cursor is
-    # inside the recording: read (ops, pos) once via replay_state(), index
-    # ``ops`` directly (its identity is stable; other consumers may extend
-    # it in place), and keep a private cursor.  Before any fallback
-    # next_op() call it must write the cursor back with sync_pos() and
-    # re-read it from replay_state() after — next_op() advances the cursor
-    # while the recording is still being extended.  Past the cap the
-    # cursor freezes >= len(ops), so the index check fails forever and
-    # every pull flows through next_op() again.
-
-    def replay_state(self) -> tuple[list[MemOp], int]:
-        """The shared recording and this consumer's cursor."""
-        return self._rec.ops, self._pos
-
-    def sync_pos(self, pos: int) -> None:
-        """Write back a direct-indexing consumer's cursor."""
-        self._pos = pos
-
-    def pull(self, pos: int) -> tuple[MemOp, int]:
-        """Fused ``sync_pos`` + ``next_op`` + cursor read-back.
-
-        One method call instead of three on the generation-frontier path,
-        which runs once per recorded chunk on the *first* simulation of
-        each stream.
-        """
-        self._pos = pos
-        op = self.next_op()
-        return op, self._pos
+        self._tail = _raw_trace(*self._key)
+        self._tail.take_columns(pos)
+        return False
 
     # Attribute passthrough (profile, _hot_lines, ...) so a ReplayTrace is
     # a drop-in for the SyntheticApp it wraps in tests and diagnostics.

@@ -147,7 +147,12 @@ class TraceKernel:
             self._lib.tracegen_seat(self._app, self._state)
 
     def fill(self, n: int) -> tuple[list[int], list[int], list[bool]]:
-        """Draw the next ``n`` ops as (gaps, addresses, store flags)."""
+        """Draw the next ``n`` ops as (gaps, addresses, store flags).
+
+        Recordings store these columns as they are, so the checks
+        :class:`~repro.cpu.trace.MemOp` makes per op run here, once per
+        chunk.
+        """
         gaps = np.empty(n, np.int64)
         addrs = np.empty(n, np.int64)
         writes = np.empty(n, np.bool_)
@@ -155,4 +160,6 @@ class TraceKernel:
             self._lib.tracegen_fill(self._app, self._state, n,
                                     gaps.ctypes.data, addrs.ctypes.data,
                                     writes.ctypes.data)
+        if gaps.min(initial=0) < 0 or addrs.min(initial=0) < 0:
+            raise ValueError("trace kernel drew a negative gap or address")
         return gaps.tolist(), addrs.tolist(), writes.tolist()

@@ -78,6 +78,13 @@ class TestParser:
         ["serve", "--prometheus-out", "/nonexistent/p.prom"],
         ["worker", "h:1", "--trace-out", "/nonexistent/w.jsonl"],
         ["submit", "h:1", "--trace-out", "/nonexistent/c.jsonl"],
+        ["worker", "nohost", "--telemetry"],
+        ["worker", "127.0.0.1:0", "--telemetry"],
+        ["submit", "nohost", "--status"],
+        ["submit", "127.0.0.1:99999", "--status"],
+        ["submit", "127.0.0.1:port", "--stop"],
+        ["serve", "--port", "99999"],
+        ["serve", "--port", "-5"],
     ], ids=lambda argv: " ".join(argv))
     def test_service_numbers_that_break_it_are_usage_errors(self, argv,
                                                             capsys):

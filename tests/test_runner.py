@@ -1,10 +1,17 @@
 """Integration tests for the run helpers (full-stack, small budgets)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import SystemConfig
 from repro.core import make_policy
+from repro.experiments.cloud import run_cloud
 from repro.sim.runner import run_multicore, run_single_core
+from repro.sim.system import MultiCoreSystem
+from repro.telemetry.hub import Telemetry
+from repro.workloads import synthetic
 from repro.workloads.mixes import workload_by_name
 from repro.workloads.spec2000 import app_by_code
 
@@ -102,3 +109,92 @@ class TestMultiCore:
         cfg = SystemConfig(num_cores=8)  # wrong count: runner re-sizes
         r = run_multicore(mix, "HF-RF", BUDGET, seed=3, warmup_insts=WARMUP, config=cfg)
         assert r.num_cores == 2
+
+
+class TestMachineLifetime:
+    """A finished run frees its machine by reference counting: with the
+    cycle collector off, nothing keeps it alive once the runner returns."""
+
+    @pytest.fixture
+    def machines(self, monkeypatch):
+        refs = []
+        init = MultiCoreSystem.__init__
+
+        def tracked(system, *args, **kwargs):
+            refs.append(weakref.ref(system))
+            init(system, *args, **kwargs)
+
+        monkeypatch.setattr(MultiCoreSystem, "__init__", tracked)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_single_core_run_frees_its_machine(self, machines):
+        run_single_core(app_by_code("c"), BUDGET, seed=3, warmup_insts=WARMUP)
+        assert len(machines) == 1 and machines[0]() is None
+
+    def test_multicore_run_frees_its_machine(self, machines):
+        run_multicore(workload_by_name("2MEM-1"), "HF-RF", BUDGET, seed=3,
+                      warmup_insts=WARMUP)
+        assert len(machines) == 1 and machines[0]() is None
+
+    def test_multicore_run_with_a_hub_frees_its_machine(self, machines):
+        hub = Telemetry(capture_spans=True, capture_decisions=True,
+                        capture_commands=True, span_sample=4)
+        policy = make_policy("LREQ")
+        result = run_multicore(workload_by_name("2MEM-1"), policy, BUDGET,
+                               seed=3, warmup_insts=WARMUP, telemetry=hub)
+        assert len(machines) == 1 and machines[0]() is None
+        # The hub outlives the machine with everything it captured, and
+        # the policy no longer records into the decision log.
+        assert result.extra["telemetry"] is hub
+        assert hub.samples and hub.spans.completed
+        assert {ev.name for ev in hub.bus.events} >= {"decision", "cmd"}
+        assert "select_read" not in vars(policy)
+
+    def test_cloud_run_frees_its_machine(self, machines):
+        run_cloud("2CLD-1", "HF-RF", BUDGET, seed=1, warmup_insts=WARMUP)
+        assert len(machines) == 1 and machines[0]() is None
+
+
+class TestReplayPastTheCap:
+    @pytest.fixture
+    def fresh_cache(self):
+        synthetic.clear_trace_cache()
+        yield
+        synthetic.clear_trace_cache()
+
+    def test_core_replay_past_the_cap_matches_the_default_cap(
+            self, fresh_cache, monkeypatch):
+        app = app_by_code("k")
+
+        def run():
+            return run_single_core(app, BUDGET, seed=4, phase="eval",
+                                   warmup_insts=WARMUP)
+
+        want = run()
+        synthetic.clear_trace_cache()
+        # Past the 1 024-op prologue, and not a whole number of chunks.
+        monkeypatch.setattr(synthetic, "_STREAM_OP_CAP", 1_500)
+        built = []
+        raw_trace = synthetic._raw_trace
+
+        def counted(*key):
+            built.append(key)
+            return raw_trace(*key)
+
+        monkeypatch.setattr(synthetic, "_raw_trace", counted)
+        # The first run records up to the cap, then takes the positioned
+        # generator over ...
+        first = run()
+        rec = synthetic._trace_cache[(app, 4, "eval", 0)]
+        assert len(rec.gaps) == 1_500 and rec.source is None
+        assert len(built) == 1
+        # ... so the second regenerates the stream and fast-forwards.
+        second = run()
+        assert len(built) == 2
+        assert first == want and second == want

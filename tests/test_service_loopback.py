@@ -622,6 +622,18 @@ def test_cli_submit_refused_by_coordinator_fails_in_one_line(capsys):
     assert "deadbeef00000000" in out.err
 
 
+def test_script_unreachable_coordinator_fails_in_one_line(run_all, capsys):
+    addr = _closed_port_addr()
+    with pytest.raises(SystemExit) as exc:
+        run_all.main(_script_args("--coordinator", addr))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    prewarm, failure = err.splitlines()
+    assert prewarm.startswith("prewarm: ")
+    assert failure.startswith(f"run_all_experiments.py: {addr}: ")
+    assert "Traceback" not in err
+
+
 def test_script_interrupt_exits_130_with_guidance(run_all, monkeypatch,
                                                   capsys):
     def boom(*_a, **_kw):
