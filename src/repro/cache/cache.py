@@ -76,8 +76,9 @@ class SetAssocCache:
         Returns ``True`` on hit.
 
         The tag/index arithmetic is inlined here (and in the other
-        operations) rather than calling :meth:`set_index`/:meth:`_tag` —
-        this is the single most-called function in a simulation.
+        operations) rather than calling :meth:`set_index`/:meth:`_tag`.
+        The core model's fetch loop inlines this hit path for the L1
+        (advance_fetch in cpu/_core.c; keep in sync).
         """
         tag = addr >> self._off_bits
         s = self._sets[tag & self._set_mask]

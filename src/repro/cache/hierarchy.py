@@ -114,7 +114,7 @@ class CacheHierarchy:
         """
         self.demand_accesses[core_id] += 1
         # The core model inlines this L1 probe and the L2 probe below in
-        # its fetch loop (TraceCore._advance_fetch) and enters at
+        # its fetch loop (advance_fetch in cpu/_core.c) and enters at
         # :meth:`_after_l2_miss`; this entry point serves everyone else.
         if self.l1d[core_id].lookup(addr, is_write=is_write):
             return self._l1_hit_latency
@@ -136,6 +136,7 @@ class CacheHierarchy:
         without any call into the hierarchy.
         """
         line = addr & self._line_mask
+        # advance_fetch in cpu/_core.c inlines this hit path (keep in sync).
         if self.l2.lookup(line):
             self._fill_l1(core_id, line, dirty=is_write, now=now)
             return self._l2_hit_latency
@@ -171,6 +172,8 @@ class CacheHierarchy:
             if is_write:
                 self._store_pending.add(line)
             return MERGED
+        # blocks_again in cpu/_core.c repeats these BLOCKED tests for a
+        # blocked core's retry (keep in sync).
         if len(entries) >= mshr.capacity or self._l2_outstanding >= self.l2_mshr_cap:
             return BLOCKED
         if not self.controller.can_accept():
@@ -198,7 +201,10 @@ class CacheHierarchy:
         return PENDING
 
     def wait_unblock(self, callback: Callable[[int], None]) -> None:
-        """One-shot registration: fire when any structural resource frees."""
+        """One-shot registration: fire when any structural resource frees.
+
+        ``wait_unblock`` in cpu/_core.c is this body, inlined (keep in
+        sync)."""
         self._unblock_waiters.append(callback)
         # A full controller buffer also resolves through controller space;
         # arm that watch at most once at a time.

@@ -95,9 +95,9 @@ class MshrFile:
         except KeyError:
             raise KeyError(f"{self.name}: no outstanding miss for {line_addr:#x}") from None
         for w in waiters:
-            # A ``(method, entry)`` pair is the core model's closure-free
-            # load waiter (see TraceCore._advance_fetch): the method takes
-            # the ROB entry instead of the line address.
+            # A ``(method, token)`` pair is the core model's closure-free
+            # load waiter (see l2_miss in cpu/_core.c): the method takes
+            # the load's ROB token instead of the line address.
             if type(w) is tuple:
                 w[0](w[1], now)
             else:

@@ -29,6 +29,13 @@ __all__ = ["DramCoord", "AddressMapper"]
 #: function of the layout and DramCoord is immutable.
 _SHARED_DECODE: dict[tuple, dict[int, "DramCoord"]] = {}
 
+#: most coordinates one layout's memo keeps: a decode that would go past it
+#: empties the memo in place first (controllers hold the dict itself), so a
+#: long sweep or worker does not keep every line it ever decoded.  Above
+#: the distinct lines of one ``repro run`` (53 202 for 4MEM-1 at its
+#: defaults), so a run of that size decodes each line once.
+_DECODE_CAP = 1 << 16
+
 
 @dataclass(frozen=True, order=True)
 class DramCoord:
@@ -109,6 +116,8 @@ class AddressMapper:
             col = rest & (self.lines_per_row - 1)
             row = rest >> self._col_bits
             coord = DramCoord(channel=channel, bank=bank, row=row, col=col)
+            if len(self._decode_cache) >= _DECODE_CAP:
+                self._decode_cache.clear()
             self._decode_cache[line] = coord
         return coord
 

@@ -20,20 +20,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
 from repro.controller.controller import MemoryController
 from repro.core.me_lreq import OnlineMeLreqPolicy
 from repro.core.policy import SchedulingPolicy
-from repro.cpu.core_model import TraceCore
 from repro.cpu.trace import TraceSource
 from repro.dram.dram_system import DramSystem
 from repro.sim.engine import EventEngine
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.sampler import Sampler
 from repro.util.rng import RngStream
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cpu.core_model import TraceCore
 
 __all__ = ["CoreSnapshot", "MultiCoreSystem"]
 
@@ -110,6 +112,10 @@ class MultiCoreSystem:
             telemetry=telemetry,
         )
         self.hierarchy = CacheHierarchy(config, self.controller, config.num_cores)
+        # The first machine build loads (and, with an empty kernel cache,
+        # builds) the core model's C kernel.
+        from repro.cpu.core_model import TraceCore
+
         self.cores = [
             TraceCore(
                 core_id=i,

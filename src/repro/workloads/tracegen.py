@@ -1,17 +1,15 @@
-"""Build, cache and load the trace-generation kernel, ``_tracegen.c``.
+"""Load the trace-generation kernel, ``_tracegen.c``.
 
 The kernel runs :class:`~repro.workloads.synthetic.SyntheticApp`'s per-op
 draw loop in C, drawing through numpy's own distribution functions, so the
 streams stay bit-identical to numpy's ``Generator`` methods.  It is compiled
 on first use with the platform's C compiler (sysconfig's ``CC``) against
 the Python and numpy headers and numpy's random-distributions library
-(``numpy/random/lib/libnpyrandom.a``), and cached as
-``$XDG_CACHE_HOME/repro/`` (default ``~/.cache/repro/``)
-``_tracegen-<source digest>-numpy<version>-<platform>.so``.  A changed
-source, numpy version or platform therefore gets a new entry, and a build
-is installed with an atomic ``os.replace``, so concurrent first users each
-load a whole object.  A failed build raises :class:`KernelBuildError`;
-there is no Python fallback.
+(``numpy/random/lib/libnpyrandom.a``), and cached by
+:mod:`repro.util.kernels` as
+``_tracegen-<source digest>-numpy<version>-<platform>.so``, so a changed
+source, numpy version or platform gets a new entry.  A failed build raises
+:class:`KernelBuildError`; there is no Python fallback.
 
 :mod:`repro.workloads.synthetic` imports this module at its first
 generation, so ``import repro`` neither loads nor builds anything.
@@ -21,24 +19,18 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
 import shlex
-import subprocess
 import sysconfig
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KernelBuildError", "TraceKernel", "cache_dir", "kernel", "object_path"]
+from repro.util.kernels import KernelBuildError, build, cached_object
+
+__all__ = ["KernelBuildError", "TraceKernel", "kernel", "object_path"]
 
 #: the kernel's C source, shipped as package data
 SOURCE = Path(__file__).with_name("_tracegen.c")
-
-
-class KernelBuildError(RuntimeError):
-    """The trace kernel could not be compiled."""
 
 
 class _App(ctypes.Structure):
@@ -57,55 +49,23 @@ class _App(ctypes.Structure):
     ]
 
 
-def cache_dir() -> Path:
-    """Where built kernels live: ``$XDG_CACHE_HOME/repro``, else
-    ``~/.cache/repro``."""
-    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(root) / "repro"
-
-
 def object_path() -> Path:
     """The cache entry for this source, numpy version and platform."""
-    digest = hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
-    platform = sysconfig.get_platform()
-    name = f"_tracegen-{digest}-numpy{np.__version__}-{platform}.so"
-    return cache_dir() / name
-
-
-def _build(target: Path) -> None:
-    """Compile ``SOURCE`` and install it at ``target`` atomically."""
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    npy_lib = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp",
-                               dir=target.parent)
-    os.close(fd)
-    # numpy/random/distributions.h includes Python.h.
-    cmd = [*compiler, "-shared", "-fPIC", "-O2", "-ffp-contract=off",
-           "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
-           str(SOURCE), str(npy_lib), "-lm", "-o", tmp]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as exc:
-        os.unlink(tmp)
-        raise KernelBuildError(
-            f"cannot compile {SOURCE.name}: {shlex.join(cmd)!r} did not "
-            f"run ({exc}); the trace kernel needs a C compiler"
-        ) from exc
-    if proc.returncode != 0:
-        os.unlink(tmp)
-        raise KernelBuildError(
-            f"cannot compile {SOURCE.name}: {shlex.join(cmd)!r} exited "
-            f"{proc.returncode}:\n{proc.stderr}"
-        )
-    os.replace(tmp, target)
+    return cached_object(
+        SOURCE, f"-numpy{np.__version__}-{sysconfig.get_platform()}.so")
 
 
 def load() -> ctypes.CDLL:
     """Build the kernel into the cache if it is missing, then load it."""
     path = object_path()
     if not path.is_file():
-        _build(path)
+        npy_lib = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+        # numpy/random/distributions.h includes Python.h.
+        build(SOURCE, path, [
+            *shlex.split(sysconfig.get_config_var("CC") or "cc"), "-shared",
+            "-fPIC", "-O2", "-ffp-contract=off", "-I", np.get_include(),
+            "-I", sysconfig.get_paths()["include"], str(SOURCE), str(npy_lib),
+            "-lm"])
     lib = ctypes.CDLL(str(path))
     app_p = ctypes.POINTER(_App)
     lib.tracegen_seat.argtypes = [app_p, ctypes.c_void_p]

@@ -101,3 +101,34 @@ class TestErrors:
         topo = DramTopologyConfig(row_bytes=32)
         with pytest.raises(ValueError):
             AddressMapper(topo, line_bytes=64)
+
+
+class TestSharedDecodeMemo:
+    def test_memo_stays_under_its_cap_and_keeps_its_identity(self, monkeypatch):
+        from repro import make_policy
+        from repro.config import SystemConfig
+        from repro.controller.controller import MemoryController
+        from repro.dram import address
+        from repro.dram.dram_system import DramSystem
+        from repro.sim.engine import EventEngine
+        from repro.util.rng import RngStream
+
+        monkeypatch.setattr(address, "_DECODE_CAP", 64)
+        monkeypatch.setattr(address, "_SHARED_DECODE", {})
+        cfg = SystemConfig(num_cores=1)
+        dram = DramSystem(cfg.dram_topology, cfg.dram_timing, cfg.line_bytes)
+        ctrl = MemoryController(cfg.controller, dram, make_policy("FCFS"), 1,
+                                EventEngine(), RngStream(0, "t"),
+                                line_bytes=cfg.line_bytes)
+        memo = dram.mapper._decode_cache
+        assert ctrl._decode_cache is memo
+        fresh = AddressMapper(cfg.dram_topology, line_bytes=cfg.line_bytes)
+        fresh._decode_cache = {}  # a private memo: decodes from scratch
+        for line in range(1000):
+            coord = dram.mapper.decode(line * 64 * 37)
+            assert len(memo) <= 64
+            assert coord == fresh.decode(line * 64 * 37)
+        assert ctrl._decode_cache is memo is dram.mapper._decode_cache
+        assert address._SHARED_DECODE[
+            (64, fresh.channels, fresh.banks_per_channel, fresh.lines_per_row)
+        ] is memo

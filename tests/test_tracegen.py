@@ -292,3 +292,63 @@ class TestKernelBuild:
         assert outs[0][0] == outs[1][0]
         assert [f.name for f in (tmp_path / "repro").iterdir()] == [
             Path(outs[0][0].split()[0]).name]
+
+
+class TestCoreKernelLoad:
+    """The core model's kernel (``cpu/_core.c``) shares the trace kernel's
+    cache and loads at the first machine build, never at import."""
+
+    @staticmethod
+    def _cores(tmp_path) -> list[str]:
+        cache = tmp_path / "repro"
+        names = sorted(f.name for f in cache.iterdir()) if cache.is_dir() else []
+        return [n for n in names if n.startswith("_core-")]
+
+    def test_import_help_and_generation_load_no_core_kernel(self, tmp_path):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+                   PYTHONPATH=str(SRC))
+        script = textwrap.dedent("""
+            import sys
+            import repro
+            from repro.workloads.spec2000 import app_by_code
+            from repro.workloads.synthetic import make_trace
+            make_trace(app_by_code("c"), 1, "eval").next_op()
+            assert "repro.cpu.core_model" not in sys.modules
+        """)
+        for cmd in ([sys.executable, "-c", script],
+                    [sys.executable, "-m", "repro", "--help"]):
+            subprocess.run(cmd, env=env, check=True, capture_output=True)
+        assert self._cores(tmp_path) == []
+        build = textwrap.dedent("""
+            from repro import run_single_core
+            from repro.workloads import app_by_code
+            run_single_core(app_by_code("c"), 1000, seed=1)
+        """)
+        subprocess.run([sys.executable, "-c", build], env=env, check=True,
+                       capture_output=True)
+        name = f".cpython-{sys.version_info[0]}{sys.version_info[1]}"
+        assert len(self._cores(tmp_path)) == 1
+        assert name in self._cores(tmp_path)[0]
+
+    def test_concurrent_first_machines_load_one_core_object(self, tmp_path):
+        script = textwrap.dedent("""
+            from repro.cpu import core_model
+            from repro import run_single_core
+            from repro.workloads import app_by_code
+            r = run_single_core(app_by_code("c"), 1000, seed=1)
+            print(core_model.kernel.__file__, r.finish_cycle)
+        """)
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+                   PYTHONPATH=str(SRC))
+        procs = [subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) for _ in range(2)]
+        try:
+            outs = [p.communicate(timeout=120) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        for p, (out, err) in zip(procs, outs):
+            assert p.returncode == 0, err
+        assert outs[0][0] == outs[1][0]
+        assert self._cores(tmp_path) == [Path(outs[0][0].split()[0]).name]
