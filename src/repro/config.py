@@ -3,17 +3,21 @@
 Every component of the simulator is configured from one
 :class:`SystemConfig`.  The defaults reproduce Table 1 of the paper:
 
-* 1/2/4/8 cores, 3.2 GHz, 4-issue, ROB 196, 32-entry LQ/SQ
-* per-core 64 KB 2-way L1I/L1D (1 / 3-cycle hit), shared 4 MB 4-way L2
+* 1/2/4/8 cores, 3.2 GHz, 4-issue, ROB 196
+* per-core 64 KB 2-way L1D (3-cycle hit), shared 4 MB 4-way L2
   (15-cycle hit), 64 B lines
-* MSHRs: 8 inst / 32 data per core, 64 at the L2
+* MSHRs: 32 data per core, 64 at the L2
 * 2 logic channels x (2 physical channels), 2 DIMMs/physical channel,
   4 banks/DIMM; 800 MT/s, 16 B per logic channel transfer (12.8 GB/s each)
 * DDR2 5-5-5: tRP = tRCD = CL = 12.5 ns; 64-entry controller buffer,
   15 ns controller overhead; close-page with cache-line interleaving.
 
 All latencies are stored in CPU cycles (3.2 GHz) — see
-:mod:`repro.util.units`.
+:mod:`repro.util.units`, whose ``CPU_FREQ_HZ`` is the one clock.
+
+Table 1 rows the trace-driven model does not simulate have no field: the
+L1I (instruction fetch is not modelled), the 32-entry LQ/SQ and the 8
+instruction MSHRs.
 """
 
 from __future__ import annotations
@@ -37,16 +41,10 @@ __all__ = [
 class CoreConfig:
     """One processor core (Table 1, rows 'Processor' .. 'Physical register')."""
 
-    freq_hz: float = CPU_FREQ_HZ
     issue_width: int = 4
     rob_size: int = 196
-    load_queue: int = 32
-    store_queue: int = 32
     #: data-cache MSHRs limit outstanding L1D misses per core
     data_mshrs: int = 32
-    #: instruction-cache MSHRs (the synthetic traces are data-dominated,
-    #: but the limit is enforced for completeness)
-    inst_mshrs: int = 8
 
     def validate(self) -> None:
         if self.issue_width < 1:
@@ -90,13 +88,8 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class CacheHierarchyConfig:
-    """Per-core L1s + shared L2 (Table 1 cache rows)."""
+    """Per-core L1D + shared L2 (Table 1 cache rows)."""
 
-    l1i: CacheConfig = field(
-        default_factory=lambda: CacheConfig(
-            size_bytes=64 * 1024, assoc=2, hit_latency=1, mshrs=8
-        )
-    )
     l1d: CacheConfig = field(
         default_factory=lambda: CacheConfig(
             size_bytes=64 * 1024, assoc=2, hit_latency=3, mshrs=32
@@ -109,9 +102,9 @@ class CacheHierarchyConfig:
     )
 
     def validate(self) -> None:
-        for c in (self.l1i, self.l1d, self.l2):
+        for c in (self.l1d, self.l2):
             c.validate()
-        if not (self.l1i.line_bytes == self.l1d.line_bytes == self.l2.line_bytes):
+        if self.l1d.line_bytes != self.l2.line_bytes:
             raise ValueError("all cache levels must share one line size")
 
 
@@ -284,7 +277,7 @@ class SystemConfig:
         t = self.dram_timing
         topo = self.dram_topology
         lines = [
-            f"cores: {self.num_cores} x {self.core.freq_hz / 1e9:.1f} GHz, "
+            f"cores: {self.num_cores} x {CPU_FREQ_HZ / 1e9:.1f} GHz, "
             f"{self.core.issue_width}-issue, ROB {self.core.rob_size}",
             f"L1D: {self.caches.l1d.size_bytes // 1024} KB "
             f"{self.caches.l1d.assoc}-way, {self.caches.l1d.hit_latency}-cycle hit",

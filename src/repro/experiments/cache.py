@@ -3,13 +3,13 @@
 Each completed :class:`~repro.experiments.cells.Cell` is stored as one
 JSON file named by the cell key's digest.  Three safety properties:
 
-* **Bit-exactness** — floats are serialised via ``float.hex()`` and
-  restored with ``float.fromhex``, so a cache hit returns *exactly* the
-  object the simulation produced (the golden-stats contract extends to
-  cached results).
+* **Bit-exactness** — entries are written by :func:`encode`, which
+  tags every float with its ``float.hex()`` form, so a cache hit returns
+  *exactly* the object the simulation produced (the golden-stats
+  contract extends to cached results).
 * **Code invalidation** — every entry records a fingerprint of the
-  git-tracked simulator sources; entries written by a different revision
-  of the code are silently treated as misses, never trusted.
+  simulator sources (:func:`code_fingerprint`); entries written by
+  different code are silently treated as misses, never trusted.
 * **Corruption detection** — the payload carries its own SHA-256; a
   truncated or bit-flipped entry fails verification, is counted in
   ``stats.corrupt`` and recomputed, never returned.
@@ -22,13 +22,16 @@ advisory ``flock`` on ``<dir>/.lock`` (:class:`DirLock`), so two
 writes instead of racing on the same entry.
 
 This module is the single implementation of the content-addressed
-result format and the single result store: the distributed sweep
-service (:mod:`repro.service`) stores into a :class:`ResultCache` too,
-so a directory written by a local ``--jobs`` run is a warm store for a
-coordinator and vice versa.  Payloads that arrive over the wire pass
-:func:`verify_payload` (SHA-256 against the sender's claim, then a
-decode) before anyone trusts them; :meth:`ResultCache.admit` is that
-check plus the write.
+result format and the single result store.  Its codec,
+:func:`encode` / :func:`decode`, walks a dataclass's own fields, so a
+result, config, cell key or cell field is written once, in its
+dataclass; the sweep service (:mod:`repro.service`) ships cells and
+payloads in the same encoding and stores into a :class:`ResultCache`
+too, so a directory written by a local ``--jobs`` run is a warm store
+for a coordinator and vice versa.  Payloads that arrive over the wire
+pass :func:`verify_payload` (SHA-256 against the sender's claim, then a
+decode to one of the four result types) before anyone trusts them;
+:meth:`ResultCache.admit` is that check plus the write.
 
 Cache *modes* separate the two read policies callers want (callers
 that want no cache pass ``cache=None``):
@@ -41,182 +44,131 @@ that want no cache pass ``cache=None``):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-import subprocess
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 try:  # POSIX only; Windows falls back to atomic-rename-only semantics
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.experiments.cells import CellKey
-from repro.metrics.memory_efficiency import MeProfile
-from repro.sim.runner import CoreResult, RunResult
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.cells import CellKey
 
 __all__ = ["CacheStats", "DirLock", "PayloadIntegrityError", "ResultCache",
-           "code_fingerprint", "encode_payload", "decode_payload",
-           "payload_sha", "verify_payload"]
+           "code_fingerprint", "decode", "encode", "payload_sha",
+           "verify_payload"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-_FP_CACHE: dict[str, str] = {}
 
 
 def code_fingerprint() -> str:
     """Fingerprint of the simulator sources, for cache invalidation.
 
-    Uses ``git ls-files -s -- src`` (mode + blob hash per tracked file)
-    when the package lives in a git checkout; falls back to hashing the
-    installed package sources.  ``REPRO_CODE_FINGERPRINT`` overrides both
+    Hashes every ``*.py`` and ``*.c`` file under the package by relative
+    path and content, so the value depends on the files alone: a
+    checkout, an uncommitted edit of it and an installed copy each read
+    what their sources say.  ``REPRO_CODE_FINGERPRINT`` overrides it
     (tests use it to simulate a code change).
     """
-    override = os.environ.get("REPRO_CODE_FINGERPRINT")
-    if override:
-        return override
-    hit = _FP_CACHE.get("fp")
-    if hit is not None:
-        return hit
+    return os.environ.get("REPRO_CODE_FINGERPRINT") or _source_fingerprint()
+
+
+@functools.cache
+def _source_fingerprint() -> str:
     import repro
 
     pkg_dir = Path(repro.__file__).resolve().parent
-    repo_root = pkg_dir.parent.parent  # src/repro -> repo root
-    blob = b""
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(repo_root), "ls-files", "-s", "--", "src"],
-            capture_output=True, timeout=10,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            blob = out.stdout
-    except (OSError, subprocess.SubprocessError):
-        blob = b""
-    if not blob:
-        parts = []
-        for p in sorted(pkg_dir.rglob("*.py")):
-            parts.append(str(p.relative_to(pkg_dir)).encode())
-            parts.append(hashlib.sha256(p.read_bytes()).digest())
-        blob = b"\0".join(parts)
-    fp = hashlib.sha256(blob).hexdigest()[:16]
-    _FP_CACHE["fp"] = fp
-    return fp
+    parts = []
+    for rel, path in sorted((p.relative_to(pkg_dir).as_posix(), p)
+                            for p in pkg_dir.rglob("*")
+                            if p.suffix in (".py", ".c")):
+        parts.append(rel.encode())
+        parts.append(hashlib.sha256(path.read_bytes()).digest())
+    return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
 
 
-# -- payload codec (exact) -------------------------------------------------------
+# -- the exact codec (one encoding for the store and the wire) -------------------
+
+#: the types a result payload may decode to
+RESULT_TYPES = ("MeProfile", "CoreResult", "RunResult", "CloudResult")
 
 
-def _f(x: float) -> str:
-    return float(x).hex()
+@functools.cache
+def _decodable() -> dict[str, tuple[type, frozenset]]:
+    """Class name -> (class, field names) of every dataclass
+    :func:`decode` builds; filled on first use, so importing this module
+    imports none of them."""
+    from repro import config
+    from repro.experiments.cells import Cell, CellKey
+    from repro.experiments.cloud import CloudResult, ServiceStats
+    from repro.metrics.memory_efficiency import MeProfile
+    from repro.sim.runner import CoreResult, RunResult
+
+    return {cls.__name__: (cls, frozenset(f.name for f in fields(cls)))
+            for cls in (MeProfile, CoreResult, RunResult, CloudResult,
+                        ServiceStats, config.SystemConfig, config.CoreConfig,
+                        config.CacheHierarchyConfig, config.CacheConfig,
+                        config.DramTimingConfig, config.DramTopologyConfig,
+                        config.ControllerConfig, CellKey, Cell)}
 
 
-def _uf(s: str) -> float:
-    return float.fromhex(s)
+def encode(obj):
+    """JSON-ready, exact encoding of a result, config, cell key or cell.
+
+    A dataclass becomes a dict of its fields plus its class name under
+    ``"type"``, a float ``{"__float__": x.hex()}`` and a tuple or list a
+    list; a dict keeps its string keys.  Anything else (a capture run's
+    telemetry hub, a dict key that is not a string or is reserved)
+    raises ``TypeError``.
+    """
+    if isinstance(obj, float):
+        return {"__float__": obj.hex()}
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return [encode(v) for v in obj]
+    if isinstance(obj, dict) and all(
+            isinstance(k, str) and k not in ("type", "__float__")
+            for k in obj):
+        return {k: encode(v) for k, v in obj.items()}
+    if is_dataclass(obj) and not isinstance(obj, type):
+        doc = {f.name: encode(getattr(obj, f.name)) for f in fields(obj)}
+        doc["type"] = type(obj).__name__
+        return doc
+    raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
-def _enc_core(c: CoreResult) -> dict:
-    return {
-        "app": c.app, "code": c.code, "core_id": c.core_id,
-        "ipc": _f(c.ipc), "finish_cycle": c.finish_cycle,
-        "committed": c.committed, "reads": c.reads,
-        "avg_read_latency": _f(c.avg_read_latency),
-        "bytes_total": c.bytes_total, "bw_gbps": _f(c.bw_gbps),
-    }
+def decode(doc):
+    """Inverse of :func:`encode` (lists come back as tuples).
 
-
-def _dec_core(d: dict) -> CoreResult:
-    return CoreResult(
-        app=d["app"], code=d["code"], core_id=d["core_id"],
-        ipc=_uf(d["ipc"]), finish_cycle=d["finish_cycle"],
-        committed=d["committed"], reads=d["reads"],
-        avg_read_latency=_uf(d["avg_read_latency"]),
-        bytes_total=d["bytes_total"], bw_gbps=_uf(d["bw_gbps"]),
-    )
-
-
-def _enc_service(s) -> dict:
-    return {
-        "code": s.code, "name": s.name, "core_id": s.core_id, "slo": s.slo,
-        "latencies": list(s.latencies), "viol_count": s.viol_count,
-        "viol_latency_sum": s.viol_latency_sum,
-        "viol_components": list(s.viol_components),
-    }
-
-
-def _dec_service(d: dict):
-    from repro.experiments.cloud import ServiceStats
-
-    return ServiceStats(
-        code=d["code"], name=d["name"], core_id=d["core_id"], slo=d["slo"],
-        latencies=tuple(d["latencies"]), viol_count=d["viol_count"],
-        viol_latency_sum=d["viol_latency_sum"],
-        viol_components=tuple(d["viol_components"]),
-    )
-
-
-def encode_payload(obj) -> dict:
-    """Serialise a cell result to a JSON-safe dict (floats exact)."""
-    from repro.experiments.cloud import CloudResult
-
-    if isinstance(obj, CloudResult):
-        return {
-            "type": "CloudResult",
-            "mix_name": obj.mix_name, "policy_name": obj.policy_name,
-            "services": [_enc_service(s) for s in obj.services],
-            "batch": [_enc_core(c) for c in obj.batch],
-            "end_cycle": obj.end_cycle,
-            "row_hit_rate": _f(obj.row_hit_rate),
-        }
-    if isinstance(obj, MeProfile):
-        return {"type": "MeProfile", "app": obj.app, "code": obj.code,
-                "ipc": _f(obj.ipc), "bw_gbps": _f(obj.bw_gbps),
-                "me": _f(obj.me),
-                "avg_read_latency": _f(obj.avg_read_latency)}
-    if isinstance(obj, CoreResult):
-        return {"type": "CoreResult", **_enc_core(obj)}
-    if isinstance(obj, RunResult):
-        return {
-            "type": "RunResult",
-            "mix_name": obj.mix_name, "policy_name": obj.policy_name,
-            "per_core": [_enc_core(c) for c in obj.per_core],
-            "end_cycle": obj.end_cycle,
-            "row_hit_rate": _f(obj.row_hit_rate),
-            "drain_entries": obj.drain_entries,
-        }
-    raise TypeError(f"cannot cache payload of type {type(obj).__name__}")
-
-
-def decode_payload(doc: dict):
-    kind = doc.get("type")
-    if kind == "MeProfile":
-        return MeProfile(app=doc["app"], code=doc["code"],
-                         ipc=_uf(doc["ipc"]), bw_gbps=_uf(doc["bw_gbps"]),
-                         me=_uf(doc["me"]),
-                         avg_read_latency=_uf(doc["avg_read_latency"]))
-    if kind == "CoreResult":
-        return _dec_core(doc)
-    if kind == "RunResult":
-        return RunResult(
-            mix_name=doc["mix_name"], policy_name=doc["policy_name"],
-            per_core=tuple(_dec_core(c) for c in doc["per_core"]),
-            end_cycle=doc["end_cycle"],
-            row_hit_rate=_uf(doc["row_hit_rate"]),
-            drain_entries=doc["drain_entries"],
-        )
-    if kind == "CloudResult":
-        from repro.experiments.cloud import CloudResult
-
-        return CloudResult(
-            mix_name=doc["mix_name"], policy_name=doc["policy_name"],
-            services=tuple(_dec_service(s) for s in doc["services"]),
-            batch=tuple(_dec_core(c) for c in doc["batch"]),
-            end_cycle=doc["end_cycle"],
-            row_hit_rate=_uf(doc["row_hit_rate"]),
-        )
-    raise ValueError(f"unknown cached payload type {kind!r}")
+    Builds dataclasses only from a closed allow-list; a ``"type"``
+    outside it, or fields that are not exactly its class's, raise
+    ``ValueError``.
+    """
+    if isinstance(doc, list):
+        return tuple(decode(v) for v in doc)
+    if not isinstance(doc, dict):
+        return doc
+    if "__float__" in doc:
+        return float.fromhex(doc["__float__"])
+    if "type" not in doc:
+        return {k: decode(v) for k, v in doc.items()}
+    name, decodable = doc["type"], _decodable()
+    if name not in decodable:
+        raise ValueError(f"cannot decode type {name!r}")
+    cls, names = decodable[name]
+    args = {k: decode(v) for k, v in doc.items() if k != "type"}
+    if args.keys() != names:
+        raise ValueError(f"{name} needs fields {sorted(names)}, "
+                         f"got {sorted(args)}")
+    return cls(**args)
 
 
 def payload_sha(payload: dict) -> str:
@@ -230,25 +182,30 @@ def payload_sha(payload: dict) -> str:
 
 
 class PayloadIntegrityError(ValueError):
-    """A wire payload failed SHA-256 verification or would not decode."""
+    """A payload failed SHA-256 verification or is not a decodable result."""
 
 
 def verify_payload(key: CellKey, payload: dict, sha: str):
-    """Check a wire payload against the sender's SHA-256, then decode it.
+    """Check a payload against its SHA-256, then decode it.
 
     Raises :class:`PayloadIntegrityError` on a mismatch or a payload
-    that does not decode; the caller treats that as a failed attempt.
+    that does not decode to one of :data:`RESULT_TYPES`; the caller
+    treats that as a failed attempt (a wire payload) or a corrupt entry
+    (a disk payload).
     """
     if payload_sha(payload) != sha:
         raise PayloadIntegrityError(
             f"payload SHA mismatch for {key.key_str()}"
         )
     try:
-        return decode_payload(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+        result = decode(payload)
+        if type(result).__name__ not in RESULT_TYPES:
+            raise TypeError(f"{type(result).__name__} is not a result")
+    except (TypeError, ValueError) as exc:
         raise PayloadIntegrityError(
             f"payload for {key.key_str()} does not decode: {exc}"
         ) from exc
+    return result
 
 
 # -- locking ---------------------------------------------------------------------
@@ -352,17 +309,10 @@ class ResultCache:
                 self.stats.stale += 1
                 self.stats.misses += 1
                 return None
-            if doc.get("key") != key.canonical():
-                self.stats.corrupt += 1
-                self.stats.misses += 1
-                return None
-            payload = doc["payload"]
-            if payload_sha(payload) != doc.get("sha"):
-                self.stats.corrupt += 1
-                self.stats.misses += 1
-                return None
-            result = decode_payload(payload)
-        except (KeyError, TypeError, ValueError):
+            if doc.get("key") != encode(key):
+                raise ValueError("the entry names another key")
+            result = verify_payload(key, doc["payload"], doc.get("sha"))
+        except (AttributeError, KeyError, TypeError, ValueError):
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
@@ -371,7 +321,7 @@ class ResultCache:
 
     def put(self, key: CellKey, result) -> None:
         """Store one result atomically."""
-        self.put_payload(key, encode_payload(result))
+        self.put_payload(key, encode(result))
 
     def admit(self, key: CellKey, payload: dict, sha: str):
         """:func:`verify_payload` one wire payload, then store it.
@@ -394,9 +344,9 @@ class ResultCache:
         platforms where the lock is a no-op.
         """
         doc = {
-            "v": 1,
+            "v": 2,
             "fingerprint": self.fingerprint,
-            "key": key.canonical(),
+            "key": encode(key),
             "key_str": key.key_str(),
             "sha": payload_sha(payload),
             "payload": payload,

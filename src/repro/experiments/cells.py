@@ -55,6 +55,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.config import SystemConfig
 from repro.core.registry import make_policy, reads_me
+from repro.experiments.cache import encode
 
 __all__ = [
     "CellKey",
@@ -99,22 +100,6 @@ class CellKey:
     profile_budget: int = 0  # 0 = result independent of profiling
     policy_args: tuple = ()  # sorted (name, value) constructor args
 
-    def canonical(self) -> dict:
-        """JSON-stable dict of every identity field."""
-        return {
-            "kind": self.kind,
-            "workload": self.workload,
-            "policy": self.policy,
-            "seed": self.seed,
-            "inst_budget": self.inst_budget,
-            "warmup": self.warmup,
-            "config_digest": self.config_digest,
-            "phase": self.phase,
-            "lookahead": self.lookahead,
-            "profile_budget": self.profile_budget,
-            "policy_args": [list(kv) for kv in self.policy_args],
-        }
-
     def key_str(self) -> str:
         """Human-readable stable identity (sort key, fault matching)."""
         args = ",".join(f"{k}={v}" for k, v in self.policy_args)
@@ -127,8 +112,9 @@ class CellKey:
         )
 
     def digest(self) -> str:
-        """Stable hash naming this cell's on-disk cache entry."""
-        blob = json.dumps(self.canonical(), sort_keys=True)
+        """Stable hash of this key's exact encoding: it names the cell's
+        on-disk cache entry and its task on the sweep service."""
+        blob = json.dumps(encode(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 

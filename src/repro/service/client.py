@@ -6,9 +6,9 @@
 are ordered by canonical cell key), so
 :func:`repro.experiments.parallel.merge_into` and every harness built on
 it work unchanged.  Byte-identity of the final tables follows: the
-client re-verifies each payload's SHA-256, decodes it with the float-hex
-codec, and sorts by key — completion order, worker identity and network
-timing cannot leak into the output.
+client re-verifies each payload's SHA-256, decodes it with the store's
+exact codec, and sorts by key — completion order, worker identity and
+network timing cannot leak into the output.
 
 Progress streams onto an optional telemetry bus as the same
 ``experiment.cell`` / ``experiment.cache`` instant events the local
@@ -25,14 +25,13 @@ import asyncio
 import sys
 import time
 
-from repro.experiments.cache import code_fingerprint, verify_payload
+from repro.experiments.cache import code_fingerprint, encode, verify_payload
 from repro.experiments.cells import Cell, CellKey
 from repro.experiments.parallel import CellFailure, ParallelReport
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ServiceError,
-    encode_cell,
     expect,
     parse_addr,
     read_msg,
@@ -116,7 +115,7 @@ async def submit_cells_async(
     try:
         await send_msg(writer, {
             "t": "submit",
-            "cells": [encode_cell(c) for c in ordered],
+            "cells": [encode(c) for c in ordered],
         })
         accepted = expect(await read_msg(reader), "accepted")
         total = accepted["total"]

@@ -62,7 +62,7 @@ from repro.experiments.cache import (
     PayloadIntegrityError,
     ResultCache,
     code_fingerprint,
-    encode_payload,
+    encode,
     payload_sha,
     verify_payload,
 )
@@ -394,7 +394,8 @@ class Coordinator:
 
     async def _on_submit(self, msg: dict,
                          writer: asyncio.StreamWriter) -> _Job:
-        cells = [decode_cell(doc) for doc in msg.get("cells", ())]
+        cells = [decode_cell(doc, f"cell {i}")
+                 for i, doc in enumerate(msg.get("cells", ()))]
         job = _Job(next(self._job_ids), writer,
                    {c.key.digest() for c in cells})
         self.jobs[job.job_id] = job
@@ -447,7 +448,7 @@ class Coordinator:
         state = self.board.tasks[digest]
         key_str = state.cell.key.key_str()
         if state.status == "done":
-            payload = encode_payload(self.board.done[digest])
+            payload = encode(self.board.done[digest])
             status = ("hit" if state.attempts == 0
                       else "run" if state.attempts == 1 else "retried")
             await self._job_send(job, {
@@ -510,14 +511,12 @@ class Coordinator:
                                key=cell.key.key_str(),
                                attempt=state.attempts - 1)
                     conn.current = state.digest
-                    from repro.service.protocol import encode_cell
-
                     try:
                         async with conn.send_lock:
                             await send_msg(conn.writer, {
                                 "t": "task", "task": task_id,
                                 "attempt": state.attempts - 1,
-                                "cell": encode_cell(cell),
+                                "cell": encode(cell),
                                 "cell_id": state.digest,
                             })
                     except (ConnectionError, OSError):

@@ -38,11 +38,10 @@ Message types
 ``bye``          coordinator -> client     shutdown acknowledged
 ===============  =======================  ==================================
 
-Correlation fields (still protocol 1)
--------------------------------------
+Correlation fields
+------------------
 Fleet observability added three *optional* fields; absent fields mean an
-older peer, and every consumer tolerates that, so the protocol version
-is unchanged:
+older peer, and every consumer tolerates that:
 
 * ``welcome.run_id`` — the coordinator's fleet-run identifier.  Workers
   adopt it for their trace files; clients stamp it on their
@@ -56,11 +55,14 @@ is unchanged:
 
 Exactness
 ---------
-Simulation payloads travel through the same float-hex codec as the disk
-cache (:func:`repro.experiments.cache.encode_payload`), resolved ME
-vectors are shipped as ``float.hex()`` strings, and float-valued policy
-constructor arguments are tagged (``{"__float__": "<hex>"}``) — a result
-that crossed the network is bit-identical to one computed in process.
+Cells (``submit.cells``, ``task.cell``) and result payloads
+(``result.payload``, ``cell_done.payload``) are written by the result
+store's codec, :func:`repro.experiments.cache.encode`: every dataclass
+is a dict of its own fields plus its class name under ``"type"``, and
+every float, in a result, an ME vector or a policy argument, is tagged
+``{"__float__": "<hex>"}`` — so a result that crossed the network is
+bit-identical to one computed in process.  Protocol 2 is that encoding;
+protocol 1 peers (hand-written codecs) are refused at the handshake.
 
 Security: the protocol has no authentication or transport encryption.
 Run it on trusted networks only (see docs/DISTRIBUTED.md).
@@ -71,16 +73,8 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.config import (
-    CacheConfig,
-    CacheHierarchyConfig,
-    ControllerConfig,
-    CoreConfig,
-    DramTimingConfig,
-    DramTopologyConfig,
-    SystemConfig,
-)
-from repro.experiments.cells import Cell, CellKey, machine_digest
+from repro.experiments.cache import decode
+from repro.experiments.cells import Cell, machine_digest
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -90,20 +84,15 @@ __all__ = [
     "send_msg",
     "read_msg",
     "expect",
-    "encode_config",
-    "decode_config",
-    "encode_key",
-    "decode_key",
-    "encode_cell",
     "decode_cell",
     "parse_addr",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
-#: StreamReader line limit — an 8-core RunResult payload is ~2 KB, so
+#: StreamReader line limit — an 8-core RunResult payload is ~2.5 KB, so
 #: this bounds memory per connection while leaving headroom for large
-#: submit batches (cells are ~1 KB each; 16 MB ~ 16k cells per message).
+#: submit batches (cells are 1-3 KB each; 64 MB ~ 20k cells per message).
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
 
@@ -164,107 +153,29 @@ def parse_addr(addr: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-# -- SystemConfig codec ----------------------------------------------------------
-#
-# ``dataclasses.asdict`` of a SystemConfig is already JSON-safe (ints,
-# floats, strings, bools); the decoder rebuilds the exact nested
-# dataclasses, so ``decode_config(encode_config(c)).digest() ==
-# c.digest()`` — the property the cell keys rely on.
+# -- cells -----------------------------------------------------------------------
 
 
-def encode_config(config: SystemConfig) -> dict:
-    from dataclasses import asdict
+def decode_cell(doc, where: str = "cell") -> Cell:
+    """Rebuild a shipped cell; any failure is a :class:`ProtocolError`
+    whose text starts with ``where``.
 
-    return asdict(config)
-
-
-def decode_config(doc: dict) -> SystemConfig:
-    return SystemConfig(
-        num_cores=doc["num_cores"],
-        core=CoreConfig(**doc["core"]),
-        caches=CacheHierarchyConfig(
-            l1i=CacheConfig(**doc["caches"]["l1i"]),
-            l1d=CacheConfig(**doc["caches"]["l1d"]),
-            l2=CacheConfig(**doc["caches"]["l2"]),
-        ),
-        dram_timing=DramTimingConfig(**doc["dram_timing"]),
-        dram_topology=DramTopologyConfig(**doc["dram_topology"]),
-        controller=ControllerConfig(**doc["controller"]),
-    )
-
-
-# -- CellKey / Cell codec --------------------------------------------------------
-
-
-def _enc_arg(value):
-    """Tag float policy-ctor arguments so they survive JSON exactly."""
-    if isinstance(value, float) and not isinstance(value, bool):
-        return {"__float__": value.hex()}
-    return value
-
-
-def _dec_arg(value):
-    if isinstance(value, dict) and "__float__" in value:
-        return float.fromhex(value["__float__"])
-    return value
-
-
-def encode_key(key: CellKey) -> dict:
-    doc = key.canonical()
-    doc["policy_args"] = [[k, _enc_arg(v)] for k, v in key.policy_args]
-    return doc
-
-
-def decode_key(doc: dict) -> CellKey:
-    return CellKey(
-        kind=doc["kind"],
-        workload=doc["workload"],
-        policy=doc["policy"],
-        seed=doc["seed"],
-        inst_budget=doc["inst_budget"],
-        warmup=doc["warmup"],
-        config_digest=doc["config_digest"],
-        phase=doc["phase"],
-        lookahead=doc["lookahead"],
-        profile_budget=doc["profile_budget"],
-        policy_args=tuple((k, _dec_arg(v)) for k, v in doc["policy_args"]),
-    )
-
-
-def encode_cell(cell: Cell) -> dict:
-    return {
-        "key": encode_key(cell.key),
-        "config": encode_config(cell.config),
-        "me_deps": [encode_key(k) for k in cell.me_deps],
-        "me_values": (None if cell.me_values is None
-                      else [float(v).hex() for v in cell.me_values]),
-        "policy_ctor_args": [[k, _enc_arg(v)]
-                             for k, v in cell.policy_ctor_args],
-    }
-
-
-def decode_cell(doc: dict) -> Cell:
-    """Rebuild a cell; verifies the config round-trips to the key digest.
-
-    The digest check catches codec drift (a config field added without
-    updating the decoder) before a worker burns CPU on a cell whose
-    result would be rejected as mismatched.
+    Three checks: the document decodes, it is a :class:`Cell`, and its
+    config derives the key's machine digest, so a tampered cell is
+    refused before a worker burns CPU on a result the store would not
+    accept under that key.
     """
-    key = decode_key(doc["key"])
-    config = decode_config(doc["config"])
-    expected = machine_digest(key.kind, key.workload, config)
+    try:
+        cell = decode(doc)
+        if not isinstance(cell, Cell):
+            raise TypeError(f"expected a Cell, got {type(cell).__name__}")
+        key = cell.key
+        expected = machine_digest(key.kind, key.workload, cell.config)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"{where}: {exc}") from exc
     if key.config_digest != expected:
         raise ProtocolError(
-            f"cell {key.key_str()}: decoded config digest {expected} does "
-            f"not match the key"
+            f"{where} {key.key_str()}: decoded config digest {expected} "
+            f"does not match the key"
         )
-    me_values = doc.get("me_values")
-    return Cell(
-        key=key,
-        config=config,
-        me_deps=tuple(decode_key(d) for d in doc.get("me_deps", ())),
-        me_values=(None if me_values is None
-                   else tuple(float.fromhex(v) for v in me_values)),
-        policy_ctor_args=tuple((k, _dec_arg(v))
-                               for k, v in doc.get("policy_ctor_args", ())),
-    )
+    return cell

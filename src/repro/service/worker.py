@@ -15,7 +15,8 @@ never contribute results), then loops:
 3. otherwise simulate in a thread (``asyncio.to_thread``), so the
    heartbeat task keeps extending the worker's lease while the
    simulator grinds;
-4. encode the result with the float-hex codec and send it back with its
+4. encode the result with the store's exact codec
+   (:func:`~repro.experiments.cache.encode`) and send it back with its
    SHA-256.
 
 Simulation faults are reported as ``task_failed`` (the coordinator
@@ -47,7 +48,7 @@ import os
 from repro.experiments.cache import (
     ResultCache,
     code_fingerprint,
-    encode_payload,
+    encode,
     payload_sha,
 )
 from repro.experiments.cells import Cell, execute_cell
@@ -105,12 +106,12 @@ def _execute(cell: Cell, attempt: int, store: ResultCache | None,
         hit = store.get(cell.key)
         if hit is not None:
             stats["hits"] += 1
-            return encode_payload(hit)
+            return encode(hit)
     result = execute_cell(cell, attempt)
     if store is not None:
         store.put(cell.key, result)
     stats["executed"] += 1
-    return encode_payload(result)
+    return encode(result)
 
 
 async def run_worker(

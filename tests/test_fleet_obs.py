@@ -326,7 +326,7 @@ class TestCoordinatorTrace:
 
         from repro.experiments.cache import (
             code_fingerprint,
-            encode_payload,
+            encode,
             payload_sha,
         )
         from repro.experiments.cells import execute_cell
@@ -337,7 +337,6 @@ class TestCoordinatorTrace:
             MAX_LINE_BYTES,
             PROTOCOL_VERSION,
             decode_cell,
-            encode_cell,
             expect,
             read_msg,
             send_msg,
@@ -372,10 +371,10 @@ class TestCoordinatorTrace:
                 cr, cw = await connect(coord, {"t": "hello",
                                                "role": "client"})
                 await send_msg(cw, {"t": "submit", "cells": [
-                    encode_cell(c) for c in cells]})
+                    encode(c) for c in cells]})
                 expect(await read_msg(cr), "accepted")
                 task = expect(await read_msg(wr), "task")
-                payload = encode_payload(
+                payload = encode(
                     execute_cell(decode_cell(task["cell"])))
                 await send_msg(ww, {"t": "result", "task": task["task"],
                                     "key": task["cell_id"],

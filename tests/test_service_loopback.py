@@ -31,7 +31,7 @@ import pytest
 from repro.experiments.cache import (
     ResultCache,
     code_fingerprint,
-    encode_payload,
+    encode,
 )
 from repro.experiments.harness import ExperimentContext
 from repro.experiments.parallel import plan_cells, run_cells
@@ -80,7 +80,7 @@ def _hfrf_cells():
 
 
 def _payload_bytes(report) -> list[str]:
-    return [json.dumps(encode_payload(v), sort_keys=True)
+    return [json.dumps(encode(v), sort_keys=True)
             for v in report.results.values()]
 
 
@@ -440,6 +440,39 @@ def test_submit_of_a_tampered_cell_fails_naming_the_cell():
     error = asyncio.run(scenario())
     assert cell.key.key_str() in error
     assert "digest" in error
+
+
+def test_submit_of_an_undecodable_cell_gets_an_error_reply():
+    """A raw client's cell that does not decode is refused with a reason
+    naming the cell, and the coordinator keeps serving."""
+    async def scenario():
+        coord = Coordinator(port=0)
+        await coord.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                coord.host, coord.port, limit=MAX_LINE_BYTES)
+            await send_msg(writer, {
+                "t": "hello", "role": "client",
+                "protocol": PROTOCOL_VERSION,
+                "fingerprint": code_fingerprint(),
+            })
+            expect(await read_msg(reader), "welcome")
+            await send_msg(writer, {"t": "submit", "cells": [
+                {"key": {"kind": "eval"}, "config": {}}]})
+            reply = await read_msg(reader)
+            writer.close()
+            status = await asyncio.to_thread(
+                coordinator_status, f"{coord.host}:{coord.port}")
+        finally:
+            await coord.stop()
+        return reply, status
+
+    reply, status = asyncio.run(scenario())
+    assert reply is not None and reply["t"] == "error"
+    assert "cell 0" in reply["error"]
+    assert status["t"] == "status_reply"
+    assert status["tasks"] == {"pending": 0, "leased": 0, "done": 0,
+                               "failed": 0}
 
 
 # -- administrative verbs ----------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Wire-format unit tests for :mod:`repro.service.protocol`.
+"""Wire-format unit tests for :mod:`repro.service.protocol` and the
+codec it ships cells and payloads in (:func:`repro.experiments.cache.encode`
+/ :func:`~repro.experiments.cache.decode`).
 
 The codec carries three exactness obligations that the loopback e2e
 tests rely on but cannot isolate: configs must round-trip to the same
@@ -15,21 +17,18 @@ import json
 import pytest
 
 from repro.config import SystemConfig
+from repro.experiments.cache import ResultCache, decode, encode
 from repro.experiments.cells import (
     Cell,
     custom_cell_key,
     eval_cell_key,
+    execute_cell,
     profile_cell_key,
 )
 from repro.service.protocol import (
     ProtocolError,
     ServiceError,
     decode_cell,
-    decode_config,
-    decode_key,
-    encode_cell,
-    encode_config,
-    encode_key,
     expect,
     parse_addr,
     read_msg,
@@ -55,13 +54,13 @@ def test_parse_addr():
 
 
 def test_config_roundtrip_preserves_digest():
-    doc = encode_config(CFG)
+    doc = encode(CFG)
     json.dumps(doc)  # must be JSON-safe as-is
-    back = decode_config(doc)
+    back = decode(doc)
     assert back == CFG
     assert back.digest() == CFG.digest()
     # and through an actual JSON round trip (what the wire does)
-    again = decode_config(json.loads(json.dumps(doc)))
+    again = decode(json.loads(json.dumps(doc)))
     assert again.digest() == CFG.digest()
 
 
@@ -70,8 +69,8 @@ def test_key_roundtrip_with_float_policy_args():
         "4MEM-1", "HF-RF", (("alpha", 0.1), ("bits", 3), ("mode", "x")),
         7, 300, 200, 256, CFG, 200,
     )
-    doc = json.loads(json.dumps(encode_key(key)))
-    back = decode_key(doc)
+    doc = json.loads(json.dumps(encode(key)))
+    back = decode(doc)
     assert back == key
     assert back.digest() == key.digest()
     # the float came back bit-exact, not via repr/str
@@ -86,7 +85,7 @@ def test_cell_roundtrip_eval_with_deps_and_me_values():
     key = eval_cell_key("4MEM-1", "ME-LREQ", 7, 300, 200, 256, CFG, 200)
     cell = Cell(key=key, config=CFG, me_deps=deps,
                 me_values=(1.5, 0.3333333333333333))
-    doc = json.loads(json.dumps(encode_cell(cell)))
+    doc = json.loads(json.dumps(encode(cell)))
     back = decode_cell(doc)
     assert back.key == key
     assert back.me_deps == deps
@@ -98,7 +97,7 @@ def test_cell_roundtrip_eval_with_deps_and_me_values():
 def test_cell_roundtrip_profile_uses_single_core_digest():
     key = profile_cell_key("E", 7, 200, CFG)
     cell = Cell(key=key, config=CFG)
-    back = decode_cell(json.loads(json.dumps(encode_cell(cell))))
+    back = decode_cell(json.loads(json.dumps(encode(cell))))
     assert back.key == key
 
 
@@ -124,15 +123,37 @@ def test_cell_roundtrip_every_planned_kind(planned_by_kind, kind):
     # a cloud key names the derived datacenter machine, not the base
     # config the cell carries; the decoder must derive the same machine
     cell = planned_by_kind[kind]
-    back = decode_cell(json.loads(json.dumps(encode_cell(cell))))
+    back = decode_cell(json.loads(json.dumps(encode(cell))))
     assert back.key == cell.key
     assert back.config == cell.config
     assert back.me_deps == cell.me_deps
 
 
+@pytest.fixture(scope="module")
+def result_by_kind(planned_by_kind):
+    """The result of executing each planned kind's cell."""
+    return {kind: execute_cell(cell)
+            for kind, cell in planned_by_kind.items()}
+
+
+@pytest.mark.parametrize("kind",
+                         ["profile", "single", "eval", "custom", "cloud"])
+def test_payload_roundtrip_every_planned_kind(planned_by_kind,
+                                              result_by_kind, kind,
+                                              tmp_path):
+    # MeProfile, CoreResult, RunResult and CloudResult, through the wire
+    # (JSON) and the store, come back bit for bit
+    result = result_by_kind[kind]
+    wire = json.dumps(encode(result))
+    assert json.dumps(encode(decode(json.loads(wire)))) == wire
+    key = planned_by_kind[kind].key
+    ResultCache(root=tmp_path, mode="rw").put(key, result)
+    assert ResultCache(root=tmp_path, mode="rw").get(key) == result
+
+
 def test_decode_cell_rejects_config_digest_mismatch():
     key = eval_cell_key("4MEM-1", "HF-RF", 7, 300, 200, 256, CFG, 200)
-    doc = encode_cell(Cell(key=key, config=CFG))
+    doc = encode(Cell(key=key, config=CFG))
     doc["config"]["num_cores"] = 16  # codec drift / tampering
     with pytest.raises(ProtocolError, match="digest"):
         decode_cell(doc)

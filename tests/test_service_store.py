@@ -1,6 +1,7 @@
 """The result store shared by local runs and the sweep service:
-wire-payload admission and the directory lock that serialises
-concurrent invocations on one cache directory.
+wire-payload admission, the code fingerprint its entries are stamped
+with, and the directory lock that serialises concurrent invocations on
+one cache directory.
 """
 
 from __future__ import annotations
@@ -8,6 +9,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +21,7 @@ from repro.experiments.cache import (
     DirLock,
     PayloadIntegrityError,
     ResultCache,
-    encode_payload,
+    encode,
     payload_sha,
 )
 from repro.experiments.cells import eval_cell_key
@@ -38,7 +43,7 @@ def _result() -> CoreResult:
 
 def test_admit_verifies_stores_and_decodes(tmp_path):
     store = ResultCache(root=tmp_path, mode="rw")
-    payload = encode_payload(_result())
+    payload = encode(_result())
     decoded = store.admit(_key(), payload, payload_sha(payload))
     assert decoded == _result()
     # the entry is a regular cache entry, readable by a plain ResultCache
@@ -47,7 +52,7 @@ def test_admit_verifies_stores_and_decodes(tmp_path):
 
 def test_admit_rejects_sha_mismatch_without_writing(tmp_path):
     store = ResultCache(root=tmp_path, mode="rw")
-    payload = encode_payload(_result())
+    payload = encode(_result())
     with pytest.raises(PayloadIntegrityError, match="SHA mismatch"):
         store.admit(_key(), payload, "0" * 64)
     assert store.get(_key()) is None
@@ -62,6 +67,14 @@ def test_admit_rejects_undecodable_payload(tmp_path):
     assert list(tmp_path.glob("*.json")) == []
 
 
+def test_an_entry_that_is_not_a_json_object_is_a_corrupt_miss(tmp_path):
+    store = ResultCache(root=tmp_path, mode="rw")
+    store.put(_key(), _result())
+    store._path(_key()).write_text("[1, 2]\n")
+    assert store.get(_key()) is None
+    assert (store.stats.corrupt, store.stats.misses) == (1, 1)
+
+
 def test_store_is_interchangeable_with_the_local_cache(tmp_path):
     """A directory warmed by the local runner is warm for the service
     and vice versa: an admitted wire payload and a locally computed
@@ -70,10 +83,60 @@ def test_store_is_interchangeable_with_the_local_cache(tmp_path):
     local.put(_key("RR"), _result())
     assert ResultCache(root=tmp_path, mode="rw").get(_key("RR")) == _result()
 
-    payload = encode_payload(_result())
+    payload = encode(_result())
     local.admit(_key("LREQ"), payload, payload_sha(payload))
     assert ResultCache(root=tmp_path, mode="rw").get(_key("LREQ")) \
         == _result()
+
+
+# -- code fingerprint -------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fingerprint(src: Path) -> str:
+    """``code_fingerprint()`` of the package under ``src``, in a fresh
+    process with no override."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "REPRO_CODE_FINGERPRINT"}
+    env["PYTHONPATH"] = str(src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import repro; from repro.experiments.cache import "
+         "code_fingerprint; print(repro.__file__, code_fingerprint())"],
+        env=env, cwd=src, capture_output=True, text=True, check=True)
+    path, fp = out.stdout.split()
+    assert Path(path).is_relative_to(src)
+    return fp
+
+
+@pytest.fixture()
+def copy_of_src(tmp_path) -> Path:
+    copy = tmp_path / "copy" / "src"
+    shutil.copytree(SRC / "repro", copy / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+def test_code_fingerprint_of_a_copy_equals_the_checkouts(copy_of_src):
+    """A worker running an installed copy of the same sources agrees
+    with a coordinator running from a checkout."""
+    assert _fingerprint(copy_of_src) == _fingerprint(SRC)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_an_uncommitted_edit_changes_the_code_fingerprint(copy_of_src):
+    """The fingerprint reads the files on disk, not a git index, and
+    covers the C kernels."""
+    git = ["git", "-C", str(copy_of_src.parent), "-c", "user.name=t",
+           "-c", "user.email=t@example.invalid"]
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["commit", "-q", "-m", "sources"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    committed = _fingerprint(copy_of_src)
+    with open(copy_of_src / "repro" / "cpu" / "_core.c", "a") as f:
+        f.write("/* an uncommitted edit */\n")
+    assert _fingerprint(copy_of_src) != committed
 
 
 # -- DirLock ----------------------------------------------------------------------
