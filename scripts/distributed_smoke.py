@@ -46,16 +46,10 @@ GOLDEN_PATH = ROOT / "tests" / "golden" / "golden_stats.json"
 
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.config import SystemConfig  # noqa: E402
-from repro.core.registry import reads_me  # noqa: E402
-from repro.experiments.cells import (  # noqa: E402
-    Cell,
-    eval_cell_key,
-    profile_cell_key,
-)
+from repro.experiments.cells import Cell, eval_cell  # noqa: E402
+from repro.experiments.harness import ExperimentContext  # noqa: E402
 from repro.service.client import request_shutdown, submit_cells  # noqa: E402
 from repro.telemetry.export import read_jsonl  # noqa: E402
-from repro.workloads.mixes import workload_by_name  # noqa: E402
 
 SERVING_RE = re.compile(r"serving on ([\d.]+):(\d+)")
 
@@ -115,17 +109,13 @@ def start_cluster(store: str, n_workers: int, obs_dir: str | None = None):
 
 
 def golden_cells() -> list[Cell]:
-    cfg = SystemConfig()
-    mix = workload_by_name("4MEM-1")
+    ctx = ExperimentContext(inst_budget=2500, warmup_insts=2000,
+                            profile_budget=2000, seeds=(7,))
     cells: list[Cell] = []
     for policy in ("HF-RF", "ME-LREQ", "RR", "LREQ"):
-        key = eval_cell_key(mix.name, policy, 7, 2500, 2000, 256, cfg, 2000)
-        deps = ()
-        if reads_me(policy):
-            deps = tuple(profile_cell_key(c, 7, 2000, cfg)
-                         for c in mix.codes)
-            cells.extend(Cell(key=d, config=cfg) for d in deps)
-        cells.append(Cell(key=key, config=cfg, me_deps=deps))
+        cell = eval_cell(ctx, "4MEM-1", policy, 7)
+        cells.extend(Cell(key=d, config=ctx.config) for d in cell.me_deps)
+        cells.append(cell)
     return cells
 
 

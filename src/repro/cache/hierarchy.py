@@ -68,7 +68,7 @@ class CacheHierarchy:
         ]
         self.l2 = SetAssocCache(cc.l2, name="L2")
         self.mshrs = [
-            MshrFile(config.core.data_mshrs, name=f"MSHR[{i}]")
+            MshrFile(cc.l1d.mshrs, name=f"MSHR[{i}]")
             for i in range(num_cores)
         ]
         self.l2_mshr_cap = cc.l2.mshrs

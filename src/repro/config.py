@@ -43,16 +43,12 @@ class CoreConfig:
 
     issue_width: int = 4
     rob_size: int = 196
-    #: data-cache MSHRs limit outstanding L1D misses per core
-    data_mshrs: int = 32
 
     def validate(self) -> None:
         if self.issue_width < 1:
             raise ValueError("issue_width must be >= 1")
         if self.rob_size < 1:
             raise ValueError("rob_size must be >= 1")
-        if self.data_mshrs < 1:
-            raise ValueError("data_mshrs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,8 @@ class CacheConfig:
     assoc: int
     line_bytes: int = 64
     hit_latency: int = 1
-    #: maximum outstanding misses (MSHR entries) at this cache
+    #: maximum outstanding misses (MSHR entries) at this cache; at the
+    #: L1D, the size of each core's data MSHR file
     mshrs: int = 32
 
     @property
@@ -84,6 +81,8 @@ class CacheConfig:
             raise ValueError(f"number of sets must be a power of two, got {n}")
         if self.line_bytes & (self.line_bytes - 1):
             raise ValueError("line size must be a power of two")
+        if self.mshrs < 1:
+            raise ValueError("mshrs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -262,9 +261,9 @@ class SystemConfig:
         self.dram_timing.validate()
         self.dram_topology.validate()
         self.controller.validate()
-        if self.controller.max_pending_per_core < self.core.data_mshrs:
+        if self.controller.max_pending_per_core < self.caches.l1d.mshrs:
             raise ValueError(
-                "priority table must cover at least data_mshrs pending requests"
+                "priority table must cover at least l1d.mshrs pending requests"
             )
         return self
 

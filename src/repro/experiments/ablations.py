@@ -11,13 +11,17 @@ These go beyond the paper's own evaluation (step-5 extension work):
   looser watermarks;
 * ``ablation_lookahead`` — simulator-fidelity knob: the bounded core
   lookahead should not change conclusions (a pure model-robustness check).
+
+Each ablation is declared once, as ``(label, run arguments)`` variants
+for :meth:`ExperimentContext.run`; its function averages each variant's
+SMT speedup over the seeds, and :func:`ablation_cells` plans the runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from repro.config import SystemConfig
+from repro.experiments.cells import Cell, eval_cell
 from repro.experiments.harness import ExperimentContext
 from repro.metrics.speedup import smt_speedup
 from repro.workloads.mixes import workload_by_name
@@ -27,8 +31,7 @@ __all__ = [
     "ablation_page_policy",
     "ablation_write_drain",
     "ablation_lookahead",
-    "ablation_cell_specs",
-    "AblationSpec",
+    "ablation_cells",
 ]
 
 #: default workload of every single-workload ablation
@@ -55,30 +58,45 @@ WRITE_DRAIN_WATERMARKS: tuple[tuple[int, int], ...] = (
 LOOKAHEADS: tuple[int, ...] = (64, 256, 1024)
 
 
-def _page_policy_config(ctx: ExperimentContext, mode: str) -> SystemConfig:
-    return replace(
-        ctx.config, controller=replace(ctx.config.controller, page_policy=mode)
-    )
+def _table_bits_runs(variants=TABLE_BITS_VARIANTS):
+    return [(label, {"policy": "ME-LREQ",
+                     "policy_args": (("table_bits", bits),
+                                     ("table_encoding", encoding))})
+            for label, bits, encoding in variants]
 
 
-def _write_drain_config(ctx: ExperimentContext, high: int, low: int) -> SystemConfig:
-    return replace(
-        ctx.config,
-        controller=replace(
-            ctx.config.controller, write_drain_high=high, write_drain_low=low
-        ),
-    )
+def _page_policy_runs(ctx, policy="HF-RF"):
+    ctl = ctx.config.controller
+    return [(mode, {"policy": policy,
+                    "config": replace(ctx.config, controller=replace(
+                        ctl, page_policy=mode))})
+            for mode in PAGE_POLICIES]
 
 
-def _custom_speedup(ctx: ExperimentContext, workload: str, policy: str,
-                    seed: int, *, policy_args: tuple = (),
-                    config=None, lookahead=None) -> float:
+def _write_drain_runs(ctx, policy="HF-RF",
+                      watermarks=WRITE_DRAIN_WATERMARKS):
+    ctl = ctx.config.controller
+    return [(f"high={high},low={low}",
+             {"policy": policy,
+              "config": replace(ctx.config, controller=replace(
+                  ctl, write_drain_high=high, write_drain_low=low))})
+            for high, low in watermarks]
+
+
+def _lookahead_runs(policy="HF-RF", lookaheads=LOOKAHEADS):
+    return [(la, {"policy": policy, "lookahead": la}) for la in lookaheads]
+
+
+def _mean_speedups(ctx: ExperimentContext, workload: str, runs) -> dict:
+    """Each variant's SMT speedup, averaged over the context's seeds."""
     mix = workload_by_name(workload)
-    r = ctx.run_custom(
-        mix, policy, seed,
-        policy_args=policy_args, config=config, lookahead=lookahead,
-    )
-    return smt_speedup(r.ipcs(), ctx.single_ipcs(mix, seed))
+    out = {}
+    for label, run in runs:
+        vals = [smt_speedup(ctx.run(mix, seed=seed, **run).ipcs(),
+                            ctx.single_ipcs(mix, seed))
+                for seed in ctx.seeds]
+        out[label] = sum(vals) / len(vals)
+    return out
 
 
 def ablation_table_bits(
@@ -87,18 +105,7 @@ def ablation_table_bits(
     variants: tuple[tuple[str, int | None, str], ...] = TABLE_BITS_VARIANTS,
 ) -> dict[str, float]:
     """SMT speedup of ME-LREQ under different priority-table geometries."""
-    out: dict[str, float] = {}
-    for label, bits, encoding in variants:
-        vals = [
-            _custom_speedup(
-                ctx, workload, "ME-LREQ", seed,
-                policy_args=(("table_bits", bits),
-                             ("table_encoding", encoding)),
-            )
-            for seed in ctx.seeds
-        ]
-        out[label] = sum(vals) / len(vals)
-    return out
+    return _mean_speedups(ctx, workload, _table_bits_runs(variants))
 
 
 def ablation_page_policy(
@@ -106,15 +113,7 @@ def ablation_page_policy(
     policy: str = "HF-RF",
 ) -> dict[str, float]:
     """Close-page (paper baseline) vs open-page memory system."""
-    out: dict[str, float] = {}
-    for mode in PAGE_POLICIES:
-        cfg = _page_policy_config(ctx, mode)
-        vals = [
-            _custom_speedup(ctx, workload, policy, seed, config=cfg)
-            for seed in ctx.seeds
-        ]
-        out[mode] = sum(vals) / len(vals)
-    return out
+    return _mean_speedups(ctx, workload, _page_policy_runs(ctx, policy))
 
 
 def ablation_write_drain(
@@ -124,15 +123,8 @@ def ablation_write_drain(
     watermarks: tuple[tuple[int, int], ...] = WRITE_DRAIN_WATERMARKS,
 ) -> dict[str, float]:
     """SMT speedup under different write-drain hysteresis watermarks."""
-    out: dict[str, float] = {}
-    for high, low in watermarks:
-        cfg = _write_drain_config(ctx, high, low)
-        vals = [
-            _custom_speedup(ctx, workload, policy, seed, config=cfg)
-            for seed in ctx.seeds
-        ]
-        out[f"high={high},low={low}"] = sum(vals) / len(vals)
-    return out
+    return _mean_speedups(ctx, workload,
+                          _write_drain_runs(ctx, policy, watermarks))
 
 
 def ablation_lookahead(
@@ -142,56 +134,13 @@ def ablation_lookahead(
     lookaheads: tuple[int, ...] = LOOKAHEADS,
 ) -> dict[int, float]:
     """Model-robustness: results should be stable in the core lookahead."""
-    out: dict[int, float] = {}
-    for la in lookaheads:
-        vals = [
-            _custom_speedup(ctx, workload, policy, seed, lookahead=la)
-            for seed in ctx.seeds
-        ]
-        out[la] = sum(vals) / len(vals)
-    return out
+    return _mean_speedups(ctx, workload, _lookahead_runs(policy, lookaheads))
 
 
-# -- cell enumeration (parallel runner) ------------------------------------------
-
-
-@dataclass(frozen=True)
-class AblationSpec:
-    """One ablation simulation, in the shape ``plan_cells`` consumes."""
-
-    workload: str
-    policy: str
-    policy_args: tuple
-    seed: int
-    config: SystemConfig | None = None  # None = the context's baseline
-    lookahead: int | None = None  # None = the context's default
-
-
-def ablation_cell_specs(
-    ctx: ExperimentContext, workload: str = ABLATION_WORKLOAD
-) -> list[AblationSpec]:
-    """Every run behind the four standard-report ablations
-    (:func:`ablation_table_bits`, :func:`ablation_page_policy`,
-    :func:`ablation_write_drain`, :func:`ablation_lookahead` at their
-    default variants — keep in sync with those defaults)."""
-    specs: list[AblationSpec] = []
-    for seed in ctx.seeds:
-        for _label, bits, encoding in TABLE_BITS_VARIANTS:
-            specs.append(AblationSpec(
-                workload, "ME-LREQ",
-                (("table_bits", bits), ("table_encoding", encoding)), seed,
-            ))
-        for mode in PAGE_POLICIES:
-            specs.append(AblationSpec(
-                workload, "HF-RF", (), seed,
-                config=_page_policy_config(ctx, mode),
-            ))
-        for high, low in WRITE_DRAIN_WATERMARKS:
-            specs.append(AblationSpec(
-                workload, "HF-RF", (), seed,
-                config=_write_drain_config(ctx, high, low),
-            ))
-        for la in LOOKAHEADS:
-            specs.append(AblationSpec(workload, "HF-RF", (), seed,
-                                      lookahead=la))
-    return specs
+def ablation_cells(ctx: ExperimentContext,
+                   workload: str = ABLATION_WORKLOAD) -> list[Cell]:
+    """Every run behind the four ablations at their default variants."""
+    runs = (_table_bits_runs() + _page_policy_runs(ctx)
+            + _write_drain_runs(ctx) + _lookahead_runs())
+    return [eval_cell(ctx, workload, seed=seed, **run)
+            for seed in ctx.seeds for _label, run in runs]

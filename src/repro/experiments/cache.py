@@ -341,7 +341,9 @@ class ResultCache:
         re-encode round trip.  The directory lock serialises writers
         from *different invocations* sharing the directory; the temp
         file is pid-suffixed so same-host writers never collide even on
-        platforms where the lock is a no-op.
+        platforms where the lock is a no-op.  An entry that already
+        holds the same bytes is left as it is: a rename over it would
+        cost a disk flush for nothing.
         """
         doc = {
             "v": 2,
@@ -354,7 +356,13 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        data = (json.dumps(doc, sort_keys=True) + "\n").encode()
         with self._lock.held():
-            tmp.write_text(json.dumps(doc, sort_keys=True) + "\n")
-            os.replace(tmp, path)
+            try:
+                unchanged = path.read_bytes() == data
+            except OSError:  # no entry yet, or an unreadable one
+                unchanged = False
+            if not unchanged:
+                tmp.write_bytes(data)
+                os.replace(tmp, path)
         self.stats.writes += 1

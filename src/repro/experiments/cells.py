@@ -16,7 +16,7 @@ The ``*_cell`` builders below (:func:`profile_cell`, :func:`eval_cell`,
 parallel planner and the context both use them, so a planned cell and
 the cell the context would compute always share one key.
 
-Cell kinds mirror the three run shapes the experiment harnesses use:
+Cell kinds mirror the run shapes the experiment harnesses use:
 
 ``profile``
     one application alone, ``"profile"`` trace phase, at the profiling
@@ -26,12 +26,11 @@ Cell kinds mirror the three run shapes the experiment harnesses use:
     one application alone, ``"eval"`` trace phase — the SMT-speedup
     denominator (:meth:`MeProfiler.single_core_ipc`);
 ``eval``
-    one Table 3 mix under one registered policy — the body of
-    :meth:`ExperimentContext.run`;
-``custom``
-    an ablation run: a policy with constructor arguments and/or a
-    non-default configuration or lookahead — the body of
-    :meth:`ExperimentContext.run_custom`;
+    one Table 3 mix under one registered policy, with optional
+    constructor arguments, machine and core lookahead (an ablation
+    varies one of them) — the body of :meth:`ExperimentContext.run`.
+    A policy that reads ME runs only on the context's own machine, the
+    one its profiles were collected on;
 ``cloud``
     one cloud mix (open-loop services + batch cores) on the
     datacenter-class machine — the body of
@@ -51,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.config import SystemConfig
 from repro.core.registry import make_policy, reads_me
@@ -65,12 +64,10 @@ __all__ = [
     "eval_cell_key",
     "profile_cell_key",
     "single_cell_key",
-    "custom_cell_key",
     "cloud_cell_key",
     "profile_cell",
     "single_cell",
     "eval_cell",
-    "custom_cell",
     "cloud_cell",
     "execute_cell",
 ]
@@ -88,7 +85,7 @@ class CellKey:
     entries.
     """
 
-    kind: str  # "profile" | "single" | "eval" | "custom" | "cloud"
+    kind: str  # "profile" | "single" | "eval" | "cloud"
     workload: str  # mix name, or the app code for profile/single cells
     policy: str  # canonical policy name ("" for profile/single cells)
     seed: int
@@ -167,8 +164,9 @@ def single_cell_key(code: str, seed: int, profile_budget: int,
 
 def eval_cell_key(mix_name: str, policy: str, seed: int, inst_budget: int,
                   warmup: int, lookahead: int, config: SystemConfig,
-                  profile_budget: int) -> CellKey:
-    """Multi-core evaluation run (the :meth:`ExperimentContext.run` body)."""
+                  profile_budget: int, policy_args: tuple = ()) -> CellKey:
+    """Multi-core evaluation run (the :meth:`ExperimentContext.run` body);
+    ``policy_args`` are the policy's constructor arguments."""
     policy = policy.upper()
     return CellKey(
         kind="eval", workload=mix_name, policy=policy, seed=seed,
@@ -176,33 +174,7 @@ def eval_cell_key(mix_name: str, policy: str, seed: int, inst_budget: int,
         config_digest=machine_digest("eval", mix_name, config),
         lookahead=lookahead,
         profile_budget=profile_budget if reads_me(policy) else 0,
-    )
-
-
-def custom_cell_key(mix_name: str, policy: str, policy_args: tuple,
-                    seed: int, inst_budget: int, warmup: int,
-                    lookahead: int, config: SystemConfig,
-                    profile_budget: int,
-                    me_config: SystemConfig | None = None) -> CellKey:
-    """Ablation run: policy constructor args and/or config overrides.
-
-    ``me_config`` is the configuration the ME profile was collected
-    under when it differs from the run configuration (the page-policy
-    ablation profiles on the baseline machine but runs on the variant).
-    """
-    policy = policy.upper()
-    needs_me = reads_me(policy)
-    args = tuple(sorted(tuple(kv) for kv in policy_args))
-    if needs_me and me_config is not None:
-        me_digest = machine_digest("profile", mix_name, me_config)
-        args = args + (("__me_config__", me_digest),)
-    return CellKey(
-        kind="custom", workload=mix_name, policy=policy, seed=seed,
-        inst_budget=inst_budget, warmup=warmup,
-        config_digest=machine_digest("custom", mix_name, config),
-        lookahead=lookahead,
-        profile_budget=profile_budget if needs_me else 0,
-        policy_args=args,
+        policy_args=tuple(sorted(tuple(kv) for kv in policy_args)),
     )
 
 
@@ -244,7 +216,6 @@ class Cell:
     config: SystemConfig
     me_deps: tuple[CellKey, ...] = ()
     me_values: tuple[float, ...] | None = None
-    policy_ctor_args: tuple = field(default=())
 
     def with_resolved_me(self, lookup) -> "Cell":
         """This cell ready to execute.
@@ -291,35 +262,25 @@ def _me_deps(ctx, policy: str, codes, seed: int) -> tuple[CellKey, ...]:
     )
 
 
-def eval_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
-    """One Table 3 mix under one registered policy."""
+def eval_cell(ctx, mix_name: str, policy: str, seed: int, *,
+              policy_args: tuple = (), config: SystemConfig | None = None,
+              lookahead: int | None = None) -> Cell:
+    """One Table 3 mix under one policy; ``config``/``lookahead`` of None
+    mean ``ctx``'s."""
     from repro.workloads.mixes import workload_by_name
 
     mix = workload_by_name(mix_name)
+    config = ctx.config if config is None else config
+    if reads_me(policy) and config != ctx.config:
+        raise ValueError(
+            f"{policy} reads ME, which is profiled on the context's "
+            f"machine; it cannot run on another machine")
+    lookahead = ctx.lookahead if lookahead is None else lookahead
     key = eval_cell_key(mix.name, policy, seed, ctx.inst_budget,
-                        ctx.warmup_insts, ctx.lookahead, ctx.config,
-                        ctx.profile_budget)
-    return Cell(key=key, config=ctx.config,
-                me_deps=_me_deps(ctx, policy, mix.codes, seed))
-
-
-def custom_cell(ctx, mix_name: str, policy: str, seed: int,
-                policy_args: tuple = (), config: SystemConfig | None = None,
-                lookahead: int | None = None) -> Cell:
-    """An ablation run: ``config``/``lookahead`` of None mean ``ctx``'s."""
-    from repro.workloads.mixes import workload_by_name
-
-    mix = workload_by_name(mix_name)
-    config = config if config is not None else ctx.config
-    lookahead = lookahead if lookahead is not None else ctx.lookahead
-    key = custom_cell_key(
-        mix.name, policy, policy_args, seed, ctx.inst_budget,
-        ctx.warmup_insts, lookahead, config, ctx.profile_budget,
-        me_config=ctx.config if config is not ctx.config else None,
-    )
+                        ctx.warmup_insts, lookahead, config,
+                        ctx.profile_budget, policy_args)
     return Cell(key=key, config=config,
-                me_deps=_me_deps(ctx, policy, mix.codes, seed),
-                policy_ctor_args=tuple(policy_args))
+                me_deps=_me_deps(ctx, policy, mix.codes, seed))
 
 
 def cloud_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
@@ -359,13 +320,12 @@ def execute_cell(cell: Cell, attempt: int = 0, telemetry=None):
 
     * ``profile`` -> :class:`MeProfile`
     * ``single``  -> :class:`CoreResult`
-    * ``eval`` / ``custom`` -> :class:`RunResult`
+    * ``eval``    -> :class:`RunResult`
     * ``cloud``   -> :class:`~repro.experiments.cloud.CloudResult`
 
     Pure function of the cell (given a resolved ``me_values``): no
     shared state — safe to run in any process.  ``telemetry`` attaches a
-    live :class:`~repro.telemetry.hub.Telemetry` hub to an eval/custom
-    run (a capture run: ``repro run --telemetry``, ``arena --anatomy``);
+    live :class:`~repro.telemetry.hub.Telemetry` hub to an eval run (a capture run: ``repro run --telemetry``, ``arena --anatomy``);
     the statistics are unchanged, but the result carries the hub, so
     capture results are never memoised or cached.
     """
@@ -385,18 +345,19 @@ def execute_cell(cell: Cell, attempt: int = 0, telemetry=None):
             return profiler.profile(app)
         return profiler.single_core_result(app, key.phase)
 
-    if key.kind in ("eval", "custom"):
+    if key.kind == "eval":
         mix = workload_by_name(key.workload)
         me = cell.me_values
         if me is None and reads_me(key.policy):
             # Standalone fallback: profile in-process, exactly as
-            # MeProfiler would (deterministic, so still bit-identical).
+            # MeProfiler would (deterministic, so still bit-identical);
+            # eval_cell runs ME policies only on their profiles' machine.
             profiler = MeProfiler(
                 key.profile_budget, seed=key.seed, config=cell.config
             )
             me = profiler.me_values(mix)
         policy = make_policy(key.policy, me_values=me,
-                             **dict(cell.policy_ctor_args))
+                             **dict(key.policy_args))
         return run_multicore(
             mix, policy, inst_budget=key.inst_budget, seed=key.seed,
             warmup_insts=key.warmup, config=cell.config,

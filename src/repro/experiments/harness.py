@@ -14,10 +14,12 @@ memo, then an optional on-disk
 determinant — seed, budgets, warmup, lookahead, config digest, policy
 constructor arguments), then the cell's ME dependencies, then
 :func:`~repro.experiments.cells.execute_cell`, writing the result back
-to the cache.  The parallel runner (:mod:`repro.experiments.parallel`)
-computes the same cells elsewhere and installs them in the memo by key,
-so the serial harness code then emits bit-identical tables at full
-speed.
+to the cache.  An ablation is a :meth:`~ExperimentContext.run` with
+constructor arguments, a variant machine or a lookahead, so a variant
+equal to the baseline shares the figures' cell.  The parallel runner
+(:mod:`repro.experiments.parallel`) computes the same cells elsewhere
+and installs them in the memo by key, so the serial harness code then
+emits bit-identical tables at full speed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.experiments.cells import (
     Cell,
     CellKey,
     cloud_cell,
-    custom_cell,
     eval_cell,
     execute_cell,
     profile_cell,
@@ -155,25 +156,15 @@ class ExperimentContext:
 
     # -- multi-core cells ---------------------------------------------------------
 
-    def run(self, workload: str | Mix, policy: str, seed: int) -> RunResult:
-        """One evaluation run of a registered mix."""
-        return self._get(eval_cell(self, _name(workload), policy, seed))
-
-    def run_custom(
-        self,
-        workload: str | Mix,
-        policy: str,
-        seed: int,
-        *,
-        policy_args: tuple = (),
-        config: SystemConfig | None = None,
-        lookahead: int | None = None,
-    ) -> RunResult:
-        """An ablation run: ``policy`` with constructor arguments and/or a
-        non-default config or lookahead (ME-family policies profile on the
-        *context's* baseline machine, matching the paper's offline
-        methodology)."""
-        return self._get(custom_cell(
+    def run(self, workload: str | Mix, policy: str, seed: int, *,
+            policy_args: tuple = (), config: SystemConfig | None = None,
+            lookahead: int | None = None) -> RunResult:
+        """One evaluation run of a registered mix.  An ablation passes the
+        policy's constructor arguments and/or a non-default config or
+        lookahead; a policy that reads ME raises ``ValueError`` on a
+        config other than the context's, whose machine its profiles come
+        from (the paper's offline methodology)."""
+        return self._get(eval_cell(
             self, _name(workload), policy, seed, policy_args=policy_args,
             config=config, lookahead=lookahead,
         ))

@@ -47,7 +47,6 @@ from repro.experiments.cells import (
     Cell,
     CellKey,
     cloud_cell,
-    custom_cell,
     eval_cell,
     execute_cell,
     profile_cell,
@@ -136,7 +135,7 @@ def plan_cells(
     shape over cloud mix-set names — matching
     :func:`repro.experiments.cloud.run_cloud_table`.
     """
-    from repro.experiments.ablations import ablation_cell_specs
+    from repro.experiments.ablations import ablation_cells
     from repro.experiments.arena import arena_cells
     from repro.experiments.figure2 import figure2_cells
     from repro.experiments.figure3 import figure3_cells
@@ -188,13 +187,9 @@ def plan_cells(
             for seed in ctx.seeds:
                 add_run(cloud_cell(ctx, mix_name, policy, seed), codes)
     if ablations:
-        for spec in ablation_cell_specs(ctx):
-            add_run(
-                custom_cell(ctx, spec.workload, spec.policy, spec.seed,
-                            policy_args=spec.policy_args,
-                            config=spec.config, lookahead=spec.lookahead),
-                sorted(set(workload_by_name(spec.workload).codes)),
-            )
+        for cell in ablation_cells(ctx):
+            add_run(cell,
+                    sorted(set(workload_by_name(cell.key.workload).codes)))
     return sorted(cells.values(), key=lambda c: c.key.key_str())
 
 

@@ -61,8 +61,9 @@ store's codec, :func:`repro.experiments.cache.encode`: every dataclass
 is a dict of its own fields plus its class name under ``"type"``, and
 every float, in a result, an ME vector or a policy argument, is tagged
 ``{"__float__": "<hex>"}`` — so a result that crossed the network is
-bit-identical to one computed in process.  Protocol 2 is that encoding;
-protocol 1 peers (hand-written codecs) are refused at the handshake.
+bit-identical to one computed in process.  Protocol 3 is that encoding
+of a ``Cell`` whose policy constructor arguments live only in its key's
+``policy_args``; protocol 1 and 2 peers are refused at the handshake.
 
 Security: the protocol has no authentication or transport encryption.
 Run it on trusted networks only (see docs/DISTRIBUTED.md).
@@ -88,7 +89,7 @@ __all__ = [
     "parse_addr",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: StreamReader line limit — an 8-core RunResult payload is ~2.5 KB, so
 #: this bounds memory per connection while leaving headroom for large

@@ -17,7 +17,6 @@ class TestDefaultsMatchTable1:
         c = CoreConfig()
         assert c.issue_width == 4
         assert c.rob_size == 196
-        assert c.data_mshrs == 32
 
     def test_caches(self):
         s = SystemConfig()
@@ -27,6 +26,8 @@ class TestDefaultsMatchTable1:
         assert s.caches.l2.size_bytes == 4 * 1024 * 1024
         assert s.caches.l2.assoc == 4
         assert s.caches.l2.hit_latency == 15
+        assert s.caches.l1d.mshrs == 32
+        assert s.caches.l2.mshrs == 64
         assert s.line_bytes == 64
 
     def test_dram_timing(self):
@@ -65,6 +66,10 @@ class TestCacheConfig:
     def test_rejects_tiny_cache(self):
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=64, assoc=2, line_bytes=64).validate()
+
+    def test_rejects_no_mshrs(self):
+        with pytest.raises(ValueError, match="mshrs"):
+            CacheConfig(size_bytes=64 * 1024, assoc=2, mshrs=0).validate()
 
 
 class TestValidationErrors:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from repro.config import SystemConfig
 from repro.experiments.cache import ResultCache
 from repro.experiments.cells import CellKey, eval_cell_key
@@ -84,6 +86,26 @@ def test_profile_budget_isolates_me_family_entries(tmp_path):
     b.run("2MEM-1", "ME-LREQ", 1)
     hits_after = b.cache.stats.hits
     assert hits_after == 1  # the ME-LREQ eval entry did NOT carry over
+
+
+def test_me_policies_run_only_on_the_contexts_machine():
+    """ME is profiled on the context's machine, so a policy that reads it
+    refuses another machine before anything simulates; an equal copy of
+    the baseline is the same machine, and the same cell."""
+    ctx = ExperimentContext(inst_budget=BUDGET, warmup_insts=WARMUP,
+                            profile_budget=PROFILE, seeds=(1,))
+
+    def page_policy(mode):
+        return dataclasses.replace(ctx.config, controller=dataclasses.replace(
+            ctx.config.controller, page_policy=mode))
+
+    with pytest.raises(ValueError, match="ME-LREQ"):
+        ctx.run("4MEM-1", "ME-LREQ", 1, config=page_policy("open"))
+    assert ctx.memo == {}
+    closed = page_policy("closed")
+    assert closed is not ctx.config
+    assert (ctx.run("4MEM-1", "ME-LREQ", 1, config=closed)
+            is ctx.run("4MEM-1", "ME-LREQ", 1))
 
 
 def test_eval_key_covers_every_determinant():

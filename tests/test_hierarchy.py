@@ -79,14 +79,24 @@ class TestMissPaths:
 
     def test_mshr_full_blocks(self):
         cfg, engine, ctrl, hier = make_stack()
-        n = cfg.core.data_mshrs
+        n = cfg.caches.l1d.mshrs
         for i in range(n):
             assert hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None) == PENDING
         assert hier.access(0, (n + 1) << 20, False, 0, lambda l, t: None) == BLOCKED
 
+    def test_l1d_mshrs_size_each_cores_mshr_file(self):
+        from dataclasses import replace
+
+        cfg, engine, ctrl, _ = make_stack()
+        caches = replace(cfg.caches, l1d=replace(cfg.caches.l1d, mshrs=4))
+        hier = CacheHierarchy(replace(cfg, caches=caches), ctrl, 2)
+        for i in range(4):
+            assert hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None) == PENDING
+        assert hier.access(0, 5 << 20, False, 0, lambda l, t: None) == BLOCKED
+
     def test_unblock_fires_after_completion(self):
         cfg, engine, ctrl, hier = make_stack()
-        n = cfg.core.data_mshrs
+        n = cfg.caches.l1d.mshrs
         for i in range(n):
             hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None)
         woken = []

@@ -104,6 +104,28 @@ def test_merged_results_planned_under_other_budgets_are_never_served():
         assert ctx.run("2MEM-1", policy, SEED) == want
 
 
+def test_the_ablation_plan_covers_every_ablation_run():
+    """After the planned ablation cells are merged, the four ablations
+    simulate nothing more and return what a fresh serial context does."""
+    from repro.experiments import (
+        ablation_lookahead,
+        ablation_page_policy,
+        ablation_table_bits,
+        ablation_write_drain,
+    )
+
+    kw = dict(inst_budget=500, warmup_insts=500, profile_budget=500,
+              seeds=(1,))
+    ctx = ExperimentContext(**kw)
+    merge_into(ctx, run_cells(plan_cells(ctx, ablations=True), jobs=1))
+    planned = dict(ctx.memo)
+    serial = ExperimentContext(**kw)
+    for ablation in (ablation_table_bits, ablation_page_policy,
+                     ablation_write_drain, ablation_lookahead):
+        assert ablation(ctx) == ablation(serial), ablation.__name__
+    assert ctx.memo == planned
+
+
 def test_parallel_reproduces_golden_fingerprints():
     """Worker-process results must match the checked-in golden stats
     (same float bits, compared through ``float.hex``)."""

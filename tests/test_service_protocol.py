@@ -20,7 +20,6 @@ from repro.config import SystemConfig
 from repro.experiments.cache import ResultCache, decode, encode
 from repro.experiments.cells import (
     Cell,
-    custom_cell_key,
     eval_cell_key,
     execute_cell,
     profile_cell_key,
@@ -65,9 +64,9 @@ def test_config_roundtrip_preserves_digest():
 
 
 def test_key_roundtrip_with_float_policy_args():
-    key = custom_cell_key(
-        "4MEM-1", "HF-RF", (("alpha", 0.1), ("bits", 3), ("mode", "x")),
-        7, 300, 200, 256, CFG, 200,
+    key = eval_cell_key(
+        "4MEM-1", "HF-RF", 7, 300, 200, 256, CFG, 200,
+        (("alpha", 0.1), ("bits", 3), ("mode", "x")),
     )
     doc = json.loads(json.dumps(encode(key)))
     back = decode(doc)
@@ -103,7 +102,8 @@ def test_cell_roundtrip_profile_uses_single_core_digest():
 
 @pytest.fixture(scope="module")
 def planned_by_kind():
-    """The first planned cell of every kind ``plan_cells`` produces."""
+    """The first planned cell of every kind ``plan_cells`` produces, and
+    the first eval cell with policy arguments or a variant config."""
     from repro.experiments.harness import ExperimentContext
     from repro.experiments.parallel import plan_cells
 
@@ -114,11 +114,14 @@ def planned_by_kind():
     by_kind = {}
     for cell in cells:
         by_kind.setdefault(cell.key.kind, cell)
+        if cell.key.kind == "eval" and (cell.key.policy_args
+                                        or cell.config != ctx.config):
+            by_kind.setdefault("ablation", cell)
     return by_kind
 
 
 @pytest.mark.parametrize("kind",
-                         ["profile", "single", "eval", "custom", "cloud"])
+                         ["profile", "single", "eval", "ablation", "cloud"])
 def test_cell_roundtrip_every_planned_kind(planned_by_kind, kind):
     # a cloud key names the derived datacenter machine, not the base
     # config the cell carries; the decoder must derive the same machine
@@ -137,7 +140,7 @@ def result_by_kind(planned_by_kind):
 
 
 @pytest.mark.parametrize("kind",
-                         ["profile", "single", "eval", "custom", "cloud"])
+                         ["profile", "single", "eval", "ablation", "cloud"])
 def test_payload_roundtrip_every_planned_kind(planned_by_kind,
                                               result_by_kind, kind,
                                               tmp_path):

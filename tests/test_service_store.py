@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -173,9 +174,9 @@ def test_dirlock_serialises_concurrent_processes(tmp_path):
 
 def _put_many(root: str, n: int) -> None:
     cache = ResultCache(root=root, mode="rw")
-    result = _result()
     for i in range(n):
-        cache.put(_key(f"P{i % 5}"), result)
+        # a result that differs each round, so every put replaces
+        cache.put(_key(f"P{i % 5}"), replace(_result(), finish_cycle=1000 + i))
 
 
 def test_concurrent_cache_writers_leave_only_valid_entries(tmp_path):
@@ -197,6 +198,18 @@ def test_concurrent_cache_writers_leave_only_valid_entries(tmp_path):
         assert payload_sha(doc["payload"]) == doc["sha"]
     assert not list(tmp_path.glob("*.tmp.*"))
     assert (tmp_path / DirLock.LOCK_NAME).exists()
+
+
+def test_a_put_of_the_same_result_leaves_the_entry_untouched(tmp_path):
+    cache = ResultCache(root=tmp_path, mode="rw")
+    cache.put(_key(), _result())
+    before = os.stat(cache._path(_key()))
+    cache.put(_key(), _result())
+    after = os.stat(cache._path(_key()))
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+    assert cache.stats.writes == 2
+    assert cache.get(_key()) == _result()
 
 
 def test_lockfile_is_not_mistaken_for_an_entry(tmp_path):
