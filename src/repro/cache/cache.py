@@ -1,10 +1,12 @@
 """Set-associative cache with LRU replacement and dirty bits.
 
-Pure functional model: it answers hit/miss, tracks recency and dirtiness,
-and reports evictions; timing lives in the core model and the memory
-system.  Each set is a Python dict mapping tag -> dirty flag; dict insertion
-order provides LRU for free (move-to-back on touch), which profiling showed
-is the fastest pure-Python LRU for small associativities.
+Pure functional state: it holds recency and dirtiness and reports
+evictions; timing lives in the core model and the memory system.  Each set
+is a Python dict mapping tag -> dirty flag; dict insertion order provides
+LRU for free (move-to-back on touch), which profiling showed is the
+fastest pure-Python LRU for small associativities.  The core model's C
+kernel reads and writes these dicts directly for every demand hit,
+refreshing recency and dirtying an L1 line on a store hit.
 """
 
 from __future__ import annotations
@@ -58,37 +60,7 @@ class SetAssocCache:
         self._off_bits = config.line_bytes.bit_length() - 1
         self._assoc = config.assoc
 
-    # -- address split ------------------------------------------------------
-
-    def set_index(self, addr: int) -> int:
-        """The set an address maps to (exposed for tests)."""
-        return (addr >> self._off_bits) & self._set_mask
-
-    def _tag(self, addr: int) -> int:
-        return addr >> self._off_bits
-
-    # -- operations ----------------------------------------------------------
-
-    def lookup(self, addr: int, *, is_write: bool = False) -> bool:
-        """Access the line containing ``addr``.
-
-        On a hit the line becomes most-recently-used and, for writes, dirty.
-        Returns ``True`` on hit.
-
-        The tag/index arithmetic is inlined here (and in the other
-        operations) rather than calling :meth:`set_index`/:meth:`_tag`.
-        The core model's fetch loop inlines this hit path for the L1
-        (advance_fetch in cpu/_core.c; keep in sync).
-        """
-        tag = addr >> self._off_bits
-        s = self._sets[tag & self._set_mask]
-        if tag in s:
-            dirty = s.pop(tag) or is_write  # move-to-back refreshes recency
-            s[tag] = dirty
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
+    # -- fill and eviction paths (demand hits: advance_fetch in _core.c) ------
 
     def probe(self, addr: int) -> bool:
         """Hit check without touching recency or stats."""
@@ -141,13 +113,3 @@ class SetAssocCache:
         """Drop the line containing ``addr``; returns whether it was present."""
         tag = addr >> self._off_bits
         return self._sets[tag & self._set_mask].pop(tag, None) is not None
-
-    def resident_lines(self) -> int:
-        """Number of valid lines (for occupancy tests)."""
-        return sum(len(s) for s in self._sets)
-
-    def clear(self) -> None:
-        """Empty the cache and zero statistics."""
-        for s in self._sets:
-            s.clear()
-        self.stats = CacheStats()

@@ -11,7 +11,12 @@ substrate:
 * dirty evictions  -> writeback requests (attributed to the line's owner
   core so bandwidth accounting stays per-application);
 * structural stalls -> a full MSHR file or controller buffer returns
-  :data:`BLOCKED`; the core registers with :meth:`wait_unblock` and retries.
+  :data:`BLOCKED`; the core joins ``_unblock_waiters`` and retries.
+
+The two hit paths and the stalled core's registration run inside the core
+model's C kernel (``advance_fetch`` and ``wait_unblock`` in
+``cpu/_core.c``), which probes the caches' sets directly and enters this
+class at :meth:`CacheHierarchy._after_l2_miss`.
 
 Instruction fetch is not simulated: the synthetic SPEC-like traces model
 data references only (SPEC CPU2000 instruction footprints fit comfortably
@@ -36,11 +41,11 @@ from repro.controller.request import MemoryRequest
 
 __all__ = ["PENDING", "BLOCKED", "CacheHierarchy"]
 
-#: access() result: new memory request issued; waiter fires on data return
+#: _after_l2_miss result: new memory request issued; waiter fires on return
 PENDING = -1
-#: access() result: structural stall (MSHR or controller buffer full)
+#: _after_l2_miss result: structural stall (MSHR or controller buffer full)
 BLOCKED = -2
-#: access() result: miss merged onto an in-flight line; waiter still fires
+#: _after_l2_miss result: miss merged onto an in-flight line; waiter fires
 MERGED = -3
 
 
@@ -59,18 +64,14 @@ class CacheHierarchy:
         self.num_cores = num_cores
         self.line_bytes = cc.l2.line_bytes
         self._line_mask = ~(self.line_bytes - 1)
-        # Hit latencies resolved once at assembly time: access() is called
-        # for every data reference and must not walk config dataclasses.
+        # Hit latencies the core kernel reads once, at core construction.
         self._l1_hit_latency = cc.l1d.hit_latency
         self._l2_hit_latency = cc.l1d.hit_latency + cc.l2.hit_latency
         self.l1d = [
             SetAssocCache(cc.l1d, name=f"L1D[{i}]") for i in range(num_cores)
         ]
         self.l2 = SetAssocCache(cc.l2, name="L2")
-        self.mshrs = [
-            MshrFile(cc.l1d.mshrs, name=f"MSHR[{i}]")
-            for i in range(num_cores)
-        ]
+        self.mshrs = [MshrFile(cc.l1d.mshrs) for _ in range(num_cores)]
         self.l2_mshr_cap = cc.l2.mshrs
         self._l2_outstanding = 0
         #: in-flight lines that have a merged store (fill installs dirty)
@@ -97,51 +98,6 @@ class CacheHierarchy:
 
     # -- core-facing API -------------------------------------------------------
 
-    def access(
-        self,
-        core_id: int,
-        addr: int,
-        is_write: bool,
-        now: int,
-        waiter: Waiter | None,
-    ) -> int:
-        """One data reference by ``core_id`` at cycle ``now``.
-
-        Returns a non-negative hit latency, :data:`PENDING` (new memory
-        request issued), :data:`MERGED` (joined an in-flight miss) — for
-        both, ``waiter(line_addr, done_cycle)`` will fire — or
-        :data:`BLOCKED` (retry after :meth:`wait_unblock`).
-        """
-        self.demand_accesses[core_id] += 1
-        # The core model inlines this L1 probe and the L2 probe below in
-        # its fetch loop (advance_fetch in cpu/_core.c) and enters at
-        # :meth:`_after_l2_miss`; this entry point serves everyone else.
-        if self.l1d[core_id].lookup(addr, is_write=is_write):
-            return self._l1_hit_latency
-        return self.access_after_l1_miss(core_id, addr, is_write, now, waiter)
-
-    def access_after_l1_miss(
-        self,
-        core_id: int,
-        addr: int,
-        is_write: bool,
-        now: int,
-        waiter: Waiter | None,
-    ) -> int:
-        """Continuation of :meth:`access` once the L1 has missed.
-
-        The caller must already have charged the reference to
-        ``demand_accesses`` and the L1 stats — this entry point exists so
-        the core model can run the (overwhelmingly common) L1-hit path
-        without any call into the hierarchy.
-        """
-        line = addr & self._line_mask
-        # advance_fetch in cpu/_core.c inlines this hit path (keep in sync).
-        if self.l2.lookup(line):
-            self._fill_l1(core_id, line, dirty=is_write, now=now)
-            return self._l2_hit_latency
-        return self._after_l2_miss(core_id, line, is_write, now, waiter)
-
     def _after_l2_miss(
         self,
         core_id: int,
@@ -150,14 +106,15 @@ class CacheHierarchy:
         now: int,
         waiter: Waiter | None,
     ) -> int:
-        """Continuation once the L2 has missed (``line`` already aligned).
+        """One reference that missed both caches (``line`` already aligned).
 
-        The caller has charged ``l2.stats.misses`` — the core model's
-        fetch loop enters here directly after its own inlined L2 probe.
-        The merge/full tests are the inlined guts of
-        MshrFile.outstanding/allocate/is_full (keep in sync with
-        mshr.py) — this path runs once per retry of every blocked
-        reference, not just once per miss.
+        The core model's fetch loop enters here after its own L1 and L2
+        probes, which charged the demand access and the misses.  Returns
+        :data:`PENDING` (new memory request issued), :data:`MERGED`
+        (joined an in-flight miss) — for both, ``waiter`` fires when the
+        data returns — or :data:`BLOCKED`, when the core registers for an
+        unblock and retries.  This path runs once per retry of every
+        blocked reference, not just once per miss.
         """
         mshr = self.mshrs[core_id]
         entries = mshr._entries
@@ -178,7 +135,7 @@ class CacheHierarchy:
             return BLOCKED
         if not self.controller.can_accept():
             return BLOCKED
-        # -- new entry (inlined MshrFile.allocate; keep in sync) --
+        # -- new MSHR entry --
         entries[line] = [waiter] if waiter is not None else []
         mshr.allocations += 1
         if len(entries) > mshr.peak_occupancy:
@@ -200,18 +157,6 @@ class CacheHierarchy:
         assert accepted, "can_accept() checked above"
         return PENDING
 
-    def wait_unblock(self, callback: Callable[[int], None]) -> None:
-        """One-shot registration: fire when any structural resource frees.
-
-        ``wait_unblock`` in cpu/_core.c is this body, inlined (keep in
-        sync)."""
-        self._unblock_waiters.append(callback)
-        # A full controller buffer also resolves through controller space;
-        # arm that watch at most once at a time.
-        if not self._space_watch_armed:
-            self._space_watch_armed = True
-            self.controller.wait_for_space(self._on_space_freed)
-
     def _on_space_freed(self, now: int) -> None:
         self._space_watch_armed = False
         # Wake every core stalled on a structural hazard: this fires once
@@ -227,12 +172,11 @@ class CacheHierarchy:
     def _on_fill(self, req: MemoryRequest, now: int) -> None:
         """Read data returned from DRAM: install the line, wake waiters.
 
-        The L2 install, L1 install and MSHR retirement are the inlined
-        bodies of SetAssocCache.fill / :meth:`_fill_l1` /
-        :meth:`MshrFile.complete` (keep in sync) — this runs once per
-        memory request and is the hottest completion path (calling the
-        three, plus MshrFile.allocate in :meth:`_after_l2_miss`, added
-        about 8% more Python calls to a 2-core Figure 2 panel).
+        The L2 and L1 installs repeat SetAssocCache.fill and
+        :meth:`_fill_l1` inline (keep in sync with them): this runs once
+        per memory request and is the hottest completion path.  Calling
+        them, and MSHR methods here and in :meth:`_after_l2_miss`, added
+        about 8% more Python calls to a 2-core Figure 2 panel.
         """
         line = req.addr
         core = req.core_id
@@ -278,10 +222,13 @@ class CacheHierarchy:
                 if not l2.set_dirty(v_addr):
                     self._emit_writeback(core, v_addr, now)
         self._l2_outstanding -= 1
-        # -- MSHR retirement (inlined MshrFile.complete) --
+        # -- MSHR retirement --
         mshr = self.mshrs[core]
         waiters = mshr._entries.pop(line)
         for w in waiters:
+            # A ``(method, token)`` pair is the core model's closure-free
+            # load waiter (see l2_miss in cpu/_core.c): the method takes
+            # the load's ROB token instead of the line address.
             if type(w) is tuple:
                 w[0](w[1], now)
             else:

@@ -197,14 +197,9 @@ class ControllerConfig:
     overhead: int = ns_to_cycles(15.0)
     write_drain_high: int = 32
     write_drain_low: int = 16
-    #: per-thread cap on pending requests (sizes the priority table)
-    max_pending_per_core: int = 64
     #: 'closed' = paper default (controller-managed: keep row open only while
     #: queued hits exist); 'open' keeps rows open until a conflict (ablation)
     page_policy: str = "closed"
-    #: model DDR2 auto-refresh (off in the paper's simulator; fidelity
-    #: extension — costs ~1-3 % of channel time)
-    refresh_enabled: bool = False
 
     def validate(self) -> None:
         if self.buffer_entries < 1:
@@ -215,8 +210,6 @@ class ControllerConfig:
             )
         if self.page_policy not in ("closed", "open"):
             raise ValueError(f"unknown page_policy {self.page_policy!r}")
-        if self.max_pending_per_core < 1:
-            raise ValueError("max_pending_per_core must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -261,10 +254,6 @@ class SystemConfig:
         self.dram_timing.validate()
         self.dram_topology.validate()
         self.controller.validate()
-        if self.controller.max_pending_per_core < self.caches.l1d.mshrs:
-            raise ValueError(
-                "priority table must cover at least l1d.mshrs pending requests"
-            )
         return self
 
     def with_cores(self, num_cores: int) -> "SystemConfig":

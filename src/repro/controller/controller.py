@@ -21,9 +21,10 @@ parallelism without letting the scheduler commit far into the future.
 
 A scheduling point runs in one frame (:meth:`_fast_point`): it reads and
 writes the channel's bank arrays (:class:`~repro.dram.channel.Channel`)
-directly, inlines the channel's transaction timing, and routes its two
-event shapes through the engine's per-channel lanes (``kick`` for decision
-points, ``complete`` for read completions) instead of the heap.
+directly, resolves the committed transaction's DDR2 timing there (the one
+copy of that model), reports it to ``dram.observer``, and routes its two
+event shapes through the engine's per-channel lanes (``kick`` for
+decision points, ``complete`` for read completions) instead of the heap.
 
 The class is defined as ``FastMemoryController``, and
 ``repro.controller.fast`` re-exports it, because ``bench/ledger.py``
@@ -133,11 +134,6 @@ class FastMemoryController:
         #: request-lifecycle span collector (None unless the hub captures
         #: spans; the per-commit guard is one attribute test)
         self.spans = telemetry.spans if telemetry is not None else None
-        self.refresh = None
-        if config.refresh_enabled:
-            from repro.dram.refresh import RefreshScheduler
-
-            self.refresh = RefreshScheduler(len(dram.channels))
         #: callbacks waiting for a free buffer slot (stalled cores)
         self._space_waiters: list[Callable[[int], None]] = []
         #: per-channel flag: a decision point is already armed
@@ -206,7 +202,7 @@ class FastMemoryController:
         On ``False`` the caller must stall and register via
         :meth:`wait_for_space` to be re-woken.
 
-        Inlines the address decode (memo probe), ``RequestQueues.add``
+        Inlines the address decode (memo probe), the queue insertion
         (capacity already checked here; core ids come from the hierarchy
         and are trusted), the drain-mode no-transition fast path and the
         decision-slot kick.
@@ -222,7 +218,7 @@ class FastMemoryController:
         req.bank = coord.bank
         req.row = coord.row
         req.arrival_cycle = now
-        # -- inlined RequestQueues.add --
+        # -- queue insertion: age sequence number, per-core counter --
         req.seq = qs._next_seq
         qs._next_seq += 1
         qs.occupancy += 1
@@ -300,11 +296,6 @@ class FastMemoryController:
         """One scheduling point, start to finish, in a single frame."""
         self._sched_pending[channel] = False
         ch = self._channels[channel]
-        if self.refresh is not None:
-            usable = self.refresh.advance(channel, ch, now)
-            if usable > now:
-                self._kick_channel(channel, usable)
-                return
         qs = self.queues
         # Drain-mode hysteresis: inline the no-transition fast path, defer
         # to the shared method (stats + telemetry emit) on a transition.
@@ -430,8 +421,8 @@ class FastMemoryController:
         row = req.row
         core = req.core_id
         is_write_req = req.is_write
-        # Inlined RequestQueues.remove: the request came from this
-        # channel's view, so the per-channel list is known.
+        # Queue removal: the request came from this channel's view, so
+        # the per-channel list is known.
         qs.occupancy -= 1
         if is_write_req:
             qs.writes.remove(req)
@@ -456,7 +447,8 @@ class FastMemoryController:
                     if w.bank == bank and w.row == row:
                         keep_open = True
                         break
-        # Inlined Channel.execute (keep in sync with channel.py).
+        # Transaction timing against the channel's bank arrays and data
+        # bus (the rules are listed in repro.dram.channel).
         rc = ready_by_bank[bank]
         start = now if now > rc else rc
         bank_start = start

@@ -402,8 +402,9 @@ static int advance_commit(Core *c)
 
 /* -- fetch --------------------------------------------------------------- */
 
-/* Register for the next structural-resource release: the inlined body of
- * CacheHierarchy.wait_unblock (keep in sync with hierarchy.py). */
+/* Register for the next structural-resource release: join the
+ * hierarchy's _unblock_waiters and, unless it is armed already, arm its
+ * one controller-space watch (_on_space_freed). */
 static int wait_unblock(Core *c)
 {
     PyObject *h = c->hierarchy, *waiters, *armed, *ctrl, *freed;
@@ -519,11 +520,11 @@ static int block(Core *c, int64_t cycle, int64_t line)
  * and added to their Python objects once, at exit: nothing re-enters the
  * core during a fetch call (commit never runs inside fetch, the hierarchy
  * reads no core state, and data and unblock waiters fire later from
- * engine events).  The L1 probe is the hit path of SetAssocCache.lookup
- * (keep in sync with cache.py) and the L2 probe the hit path of
- * CacheHierarchy.access_after_l1_miss (keep in sync with hierarchy.py),
- * charged as CacheHierarchy.access would charge them; an L2 miss
- * continues in _after_l2_miss. */
+ * engine events).  The L1 and L2 probes are the caches' only demand hit
+ * paths: they read the SetAssocCache sets directly, charge
+ * demand_accesses and both levels' hit/miss counters, and an L2 hit
+ * installs the line through _fill_l1; an L2 miss continues in
+ * CacheHierarchy._after_l2_miss. */
 static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
 {
     const int64_t q = c->q, rob_size = c->rob_size, committed = c->committed;
@@ -538,7 +539,7 @@ static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
     int rc = -1;
 
     *progressed = 0;
-    /* Re-read per call: clear() replaces a cache's stats object. */
+    /* Read per call: the kernel keeps no reference to a stats object. */
     if ((l1_stats = PyObject_GetAttr(c->l1, s_stats)) == NULL
         || (l2_stats = PyObject_GetAttr(c->l2, s_stats)) == NULL)
         goto done;

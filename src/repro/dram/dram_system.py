@@ -1,15 +1,15 @@
 """Whole DRAM system: the channel array plus the address mapper.
 
 This is the device-side substrate the memory controller drives.  It knows
-nothing about scheduling policies; it answers row-hit queries and executes
-transactions chosen by the controller, returning resolved timing.
+nothing about scheduling policies; it answers row-hit queries and holds
+the channels whose bank state the controller's scheduling point advances.
 """
 
 from __future__ import annotations
 
 from repro.config import DramTimingConfig, DramTopologyConfig
 from repro.dram.address import AddressMapper, DramCoord
-from repro.dram.channel import Channel, TransactionTiming
+from repro.dram.channel import Channel
 
 __all__ = ["DramSystem"]
 
@@ -17,9 +17,11 @@ __all__ = ["DramSystem"]
 class DramSystem:
     """All logic channels behind one memory controller.
 
-    ``observer`` is an optional hook called after every executed
-    transaction with ``(coord, timing, is_write, keep_open, had_conflict)``
-    — the attachment point for command-level logging/analysis
+    ``observer`` is an optional hook the controller's scheduling point
+    calls after every committed transaction with ``(coord, timing,
+    is_write, keep_open, had_conflict)``, ``timing`` a
+    :class:`~repro.dram.channel.TransactionTiming` — the attachment point
+    for command-level logging/analysis
     (:class:`repro.dram.command.CommandLog`) without per-command cost in
     normal runs.
     """
@@ -38,7 +40,7 @@ class DramSystem:
         self.timing = timing
         self.mapper = AddressMapper(topology, line_bytes)
         self.channels = [
-            Channel(i, topology.banks_per_channel, timing)
+            Channel(i, topology.banks_per_channel)
             for i in range(topology.logic_channels)
         ]
         self.observer = None
@@ -50,29 +52,6 @@ class DramSystem:
     def is_row_hit(self, coord: DramCoord) -> bool:
         """Would a request to ``coord`` hit its bank's open row now?"""
         return self.channels[coord.channel].is_row_hit(coord.bank, coord.row)
-
-    def execute(
-        self,
-        coord: DramCoord,
-        now: int,
-        *,
-        is_write: bool,
-        keep_open: bool,
-    ) -> TransactionTiming:
-        """Execute one line transaction at ``coord`` starting no earlier
-        than ``now``; returns the resolved timing."""
-        channel = self.channels[coord.channel]
-        t = channel.execute(
-            coord.bank, coord.row, now, is_write=is_write, keep_open=keep_open
-        )
-        if self.observer is not None:
-            self.observer(coord, t, is_write, keep_open, t.conflict)
-        return t
-
-    def reset(self) -> None:
-        """Reset every channel and bank."""
-        for ch in self.channels:
-            ch.reset()
 
     # -- statistics ----------------------------------------------------------
 

@@ -14,11 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import SystemConfig
-from repro.sim.runner import ME_CAP, CoreResult, run_single_core
+from repro.sim.runner import CoreResult, run_single_core
 from repro.workloads.mixes import Mix
 from repro.workloads.spec2000 import AppProfile
 
 __all__ = ["memory_efficiency", "MeProfile", "MeProfiler"]
+
+#: cap reported memory efficiency when an application moves (almost) no
+#: data — the paper's eon-like case (its table caps implicitly at 16276)
+ME_CAP = 1e5
 
 
 def memory_efficiency(ipc: float, bw_gbps: float, cap: float = ME_CAP) -> float:

@@ -141,80 +141,14 @@ class EventEngine:
         self._comps[channel].append((cycle, self._seq, req))
         self._seq += 1
 
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Number of queued events across all lanes."""
-        n = len(self._heap)
-        for c in self._dec_cycle:
-            if c != _NEVER:
-                n += 1
-        for q in self._comps:
-            n += len(q)
-        return n
-
-    def peek_cycle(self) -> int | None:
-        """Cycle of the next event, or ``None`` when idle."""
-        best = self._heap[0][0] if self._heap else _NEVER
-        for c in self._dec_cycle:
-            if c < best:
-                best = c
-        for q in self._comps:
-            if q and q[0][0] < best:
-                best = q[0][0]
-        return None if best == _NEVER else best
-
     # -- execution -----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process one event; returns ``False`` when every lane is empty."""
-        heap = self._heap
-        if heap:
-            h0 = heap[0]
-            bc, bs, src, ch = h0[0], h0[1], 0, 0
-        else:
-            bc, bs, src, ch = _NEVER, _NEVER, -1, 0
-        for i in range(self._nch):
-            c = self._dec_cycle[i]
-            if c < bc or (c == bc and self._dec_seq[i] < bs):
-                bc, bs, src, ch = c, self._dec_seq[i], 1, i
-            q = self._comps[i]
-            if q:
-                e = q[0]
-                if e[0] < bc or (e[0] == bc and e[1] < bs):
-                    bc, bs, src, ch = e[0], e[1], 2, i
-        if src < 0:
-            return False
-        self.now = bc
-        self.events_processed += 1
-        if src == 0:
-            _, _, fn, args = heappop(heap)
-            fn(bc, *args)
-        elif src == 1:
-            self._dec_cycle[ch] = _NEVER
-            self._dec_seq[ch] = _NEVER
-            self._point_fn(bc, ch)
-        else:
-            self._deliver_fn(bc, self._comps[ch].popleft()[2])
-        return True
+    def run(self, max_events: int | None = None) -> None:
+        """Drain events until every lane is empty or a component sets
+        :attr:`stop_requested`.
 
-    def run(
-        self,
-        until: Callable[[], bool] | None = None,
-        max_cycles: int | None = None,
-        max_events: int | None = None,
-    ) -> None:
-        """Drain events until the queue empties or a bound is hit.
-
-        Parameters
-        ----------
-        until:
-            Optional predicate checked after every event; ``True`` stops.
-        max_cycles / max_events:
-            Safety bounds; exceeding ``max_cycles`` stops cleanly (runs are
-            expected to finish via ``until``), exceeding ``max_events``
-            raises — that means a livelock bug.
+        ``max_events`` is a safety bound: exceeding it raises, because it
+        means a livelock bug.
 
         The merged pop costs a handful of comparisons per event (channel
         counts are tiny) and saves a heap push and pop per decision point
@@ -229,7 +163,7 @@ class EventEngine:
         deliver = self._deliver_fn
         pop = heappop
         never = _NEVER
-        bounded = max_cycles is not None or max_events is not None
+        bounded = max_events is not None
         start_events = self.events_processed
         # The simulation allocates millions of short-lived containers (ROB
         # entries, waiter lists, request objects); none of them form cycles
@@ -272,8 +206,6 @@ class EventEngine:
                     i += 1
                 if src < 0:
                     return
-                if bounded and max_cycles is not None and bc > max_cycles:
-                    return
                 self.now = bc
                 self.events_processed += 1
                 if src == 2:
@@ -287,13 +219,7 @@ class EventEngine:
                     fn(bc, *args)
                 if self.stop_requested:
                     return
-                if until is not None and until():
-                    return
-                if (
-                    bounded
-                    and max_events is not None
-                    and self.events_processed - start_events > max_events
-                ):
+                if bounded and self.events_processed - start_events > max_events:
                     raise RuntimeError(
                         f"event budget exceeded ({max_events}); livelock suspected"
                     )
@@ -308,17 +234,3 @@ class EventEngine:
         for q in self._comps:
             q.clear()
         self._point_fn = self._deliver_fn = None
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock."""
-        self._heap.clear()
-        self.now = 0
-        self._seq = 0
-        self.events_processed = 0
-        self.clamped_events = 0
-        self.stop_requested = False
-        nch = self._nch
-        self._dec_cycle = [_NEVER] * nch
-        self._dec_seq = [_NEVER] * nch
-        for q in self._comps:
-            q.clear()

@@ -30,11 +30,6 @@ from repro.workloads.synthetic import make_trace
 
 __all__ = ["CoreResult", "RunResult", "run_single_core", "run_multicore"]
 
-#: cap reported memory efficiency when an application moves (almost) no
-#: data — the paper's eon-like case (its table caps implicitly at 16276)
-ME_CAP = 1e5
-
-
 @dataclass(frozen=True)
 class CoreResult:
     """Outcome for one application instance on one core."""
@@ -49,13 +44,6 @@ class CoreResult:
     avg_read_latency: float
     bytes_total: int
     bw_gbps: float
-
-    @property
-    def memory_efficiency(self) -> float:
-        """Eq. 1: IPC / bandwidth (GB/s), capped for zero-traffic runs."""
-        if self.bw_gbps <= 0:
-            return ME_CAP
-        return min(self.ipc / self.bw_gbps, ME_CAP)
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,8 @@ class MultiCoreSystem:
         ]
         self.start_snapshots: list[CoreSnapshot | None] = [None] * config.num_cores
         self.snapshots: list[CoreSnapshot | None] = [None] * config.num_cores
-        #: cores still short of their budget — the engine polls
-        #: ``all_finished`` after every event, so it must be O(1)
+        #: cores still short of their budget; the last crossing sets the
+        #: engine's ``stop_requested``
         self._unfinished = config.num_cores
         for core in self.cores:
             core.on_warmup = self._make_snapshot_hook(core.core_id, self.start_snapshots)
@@ -197,8 +197,7 @@ class MultiCoreSystem:
             if store is self.snapshots:
                 self._unfinished -= 1
                 if self._unfinished == 0:
-                    # Flag the engine instead of having run() evaluate an
-                    # ``until`` predicate after every event.
+                    # The engine tests this one flag after every event.
                     self.engine.stop_requested = True
 
         return hook
@@ -242,15 +241,16 @@ class MultiCoreSystem:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, max_cycles: int | None = None, max_events: int | None = None) -> None:
-        """Run until every core commits its budget (or a bound trips)."""
+    def run(self, max_events: int | None = None) -> None:
+        """Run until every core commits its budget; more than
+        ``max_events`` events raise (a livelock)."""
         for core in self.cores:
             core.start()
         if self._online is not None:
             self.engine.schedule(self._online.window, self._window_tick)
         if self.sampler is not None:
             self.sampler.start()
-        self.engine.run(max_cycles=max_cycles, max_events=max_events)
+        self.engine.run(max_events=max_events)
         for core in self.cores:
             core.stop()
         if self.sampler is not None:

@@ -1,74 +1,88 @@
-"""Tests for the DRAM command-log reconstruction."""
+"""Tests for the DRAM command-log reconstruction.
+
+The log observes the transactions the running controller commits
+(``CommandLog.attach`` takes ``dram.observer``); the tests enqueue their
+requests at the cycles they name.
+"""
 
 import pytest
 
-from repro.config import DramTimingConfig, DramTopologyConfig
+from repro.config import DramTimingConfig, SystemConfig
 from repro.dram.command import CommandKind, CommandLog, DramCommand
-from repro.dram.dram_system import DramSystem
+from tests.machine import DramRig, controller_config, read, write
 
 T = DramTimingConfig()
 
 
-def logged_system():
-    """DramSystem with an attached CommandLog observer."""
-    dram = DramSystem(DramTopologyConfig(), T, 64)
-    log = CommandLog(T).attach(dram)
-    return dram, log
+def logged_system(page_policy="closed", buffer_entries=64):
+    """A controller whose committed transactions a CommandLog observes;
+    ``at(addr, now)`` enqueues a request at a cycle, ``run()`` commits."""
+    cfg = controller_config(
+        SystemConfig(num_cores=1), buffer_entries=buffer_entries
+    )
+    rig = DramRig(cfg, page_policy=page_policy)
+    log = CommandLog(T).attach(rig.dram)
+
+    def at(addr, now, is_write=False):
+        assert rig.ctrl.enqueue(write(addr) if is_write else read(addr), now)
+
+    return at, rig.engine.run, log
 
 
 class TestReconstruction:
     def test_closed_bank_read(self):
-        dram, log = logged_system()
-        dram.execute(dram.coord(0), 0, is_write=False, keep_open=False)
+        at, run, log = logged_system()
+        at(0, 0)
+        run()
         kinds = [c.kind for c in sorted(log.commands)]
         assert kinds == [CommandKind.ACTIVATE, CommandKind.READ_AP]
 
     def test_row_hit_needs_no_activate(self):
-        dram, log = logged_system()
-        c = dram.coord(0)
-        dram.execute(c, 0, is_write=False, keep_open=True)
-        log.clear()
-        c2 = dram.coord(32 * 64)  # same bank/row, next column
-        dram.execute(c2, 500, is_write=False, keep_open=False)
-        kinds = [c.kind for c in log.commands]
+        at, run, log = logged_system()
+        at(0, 0)
+        at(32 * 64, 500)  # same bank/row, next column: keeps the row open
+        run()
+        kinds = [c.kind for c in sorted(log.commands) if c.cycle >= 500]
         assert kinds == [CommandKind.READ_AP]
 
     def test_write_command_kind(self):
-        dram, log = logged_system()
-        dram.execute(dram.coord(0), 0, is_write=True, keep_open=True)
+        at, run, log = logged_system(page_policy="open")
+        at(0, 0, is_write=True)
+        run()
         assert log.count(CommandKind.WRITE) == 1
 
     def test_conflict_emits_precharge(self):
-        dram, log = logged_system()
-        dram.execute(dram.coord(0), 0, is_write=False, keep_open=True)
+        at, run, log = logged_system(page_policy="open")
+        at(0, 0)
+        run()
         log.clear()
         # same bank, different row, while row 0 is open
         conflict_addr = 4096 * 64
-        dram.execute(dram.coord(conflict_addr), 500, is_write=False, keep_open=False)
+        at(conflict_addr, 500)
+        run()
         kinds = [c.kind for c in sorted(log.commands)]
         assert kinds == [
-            CommandKind.PRECHARGE, CommandKind.ACTIVATE, CommandKind.READ_AP,
+            CommandKind.PRECHARGE, CommandKind.ACTIVATE, CommandKind.READ,
         ]
 
     def test_act_to_cas_spacing_is_trcd(self):
-        dram, log = logged_system()
-        dram.execute(dram.coord(0), 0, is_write=False, keep_open=False)
+        at, run, log = logged_system()
+        at(0, 0)
+        run()
         cmds = sorted(log.commands)
         assert cmds[1].cycle - cmds[0].cycle == T.t_rcd
 
 
 class TestDiscipline:
     def test_verify_accepts_legal_stream(self):
-        dram, log = logged_system()
+        at, run, log = logged_system(buffer_entries=128)
         for i in range(64):
-            keep = i % 2 == 0
-            dram.execute(dram.coord(i * 64), i * 20, is_write=False, keep_open=keep)
-        # follow-up hits on kept-open rows
+            at(i * 64, i * 20)
+        # follow-up hits: queued, they keep the even lines' rows open
         for i in range(0, 64, 2):
-            dram.execute(
-                dram.coord(i * 64 + 32 * 64 * 1), 2000 + i * 20,
-                is_write=False, keep_open=False,
-            )
+            at(i * 64 + 32 * 64 * 1, 2000 + i * 20)
+        run()
+        assert log.count(CommandKind.READ) > 0
         log.verify_bank_discipline()
 
     def test_verify_rejects_wrong_row(self):
@@ -86,9 +100,10 @@ class TestDiscipline:
             log.verify_bank_discipline()
 
     def test_per_bank_filter(self):
-        dram, log = logged_system()
-        dram.execute(dram.coord(0), 0, is_write=False, keep_open=False)  # b0
-        dram.execute(dram.coord(128), 0, is_write=False, keep_open=False)  # b1
+        at, run, log = logged_system()
+        at(0, 0)  # b0
+        at(128, 0)  # b1
+        run()
         assert len(log.per_bank(0, 0)) == 2
         assert len(log.per_bank(0, 1)) == 2
         assert len(log.per_bank(1, 0)) == 0

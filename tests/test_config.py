@@ -89,14 +89,6 @@ class TestValidationErrors:
         with pytest.raises(ValueError):
             DramTopologyConfig(logic_channels=3).validate()
 
-    def test_priority_table_covers_mshrs(self):
-        from dataclasses import replace
-
-        s = SystemConfig()
-        bad = replace(s, controller=replace(s.controller, max_pending_per_core=8))
-        with pytest.raises(ValueError):
-            bad.validate()
-
 
 class TestWithCores:
     def test_with_cores(self):

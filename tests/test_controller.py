@@ -1,38 +1,9 @@
 """Integration tests for the memory controller with a real engine/DRAM."""
 
-from dataclasses import replace
-
-import pytest
-
 from repro.config import SystemConfig
-from repro.controller.controller import MemoryController
-from repro.controller.request import MemoryRequest
-from repro.core import make_policy
-from repro.dram.dram_system import DramSystem
-from repro.sim.engine import EventEngine
-from repro.util.rng import RngStream
+from tests.machine import controller_config, make_controller, read, write
 
 CFG = SystemConfig(num_cores=2)
-
-
-def make_controller(policy="HF-RF", controller_cfg=None, num_cores=2):
-    engine = EventEngine()
-    dram = DramSystem(CFG.dram_topology, CFG.dram_timing, 64)
-    cfg = controller_cfg or CFG.controller
-    ctrl = MemoryController(
-        cfg, dram, make_policy(policy), num_cores, engine, RngStream(7, "t")
-    )
-    return engine, dram, ctrl
-
-
-def read(addr, core=0, done=None):
-    return MemoryRequest(
-        addr=addr, core_id=core, is_write=False, arrival_cycle=0, on_complete=done
-    )
-
-
-def write(addr, core=0):
-    return MemoryRequest(addr=addr, core_id=core, is_write=True, arrival_cycle=0)
 
 
 class TestReadPath:
@@ -64,10 +35,10 @@ class TestReadPath:
         assert max(done) - min(done) >= CFG.dram_timing.t_rp
 
     def test_buffer_backpressure(self):
-        cfg = replace(
-            CFG.controller, buffer_entries=2, write_drain_high=1, write_drain_low=0
+        cfg = controller_config(
+            CFG, buffer_entries=2, write_drain_high=1, write_drain_low=0
         )
-        engine, dram, ctrl = make_controller(controller_cfg=cfg)
+        engine, dram, ctrl = make_controller(config=cfg)
         assert ctrl.enqueue(read(0), 0)
         assert ctrl.enqueue(read(128), 0)
         assert not ctrl.enqueue(read(256), 0)
@@ -91,10 +62,10 @@ class TestWriteHandling:
         assert w.issue_cycle > r.issue_cycle
 
     def test_write_drain_hysteresis(self):
-        cfg = replace(
-            CFG.controller, buffer_entries=8, write_drain_high=4, write_drain_low=2
+        cfg = controller_config(
+            CFG, buffer_entries=8, write_drain_high=4, write_drain_low=2
         )
-        engine, dram, ctrl = make_controller(controller_cfg=cfg)
+        engine, dram, ctrl = make_controller(config=cfg)
         for i in range(4):
             ctrl.enqueue(write(i * 128), 0)
         assert ctrl.drain_mode
@@ -149,8 +120,8 @@ class TestPagePolicy:
         assert not dram.is_row_hit(dram.coord(0))
 
     def test_open_page_keeps_rows(self):
-        cfg = replace(CFG.controller, page_policy="open")
-        engine, dram, ctrl = make_controller(controller_cfg=cfg)
+        cfg = controller_config(CFG, page_policy="open")
+        engine, dram, ctrl = make_controller(config=cfg)
         ctrl.enqueue(read(0), 0)
         engine.run()
         assert dram.is_row_hit(dram.coord(0))

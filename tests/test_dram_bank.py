@@ -1,64 +1,52 @@
-"""Tests for the per-bank state a channel keeps (seen through ``banks``)."""
+"""Tests for the per-bank state a channel keeps in its arrays.
+
+``open_row``/``ready`` and the per-bank counters are written by the
+controller's scheduling point at every commit; these tests commit through
+it (``tests/machine.py``'s :class:`DramRig`) and read bank 0 of channel 0.
+"""
 
 from repro.config import DramTimingConfig
-from repro.dram.channel import Channel
+from tests.machine import DramRig
 
 T = DramTimingConfig()  # tRP=tRCD=tCL=40, burst=16, tWR=48
 
 
-def make_channel():
-    return Channel(0, 1, T)
-
-
-def bank(ch):
-    return ch.banks[0]
+def bank0(rig):
+    """``(open_row, ready)`` of channel 0's bank 0."""
+    ch = rig.dram.channels[0]
+    return ch.open_row[0], ch.ready[0]
 
 
 class TestInitialState:
     def test_starts_precharged(self):
-        b = bank(make_channel())
-        assert b.open_row is None
-        assert b.ready_cycle == 0
+        assert bank0(DramRig()) == (-1, 0)
 
     def test_access_start_is_now_when_idle(self):
-        ch = make_channel()
-        t = ch.execute(0, 5, 100, is_write=False, keep_open=False)
+        t = DramRig().issue(0, 5, 100)
         assert t.start_cycle == 100
 
 
 class TestCommit:
     def test_keep_open_latches_row(self):
-        ch = make_channel()
-        t = ch.execute(0, 7, 0, is_write=False, keep_open=True)
-        assert bank(ch).open_row == 7
-        assert bank(ch).ready_cycle == t.data_end  # CAS to same row may follow
+        rig = DramRig(page_policy="open")
+        t = rig.issue(0, 7, 0)
+        # CAS to same row may follow at data_end
+        assert bank0(rig) == (7, t.data_end)
 
     def test_auto_precharge_closes_row(self):
-        ch = make_channel()
-        t = ch.execute(0, 7, 0, is_write=False, keep_open=False)
-        assert bank(ch).open_row is None
-        assert bank(ch).ready_cycle == t.data_end + T.t_rp
+        rig = DramRig()
+        t = rig.issue(0, 7, 0)
+        assert bank0(rig) == (-1, t.data_end + T.t_rp)
 
     def test_write_recovery_added(self):
-        ch = make_channel()
-        t = ch.execute(0, 7, 0, is_write=True, keep_open=False)
-        assert bank(ch).ready_cycle == t.data_end + T.t_wr + T.t_rp
+        rig = DramRig()
+        t = rig.issue(0, 7, 0, is_write=True)
+        assert bank0(rig) == (-1, t.data_end + T.t_wr + T.t_rp)
 
     def test_hit_and_activation_counters(self):
-        ch = make_channel()
-        ch.execute(0, 1, 0, is_write=False, keep_open=True)
-        ch.execute(0, 1, 200, is_write=False, keep_open=True)
-        assert bank(ch).activations == 1
-        assert bank(ch).row_hits == 1
-
-
-class TestReset:
-    def test_reset_restores_initial_state(self):
-        ch = make_channel()
-        ch.execute(0, 3, 0, is_write=True, keep_open=True)
-        ch.reset()
-        b = bank(ch)
-        assert b.open_row is None
-        assert b.ready_cycle == 0
-        assert b.activations == 0
-        assert b.row_hits == 0
+        rig = DramRig(page_policy="open")
+        rig.issue(0, 1, 0)
+        rig.issue(0, 1, 200)
+        ch = rig.dram.channels[0]
+        assert ch.acts[0] == 1
+        assert ch.hits[0] == 1

@@ -90,14 +90,6 @@ class TestOrdering:
         e.run()
         assert seen == [5, 8]
 
-    def test_reset_clears_clamp_counter(self):
-        e = EventEngine()
-        e.schedule(10, lambda now: e.schedule(0, lambda t: None))
-        e.run()
-        assert e.clamped_events == 1
-        e.reset()
-        assert e.clamped_events == 0
-
     def test_now_never_decreases(self):
         e = EventEngine()
         trace = []
@@ -108,25 +100,29 @@ class TestOrdering:
 
 
 class TestControl:
-    def test_step_returns_false_when_empty(self):
-        assert EventEngine().step() is False
+    def test_run_returns_when_empty(self):
+        e = EventEngine()
+        e.run()
+        assert (e.now, e.events_processed) == (0, 0)
 
-    def test_until_predicate_stops(self):
+    def test_stop_requested_stops(self):
         e = EventEngine()
         count = []
-        for i in range(10):
-            e.schedule(i, lambda now: count.append(now))
-        e.run(until=lambda: len(count) >= 3)
-        assert len(count) == 3
-        assert e.pending == 7
 
-    def test_max_cycles_bound(self):
-        e = EventEngine()
-        hits = []
-        e.schedule(10, lambda now: hits.append(now))
-        e.schedule(1000, lambda now: hits.append(now))
-        e.run(max_cycles=100)
-        assert hits == [10]
+        def tick(now):
+            count.append(now)
+            if len(count) == 3:
+                e.stop_requested = True
+
+        for i in range(10):
+            e.schedule(i, tick)
+        e.run()
+        assert count == [0, 1, 2]
+        assert e.events_processed == 3
+        # the other 7 stay queued for the next run
+        e.stop_requested = False
+        e.run()
+        assert count == list(range(10))
 
     def test_max_events_raises(self):
         e = EventEngine()
@@ -158,21 +154,6 @@ class TestControl:
         e.schedule(1, lambda now, a, b: seen.append((a, b)), "x", 2)
         e.run()
         assert seen == [("x", 2)]
-
-    def test_reset(self):
-        e = EventEngine()
-        e.schedule(5, lambda now: None)
-        e.run()
-        e.reset()
-        assert e.now == 0
-        assert e.pending == 0
-        assert e.events_processed == 0
-
-    def test_peek_cycle(self):
-        e = EventEngine()
-        assert e.peek_cycle() is None
-        e.schedule(7, lambda now: None)
-        assert e.peek_cycle() == 7
 
 
 class TestLanes:
@@ -208,13 +189,3 @@ class TestLanes:
         e.schedule(5, lambda now: None)
         e.run()
         assert [s[0] for s in seen] == [20, 25, 30]
-
-    def test_pending_peek_and_reset_see_lanes(self):
-        e = self.make([])
-        e.kick(0, 40)
-        e.complete(1, 12, "r")
-        assert e.pending == 2
-        assert e.peek_cycle() == 12
-        e.reset()
-        assert e.pending == 0
-        assert e.peek_cycle() is None

@@ -2,84 +2,72 @@
 
 import pytest
 
-from repro.config import DramTimingConfig, DramTopologyConfig
-from repro.controller.queues import RequestQueues
-from repro.controller.request import MemoryRequest
 from repro.core import make_policy
 from repro.core.extensions import FairQueueingPolicy, StallTimeFairPolicy
 from repro.core.policy import SchedulingContext
-from repro.dram.dram_system import DramSystem
 from repro.sim.runner import run_multicore
 from repro.util.rng import RngStream
 from repro.workloads.mixes import workload_by_name
+from tests.machine import make_controller, read, stage_read
 
 
 def make_ctx(num_cores=4):
-    dram = DramSystem(DramTopologyConfig(), DramTimingConfig(), 64)
-    queues = RequestQueues(64, num_cores)
-    return dram, queues, RngStream(0, "x")
+    """Scheduling state: a controller whose queues hold the staged
+    candidates, its DRAM, and the context's RNG."""
+    engine, dram, ctrl = make_controller(num_cores=num_cores)
+    return dram, ctrl, RngStream(0, "x")
 
 
-def add_read(queues, dram, core, line, t=0):
-    r = MemoryRequest(addr=line * 64, core_id=core, is_write=False, arrival_cycle=t)
-    r.coord = dram.coord(r.addr)
-    queues.add(r)
-    return r
-
-
-def sctx(dram, queues, rng, now=0):
-    return SchedulingContext(now, 0, queues, dram, rng)
+def sctx(dram, ctrl, rng, now=0):
+    return SchedulingContext(now, 0, ctrl.queues, dram, rng)
 
 
 class TestFairQueueing:
     def test_alternates_between_equal_cores(self):
-        dram, queues, rng = make_ctx(2)
+        dram, ctrl, rng = make_ctx(2)
         pol = make_policy("FQ")
         pol.setup(2, RngStream(0))
-        reqs = [add_read(queues, dram, c, 10 * c + i) for c in range(2) for i in range(3)]
+        reqs = [stage_read(ctrl, c, 10 * c + i) for c in range(2) for i in range(3)]
         served = []
-        ctx = sctx(dram, queues, rng)
+        ctx = sctx(dram, ctrl, rng)
+        cands = [r for r in reqs if r.coord.channel == 0]
         for _ in range(4):
-            cands = [r for r in queues.reads if r.coord.channel == 0]
             r = pol.select_read(cands, ctx)
             served.append(r.core_id)
-            queues.remove(r)
+            cands.remove(r)  # served
         # equal shares: after 4 services, each core served twice
         assert served.count(0) == served.count(1) == 2
 
     def test_virtual_clock_advances(self):
-        dram, queues, rng = make_ctx(2)
+        dram, ctrl, rng = make_ctx(2)
         pol = FairQueueingPolicy(quantum=10)
         pol.setup(2, RngStream(0))
-        add_read(queues, dram, 0, 0)
-        ctx = sctx(dram, queues, rng)
-        pol.select_read(list(queues.reads), ctx)
+        stage_read(ctrl, 0, 0)
+        ctx = sctx(dram, ctrl, rng)
+        pol.select_read(list(ctrl.queues.reads), ctx)
         assert pol.virtual_clock(0) == 10
 
     def test_idle_core_cannot_hoard_credit(self):
-        dram, queues, rng = make_ctx(2)
+        dram, ctrl, rng = make_ctx(2)
         pol = FairQueueingPolicy(quantum=10)
         pol.setup(2, RngStream(0))
         # core 0 served many times while core 1 idle
         for i in range(5):
-            r = add_read(queues, dram, 0, i * 2)
-            pol.select_read([r], sctx(dram, queues, rng))
-            queues.remove(r)
+            r = stage_read(ctrl, 0, i * 2)
+            pol.select_read([r], sctx(dram, ctrl, rng))
         # when core 1 shows up it joins at the virtual-time floor (core 0's
         # clock), so it does NOT get 5 back-to-back services of banked credit
-        r0 = add_read(queues, dram, 0, 100)
-        r1 = add_read(queues, dram, 1, 201)
-        pol.select_read([r0, r1], sctx(dram, queues, rng))
+        r0 = stage_read(ctrl, 0, 100)
+        r1 = stage_read(ctrl, 1, 201)
+        pol.select_read([r0, r1], sctx(dram, ctrl, rng))
         assert pol.virtual_clock(1) >= pol.virtual_clock(0) - pol.quantum
         # from here service alternates: over 6 rounds each core gets ~3
         served = []
         for i in range(6):
-            a = add_read(queues, dram, 0, 300 + 2 * i)
-            b = add_read(queues, dram, 1, 401 + 2 * i)
-            chosen = pol.select_read([a, b], sctx(dram, queues, rng))
+            a = stage_read(ctrl, 0, 300 + 2 * i)
+            b = stage_read(ctrl, 1, 401 + 2 * i)
+            chosen = pol.select_read([a, b], sctx(dram, ctrl, rng))
             served.append(chosen.core_id)
-            queues.remove(a)
-            queues.remove(b)
         assert 2 <= served.count(0) <= 4
 
     def test_quantum_validation(self):
@@ -94,21 +82,21 @@ class TestFairQueueing:
 
 class TestStallTimeFair:
     def test_most_delayed_core_wins(self):
-        dram, queues, rng = make_ctx(2)
+        dram, ctrl, rng = make_ctx(2)
         pol = StallTimeFairPolicy(alpha=1.0)
         pol.setup(2, RngStream(0))
-        fresh = add_read(queues, dram, 0, 0, t=990)
-        stale = add_read(queues, dram, 1, 2, t=0)  # waiting 1000 cycles
-        chosen = pol.select_read([fresh, stale], sctx(dram, queues, rng, now=1000))
+        fresh = stage_read(ctrl, 0, 0, now=990)
+        stale = stage_read(ctrl, 1, 2, now=0)  # waiting 1000 cycles
+        chosen = pol.select_read([fresh, stale], sctx(dram, ctrl, rng, now=1000))
         assert chosen is stale
 
     def test_slowdown_estimates_update(self):
-        dram, queues, rng = make_ctx(2)
+        dram, ctrl, rng = make_ctx(2)
         pol = StallTimeFairPolicy(alpha=0.5)
         pol.setup(2, RngStream(0))
         assert pol.slowdown(0) == pytest.approx(1.0)
-        r = add_read(queues, dram, 0, 0, t=0)
-        pol.select_read([r], sctx(dram, queues, rng, now=288))
+        r = stage_read(ctrl, 0, 0, now=0)
+        pol.select_read([r], sctx(dram, ctrl, rng, now=288))
         assert pol.slowdown(0) > 1.0
 
     def test_validation(self):
@@ -139,40 +127,41 @@ class TestBatchScheduling:
         return pol
 
     def test_batch_served_before_new_arrivals(self):
-        dram, queues, rng = make_ctx(2)
-        pol = self._pol()
-        old = [add_read(queues, dram, 0, i * 2) for i in range(2)]
-        ctx = sctx(dram, queues, rng)
-        first = pol.select_read(list(queues.reads), ctx)
+        # BATCH reads the controller's queue, so the controller's own
+        # scheduling points serve (and dequeue) the requests here
+        engine, dram, ctrl = make_controller(self._pol(), num_cores=2)
+        old = [stage_read(ctrl, 0, i * 2) for i in range(2)]
+        # a new request arrives mid-batch, after the first scheduling
+        # point formed it: the remaining marked request still goes first
+        newcomer = read(100 * 64, core=1)
+        engine.schedule(1, lambda now: ctrl.enqueue(newcomer, now))
+        engine.run()
+        first, second, third = sorted(
+            old + [newcomer], key=lambda r: r.issue_cycle
+        )
         assert first in old
-        queues.remove(first)
-        # a new request arrives mid-batch: the remaining marked request
-        # still goes first
-        newcomer = add_read(queues, dram, 1, 100)
-        second = pol.select_read(list(queues.reads), ctx)
         assert second in old
-        queues.remove(second)
-        third = pol.select_read(list(queues.reads), ctx)
         assert third is newcomer
+        assert ctrl.policy.batches_formed == 2
 
     def test_marking_cap_limits_per_core(self):
-        dram, queues, rng = make_ctx(2)
+        dram, ctrl, rng = make_ctx(2)
         pol = self._pol(cap=2)
         for i in range(6):
-            add_read(queues, dram, 0, i * 2)
-        ctx = sctx(dram, queues, rng)
-        pol.select_read(list(queues.reads), ctx)
+            stage_read(ctrl, 0, i * 2)
+        ctx = sctx(dram, ctrl, rng)
+        pol.select_read(list(ctrl.queues.reads), ctx)
         # batch was formed with at most 2 of core 0's requests, 1 consumed
         assert len(pol._batch) == 1
         assert pol.batches_formed == 1
 
     def test_shortest_job_first_within_batch(self):
-        dram, queues, rng = make_ctx(2)
+        dram, ctrl, rng = make_ctx(2)
         pol = self._pol(cap=4)
-        hog = [add_read(queues, dram, 0, i * 2) for i in range(4)]
-        light = add_read(queues, dram, 1, 101)
-        ctx = sctx(dram, queues, rng)
-        chosen = pol.select_read(list(queues.reads), ctx)
+        hog = [stage_read(ctrl, 0, i * 2) for i in range(4)]
+        light = stage_read(ctrl, 1, 101)
+        ctx = sctx(dram, ctrl, rng)
+        chosen = pol.select_read(list(ctrl.queues.reads), ctx)
         assert chosen is light  # fewest marked requests
 
     def test_validation(self):

@@ -4,7 +4,9 @@ Every performance optimization of the simulation kernel must leave the
 simulated behaviour untouched — not "statistically equivalent", but
 *bit-identical*.  This test pins a checked-in snapshot of end-of-run
 statistics for one small fixed-seed configuration under each representative
-policy family (HF-RF, ME-LREQ, RR, LREQ) and fails on any drift.
+policy family (HF-RF, ME-LREQ, RR, LREQ) and fails on any drift.  A second
+snapshot, ``golden_writeback.json``, pins the internal counters of one run
+on a machine with a small L2, the only golden that writes back.
 
 Floats are compared through ``float.hex()`` so the check is exact at the
 bit level (JSON round-trips of decimal reprs are not trusted).
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,12 +38,17 @@ from repro.sim.system import MultiCoreSystem
 from repro.workloads.synthetic import make_trace
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_stats.json"
+WRITEBACK_PATH = Path(__file__).parent / "golden" / "golden_writeback.json"
 
 MIX = "4MEM-1"
 SEED = 7
 BUDGET = 2500
 WARMUP = 2000
 POLICIES = ("HF-RF", "ME-LREQ", "RR", "LREQ")
+#: the write-back run: a 128 KB L2 evicts dirty lines within the budget,
+#: so writebacks, DRAM writes and write drains all happen
+WRITEBACK_BUDGET = 6000
+WRITEBACK_L2_BYTES = 128 * 1024
 
 
 def _hex(x: float) -> str:
@@ -79,23 +87,26 @@ def _run_fingerprint(policy: str) -> dict:
     }
 
 
-def _deep_fingerprint() -> dict:
-    """Internal counters of one assembled system (HF-RF), beyond RunResult.
+def _deep_fingerprint(cfg: SystemConfig, budget: int) -> dict:
+    """Internal counters of one assembled ``cfg`` machine (HF-RF), beyond
+    RunResult.
 
     Catches drift that the run-level statistics could mask: event counts,
-    per-bank row-buffer behaviour, cache/MSHR traffic, write drains.
+    per-bank row-buffer behaviour, cache/MSHR traffic.  The default
+    machine at :data:`BUDGET` never writes back; the write-back golden
+    runs a small L2 (:func:`_writeback_config`) so writebacks, DRAM
+    writes and write drains are pinned too.
     The engine counters (``events_processed``/``clamped_events``) are
     part of the fingerprint: the file was made by a heap-only engine, and
     the controller lanes must dispatch and count events exactly like it.
     """
     mix = workload_by_name(MIX)
-    cfg = SystemConfig().with_cores(mix.num_cores)
     traces = [
         make_trace(app, SEED, "eval", core_id=i)
         for i, app in enumerate(mix.apps())
     ]
     system = MultiCoreSystem(
-        cfg, make_policy("HF-RF"), traces, BUDGET,
+        cfg, make_policy("HF-RF"), traces, budget,
         warmup_insts=WARMUP, seed=SEED,
     )
     system.run()
@@ -159,7 +170,26 @@ def _current_snapshot() -> dict:
         "budget": BUDGET,
         "warmup": WARMUP,
         "runs": {p: _run_fingerprint(p) for p in POLICIES},
-        "deep": _deep_fingerprint(),
+        "deep": _deep_fingerprint(
+            SystemConfig().with_cores(workload_by_name(MIX).num_cores), BUDGET
+        ),
+    }
+
+
+def _writeback_config() -> SystemConfig:
+    base = SystemConfig().with_cores(workload_by_name(MIX).num_cores)
+    l2 = replace(base.caches.l2, size_bytes=WRITEBACK_L2_BYTES)
+    return replace(base, caches=replace(base.caches, l2=l2))
+
+
+def _writeback_snapshot() -> dict:
+    return {
+        "mix": MIX,
+        "seed": SEED,
+        "budget": WRITEBACK_BUDGET,
+        "warmup": WARMUP,
+        "l2_bytes": WRITEBACK_L2_BYTES,
+        "deep": _deep_fingerprint(_writeback_config(), WRITEBACK_BUDGET),
     }
 
 
@@ -211,3 +241,22 @@ def test_policies_distinguishable(snapshot):
     (a snapshot of four identical runs would pin nothing)."""
     cycles = {p: snapshot["runs"][p]["end_cycle"] for p in POLICIES}
     assert len(set(cycles.values())) > 1, cycles
+
+
+def test_writeback_run_bit_identical():
+    """The write path (dirty L1 and L2 victims, writeback requests, DRAM
+    writes, write drains) pinned on a small-L2 machine: the default
+    golden run never writes back, so only this file sees it drift."""
+    snap = _writeback_snapshot()
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        WRITEBACK_PATH.write_text(json.dumps(snap, indent=2) + "\n")
+        pytest.skip(f"regenerated {WRITEBACK_PATH}")
+    deep = snap["deep"]
+    assert deep["hierarchy"]["writebacks"] > 0
+    assert sum(deep["controller"]["write_count"]) > 0
+    assert deep["controller"]["drain_entries"] > 0
+    diffs = _diff_paths(json.loads(WRITEBACK_PATH.read_text()), snap)
+    assert not diffs, (
+        "write-back run drifted from its golden snapshot:\n  "
+        + "\n  ".join(diffs[:40])
+    )

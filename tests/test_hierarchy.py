@@ -1,114 +1,111 @@
-"""Tests for the cache hierarchy wired to a real controller + engine."""
+"""Tests for the cache hierarchy wired to a real controller + engine.
 
-import pytest
+Misses, merges and structural stalls enter at
+:meth:`CacheHierarchy._after_l2_miss`, where the core kernel enters after
+its own L1 and L2 probes, and fills return through the engine to
+``_on_fill``.  The hit paths live in the core kernel, so those tests run a
+machine over ``ListTrace`` traces (``tests/machine.py``).
+"""
+
+from dataclasses import replace
 
 from repro.cache.hierarchy import BLOCKED, MERGED, PENDING, CacheHierarchy
 from repro.config import SystemConfig
-from repro.controller.controller import MemoryController
-from repro.core import make_policy
-from repro.dram.dram_system import DramSystem
-from repro.sim.engine import EventEngine
-from repro.util.rng import RngStream
+from repro.cpu.trace import MemOp
+from tests.machine import SETTLE, make_stack, run_traces
+
+A = 0x10000
 
 
-def make_stack(num_cores=2, buffer_entries=64):
-    from dataclasses import replace
-
-    cfg = SystemConfig(num_cores=num_cores)
-    cfg = replace(
-        cfg,
-        controller=replace(
-            cfg.controller,
-            buffer_entries=buffer_entries,
-            write_drain_high=max(buffer_entries // 2, 1),
-            write_drain_low=max(buffer_entries // 4, 0),
-        ),
-    )
-    engine = EventEngine()
-    dram = DramSystem(cfg.dram_topology, cfg.dram_timing, cfg.line_bytes)
-    policy = make_policy("HF-RF")
-    ctrl = MemoryController(
-        cfg.controller, dram, policy, num_cores, engine, RngStream(0, "c")
-    )
-    hier = CacheHierarchy(cfg, ctrl, num_cores)
-    return cfg, engine, ctrl, hier
+def noop(line, now):
+    pass
 
 
 class TestHitPaths:
     def test_l1_hit_after_fill(self):
-        cfg, engine, ctrl, hier = make_stack()
-        got = []
-        r = hier.access(0, 0x10000, False, 0, lambda l, t: got.append(t))
-        assert r == PENDING
-        engine.run()
-        assert len(got) == 1
-        assert hier.access(0, 0x10000, False, engine.now, None) == cfg.caches.l1d.hit_latency
+        sys_ = run_traces([[MemOp(SETTLE, A), MemOp(SETTLE, A)]])
+        core, l1 = sys_.cores[0], sys_.hierarchy.l1d[0]
+        assert core.stats.mem_requests == 1  # the first load went to DRAM
+        assert (l1.stats.hits, l1.stats.misses) == (1, 1)
+        assert core.stats.l1_hits == 1  # served at the L1 hit latency
 
     def test_l2_hit_for_other_l1_misses(self):
-        cfg, engine, ctrl, hier = make_stack()
-        hier.access(0, 0x10000, False, 0, lambda l, t: None)
-        engine.run()
-        # evict from L1 by invalidation, keep L2 copy
-        hier.l1d[0].invalidate(0x10000)
-        lat = hier.access(0, 0x10000, False, engine.now, None)
-        assert lat == cfg.caches.l1d.hit_latency + cfg.caches.l2.hit_latency
+        # two more lines in A's L1 set (2-way, 32 KB apart) evict A from
+        # the L1; the L2 keeps its copy
+        l1_way = 32 * 1024
+        refs = [A, A + l1_way, A + 2 * l1_way, A]
+        sys_ = run_traces([[MemOp(SETTLE, a) for a in refs]])
+        core, hier = sys_.cores[0], sys_.hierarchy
+        assert hier.l2.stats.hits == 1
+        assert core.stats.l2_hits == 1  # served at L1 + L2 latency
+        assert core.stats.mem_requests == 3
 
     def test_per_core_l1_privacy(self):
-        cfg, engine, ctrl, hier = make_stack()
-        hier.access(0, 0x10000, False, 0, lambda l, t: None)
-        engine.run()
-        # core 1 misses its own L1 but hits the shared L2
-        lat = hier.access(1, 0x10000, False, engine.now, None)
-        assert lat == cfg.caches.l1d.hit_latency + cfg.caches.l2.hit_latency
+        # core 1 reads A after core 0's fill: it misses its own L1 but
+        # hits the shared L2
+        sys_ = run_traces([[MemOp(SETTLE, A)], [MemOp(2 * SETTLE, A)]])
+        assert sys_.hierarchy.l1d[1].stats.misses == 1
+        assert sys_.cores[1].stats.l2_hits == 1
+        assert sys_.cores[1].stats.mem_requests == 0
 
 
 class TestMissPaths:
     def test_merge_returns_merged(self):
         cfg, engine, ctrl, hier = make_stack()
-        assert hier.access(0, 0x10000, False, 0, lambda l, t: None) == PENDING
-        assert hier.access(0, 0x10020, False, 1, lambda l, t: None) == MERGED
+        assert hier._after_l2_miss(0, A, False, 0, noop) == PENDING
+        assert hier._after_l2_miss(0, A, False, 1, noop) == MERGED
         assert hier.mshrs[0].merges == 1
 
     def test_merged_waiters_all_fire(self):
         cfg, engine, ctrl, hier = make_stack()
         got = []
-        hier.access(0, 0x10000, False, 0, lambda l, t: got.append("a"))
-        hier.access(0, 0x10000, False, 1, lambda l, t: got.append("b"))
+        hier._after_l2_miss(0, A, False, 0, lambda l, t: got.append("a"))
+        hier._after_l2_miss(0, A, False, 1, lambda l, t: got.append("b"))
         engine.run()
         assert sorted(got) == ["a", "b"]
+        assert hier.mshrs[0].occupancy == 0
 
     def test_mshr_full_blocks(self):
         cfg, engine, ctrl, hier = make_stack()
         n = cfg.caches.l1d.mshrs
         for i in range(n):
-            assert hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None) == PENDING
-        assert hier.access(0, (n + 1) << 20, False, 0, lambda l, t: None) == BLOCKED
+            assert hier._after_l2_miss(0, (i + 1) << 20, False, 0, noop) == PENDING
+        assert hier._after_l2_miss(0, (n + 1) << 20, False, 0, noop) == BLOCKED
 
     def test_l1d_mshrs_size_each_cores_mshr_file(self):
-        from dataclasses import replace
-
         cfg, engine, ctrl, _ = make_stack()
         caches = replace(cfg.caches, l1d=replace(cfg.caches.l1d, mshrs=4))
         hier = CacheHierarchy(replace(cfg, caches=caches), ctrl, 2)
         for i in range(4):
-            assert hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None) == PENDING
-        assert hier.access(0, 5 << 20, False, 0, lambda l, t: None) == BLOCKED
+            assert hier._after_l2_miss(0, (i + 1) << 20, False, 0, noop) == PENDING
+        assert hier._after_l2_miss(0, 5 << 20, False, 0, noop) == BLOCKED
 
     def test_unblock_fires_after_completion(self):
-        cfg, engine, ctrl, hier = make_stack()
-        n = cfg.caches.l1d.mshrs
-        for i in range(n):
-            hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None)
-        woken = []
-        hier.wait_unblock(lambda now: woken.append(now))
-        engine.run()
-        assert woken, "unblock callback never fired"
+        # 40 back-to-back misses overflow the 32 MSHRs: fetch stalls on
+        # the 33rd, and only the fills' unblock wake lets the core finish
+        cfg = SystemConfig(num_cores=1)
+        ops = [MemOp(0, (i + 1) << 20) for i in range(40)]
+        sys_ = run_traces([ops], config=cfg)
+        core = sys_.cores[0]
+        assert core.stats.structural_stalls >= 1
+        assert core.stats.mem_requests == 40
+        assert core.finished
 
     def test_controller_buffer_full_blocks(self):
         cfg, engine, ctrl, hier = make_stack(buffer_entries=4)
         for i in range(4):
-            assert hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None) == PENDING
-        assert hier.access(0, 99 << 20, False, 0, lambda l, t: None) == BLOCKED
+            assert hier._after_l2_miss(0, (i + 1) << 20, False, 0, noop) == PENDING
+        assert hier._after_l2_miss(0, 99 << 20, False, 0, noop) == BLOCKED
+
+
+def evict_from_l2(cfg, engine, hier, line, core=0):
+    """Miss on ``assoc`` other lines of ``line``'s L2 set, one at a time."""
+    stride = hier.l2.config.num_sets * cfg.line_bytes
+    for k in range(1, cfg.caches.l2.assoc + 1):
+        assert hier._after_l2_miss(
+            core, line + k * stride, False, engine.now, noop
+        ) == PENDING
+        engine.run()
 
 
 class TestWritebacks:
@@ -116,45 +113,24 @@ class TestWritebacks:
         cfg, engine, ctrl, hier = make_stack()
         # dirty a line via a store miss, then evict it from L2 by filling
         # its set with (assoc) other lines
-        store_addr = 0x10000
-        hier.access(0, store_addr, True, 0, lambda l, t: None)
+        hier._after_l2_miss(0, A, True, 0, None)
         engine.run()
-        set_idx = hier.l2.set_index(store_addr)
-        stride = hier.l2.config.num_sets * 64
-        fills = 0
-        addr = store_addr + stride
-        while fills < cfg.caches.l2.assoc:
-            if hier.l2.set_index(addr) == set_idx:
-                hier.access(0, addr, False, engine.now, lambda l, t: None)
-                engine.run()
-                fills += 1
-            addr += stride
+        evict_from_l2(cfg, engine, hier, A)
         assert ctrl.stats.write_count[0] >= 1
 
     def test_owner_attribution(self):
         cfg, engine, ctrl, hier = make_stack()
-        hier.access(1, 0x20000, True, 0, lambda l, t: None)
+        hier._after_l2_miss(1, 0x20000, True, 0, None)
         engine.run()
         # line owned by core 1; force eviction via same-set fills from core 0
-        set_idx = hier.l2.set_index(0x20000)
-        stride = hier.l2.config.num_sets * 64
-        addr = 0x20000 + stride
-        fills = 0
-        while fills < cfg.caches.l2.assoc:
-            if hier.l2.set_index(addr) == set_idx:
-                hier.access(0, addr, False, engine.now, lambda l, t: None)
-                engine.run()
-                fills += 1
-            addr += stride
+        evict_from_l2(cfg, engine, hier, 0x20000, core=0)
         assert ctrl.stats.write_count[1] >= 1, "writeback not billed to owner"
 
 
 class TestStatistics:
     def test_demand_and_miss_counters(self):
-        cfg, engine, ctrl, hier = make_stack()
-        hier.access(0, 0x10000, False, 0, lambda l, t: None)
-        engine.run()
-        hier.access(0, 0x10000, False, engine.now, None)
+        sys_ = run_traces([[MemOp(SETTLE, A), MemOp(SETTLE, A)]])
+        hier = sys_.hierarchy
         assert hier.demand_accesses[0] == 2
         assert hier.l2_miss_count(0) == 1
         assert 0.0 < hier.l1_miss_rate(0) <= 1.0

@@ -1,37 +1,27 @@
 """Unit tests for the scheduling policies' selection logic.
 
-Each policy is exercised against a hand-built scheduling context (real
-queues + real DRAM state, no cores), so the expected choice is fully
-determined.
+Each policy is exercised against a hand-built scheduling context (a real
+controller's queues, staged through ``MemoryController.enqueue``, and real
+DRAM state, no cores), so the expected choice is fully determined.
 """
 
 import pytest
 
-from repro.config import DramTimingConfig, DramTopologyConfig
-from repro.controller.queues import RequestQueues
-from repro.controller.request import MemoryRequest
 from repro.core import make_policy
 from repro.core.policy import SchedulingContext, hit_first_oldest, oldest
-from repro.dram.dram_system import DramSystem
 from repro.util.rng import RngStream
+from tests.machine import make_controller, open_row, stage_read, write
 
 
-def make_ctx(num_cores=4, capacity=64):
-    dram = DramSystem(DramTopologyConfig(), DramTimingConfig(), 64)
-    queues = RequestQueues(capacity, num_cores)
-    rng = RngStream(0, "test")
-    return dram, queues, rng
+def make_ctx(num_cores=4):
+    """Scheduling state: a controller whose queues hold the staged
+    candidates, its DRAM, and the context's RNG."""
+    engine, dram, ctrl = make_controller(num_cores=num_cores)
+    return dram, ctrl, RngStream(0, "test")
 
 
-def add_read(queues, dram, core, line, t=0):
-    r = MemoryRequest(addr=line * 64, core_id=core, is_write=False, arrival_cycle=t)
-    r.coord = dram.coord(r.addr)
-    queues.add(r)
-    return r
-
-
-def ctx_for(dram, queues, rng, channel=0, now=0):
-    return SchedulingContext(now, channel, queues, dram, rng)
+def ctx_for(dram, ctrl, rng, channel=0, now=0):
+    return SchedulingContext(now, channel, ctrl.queues, dram, rng)
 
 
 def make(name, **kw):
@@ -42,122 +32,117 @@ def make(name, **kw):
 
 class TestHelpers:
     def test_oldest_picks_lowest_seq(self):
-        dram, queues, rng = make_ctx()
-        a = add_read(queues, dram, 0, 0)
-        b = add_read(queues, dram, 0, 2)
+        dram, ctrl, rng = make_ctx()
+        a = stage_read(ctrl, 0, 0)
+        b = stage_read(ctrl, 0, 2)
         assert oldest([b, a]) is a
 
     def test_hit_first_prefers_open_row(self):
-        dram, queues, rng = make_ctx()
-        a = add_read(queues, dram, 0, 0)  # (ch0, bank0, row0)
-        b = add_read(queues, dram, 0, 2)  # (ch0, bank1, row0)
+        dram, ctrl, rng = make_ctx()
+        a = stage_read(ctrl, 0, 0)  # (ch0, bank0, row0)
+        b = stage_read(ctrl, 0, 2)  # (ch0, bank1, row0)
         # open b's bank row
-        dram.execute(b.coord, 0, is_write=False, keep_open=True)
-        ctx = ctx_for(dram, queues, rng)
+        open_row(dram, b)
+        ctx = ctx_for(dram, ctrl, rng)
         assert hit_first_oldest([a, b], ctx) is b
 
 
 class TestFcfs:
     def test_strict_age_order(self):
-        dram, queues, rng = make_ctx()
-        a = add_read(queues, dram, 1, 0)
-        b = add_read(queues, dram, 0, 2)
+        dram, ctrl, rng = make_ctx()
+        a = stage_read(ctrl, 1, 0)
+        b = stage_read(ctrl, 0, 2)
         pol = make("FCFS")
-        assert pol.select_read([b, a], ctx_for(dram, queues, rng)) is a
+        assert pol.select_read([b, a], ctx_for(dram, ctrl, rng)) is a
 
     def test_write_selection_also_age_order(self):
-        dram, queues, rng = make_ctx()
-        w1 = MemoryRequest(addr=0, core_id=0, is_write=True, arrival_cycle=0)
-        w1.coord = dram.coord(0)
-        w2 = MemoryRequest(addr=128, core_id=0, is_write=True, arrival_cycle=0)
-        w2.coord = dram.coord(128)
-        queues.add(w1)
-        queues.add(w2)
+        dram, ctrl, rng = make_ctx()
+        w1, w2 = write(0), write(128)
+        assert ctrl.enqueue(w1, 0) and ctrl.enqueue(w2, 0)
         pol = make("FCFS")
-        assert pol.select_write([w2, w1], ctx_for(dram, queues, rng)) is w1
+        assert pol.select_write([w2, w1], ctx_for(dram, ctrl, rng)) is w1
 
 
 class TestHfRf:
     def test_hit_first_over_age(self):
-        dram, queues, rng = make_ctx()
-        older = add_read(queues, dram, 0, 0)
-        newer_hit = add_read(queues, dram, 1, 2)
-        dram.execute(newer_hit.coord, 0, is_write=False, keep_open=True)
+        dram, ctrl, rng = make_ctx()
+        older = stage_read(ctrl, 0, 0)
+        newer_hit = stage_read(ctrl, 1, 2)
+        open_row(dram, newer_hit)
         pol = make("HF-RF")
-        chosen = pol.select_read([older, newer_hit], ctx_for(dram, queues, rng))
+        chosen = pol.select_read([older, newer_hit], ctx_for(dram, ctrl, rng))
         assert chosen is newer_hit
 
     def test_age_breaks_tie_without_hits(self):
-        dram, queues, rng = make_ctx()
-        a = add_read(queues, dram, 3, 0)
-        b = add_read(queues, dram, 0, 2)
+        dram, ctrl, rng = make_ctx()
+        a = stage_read(ctrl, 3, 0)
+        b = stage_read(ctrl, 0, 2)
         pol = make("HF-RF")
-        assert pol.select_read([b, a], ctx_for(dram, queues, rng)) is a
+        assert pol.select_read([b, a], ctx_for(dram, ctrl, rng)) is a
 
 
 class TestRoundRobin:
     def test_rotates_over_cores(self):
-        dram, queues, rng = make_ctx()
-        reqs = {c: [add_read(queues, dram, c, 2 * i + 100 * c) for i in range(2)]
+        dram, ctrl, rng = make_ctx()
+        reqs = {c: [stage_read(ctrl, c, 2 * i + 100 * c) for i in range(2)]
                 for c in range(3)}
         pol = make("RR")
-        ctx = ctx_for(dram, queues, rng)
+        ctx = ctx_for(dram, ctrl, rng)
+        left = [x for rs in reqs.values() for x in rs]
         order = []
         for _ in range(3):
-            r = pol.select_read(
-                [x for rs in reqs.values() for x in rs if x in queues.reads], ctx
-            )
+            r = pol.select_read(left, ctx)
             order.append(r.core_id)
-            queues.remove(r)
+            left.remove(r)  # served
         assert order == [0, 1, 2]
 
     def test_skips_absent_cores(self):
-        dram, queues, rng = make_ctx()
-        r2 = add_read(queues, dram, 2, 0)
+        dram, ctrl, rng = make_ctx()
+        r2 = stage_read(ctrl, 2, 0)
         pol = make("RR")
-        assert pol.select_read([r2], ctx_for(dram, queues, rng)) is r2
+        assert pol.select_read([r2], ctx_for(dram, ctrl, rng)) is r2
         # pointer advanced past 2
-        r0 = add_read(queues, dram, 0, 2)
-        assert pol.select_read([r0], ctx_for(dram, queues, rng)) is r0
+        r0 = stage_read(ctrl, 0, 2)
+        assert pol.select_read([r0], ctx_for(dram, ctrl, rng)) is r0
 
     def test_empty_candidates_rejected(self):
-        dram, queues, rng = make_ctx()
+        dram, ctrl, rng = make_ctx()
         pol = make("RR")
         with pytest.raises(ValueError):
-            pol.select_read([], ctx_for(dram, queues, rng))
+            pol.select_read([], ctx_for(dram, ctrl, rng))
 
 
 class TestLreq:
     def test_fewest_pending_core_wins(self):
-        dram, queues, rng = make_ctx()
-        hog = [add_read(queues, dram, 0, 2 * i) for i in range(5)]
-        light = add_read(queues, dram, 1, 100)
+        dram, ctrl, rng = make_ctx()
+        hog = [stage_read(ctrl, 0, 2 * i) for i in range(5)]
+        light = stage_read(ctrl, 1, 100)
         pol = make("LREQ")
-        chosen = pol.select_read(hog + [light], ctx_for(dram, queues, rng))
+        chosen = pol.select_read(hog + [light], ctx_for(dram, ctrl, rng))
         assert chosen is light
 
     def test_within_core_oldest(self):
-        dram, queues, rng = make_ctx()
-        a = add_read(queues, dram, 0, 0)
-        b = add_read(queues, dram, 0, 2)
+        dram, ctrl, rng = make_ctx()
+        a = stage_read(ctrl, 0, 0)
+        b = stage_read(ctrl, 0, 2)
         pol = make("LREQ")
-        assert pol.select_read([b, a], ctx_for(dram, queues, rng)) is a
+        assert pol.select_read([b, a], ctx_for(dram, ctrl, rng)) is a
 
 
 class TestMe:
     def test_highest_me_core_wins(self):
-        dram, queues, rng = make_ctx()
-        lo = add_read(queues, dram, 0, 0)
-        hi = add_read(queues, dram, 1, 2)
+        dram, ctrl, rng = make_ctx()
+        lo = stage_read(ctrl, 0, 0)
+        hi = stage_read(ctrl, 1, 2)
         pol = make("ME", me_values=[1.0, 100.0, 1.0, 1.0])
-        assert pol.select_read([lo, hi], ctx_for(dram, queues, rng)) is hi
+        assert pol.select_read([lo, hi], ctx_for(dram, ctrl, rng)) is hi
 
     def test_priority_is_fixed_regardless_of_pending(self):
-        dram, queues, rng = make_ctx()
-        hi_hog = [add_read(queues, dram, 1, 2 * i) for i in range(10)]
-        lo = add_read(queues, dram, 0, 100)
+        dram, ctrl, rng = make_ctx()
+        hi_hog = [stage_read(ctrl, 1, 2 * i) for i in range(10)]
+        lo = stage_read(ctrl, 0, 100)
         pol = make("ME", me_values=[1.0, 100.0, 1.0, 1.0])
-        chosen = pol.select_read(hi_hog + [lo], ctx_for(dram, queues, rng))
+        chosen = pol.select_read(hi_hog + [lo], ctx_for(dram, ctrl, rng))
         assert chosen.core_id == 1
 
     def test_me_values_must_match_cores(self):
@@ -168,41 +153,41 @@ class TestMe:
 
 class TestMeLreq:
     def test_me_over_pending_tradeoff(self):
-        dram, queues, rng = make_ctx()
+        dram, ctrl, rng = make_ctx()
         # core 0: ME 10 but 10 pending -> 1.0 ; core 1: ME 4, 1 pending -> 4.0
-        hogs = [add_read(queues, dram, 0, 2 * i) for i in range(10)]
-        light = add_read(queues, dram, 1, 100)
+        hogs = [stage_read(ctrl, 0, 2 * i) for i in range(10)]
+        light = stage_read(ctrl, 1, 100)
         pol = make("ME-LREQ", me_values=[10.0, 4.0, 1.0, 1.0])
-        chosen = pol.select_read(hogs + [light], ctx_for(dram, queues, rng))
+        chosen = pol.select_read(hogs + [light], ctx_for(dram, ctrl, rng))
         assert chosen is light
 
     def test_huge_me_ratio_beats_pending(self):
-        dram, queues, rng = make_ctx()
-        hogs = [add_read(queues, dram, 0, 2 * i) for i in range(10)]
-        light = add_read(queues, dram, 1, 100)
+        dram, ctrl, rng = make_ctx()
+        hogs = [stage_read(ctrl, 0, 2 * i) for i in range(10)]
+        light = stage_read(ctrl, 1, 100)
         # core 0 ME enormously higher: 1000/10 >> 1/1
         pol = make("ME-LREQ", me_values=[1000.0, 1.0, 1.0, 1.0])
-        chosen = pol.select_read(hogs + [light], ctx_for(dram, queues, rng))
+        chosen = pol.select_read(hogs + [light], ctx_for(dram, ctrl, rng))
         assert chosen.core_id == 0
 
     def test_ideal_divider_variant(self):
-        dram, queues, rng = make_ctx()
-        a = add_read(queues, dram, 0, 0)
-        b = add_read(queues, dram, 1, 2)
+        dram, ctrl, rng = make_ctx()
+        a = stage_read(ctrl, 0, 0)
+        b = stage_read(ctrl, 1, 2)
         pol = make("ME-LREQ", me_values=[5.0, 1.0, 1.0, 1.0], table_bits=None)
         assert pol.table is None
-        assert pol.select_read([a, b], ctx_for(dram, queues, rng)) is a
+        assert pol.select_read([a, b], ctx_for(dram, ctrl, rng)) is a
 
 
 class TestFixed:
     def test_order_respected(self):
-        dram, queues, rng = make_ctx()
-        r0 = add_read(queues, dram, 0, 0)
-        r3 = add_read(queues, dram, 3, 2)
+        dram, ctrl, rng = make_ctx()
+        r0 = stage_read(ctrl, 0, 0)
+        r3 = stage_read(ctrl, 3, 2)
         pol = make("FIX-3210")
-        assert pol.select_read([r0, r3], ctx_for(dram, queues, rng)) is r3
+        assert pol.select_read([r0, r3], ctx_for(dram, ctrl, rng)) is r3
         pol2 = make("FIX-0123")
-        assert pol2.select_read([r0, r3], ctx_for(dram, queues, rng)) is r0
+        assert pol2.select_read([r0, r3], ctx_for(dram, ctrl, rng)) is r0
 
     def test_must_be_permutation(self):
         pol = make_policy("FIX-012")
@@ -218,12 +203,12 @@ class TestRandomTieBreak:
     def test_ties_are_broken_across_cores(self):
         # two cores with identical pending counts under LREQ: over many
         # draws both must win sometimes (random tie-break, Section 3.2)
-        dram, queues, rng = make_ctx()
-        a = add_read(queues, dram, 0, 0)
-        b = add_read(queues, dram, 1, 2)
+        dram, ctrl, rng = make_ctx()
+        a = stage_read(ctrl, 0, 0)
+        b = stage_read(ctrl, 1, 2)
         pol = make("LREQ")
         winners = {
-            pol.select_read([a, b], ctx_for(dram, queues, rng)).core_id
+            pol.select_read([a, b], ctx_for(dram, ctrl, rng)).core_id
             for _ in range(50)
         }
         assert winners == {0, 1}

@@ -5,34 +5,19 @@ bank-readiness eligibility rule, and the interplay with write drains —
 behaviours that live in the controller rather than any single policy.
 """
 
-from dataclasses import replace
-
 from repro.config import SystemConfig
-from repro.controller.controller import MemoryController
-from repro.controller.request import MemoryRequest
 from repro.core import make_policy
-from repro.dram.dram_system import DramSystem
-from repro.sim.engine import EventEngine
-from repro.util.rng import RngStream
+from tests.machine import controller_config, make_controller, read, write
 
 CFG = SystemConfig(num_cores=4)
 
 
-def make_controller(policy_name, me_values=None, num_cores=4):
-    engine = EventEngine()
-    dram = DramSystem(CFG.dram_topology, CFG.dram_timing, 64)
+def controller(policy_name, me_values=None, config=CFG):
     if me_values is not None:
         policy = make_policy(policy_name, me_values=me_values)
     else:
         policy = make_policy(policy_name)
-    ctrl = MemoryController(
-        CFG.controller, dram, policy, num_cores, engine, RngStream(3, "t")
-    )
-    return engine, dram, ctrl
-
-
-def read(addr, core):
-    return MemoryRequest(addr=addr, core_id=core, is_write=False, arrival_cycle=0)
+    return make_controller(policy, config.num_cores, config=config, seed=3)
 
 
 class TestGlobalHitFirst:
@@ -40,25 +25,25 @@ class TestGlobalHitFirst:
         # core 0 opens a row (a, with b queued behind it keeping the row
         # open); core 3 has absolute fixed-ME priority, but b is a row hit
         # and must still go first (Section 4.1 command rule)
-        engine, dram, ctrl = make_controller(
+        engine, dram, ctrl = controller(
             "ME", me_values=[1.0, 1.0, 1.0, 1000.0]
         )
         a = read(0, core=0)
         b = read(32 * 64, core=0)  # same bank/row as a: queued hit
         ctrl.enqueue(a, 0)
         ctrl.enqueue(b, 0)
-        # let a commit (opens the row for b)
-        while a.issue_cycle < 0:
-            engine.step()
-        # same bank, different row: directly competes with b for the bank
+        # same bank, different row: directly competes with b for the bank.
+        # It arrives at cycle 1, after a committed at the cycle-0 point
+        # (opening the row for b): the controller hides it until then.
         c = read(4096 * 64, core=3)
-        ctrl.enqueue(c, engine.now)
+        ctrl.enqueue(c, 1)
         engine.run()
+        assert a.issue_cycle == 0
         assert b.row_hit
         assert b.issue_cycle < c.issue_cycle
 
     def test_fcfs_ignores_hits(self):
-        engine, dram, ctrl = make_controller("FCFS")
+        engine, dram, ctrl = controller("FCFS")
         a = read(0, core=0)
         b = read(32 * 64, core=0)  # would be a hit after a
         c = read(4096 * 64, core=1)  # same bank as a, different row - miss
@@ -72,18 +57,11 @@ class TestGlobalHitFirst:
 
 class TestDrainInteraction:
     def test_drain_mode_serves_writes_even_with_reads(self):
-        cfg = replace(
-            CFG.controller, buffer_entries=8, write_drain_high=3, write_drain_low=1
+        cfg = controller_config(
+            CFG, buffer_entries=8, write_drain_high=3, write_drain_low=1
         )
-        engine = EventEngine()
-        dram = DramSystem(CFG.dram_topology, CFG.dram_timing, 64)
-        ctrl = MemoryController(
-            cfg, dram, make_policy("HF-RF"), 4, engine, RngStream(3, "t")
-        )
-        writes = [
-            MemoryRequest(addr=i * 128, core_id=0, is_write=True, arrival_cycle=0)
-            for i in range(3)
-        ]
+        engine, dram, ctrl = controller("HF-RF", config=cfg)
+        writes = [write(i * 128, core=0) for i in range(3)]
         r = read(64 * 7, core=1)
         for w in writes:
             ctrl.enqueue(w, 0)
@@ -101,7 +79,7 @@ class TestDrainInteraction:
 
 class TestBankReadiness:
     def test_scheduler_rearms_for_busy_banks(self):
-        engine, dram, ctrl = make_controller("HF-RF")
+        engine, dram, ctrl = controller("HF-RF")
         # saturate one bank with back-to-back rows
         reqs = [read(i * 4096 * 64, core=0) for i in range(4)]  # same bank
         for r in reqs:
@@ -117,7 +95,7 @@ class TestRandomTieBreakDeterminism:
     def test_same_seed_same_schedule(self):
         outcomes = []
         for _ in range(2):
-            engine, dram, ctrl = make_controller("LREQ")
+            engine, dram, ctrl = controller("LREQ")
             reqs = [read(i * 256, core=i % 4) for i in range(12)]
             for r in reqs:
                 ctrl.enqueue(r, 0)

@@ -8,6 +8,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.core import make_policy
 from repro.experiments.cloud import run_cloud
+from repro.metrics import memory_efficiency
 from repro.sim.runner import run_multicore, run_single_core
 from repro.sim.system import MultiCoreSystem
 from repro.telemetry.hub import Telemetry
@@ -26,7 +27,7 @@ class TestSingleCore:
         assert res.bw_gbps > 1.0  # memory-intensive
         assert res.reads > 20
         assert res.avg_read_latency > 100
-        assert res.memory_efficiency == res.ipc / res.bw_gbps
+        assert memory_efficiency(res.ipc, res.bw_gbps) == res.ipc / res.bw_gbps
 
     def test_ilp_app_low_bandwidth(self):
         res = run_single_core(app_by_code("t"), BUDGET, seed=3, warmup_insts=WARMUP)
@@ -46,7 +47,9 @@ class TestSingleCore:
     def test_mem_class_beats_ilp_on_me(self):
         mem = run_single_core(app_by_code("e"), BUDGET, seed=3, warmup_insts=WARMUP)
         ilp = run_single_core(app_by_code("a"), BUDGET, seed=3, warmup_insts=WARMUP)
-        assert ilp.memory_efficiency > mem.memory_efficiency
+        assert memory_efficiency(ilp.ipc, ilp.bw_gbps) > memory_efficiency(
+            mem.ipc, mem.bw_gbps
+        )
 
 
 class TestMultiCore:

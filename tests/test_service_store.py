@@ -147,8 +147,13 @@ def _locked_increments(root: str, counter: str, iters: int) -> None:
     lock = DirLock(root)
     for _ in range(iters):
         with lock.held():
-            value = int(open(counter).read())
-            open(counter, "w").write(str(value + 1))
+            # Rewrite in place: the count only grows, so the new digits
+            # always cover the old ones (a truncating rewrite is flushed
+            # on close on ext4, which costs ~70 ms per increment).
+            with open(counter, "r+") as f:
+                value = int(f.read())
+                f.seek(0)
+                f.write(str(value + 1))
 
 
 def test_dirlock_serialises_concurrent_processes(tmp_path):
