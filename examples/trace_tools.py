@@ -18,7 +18,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro import SystemConfig, make_policy
+from repro import SystemConfig, Telemetry, make_policy
 from repro.cpu.trace_io import load_trace, record_trace, save_trace
 from repro.metrics.report import histogram
 from repro.metrics.stats import ReservoirSampler
@@ -47,21 +47,19 @@ def main() -> None:
     for policy_name in ("FCFS", "HF-RF"):
         trace = load_trace(path)
         cfg = SystemConfig(num_cores=1)
+        # Span capture at 1-in-1 stamps every request the controller
+        # serves with its arrival and delivery cycles.
+        hub = Telemetry(capture_spans=True, span_sample=1)
         system = MultiCoreSystem(
             cfg, make_policy(policy_name), [trace],
             target_insts=min(args.budget, insts), seed=args.seed,
+            telemetry=hub,
         )
-        sampler = ReservoirSampler(512, seed=args.seed)
-        # Every demand read the controller serves comes back through the
-        # hierarchy's fill callback, which requests bind when created.
-        orig = system.hierarchy._on_fill
-
-        def on_fill(req, now, orig=orig, sampler=sampler):
-            sampler.add(req.done_cycle - req.arrival_cycle)
-            orig(req, now)
-
-        system.hierarchy._on_fill = on_fill
         system.run()
+        sampler = ReservoirSampler(512, seed=args.seed)
+        for span in hub.spans.completed:
+            if span.kind == "read":
+                sampler.add(span.done - span.arrival)
         core = system.cores[0]
         print(f"\n== {policy_name}: IPC {core.ipc():.3f}, "
               f"{sampler.seen} reads ==")

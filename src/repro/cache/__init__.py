@@ -7,10 +7,13 @@ caches' sets; misses beyond the L2 enter
 :class:`~repro.controller.request.MemoryRequest` line fills, dirty evictions
 become writebacks.  MSHRs bound per-core outstanding misses (Table 1:
 32 data MSHRs per core, 64 at the L2) and merge same-line misses.
+
+``CacheHierarchy`` binds the model kernel's ``HierarchyKernel``, so it and
+its result codes are imported on first access: importing this package
+loads no kernel.
 """
 
 from repro.cache.cache import CacheStats, SetAssocCache
-from repro.cache.hierarchy import BLOCKED, MERGED, PENDING, CacheHierarchy
 from repro.cache.mshr import MshrFile
 
 __all__ = [
@@ -22,3 +25,11 @@ __all__ = [
     "PENDING",
     "SetAssocCache",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("BLOCKED", "CacheHierarchy", "MERGED", "PENDING"):
+        from repro.cache import hierarchy
+
+        return getattr(hierarchy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

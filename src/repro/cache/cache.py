@@ -4,9 +4,12 @@ Pure functional state: it holds recency and dirtiness and reports
 evictions; timing lives in the core model and the memory system.  Each set
 is a Python dict mapping tag -> dirty flag; dict insertion order provides
 LRU for free (move-to-back on touch), which profiling showed is the
-fastest pure-Python LRU for small associativities.  The core model's C
-kernel reads and writes these dicts directly for every demand hit,
-refreshing recency and dirtying an L1 line on a store hit.
+fastest pure-Python LRU for small associativities.  The model kernel
+(``cpu/_core.c``) reads and writes these dicts directly: every demand hit
+(refreshing recency, dirtying an L1 line on a store hit), every fill and
+eviction, the L2 copy a dirty L1 victim dirties and the L1 copy an L2
+victim invalidates.  The methods below do the same on one cache, for
+tests and tools; no simulation calls them.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class SetAssocCache:
         self._off_bits = config.line_bytes.bit_length() - 1
         self._assoc = config.assoc
 
-    # -- fill and eviction paths (demand hits: advance_fetch in _core.c) ------
+    # -- fills, probes and evictions on one cache (runs: cpu/_core.c) --------
 
     def probe(self, addr: int) -> bool:
         """Hit check without touching recency or stats."""

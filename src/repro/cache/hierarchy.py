@@ -14,9 +14,14 @@ substrate:
   :data:`BLOCKED`; the core joins ``_unblock_waiters`` and retries.
 
 The two hit paths and the stalled core's registration run inside the core
-model's C kernel (``advance_fetch`` and ``wait_unblock`` in
-``cpu/_core.c``), which probes the caches' sets directly and enters this
-class at :meth:`CacheHierarchy._after_l2_miss`.
+model's kernel (``advance_fetch`` and ``wait_unblock`` in ``cpu/_core.c``),
+which probes the caches' sets directly.  The miss path past the L2
+(``_after_l2_miss``), the fill path (``_on_fill``, ``_fill_l1``, the L2
+victim's owner and L1 copy) and the structural-stall wake-ups
+(``_on_space_freed``) run in the same kernel's ``HierarchyKernel``, the
+base of :class:`CacheHierarchy`.  The writeback path below stays Python:
+the kernel calls :meth:`CacheHierarchy._emit_writeback` only for a dirty
+victim.
 
 Instruction fetch is not simulated: the synthetic SPEC-like traces model
 data references only (SPEC CPU2000 instruction footprints fit comfortably
@@ -31,13 +36,16 @@ via MSHR back-pressure.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from repro.cache.cache import SetAssocCache
-from repro.cache.mshr import MshrFile, Waiter
+from repro.cache.mshr import MshrFile
 from repro.config import SystemConfig
-from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest
+from repro.cpu.kernel import kernel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.controller import MemoryController
 
 __all__ = ["PENDING", "BLOCKED", "CacheHierarchy"]
 
@@ -48,19 +56,37 @@ BLOCKED = -2
 #: _after_l2_miss result: miss merged onto an in-flight line; waiter fires
 MERGED = -3
 
+HierarchyKernel = kernel.HierarchyKernel
 
-class CacheHierarchy:
-    """L1-per-core + shared-L2 hierarchy."""
+
+class CacheHierarchy(HierarchyKernel):
+    """L1-per-core + shared-L2 hierarchy.
+
+    ``controller``, ``spans``, ``_l2_outstanding``, ``_unblock_waiters``
+    and ``_space_watch_armed`` are kernel fields.
+    ``_after_l2_miss(core_id, line, is_write, now, waiter)`` returns
+    :data:`PENDING` (new memory request issued), :data:`MERGED` (joined
+    an in-flight miss) — for both, ``waiter`` fires when the data
+    returns — or :data:`BLOCKED`; it runs once per retry of every
+    blocked reference, not just once per miss.
+    """
+
+    # The kernel's entry points, named in this class's own namespace so
+    # instrumentation can wrap them by name before a machine is built
+    # (the constructor binds them once).
+    _after_l2_miss = HierarchyKernel._after_l2_miss
+    _on_fill = HierarchyKernel._on_fill
+    _fill_l1 = HierarchyKernel._fill_l1
+    _on_space_freed = HierarchyKernel._on_space_freed
 
     def __init__(
         self,
         config: SystemConfig,
-        controller: MemoryController,
+        controller: "MemoryController",
         num_cores: int,
     ) -> None:
         cc = config.caches
         self.config = config
-        self.controller = controller
         self.num_cores = num_cores
         self.line_bytes = cc.l2.line_bytes
         self._line_mask = ~(self.line_bytes - 1)
@@ -73,7 +99,6 @@ class CacheHierarchy:
         self.l2 = SetAssocCache(cc.l2, name="L2")
         self.mshrs = [MshrFile(cc.l1d.mshrs) for _ in range(num_cores)]
         self.l2_mshr_cap = cc.l2.mshrs
-        self._l2_outstanding = 0
         #: in-flight lines that have a merged store (fill installs dirty)
         self._store_pending: set[int] = set()
         #: line owner for writeback attribution
@@ -81,188 +106,30 @@ class CacheHierarchy:
         #: writebacks that could not enter a full controller buffer
         self._wb_overflow: deque[MemoryRequest] = deque()
         self._wb_flush_armed = False
-        #: one-shot callbacks of cores stalled on a structural hazard
-        self._unblock_waiters: list[Callable[[int], None]] = []
-        #: whether a controller-space watch is currently armed (single
-        #: registration — re-arming per retry would accumulate stale
-        #: callbacks and make every buffer-slot release O(retries))
-        self._space_watch_armed = False
-        #: request-lifecycle span collector (wired by MultiCoreSystem
-        #: when the telemetry hub captures spans; None otherwise)
-        self.spans = None
         #: per-core demand L2 misses (for workload statistics)
         self.l2_misses = [0] * num_cores
         self.demand_accesses = [0] * num_cores
         #: dirty lines written back to memory (telemetry / analyses)
         self.writebacks = 0
-
-    # -- core-facing API -------------------------------------------------------
-
-    def _after_l2_miss(
-        self,
-        core_id: int,
-        line: int,
-        is_write: bool,
-        now: int,
-        waiter: Waiter | None,
-    ) -> int:
-        """One reference that missed both caches (``line`` already aligned).
-
-        The core model's fetch loop enters here after its own L1 and L2
-        probes, which charged the demand access and the misses.  Returns
-        :data:`PENDING` (new memory request issued), :data:`MERGED`
-        (joined an in-flight miss) — for both, ``waiter`` fires when the
-        data returns — or :data:`BLOCKED`, when the core registers for an
-        unblock and retries.  This path runs once per retry of every
-        blocked reference, not just once per miss.
-        """
-        mshr = self.mshrs[core_id]
-        entries = mshr._entries
-        waiters = entries.get(line)
-        if waiters is not None:
-            # Merge onto the in-flight miss.
-            if waiter is not None:
-                waiters.append(waiter)
-            mshr.merges += 1
-            if mshr.on_merge is not None:
-                mshr.on_merge(line, now)
-            if is_write:
-                self._store_pending.add(line)
-            return MERGED
-        # blocks_again in cpu/_core.c repeats these BLOCKED tests for a
-        # blocked core's retry (keep in sync).
-        if len(entries) >= mshr.capacity or self._l2_outstanding >= self.l2_mshr_cap:
-            return BLOCKED
-        if not self.controller.can_accept():
-            return BLOCKED
-        # -- new MSHR entry --
-        entries[line] = [waiter] if waiter is not None else []
-        mshr.allocations += 1
-        if len(entries) > mshr.peak_occupancy:
-            mshr.peak_occupancy = len(entries)
-        self._l2_outstanding += 1
-        self.l2_misses[core_id] += 1
-        if is_write:
-            self._store_pending.add(line)
-        req = MemoryRequest(
-            addr=line,
-            core_id=core_id,
-            is_write=False,
-            arrival_cycle=now,
-            on_complete=self._on_fill,
+        self._bind(
+            controller=controller,
+            l1d=self.l1d,
+            l2=self.l2,
+            mshrs=self.mshrs,
+            l2_mshr_cap=self.l2_mshr_cap,
+            store_pending=self._store_pending,
+            owner=self._owner,
+            l2_misses=self.l2_misses,
+            # Calls out of the kernel, bound once here: a read's
+            # completion callback and the controller-space watch are the
+            # hierarchy's own entry points.
+            enqueue=controller.enqueue,
+            on_fill=self._on_fill,
+            on_space_freed=self._on_space_freed,
+            emit_writeback=self._emit_writeback,
         )
-        if self.spans is not None:
-            req.span = self.spans.start_request(core_id, line, "read", now)
-        accepted = self.controller.enqueue(req, now)
-        assert accepted, "can_accept() checked above"
-        return PENDING
 
-    def _on_space_freed(self, now: int) -> None:
-        self._space_watch_armed = False
-        # Wake every core stalled on a structural hazard: this fires once
-        # per freed buffer slot, the hottest wake fan-out after fills.
-        uw = self._unblock_waiters
-        if uw:
-            self._unblock_waiters = []
-            for cb in uw:
-                cb(now)
-
-    # -- fill / writeback paths --------------------------------------------------
-
-    def _on_fill(self, req: MemoryRequest, now: int) -> None:
-        """Read data returned from DRAM: install the line, wake waiters.
-
-        The L2 and L1 installs repeat SetAssocCache.fill and
-        :meth:`_fill_l1` inline (keep in sync with them): this runs once
-        per memory request and is the hottest completion path.  Calling
-        them, and MSHR methods here and in :meth:`_after_l2_miss`, added
-        about 8% more Python calls to a 2-core Figure 2 panel.
-        """
-        line = req.addr
-        core = req.core_id
-        dirty = line in self._store_pending
-        self._store_pending.discard(line)
-        l2 = self.l2
-        tag = line >> l2._off_bits
-        s = l2._sets[tag & l2._set_mask]
-        evicted = None
-        if tag in s:
-            s[tag] = s.pop(tag)  # refresh recency; fill is clean
-        else:
-            if len(s) >= l2._assoc:
-                victim_tag = next(iter(s))  # front of dict == LRU
-                victim_dirty = s.pop(victim_tag)
-                l2.stats.evictions += 1
-                if victim_dirty:
-                    l2.stats.dirty_evictions += 1
-                evicted = (victim_tag << l2._off_bits, victim_dirty)
-            s[tag] = False
-            l2.stats.fills += 1
-        self._owner[line] = core
-        if evicted is not None:
-            self._handle_l2_eviction(evicted, now)
-        # -- L1 install (inlined _fill_l1) --
-        l1 = self.l1d[core]
-        t1 = line >> l1._off_bits
-        s1 = l1._sets[t1 & l1._set_mask]
-        if t1 in s1:
-            s1[t1] = s1.pop(t1) or dirty
-        else:
-            v_dirty = False
-            if len(s1) >= l1._assoc:
-                v_tag = next(iter(s1))  # front of dict == LRU
-                v_dirty = s1.pop(v_tag)
-                l1.stats.evictions += 1
-                if v_dirty:
-                    l1.stats.dirty_evictions += 1
-            s1[t1] = dirty
-            l1.stats.fills += 1
-            if v_dirty:
-                v_addr = v_tag << l1._off_bits
-                if not l2.set_dirty(v_addr):
-                    self._emit_writeback(core, v_addr, now)
-        self._l2_outstanding -= 1
-        # -- MSHR retirement --
-        mshr = self.mshrs[core]
-        waiters = mshr._entries.pop(line)
-        for w in waiters:
-            # A ``(method, token)`` pair is the core model's closure-free
-            # load waiter (see l2_miss in cpu/_core.c): the method takes
-            # the load's ROB token instead of the line address.
-            if type(w) is tuple:
-                w[0](w[1], now)
-            else:
-                w(line, now)
-        if self.spans is not None:
-            self.spans.end_inflight(core, line)
-        uw = self._unblock_waiters
-        if uw:
-            self._unblock_waiters = []
-            for cb in uw:
-                cb(now)
-
-    def _fill_l1(self, core_id: int, line: int, *, dirty: bool, now: int) -> None:
-        """Install ``line`` in ``core_id``'s L1 (an L2 hit or a fill)."""
-        evicted = self.l1d[core_id].fill(line, dirty=dirty)
-        if evicted is None or not evicted[1]:
-            return
-        # Dirty L1 victim: update the L2 copy; if L2 lost the line in the
-        # meantime (non-inclusive drift), write it back to memory directly.
-        v_addr = evicted[0]
-        if not self.l2.set_dirty(v_addr):
-            self._emit_writeback(core_id, v_addr, now)
-
-    def _handle_l2_eviction(self, evicted: tuple[int, bool], now: int) -> None:
-        v_addr, v_dirty = evicted
-        owner = self._owner.pop(v_addr, 0)
-        # The L1 copy (if any) is stale relative to an exclusive-ish victim;
-        # invalidate to preserve inclusion. Merge its dirtiness first.
-        l1 = self.l1d[owner] if owner < self.num_cores else None
-        if l1 is not None and l1.probe(v_addr):
-            v_dirty = v_dirty or l1.is_dirty(v_addr)
-            l1.invalidate(v_addr)
-        if v_dirty:
-            self._emit_writeback(owner, v_addr, now)
+    # -- writeback path --------------------------------------------------------
 
     def _emit_writeback(self, core_id: int, line: int, now: int) -> None:
         self.writebacks += 1
@@ -290,10 +157,10 @@ class CacheHierarchy:
             self._wb_overflow.popleft()
 
     def close(self) -> None:
-        """Drop the waiters and queued writebacks of a finished run (see
-        :meth:`~repro.sim.system.MultiCoreSystem.close`); the caches and
-        counters stay readable."""
-        self._unblock_waiters = []
+        """Drop the waiters, queued writebacks and bound callables of a
+        finished run (see :meth:`~repro.sim.system.MultiCoreSystem.close`);
+        the caches and counters stay readable."""
+        self._unbind()
         for mshr in self.mshrs:
             mshr._entries.clear()
         self._wb_overflow.clear()

@@ -6,10 +6,24 @@ outstanding-request counters, read-bypass-write with a write-drain
 hysteresis (drain above half the buffer, stop below a quarter), and a
 per-logic-channel scheduling point that consults a pluggable
 :class:`~repro.core.policy.SchedulingPolicy`.
+
+``MemoryController`` and ``MemoryRequest`` bind the model kernel's types,
+so they are imported on first access: importing this package loads no
+kernel.
 """
 
-from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueues
-from repro.controller.request import MemoryRequest
 
 __all__ = ["MemoryController", "MemoryRequest", "RequestQueues"]
+
+
+def __getattr__(name: str):
+    if name == "MemoryController":
+        from repro.controller.controller import MemoryController
+
+        return MemoryController
+    if name == "MemoryRequest":
+        from repro.controller.request import MemoryRequest
+
+        return MemoryRequest
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

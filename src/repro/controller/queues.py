@@ -17,7 +17,10 @@ commits; policies read the views.
 
 from __future__ import annotations
 
-from repro.controller.request import MemoryRequest
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.request import MemoryRequest
 
 __all__ = ["RequestQueues"]
 

@@ -36,13 +36,15 @@ interval countdown globally — versus ME-LREQ's 640-bit-per-core table.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.controller.request import MemoryRequest
 from repro.core.complexity import HardwareCost, log2_bits
 from repro.core.policy import SchedulingContext, SchedulingPolicy, hit_first_oldest
 from repro.core.registry import register_policy
 from repro.util.rng import RngStream
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.request import MemoryRequest
 
 __all__ = ["BlissPolicy"]
 

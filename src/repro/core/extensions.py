@@ -28,13 +28,15 @@ paper's policies and honour the global hit-first command rule.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.controller.request import MemoryRequest
 from repro.core.complexity import HardwareCost
 from repro.core.policy import SchedulingContext, SchedulingPolicy
 from repro.core.registry import register_policy
 from repro.util.rng import RngStream
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.request import MemoryRequest
 
 __all__ = ["BatchSchedulingPolicy", "FairQueueingPolicy", "StallTimeFairPolicy"]
 

@@ -10,12 +10,14 @@ implements any permutation so that experiment (and broader sweeps) can run.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.controller.request import MemoryRequest
 from repro.core.complexity import HardwareCost, log2_bits
 from repro.core.policy import SchedulingContext, SchedulingPolicy
 from repro.util.rng import RngStream
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.request import MemoryRequest
 
 __all__ = ["FixedPriorityPolicy"]
 

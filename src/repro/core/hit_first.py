@@ -10,11 +10,13 @@ same average read latency under it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.controller.request import MemoryRequest
 from repro.core.policy import SchedulingContext, SchedulingPolicy, hit_first_oldest
 from repro.core.registry import register_policy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.request import MemoryRequest
 
 __all__ = ["HitFirstReadFirstPolicy"]
 

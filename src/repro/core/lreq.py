@@ -12,12 +12,14 @@ paper's evaluation.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.controller.request import MemoryRequest
 from repro.core.complexity import HardwareCost
 from repro.core.policy import SchedulingContext, SchedulingPolicy
 from repro.core.registry import register_policy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.request import MemoryRequest
 
 __all__ = ["LeastRequestPolicy"]
 

@@ -11,13 +11,15 @@ low-priority cores (Figure 4's 1042-cycle core-3 latency under 4MEM-5).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.controller.request import MemoryRequest
 from repro.core.complexity import HardwareCost
 from repro.core.policy import SchedulingContext, SchedulingPolicy
 from repro.core.registry import register_policy
 from repro.util.rng import RngStream
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.request import MemoryRequest
 
 __all__ = ["MemoryEfficiencyPolicy"]
 

@@ -16,15 +16,17 @@ changes of running phases' sketched in Section 3.1.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.controller.request import MemoryRequest
 from repro.core.complexity import HardwareCost
 from repro.core.policy import SchedulingContext, SchedulingPolicy
 from repro.core.priority_table import PriorityTable
 from repro.core.registry import register_policy
 from repro.util.rng import RngStream
 from repro.util.units import gbps
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.controller.request import MemoryRequest
 
 __all__ = ["MeLreqPolicy", "OnlineMeLreqPolicy"]
 

@@ -30,12 +30,12 @@ from abc import ABC, abstractmethod
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.controller.request import MemoryRequest
 from repro.core.complexity import HardwareCost
 from repro.util.rng import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.controller.queues import RequestQueues
+    from repro.controller.request import MemoryRequest
     from repro.dram.dram_system import DramSystem
 
 __all__ = ["SchedulingContext", "SchedulingPolicy", "hit_first_oldest", "oldest"]

@@ -20,9 +20,10 @@ opportunity, ``issue_width`` slots per cycle.  Fetch and commit each own a
 monotone slot cursor; converting ``slots // issue_width`` yields cycles.
 Between memory events the model advances analytically over whole gaps of
 non-memory instructions instead of iterating per cycle.  The fetch and
-commit loops run in a C extension type, ``_core.c``, that walks the cache
-hierarchy's own Python objects (docs/ARCHITECTURE.md, "The core model in
-C"); this module keeps the constructor and the public surface.
+commit loops run in the model kernel's ``CoreKernel`` type (``_core.c``),
+which walks the cache hierarchy's own Python objects (docs/ARCHITECTURE.md,
+"The model in C"); this module keeps the constructor and the public
+surface.
 
 Fidelity approximations (intentional, documented):
 
@@ -31,7 +32,7 @@ Fidelity approximations (intentional, documented):
   was stalled, slightly conservative).
 * Each core may run up to ``lookahead`` cycles past the globally committed
   simulation time; requests it emits are future-dated and the controller
-  refuses to schedule them early (see ``MemoryController._fast_point``),
+  refuses to schedule them early (see ``FastMemoryController._fast_point``),
   so causality holds, while the bound keeps cross-core L2 interleaving
   honest.
 """
@@ -39,23 +40,18 @@ Fidelity approximations (intentional, documented):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.cache.hierarchy import CacheHierarchy
 from repro.config import CoreConfig
+from repro.cpu.kernel import kernel
 from repro.cpu.trace import TraceSource
-from repro.util.kernels import load_extension
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.hierarchy import CacheHierarchy
     from repro.sim.engine import EventEngine
 
 __all__ = ["CoreStats", "TraceCore"]
 
-#: the core's hot paths, built from ``_core.c`` (package data) into the
-#: kernel cache on the first import of this module, which the first
-#: machine build triggers
-kernel = load_extension("repro.cpu._core", Path(__file__).with_name("_core.c"))
 CoreKernel = kernel.CoreKernel
 
 
@@ -115,7 +111,7 @@ class TraceCore(CoreKernel):
         core_id: int,
         config: CoreConfig,
         trace: TraceSource,
-        hierarchy: CacheHierarchy,
+        hierarchy: "CacheHierarchy",
         engine: "EventEngine",
         target_insts: int,
         warmup_insts: int = 0,
@@ -154,8 +150,6 @@ class TraceCore(CoreKernel):
             issue_width=config.issue_width,
             rob_size=config.rob_size,
             hierarchy=hierarchy,
-            l1=hierarchy.l1d[core_id],
-            mshr=hierarchy.mshrs[core_id],
             replay=replay,
             trace_pos=pos,
             # Calls out of the kernel, bound once here.

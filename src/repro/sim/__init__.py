@@ -9,9 +9,11 @@ paper's methodology needs — single-core profiling runs and multi-core
 evaluation runs that stop when the last core commits its instruction budget
 (other cores keep generating traffic, statistics frozen at their own budget
 crossing, exactly as in Section 4.1).
+
+``EventEngine`` binds the model kernel's ``EngineKernel``, so it is
+imported on first access: importing this package loads no kernel.
 """
 
-from repro.sim.engine import EventEngine
 from repro.sim.runner import CoreResult, RunResult, run_multicore, run_single_core
 from repro.sim.system import MultiCoreSystem
 
@@ -23,3 +25,11 @@ __all__ = [
     "run_multicore",
     "run_single_core",
 ]
+
+
+def __getattr__(name: str):
+    if name == "EventEngine":
+        from repro.sim.engine import EventEngine
+
+        return EventEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,14 +22,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
-from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
-from repro.controller.controller import MemoryController
 from repro.core.me_lreq import OnlineMeLreqPolicy
 from repro.core.policy import SchedulingPolicy
 from repro.cpu.trace import TraceSource
 from repro.dram.dram_system import DramSystem
-from repro.sim.engine import EventEngine
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.sampler import Sampler
 from repro.util.rng import RngStream
@@ -92,6 +89,13 @@ class MultiCoreSystem:
             raise ValueError(
                 f"{len(traces)} traces for {config.num_cores} cores"
             )
+        # The model kernel's classes: the first machine build loads (and,
+        # with an empty kernel cache, builds) the kernel.
+        from repro.cache.hierarchy import CacheHierarchy
+        from repro.controller.controller import MemoryController
+        from repro.cpu.core_model import TraceCore
+        from repro.sim.engine import EventEngine
+
         self.config = config
         self.policy = policy
         self.target_insts = target_insts
@@ -112,10 +116,6 @@ class MultiCoreSystem:
             telemetry=telemetry,
         )
         self.hierarchy = CacheHierarchy(config, self.controller, config.num_cores)
-        # The first machine build loads (and, with an empty kernel cache,
-        # builds) the core model's C kernel.
-        from repro.cpu.core_model import TraceCore
-
         self.cores = [
             TraceCore(
                 core_id=i,

@@ -165,7 +165,9 @@ class SpanCollector:
         """A core's access to ``line`` hit a structural stall at ``cycle``.
 
         Only the first stall per (core, line) is kept: retries of the same
-        blocked access must not advance the stamp.
+        blocked access must not advance the stamp.  The core kernel
+        (``note_blocked`` in ``cpu/_core.c``) does this on ``_blocked``
+        itself instead of calling here: keep the two in sync.
         """
         prev = self._blocked.get(core_id)
         if prev is None or prev[1] != line:
@@ -180,7 +182,10 @@ class SpanCollector:
         A demand read consumes any pending structural-stall stamp for its
         core either way, so a stale stamp can never leak onto a later
         request (writebacks are not core-issued and leave the stamp
-        alone).
+        alone).  For a read this call would not sample, the hierarchy
+        kernel (``offer_read`` in ``cpu/_core.c``) pops the stamp and
+        counts the offer on this collector itself, without the call:
+        keep the two in sync.
         """
         blocked = self._blocked.pop(core_id, None) if kind == "read" else None
         self.offered += 1
@@ -216,7 +221,10 @@ class SpanCollector:
         self.completed.append(span)
 
     def end_inflight(self, core_id: int, line: int) -> None:
-        """The fill for (core, line) delivered; stop accepting merges."""
+        """The fill for (core, line) delivered; stop accepting merges.
+
+        Only a sampled read registers, so the fill path calls this only
+        for a request that carries a span."""
         self._inflight.pop((core_id, line), None)
 
     # -- queries -------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Demand hits run only in the core kernel's fetch loop (``advance_fetch`` in
 ``cpu/_core.c``), which probes the sets directly; those tests run a
 one-core machine over a :class:`ListTrace` (``tests/machine.py``) and read
-the L1's ``_sets`` and stats.  The fill and eviction methods the hierarchy
-calls are tested on a bare cache.
+the L1's ``_sets`` and stats.  ``SetAssocCache``'s own fill, probe and
+eviction methods, which no run calls (the kernel fills the sets itself),
+are tested on a bare cache.
 """
 
 from dataclasses import replace

@@ -294,9 +294,26 @@ class TestKernelBuild:
             Path(outs[0][0].split()[0]).name]
 
 
+#: the modules that bind a type of the model kernel (``cpu/_core.c``):
+#: importing any of them loads it
+KERNEL_BINDERS = (
+    "repro.cpu.kernel",
+    "repro.cpu.core_model",
+    "repro.sim.engine",
+    "repro.cache.hierarchy",
+    "repro.controller.controller",
+    "repro.controller.fast",
+    "repro.controller.request",
+)
+
+#: repro modules ``import repro`` loaded before the memory side moved into
+#: the kernel; making the binding modules lazy may only lower it
+IMPORT_REPRO_MODULES = 62
+
+
 class TestCoreKernelLoad:
-    """The core model's kernel (``cpu/_core.c``) shares the trace kernel's
-    cache and loads at the first machine build, never at import."""
+    """The model kernel (``cpu/_core.c``) shares the trace kernel's cache
+    and loads at the first machine build, never at import."""
 
     @staticmethod
     def _cores(tmp_path) -> list[str]:
@@ -307,13 +324,17 @@ class TestCoreKernelLoad:
     def test_import_help_and_generation_load_no_core_kernel(self, tmp_path):
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                    PYTHONPATH=str(SRC))
-        script = textwrap.dedent("""
+        script = textwrap.dedent(f"""
             import sys
             import repro
+            loaded = [m for m in sys.modules
+                      if m == "repro" or m.startswith("repro.")]
+            assert len(loaded) <= {IMPORT_REPRO_MODULES}, len(loaded)
             from repro.workloads.spec2000 import app_by_code
             from repro.workloads.synthetic import make_trace
             make_trace(app_by_code("c"), 1, "eval").next_op()
-            assert "repro.cpu.core_model" not in sys.modules
+            bound = set({KERNEL_BINDERS!r}) & set(sys.modules)
+            assert not bound, sorted(bound)
         """)
         for cmd in ([sys.executable, "-c", script],
                     [sys.executable, "-m", "repro", "--help"]):
