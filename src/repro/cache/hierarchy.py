@@ -15,7 +15,7 @@ substrate:
 
 The two hit paths and the stalled core's registration run inside the core
 model's kernel (``advance_fetch`` and ``wait_unblock`` in ``cpu/_core.c``),
-which probes the caches' sets directly.  The miss path past the L2
+which probes the caches' blocks directly.  The miss path past the L2
 (``_after_l2_miss``), the fill path (``_on_fill``, ``_fill_l1``, the L2
 victim's owner and L1 copy) and the structural-stall wake-ups
 (``_on_space_freed``) run in the same kernel's ``HierarchyKernel``, the
@@ -43,6 +43,7 @@ from repro.cache.mshr import MshrFile
 from repro.config import SystemConfig
 from repro.controller.request import MemoryRequest
 from repro.cpu.kernel import kernel
+from repro.util.counters import int64s
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.controller import MemoryController
@@ -62,8 +63,11 @@ HierarchyKernel = kernel.HierarchyKernel
 class CacheHierarchy(HierarchyKernel):
     """L1-per-core + shared-L2 hierarchy.
 
-    ``controller``, ``spans``, ``_l2_outstanding``, ``_unblock_waiters``
-    and ``_space_watch_armed`` are kernel fields.
+    ``controller``, ``spans``, ``writebacks`` (dirty lines written back
+    to memory), ``_l2_outstanding``, ``_unblock_waiters`` and
+    ``_space_watch_armed`` are kernel fields.  ``_owner`` is the L2's
+    owner column: the core whose fill last installed the line in each L2
+    way, the core a dirty victim's writeback is billed to.
     ``_after_l2_miss(core_id, line, is_write, now, waiter)`` returns
     :data:`PENDING` (new memory request issued), :data:`MERGED` (joined
     an in-flight miss) — for both, ``waiter`` fires when the data
@@ -99,27 +103,22 @@ class CacheHierarchy(HierarchyKernel):
         self.l2 = SetAssocCache(cc.l2, name="L2")
         self.mshrs = [MshrFile(cc.l1d.mshrs) for _ in range(num_cores)]
         self.l2_mshr_cap = cc.l2.mshrs
-        #: in-flight lines that have a merged store (fill installs dirty)
-        self._store_pending: set[int] = set()
-        #: line owner for writeback attribution
-        self._owner: dict[int, int] = {}
+        self._owner = int64s(len(self.l2._tags))
         #: writebacks that could not enter a full controller buffer
         self._wb_overflow: deque[MemoryRequest] = deque()
         self._wb_flush_armed = False
         #: per-core demand L2 misses (for workload statistics)
-        self.l2_misses = [0] * num_cores
-        self.demand_accesses = [0] * num_cores
-        #: dirty lines written back to memory (telemetry / analyses)
-        self.writebacks = 0
+        self.l2_misses = int64s(num_cores)
+        self.demand_accesses = int64s(num_cores)
         self._bind(
             controller=controller,
             l1d=self.l1d,
             l2=self.l2,
             mshrs=self.mshrs,
             l2_mshr_cap=self.l2_mshr_cap,
-            store_pending=self._store_pending,
             owner=self._owner,
             l2_misses=self.l2_misses,
+            demand_accesses=self.demand_accesses,
             # Calls out of the kernel, bound once here: a read's
             # completion callback and the controller-space watch are the
             # hierarchy's own entry points.
@@ -161,8 +160,6 @@ class CacheHierarchy(HierarchyKernel):
         finished run (see :meth:`~repro.sim.system.MultiCoreSystem.close`);
         the caches and counters stay readable."""
         self._unbind()
-        for mshr in self.mshrs:
-            mshr._entries.clear()
         self._wb_overflow.clear()
 
     # -- statistics ---------------------------------------------------------------

@@ -22,11 +22,11 @@ parallelism without letting the scheduler commit far into the future.
 ``enqueue``, the scheduling point (``_fast_point``) and completion
 delivery (``_fast_deliver``) run in the model kernel's ``ControllerKernel``
 (``cpu/_core.c``).  A scheduling point reads and writes the channel's bank
-arrays (:class:`~repro.dram.channel.Channel`) directly, resolves the
+vectors (:class:`~repro.dram.channel.Channel`) in place, resolves the
 committed transaction's DDR2 timing there (the one copy of that model),
-reports it to ``dram.observer``, and routes its two event shapes through
-the engine's per-channel lanes (decision slots and read completions)
-instead of the heap.  It calls the policy's ``select_read`` or
+reports it to each of ``dram.observers``, and routes its two event
+shapes through the engine's per-channel lanes (decision slots and read
+completions) instead of the heap.  It calls the policy's ``select_read`` or
 ``select_write``, looked up on the policy, once per decision.  What stays
 here is construction and the rare paths: the write-drain transition
 (:meth:`FastMemoryController._update_drain_mode`) and ``close``.
@@ -47,6 +47,7 @@ from repro.core.policy import SchedulingContext, SchedulingPolicy
 from repro.cpu.kernel import kernel
 from repro.dram.channel import TransactionTiming
 from repro.dram.dram_system import DramSystem
+from repro.util.counters import Counters, int64s
 from repro.util.rng import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,8 +60,13 @@ __all__ = ["ControllerStats", "MemoryController"]
 TRACK = "controller"
 
 
-class ControllerStats:
-    """Per-core and global memory-traffic statistics."""
+class ControllerStats(Counters):
+    """Per-core and global memory-traffic statistics.
+
+    The six per-core vectors are ``array('q')``; ``read_row_hits`` and
+    ``drain_entries`` are counters.  The model kernel updates all of them
+    in place (:mod:`repro.util.counters`).
+    """
 
     __slots__ = (
         "read_count",
@@ -69,19 +75,17 @@ class ControllerStats:
         "bytes_read",
         "bytes_written",
         "write_count",
-        "read_row_hits",
-        "drain_entries",
     )
+    FIELDS = ("read_row_hits", "drain_entries")
 
     def __init__(self, num_cores: int) -> None:
-        self.read_count = [0] * num_cores
-        self.read_latency_sum = [0] * num_cores
-        self.read_latency_max = [0] * num_cores
-        self.bytes_read = [0] * num_cores
-        self.bytes_written = [0] * num_cores
-        self.write_count = [0] * num_cores
-        self.read_row_hits = 0
-        self.drain_entries = 0
+        super().__init__()
+        self.read_count = int64s(num_cores)
+        self.read_latency_sum = int64s(num_cores)
+        self.read_latency_max = int64s(num_cores)
+        self.bytes_read = int64s(num_cores)
+        self.bytes_written = int64s(num_cores)
+        self.write_count = int64s(num_cores)
 
     def avg_read_latency(self, core_id: int | None = None) -> float:
         """Average read latency in cycles, per core or overall."""
@@ -158,7 +162,8 @@ class FastMemoryController(ControllerKernel):
             stats=ControllerStats(num_cores),
             # One reusable scheduling context, its now/channel updated at
             # each decision (policies only read it during the select
-            # call); hits_prefiltered is a property of the bound policy.
+            # call); hits_prefiltered is a property of the bound policy,
+            # which the kernel reads once, at _bind.
             ctx=SchedulingContext(
                 0, 0, queues, dram, rng,
                 hits_prefiltered=policy.hit_first_global,

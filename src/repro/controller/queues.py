@@ -6,18 +6,22 @@ of outstanding read and write requests.  Those counters are exactly what
 LREQ and ME-LREQ consult, so they are maintained here, incrementally, rather
 than recomputed by scanning.
 
-Queues are small (64 entries), so plain lists with linear scans at
-scheduling time are both simple and fast enough; profiling on the benchmark
-workloads showed the scheduler scan is not the simulation bottleneck.
+Queues are small (64 entries), so plain lists of requests, scanned at
+scheduling time, are both simple and fast enough.  The counters live in
+typed storage the model kernel updates in place (:mod:`repro.util.counters`):
+``occupancy`` and ``_next_seq`` are int64 slots and ``pending_reads`` and
+``pending_writes`` are ``array('q')`` vectors, read like a list of ints.
 
 The queues are state only: ``MemoryController.enqueue`` adds a request
 (assigning its age ``seq``) and the scheduling point removes the one it
-commits; policies read the views.
+commits; policies read the views and must treat them as read-only.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from repro.util.counters import Counters, int64s
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.request import MemoryRequest
@@ -25,8 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RequestQueues"]
 
 
-class RequestQueues:
-    """Shared read/write request buffer with per-core counters."""
+class RequestQueues(Counters):
+    """Shared read/write request buffer with per-core counters.
+
+    ``occupancy`` (total buffered requests, an O(1) full/space test on
+    every access retry) and ``_next_seq`` are counters.
+    """
 
     __slots__ = (
         "capacity",
@@ -36,28 +44,24 @@ class RequestQueues:
         "writes_by_ch",
         "pending_reads",
         "pending_writes",
-        "occupancy",
-        "_next_seq",
     )
+    FIELDS = ("occupancy", "_next_seq")
 
     def __init__(self, capacity: int, num_cores: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if num_cores < 1:
             raise ValueError("num_cores must be >= 1")
+        super().__init__()
         self.capacity = capacity
         self.reads: list[MemoryRequest] = []
         self.writes: list[MemoryRequest] = []
         #: per-channel views of the two queues, in age order (the
         #: controller sizes them to its channel count).  The scheduler
         #: consults one channel per scheduling point, so these spare it a
-        #: full-buffer scan each time.  Policies treat them as read-only.
+        #: full-buffer scan each time.
         self.reads_by_ch: list[list[MemoryRequest]] = []
         self.writes_by_ch: list[list[MemoryRequest]] = []
         #: outstanding read/write request counts per core (queue occupancy)
-        self.pending_reads = [0] * num_cores
-        self.pending_writes = [0] * num_cores
-        #: total buffered requests — a plain counter: the full/space test
-        #: runs on every access retry and must be O(1)
-        self.occupancy = 0
-        self._next_seq = 0
+        self.pending_reads = int64s(num_cores)
+        self.pending_writes = int64s(num_cores)

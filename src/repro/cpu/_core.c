@@ -15,18 +15,24 @@
  *   CoreKernel        TraceCore's fetch with the L1/L2 hit paths, commit
  *                     and callbacks (repro.cpu.core_model)
  *
- * The kernel walks the Python objects the rest of the simulator shares, in
- * the order the model always walked them: the caches' set dicts (tag ->
- * dirty flag, insertion order = LRU order), the MSHR entry dicts, the
- * controller's RequestQueues lists and counters, the channels' bank lists
- * and counters, and the stats objects, so every counter lands on the same
- * Python object at the same point.  What stays Python is reached through
- * calls: the scheduling policy (select_read or select_write, looked up on
- * the policy at every decision), the write-drain transition, the writeback
- * path, dram.observer and the span collector.  Calls between components go
- * through the bound callables each Python class hands to its _bind(), so
- * instrumentation that wraps a method by name before a machine is built
- * sees every call.
+ * The state the model touches on every access is typed storage that the
+ * Python objects own and the kernel writes in place: each cache's flat
+ * block of tags and dirty flags (plus the L2's owner column), each MSHR
+ * file's entry table, and the int64 counters and per-core and per-bank
+ * vectors of the queues, channels, stats objects and hierarchy (all
+ * array('q') or array('B'), see repro.util.counters).  At _bind the
+ * kernel takes a buffer export of each array and keeps it until dealloc
+ * (an exported array refuses to resize, so the storage cannot move), so
+ * Python reads the same names and gets the same ints, during a run and
+ * after the machine closes.  A recording's columns are the exception: a
+ * core re-reads their addresses after every call out (see cols_load).
+ * What stays Python is reached through calls: the scheduling policy
+ * (select_read or select_write, looked up on the policy at every
+ * decision), the write-drain transition, the writeback path, the
+ * dram.observers subscribers and the span collector.  Calls between
+ * components go through the bound callables each Python class hands to
+ * its _bind(), so instrumentation that wraps a method by name before a
+ * machine is built sees every call.
  *
  * Time is counted in slots in the core: issue_width slots per cycle (see
  * core_model.py).  All ints are int64; an address or cycle beyond that
@@ -37,6 +43,7 @@
 #include <structmember.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <string.h>
 
 /* ready cycle of a load still waiting on memory; an empty decision slot */
 #define NEVER ((int64_t)1 << 62)
@@ -45,27 +52,34 @@
 #define BLOCKED (-2)
 #define MERGED (-3)
 
-static PyObject *s_stats, *s_hits, *s_misses, *s_loads, *s_stores,
-    *s_l1_hits, *s_l2_hits, *s_mem_requests, *s_structural_stalls,
-    *s_gap, *s_addr, *s_is_write, *s_sets, *s_off_bits, *s_set_mask,
-    *s_assoc, *s_entries, *s_capacity, *s_l2, *s_line_mask,
-    *s_l1_hit_latency, *s_l2_hit_latency, *s_demand_accesses,
-    *s_evictions, *s_dirty_evictions, *s_fills, *s_merges, *s_on_merge,
-    *s_allocations, *s_peak_occupancy, *s_start_request, *s_end_inflight,
-    *s_count, *s_sample_every, *s_blocked, *s_offered, *s_read,
-    *s_occupancy, *s_next_seq, *s_channel, *s_bank, *s_row,
-    *s_busy_until, *s_bus_free_cycle, *s_transactions, *s_writes,
-    *s_data_cycles, *s_act_times, *s_append, *s_observer, *s_now,
-    *s_hits_prefiltered, *s_select_read, *s_select_write, *s_read_row_hits,
+/* Slot indices of the Counters subclasses' FIELDS: keep each list in the
+ * order of its class's FIELDS tuple. */
+enum { C_HITS, C_MISSES, C_EVICTIONS, C_DIRTY_EVICTIONS, C_FILLS,
+       C_NFIELDS };                                  /* CacheStats */
+enum { K_LOADS, K_STORES, K_L1_HITS, K_L2_HITS, K_MEM_REQUESTS, K_STALLS,
+       K_NFIELDS };                                  /* CoreStats */
+enum { M_OCCUPANCY, M_PEAK, M_MERGES, M_ALLOCATIONS, M_NFIELDS }; /* MshrFile */
+enum { Q_OCCUPANCY, Q_NEXT_SEQ, Q_NFIELDS };         /* RequestQueues */
+enum { S_READ_ROW_HITS, S_DRAIN_ENTRIES, S_NFIELDS }; /* ControllerStats */
+enum { CH_BUS_FREE, CH_BUSY_UNTIL, CH_TRANSACTIONS, CH_WRITES,
+       CH_DATA_CYCLES, CH_ACT_COUNT, CH_NFIELDS };   /* Channel */
+
+static PyObject *s_stats, *s_c, *s_gap, *s_addr, *s_is_write, *s_tags,
+    *s_dirty, *s_count, *s_off_bits, *s_set_mask, *s_assoc, *s_lines,
+    *s_stores, *s_waiters, *s_capacity, *s_line_mask,
+    *s_l1_hit_latency, *s_l2_hit_latency, *s_on_merge, *s_start_request,
+    *s_end_inflight, *s_sample_every, *s_read, *s_channel, *s_bank, *s_row, *s_observers, *s_now,
+    *s_hits_prefiltered, *s_select_read, *s_select_write,
     *s_update_drain_mode, *s_index, *s_arrival, *s_pick, *s_track,
     *s_controller_track, *s_bank_start, *s_cas, *s_data_start,
     *s_data_end, *s_done, *s_row_hit, *s_conflict, *s_finish,
     *s_channels, *s_mapper, *s_decode_cache, *s_timing, *s_t_rp,
     *s_t_rcd, *s_t_cl, *s_t_burst, *s_t_wr, *s_t_rrd, *s_t_faw,
-    *s_reads, *s_reads_by_ch, *s_writes_by_ch, *s_pending_reads,
-    *s_pending_writes, *s_read_count, *s_read_latency_sum,
-    *s_read_latency_max, *s_bytes_read, *s_bytes_written, *s_write_count,
-    *s_ready, *s_open_row, *s_acts, *s_confs, *s_l1d, *kw_timing;
+    *s_reads, *s_writes, *s_reads_by_ch, *s_writes_by_ch,
+    *s_pending_reads, *s_pending_writes, *s_read_count,
+    *s_read_latency_sum, *s_read_latency_max, *s_bytes_read,
+    *s_bytes_written, *s_write_count, *s_ready, *s_open_row, *s_hits,
+    *s_acts, *s_confs, *s_act_cycles, *s_num_banks, *s_stamps, *kw_timing;
 static PyObject *PastEventError;
 
 /* -- helpers ------------------------------------------------------------ */
@@ -101,62 +115,6 @@ static int set_attr_i64(PyObject *obj, PyObject *name, int64_t value)
     return rc;
 }
 
-/* obj.name += n */
-static int add_attr(PyObject *obj, PyObject *name, int64_t n)
-{
-    PyObject *v, *d, *r;
-    int rc;
-    if (obj == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "the stats object was deleted");
-        return -1;
-    }
-    if ((v = PyObject_GetAttr(obj, name)) == NULL)
-        return -1;
-    if ((d = PyLong_FromLongLong(n)) == NULL) {
-        Py_DECREF(v);
-        return -1;
-    }
-    r = PyNumber_InPlaceAdd(v, d);
-    Py_DECREF(v);
-    Py_DECREF(d);
-    if (r == NULL)
-        return -1;
-    rc = PyObject_SetAttr(obj, name, r);
-    Py_DECREF(r);
-    return rc;
-}
-
-/* list[i] as an int64 (bounds-checked) */
-static int item_i64(PyObject *list, int64_t i, int64_t *out)
-{
-    if (i < 0 || i >= PyList_GET_SIZE(list)) {
-        PyErr_SetString(PyExc_IndexError, "list index out of range");
-        return -1;
-    }
-    return as_i64(PyList_GET_ITEM(list, i), out);
-}
-
-static int set_item_i64(PyObject *list, int64_t i, int64_t value)
-{
-    PyObject *v;
-    if (i < 0 || i >= PyList_GET_SIZE(list)) {
-        PyErr_SetString(PyExc_IndexError, "list assignment index out of range");
-        return -1;
-    }
-    if ((v = PyLong_FromLongLong(value)) == NULL)
-        return -1;
-    return PyList_SetItem(list, i, v);
-}
-
-/* list[i] += n */
-static int add_item(PyObject *list, int64_t i, int64_t n)
-{
-    int64_t v;
-    if (item_i64(list, i, &v) < 0)
-        return -1;
-    return set_item_i64(list, i, v + n);
-}
-
 /* list.remove(item) for items equal only to themselves */
 static int remove_item(PyObject *list, PyObject *item)
 {
@@ -182,110 +140,281 @@ static int get_list(PyObject *obj, PyObject *name, PyObject **out)
     return 0;
 }
 
-/* The set dict of a cache's set list (a list of dicts). */
-static PyObject *set_at(PyObject *sets, int64_t index)
+static int index_error(const char *what)
 {
-    PyObject *s;
-    if (index < 0 || index >= PyList_GET_SIZE(sets)) {
-        PyErr_SetString(PyExc_IndexError, "cache set index out of range");
-        return NULL;
-    }
-    s = PyList_GET_ITEM(sets, index);
-    if (!PyDict_Check(s)) {
-        PyErr_SetString(PyExc_TypeError, "a cache set must be a dict");
-        return NULL;
-    }
-    return s;
-}
-
-/* Whether int key k is in dict d: 1, 0 or -1. */
-static int dict_has(PyObject *d, int64_t k)
-{
-    PyObject *key = PyLong_FromLongLong(k);
-    int rc;
-    if (key == NULL)
-        return -1;
-    rc = PyDict_Contains(d, key);
-    Py_DECREF(key);
-    return rc;
-}
-
-/* A cache hit's recency refresh: s[key] = s.pop(key), or with or_value,
- * s[key] = s.pop(key) or or_value.  Returns 1 on a hit, 0 on a miss (s
- * unchanged) and -1 on error. */
-static int touch(PyObject *s, int64_t k, PyObject *or_value)
-{
-    PyObject *key = PyLong_FromLongLong(k), *old;
-    int rc = -1, truth;
-    if (key == NULL)
-        return -1;
-    old = PyDict_GetItemWithError(s, key);
-    if (old == NULL) {
-        rc = PyErr_Occurred() ? -1 : 0;
-        goto done;
-    }
-    Py_INCREF(old);
-    if (PyDict_DelItem(s, key) < 0)
-        goto drop;
-    if (or_value != NULL) {
-        if ((truth = PyObject_IsTrue(old)) < 0)
-            goto drop;
-        if (!truth) {
-            Py_INCREF(or_value);
-            Py_SETREF(old, or_value);
-        }
-    }
-    rc = PyDict_SetItem(s, key, old) < 0 ? -1 : 1;
-drop:
-    Py_DECREF(old);
-done:
-    Py_DECREF(key);
-    return rc;
-}
-
-/* SetAssocCache.fill on set dict s: a resident tag is refreshed (its value
- * becomes `old or value` with or_value, else stays); an absent one evicts
- * the LRU line of a full set and goes in with value.  Returns 1 with the
- * victim's tag in *vtag and its dirty flag (a new reference) in *vdirty, 0
- * without a victim, -1 on error. */
-static int install(PyObject *s, int64_t tag, PyObject *value, int or_value,
-                   int64_t assoc, PyObject *stats, int64_t *vtag,
-                   PyObject **vdirty)
-{
-    PyObject *key, *k, *v, *victim = NULL;
-    Py_ssize_t pos = 0;
-    int rc;
-    if (s == NULL)
-        return -1;
-    if ((rc = touch(s, tag, or_value ? value : NULL)) != 0)
-        return rc < 0 ? -1 : 0;
-    if (PyDict_GET_SIZE(s) >= assoc && PyDict_Next(s, &pos, &k, &v)) {
-        if (as_i64(k, vtag) < 0)
-            return -1;
-        victim = v;
-        Py_INCREF(victim);
-        Py_INCREF(k);
-        rc = PyDict_DelItem(s, k);
-        Py_DECREF(k);
-        if (rc < 0 || add_attr(stats, s_evictions, 1) < 0
-            || (rc = PyObject_IsTrue(victim)) < 0
-            || (rc && add_attr(stats, s_dirty_evictions, 1) < 0))
-            goto fail;
-    }
-    if ((key = PyLong_FromLongLong(tag)) == NULL)
-        goto fail;
-    rc = PyDict_SetItem(s, key, value);
-    Py_DECREF(key);
-    if (rc < 0 || add_attr(stats, s_fills, 1) < 0)
-        goto fail;
-    if (victim == NULL)
-        return 0;
-    *vdirty = victim;
-    return 1;
-fail:
-    Py_XDECREF(victim);
+    PyErr_Format(PyExc_IndexError, "%s out of range", what);
     return -1;
 }
+
+/* -- typed storage -------------------------------------------------------- */
+
+/* The buffer exports a kernel object holds from _bind to dealloc. */
+typedef struct {
+    Py_buffer *v;
+    Py_ssize_t n;
+} Pins;
+
+/* Export obj.name (obj itself when name is NULL): a writable buffer of
+ * items of itemsize bytes, at least min_items of them.  The export joins
+ * pins; returns its base address, or NULL with an exception. */
+static void *pin(Pins *p, PyObject *obj, PyObject *name, Py_ssize_t itemsize,
+                 Py_ssize_t min_items)
+{
+    PyObject *a;
+    Py_buffer view, *grown;
+    int rc;
+    if (name != NULL) {
+        if ((a = PyObject_GetAttr(obj, name)) == NULL)
+            return NULL;
+    } else {
+        a = obj;
+        Py_INCREF(a);
+    }
+    rc = PyObject_GetBuffer(a, &view, PyBUF_WRITABLE);
+    Py_DECREF(a);
+    if (rc < 0)
+        return NULL;
+    if (view.itemsize != itemsize || view.len < min_items * itemsize) {
+        PyErr_Format(PyExc_TypeError,
+                     "%R must hold at least %zd items of %zd bytes",
+                     name != NULL ? name : obj, min_items, itemsize);
+        PyBuffer_Release(&view);
+        return NULL;
+    }
+    grown = PyMem_Realloc(p->v, (p->n + 1) * sizeof(Py_buffer));
+    if (grown == NULL) {
+        PyBuffer_Release(&view);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    p->v = grown;
+    p->v[p->n++] = view;
+    return view.buf;
+}
+
+/* A Counters object's slots (its _c array). */
+static int64_t *pin_counters(Pins *p, PyObject *obj, Py_ssize_t nfields)
+{
+    return pin(p, obj, s_c, sizeof(int64_t), nfields);
+}
+
+static void unpin(Pins *p)
+{
+    while (p->n)
+        PyBuffer_Release(&p->v[--p->n]);
+    PyMem_Free(p->v);
+    p->v = NULL;
+}
+
+/* -- caches ---------------------------------------------------------------- */
+
+/* One SetAssocCache's block: set s holds count[s] lines in slots
+ * s * assoc .. s * assoc + count[s] - 1, LRU first.  owner is the L2's
+ * owner column (CacheHierarchy._owner), NULL for an L1. */
+typedef struct {
+    int64_t *tags, *count, *stats, *owner;
+    unsigned char *dirty;
+    int64_t off, mask, assoc;
+} Cache;
+
+/* A line a fill evicted: its tag, dirty flag and owner. */
+typedef struct {
+    int64_t tag, owner;
+    int dirty;
+} Victim;
+
+static int cache_bind(Cache *k, Pins *p, PyObject *cache)
+{
+    PyObject *stats;
+    int64_t ways;
+    if (attr_i64(cache, s_off_bits, &k->off) < 0
+        || attr_i64(cache, s_set_mask, &k->mask) < 0
+        || attr_i64(cache, s_assoc, &k->assoc) < 0)
+        return -1;
+    if (k->mask < 0 || k->assoc < 1 || k->off < 0 || k->off > 62) {
+        PyErr_SetString(PyExc_ValueError, "bad cache geometry");
+        return -1;
+    }
+    ways = (k->mask + 1) * k->assoc;
+    if ((k->tags = pin(p, cache, s_tags, 8, ways)) == NULL
+        || (k->dirty = pin(p, cache, s_dirty, 1, ways)) == NULL
+        || (k->count = pin(p, cache, s_count, 8, k->mask + 1)) == NULL
+        || (stats = PyObject_GetAttr(cache, s_stats)) == NULL)
+        return -1;
+    k->stats = pin_counters(p, stats, C_NFIELDS);
+    Py_DECREF(stats);
+    return k->stats != NULL ? 0 : -1;
+}
+
+/* The way of tag in its set (from LRU, 0), or -1; *base is the set's
+ * first slot. */
+static int64_t cache_way(const Cache *k, int64_t tag, int64_t *base)
+{
+    int64_t set = tag & k->mask, n = k->count[set], i;
+    const int64_t *t = k->tags + set * k->assoc;
+    *base = set * k->assoc;
+    for (i = 0; i < n; i++)
+        if (t[i] == tag)
+            return i;
+    return -1;
+}
+
+/* Slots i + 1 .. n - 1 of the set at base move down one (slot i goes). */
+static void close_gap(Cache *k, int64_t base, int64_t i, int64_t n)
+{
+    size_t m = (size_t)(n - 1 - i);
+    memmove(k->tags + base + i, k->tags + base + i + 1, m * sizeof(int64_t));
+    memmove(k->dirty + base + i, k->dirty + base + i + 1, m);
+    if (k->owner != NULL)
+        memmove(k->owner + base + i, k->owner + base + i + 1,
+                m * sizeof(int64_t));
+}
+
+/* Put a line in slot n - 1, the MRU end, of the set at base. */
+static void put_mru(Cache *k, int64_t base, int64_t n, int64_t tag, int dirty,
+                    int64_t owner)
+{
+    k->tags[base + n - 1] = tag;
+    k->dirty[base + n - 1] = (unsigned char)dirty;
+    if (k->owner != NULL)
+        k->owner[base + n - 1] = owner;
+}
+
+/* Way i of a full-length set of n lines moves to the MRU end. */
+static void to_mru(Cache *k, int64_t base, int64_t i, int64_t n)
+{
+    int64_t tag, owner;
+    int dirty;
+    if (i == n - 1)
+        return;
+    tag = k->tags[base + i];
+    owner = k->owner != NULL ? k->owner[base + i] : 0;
+    dirty = k->dirty[base + i];
+    close_gap(k, base, i, n);
+    put_mru(k, base, n, tag, dirty, owner);
+}
+
+/* A demand probe: a resident line moves to MRU, and a store dirties it.
+ * 1 on a hit, 0 on a miss (the set unchanged). */
+static int cache_touch(Cache *k, int64_t tag, int store)
+{
+    int64_t base, i = cache_way(k, tag, &base), n;
+    if (i < 0)
+        return 0;
+    n = k->count[tag & k->mask];
+    to_mru(k, base, i, n);
+    if (store)
+        k->dirty[base + n - 1] = 1;
+    return 1;
+}
+
+/* A fill: a resident line moves to MRU, its dirty flag ORed with dirty
+ * when or_dirty (an L1) and kept otherwise (the L2); an absent one
+ * evicts the LRU line of a full set into *v and goes in at MRU with dirty.
+ * The owner column, when there is one, takes owner either way.  1 with a
+ * victim, 0 without. */
+static int cache_install(Cache *k, int64_t tag, int dirty, int or_dirty,
+                         int64_t owner, Victim *v)
+{
+    int64_t set = tag & k->mask, base, n = k->count[set];
+    int64_t i = cache_way(k, tag, &base);
+    int evicted = 0;
+    if (i >= 0) {
+        to_mru(k, base, i, n);
+        if (or_dirty && dirty)
+            k->dirty[base + n - 1] = 1;
+        if (k->owner != NULL)
+            k->owner[base + n - 1] = owner;
+    } else {
+        if (n >= k->assoc) {
+            v->tag = k->tags[base];
+            v->dirty = k->dirty[base];
+            v->owner = k->owner != NULL ? k->owner[base] : 0;
+            close_gap(k, base, 0, n);
+            n--;
+            k->stats[C_EVICTIONS]++;
+            if (v->dirty)
+                k->stats[C_DIRTY_EVICTIONS]++;
+            evicted = 1;
+        }
+        k->count[set] = ++n;
+        put_mru(k, base, n, tag, dirty, owner);
+        k->stats[C_FILLS]++;
+    }
+    return evicted;
+}
+
+/* Dirty a resident line in place, its LRU position unchanged (a dirty L1
+ * victim merging into the L2).  1 if resident, 0 if not. */
+static int cache_set_dirty(Cache *k, int64_t tag)
+{
+    int64_t base, i = cache_way(k, tag, &base);
+    if (i < 0)
+        return 0;
+    k->dirty[base + i] = 1;
+    return 1;
+}
+
+/* Drop a resident line, closing the gap; its dirty flag to *dirty.  1 if
+ * it was resident, 0 if not. */
+static int cache_invalidate(Cache *k, int64_t tag, int *dirty)
+{
+    int64_t set = tag & k->mask, base, i = cache_way(k, tag, &base);
+    if (i < 0)
+        return 0;
+    *dirty = k->dirty[base + i];
+    close_gap(k, base, i, k->count[set]);
+    k->count[set]--;
+    return 1;
+}
+
+/* -- span collectors --------------------------------------------------------- */
+
+enum { SP_OFFERED, SP_COUNT, SP_NFIELDS };          /* SpanCollector */
+
+/* A span collector as the core and hierarchy kernels see it: its offer
+ * counters and per-core stall stamps ((cycle, line) pairs, line -1 for
+ * none), exported when the collector is attached. */
+typedef struct {
+    PyObject *obj; /* the SpanCollector, or NULL */
+    int64_t *c, *stamps, every, ncores;
+    Pins pins;
+} SpanView;
+
+static PyObject *spans_get(SpanView *s)
+{
+    PyObject *v = s->obj != NULL ? s->obj : Py_None;
+    Py_INCREF(v);
+    return v;
+}
+
+/* Attach collector v (None detaches). */
+static int spans_set(SpanView *s, PyObject *v)
+{
+    if (v == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete spans");
+        return -1;
+    }
+    unpin(&s->pins);
+    s->c = s->stamps = NULL;
+    s->ncores = 0;
+    Py_CLEAR(s->obj);
+    if (v == Py_None)
+        return 0;
+    if (attr_i64(v, s_sample_every, &s->every) < 0
+        || (s->c = pin_counters(&s->pins, v, SP_NFIELDS)) == NULL
+        || (s->stamps = pin(&s->pins, v, s_stamps, 8, 0)) == NULL) {
+        unpin(&s->pins);
+        s->c = s->stamps = NULL;
+        return -1;
+    }
+    s->ncores = s->pins.v[s->pins.n - 1].len / 16;
+    Py_INCREF(v);
+    s->obj = v;
+    return 0;
+}
+
+/* -- calls ------------------------------------------------------------------ */
 
 static int truthy(PyObject *v)
 {
@@ -1056,25 +1185,30 @@ static PyTypeObject EngineType = {
  * ====================================================================== */
 
 /* One channel as the scheduling point sees it: the Channel, its bank
- * lists, the two queue views and the armed-decision flag. */
+ * vectors and counters, the two queue views and the armed-decision flag. */
 typedef struct {
-    PyObject *ch, *ready, *open_row, *hits, *acts, *confs, *reads, *writes;
+    PyObject *ch, *reads, *writes;
+    int64_t *ready, *open_row, *hits, *acts, *confs, *c, *act_times;
+    int64_t nbanks;
     char pending;
 } ChanView;
 
 typedef struct {
     PyObject_HEAD
-    char drain_mode;
+    char drain_mode, prefiltered, open_page;
     PyObject *engine, *dram, *policy, *queues, *stats, *ctx, *spans;
     PyObject *space_waiters, *decode_cache, *timing_cls, *on_read_complete;
-    PyObject *reads, *writes, *pending_reads, *pending_writes;
-    PyObject *read_count, *lat_sum, *lat_max, *bytes_read, *bytes_written;
-    PyObject *write_count;
+    PyObject *observers, *reads, *writes;
+    /* the queues' and stats' counters and per-core vectors */
+    int64_t *qc, *pending_reads, *pending_writes, *sc;
+    int64_t *read_count, *lat_sum, *lat_max, *bytes_read, *bytes_written;
+    int64_t *write_count;
+    Py_ssize_t ncores;
     ChanView *chans;
     Py_ssize_t nch;
     int64_t capacity, off_bits, t_rp, t_rcd, t_cl, t_burst, t_wr, t_rrd;
     int64_t t_faw, drain_high, drain_low, overhead, line_bytes, horizon;
-    char open_page;
+    Pins pins;
 } Ctrl;
 
 static PyTypeObject CtrlType;
@@ -1090,10 +1224,9 @@ static int ctrl_bound(Ctrl *c)
 /* Whether the shared buffer has a free slot: 1, 0 or -1. */
 static int ctrl_can_accept(Ctrl *c)
 {
-    int64_t occ;
-    if (ctrl_bound(c) < 0 || attr_i64(c->queues, s_occupancy, &occ) < 0)
+    if (ctrl_bound(c) < 0)
         return -1;
-    return occ < c->capacity;
+    return c->qc[Q_OCCUPANCY] < c->capacity;
 }
 
 /* Arm the engine's decision slot for channel ch at max(busy_until, now),
@@ -1110,8 +1243,7 @@ static int ctrl_kick(Ctrl *c, Py_ssize_t ch, int64_t now)
         return -1;
     }
     c->chans[ch].pending = 1;
-    if (attr_i64(c->chans[ch].ch, s_busy_until, &busy) < 0)
-        return -1;
+    busy = c->chans[ch].c[CH_BUSY_UNTIL];
     engine_arm(e, ch, busy > now ? busy : now);
     return 0;
 }
@@ -1138,11 +1270,13 @@ static int ctrl_drain_check(Ctrl *c, int64_t now)
  * its queue and channel view, runs the drain test and kicks the channel. */
 static int ctrl_enqueue(Ctrl *c, Request *r, int64_t now)
 {
-    int64_t occ, seq, ch, bank, row;
+    int64_t ch, bank, row;
     PyObject *key, *coord, *view;
     int rc;
     if ((rc = ctrl_can_accept(c)) <= 0)
         return rc;
+    if (r->core_id < 0 || r->core_id >= c->ncores)
+        return index_error("request core_id");
     if ((key = PyLong_FromLongLong(r->addr >> c->off_bits)) == NULL)
         return -1;
     coord = PyDict_GetItemWithError(c->decode_cache, key);
@@ -1161,25 +1295,21 @@ static int ctrl_enqueue(Ctrl *c, Request *r, int64_t now)
         return -1;
     r->bank = bank;
     r->row = row;
-    if (ch < 0 || ch >= c->nch) {
-        PyErr_SetString(PyExc_IndexError, "decoded channel out of range");
-        return -1;
-    }
+    if (ch < 0 || ch >= c->nch)
+        return index_error("decoded channel");
+    if (bank < 0 || bank >= c->chans[ch].nbanks)
+        return index_error("decoded bank");
     r->arrival_cycle = now;
-    if (attr_i64(c->queues, s_next_seq, &seq) < 0
-        || set_attr_i64(c->queues, s_next_seq, seq + 1) < 0
-        || attr_i64(c->queues, s_occupancy, &occ) < 0
-        || set_attr_i64(c->queues, s_occupancy, occ + 1) < 0)
-        return -1;
-    r->seq = seq;
+    r->seq = c->qc[Q_NEXT_SEQ]++;
+    c->qc[Q_OCCUPANCY]++;
     if (r->is_write) {
         view = c->chans[ch].writes;
-        rc = PyList_Append(c->writes, (PyObject *)r) < 0
-            || add_item(c->pending_writes, r->core_id, 1) < 0 ? -1 : 0;
+        c->pending_writes[r->core_id]++;
+        rc = PyList_Append(c->writes, (PyObject *)r);
     } else {
         view = c->chans[ch].reads;
-        rc = PyList_Append(c->reads, (PyObject *)r) < 0
-            || add_item(c->pending_reads, r->core_id, 1) < 0 ? -1 : 0;
+        c->pending_reads[r->core_id]++;
+        rc = PyList_Append(c->reads, (PyObject *)r);
     }
     if (rc < 0 || PyList_Append(view, (PyObject *)r) < 0
         || ctrl_drain_check(c, now) < 0 || ctrl_kick(c, ch, now) < 0)
@@ -1222,11 +1352,11 @@ static PyObject *ctrl_wait_for_space_py(Ctrl *c, PyObject *callback)
     return done_or_null(ctrl_wait_for_space(c, callback));
 }
 
-/* Scan one queue view for the scheduling point: arrived requests whose
- * bank is ready within the horizon go to out (when out is not NULL), the
- * earliest later bank-ready cycle to *wake, the earliest future arrival
- * to *future, and whether any request has arrived to *arrived. */
-static int scan_view(PyObject *view, PyObject *ready, int64_t now,
+/* Scan one queue view of cv for the scheduling point: arrived requests
+ * whose bank is ready within the horizon go to out, the earliest later
+ * bank-ready cycle to *wake, the earliest future arrival to *future, and
+ * whether any request has arrived to *arrived. */
+static int scan_view(PyObject *view, ChanView *cv, int64_t now,
                      int64_t horizon, PyObject *out, int64_t *wake,
                      int64_t *future, int *arrived)
 {
@@ -1238,8 +1368,9 @@ static int scan_view(PyObject *view, PyObject *ready, int64_t now,
             return -1;
         if (r->arrival_cycle <= now) {
             *arrived = 1;
-            if (item_i64(ready, r->bank, &t) < 0)
-                return -1;
+            if (r->bank < 0 || r->bank >= cv->nbanks)
+                return index_error("request bank");
+            t = cv->ready[r->bank];
             if (t <= horizon) {
                 if (PyList_Append(out, (PyObject *)r) < 0)
                     return -1;
@@ -1273,13 +1404,14 @@ static int row_wanted(PyObject *view, int64_t bank, int64_t row)
     return 0;
 }
 
-/* TransactionTiming(...) for dram.observer, then the observer call. */
-static int notify_observer(Ctrl *c, PyObject *observer, Request *r,
-                           int64_t cas, int64_t data_start, int64_t data_end,
-                           int hit, int64_t bank_start, int conflict,
-                           int keep_open)
+/* TransactionTiming(...), then each dram.observers subscriber in attach
+ * order. */
+static int notify_observers(Ctrl *c, Request *r, int64_t cas,
+                            int64_t data_start, int64_t data_end, int hit,
+                            int64_t bank_start, int conflict, int keep_open)
 {
     PyObject *v[6], *timing, *args[5];
+    Py_ssize_t j;
     int i, rc = -1;
     v[0] = PyLong_FromLongLong(cas);
     v[1] = PyLong_FromLongLong(data_start);
@@ -1298,9 +1430,13 @@ static int notify_observer(Ctrl *c, PyObject *observer, Request *r,
     args[2] = r->is_write ? Py_True : Py_False;
     args[3] = keep_open ? Py_True : Py_False;
     args[4] = conflict ? Py_True : Py_False;
-    Py_INCREF(observer);
-    rc = call_drop(PyObject_Vectorcall(observer, args, 5, NULL));
-    Py_DECREF(observer);
+    rc = 0;
+    for (j = 0; rc == 0 && j < PyList_GET_SIZE(c->observers); j++) {
+        PyObject *fn = PyList_GET_ITEM(c->observers, j);
+        Py_INCREF(fn);
+        rc = call_drop(PyObject_Vectorcall(fn, args, 5, NULL));
+        Py_DECREF(fn);
+    }
     Py_DECREF(timing);
 done:
     for (i = 0; i < 6; i++)
@@ -1355,29 +1491,30 @@ static int stamp_span(Ctrl *c, Request *r, PyObject *ch, int64_t now,
 }
 
 /* Commit r on channel cv at now: queue removal, the page policy, the DDR2
- * timing against the channel's bank lists and data bus (the rules are
- * listed in repro.dram.channel), the observer, the stats, the completion
+ * timing against the channel's bank vectors and data bus (the rules are
+ * listed in repro.dram.channel), the observers, the stats, the completion
  * lane and the span stamps. */
 static int ctrl_commit(Ctrl *c, Py_ssize_t channel, Request *r, int64_t now)
 {
     ChanView *cv = &c->chans[channel];
-    int64_t bank = r->bank, row = r->row, core = r->core_id, occ;
-    int64_t rc_bank, start, bank_start, orow, cas, act, data_start;
-    int64_t data_end, bus, recovery, lat, done, t, v;
+    int64_t bank = r->bank, row = r->row, core = r->core_id;
+    int64_t start, bank_start, orow, cas, act, data_start, data_end;
+    int64_t recovery, lat, done;
     int is_write = r->is_write, keep_open, hit, conflict = 0;
-    PyObject *observer;
 
-    if (attr_i64(c->queues, s_occupancy, &occ) < 0
-        || set_attr_i64(c->queues, s_occupancy, occ - 1) < 0)
-        return -1;
+    if (core < 0 || core >= c->ncores)
+        return index_error("request core_id");
+    if (bank < 0 || bank >= cv->nbanks)
+        return index_error("request bank");
+    c->qc[Q_OCCUPANCY]--;
     if (is_write) {
+        c->pending_writes[core]--;
         if (remove_item(c->writes, (PyObject *)r) < 0
-            || add_item(c->pending_writes, core, -1) < 0
             || remove_item(cv->writes, (PyObject *)r) < 0)
             return -1;
     } else {
+        c->pending_reads[core]--;
         if (remove_item(c->reads, (PyObject *)r) < 0
-            || add_item(c->pending_reads, core, -1) < 0
             || remove_item(cv->reads, (PyObject *)r) < 0)
             return -1;
     }
@@ -1386,10 +1523,10 @@ static int ctrl_commit(Ctrl *c, Py_ssize_t channel, Request *r, int64_t now)
     keep_open = 1;
     if (!c->open_page && (keep_open = row_wanted(cv->reads, bank, row)) == 0)
         keep_open = row_wanted(cv->writes, bank, row);
-    if (keep_open < 0 || item_i64(cv->ready, bank, &rc_bank) < 0
-        || item_i64(cv->open_row, bank, &orow) < 0)
+    if (keep_open < 0)
         return -1;
-    start = now > rc_bank ? now : rc_bank;
+    orow = cv->open_row[bank];
+    start = now > cv->ready[bank] ? now : cv->ready[bank];
     bank_start = start;
     hit = orow == row;
     if (hit) {
@@ -1397,98 +1534,63 @@ static int ctrl_commit(Ctrl *c, Py_ssize_t channel, Request *r, int64_t now)
     } else {
         if (orow != -1) {
             start += c->t_rp;
-            if (add_item(cv->confs, bank, 1) < 0)
-                return -1;
+            cv->confs[bank]++;
             conflict = 1;
         }
         act = start;
         if (c->t_rrd || c->t_faw) {
-            PyObject *acts = PyObject_GetAttr(cv->ch, s_act_times), *x;
-            Py_ssize_t n;
-            int rc = -1;
-            if (acts == NULL)
-                return -1;
-            if ((n = PySequence_Size(acts)) < 0)
-                goto acts_done;
-            if (c->t_rrd && n) {
-                if ((x = PySequence_GetItem(acts, n - 1)) == NULL)
-                    goto acts_done;
-                rc = as_i64(x, &t);
-                Py_DECREF(x);
-                if (rc < 0)
-                    goto acts_done;
-                rc = -1;
-                if (t + c->t_rrd > act)
-                    act = t + c->t_rrd;
+            /* The last four ACTs, oldest first. */
+            int64_t n = cv->c[CH_ACT_COUNT], *t = cv->act_times;
+            if (c->t_rrd && n && t[n - 1] + c->t_rrd > act)
+                act = t[n - 1] + c->t_rrd;
+            if (c->t_faw && n == 4 && t[0] + c->t_faw > act)
+                act = t[0] + c->t_faw;
+            if (n == 4) {
+                memmove(t, t + 1, 3 * sizeof(int64_t));
+                n = 3;
             }
-            if (c->t_faw && n == 4) {
-                if ((x = PySequence_GetItem(acts, 0)) == NULL)
-                    goto acts_done;
-                rc = as_i64(x, &t);
-                Py_DECREF(x);
-                if (rc < 0)
-                    goto acts_done;
-                rc = -1;
-                if (t + c->t_faw > act)
-                    act = t + c->t_faw;
-            }
-            if ((x = PyLong_FromLongLong(act)) == NULL)
-                goto acts_done;
-            rc = call_drop(PyObject_CallMethodOneArg(acts, s_append, x));
-            Py_DECREF(x);
-        acts_done:
-            Py_DECREF(acts);
-            if (rc < 0)
-                return -1;
+            t[n] = act;
+            cv->c[CH_ACT_COUNT] = n + 1;
         }
         cas = act + c->t_rcd;
     }
     data_start = cas + c->t_cl;
-    if (attr_i64(cv->ch, s_bus_free_cycle, &bus) < 0)
-        return -1;
-    if (data_start < bus)
-        data_start = bus;
+    if (data_start < cv->c[CH_BUS_FREE])
+        data_start = cv->c[CH_BUS_FREE];
     data_end = data_start + c->t_burst;
-    if (set_attr_i64(cv->ch, s_bus_free_cycle, data_end) < 0
-        || set_attr_i64(cv->ch, s_busy_until, now + c->t_burst) < 0
-        || add_item(hit ? cv->hits : cv->acts, bank, 1) < 0)
-        return -1;
+    cv->c[CH_BUS_FREE] = data_end;
+    cv->c[CH_BUSY_UNTIL] = now + c->t_burst;
+    (hit ? cv->hits : cv->acts)[bank]++;
     recovery = is_write ? c->t_wr : 0;
-    if (set_item_i64(cv->open_row, bank, keep_open ? row : -1) < 0
-        || set_item_i64(cv->ready, bank, keep_open ? data_end + recovery
-                        : data_end + recovery + c->t_rp) < 0
-        || add_attr(cv->ch, s_transactions, 1) < 0
-        || (is_write && add_attr(cv->ch, s_writes, 1) < 0)
-        || add_attr(cv->ch, s_data_cycles, data_end - data_start) < 0)
+    cv->open_row[bank] = keep_open ? row : -1;
+    cv->ready[bank] = keep_open ? data_end + recovery
+                                : data_end + recovery + c->t_rp;
+    cv->c[CH_TRANSACTIONS]++;
+    if (is_write)
+        cv->c[CH_WRITES]++;
+    cv->c[CH_DATA_CYCLES] += data_end - data_start;
+    if (PyList_GET_SIZE(c->observers)
+        && notify_observers(c, r, cas, data_start, data_end, hit, bank_start,
+                            conflict, keep_open) < 0)
         return -1;
-    if ((observer = PyObject_GetAttr(c->dram, s_observer)) == NULL)
-        return -1;
-    if (observer != Py_None
-        && notify_observer(c, observer, r, cas, data_start, data_end, hit,
-                           bank_start, conflict, keep_open) < 0) {
-        Py_DECREF(observer);
-        return -1;
-    }
-    Py_DECREF(observer);
     r->issue_cycle = now;
     r->row_hit = (char)hit;
     if (is_write) {
         r->done_cycle = data_end;
-        if (add_item(c->write_count, core, 1) < 0
-            || add_item(c->bytes_written, core, c->line_bytes) < 0)
-            return -1;
+        c->write_count[core]++;
+        c->bytes_written[core] += c->line_bytes;
     } else {
         /* Reads pay the controller overhead on the return path. */
         done = data_end + c->overhead;
         r->done_cycle = done;
         lat = done - r->arrival_cycle;
-        if (add_item(c->read_count, core, 1) < 0
-            || add_item(c->lat_sum, core, lat) < 0
-            || item_i64(c->lat_max, core, &v) < 0
-            || (lat > v && set_item_i64(c->lat_max, core, lat) < 0)
-            || add_item(c->bytes_read, core, c->line_bytes) < 0
-            || (hit && add_attr(c->stats, s_read_row_hits, 1) < 0))
-            return -1;
+        c->read_count[core]++;
+        c->lat_sum[core] += lat;
+        if (lat > c->lat_max[core])
+            c->lat_max[core] = lat;
+        c->bytes_read[core] += c->line_bytes;
+        if (hit)
+            c->sc[S_READ_ROW_HITS]++;
         if (r->on_complete != NULL && r->on_complete != Py_None) {
             Engine *e = (Engine *)c->engine;
             if (channel >= e->nch) {
@@ -1522,15 +1624,14 @@ static int ctrl_point(Ctrl *c, int64_t now, Py_ssize_t channel)
     int64_t w_wake = NEVER, r_wake = NEVER, future = NEVER, r_future = NEVER;
     PyObject *cands = NULL, *writes = NULL, *res = NULL, *t = NULL;
     PyObject *args[3];
-    int is_write = 0, rc = -1, arrived = 0, prefiltered = 0;
-    int64_t occ;
+    int is_write = 0, rc = -1, arrived = 0;
 
     cv->pending = 0;
     if (ctrl_drain_check(c, now) < 0)
         return -1;
     if (c->drain_mode) {
         if ((writes = PyList_New(0)) == NULL
-            || scan_view(cv->writes, cv->ready, now, horizon, writes, &w_wake,
+            || scan_view(cv->writes, cv, now, horizon, writes, &w_wake,
                          &future, &arrived) < 0)
             goto done;
         if (arrived) {
@@ -1558,7 +1659,7 @@ static int ctrl_point(Ctrl *c, int64_t now, Py_ssize_t channel)
     }
     if (cands == NULL) {
         if ((cands = PyList_New(0)) == NULL
-            || scan_view(cv->reads, cv->ready, now, horizon, cands, &r_wake,
+            || scan_view(cv->reads, cv, now, horizon, cands, &r_wake,
                          &r_future, &arrived) < 0)
             goto done;
         if (PyList_GET_SIZE(cands) == 0) {
@@ -1568,7 +1669,7 @@ static int ctrl_point(Ctrl *c, int64_t now, Py_ssize_t channel)
                  * wants the channel; only now is the write view scanned. */
                 future = r_future;
                 if ((writes = PyList_New(0)) == NULL
-                    || scan_view(cv->writes, cv->ready, now, horizon, writes,
+                    || scan_view(cv->writes, cv, now, horizon, writes,
                                  &w_wake, &future, &arrived) < 0)
                     goto done;
             } else {
@@ -1592,23 +1693,19 @@ static int ctrl_point(Ctrl *c, int64_t now, Py_ssize_t channel)
         || PyObject_SetAttr(c->ctx, s_now, t) < 0)
         goto done;
     Py_SETREF(t, PyLong_FromSsize_t(channel));
-    if (t == NULL || PyObject_SetAttr(c->ctx, s_channel, t) < 0
-        || (res = PyObject_GetAttr(c->ctx, s_hits_prefiltered)) == NULL
-        || (prefiltered = PyObject_IsTrue(res)) < 0)
+    if (t == NULL || PyObject_SetAttr(c->ctx, s_channel, t) < 0)
         goto done;
-    Py_CLEAR(res);
-    if (prefiltered && PyList_GET_SIZE(cands) > 1) {
+    if (c->prefiltered && PyList_GET_SIZE(cands) > 1) {
         /* The paper's command-level rule: row-buffer hits beat misses
          * regardless of core priority (Sections 3.2 / 4.1). */
         PyObject *hits = PyList_New(0);
         Py_ssize_t i, n = PyList_GET_SIZE(cands);
-        int64_t orow;
         if (hits == NULL)
             goto done;
         for (i = 0; i < n; i++) {
             Request *r = (Request *)PyList_GET_ITEM(cands, i);
-            if (item_i64(cv->open_row, r->bank, &orow) < 0
-                || (orow == r->row && PyList_Append(hits, (PyObject *)r) < 0)) {
+            if (cv->open_row[r->bank] == r->row
+                && PyList_Append(hits, (PyObject *)r) < 0) {
                 Py_DECREF(hits);
                 goto done;
             }
@@ -1625,11 +1722,10 @@ static int ctrl_point(Ctrl *c, int64_t now, Py_ssize_t channel)
                                     args, 3, NULL);
     if (res == NULL || as_request(res) == NULL
         || ctrl_commit(c, channel, (Request *)res, now) < 0
-        || fan_out(&c->space_waiters, now) < 0
-        || attr_i64(c->queues, s_occupancy, &occ) < 0)
+        || fan_out(&c->space_waiters, now) < 0)
         goto done;
     /* More work?  Re-arm at the channel's next issue opportunity. */
-    rc = occ ? ctrl_kick(c, channel, now) : 0;
+    rc = c->qc[Q_OCCUPANCY] ? ctrl_kick(c, channel, now) : 0;
 done:
     Py_XDECREF(cands);
     Py_XDECREF(writes);
@@ -1695,6 +1791,12 @@ static PyObject *ctrl_deliver_py(Ctrl *c, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* A per-core vector of the queues or stats, at least ncores long. */
+static int64_t *pin_cores(Ctrl *c, PyObject *obj, PyObject *name)
+{
+    return pin(&c->pins, obj, name, sizeof(int64_t), c->ncores);
+}
+
 /* _bind(...): take the objects the controller walks and the lane
  * callables.  Called once, by FastMemoryController.__init__. */
 static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
@@ -1705,10 +1807,11 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
         "write_drain_low", "overhead", "line_bytes", "open_page", NULL};
     PyObject *engine, *dram, *policy, *queues, *stats, *ctx, *timing_cls;
     PyObject *notify, *channels = NULL, *mapper = NULL, *timing = NULL;
-    PyObject *rbc = NULL, *wbc = NULL;
+    PyObject *rbc = NULL, *wbc = NULL, *pending = NULL, *pre = NULL;
     long long high, low, overhead, line_bytes;
-    int open_page;
+    int open_page, prefiltered;
     Py_ssize_t i;
+    Pins *p = &c->pins;
 
     if (c->chans != NULL) {
         PyErr_SetString(PyExc_RuntimeError, "the controller is already bound");
@@ -1736,10 +1839,16 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
     c->overhead = overhead;
     c->line_bytes = line_bytes;
     c->open_page = (char)open_page;
+    /* A property of the bound policy: read once. */
+    if ((pre = PyObject_GetAttr(ctx, s_hits_prefiltered)) == NULL
+        || (prefiltered = PyObject_IsTrue(pre)) < 0)
+        goto fail;
+    c->prefiltered = (char)prefiltered;
     if ((c->space_waiters = PyList_New(0)) == NULL
         || (channels = PyObject_GetAttr(dram, s_channels)) == NULL
         || (mapper = PyObject_GetAttr(dram, s_mapper)) == NULL
         || (timing = PyObject_GetAttr(dram, s_timing)) == NULL
+        || get_list(dram, s_observers, &c->observers) < 0
         || attr_i64(mapper, s_off_bits, &c->off_bits) < 0
         || (c->decode_cache = PyObject_GetAttr(mapper, s_decode_cache)) == NULL
         || attr_i64(timing, s_t_rp, &c->t_rp) < 0
@@ -1752,16 +1861,20 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
         || attr_i64(queues, s_capacity, &c->capacity) < 0
         || get_list(queues, s_reads, &c->reads) < 0
         || get_list(queues, s_writes, &c->writes) < 0
-        || get_list(queues, s_pending_reads, &c->pending_reads) < 0
-        || get_list(queues, s_pending_writes, &c->pending_writes) < 0
         || get_list(queues, s_reads_by_ch, &rbc) < 0
         || get_list(queues, s_writes_by_ch, &wbc) < 0
-        || get_list(stats, s_read_count, &c->read_count) < 0
-        || get_list(stats, s_read_latency_sum, &c->lat_sum) < 0
-        || get_list(stats, s_read_latency_max, &c->lat_max) < 0
-        || get_list(stats, s_bytes_read, &c->bytes_read) < 0
-        || get_list(stats, s_bytes_written, &c->bytes_written) < 0
-        || get_list(stats, s_write_count, &c->write_count) < 0)
+        || (pending = PyObject_GetAttr(queues, s_pending_reads)) == NULL
+        || (c->ncores = PyObject_Length(pending)) < 0
+        || (c->qc = pin_counters(p, queues, Q_NFIELDS)) == NULL
+        || (c->sc = pin_counters(p, stats, S_NFIELDS)) == NULL
+        || (c->pending_reads = pin_cores(c, queues, s_pending_reads)) == NULL
+        || (c->pending_writes = pin_cores(c, queues, s_pending_writes)) == NULL
+        || (c->read_count = pin_cores(c, stats, s_read_count)) == NULL
+        || (c->lat_sum = pin_cores(c, stats, s_read_latency_sum)) == NULL
+        || (c->lat_max = pin_cores(c, stats, s_read_latency_max)) == NULL
+        || (c->bytes_read = pin_cores(c, stats, s_bytes_read)) == NULL
+        || (c->bytes_written = pin_cores(c, stats, s_bytes_written)) == NULL
+        || (c->write_count = pin_cores(c, stats, s_write_count)) == NULL)
         goto fail;
     if (!PyDict_Check(c->decode_cache) || !PyList_CheckExact(channels)) {
         PyErr_SetString(PyExc_TypeError,
@@ -1779,7 +1892,8 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
     memset(c->chans, 0, sizeof(ChanView) * (c->nch ? c->nch : 1));
     for (i = 0; i < c->nch; i++) {
         ChanView *cv = &c->chans[i];
-        PyObject *empty;
+        PyObject *empty, *ch;
+        int64_t nb;
         /* Grow the per-channel queue views to the channel count. */
         while (PyList_GET_SIZE(rbc) <= i || PyList_GET_SIZE(wbc) <= i) {
             PyObject *view = PyList_GET_SIZE(rbc) <= i ? rbc : wbc;
@@ -1791,7 +1905,7 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
             }
             Py_DECREF(empty);
         }
-        cv->ch = PyList_GET_ITEM(channels, i);
+        cv->ch = ch = PyList_GET_ITEM(channels, i);
         Py_INCREF(cv->ch);
         cv->reads = PyList_GET_ITEM(rbc, i);
         Py_INCREF(cv->reads);
@@ -1801,11 +1915,16 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
             PyErr_SetString(PyExc_TypeError, "queue views must be lists");
             goto fail;
         }
-        if (get_list(cv->ch, s_ready, &cv->ready) < 0
-            || get_list(cv->ch, s_open_row, &cv->open_row) < 0
-            || get_list(cv->ch, s_hits, &cv->hits) < 0
-            || get_list(cv->ch, s_acts, &cv->acts) < 0
-            || get_list(cv->ch, s_confs, &cv->confs) < 0)
+        if (attr_i64(ch, s_num_banks, &nb) < 0)
+            goto fail;
+        cv->nbanks = nb;
+        if ((cv->ready = pin(p, ch, s_ready, 8, nb)) == NULL
+            || (cv->open_row = pin(p, ch, s_open_row, 8, nb)) == NULL
+            || (cv->hits = pin(p, ch, s_hits, 8, nb)) == NULL
+            || (cv->acts = pin(p, ch, s_acts, 8, nb)) == NULL
+            || (cv->confs = pin(p, ch, s_confs, 8, nb)) == NULL
+            || (cv->act_times = pin(p, ch, s_act_cycles, 8, 4)) == NULL
+            || (cv->c = pin_counters(p, ch, CH_NFIELDS)) == NULL)
             goto fail;
     }
     Py_DECREF(channels);
@@ -1813,6 +1932,8 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
     Py_DECREF(timing);
     Py_DECREF(rbc);
     Py_DECREF(wbc);
+    Py_DECREF(pending);
+    Py_DECREF(pre);
     Py_RETURN_NONE;
 fail:
     Py_XDECREF(channels);
@@ -1820,6 +1941,8 @@ fail:
     Py_XDECREF(timing);
     Py_XDECREF(rbc);
     Py_XDECREF(wbc);
+    Py_XDECREF(pending);
+    Py_XDECREF(pre);
     return NULL;
 }
 
@@ -1837,10 +1960,8 @@ static PyObject *ctrl_unbind(Ctrl *c, PyObject *Py_UNUSED(ignored))
 #define CTRL_FIELDS(X) \
     X(engine) X(dram) X(policy) X(queues) X(stats) X(ctx) X(spans) \
     X(space_waiters) X(decode_cache) X(timing_cls) X(on_read_complete) \
-    X(reads) X(writes) X(pending_reads) X(pending_writes) X(read_count) \
-    X(lat_sum) X(lat_max) X(bytes_read) X(bytes_written) X(write_count)
-#define CHAN_FIELDS(X) \
-    X(ch) X(ready) X(open_row) X(hits) X(acts) X(confs) X(reads) X(writes)
+    X(observers) X(reads) X(writes)
+#define CHAN_FIELDS(X) X(ch) X(reads) X(writes)
 
 static int ctrl_traverse(Ctrl *c, visitproc visit, void *arg)
 {
@@ -1874,6 +1995,7 @@ static void ctrl_dealloc(Ctrl *c)
 {
     PyObject_GC_UnTrack(c);
     ctrl_clear(c);
+    unpin(&c->pins);
     PyMem_Free(c->chans);
     Py_TYPE(c)->tp_free((PyObject *)c);
 }
@@ -1941,22 +2063,97 @@ static PyTypeObject CtrlType = {
  * HierarchyKernel
  * ====================================================================== */
 
+/* One MSHR file's entry table: live entries fill slots 0 .. occupancy - 1
+ * of lines, stores (the store-pending flags) and the waiters list (one
+ * list of waiters per live slot); retiring an entry moves the last live
+ * one into its slot. */
+typedef struct {
+    PyObject *file, *waiters; /* the MshrFile (its on_merge), _waiters */
+    int64_t *lines, *ctr;
+    unsigned char *stores;
+    int64_t cap;
+} Mshr;
+
+/* The live entry of line, or -1. */
+static int64_t mshr_find(const Mshr *m, int64_t line)
+{
+    int64_t i, n = m->ctr[M_OCCUPANCY];
+    for (i = 0; i < n; i++)
+        if (m->lines[i] == line)
+            return i;
+    return -1;
+}
+
+/* A new entry for line with its first waiter (None: no waiter). */
+static int mshr_alloc(Mshr *m, int64_t line, PyObject *waiter, int store)
+{
+    int64_t i = m->ctr[M_OCCUPANCY];
+    PyObject *list = PyList_New(0);
+    if (list == NULL)
+        return -1;
+    if ((waiter != Py_None && PyList_Append(list, waiter) < 0)
+        || PyList_SetItem(m->waiters, i, list) < 0) {
+        Py_XDECREF(list);
+        return -1;
+    }
+    m->lines[i] = line;
+    m->stores[i] = (unsigned char)store;
+    m->ctr[M_OCCUPANCY] = ++i;
+    m->ctr[M_ALLOCATIONS]++;
+    if (i > m->ctr[M_PEAK])
+        m->ctr[M_PEAK] = i;
+    return 0;
+}
+
+/* Retire entry i: returns its waiter list (a new reference); the last
+ * live entry moves into slot i. */
+static PyObject *mshr_retire(Mshr *m, int64_t i)
+{
+    int64_t last = m->ctr[M_OCCUPANCY] - 1;
+    PyObject *w = PyList_GetItem(m->waiters, i), *moved;
+    if (w == NULL)
+        return NULL;
+    Py_INCREF(w);
+    if (i != last) {
+        if ((moved = PyList_GetItem(m->waiters, last)) == NULL)
+            goto fail;
+        Py_INCREF(moved);
+        if (PyList_SetItem(m->waiters, i, moved) < 0)
+            goto fail;
+        m->lines[i] = m->lines[last];
+        m->stores[i] = m->stores[last];
+    }
+    Py_INCREF(Py_None);
+    if (PyList_SetItem(m->waiters, last, Py_None) < 0)
+        goto fail;
+    m->lines[last] = 0;
+    m->stores[last] = 0;
+    m->ctr[M_OCCUPANCY] = last;
+    return w;
+fail:
+    Py_DECREF(w);
+    return NULL;
+}
+
 /* One core's side of the hierarchy: its L1 and its MSHR file. */
 typedef struct {
-    PyObject *sets, *stats, *mshr, *entries;
-    int64_t off, mask, assoc, mshr_cap;
+    Cache l1;
+    Mshr mshr;
 } CoreSide;
 
 typedef struct {
     PyObject_HEAD
-    long long l2_outstanding;
+    long long l2_outstanding, writebacks;
     char space_watch_armed;
-    PyObject *unblock_waiters, *spans, *controller;
-    PyObject *l2_sets, *l2_stats, *store_pending, *owner, *l2_misses;
+    PyObject *unblock_waiters, *controller;
     PyObject *enqueue, *on_fill, *on_space_freed, *emit_writeback;
+    SpanView spans;
+    Cache l2;
+    int64_t *l2_misses, *demand;
     CoreSide *cores;
     Py_ssize_t ncores;
-    int64_t l2_off, l2_mask, l2_assoc, l2_mshr_cap;
+    int64_t l2_mshr_cap;
+    Pins pins;
 } Hier;
 
 static PyTypeObject HierType;
@@ -1967,10 +2164,8 @@ static int hier_core(Hier *h, int64_t core_id, CoreSide **out)
         PyErr_SetString(PyExc_RuntimeError, "the hierarchy is not bound");
         return -1;
     }
-    if (core_id < 0 || core_id >= h->ncores) {
-        PyErr_SetString(PyExc_IndexError, "core id out of range");
-        return -1;
-    }
+    if (core_id < 0 || core_id >= h->ncores)
+        return index_error("core id");
     *out = &h->cores[core_id];
     return 0;
 }
@@ -1982,7 +2177,7 @@ static int hier_core(Hier *h, int64_t core_id, CoreSide **out)
 static int mshr_blocked(Hier *h, CoreSide *k)
 {
     int rc;
-    if (PyDict_GET_SIZE(k->entries) >= k->mshr_cap
+    if (k->mshr.ctr[M_OCCUPANCY] >= k->mshr.cap
         || h->l2_outstanding >= h->l2_mshr_cap)
         return 1;
     rc = ctrl_can_accept((Ctrl *)h->controller);
@@ -1993,9 +2188,8 @@ static int mshr_blocked(Hier *h, CoreSide *k)
  * Membership tests only.  1, 0 or -1. */
 static int hier_would_block(Hier *h, CoreSide *k, int64_t line)
 {
-    int rc = dict_has(k->entries, line);
-    if (rc != 0)
-        return rc < 0 ? -1 : 0; /* merges */
+    if (mshr_find(&k->mshr, line) >= 0)
+        return 0; /* merges */
     return mshr_blocked(h, k);
 }
 
@@ -2022,33 +2216,19 @@ static int hier_wait_unblock(Hier *h, PyObject *callback)
  * Keep in sync with SpanCollector.start_request: for an offer that will
  * not be sampled (_count + 1 < sample_every) it pops the core's stall
  * stamp and counts the offer; any other offer calls start_request. */
-static int offer_read(Hier *h, PyObject *core, PyObject *line, PyObject *now,
-                      Request *r)
+static int offer_read(Hier *h, int64_t core_id, PyObject *core,
+                      PyObject *line, PyObject *now, Request *r)
 {
-    PyObject *spans = h->spans, *blocked, *span;
-    int64_t count, every;
-    int rc;
-    if (attr_i64(spans, s_count, &count) < 0
-        || attr_i64(spans, s_sample_every, &every) < 0)
-        return -1;
-    if (count + 1 < every) {
-        int64_t offered;
-        if ((blocked = PyObject_GetAttr(spans, s_blocked)) == NULL)
-            return -1;
-        rc = PyDict_Check(blocked) ? 0 : -1;
-        if (rc < 0)
-            PyErr_SetString(PyExc_TypeError, "_blocked must be a dict");
-        else if (PyDict_GET_SIZE(blocked)
-                 && (rc = PyDict_Contains(blocked, core)) > 0)
-            rc = PyDict_DelItem(blocked, core);
-        Py_DECREF(blocked);
-        if (rc < 0 || attr_i64(spans, s_offered, &offered) < 0
-            || set_attr_i64(spans, s_offered, offered + 1) < 0
-            || set_attr_i64(spans, s_count, count + 1) < 0)
-            return -1;
+    SpanView *s = &h->spans;
+    PyObject *span;
+    if (s->c[SP_COUNT] + 1 < s->every) {
+        if (core_id < s->ncores)
+            s->stamps[2 * core_id + 1] = -1;
+        s->c[SP_OFFERED]++;
+        s->c[SP_COUNT]++;
         return 0;
     }
-    span = PyObject_CallMethodObjArgs(spans, s_start_request, core, line,
+    span = PyObject_CallMethodObjArgs(s->obj, s_start_request, core, line,
                                       s_read, now, NULL);
     if (span == NULL)
         return -1;
@@ -2065,8 +2245,8 @@ static PyObject *hier_after_l2_miss(Hier *h, PyObject *const *args,
                                     Py_ssize_t nargs)
 {
     PyObject *core = args[0], *line = args[1], *now = args[3];
-    PyObject *waiter = args[4], *waiters, *r_ok;
-    int64_t core_id, l, t, n, peak;
+    PyObject *waiter = args[4], *r_ok;
+    int64_t core_id, l, t, i;
     int is_write, rc;
     CoreSide *k;
     Request *r;
@@ -2075,14 +2255,17 @@ static PyObject *hier_after_l2_miss(Hier *h, PyObject *const *args,
         || as_i64(line, &l) < 0 || as_i64(now, &t) < 0
         || (is_write = truthy(args[2])) < 0 || hier_core(h, core_id, &k) < 0)
         return NULL;
-    waiters = PyDict_GetItemWithError(k->entries, line);
-    if (waiters != NULL) {
+    if ((i = mshr_find(&k->mshr, l)) >= 0) {
         /* Merge onto the in-flight miss. */
-        PyObject *on_merge;
+        PyObject *waiters = PyList_GetItem(k->mshr.waiters, i), *on_merge;
+        if (waiters == NULL)
+            return NULL;
         if (waiter != Py_None && PyList_Append(waiters, waiter) < 0)
             return NULL;
-        if (add_attr(k->mshr, s_merges, 1) < 0
-            || (on_merge = PyObject_GetAttr(k->mshr, s_on_merge)) == NULL)
+        k->mshr.ctr[M_MERGES]++;
+        if (is_write)
+            k->mshr.stores[i] = 1;
+        if ((on_merge = PyObject_GetAttr(k->mshr.file, s_on_merge)) == NULL)
             return NULL;
         if (on_merge != Py_None) {
             PyObject *argv[2] = {line, now};
@@ -2091,37 +2274,27 @@ static PyObject *hier_after_l2_miss(Hier *h, PyObject *const *args,
             rc = 0;
         }
         Py_DECREF(on_merge);
-        if (rc < 0 || (is_write && PySet_Add(h->store_pending, line) < 0))
+        if (rc < 0)
             return NULL;
         return PyLong_FromLong(MERGED);
     }
-    if (PyErr_Occurred() || (rc = mshr_blocked(h, k)) < 0)
+    if ((rc = mshr_blocked(h, k)) < 0)
         return NULL;
     if (rc)
         return PyLong_FromLong(BLOCKED);
     /* -- a new MSHR entry -- */
-    if ((waiters = PyList_New(0)) == NULL)
-        return NULL;
-    rc = (waiter != Py_None && PyList_Append(waiters, waiter) < 0)
-        || PyDict_SetItem(k->entries, line, waiters) < 0 ? -1 : 0;
-    Py_DECREF(waiters);
-    n = PyDict_GET_SIZE(k->entries);
-    if (rc < 0 || add_attr(k->mshr, s_allocations, 1) < 0
-        || attr_i64(k->mshr, s_peak_occupancy, &peak) < 0
-        || (n > peak && set_attr_i64(k->mshr, s_peak_occupancy, n) < 0))
+    if (mshr_alloc(&k->mshr, l, waiter, is_write) < 0)
         return NULL;
     h->l2_outstanding++;
-    if (add_item(h->l2_misses, core_id, 1) < 0
-        || (is_write && PySet_Add(h->store_pending, line) < 0))
-        return NULL;
+    h->l2_misses[core_id]++;
     if (h->on_fill == NULL || h->enqueue == NULL) {
         closed("hierarchy");
         return NULL;
     }
     if ((r = new_request(l, core_id, 0, t, h->on_fill)) == NULL)
         return NULL;
-    if (h->spans != NULL && h->spans != Py_None
-        && offer_read(h, core, line, now, r) < 0) {
+    if (h->spans.obj != NULL
+        && offer_read(h, core_id, core, line, now, r) < 0) {
         Py_DECREF(r);
         return NULL;
     }
@@ -2142,106 +2315,55 @@ static PyObject *hier_after_l2_miss(Hier *h, PyObject *const *args,
     return PyLong_FromLong(PENDING);
 }
 
-/* A dirty line leaves for memory through the Python writeback path. */
-static int writeback(Hier *h, PyObject *core, int64_t addr, int64_t now)
+/* A dirty line leaves for memory through the Python writeback path,
+ * billed to core. */
+static int writeback(Hier *h, int64_t core, int64_t addr, int64_t now)
 {
     PyObject *argv[3];
     int rc;
     if (h->emit_writeback == NULL)
         return closed("hierarchy");
-    argv[0] = core;
+    argv[0] = PyLong_FromLongLong(core);
     argv[1] = PyLong_FromLongLong(addr);
     argv[2] = PyLong_FromLongLong(now);
-    rc = argv[1] && argv[2]
+    rc = argv[0] && argv[1] && argv[2]
         ? call_drop(PyObject_Vectorcall(h->emit_writeback, argv, 3, NULL)) : -1;
+    Py_XDECREF(argv[0]);
     Py_XDECREF(argv[1]);
     Py_XDECREF(argv[2]);
     return rc;
 }
 
-/* SetAssocCache.set_dirty on the L2: mark a resident line dirty in place
- * (its LRU position unchanged).  1 if resident, 0 if not, -1 on error. */
-static int l2_set_dirty(Hier *h, int64_t addr)
-{
-    int64_t tag = addr >> h->l2_off;
-    PyObject *s = set_at(h->l2_sets, tag & h->l2_mask), *key;
-    int rc;
-    if (s == NULL || (key = PyLong_FromLongLong(tag)) == NULL)
-        return -1;
-    rc = PyDict_Contains(s, key);
-    if (rc == 1 && PyDict_SetItem(s, key, Py_True) < 0)
-        rc = -1;
-    Py_DECREF(key);
-    return rc;
-}
-
 /* Install line in core's L1 with dirty (an L2 hit or a fill).  A dirty L1
- * victim updates the L2 copy; if the L2 lost the line meanwhile
+ * victim dirties the L2 copy in place; if the L2 lost the line meanwhile
  * (non-inclusive drift), it is written back to memory directly. */
-static int l1_install(Hier *h, CoreSide *k, PyObject *core, int64_t line,
-                      PyObject *dirty, int64_t now)
+static int l1_install(Hier *h, CoreSide *k, int64_t core, int64_t line,
+                      int dirty, int64_t now)
 {
-    int64_t vtag = 0;
-    PyObject *vdirty;
-    int rc, d;
-    rc = install(set_at(k->sets, (line >> k->off) & k->mask), line >> k->off,
-                 dirty, 1, k->assoc, k->stats, &vtag, &vdirty);
-    if (rc <= 0)
-        return rc;
-    d = PyObject_IsTrue(vdirty);
-    Py_DECREF(vdirty);
-    if (d <= 0)
-        return d;
-    if ((rc = l2_set_dirty(h, vtag << k->off)) != 0)
-        return rc < 0 ? -1 : 0;
-    return writeback(h, core, vtag << k->off, now);
+    Victim v;
+    int64_t addr;
+    if (!cache_install(&k->l1, line >> k->l1.off, dirty, 1, 0, &v)
+        || !v.dirty)
+        return 0;
+    addr = v.tag << k->l1.off;
+    if (cache_set_dirty(&h->l2, addr >> h->l2.off))
+        return 0;
+    return writeback(h, core, addr, now);
 }
 
-/* An L2 victim: drop its owner record, invalidate the owner's L1 copy
- * (merging that copy's dirtiness), and write it back if dirty. */
-static int l2_evicted(Hier *h, int64_t addr, PyObject *vdirty, int64_t now)
+/* An L2 victim: invalidate its owner's L1 copy (merging that copy's
+ * dirtiness), and write it back, billed to the owner, if dirty.  Every
+ * L2 fill sets the owner column, so every victim has one. */
+static int l2_evicted(Hier *h, const Victim *v, int64_t now)
 {
-    PyObject *key = PyLong_FromLongLong(addr), *owner, *s, *tag, *l1v;
-    int64_t o;
-    int dirty, rc = -1;
-    CoreSide *k;
-    if (key == NULL)
-        return -1;
-    if ((owner = PyDict_GetItemWithError(h->owner, key)) != NULL) {
-        Py_INCREF(owner);
-        if (PyDict_DelItem(h->owner, key) < 0)
-            goto done;
-    } else if (PyErr_Occurred()) {
-        goto done_key;
-    } else if ((owner = PyLong_FromLong(0)) == NULL) {
-        goto done_key;
+    int64_t addr = v->tag << h->l2.off;
+    int dirty = v->dirty, l1_dirty = 0;
+    if (v->owner >= 0 && v->owner < h->ncores) {
+        Cache *l1 = &h->cores[v->owner].l1;
+        if (cache_invalidate(l1, addr >> l1->off, &l1_dirty) && l1_dirty)
+            dirty = 1;
     }
-    if ((dirty = PyObject_IsTrue(vdirty)) < 0 || as_i64(owner, &o) < 0)
-        goto done;
-    if (o >= 0 && o < h->ncores) {
-        k = &h->cores[o];
-        if ((s = set_at(k->sets, (addr >> k->off) & k->mask)) == NULL
-            || (tag = PyLong_FromLongLong(addr >> k->off)) == NULL)
-            goto done;
-        l1v = PyDict_GetItemWithError(s, tag);
-        if (l1v != NULL) {
-            int d = dirty ? 1 : PyObject_IsTrue(l1v);
-            if (d < 0 || PyDict_DelItem(s, tag) < 0) {
-                Py_DECREF(tag);
-                goto done;
-            }
-            dirty = d;
-        }
-        Py_DECREF(tag);
-        if (PyErr_Occurred())
-            goto done;
-    }
-    rc = dirty ? writeback(h, owner, addr, now) : 0;
-done:
-    Py_DECREF(owner);
-done_key:
-    Py_DECREF(key);
-    return rc;
+    return dirty ? writeback(h, v->owner, addr, now) : 0;
 }
 
 /* _on_fill(req, now): read data returned from DRAM.  Install the line in
@@ -2250,57 +2372,48 @@ done_key:
  * wake its waiters, then the cores stalled on a structural hazard. */
 static PyObject *hier_on_fill(Hier *h, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *key = NULL, *core = NULL, *waiters = NULL, *vdirty;
-    int64_t now, line, vtag = 0;
+    PyObject *key = NULL, *core = NULL, *waiters = NULL;
+    int64_t now, line, i;
+    Victim v;
     Request *r;
     CoreSide *k;
     int dirty, rc = -1;
-    Py_ssize_t i;
+    Py_ssize_t j;
 
     if (nargs_are(nargs, 2) < 0 || (r = as_request(args[0])) == NULL
         || as_i64(args[1], &now) < 0 || hier_core(h, r->core_id, &k) < 0)
         return NULL;
     line = r->addr;
-    if ((key = PyLong_FromLongLong(line)) == NULL
-        || (core = PyLong_FromLongLong(r->core_id)) == NULL
-        || (dirty = PySet_Contains(h->store_pending, key)) < 0
-        || PySet_Discard(h->store_pending, key) < 0)
-        goto done;
-    /* -- L2 install -- */
-    rc = install(set_at(h->l2_sets, (line >> h->l2_off) & h->l2_mask),
-                 line >> h->l2_off, Py_False, 0, h->l2_assoc, h->l2_stats,
-                 &vtag, &vdirty);
-    if (rc < 0 || PyDict_SetItem(h->owner, key, core) < 0) {
-        if (rc > 0)
-            Py_DECREF(vdirty);
-        rc = -1;
-        goto done;
-    }
-    if (rc > 0) {
-        rc = l2_evicted(h, vtag << h->l2_off, vdirty, now);
-        Py_DECREF(vdirty);
-        if (rc < 0)
-            goto done;
-    }
-    rc = -1;
-    if (l1_install(h, k, core, line, dirty ? Py_True : Py_False, now) < 0)
-        goto done;
-    h->l2_outstanding--;
-    /* -- MSHR retirement -- */
-    if ((waiters = PyDict_GetItemWithError(k->entries, key)) == NULL) {
-        if (!PyErr_Occurred())
+    if ((i = mshr_find(&k->mshr, line)) < 0) {
+        if ((key = PyLong_FromLongLong(line)) != NULL)
             PyErr_SetObject(PyExc_KeyError, key);
         goto done;
     }
-    Py_INCREF(waiters);
-    if (PyDict_DelItem(k->entries, key) < 0)
+    dirty = k->mshr.stores[i];
+    /* -- L2 install -- */
+    if (cache_install(&h->l2, line >> h->l2.off, 0, 0, r->core_id, &v)
+        && l2_evicted(h, &v, now) < 0)
+        goto done;
+    if (l1_install(h, k, r->core_id, line, dirty, now) < 0)
+        goto done;
+    h->l2_outstanding--;
+    /* -- MSHR retirement (the writeback path above may have moved the
+     * entry) -- */
+    if ((i = mshr_find(&k->mshr, line)) < 0) {
+        PyErr_SetString(PyExc_RuntimeError, "an MSHR entry vanished");
+        goto done;
+    }
+    if ((waiters = mshr_retire(&k->mshr, i)) == NULL)
         goto done;
     if (!PyList_CheckExact(waiters)) {
         PyErr_SetString(PyExc_TypeError, "MSHR waiters must be a list");
         goto done;
     }
-    for (i = 0; i < PyList_GET_SIZE(waiters); i++) {
-        PyObject *w = PyList_GET_ITEM(waiters, i), *argv[2], *res;
+    if ((key = PyLong_FromLongLong(line)) == NULL
+        || (core = PyLong_FromLongLong(r->core_id)) == NULL)
+        goto done;
+    for (j = 0; j < PyList_GET_SIZE(waiters); j++) {
+        PyObject *w = PyList_GET_ITEM(waiters, j), *argv[2], *res;
         Py_INCREF(w);
         argv[1] = args[1];
         if (PyTuple_CheckExact(w) && PyTuple_GET_SIZE(w) == 2) {
@@ -2317,10 +2430,9 @@ static PyObject *hier_on_fill(Hier *h, PyObject *const *args, Py_ssize_t nargs)
             goto done;
     }
     /* The collector tracks merges only onto sampled reads. */
-    if (r->span != NULL && r->span != Py_None && h->spans != NULL
-        && h->spans != Py_None
-        && call_drop(PyObject_CallMethodObjArgs(h->spans, s_end_inflight, core,
-                                                key, NULL)) < 0)
+    if (r->span != NULL && r->span != Py_None && h->spans.obj != NULL
+        && call_drop(PyObject_CallMethodObjArgs(h->spans.obj, s_end_inflight,
+                                                core, key, NULL)) < 0)
         goto done;
     rc = fan_out(&h->unblock_waiters, now);
 done:
@@ -2335,12 +2447,13 @@ done:
 static PyObject *hier_fill_l1(Hier *h, PyObject *const *args, Py_ssize_t nargs)
 {
     int64_t core_id, line, now;
+    int dirty;
     CoreSide *k;
     if (nargs_are(nargs, 4) < 0 || as_i64(args[0], &core_id) < 0
-        || as_i64(args[1], &line) < 0 || as_i64(args[3], &now) < 0
-        || hier_core(h, core_id, &k) < 0)
+        || as_i64(args[1], &line) < 0 || (dirty = truthy(args[2])) < 0
+        || as_i64(args[3], &now) < 0 || hier_core(h, core_id, &k) < 0)
         return NULL;
-    return done_or_null(l1_install(h, k, args[0], line, args[2], now));
+    return done_or_null(l1_install(h, k, core_id, line, dirty, now));
 }
 
 /* _on_space_freed(now): a controller buffer slot freed; wake every core
@@ -2354,33 +2467,37 @@ static PyObject *hier_on_space_freed(Hier *h, PyObject *arg)
     return done_or_null(fan_out(&h->unblock_waiters, now));
 }
 
-static int cache_geometry(PyObject *cache, PyObject **sets, int64_t *off,
-                          int64_t *mask)
+/* One MSHR file's table and counters. */
+static int mshr_bind(Mshr *m, Pins *p, PyObject *file)
 {
-    if (attr_i64(cache, s_off_bits, off) < 0
-        || attr_i64(cache, s_set_mask, mask) < 0
-        || (*sets = PyObject_GetAttr(cache, s_sets)) == NULL)
+    m->file = file;
+    Py_INCREF(file);
+    if (attr_i64(file, s_capacity, &m->cap) < 0
+        || (m->lines = pin(p, file, s_lines, 8, m->cap)) == NULL
+        || (m->stores = pin(p, file, s_stores, 1, m->cap)) == NULL
+        || (m->ctr = pin_counters(p, file, M_NFIELDS)) == NULL
+        || get_list(file, s_waiters, &m->waiters) < 0)
         return -1;
-    if (!PyList_CheckExact(*sets) || PyList_GET_SIZE(*sets) != *mask + 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "a cache's _sets must be a list of _set_mask + 1 sets");
+    if (PyList_GET_SIZE(m->waiters) < m->cap) {
+        PyErr_SetString(PyExc_TypeError, "_waiters must have a slot per entry");
         return -1;
     }
     return 0;
 }
 
-/* _bind(...): take the objects the hierarchy walks and the callables it
+/* _bind(...): take the storage the hierarchy walks and the callables it
  * calls out through.  Called once, by CacheHierarchy.__init__. */
 static PyObject *hier_bind(Hier *h, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
-        "controller", "l1d", "l2", "mshrs", "l2_mshr_cap", "store_pending",
-        "owner", "l2_misses", "enqueue", "on_fill", "on_space_freed",
-        "emit_writeback", NULL};
-    PyObject *ctrl, *l1d, *l2, *mshrs, *pending, *owner, *misses, *enq;
+        "controller", "l1d", "l2", "mshrs", "l2_mshr_cap", "owner",
+        "l2_misses", "demand_accesses", "enqueue", "on_fill",
+        "on_space_freed", "emit_writeback", NULL};
+    PyObject *ctrl, *l1d, *l2, *mshrs, *owner, *misses, *demand, *enq;
     PyObject *fill, *freed, *wb;
     long long cap;
-    Py_ssize_t i;
+    Py_ssize_t i, n;
+    Pins *p = &h->pins;
 
     if (h->cores != NULL) {
         PyErr_SetString(PyExc_RuntimeError, "the hierarchy is already bound");
@@ -2388,57 +2505,48 @@ static PyObject *hier_bind(Hier *h, PyObject *args, PyObject *kwds)
     }
     if (!PyArg_ParseTupleAndKeywords(
             args, kwds, "$OOOOLOOOOOOO", kwlist, &ctrl, &l1d, &l2, &mshrs,
-            &cap, &pending, &owner, &misses, &enq, &fill, &freed, &wb))
+            &cap, &owner, &misses, &demand, &enq, &fill, &freed, &wb))
         return NULL;
     if (!PyObject_TypeCheck(ctrl, &CtrlType) || !PyList_CheckExact(l1d)
-        || !PyList_CheckExact(mshrs) || PyList_GET_SIZE(l1d) != PyList_GET_SIZE(mshrs)
-        || !PySet_Check(pending) || !PyDict_Check(owner)
-        || !PyList_CheckExact(misses)) {
+        || !PyList_CheckExact(mshrs)
+        || PyList_GET_SIZE(l1d) != PyList_GET_SIZE(mshrs)) {
         PyErr_SetString(PyExc_TypeError, "bad hierarchy parts");
         return NULL;
     }
+    n = PyList_GET_SIZE(l1d);
     KEEP(h, controller, ctrl);
-    KEEP(h, store_pending, pending);
-    KEEP(h, owner, owner);
-    KEEP(h, l2_misses, misses);
     KEEP(h, enqueue, enq);
     KEEP(h, on_fill, fill);
     KEEP(h, on_space_freed, freed);
     KEEP(h, emit_writeback, wb);
     h->l2_mshr_cap = cap;
     if ((h->unblock_waiters = PyList_New(0)) == NULL
-        || cache_geometry(l2, &h->l2_sets, &h->l2_off, &h->l2_mask) < 0
-        || attr_i64(l2, s_assoc, &h->l2_assoc) < 0
-        || (h->l2_stats = PyObject_GetAttr(l2, s_stats)) == NULL)
+        || cache_bind(&h->l2, p, l2) < 0
+        || (h->l2.owner = pin(p, owner, NULL, 8,
+                              (h->l2.mask + 1) * h->l2.assoc)) == NULL
+        || (h->l2_misses = pin(p, misses, NULL, 8, n)) == NULL
+        || (h->demand = pin(p, demand, NULL, 8, n)) == NULL)
         return NULL;
-    h->ncores = PyList_GET_SIZE(l1d);
-    if ((h->cores = PyMem_New(CoreSide, h->ncores ? h->ncores : 1)) == NULL)
+    if ((h->cores = PyMem_New(CoreSide, n ? n : 1)) == NULL)
         return PyErr_NoMemory();
-    memset(h->cores, 0, sizeof(CoreSide) * (h->ncores ? h->ncores : 1));
-    for (i = 0; i < h->ncores; i++) {
+    memset(h->cores, 0, sizeof(CoreSide) * (n ? n : 1));
+    h->ncores = n;
+    for (i = 0; i < n; i++) {
         CoreSide *k = &h->cores[i];
-        PyObject *l1 = PyList_GET_ITEM(l1d, i);
-        k->mshr = PyList_GET_ITEM(mshrs, i);
-        Py_INCREF(k->mshr);
-        if (cache_geometry(l1, &k->sets, &k->off, &k->mask) < 0
-            || attr_i64(l1, s_assoc, &k->assoc) < 0
-            || (k->stats = PyObject_GetAttr(l1, s_stats)) == NULL
-            || attr_i64(k->mshr, s_capacity, &k->mshr_cap) < 0
-            || (k->entries = PyObject_GetAttr(k->mshr, s_entries)) == NULL)
+        if (cache_bind(&k->l1, p, PyList_GET_ITEM(l1d, i)) < 0
+            || mshr_bind(&k->mshr, p, PyList_GET_ITEM(mshrs, i)) < 0)
             return NULL;
-        if (!PyDict_Check(k->entries)) {
-            PyErr_SetString(PyExc_TypeError, "MSHR entries must be a dict");
-            return NULL;
-        }
     }
     Py_RETURN_NONE;
 }
 
 /* _unbind(): drop the callables and waiters that tie the hierarchy, its
- * controller and the cores into reference cycles. */
+ * controller and the cores into reference cycles.  The MSHR entries keep
+ * their lines and flags; their waiter lists go. */
 static PyObject *hier_unbind(Hier *h, PyObject *Py_UNUSED(ignored))
 {
     PyObject *fresh = PyList_New(0);
+    Py_ssize_t i, j;
     if (fresh == NULL)
         return NULL;
     Py_XSETREF(h->unblock_waiters, fresh);
@@ -2446,14 +2554,21 @@ static PyObject *hier_unbind(Hier *h, PyObject *Py_UNUSED(ignored))
     Py_CLEAR(h->on_fill);
     Py_CLEAR(h->on_space_freed);
     Py_CLEAR(h->emit_writeback);
+    for (i = 0; h->cores != NULL && i < h->ncores; i++) {
+        PyObject *w = h->cores[i].mshr.waiters;
+        for (j = 0; w != NULL && j < PyList_GET_SIZE(w); j++) {
+            Py_INCREF(Py_None);
+            if (PyList_SetItem(w, j, Py_None) < 0)
+                return NULL;
+        }
+    }
     Py_RETURN_NONE;
 }
 
 #define HIER_FIELDS(X) \
-    X(unblock_waiters) X(spans) X(controller) X(l2_sets) X(l2_stats) \
-    X(store_pending) X(owner) X(l2_misses) X(enqueue) X(on_fill) \
+    X(unblock_waiters) X(spans.obj) X(controller) X(enqueue) X(on_fill) \
     X(on_space_freed) X(emit_writeback)
-#define SIDE_FIELDS(X) X(sets) X(stats) X(mshr) X(entries)
+#define SIDE_FIELDS(X) X(mshr.file) X(mshr.waiters)
 
 static int hier_traverse(Hier *h, visitproc visit, void *arg)
 {
@@ -2487,6 +2602,8 @@ static void hier_dealloc(Hier *h)
 {
     PyObject_GC_UnTrack(h);
     hier_clear(h);
+    unpin(&h->pins);
+    unpin(&h->spans.pins);
     PyMem_Free(h->cores);
     Py_TYPE(h)->tp_free((PyObject *)h);
 }
@@ -2497,13 +2614,29 @@ static void hier_dealloc(Hier *h)
 static PyMemberDef hier_members[] = {
     HMEMBER("_l2_outstanding", T_LONGLONG, l2_outstanding, 0,
             "L2 misses in flight"),
+    HMEMBER("writebacks", T_LONGLONG, writebacks, 0,
+            "dirty lines written back to memory"),
     HMEMBER("_space_watch_armed", T_BOOL, space_watch_armed, 0,
             "whether a controller-space watch is armed (one at a time)"),
     HMEMBER("_unblock_waiters", T_OBJECT, unblock_waiters, 0,
             "one-shot callbacks of cores stalled on a structural hazard"),
-    HMEMBER("spans", T_OBJECT, spans, 0,
-            "request-lifecycle span collector, or None"),
     HMEMBER("controller", T_OBJECT, controller, READONLY, NULL),
+    {NULL}
+};
+
+static PyObject *hier_get_spans(Hier *h, void *Py_UNUSED(closure))
+{
+    return spans_get(&h->spans);
+}
+
+static int hier_set_spans(Hier *h, PyObject *v, void *Py_UNUSED(closure))
+{
+    return spans_set(&h->spans, v);
+}
+
+static PyGetSetDef hier_getset[] = {
+    {"spans", (getter)hier_get_spans, (setter)hier_set_spans,
+     "request-lifecycle span collector, or None", NULL},
     {NULL}
 };
 
@@ -2536,6 +2669,7 @@ static PyTypeObject HierType = {
     .tp_clear = (inquiry)hier_clear,
     .tp_methods = hier_methods,
     .tp_members = hier_members,
+    .tp_getset = hier_getset,
 };
 
 /* ======================================================================
@@ -2546,29 +2680,36 @@ typedef struct {
     PyObject_HEAD
     /* identity, budget and geometry (read-only from Python) */
     long long core_id, target_insts, warmup_insts, lookahead;
-    int64_t q, rob_size, l1_lat, l2_lat;
-    int64_t l1_off, l1_mask, l2_off, l2_mask, line_mask;
+    int64_t q, rob_size, l1_lat, l2_lat, line_mask;
     /* slot cursors and counts (Python members) */
     long long fetch_q, commit_q, fetched, committed, stall_q, trace_pos;
     /* crossing cycles, -1 until crossed */
     int64_t warmup_cycle, finish_cycle;
-    /* the pending memory op: address, first instruction, store flag (the
-     * trace's own object, stored as is into the L1 on a write hit) */
+    /* the pending memory op: address, first instruction, store flag */
     int64_t cur_addr, cur_inst;
-    PyObject *cur_write;
-    char trace_done, blocked, stopped, fetch_was_full;
+    char cur_write, trace_done, blocked, stopped, fetch_was_full;
     /* the reorder buffer's loads: a ring of (instruction, ready cycle)
      * pairs; head and tail count pushes and pops, a slot is (i & mask),
      * and a missing load's token is its slot */
     int64_t *rob_inst, *rob_ready;
     int64_t rob_head, rob_tail, rob_mask;
     /* Python-visible objects */
-    PyObject *stats, *spans, *on_warmup, *on_finish, *replay_ops;
-    /* the shared memory path; side is this core's part of the hierarchy */
-    PyObject *hierarchy, *l1, *l2, *l1_sets, *l2_sets, *demand, *py_core_id;
+    PyObject *stats, *on_warmup, *on_finish, *replay_ops;
+    SpanView spans;
+    /* the shared memory path: the hierarchy, this core's side of it and
+     * the L2, the CoreStats slots and this core's demand counter */
+    PyObject *hierarchy, *py_core_id;
     CoreSide *side;
-    /* a recording's columns (NULL for other trace sources) */
+    Cache *l2;
+    int64_t *ks, *demand;
+    Pins pins;
+    /* a recording's columns (NULL for other trace sources), and their
+     * addresses and common length as of the last cols_load */
     PyObject *r_gaps, *r_addrs, *r_writes;
+    const int64_t *gaps, *addrs;
+    const unsigned char *writes;
+    int64_t n_ops;
+    char cols_stale;
     /* calls out of the kernel */
     PyObject *after_l2_miss, *fill_l1, *schedule, *grow, *next_op;
     PyObject *wake_cb, *unblock_cb, *load_ready_cb, *store_cb;
@@ -2588,26 +2729,50 @@ static void rob_push(Core *c, int64_t inst, int64_t ready)
 
 /* -- trace feed ---------------------------------------------------------- */
 
-/* Op pos of the recording becomes the pending op. */
-static int take_recorded(Core *c, int64_t pos, int64_t fetched)
+/* Read the recording's column addresses and their common length.  Other
+ * consumers (threaded in-process workers replay one recording) may grow a
+ * column, which can move it, whenever Python code runs, and an exported
+ * array refuses to grow.  So the export taken here is released at once,
+ * the addresses hold only until the next call out of the kernel, and
+ * every call out (and every entry to run()) marks them stale. */
+static int cols_load(Core *c)
 {
-    PyObject *w;
-    int64_t gap, addr;
-    if (pos >= PyList_GET_SIZE(c->r_gaps) || pos >= PyList_GET_SIZE(c->r_addrs)
-        || pos >= PyList_GET_SIZE(c->r_writes)) {
-        PyErr_SetString(PyExc_RuntimeError, "recording columns out of step");
-        return -1;
+    PyObject *cols[3] = {c->r_gaps, c->r_addrs, c->r_writes};
+    const void *bufs[3];
+    Py_ssize_t i, n = PY_SSIZE_T_MAX;
+    Py_buffer v;
+    for (i = 0; i < 3; i++) {
+        Py_ssize_t size = i < 2 ? 8 : 1;
+        if (PyObject_GetBuffer(cols[i], &v, PyBUF_SIMPLE) < 0)
+            return -1;
+        bufs[i] = v.buf;
+        if (v.itemsize != size) {
+            PyBuffer_Release(&v);
+            PyErr_SetString(PyExc_TypeError,
+                            "recording columns must be int64, int64 and "
+                            "byte arrays");
+            return -1;
+        }
+        if (v.len / size < n)
+            n = v.len / size;
+        PyBuffer_Release(&v);
     }
-    if (as_i64(PyList_GET_ITEM(c->r_gaps, pos), &gap) < 0
-        || as_i64(PyList_GET_ITEM(c->r_addrs, pos), &addr) < 0)
-        return -1;
-    w = PyList_GET_ITEM(c->r_writes, pos);
-    c->cur_inst = fetched + gap;
-    c->cur_addr = addr;
-    Py_INCREF(w);
-    Py_SETREF(c->cur_write, w);
-    c->trace_pos = pos + 1;
+    c->gaps = bufs[0];
+    c->addrs = bufs[1];
+    c->writes = bufs[2];
+    c->n_ops = n;
+    c->cols_stale = 0;
     return 0;
+}
+
+/* Op pos of the recording (pos < n_ops, columns fresh) becomes the
+ * pending op. */
+static void take_recorded(Core *c, int64_t pos, int64_t fetched)
+{
+    c->cur_inst = fetched + c->gaps[pos];
+    c->cur_addr = c->addrs[pos];
+    c->cur_write = c->writes[pos] != 0;
+    c->trace_pos = pos + 1;
 }
 
 /* Make the trace's next op the pending one, `fetched` instructions into
@@ -2618,29 +2783,42 @@ static int pull_next_op(Core *c, int64_t fetched)
 {
     PyObject *op, *v;
     int64_t gap, addr;
+    int w;
     if (c->r_gaps != NULL) {
         int64_t pos = c->trace_pos;
-        int have = pos < PyList_GET_SIZE(c->r_gaps);
+        int have;
+        if (c->cols_stale && cols_load(c) < 0)
+            return -1;
+        have = pos < c->n_ops;
         if (!have) {
             PyObject *r;
             if (c->grow == NULL)
                 return core_closed();
             if ((v = PyLong_FromLongLong(pos)) == NULL)
                 return -1;
+            c->cols_stale = 1;
             r = PyObject_CallOneArg(c->grow, v);
             Py_DECREF(v);
             if (r == NULL)
                 return -1;
             have = PyObject_IsTrue(r);
             Py_DECREF(r);
-            if (have < 0)
+            if (have < 0 || (have && cols_load(c) < 0))
                 return -1;
+            if (have && pos >= c->n_ops) {
+                PyErr_SetString(PyExc_RuntimeError,
+                                "recording columns out of step");
+                return -1;
+            }
         }
-        if (have)
-            return take_recorded(c, pos, fetched);
+        if (have) {
+            take_recorded(c, pos, fetched);
+            return 0;
+        }
     }
     if (c->next_op == NULL)
         return core_closed();
+    c->cols_stale = 1;
     if ((op = PyObject_CallNoArgs(c->next_op)) == NULL)
         return -1;
     if (op == Py_None) {
@@ -2654,9 +2832,13 @@ static int pull_next_op(Core *c, int64_t fetched)
         return -1;
     }
     Py_DECREF(op);
+    w = truthy(v);
+    Py_DECREF(v);
+    if (w < 0)
+        return -1;
     c->cur_inst = fetched + gap;
     c->cur_addr = addr;
-    Py_SETREF(c->cur_write, v);
+    c->cur_write = (char)w;
     return 0;
 }
 
@@ -2678,6 +2860,7 @@ static int fire(Core *c, PyObject *hook)
     int rc;
     if (hook == NULL || hook == Py_None)
         return 0;
+    c->cols_stale = 1;
     Py_INCREF(hook);
     rc = call_drop(PyObject_CallOneArg(hook, (PyObject *)c));
     Py_DECREF(hook);
@@ -2762,13 +2945,12 @@ static int advance_commit(Core *c)
  * token) as its data waiter, where the token is the ROB slot the load
  * will occupy, a store core._store_data_cb.  Stores the hierarchy's
  * result code in *result; 0 or -1. */
-static int l2_miss(Core *c, int64_t line, int64_t cycle, int is_write,
-                   long *result)
+static int l2_miss(Core *c, int64_t line, int64_t cycle, long *result)
 {
     PyObject *args[5], *waiter, *r;
     if (c->after_l2_miss == NULL || c->store_cb == NULL || c->load_ready_cb == NULL)
         return core_closed();
-    if (is_write) {
+    if (c->cur_write) {
         waiter = c->store_cb;
         Py_INCREF(waiter);
     } else {
@@ -2780,9 +2962,10 @@ static int l2_miss(Core *c, int64_t line, int64_t cycle, int is_write,
         if (waiter == NULL)
             return -1;
     }
+    c->cols_stale = 1;
     args[0] = c->py_core_id;
     args[1] = PyLong_FromLongLong(line);
-    args[2] = c->cur_write;
+    args[2] = c->cur_write ? Py_True : Py_False;
     args[3] = PyLong_FromLongLong(cycle);
     args[4] = waiter;
     r = (args[1] && args[3])
@@ -2804,9 +2987,10 @@ static int fill_l1(Core *c, int64_t line, int64_t cycle)
     int rc;
     if (c->fill_l1 == NULL)
         return core_closed();
+    c->cols_stale = 1;
     args[0] = c->py_core_id;
     args[1] = PyLong_FromLongLong(line);
-    args[2] = c->cur_write;
+    args[2] = c->cur_write ? Py_True : Py_False;
     args[3] = PyLong_FromLongLong(cycle);
     rc = (args[1] && args[3])
         ? call_drop(PyObject_Vectorcall(c->fill_l1, args, 4, NULL)) : -1;
@@ -2823,53 +3007,28 @@ static int wait_unblock(Core *c)
     return hier_wait_unblock((Hier *)c->hierarchy, c->unblock_cb);
 }
 
-/* SpanCollector.note_blocked on the collector's own _blocked dict (keep
- * in sync with spans.py): keep the first stall per (core, line), so the
- * eventual request's span can attribute the structural-stall wait. */
+/* SpanCollector.note_blocked on the collector's stamps (keep in sync
+ * with spans.py): keep the first stall per (core, line), so the eventual
+ * request's span can attribute the structural-stall wait. */
 static int note_blocked(Core *c, int64_t cycle, int64_t line)
 {
-    PyObject *blocked = PyObject_GetAttr(c->spans, s_blocked), *prev, *stamp;
-    int64_t prev_line;
-    int rc = -1;
-    if (blocked == NULL)
-        return -1;
-    if (!PyDict_Check(blocked)) {
-        PyErr_SetString(PyExc_TypeError, "_blocked must be a dict");
-        goto done;
+    int64_t *stamp;
+    if (c->core_id >= c->spans.ncores)
+        return index_error("span collector stall stamp");
+    stamp = c->spans.stamps + 2 * c->core_id;
+    if (stamp[1] != line) {
+        stamp[0] = cycle;
+        stamp[1] = line;
     }
-    prev = PyDict_GetItemWithError(blocked, c->py_core_id);
-    if (prev == NULL && PyErr_Occurred())
-        goto done;
-    if (prev != NULL) {
-        if (!PyTuple_Check(prev) || PyTuple_GET_SIZE(prev) != 2) {
-            PyErr_SetString(PyExc_TypeError, "a stall stamp is (cycle, line)");
-            goto done;
-        }
-        if (as_i64(PyTuple_GET_ITEM(prev, 1), &prev_line) < 0)
-            goto done;
-        if (prev_line == line) {
-            rc = 0; /* a retry of the same access keeps its first stamp */
-            goto done;
-        }
-    }
-    if ((stamp = Py_BuildValue("(LL)", (long long)cycle,
-                               (long long)line)) != NULL) {
-        rc = PyDict_SetItem(blocked, c->py_core_id, stamp);
-        Py_DECREF(stamp);
-    }
-done:
-    Py_DECREF(blocked);
-    return rc;
+    return 0;
 }
 
 /* A miss that found its MSHR file, the L2 MSHRs or the controller buffer
  * full: count the stall, stamp it for spans and wait for a release. */
 static int block(Core *c, int64_t cycle, int64_t line)
 {
-    if (add_attr(c->stats, s_structural_stalls, 1) < 0)
-        return -1;
-    if (c->spans != NULL && c->spans != Py_None
-        && note_blocked(c, cycle, line) < 0)
+    c->ks[K_STALLS]++;
+    if (c->spans.obj != NULL && note_blocked(c, cycle, line) < 0)
         return -1;
     c->blocked = 1;
     return wait_unblock(c);
@@ -2879,38 +3038,30 @@ static int block(Core *c, int64_t cycle, int64_t line)
  * entered the window.
  *
  * One loop covers gap batches and memory ops.  The cursors live in
- * locals and return to the core at exit, and the counters are batched
- * and added to their Python objects once, at exit: nothing re-enters the
- * core during a fetch call (commit never runs inside fetch, the hierarchy
- * reads no core state, and data and unblock waiters fire later from
- * engine events).  The L1 and L2 probes are the caches' only demand hit
- * paths: they read the SetAssocCache sets directly, charge
- * demand_accesses and both levels' hit/miss counters, and an L2 hit
- * installs the line through _fill_l1; an L2 miss continues in
- * CacheHierarchy._after_l2_miss. */
+ * locals and return to the core at exit, and the hit and access counters
+ * are batched and added once, at exit: nothing re-enters the core during
+ * a fetch call (commit never runs inside fetch, the hierarchy reads no
+ * core state, and data and unblock waiters fire later from engine
+ * events).  The L1 and L2 probes are the caches' only demand hit paths:
+ * they probe the blocks directly, charge demand_accesses and both
+ * levels' hit/miss counters, and an L2 hit installs the line through
+ * _fill_l1; an L2 miss continues in CacheHierarchy._after_l2_miss. */
 static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
 {
     const int64_t q = c->q, rob_size = c->rob_size, committed = c->committed;
     const int64_t budget = c->warmup_insts + c->target_insts;
     const int l2_lat_is_l1 = c->l2_lat == c->l1_lat;
+    Cache *l1 = &c->side->l1, *l2 = c->l2;
     int64_t fetched = c->fetched, fetch_q = c->fetch_q;
-    int64_t n_ops = c->r_gaps != NULL ? PyList_GET_SIZE(c->r_gaps) : 0;
     int64_t n_l1_hits = 0, n_l1_miss = 0, n_demand = 0, n_loads = 0;
     int64_t n_stores = 0, n_s_l1_hits = 0, n_l2_hits = 0, n_l2_miss = 0;
     int64_t n_l2_load_hits = 0;
-    PyObject *l1_stats = NULL, *l2_stats = NULL;
-    int rc = -1;
 
     *progressed = 0;
-    /* Read per call: the kernel keeps no reference to a stats object. */
-    if ((l1_stats = PyObject_GetAttr(c->l1, s_stats)) == NULL
-        || (l2_stats = PyObject_GetAttr(c->l2, s_stats)) == NULL)
-        goto done;
     while (fetch_q < limit_q) {
         int64_t space = rob_size - (fetched - committed), take, room, cycle;
-        int64_t addr, tag, line;
-        PyObject *s;
-        int hit, is_write;
+        int64_t addr, line;
+        int is_write;
         if (space <= 0) {
             c->fetch_was_full = 1;
             break; /* window full: wait for commit */
@@ -2949,16 +3100,11 @@ static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
         /* The memory instruction itself is due this slot. */
         cycle = fetch_q / q;
         addr = c->cur_addr;
-        if ((is_write = truthy(c->cur_write)) < 0)
-            goto done;
+        is_write = c->cur_write;
         n_demand += 1;
-        tag = addr >> c->l1_off;
-        /* L1 hit, the overwhelmingly common outcome: move-to-back
-         * refreshes recency, and a store dirties the line. */
-        if ((s = set_at(c->l1_sets, tag & c->l1_mask)) == NULL
-            || (hit = touch(s, tag, c->cur_write)) < 0)
-            goto done;
-        if (hit) {
+        /* L1 hit, the overwhelmingly common outcome: the line moves to
+         * MRU, and a store dirties it. */
+        if (cache_touch(l1, addr >> l1->off, is_write)) {
             n_l1_hits += 1;
             if (is_write) {
                 n_stores += 1;
@@ -2968,16 +3114,11 @@ static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
                 n_loads += 1;
             }
         } else {
-            int64_t t2;
             n_l1_miss += 1;
             line = addr & c->line_mask;
-            t2 = line >> c->l2_off;
             /* L2 hit: refresh L2 recency, install into the L1 and retire
              * the reference here, with no waiter. */
-            if ((s = set_at(c->l2_sets, t2 & c->l2_mask)) == NULL
-                || (hit = touch(s, t2, NULL)) < 0)
-                goto done;
-            if (hit) {
+            if (cache_touch(l2, line >> l2->off, 0)) {
                 n_l2_hits += 1;
                 if (fill_l1(c, line, cycle) < 0)
                     goto done;
@@ -2994,7 +3135,7 @@ static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
             } else {
                 long result;
                 n_l2_miss += 1;
-                if (l2_miss(c, line, cycle, is_write, &result) < 0)
+                if (l2_miss(c, line, cycle, &result) < 0)
                     goto done;
                 if (result == BLOCKED) {
                     if (block(c, cycle, line) < 0)
@@ -3007,46 +3148,36 @@ static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
                     /* PENDING (new memory request) or MERGED (rides an
                      * in-flight line): either way the load waits. */
                     n_loads += 1;
-                    if (result == PENDING
-                        && add_attr(c->stats, s_mem_requests, 1) < 0)
-                        goto done;
+                    if (result == PENDING)
+                        c->ks[K_MEM_REQUESTS]++;
                     rob_push(c, fetched, NEVER);
                 }
             }
         }
         fetched += 1;
         fetch_q += 1;
-        if (c->trace_pos < n_ops) {
-            if (take_recorded(c, c->trace_pos, fetched) < 0)
-                goto done;
-        } else {
-            if (pull_next_op(c, fetched) < 0)
-                goto done;
-            if (c->r_gaps != NULL)
-                n_ops = PyList_GET_SIZE(c->r_gaps);
-        }
+        if (c->cols_stale && c->r_gaps != NULL && cols_load(c) < 0)
+            goto done;
+        if (c->trace_pos < c->n_ops)
+            take_recorded(c, c->trace_pos, fetched);
+        else if (pull_next_op(c, fetched) < 0)
+            goto done;
         *progressed = 1;
     }
     c->fetched = fetched;
     c->fetch_q = fetch_q;
-    rc = 0;
-    if (n_demand) {
-        if (add_item(c->demand, c->core_id, n_demand) < 0
-            || (n_l1_hits && add_attr(l1_stats, s_hits, n_l1_hits) < 0)
-            || (n_l1_miss && add_attr(l1_stats, s_misses, n_l1_miss) < 0)
-            || (n_loads && add_attr(c->stats, s_loads, n_loads) < 0)
-            || (n_stores && add_attr(c->stats, s_stores, n_stores) < 0)
-            || (n_s_l1_hits && add_attr(c->stats, s_l1_hits, n_s_l1_hits) < 0)
-            || (n_l2_hits && add_attr(l2_stats, s_hits, n_l2_hits) < 0)
-            || (n_l2_miss && add_attr(l2_stats, s_misses, n_l2_miss) < 0)
-            || (n_l2_load_hits
-                && add_attr(c->stats, s_l2_hits, n_l2_load_hits) < 0))
-            rc = -1;
-    }
+    *c->demand += n_demand;
+    l1->stats[C_HITS] += n_l1_hits;
+    l1->stats[C_MISSES] += n_l1_miss;
+    l2->stats[C_HITS] += n_l2_hits;
+    l2->stats[C_MISSES] += n_l2_miss;
+    c->ks[K_LOADS] += n_loads;
+    c->ks[K_STORES] += n_stores;
+    c->ks[K_L1_HITS] += n_s_l1_hits;
+    c->ks[K_L2_HITS] += n_l2_load_hits;
+    return 0;
 done:
-    Py_XDECREF(l1_stats);
-    Py_XDECREF(l2_stats);
-    return rc;
+    return -1;
 }
 
 /* -- the simulation loop ------------------------------------------------- */
@@ -3096,6 +3227,10 @@ static int run(Core *c, int64_t now)
 {
     int64_t limit_q = (now + c->lookahead) * c->q;
     int progressed;
+    if (c->side == NULL)
+        return core_closed();
+    /* Python code ran since the kernel last held the columns. */
+    c->cols_stale = 1;
     for (;;) {
         if (advance_commit(c) < 0)
             return -1;
@@ -3121,19 +3256,10 @@ static int run(Core *c, int64_t now)
  * tests only: a miss path mutates nothing.  1, 0 or -1. */
 static int blocks_again(Core *c)
 {
-    int64_t addr = c->cur_addr, tag = addr >> c->l1_off, line, t2;
-    PyObject *s;
-    int rc;
-    if ((s = set_at(c->l1_sets, tag & c->l1_mask)) == NULL)
-        return -1;
-    if ((rc = dict_has(s, tag)) != 0)
-        return rc < 0 ? -1 : 0;
-    line = addr & c->line_mask;
-    t2 = line >> c->l2_off;
-    if ((s = set_at(c->l2_sets, t2 & c->l2_mask)) == NULL)
-        return -1;
-    if ((rc = dict_has(s, t2)) != 0)
-        return rc < 0 ? -1 : 0;
+    int64_t addr = c->cur_addr, line = addr & c->line_mask, base;
+    if (cache_way(&c->side->l1, addr >> c->side->l1.off, &base) >= 0
+        || cache_way(c->l2, line >> c->l2->off, &base) >= 0)
+        return 0;
     return hier_would_block((Hier *)c->hierarchy, c->side, line);
 }
 
@@ -3174,29 +3300,20 @@ static PyObject *core_on_unblock(Core *c, PyObject *const *args,
         return NULL;
     if (c->stopped || !c->blocked)
         Py_RETURN_NONE; /* stale wake: another resource freed us already */
+    if (c->side == NULL)
+        return done_or_null(core_closed());
     /* The front end lost the stalled cycles; resume from the wake point. */
     if (c->fetch_q < now * c->q)
         c->fetch_q = now * c->q;
     if (!c->trace_done) {
-        PyObject *l1_stats, *l2_stats;
-        int rc;
         if ((again = blocks_again(c)) < 0)
             return NULL;
         if (again) {
-            if ((l1_stats = PyObject_GetAttr(c->l1, s_stats)) == NULL)
-                return NULL;
-            if ((l2_stats = PyObject_GetAttr(c->l2, s_stats)) == NULL) {
-                Py_DECREF(l1_stats);
-                return NULL;
-            }
-            rc = (add_item(c->demand, c->core_id, 1) < 0
-                  || add_attr(l1_stats, s_misses, 1) < 0
-                  || add_attr(l2_stats, s_misses, 1) < 0
-                  || add_attr(c->stats, s_structural_stalls, 1) < 0
-                  || wait_unblock(c) < 0) ? -1 : 0;
-            Py_DECREF(l1_stats);
-            Py_DECREF(l2_stats);
-            return done_or_null(rc); /* still blocked */
+            *c->demand += 1;
+            c->side->l1.stats[C_MISSES]++;
+            c->l2->stats[C_MISSES]++;
+            c->ks[K_STALLS]++;
+            return done_or_null(wait_unblock(c)); /* still blocked */
         }
     }
     c->blocked = 0;
@@ -3231,21 +3348,9 @@ static PyObject *core_store_data(Core *c, PyObject *const *args,
 
 /* -- binding --------------------------------------------------------------- */
 
-static int column(PyObject *cols, Py_ssize_t i, PyObject **out)
-{
-    PyObject *v = PyTuple_GET_ITEM(cols, i);
-    if (!PyList_CheckExact(v)) {
-        PyErr_SetString(PyExc_TypeError, "recording columns must be lists");
-        return -1;
-    }
-    Py_INCREF(v);
-    *out = v;
-    return 0;
-}
-
 /* _bind(...): attach the core to its memory path and trace, take the
  * callables the kernel calls out through, and pull the first op.  Called
- * once, by TraceCore.__init__. */
+ * once, by TraceCore.__init__, after it sets stats. */
 static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
@@ -3255,8 +3360,7 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
         "on_unblock", "on_load_ready", "store_data", NULL};
     long long core_id, target, warmup, lookahead, width, rob_size, pos;
     PyObject *h, *replay, *after, *fill, *sched, *grow, *next;
-    PyObject *wake, *unblock, *ready, *store, *l1d, *l1;
-    PyObject *v;
+    PyObject *wake, *unblock, *ready, *store;
     int64_t n;
     Hier *hier;
 
@@ -3306,21 +3410,16 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
     if ((c->py_core_id = PyLong_FromLongLong(core_id)) == NULL)
         return NULL;
     KEEP(c, hierarchy, h);
-    if ((l1d = PyObject_GetAttr(h, s_l1d)) == NULL)
+    c->l2 = &hier->l2;
+    c->demand = hier->demand + core_id;
+    if (c->stats == NULL) {
+        PyErr_SetString(PyExc_TypeError, "bind the core's stats first");
         return NULL;
-    l1 = PySequence_GetItem(l1d, (Py_ssize_t)core_id);
-    Py_DECREF(l1d);
-    if (l1 == NULL)
-        return NULL;
-    c->l1 = l1;
-    if ((c->l2 = PyObject_GetAttr(h, s_l2)) == NULL)
-        return NULL;
-    if (cache_geometry(c->l1, &c->l1_sets, &c->l1_off, &c->l1_mask) < 0
-        || cache_geometry(c->l2, &c->l2_sets, &c->l2_off, &c->l2_mask) < 0
+    }
+    if ((c->ks = pin_counters(&c->pins, c->stats, K_NFIELDS)) == NULL
         || attr_i64(h, s_line_mask, &c->line_mask) < 0
         || attr_i64(h, s_l1_hit_latency, &c->l1_lat) < 0
-        || attr_i64(h, s_l2_hit_latency, &c->l2_lat) < 0
-        || get_list(h, s_demand_accesses, &c->demand) < 0)
+        || attr_i64(h, s_l2_hit_latency, &c->l2_lat) < 0)
         return NULL;
 
     if (replay != Py_None) {
@@ -3329,11 +3428,14 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
                             "replay must be (gaps, addresses, store flags)");
             return NULL;
         }
-        if (column(replay, 0, &c->r_gaps) < 0
-            || column(replay, 1, &c->r_addrs) < 0
-            || column(replay, 2, &c->r_writes) < 0)
-            return NULL;
+        c->r_gaps = PyTuple_GET_ITEM(replay, 0);
+        c->r_addrs = PyTuple_GET_ITEM(replay, 1);
+        c->r_writes = PyTuple_GET_ITEM(replay, 2);
+        Py_INCREF(c->r_gaps);
+        Py_INCREF(c->r_addrs);
+        Py_INCREF(c->r_writes);
     }
+    c->cols_stale = 1;
     KEEP(c, replay_ops, replay);
     KEEP(c, after_l2_miss, after);
     KEEP(c, fill_l1, fill);
@@ -3344,8 +3446,6 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
     KEEP(c, unblock_cb, unblock);
     KEEP(c, load_ready_cb, ready);
     KEEP(c, store_cb, store);
-    v = Py_False;
-    KEEP(c, cur_write, v);
     return done_or_null(pull_next_op(c, 0));
 }
 
@@ -3368,11 +3468,10 @@ static PyObject *core_unbind(Core *c, PyObject *Py_UNUSED(ignored))
 /* -- type ------------------------------------------------------------------ */
 
 #define OBJECT_FIELDS(X) \
-    X(cur_write) X(stats) X(spans) X(on_warmup) X(on_finish) X(replay_ops) \
-    X(hierarchy) X(l1) X(l2) X(l1_sets) X(l2_sets) X(demand) X(py_core_id) \
-    X(r_gaps) X(r_addrs) X(r_writes) X(after_l2_miss) X(fill_l1) \
-    X(schedule) X(grow) X(next_op) X(wake_cb) X(unblock_cb) \
-    X(load_ready_cb) X(store_cb)
+    X(stats) X(spans.obj) X(on_warmup) X(on_finish) X(replay_ops) \
+    X(hierarchy) X(py_core_id) X(r_gaps) X(r_addrs) X(r_writes) \
+    X(after_l2_miss) X(fill_l1) X(schedule) X(grow) X(next_op) X(wake_cb) \
+    X(unblock_cb) X(load_ready_cb) X(store_cb)
 
 static int core_traverse(Core *c, visitproc visit, void *arg)
 {
@@ -3382,12 +3481,14 @@ static int core_traverse(Core *c, visitproc visit, void *arg)
     return 0;
 }
 
+/* The hierarchy goes, and with it the storage side and l2 point into. */
 static int core_clear(Core *c)
 {
 #define CLEAR(f) Py_CLEAR(c->f);
     OBJECT_FIELDS(CLEAR)
 #undef CLEAR
     c->side = NULL;
+    c->l2 = NULL;
     return 0;
 }
 
@@ -3395,6 +3496,8 @@ static void core_dealloc(Core *c)
 {
     PyObject_GC_UnTrack(c);
     core_clear(c);
+    unpin(&c->pins);
+    unpin(&c->spans.pins);
     PyMem_Free(c->rob_inst);
     PyMem_Free(c->rob_ready);
     Py_TYPE(c)->tp_free((PyObject *)c);
@@ -3417,7 +3520,19 @@ static PyObject *get_finish_cycle(Core *c, void *Py_UNUSED(closure))
     return get_cycle(c->finish_cycle);
 }
 
+static PyObject *core_get_spans(Core *c, void *Py_UNUSED(closure))
+{
+    return spans_get(&c->spans);
+}
+
+static int core_set_spans(Core *c, PyObject *v, void *Py_UNUSED(closure))
+{
+    return spans_set(&c->spans, v);
+}
+
 static PyGetSetDef core_getset[] = {
+    {"spans", (getter)core_get_spans, (setter)core_set_spans,
+     "span collector for structural-stall stamps, or None", NULL},
     {"warmup_cycle", (getter)get_warmup_cycle, NULL,
      "cycle the warm-up budget committed (0 without warm-up), or None", NULL},
     {"finish_cycle", (getter)get_finish_cycle, NULL,
@@ -3447,9 +3562,8 @@ static PyMemberDef core_members[] = {
     MEMBER("_replay_ops", T_OBJECT, replay_ops, READONLY,
            "the recording's columns (gaps, addresses, store flags), or None"),
     MEMBER("_stopped", T_BOOL, stopped, 0, NULL),
-    MEMBER("stats", T_OBJECT, stats, 0, "the core's CoreStats"),
-    MEMBER("spans", T_OBJECT, spans, 0,
-           "span collector for structural-stall stamps, or None"),
+    MEMBER("stats", T_OBJECT, stats, 0,
+           "the core's CoreStats (the kernel binds its slots at _bind)"),
     MEMBER("on_warmup", T_OBJECT, on_warmup, 0,
            "hook fired once at the warm-up crossing: fn(core)"),
     MEMBER("on_finish", T_OBJECT, on_finish, 0,
@@ -3492,8 +3606,10 @@ static PyTypeObject CoreKernelType = {
  * ====================================================================== */
 
 static struct PyModuleDef core_module = {
-    PyModuleDef_HEAD_INIT, "_core",
-    "The simulator's model kernel: core, memory side and event loop.", -1, NULL
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_core",
+    .m_doc = "The simulator's model kernel: core, memory side and event loop.",
+    .m_size = -1,
 };
 
 static int add_type(PyObject *m, const char *name, PyTypeObject *type)
@@ -3513,38 +3629,23 @@ PyMODINIT_FUNC PyInit__core(void)
     PyObject *m;
 #define INTERN(var, text) \
     if ((var = PyUnicode_InternFromString(text)) == NULL) return NULL;
-    INTERN(s_stats, "stats") INTERN(s_hits, "hits") INTERN(s_misses, "misses")
-    INTERN(s_loads, "loads") INTERN(s_stores, "stores")
-    INTERN(s_l1_hits, "l1_hits") INTERN(s_l2_hits, "l2_hits")
-    INTERN(s_mem_requests, "mem_requests")
-    INTERN(s_structural_stalls, "structural_stalls")
-    INTERN(s_gap, "gap") INTERN(s_addr, "addr") INTERN(s_is_write, "is_write")
-    INTERN(s_sets, "_sets") INTERN(s_off_bits, "_off_bits")
-    INTERN(s_set_mask, "_set_mask") INTERN(s_assoc, "_assoc")
-    INTERN(s_entries, "_entries") INTERN(s_capacity, "capacity")
-    INTERN(s_l2, "l2") INTERN(s_line_mask, "_line_mask")
+    INTERN(s_stats, "stats") INTERN(s_c, "_c") INTERN(s_gap, "gap")
+    INTERN(s_addr, "addr") INTERN(s_is_write, "is_write")
+    INTERN(s_tags, "_tags") INTERN(s_dirty, "_dirty") INTERN(s_count, "_count")
+    INTERN(s_off_bits, "_off_bits") INTERN(s_set_mask, "_set_mask")
+    INTERN(s_assoc, "_assoc") INTERN(s_lines, "_lines")
+    INTERN(s_stores, "_stores") INTERN(s_waiters, "_waiters")
+    INTERN(s_capacity, "capacity")
+    INTERN(s_line_mask, "_line_mask")
     INTERN(s_l1_hit_latency, "_l1_hit_latency")
     INTERN(s_l2_hit_latency, "_l2_hit_latency")
-    INTERN(s_demand_accesses, "demand_accesses")
-    INTERN(s_evictions, "evictions") INTERN(s_dirty_evictions, "dirty_evictions")
-    INTERN(s_fills, "fills") INTERN(s_merges, "merges")
-    INTERN(s_on_merge, "on_merge") INTERN(s_allocations, "allocations")
-    INTERN(s_peak_occupancy, "peak_occupancy")
-    INTERN(s_start_request, "start_request")
+    INTERN(s_on_merge, "on_merge") INTERN(s_start_request, "start_request")
     INTERN(s_end_inflight, "end_inflight")
-    INTERN(s_count, "_count") INTERN(s_sample_every, "sample_every")
-    INTERN(s_blocked, "_blocked") INTERN(s_offered, "offered")
-    INTERN(s_read, "read") INTERN(s_occupancy, "occupancy")
-    INTERN(s_next_seq, "_next_seq") INTERN(s_channel, "channel")
-    INTERN(s_bank, "bank") INTERN(s_row, "row") INTERN(s_l1d, "l1d")
-    INTERN(s_busy_until, "busy_until")
-    INTERN(s_bus_free_cycle, "bus_free_cycle")
-    INTERN(s_transactions, "transactions") INTERN(s_writes, "writes")
-    INTERN(s_data_cycles, "data_cycles") INTERN(s_act_times, "_act_times")
-    INTERN(s_append, "append") INTERN(s_observer, "observer")
-    INTERN(s_now, "now") INTERN(s_hits_prefiltered, "hits_prefiltered")
+    INTERN(s_sample_every, "sample_every") INTERN(s_read, "read")
+    INTERN(s_channel, "channel") INTERN(s_bank, "bank") INTERN(s_row, "row")
+    INTERN(s_observers, "observers") INTERN(s_now, "now")
+    INTERN(s_hits_prefiltered, "hits_prefiltered")
     INTERN(s_select_read, "select_read") INTERN(s_select_write, "select_write")
-    INTERN(s_read_row_hits, "read_row_hits")
     INTERN(s_update_drain_mode, "_update_drain_mode")
     INTERN(s_index, "index") INTERN(s_arrival, "arrival")
     INTERN(s_pick, "pick") INTERN(s_track, "track")
@@ -3558,8 +3659,8 @@ PyMODINIT_FUNC PyInit__core(void)
     INTERN(s_t_rp, "t_rp") INTERN(s_t_rcd, "t_rcd") INTERN(s_t_cl, "t_cl")
     INTERN(s_t_burst, "t_burst") INTERN(s_t_wr, "t_wr")
     INTERN(s_t_rrd, "t_rrd") INTERN(s_t_faw, "t_faw")
-    INTERN(s_reads, "reads") INTERN(s_reads_by_ch, "reads_by_ch")
-    INTERN(s_writes_by_ch, "writes_by_ch")
+    INTERN(s_reads, "reads") INTERN(s_writes, "writes")
+    INTERN(s_reads_by_ch, "reads_by_ch") INTERN(s_writes_by_ch, "writes_by_ch")
     INTERN(s_pending_reads, "pending_reads")
     INTERN(s_pending_writes, "pending_writes")
     INTERN(s_read_count, "read_count")
@@ -3567,8 +3668,10 @@ PyMODINIT_FUNC PyInit__core(void)
     INTERN(s_read_latency_max, "read_latency_max")
     INTERN(s_bytes_read, "bytes_read") INTERN(s_bytes_written, "bytes_written")
     INTERN(s_write_count, "write_count") INTERN(s_ready, "ready")
-    INTERN(s_open_row, "open_row") INTERN(s_acts, "acts")
-    INTERN(s_confs, "confs")
+    INTERN(s_open_row, "open_row") INTERN(s_hits, "hits")
+    INTERN(s_acts, "acts") INTERN(s_confs, "confs")
+    INTERN(s_act_cycles, "_act_cycles") INTERN(s_num_banks, "num_banks")
+    INTERN(s_stamps, "_stamps")
 #undef INTERN
     if ((kw_timing = Py_BuildValue("(ssssss)", "cas_cycle", "data_start",
                                    "data_end", "row_hit", "start_cycle",

@@ -21,9 +21,9 @@ monotone slot cursor; converting ``slots // issue_width`` yields cycles.
 Between memory events the model advances analytically over whole gaps of
 non-memory instructions instead of iterating per cycle.  The fetch and
 commit loops run in the model kernel's ``CoreKernel`` type (``_core.c``),
-which walks the cache hierarchy's own Python objects (docs/ARCHITECTURE.md,
-"The model in C"); this module keeps the constructor and the public
-surface.
+which reads the caches' blocks, the recording's columns and the counters
+in place (docs/ARCHITECTURE.md, "The model in C"); this module keeps the
+constructor and the public surface.
 
 Fidelity approximations (intentional, documented):
 
@@ -39,12 +39,12 @@ Fidelity approximations (intentional, documented):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.config import CoreConfig
 from repro.cpu.kernel import kernel
 from repro.cpu.trace import TraceSource
+from repro.util.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.hierarchy import CacheHierarchy
@@ -55,16 +55,12 @@ __all__ = ["CoreStats", "TraceCore"]
 CoreKernel = kernel.CoreKernel
 
 
-@dataclass
-class CoreStats:
-    """Per-core execution counters."""
+class CoreStats(Counters):
+    """Per-core execution counters, bumped in place by the core kernel."""
 
-    loads: int = 0
-    stores: int = 0
-    l1_hits: int = 0
-    l2_hits: int = 0
-    mem_requests: int = 0
-    structural_stalls: int = 0
+    __slots__ = ()
+    FIELDS = ("loads", "stores", "l1_hits", "l2_hits", "mem_requests",
+              "structural_stalls")
 
     @property
     def mem_ops(self) -> int:

@@ -10,7 +10,7 @@ holds its banks' open rows and ready times as arrays, plus a data bus with
 occupancy, and the memory controller's scheduling point derives each
 transaction's start/finish cycles from the DDR2 timing parameters (tRP,
 tRCD, CL, burst, tWR) expressed in CPU cycles, reporting them as a
-:class:`TransactionTiming` to :attr:`DramSystem.observer`.
+:class:`TransactionTiming` to :attr:`DramSystem.observers`.
 """
 
 from repro.dram.address import AddressMapper, DramCoord

@@ -13,17 +13,20 @@ transaction it commits against this state:
 * data burst:          starts at max(CAS + CL, bus free), lasts tBurst
 * page policy tail:    +tWR for writes, +tRP when auto-precharging
 
-and reports it as a :class:`TransactionTiming` to ``DramSystem.observer``.
+and reports it as a :class:`TransactionTiming` to each of
+``DramSystem.observers``.
 
-Bank state is held as parallel integer lists indexed by bank::
+Bank state is held as parallel ``array('q')`` vectors indexed by bank::
 
     ready[bank]     earliest cycle a new command may start (busy-until)
     open_row[bank]  row latched in the row buffer, -1 when precharged
     hits/acts/confs lifetime per-bank counters
 
-so a scheduling point reads it without chasing per-bank objects.  Rows are
-never negative, so ``-1`` stands in for "no open row" in every comparison
-the scheduler makes.
+and the channel's own cursors and counters are int64 slots
+(:mod:`repro.util.counters`), so a scheduling point reads and writes them
+in place, without chasing per-bank objects or making a Python int.  Rows
+are never negative, so ``-1`` stands in for "no open row" in every
+comparison the scheduler makes.
 
 The command bus is not separately modelled (on DDR2 it is not the
 bottleneck for 64 B-granule traffic); the data bus and bank timing are.
@@ -31,8 +34,9 @@ bottleneck for 64 B-granule traffic); the data bus and bank timing are.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+from repro.util.counters import Counters, int64s
 
 __all__ = ["TransactionTiming", "Channel"]
 
@@ -62,49 +66,43 @@ class TransactionTiming:
     conflict: bool = False
 
 
-class Channel:
-    """One logic channel: bank state arrays and a serialised data bus."""
+class Channel(Counters):
+    """One logic channel: bank state vectors and a serialised data bus.
 
-    __slots__ = (
-        "index",
-        "num_banks",
-        "ready",
-        "open_row",
-        "hits",
-        "acts",
-        "confs",
-        "bus_free_cycle",
-        "busy_until",
-        "transactions",
-        "writes",
-        "data_cycles",
-        "_act_times",
-    )
+    Counters: ``bus_free_cycle`` (next cycle the data bus is free),
+    ``busy_until`` (next cycle the channel scheduler may issue another
+    transaction: issue is paced at one transaction per burst slot),
+    ``transactions``, ``writes`` (write transactions committed; reads =
+    transactions - writes) and ``data_cycles`` (cumulative cycles the data
+    bus spent bursting; epoch deltas of this against wall cycles are the
+    bus-utilisation time series).  The first ``_act_count`` (at most
+    four) slots of ``_act_cycles`` hold the issue cycles of the last ACTs,
+    oldest first, for tRRD / tFAW enforcement (kept only when those
+    constraints are enabled).
+    """
+
+    __slots__ = ("index", "num_banks", "ready", "open_row", "hits", "acts",
+                 "confs", "_act_cycles")
+    FIELDS = ("bus_free_cycle", "busy_until", "transactions", "writes",
+              "data_cycles", "_act_count")
 
     def __init__(self, index: int, num_banks: int) -> None:
         if num_banks < 1:
             raise ValueError("channel needs at least one bank")
+        super().__init__()
         self.index = index
         self.num_banks = num_banks
-        self.ready = [0] * num_banks
-        self.open_row = [-1] * num_banks
-        self.hits = [0] * num_banks
-        self.acts = [0] * num_banks
-        self.confs = [0] * num_banks
-        #: next cycle the data bus is free
-        self.bus_free_cycle: int = 0
-        #: next cycle the channel scheduler may issue another transaction
-        #: (we pace issue at one transaction per burst slot)
-        self.busy_until: int = 0
-        self.transactions: int = 0
-        #: write transactions committed (reads = transactions - writes)
-        self.writes: int = 0
-        #: cumulative cycles the data bus spent bursting — epoch deltas of
-        #: this against wall cycles are the bus-utilisation time series
-        self.data_cycles: int = 0
-        #: recent ACT issue cycles for tRRD / tFAW enforcement (kept only
-        #: when those constraints are enabled)
-        self._act_times: deque[int] = deque(maxlen=4)
+        self.ready = int64s(num_banks)
+        self.open_row = int64s(num_banks, -1)
+        self.hits = int64s(num_banks)
+        self.acts = int64s(num_banks)
+        self.confs = int64s(num_banks)
+        self._act_cycles = int64s(4)
+
+    @property
+    def _act_times(self) -> list[int]:
+        """The issue cycles of the last (at most four) ACTs, oldest first."""
+        return list(self._act_cycles[: self._act_count])
 
     # -- queries -------------------------------------------------------------
 

@@ -45,8 +45,8 @@ class DramCommand:
 class CommandLog:
     """Reconstructs and stores the command stream of committed transactions.
 
-    Attach one to a live simulation with :meth:`attach` (it becomes the
-    :class:`~repro.dram.dram_system.DramSystem` observer) or call
+    Attach one to a live simulation with :meth:`attach` (it joins the
+    :class:`~repro.dram.dram_system.DramSystem`'s observers) or call
     :meth:`record` directly on saved timings.
 
     With a :class:`~repro.telemetry.hub.Telemetry` hub supplied to
@@ -64,7 +64,7 @@ class CommandLog:
         self._bus = None
 
     def attach(self, dram, telemetry=None) -> "CommandLog":
-        """Register as ``dram``'s transaction observer; returns self."""
+        """Subscribe to ``dram``'s committed transactions; returns self."""
         self._bus = telemetry.bus if telemetry is not None else None
 
         def observer(coord, t, is_write, keep_open, had_conflict):
@@ -73,7 +73,7 @@ class CommandLog:
                 is_write=is_write, keep_open=keep_open, had_conflict=had_conflict,
             )
 
-        dram.observer = observer
+        dram.observers.append(observer)
         return self
 
     def record(

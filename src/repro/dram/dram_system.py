@@ -17,16 +17,19 @@ __all__ = ["DramSystem"]
 class DramSystem:
     """All logic channels behind one memory controller.
 
-    ``observer`` is an optional hook the controller's scheduling point
-    calls after every committed transaction with ``(coord, timing,
-    is_write, keep_open, had_conflict)``, ``timing`` a
+    ``observers`` is the ordered list of subscribers the controller's
+    scheduling point calls, in attach order, after every committed
+    transaction with ``(coord, timing, is_write, keep_open,
+    had_conflict)``, ``timing`` a
     :class:`~repro.dram.channel.TransactionTiming` — the attachment point
-    for command-level logging/analysis
-    (:class:`repro.dram.command.CommandLog`) without per-command cost in
-    normal runs.
+    for command-level logging and checking
+    (:class:`repro.dram.command.CommandLog`).  Subscribers append
+    themselves; the list object itself is never replaced, because the
+    controller binds it once.  With no subscribers a commit costs one
+    length test.
     """
 
-    __slots__ = ("topology", "timing", "mapper", "channels", "observer")
+    __slots__ = ("topology", "timing", "mapper", "channels", "observers")
 
     def __init__(
         self,
@@ -43,7 +46,7 @@ class DramSystem:
             Channel(i, topology.banks_per_channel)
             for i in range(topology.logic_channels)
         ]
-        self.observer = None
+        self.observers: list = []
 
     def coord(self, addr: int) -> DramCoord:
         """Decode a byte address into its DRAM coordinate."""

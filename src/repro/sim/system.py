@@ -160,6 +160,7 @@ class MultiCoreSystem:
             spans = telemetry.spans
             spans.timing = config.dram_timing
             spans.overhead = config.controller.overhead
+            spans.bind_cores(config.num_cores)
             self.hierarchy.spans = spans
             for core in self.cores:
                 core.spans = spans
@@ -289,7 +290,7 @@ class MultiCoreSystem:
             core.close()
         if self.decision_log is not None:
             self.decision_log.detach(self.controller)
-        self.dram.observer = None  # the command log's link
+        self.dram.observers.clear()  # the command log's link
         self.sampler = None
 
     @property

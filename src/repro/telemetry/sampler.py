@@ -33,9 +33,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ChannelSample", "CoreSample", "Sample", "Sampler"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChannelSample:
-    """One logic channel over one epoch."""
+    """One logic channel over one epoch.
+
+    The sample records are plain slotted dataclasses, not frozen (frozen
+    init goes through ``object.__setattr__`` per field, and the sampler
+    builds one record per channel and core every epoch).  Treat instances
+    as immutable all the same.
+    """
 
     index: int
     #: DRAM bytes moved this epoch (reads + writes)
@@ -49,7 +55,7 @@ class ChannelSample:
     writes: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CoreSample:
     """One core over one epoch."""
 
@@ -67,7 +73,7 @@ class CoreSample:
     rob_stall_frac: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sample:
     """One telemetry epoch: per-channel and per-core deltas plus queue state."""
 
@@ -146,14 +152,16 @@ class Sampler:
 
         channels = []
         for i, ch in enumerate(system.dram.channels):
-            d_tx = ch.transactions - self._ch_tx[i]
-            d_hits = ch.total_row_hits - self._ch_hits[i]
-            d_data = ch.data_cycles - self._ch_data_cycles[i]
-            d_wr = ch.writes - self._ch_writes[i]
-            self._ch_tx[i] = ch.transactions
-            self._ch_hits[i] = ch.total_row_hits
-            self._ch_data_cycles[i] = ch.data_cycles
-            self._ch_writes[i] = ch.writes
+            tx, wr, data = ch.transactions, ch.writes, ch.data_cycles
+            hits = ch.total_row_hits
+            d_tx = tx - self._ch_tx[i]
+            d_hits = hits - self._ch_hits[i]
+            d_data = data - self._ch_data_cycles[i]
+            d_wr = wr - self._ch_writes[i]
+            self._ch_tx[i] = tx
+            self._ch_hits[i] = hits
+            self._ch_data_cycles[i] = data
+            self._ch_writes[i] = wr
             nbytes = d_tx * line_bytes
             channels.append(
                 ChannelSample(
@@ -169,35 +177,35 @@ class Sampler:
 
         ctrl = system.controller
         q = ctrl.queues
-        pending_reads = list(q.pending_reads)
-        read_q = len(q.reads)
-        write_q = len(q.writes)
-        drain = ctrl.drain_mode
+        pending_reads = q.pending_reads
+        mshrs = system.hierarchy.mshrs
 
         Q = system.config.core.issue_width
         cores = []
         for i, core in enumerate(system.cores):
-            d_committed = core.committed - self._core_committed[i]
-            d_stall = core.stall_q - self._core_stall_q[i]
-            self._core_committed[i] = core.committed
-            self._core_stall_q[i] = core.stall_q
+            committed, stall_q = core.committed, core.stall_q
+            d_committed = committed - self._core_committed[i]
+            d_stall = stall_q - self._core_stall_q[i]
+            self._core_committed[i] = committed
+            self._core_stall_q[i] = stall_q
             cores.append(
                 CoreSample(
                     index=i,
                     committed=d_committed,
                     ipc=d_committed / span,
                     pending_reads=pending_reads[i],
-                    mshr_occupancy=system.hierarchy.mshrs[i].occupancy,
-                    rob_occupancy=core.fetched - core.committed,
+                    mshr_occupancy=mshrs[i].occupancy,
+                    rob_occupancy=core.fetched - committed,
                     rob_stall_frac=min(d_stall / (Q * span), 1.0),
                 )
             )
 
         engine = system.engine
-        d_events = engine.events_processed - self._events
-        d_clamped = engine.clamped_events - self._clamped
-        self._events = engine.events_processed
-        self._clamped = engine.clamped_events
+        events, clamped = engine.events_processed, engine.clamped_events
+        d_events = events - self._events
+        d_clamped = clamped - self._clamped
+        self._events = events
+        self._clamped = clamped
 
         self._last_cycle = now
         self.telemetry.samples.append(
@@ -206,9 +214,9 @@ class Sampler:
                 span=span,
                 channels=tuple(channels),
                 cores=tuple(cores),
-                read_queue=read_q,
-                write_queue=write_q,
-                drain_mode=drain,
+                read_queue=len(q.reads),
+                write_queue=len(q.writes),
+                drain_mode=ctrl.drain_mode,
                 events=d_events,
                 clamped_events=d_clamped,
             )

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.util.counters import Counters, int64s
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import DramTimingConfig
 
@@ -115,13 +117,18 @@ class RequestSpan:
         )
 
 
-class SpanCollector:
+class SpanCollector(Counters):
     """Deterministic 1-in-N request tracer attached to a Telemetry hub.
 
     The collector is handed to every producer at system-assembly time
     (:class:`~repro.sim.system.MultiCoreSystem` wires it); producers call
     it only from already-slow paths (miss handling, structural stalls,
-    transaction commit), never from per-cycle code.
+    transaction commit), never from per-cycle code.  ``offered``
+    (requests offered for sampling; traced = offered // sample_every) and
+    ``_count`` are counters, and ``_stamps`` holds per core the
+    ``(cycle, line)`` of its oldest unresolved structural stall (line -1:
+    none): the model kernel updates both in place, through
+    :meth:`bind_cores`'s arrays.
     """
 
     __slots__ = (
@@ -131,17 +138,17 @@ class SpanCollector:
         "overhead",
         "completed",
         "dropped",
-        "offered",
-        "_count",
-        "_blocked",
+        "_stamps",
         "_inflight",
     )
+    FIELDS = ("offered", "_count")
 
     def __init__(self, sample_every: int = 64, max_spans: int = 200_000) -> None:
         if sample_every < 1:
             raise ValueError("span sample_every must be >= 1")
         if max_spans < 1:
             raise ValueError("max_spans must be >= 1")
+        super().__init__()
         self.sample_every = sample_every
         #: retention cap; spans past it are counted in ``dropped``
         self.max_spans = max_spans
@@ -151,13 +158,18 @@ class SpanCollector:
         self.overhead = 0
         self.completed: list[RequestSpan] = []
         self.dropped = 0
-        #: requests offered for sampling (traced = offered // sample_every)
-        self.offered = 0
-        self._count = 0
-        #: core_id -> (cycle, line) of the oldest unresolved structural stall
-        self._blocked: dict[int, tuple[int, int]] = {}
+        self._stamps = int64s(0)
         #: (core_id, line) -> in-flight traced read span, for merge counting
         self._inflight: dict[tuple[int, int], RequestSpan] = {}
+
+    def bind_cores(self, num_cores: int) -> None:
+        """Give ``num_cores`` cores a stall stamp.  A machine calls this
+        before it hands the collector to its producers, which keep the
+        stamp array they are handed."""
+        if len(self._stamps) < 2 * num_cores:
+            stamps = int64s(2 * num_cores, -1)
+            stamps[: len(self._stamps)] = self._stamps
+            self._stamps = stamps
 
     # -- producer-facing hooks ---------------------------------------------------
 
@@ -166,12 +178,14 @@ class SpanCollector:
 
         Only the first stall per (core, line) is kept: retries of the same
         blocked access must not advance the stamp.  The core kernel
-        (``note_blocked`` in ``cpu/_core.c``) does this on ``_blocked``
+        (``note_blocked`` in ``cpu/_core.c``) does this on ``_stamps``
         itself instead of calling here: keep the two in sync.
         """
-        prev = self._blocked.get(core_id)
-        if prev is None or prev[1] != line:
-            self._blocked[core_id] = (cycle, line)
+        self.bind_cores(core_id + 1)
+        i = 2 * core_id
+        if self._stamps[i + 1] != line:
+            self._stamps[i] = cycle
+            self._stamps[i + 1] = line
 
     def start_request(
         self, core_id: int, line: int, kind: str, cycle: int
@@ -184,10 +198,16 @@ class SpanCollector:
         request (writebacks are not core-issued and leave the stamp
         alone).  For a read this call would not sample, the hierarchy
         kernel (``offer_read`` in ``cpu/_core.c``) pops the stamp and
-        counts the offer on this collector itself, without the call:
-        keep the two in sync.
+        counts the offer in this collector's storage itself, without the
+        call: keep the two in sync.
         """
-        blocked = self._blocked.pop(core_id, None) if kind == "read" else None
+        first = None
+        if kind == "read":
+            self.bind_cores(core_id + 1)
+            i = 2 * core_id
+            if self._stamps[i + 1] == line:
+                first = self._stamps[i]
+            self._stamps[i + 1] = -1
         self.offered += 1
         self._count += 1
         if self._count < self.sample_every:
@@ -197,8 +217,8 @@ class SpanCollector:
             self.dropped += 1
             return None
         span = RequestSpan(core_id, line, kind, cycle)
-        if blocked is not None and blocked[1] == line:
-            span.first_attempt = blocked[0]
+        if first is not None:
+            span.first_attempt = first
         if kind != "write":
             # Reads own an MSHR entry until the fill returns; later
             # misses can merge onto them.

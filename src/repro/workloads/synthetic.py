@@ -33,6 +33,7 @@ exactly like the paper's setup.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 
 from repro.cpu.trace import MemOp
@@ -127,14 +128,14 @@ class SyntheticApp:
         self._l2_base = _L2SET_BASE_LINE + rng.randint(0, _PLACEMENT_SPAN)
         #: the kernel's state for this stream, from the first generation on
         self._kernel = None
-        #: the current chunk as columns (gaps, addresses, store flags), and
-        #: the index of its next unserved op
-        self._gaps: list[int] = []
-        self._addrs: list[int] = []
-        self._writes: list[bool] = []
+        #: the current chunk as typed columns (gaps, addresses, store
+        #: flags), and the index of its next unserved op
+        self._gaps = array("q")
+        self._addrs = array("q")
+        self._writes = array("B")
         self._pos = 0
 
-    def _start(self) -> tuple[list[int], list[int], list[bool]]:
+    def _start(self) -> tuple[array, array, array]:
         """First generation: seat the array streams, then the prologue.
 
         The prologue touches every resident line once, so the caches warm
@@ -143,6 +144,8 @@ class SyntheticApp:
         cold misses through the whole run and swamp the per-application
         mpki targets).
         """
+        import numpy as np
+
         from repro.workloads.tracegen import TraceKernel
 
         p = self.profile
@@ -183,12 +186,14 @@ class SyntheticApp:
         # consecutive, and a vectorized geometric draw is element-wise
         # stream-identical to the scalar loop.
         n_hot, n_l2 = self._hot_lines, self._l2_lines
-        gaps = (generator.geometric(gap_p, n_hot + n_l2) - 1).tolist()
-        base = self.base_addr
-        addrs = [base + line * LINE for line in (
-            *range(self._hot_base, self._hot_base + n_hot),
-            *range(self._l2_base, self._l2_base + n_l2))]
-        return gaps, addrs, [False] * len(addrs)
+        gaps = array("q")
+        gaps.frombytes((generator.geometric(gap_p, n_hot + n_l2) - 1).tobytes())
+        lines = np.concatenate((
+            np.arange(self._hot_base, self._hot_base + n_hot, dtype=np.int64),
+            np.arange(self._l2_base, self._l2_base + n_l2, dtype=np.int64)))
+        addrs = array("q")
+        addrs.frombytes((self.base_addr + lines * LINE).tobytes())
+        return gaps, addrs, array("B", bytes(len(addrs)))
 
     def _refill(self, n: int) -> None:
         """Replace the spent chunk with the stream's next one: the whole
@@ -198,11 +203,10 @@ class SyntheticApp:
         self._gaps, self._addrs, self._writes = cols
         self._pos = 0
 
-    def take_columns(self, n: int) -> tuple[list[int], list[int], list[bool]]:
-        """The stream's next ``n`` ops as (gaps, addresses, store flags)."""
-        gaps: list[int] = []
-        addrs: list[int] = []
-        writes: list[bool] = []
+    def take_columns(self, n: int) -> tuple[array, array, array]:
+        """The stream's next ``n`` ops as typed columns (gaps, addresses,
+        store flags)."""
+        gaps, addrs, writes = array("q"), array("q"), array("B")
         while len(gaps) < n:
             if self._pos == len(self._gaps):
                 self._refill(n - len(gaps))
@@ -223,11 +227,12 @@ class SyntheticApp:
             self._refill(CHUNK_OPS)
             pos = 0
         self._pos = pos + 1
-        return MemOp(self._gaps[pos], self._addrs[pos], self._writes[pos])
+        return MemOp(self._gaps[pos], self._addrs[pos], bool(self._writes[pos]))
 
     def take(self, n: int) -> list[MemOp]:
         """The stream's next ``n`` ops."""
-        return list(map(MemOp, *self.take_columns(n)))
+        gaps, addrs, writes = self.take_columns(n)
+        return list(map(MemOp, gaps, addrs, map(bool, writes)))
 
 
 def _raw_trace(
@@ -249,18 +254,21 @@ def _raw_trace(
 # Replayed ops are the same values in the same order, so every simulated
 # statistic is bit-identical to regeneration.
 #
-# A recording is three columns of plain values — gaps, addresses and store
-# flags — not one ``MemOp`` per op: building a ``MemOp`` costs more than
-# drawing the op, and a long-lived recording of objects the cycle collector
+# A recording is three typed columns — gaps and addresses as ``array('q')``,
+# store flags as ``array('B')`` — not one ``MemOp`` per op: building a
+# ``MemOp`` costs more than drawing the op, a Python int per value costs
+# an allocation, and a long-lived recording of objects the cycle collector
 # tracks is scanned by every full collection.  It grows one chunk of
-# ``CHUNK_OPS`` at a time, so a direct-indexing consumer (TraceCore) leaves
-# its loop once per chunk, not once per op.  Bounds: at most
+# ``CHUNK_OPS`` at a time, copied from the trace kernel's output with no
+# Python int per op, so a direct-indexing consumer (TraceCore's kernel,
+# which reads the columns' buffers) leaves its loop once per chunk, not
+# once per op.  Bounds: at most
 # ``_CACHE_MAX_STREAMS`` streams are retained (LRU), and each recording
 # stops at ``_STREAM_OP_CAP`` ops — a consumer running past the cap falls
 # back to live generation (taking over the positioned generator when it is
 # first past the end, or regenerating and fast-forwarding otherwise).
 
-#: max recorded ops per stream (~21 MB at the cap; typical runs use a few
+#: max recorded ops per stream (~4.5 MB at the cap; typical runs use a few
 #: tens of thousands of ops per core)
 _STREAM_OP_CAP = 1 << 18
 
@@ -278,19 +286,21 @@ _trace_cache_lock = threading.Lock()
 class _RecordedStream:
     """Shared recording of one deterministic stream.
 
-    ``gaps``, ``addrs`` and ``writes`` are the recorded prefix, one column
-    per op field; ``source`` is the live generator positioned exactly at
-    ``len(gaps)``, or ``None`` once a consumer past the cap has taken it
-    over.  An extension appends to ``gaps`` last, so a reader that finds
-    ``pos < len(gaps)`` without the lock finds op ``pos`` in every column.
+    ``gaps``, ``addrs`` and ``writes`` are the recorded prefix, one typed
+    column per op field; ``source`` is the live generator positioned
+    exactly at ``len(gaps)``, or ``None`` once a consumer past the cap has
+    taken it over.  An extension appends to ``gaps`` last, so a reader
+    that finds ``pos < len(gaps)`` without the lock finds op ``pos`` in
+    every column.  No reader holds a buffer export of a column across a
+    call that may grow it: an exported array refuses to resize.
     """
 
     __slots__ = ("gaps", "addrs", "writes", "source", "app", "lock")
 
     def __init__(self, app: SyntheticApp) -> None:
-        self.gaps: list[int] = []
-        self.addrs: list[int] = []
-        self.writes: list[bool] = []
+        self.gaps = array("q")
+        self.addrs = array("q")
+        self.writes = array("B")
         self.source: SyntheticApp | None = app
         #: kept (even after detach) for attribute passthrough
         self.app = app
@@ -322,20 +332,22 @@ class ReplayTrace:
         if self.grow(pos):
             rec = self._rec
             self._pos = pos + 1
-            return MemOp(rec.gaps[pos], rec.addrs[pos], rec.writes[pos])
+            return MemOp(rec.gaps[pos], rec.addrs[pos], bool(rec.writes[pos]))
         return self._tail.next_op()
 
     # -- direct-indexing fast path ------------------------------------------
     #
     # A hot consumer (TraceCore) bypasses next_op() while its cursor is
     # inside the recording: it reads the columns and its start cursor once
-    # via replay_state(), indexes the columns directly (their identity is
-    # stable; other consumers may extend them in place) with a private
-    # cursor, and calls grow() when the cursor reaches their end.  Once
+    # via replay_state(), indexes the columns' buffers directly (their
+    # identity is stable; other consumers may extend them in place, so it
+    # re-reads a column's address and length after every call out of its
+    # loop) with a private cursor, and calls grow() when the cursor
+    # reaches their end.  Once
     # grow() answers False the cursor stays frozen at the cap and the
     # consumer reads every further op through next_op().
 
-    def replay_state(self) -> tuple[list[int], list[int], list[bool], int]:
+    def replay_state(self) -> tuple[array, array, array, int]:
         """The shared recording's columns (gaps, addresses, store flags)
         and this consumer's cursor."""
         rec = self._rec

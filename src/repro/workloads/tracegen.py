@@ -21,6 +21,7 @@ import ctypes
 import functools
 import shlex
 import sysconfig
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -106,20 +107,23 @@ class TraceKernel:
         with self._bitgen.lock:
             self._lib.tracegen_seat(self._app, self._state)
 
-    def fill(self, n: int) -> tuple[list[int], list[int], list[bool]]:
-        """Draw the next ``n`` ops as (gaps, addresses, store flags).
+    def fill(self, n: int) -> tuple[array, array, array]:
+        """Draw the next ``n`` ops as typed columns: gaps and addresses
+        (``array('q')``) and store flags (``array('B')``, 0 or 1).
 
-        Recordings store these columns as they are, so the checks
-        :class:`~repro.cpu.trace.MemOp` makes per op run here, once per
-        chunk.
+        The kernel writes into the columns directly.  Recordings store
+        them as they are, so the checks :class:`~repro.cpu.trace.MemOp`
+        makes per op run here, once per chunk.
         """
-        gaps = np.empty(n, np.int64)
-        addrs = np.empty(n, np.int64)
-        writes = np.empty(n, np.bool_)
+        gaps = array("q", bytes(8 * n))
+        addrs = array("q", bytes(8 * n))
+        writes = array("B", bytes(n))
         with self._bitgen.lock:
             self._lib.tracegen_fill(self._app, self._state, n,
-                                    gaps.ctypes.data, addrs.ctypes.data,
-                                    writes.ctypes.data)
-        if gaps.min(initial=0) < 0 or addrs.min(initial=0) < 0:
+                                    gaps.buffer_info()[0],
+                                    addrs.buffer_info()[0],
+                                    writes.buffer_info()[0])
+        if (np.frombuffer(gaps, np.int64).min(initial=0) < 0
+                or np.frombuffer(addrs, np.int64).min(initial=0) < 0):
             raise ValueError("trace kernel drew a negative gap or address")
-        return gaps.tolist(), addrs.tolist(), writes.tolist()
+        return gaps, addrs, writes

@@ -1,6 +1,6 @@
 """A DDR2 legality checker for the transactions a controller commits.
 
-Test-only.  :class:`Ddr2Checker` attaches as ``dram.observer`` and judges
+Test-only.  :class:`Ddr2Checker` subscribes to ``dram.observers`` and judges
 every committed transaction against the model's DDR2 rules (listed in
 :mod:`repro.dram.channel`).  It keeps its own table, built only from the
 :class:`~repro.config.DramTimingConfig`: per bank the open row and the
@@ -52,8 +52,8 @@ class Ddr2Checker:
         self._bus_free: dict[int, int] = {}
 
     def attach(self, dram) -> "Ddr2Checker":
-        """Become ``dram``'s transaction observer; returns self."""
-        dram.observer = self
+        """Subscribe to ``dram``'s committed transactions; returns self."""
+        dram.observers.append(self)
         return self
 
     def __call__(self, coord, t, is_write, keep_open, conflict) -> None:

@@ -9,7 +9,7 @@ that runs:
 * :func:`make_controller` — engine, DRAM and controller;
 * :func:`make_stack` — the same plus the cache hierarchy;
 * :class:`DramRig` — a controller whose committed transactions are
-  recorded from ``dram.observer``, for DRAM timing tests;
+  recorded from ``dram.observers``, for DRAM timing tests;
 * :func:`run_traces` — a whole :class:`MultiCoreSystem` over one
   :class:`ListTrace` per core, for the kernel's cache hit paths.
 """
@@ -96,8 +96,8 @@ def open_row(dram, req) -> None:
 
 
 class Transaction(NamedTuple):
-    """One transaction the controller committed, as ``dram.observer``
-    saw it."""
+    """One transaction the controller committed, as a ``dram.observers``
+    subscriber saw it."""
 
     coord: DramCoord
     timing: TransactionTiming
@@ -106,12 +106,12 @@ class Transaction(NamedTuple):
 
 
 def record_transactions(dram) -> list[Transaction]:
-    """Attach to ``dram.observer``: the returned list fills with every
+    """Subscribe to ``dram.observers``: the returned list fills with every
     committed transaction, in commit order."""
     log: list[Transaction] = []
-    dram.observer = lambda coord, t, is_write, keep_open, conflict: log.append(
-        Transaction(coord, t, is_write, keep_open)
-    )
+    dram.observers.append(
+        lambda coord, t, is_write, keep_open, conflict: log.append(
+            Transaction(coord, t, is_write, keep_open)))
     return log
 
 

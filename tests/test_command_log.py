@@ -1,7 +1,7 @@
 """Tests for the DRAM command-log reconstruction.
 
 The log observes the transactions the running controller commits
-(``CommandLog.attach`` takes ``dram.observer``); the tests enqueue their
+(``CommandLog.attach`` subscribes to ``dram.observers``); the tests enqueue their
 requests at the cycles they name.
 """
 

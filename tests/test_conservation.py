@@ -5,10 +5,16 @@ Every demand reference a core makes is counted once: as a load, a store
 or a failed attempt (a structural stall), and as an L1 hit or miss.
 Every L1 miss reaches the L2 once, and every L2 miss that allocates an
 MSHR is one memory request.  On the memory side, checked at every
-committed transaction through ``dram.observer``: the buffer's occupancy
+committed transaction through ``dram.observers``: the buffer's occupancy
 is its two queues and within capacity, no MSHR file overflows, each
 core's pending counters count its queued requests, and the per-channel
-views partition the queues.  At the end of a run every MSHR allocation
+views partition the queues.  The model kernel's native state obeys its
+own laws: every store-pending flag sits on a live MSHR entry and no
+counter is negative, checked at every commit; no cache set holds a tag
+twice, more than its ways or a line of another set, every L2-resident
+line has exactly one owner, a core of the machine, and each core's L1
+lines are resident in the L2, checked at every :data:`BLOCK_STRIDE`-th
+commit (a scan of the 4 MB L2's 65 536 ways costs about a millisecond).  At the end of a run every MSHR allocation
 is a committed or queued read and every writeback a committed, queued or
 overflowed write.  The laws hold for any configuration, so they judge
 the model without the golden files: a counter the model forgets to
@@ -17,11 +23,12 @@ charge, or charges twice, breaks one of them.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from dataclasses import replace
 
 from repro.config import SystemConfig
 from repro.core.registry import make_policy
@@ -39,7 +46,7 @@ PAPER_POLICIES = ("FCFS", "HF-RF", "RR", "LREQ", "ME", "ME-LREQ")
 
 def run_system(apps, policy: str, budget: int, warmup: int, seed: int,
                me=None, config: SystemConfig | None = None) -> MultiCoreSystem:
-    """Run a machine with :class:`MemoryLaws` on its ``dram.observer``."""
+    """Run a machine with :class:`MemoryLaws` on its ``dram.observers``."""
     cfg = config or SystemConfig().with_cores(len(apps))
     traces = [make_trace(app, seed, "eval", core_id=i)
               for i, app in enumerate(apps)]
@@ -93,19 +100,87 @@ def memory_state_violations(system: MultiCoreSystem) -> list[str]:
     return broken
 
 
+def _ways(cache):
+    """``(tags, live)``: a cache's tag block as a sets x ways matrix, and
+    which of its slots hold a resident line."""
+    sets, assoc = cache._set_mask + 1, cache._assoc
+    tags = np.frombuffer(cache._tags, np.int64).reshape(sets, assoc)
+    live = np.arange(assoc) < np.frombuffer(cache._count, np.int64)[:, None]
+    return tags, live
+
+
+#: commits between two checks of the cache-block laws
+BLOCK_STRIDE = 32
+
+
+def native_state_violations(system: MultiCoreSystem,
+                            blocks: bool = True) -> list[str]:
+    """The laws of the kernel's typed storage: the MSHR tables and the
+    counters, and with ``blocks`` the caches' blocks and the L2's owner
+    column."""
+    h = system.hierarchy
+    broken: list[str] = []
+    law = _lawbook(broken)
+    for i, m in enumerate(h.mshrs):
+        law(not any(m._stores[m.occupancy:]),
+            f"core {i}: a store-pending flag outside the live MSHR entries")
+    q, st = system.controller.queues, system.controller.stats
+    counters = [q._c, q.pending_reads, q.pending_writes, st._c,
+                st.read_count, st.read_latency_sum, st.read_latency_max,
+                st.bytes_read, st.bytes_written, st.write_count,
+                h.l2_misses, h.demand_accesses, h.l2.stats._c,
+                *(c.stats._c for c in h.l1d), *(m._c for m in h.mshrs),
+                *(c.stats._c for c in system.cores)]
+    for ch in system.dram.channels:
+        counters += [ch._c, ch.ready, ch.hits, ch.acts, ch.confs]
+    law(min(map(min, counters)) >= 0 and h.writebacks >= 0,
+        "a counter is negative")
+    if not blocks:
+        return broken
+    for cache in (h.l2, *h.l1d):
+        tags, live = _ways(cache)
+        count = live.sum(axis=1)
+        law((np.frombuffer(cache._count, np.int64) == count).all(),
+            f"{cache.name}: a set holds more than {cache._assoc} lines "
+            f"or fewer than none")
+        law(((tags & cache._set_mask) == np.arange(len(tags))[:, None])
+            [live].all(), f"{cache.name}: a line sits in another set")
+        for a in range(cache._assoc):
+            same = (tags[:, a + 1:] == tags[:, a:a + 1]) & live[:, a + 1:]
+            law(not same.any(), f"{cache.name}: a set holds a tag twice")
+    l2_tags, l2_live = _ways(h.l2)
+    owner = np.frombuffer(h._owner, np.int64)
+    law(owner.size == l2_tags.size,
+        "the owner column does not have one slot per L2 way")
+    owner = owner.reshape(l2_tags.shape)[l2_live]
+    law(((owner >= 0) & (owner < system.config.num_cores)).all(),
+        "an L2-resident line has no owner among the cores")
+    for i, l1 in enumerate(h.l1d):
+        tags, live = _ways(l1)
+        lines = (tags[live] << l1._off_bits) >> h.l2._off_bits
+        rows = lines & h.l2._set_mask
+        resident = ((l2_tags[rows] == lines[:, None]) & l2_live[rows]).any(1)
+        law(resident.all(), f"core {i}: an L1 line is not resident in the L2")
+    return broken
+
+
 class MemoryLaws:
-    """:func:`memory_state_violations` at every committed transaction,
-    from ``system``'s ``dram.observer``."""
+    """:func:`memory_state_violations` and
+    :func:`native_state_violations` at every committed transaction (its
+    cache-block laws at every :data:`BLOCK_STRIDE`-th), from ``system``'s
+    ``dram.observers``."""
 
     def __init__(self, system: MultiCoreSystem) -> None:
         self.system = system
         self.commits = 0
         self.broken: list[str] = []
-        system.dram.observer = self
+        system.dram.observers.append(self)
 
     def __call__(self, coord, timing, is_write, keep_open, conflict) -> None:
         self.commits += 1
-        for text in memory_state_violations(self.system):
+        blocks = self.commits % BLOCK_STRIDE == 0
+        for text in (memory_state_violations(self.system)
+                     + native_state_violations(self.system, blocks)):
             self.broken.append(f"commit {self.commits}: {text}")
 
 
@@ -149,9 +224,10 @@ def violations(system: MultiCoreSystem) -> list[str]:
         f"writebacks {h.writebacks} != {sum(st.write_count)} committed + "
         f"{len(q.writes)} queued + {len(h._wb_overflow)} overflowed writes")
     broken += memory_state_violations(system)
-    laws = system.dram.observer
-    if isinstance(laws, MemoryLaws):
-        broken += laws.broken
+    broken += native_state_violations(system)
+    for laws in system.dram.observers:
+        if isinstance(laws, MemoryLaws):
+            broken += laws.broken
     return broken
 
 
@@ -180,7 +256,8 @@ class TestGoldenConfigurations:
     def test_4mem_memory_side(self, policy):
         apps = workload_by_name("4MEM-1").apps()
         system = run_system(apps, policy, BUDGET, WARMUP, SEED)
-        assert system.dram.observer.commits > 1000
+        (laws,) = system.dram.observers
+        assert laws.commits > 1000
         assert violations(system) == []
 
     def test_write_back_machine(self):
@@ -199,10 +276,12 @@ class TestGoldenConfigurations:
         q, h = system.controller.queues, system.hierarchy
         assert violations(system) == []
         assert q.occupancy == 0 and not q.reads and not q.writes
-        assert q.pending_reads == [0, 0] and q.pending_writes == [0, 0]
+        assert list(q.pending_reads) == [0, 0]
+        assert list(q.pending_writes) == [0, 0]
         assert not any(q.reads_by_ch) and not any(q.writes_by_ch)
         assert all(m.occupancy == 0 for m in h.mshrs)
-        assert h._l2_outstanding == 0 and not h._store_pending
+        assert h._l2_outstanding == 0
+        assert not any(m.store_pending for m in h.mshrs)
         assert sum(m.allocations for m in h.mshrs) == 80
 
     def test_the_laws_see_a_missing_charge(self):

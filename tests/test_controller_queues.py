@@ -62,22 +62,22 @@ class TestCounters:
         ctrl.enqueue(make_req(0, core=0), 0)
         ctrl.enqueue(make_req(64, core=0), 0)
         ctrl.enqueue(make_req(128, core=1), 0)
-        assert ctrl.queues.pending_reads == [2, 1]
-        assert ctrl.queues.pending_writes == [0, 0]
+        assert list(ctrl.queues.pending_reads) == [2, 1]
+        assert list(ctrl.queues.pending_writes) == [0, 0]
 
     def test_remove_decrements(self):
         engine, dram, ctrl = controller(8, 2)
         ctrl.enqueue(make_req(0, core=1), 0)
         engine.run()  # the scheduling point commits and removes it
-        assert ctrl.queues.pending_reads == [0, 0]
+        assert list(ctrl.queues.pending_reads) == [0, 0]
         assert ctrl.queues.occupancy == 0
         assert ctrl.queues.reads == [] and ctrl.queues.reads_by_ch == [[], []]
 
     def test_write_counters(self):
         engine, dram, ctrl = controller(8, 2)
         ctrl.enqueue(make_req(0, core=1, write_=True), 0)
-        assert ctrl.queues.pending_writes == [0, 1]
-        assert ctrl.queues.pending_reads == [0, 0]
+        assert list(ctrl.queues.pending_writes) == [0, 1]
+        assert list(ctrl.queues.pending_reads) == [0, 0]
 
     def test_cores_with_reads(self):
         engine, dram, ctrl = controller(8, 3)
@@ -175,9 +175,9 @@ class TestPropertyCounters:
             commits.append(transaction)
             counters_match()
 
-        dram.observer = observer
+        dram.observers.append(observer)
         engine.run()
         assert len(commits) == len(ops)
         assert q.occupancy == 0
-        assert q.pending_reads == [0] * 4
-        assert q.pending_writes == [0] * 4
+        assert list(q.pending_reads) == [0] * 4
+        assert list(q.pending_writes) == [0] * 4

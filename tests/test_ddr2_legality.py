@@ -14,12 +14,13 @@ from repro.config import SystemConfig
 from repro.core.registry import make_policy
 from repro.dram.address import DramCoord
 from repro.dram.channel import TransactionTiming
+from repro.dram.command import CommandLog
 from repro.metrics.memory_efficiency import MeProfiler
 from repro.sim.system import MultiCoreSystem
 from repro.workloads import workload_by_name
 from repro.workloads.synthetic import make_trace
 from tests.ddr2 import Ddr2Checker
-from tests.machine import controller_config, timing_config
+from tests.machine import controller_config, record_transactions, timing_config
 
 #: the golden files' configuration (tests/test_golden_stats.py)
 MIX, SEED, BUDGET, WARMUP = "4MEM-1", 7, 2500, 2000
@@ -149,3 +150,52 @@ class TestChecker:
                 False, True, False)
         assert len(checker.violations) == 1
         assert "tRCD" in checker.violations[0]
+
+
+class TestObserverList:
+    """``dram.observers`` calls its subscribers in attach order, and
+    subscribers attached together see what each sees alone."""
+
+    @staticmethod
+    def observed_run(*attach):
+        """One golden-configuration run of HF-RF with each of ``attach``
+        (``fn(system) -> subscriber``) subscribed, in order; returns the
+        subscribers and the machine's committed-transaction count."""
+        mix = workload_by_name(MIX)
+        cfg = SystemConfig().with_cores(mix.num_cores)
+        traces = [make_trace(app, SEED, "eval", core_id=i)
+                  for i, app in enumerate(mix.apps())]
+        system = MultiCoreSystem(cfg, make_policy("HF-RF"), traces, BUDGET,
+                                 warmup_insts=WARMUP, seed=SEED)
+        subscribers = [fn(system) for fn in attach]
+        system.run()
+        total = system.dram.total_transactions
+        system.close()
+        assert system.dram.observers == []
+        return subscribers, total
+
+    def test_log_and_checker_together_see_what_each_sees_alone(self):
+        order = []
+
+        def log(system):
+            return CommandLog(system.config.dram_timing).attach(system.dram)
+
+        def checker(system):
+            return Ddr2Checker(system.config.dram_timing).attach(system.dram)
+
+        def recorder(system):
+            seen = record_transactions(system.dram)
+            for tag in "abc":
+                system.dram.observers.append(
+                    lambda *_, tag=tag: order.append(tag))
+            return seen
+
+        (alone_log,), total = self.observed_run(log)
+        (alone_checker,), _ = self.observed_run(checker)
+        (both_log, both_checker, seen), both_total = self.observed_run(
+            log, checker, recorder)
+        assert total == both_total == len(seen) > 1000
+        assert order == list("abc") * total
+        assert both_log.commands == alone_log.commands
+        assert both_checker.transactions == alone_checker.transactions == total
+        assert both_checker.violations == alone_checker.violations == []

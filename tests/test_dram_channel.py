@@ -1,7 +1,7 @@
 """Tests for the logic-channel timing model (banks + shared data bus).
 
 The controller's scheduling point resolves each transaction's timing
-against the channel's bank arrays and reports it to ``dram.observer``.
+against the channel's bank arrays and reports it to ``dram.observers``.
 Each test enqueues its requests at the cycles it names and reads those
 reports back (``tests/machine.py``'s :class:`DramRig`); a row a test keeps
 open is kept by the open-page policy or by a queued request to it.

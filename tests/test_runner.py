@@ -201,3 +201,46 @@ class TestReplayPastTheCap:
         second = run()
         assert len(built) == 2
         assert first == want and second == want
+
+
+class TestThreadedReplay:
+    """Threads replaying one recording, which another thread grows while
+    a core reads it, see the same ops as one thread alone: the core
+    kernel re-reads the columns after every call out of its loop and
+    holds no buffer export that would stop a column from growing."""
+
+    def test_threads_sharing_a_cold_recording_match_serial(self):
+        import sys
+        import threading
+
+        mix = workload_by_name("2MEM-1")
+
+        def run():
+            return run_multicore(mix, "HF-RF", 5 * BUDGET, seed=6,
+                                 warmup_insts=WARMUP)
+
+        synthetic.clear_trace_cache()
+        want = run()
+        synthetic.clear_trace_cache()
+        results, errors = [], []
+
+        def worker():
+            try:
+                results.append(run())
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            synthetic.clear_trace_cache()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [want] * 4
