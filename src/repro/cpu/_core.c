@@ -24,8 +24,8 @@
  * kernel takes a buffer export of each array and keeps it until dealloc
  * (an exported array refuses to resize, so the storage cannot move), so
  * Python reads the same names and gets the same ints, during a run and
- * after the machine closes.  A recording's columns are the exception: a
- * core re-reads their addresses after every call out (see cols_load).
+ * after the machine closes.  A trace's columns are the exception: a core
+ * re-reads their addresses after every call out (see cols_load).
  * What stays Python is reached through calls: the scheduling policy
  * (select_read or select_write, looked up on the policy at every
  * decision), the write-drain transition, the writeback path, the
@@ -64,9 +64,9 @@ enum { S_READ_ROW_HITS, S_DRAIN_ENTRIES, S_NFIELDS }; /* ControllerStats */
 enum { CH_BUS_FREE, CH_BUSY_UNTIL, CH_TRANSACTIONS, CH_WRITES,
        CH_DATA_CYCLES, CH_ACT_COUNT, CH_NFIELDS };   /* Channel */
 
-static PyObject *s_stats, *s_c, *s_gap, *s_addr, *s_is_write, *s_tags,
-    *s_dirty, *s_count, *s_off_bits, *s_set_mask, *s_assoc, *s_lines,
-    *s_stores, *s_waiters, *s_capacity, *s_line_mask,
+static PyObject *s_stats, *s_c, *s_tags, *s_dirty, *s_count, *s_off_bits,
+    *s_set_mask, *s_assoc, *s_lines, *s_stores, *s_waiters, *s_capacity,
+    *s_line_mask,
     *s_l1_hit_latency, *s_l2_hit_latency, *s_on_merge, *s_start_request,
     *s_end_inflight, *s_sample_every, *s_read, *s_channel, *s_bank, *s_row, *s_observers, *s_now,
     *s_hits_prefiltered, *s_select_read, *s_select_write,
@@ -2681,7 +2681,8 @@ typedef struct {
     /* identity, budget and geometry (read-only from Python) */
     long long core_id, target_insts, warmup_insts, lookahead;
     int64_t q, rob_size, l1_lat, l2_lat, line_mask;
-    /* slot cursors and counts (Python members) */
+    /* slot cursors and counts, and the index of the trace's next op
+     * (Python members) */
     long long fetch_q, commit_q, fetched, committed, stall_q, trace_pos;
     /* crossing cycles, -1 until crossed */
     int64_t warmup_cycle, finish_cycle;
@@ -2703,15 +2704,16 @@ typedef struct {
     Cache *l2;
     int64_t *ks, *demand;
     Pins pins;
-    /* a recording's columns (NULL for other trace sources), and their
-     * addresses and common length as of the last cols_load */
-    PyObject *r_gaps, *r_addrs, *r_writes;
+    /* the columns trace.columns() last served (replay_ops: gaps,
+     * addresses, store flags, base), as of the last cols_load: their
+     * addresses, the op index of their first entry and the op index one
+     * past their common length */
     const int64_t *gaps, *addrs;
     const unsigned char *writes;
-    int64_t n_ops;
+    int64_t base, end;
     char cols_stale;
     /* calls out of the kernel */
-    PyObject *after_l2_miss, *fill_l1, *schedule, *grow, *next_op;
+    PyObject *after_l2_miss, *fill_l1, *schedule, *columns;
     PyObject *wake_cb, *unblock_cb, *load_ready_cb, *store_cb;
 } Core;
 
@@ -2729,7 +2731,7 @@ static void rob_push(Core *c, int64_t inst, int64_t ready)
 
 /* -- trace feed ---------------------------------------------------------- */
 
-/* Read the recording's column addresses and their common length.  Other
+/* Read the held columns' addresses and their common length.  Other
  * consumers (threaded in-process workers replay one recording) may grow a
  * column, which can move it, whenever Python code runs, and an exported
  * array refuses to grow.  So the export taken here is released at once,
@@ -2737,13 +2739,17 @@ static void rob_push(Core *c, int64_t inst, int64_t ready)
  * every call out (and every entry to run()) marks them stale. */
 static int cols_load(Core *c)
 {
-    PyObject *cols[3] = {c->r_gaps, c->r_addrs, c->r_writes};
     const void *bufs[3];
     Py_ssize_t i, n = PY_SSIZE_T_MAX;
     Py_buffer v;
+    if (c->replay_ops == NULL) {
+        c->cols_stale = 0; /* nothing served yet: end stays 0 */
+        return 0;
+    }
     for (i = 0; i < 3; i++) {
         Py_ssize_t size = i < 2 ? 8 : 1;
-        if (PyObject_GetBuffer(cols[i], &v, PyBUF_SIMPLE) < 0)
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(c->replay_ops, i), &v,
+                               PyBUF_SIMPLE) < 0)
             return -1;
         bufs[i] = v.buf;
         if (v.itemsize != size) {
@@ -2760,85 +2766,68 @@ static int cols_load(Core *c)
     c->gaps = bufs[0];
     c->addrs = bufs[1];
     c->writes = bufs[2];
-    c->n_ops = n;
+    c->end = c->base + n;
     c->cols_stale = 0;
     return 0;
 }
 
-/* Op pos of the recording (pos < n_ops, columns fresh) becomes the
- * pending op. */
-static void take_recorded(Core *c, int64_t pos, int64_t fetched)
+/* Op pos of the held columns (base <= pos < end, columns fresh) becomes
+ * the pending op. */
+static void take_op(Core *c, int64_t pos, int64_t fetched)
 {
-    c->cur_inst = fetched + c->gaps[pos];
-    c->cur_addr = c->addrs[pos];
-    c->cur_write = c->writes[pos] != 0;
+    int64_t i = pos - c->base;
+    c->cur_inst = fetched + c->gaps[i];
+    c->cur_addr = c->addrs[i];
+    c->cur_write = c->writes[i] != 0;
     c->trace_pos = pos + 1;
 }
 
 /* Make the trace's next op the pending one, `fetched` instructions into
- * the stream.  A recording serves it from its columns, grown at their end
- * (trace.grow); other sources, and a recording's live tail past its cap,
- * serve it through trace.next_op(). */
+ * the stream.  Past the end of the held columns, trace.columns(pos)
+ * serves the columns that hold it; None ends the trace. */
 static int pull_next_op(Core *c, int64_t fetched)
 {
-    PyObject *op, *v;
-    int64_t gap, addr;
-    int w;
-    if (c->r_gaps != NULL) {
-        int64_t pos = c->trace_pos;
-        int have;
-        if (c->cols_stale && cols_load(c) < 0)
+    int64_t pos = c->trace_pos, base;
+    PyObject *v, *r;
+    if (c->cols_stale && cols_load(c) < 0)
+        return -1;
+    if (pos >= c->end) {
+        if (c->columns == NULL)
+            return core_closed();
+        if ((v = PyLong_FromLongLong(pos)) == NULL)
             return -1;
-        have = pos < c->n_ops;
-        if (!have) {
-            PyObject *r;
-            if (c->grow == NULL)
-                return core_closed();
-            if ((v = PyLong_FromLongLong(pos)) == NULL)
-                return -1;
-            c->cols_stale = 1;
-            r = PyObject_CallOneArg(c->grow, v);
-            Py_DECREF(v);
-            if (r == NULL)
-                return -1;
-            have = PyObject_IsTrue(r);
+        c->cols_stale = 1;
+        r = PyObject_CallOneArg(c->columns, v);
+        Py_DECREF(v);
+        if (r == NULL)
+            return -1;
+        if (r == Py_None) {
             Py_DECREF(r);
-            if (have < 0 || (have && cols_load(c) < 0))
-                return -1;
-            if (have && pos >= c->n_ops) {
-                PyErr_SetString(PyExc_RuntimeError,
-                                "recording columns out of step");
-                return -1;
-            }
-        }
-        if (have) {
-            take_recorded(c, pos, fetched);
+            c->trace_done = 1;
             return 0;
         }
+        if (!PyTuple_Check(r) || PyTuple_GET_SIZE(r) != 4
+            || as_i64(PyTuple_GET_ITEM(r, 3), &base) < 0) {
+            Py_DECREF(r);
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_TypeError,
+                                "columns() must return (gaps, addresses, "
+                                "store flags, base) or None");
+            return -1;
+        }
+        Py_XSETREF(c->replay_ops, r);
+        c->base = base;
+        if (cols_load(c) < 0)
+            return -1;
+        if (pos < c->base || pos >= c->end) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "trace columns out of step: op %lld is not in "
+                         "[%lld, %lld)", (long long)pos,
+                         (long long)c->base, (long long)c->end);
+            return -1;
+        }
     }
-    if (c->next_op == NULL)
-        return core_closed();
-    c->cols_stale = 1;
-    if ((op = PyObject_CallNoArgs(c->next_op)) == NULL)
-        return -1;
-    if (op == Py_None) {
-        Py_DECREF(op);
-        c->trace_done = 1;
-        return 0;
-    }
-    if (attr_i64(op, s_gap, &gap) < 0 || attr_i64(op, s_addr, &addr) < 0
-        || (v = PyObject_GetAttr(op, s_is_write)) == NULL) {
-        Py_DECREF(op);
-        return -1;
-    }
-    Py_DECREF(op);
-    w = truthy(v);
-    Py_DECREF(v);
-    if (w < 0)
-        return -1;
-    c->cur_inst = fetched + gap;
-    c->cur_addr = addr;
-    c->cur_write = (char)w;
+    take_op(c, pos, fetched);
     return 0;
 }
 
@@ -3007,9 +2996,10 @@ static int wait_unblock(Core *c)
     return hier_wait_unblock((Hier *)c->hierarchy, c->unblock_cb);
 }
 
-/* SpanCollector.note_blocked on the collector's stamps (keep in sync
- * with spans.py): keep the first stall per (core, line), so the eventual
- * request's span can attribute the structural-stall wait. */
+/* Stamp a structural stall on the span collector's _stamps: keep the
+ * first stall per (core, line), so the eventual request's span can
+ * attribute the structural-stall wait (SpanCollector.start_request
+ * consumes the stamp). */
 static int note_blocked(Core *c, int64_t cycle, int64_t line)
 {
     int64_t *stamp;
@@ -3156,10 +3146,8 @@ static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
         }
         fetched += 1;
         fetch_q += 1;
-        if (c->cols_stale && c->r_gaps != NULL && cols_load(c) < 0)
-            goto done;
-        if (c->trace_pos < c->n_ops)
-            take_recorded(c, c->trace_pos, fetched);
+        if (!c->cols_stale && c->trace_pos < c->end)
+            take_op(c, c->trace_pos, fetched);
         else if (pull_next_op(c, fetched) < 0)
             goto done;
         *progressed = 1;
@@ -3348,18 +3336,18 @@ static PyObject *core_store_data(Core *c, PyObject *const *args,
 
 /* -- binding --------------------------------------------------------------- */
 
-/* _bind(...): attach the core to its memory path and trace, take the
- * callables the kernel calls out through, and pull the first op.  Called
- * once, by TraceCore.__init__, after it sets stats. */
+/* _bind(...): attach the core to its memory path, take the callables the
+ * kernel calls out through (the trace's columns among them), and pull the
+ * first op.  Called once, by TraceCore.__init__, after it sets stats. */
 static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
         "core_id", "target_insts", "warmup_insts", "lookahead",
-        "issue_width", "rob_size", "hierarchy", "replay", "trace_pos",
-        "after_l2_miss", "fill_l1", "schedule", "grow", "next_op", "wake",
-        "on_unblock", "on_load_ready", "store_data", NULL};
-    long long core_id, target, warmup, lookahead, width, rob_size, pos;
-    PyObject *h, *replay, *after, *fill, *sched, *grow, *next;
+        "issue_width", "rob_size", "hierarchy", "columns", "after_l2_miss",
+        "fill_l1", "schedule", "wake", "on_unblock", "on_load_ready",
+        "store_data", NULL};
+    long long core_id, target, warmup, lookahead, width, rob_size;
+    PyObject *h, *columns, *after, *fill, *sched;
     PyObject *wake, *unblock, *ready, *store;
     int64_t n;
     Hier *hier;
@@ -3369,12 +3357,12 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
         return NULL;
     }
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$LLLLLLOOLOOOOOOOOO", kwlist, &core_id, &target,
-            &warmup, &lookahead, &width, &rob_size, &h, &replay, &pos, &after,
-            &fill, &sched, &grow, &next, &wake, &unblock, &ready, &store))
+            args, kwds, "$LLLLLLOOOOOOOOO", kwlist, &core_id, &target,
+            &warmup, &lookahead, &width, &rob_size, &h, &columns, &after,
+            &fill, &sched, &wake, &unblock, &ready, &store))
         return NULL;
     if (core_id < 0 || target < 1 || warmup < 0 || lookahead < 1 || width < 1
-        || rob_size < 1 || pos < 0) {
+        || rob_size < 1) {
         PyErr_SetString(PyExc_ValueError, "bad core geometry");
         return NULL;
     }
@@ -3391,7 +3379,6 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
     c->lookahead = lookahead;
     c->q = width;
     c->rob_size = rob_size;
-    c->trace_pos = pos;
     c->warmup_cycle = warmup == 0 ? 0 : -1;
     c->finish_cycle = -1;
     /* A power of two above rob_size: the window never holds more loads
@@ -3422,26 +3409,10 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
         || attr_i64(h, s_l2_hit_latency, &c->l2_lat) < 0)
         return NULL;
 
-    if (replay != Py_None) {
-        if (!PyTuple_CheckExact(replay) || PyTuple_GET_SIZE(replay) != 3) {
-            PyErr_SetString(PyExc_TypeError,
-                            "replay must be (gaps, addresses, store flags)");
-            return NULL;
-        }
-        c->r_gaps = PyTuple_GET_ITEM(replay, 0);
-        c->r_addrs = PyTuple_GET_ITEM(replay, 1);
-        c->r_writes = PyTuple_GET_ITEM(replay, 2);
-        Py_INCREF(c->r_gaps);
-        Py_INCREF(c->r_addrs);
-        Py_INCREF(c->r_writes);
-    }
-    c->cols_stale = 1;
-    KEEP(c, replay_ops, replay);
+    KEEP(c, columns, columns);
     KEEP(c, after_l2_miss, after);
     KEEP(c, fill_l1, fill);
     KEEP(c, schedule, sched);
-    KEEP(c, grow, grow);
-    KEEP(c, next_op, next);
     KEEP(c, wake_cb, wake);
     KEEP(c, unblock_cb, unblock);
     KEEP(c, load_ready_cb, ready);
@@ -3456,8 +3427,7 @@ static PyObject *core_unbind(Core *c, PyObject *Py_UNUSED(ignored))
     Py_CLEAR(c->after_l2_miss);
     Py_CLEAR(c->fill_l1);
     Py_CLEAR(c->schedule);
-    Py_CLEAR(c->grow);
-    Py_CLEAR(c->next_op);
+    Py_CLEAR(c->columns);
     Py_CLEAR(c->wake_cb);
     Py_CLEAR(c->unblock_cb);
     Py_CLEAR(c->load_ready_cb);
@@ -3469,9 +3439,8 @@ static PyObject *core_unbind(Core *c, PyObject *Py_UNUSED(ignored))
 
 #define OBJECT_FIELDS(X) \
     X(stats) X(spans.obj) X(on_warmup) X(on_finish) X(replay_ops) \
-    X(hierarchy) X(py_core_id) X(r_gaps) X(r_addrs) X(r_writes) \
-    X(after_l2_miss) X(fill_l1) X(schedule) X(grow) X(next_op) X(wake_cb) \
-    X(unblock_cb) X(load_ready_cb) X(store_cb)
+    X(hierarchy) X(py_core_id) X(columns) X(after_l2_miss) X(fill_l1) \
+    X(schedule) X(wake_cb) X(unblock_cb) X(load_ready_cb) X(store_cb)
 
 static int core_traverse(Core *c, visitproc visit, void *arg)
 {
@@ -3557,10 +3526,11 @@ static PyMemberDef core_members[] = {
     MEMBER("committed", T_LONGLONG, committed, 0, NULL),
     MEMBER("stall_q", T_LONGLONG, stall_q, 0,
            "cumulative commit slots lost waiting on head loads"),
-    MEMBER("_trace_pos", T_LONGLONG, trace_pos, 0,
-           "the recording cursor (ops taken from the columns)"),
+    MEMBER("_trace_pos", T_LONGLONG, trace_pos, READONLY,
+           "the index of the trace's next op (ops taken so far)"),
     MEMBER("_replay_ops", T_OBJECT, replay_ops, READONLY,
-           "the recording's columns (gaps, addresses, store flags), or None"),
+           "the columns trace.columns() last served (gaps, addresses, "
+           "store flags, base), or None"),
     MEMBER("_stopped", T_BOOL, stopped, 0, NULL),
     MEMBER("stats", T_OBJECT, stats, 0,
            "the core's CoreStats (the kernel binds its slots at _bind)"),
@@ -3629,8 +3599,7 @@ PyMODINIT_FUNC PyInit__core(void)
     PyObject *m;
 #define INTERN(var, text) \
     if ((var = PyUnicode_InternFromString(text)) == NULL) return NULL;
-    INTERN(s_stats, "stats") INTERN(s_c, "_c") INTERN(s_gap, "gap")
-    INTERN(s_addr, "addr") INTERN(s_is_write, "is_write")
+    INTERN(s_stats, "stats") INTERN(s_c, "_c")
     INTERN(s_tags, "_tags") INTERN(s_dirty, "_dirty") INTERN(s_count, "_count")
     INTERN(s_off_bits, "_off_bits") INTERN(s_set_mask, "_set_mask")
     INTERN(s_assoc, "_assoc") INTERN(s_lines, "_lines")

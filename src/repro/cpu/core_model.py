@@ -21,7 +21,7 @@ monotone slot cursor; converting ``slots // issue_width`` yields cycles.
 Between memory events the model advances analytically over whole gaps of
 non-memory instructions instead of iterating per cycle.  The fetch and
 commit loops run in the model kernel's ``CoreKernel`` type (``_core.c``),
-which reads the caches' blocks, the recording's columns and the counters
+which reads the caches' blocks, the trace's columns and the counters
 in place (docs/ARCHITECTURE.md, "The model in C"); this module keeps the
 constructor and the public surface.
 
@@ -131,13 +131,6 @@ class TraceCore(CoreKernel):
         #: optional hooks fired once at each crossing: fn(core)
         self.on_warmup = None
         self.on_finish = None
-        # A recording (see ReplayTrace.replay_state) is fed from its three
-        # columns, grown at their end; other sources through next_op().
-        state = getattr(trace, "replay_state", None)
-        replay, pos = None, 0
-        if state is not None:
-            gaps, addrs, writes, pos = state()
-            replay = (gaps, addrs, writes)
         self._bind(
             core_id=core_id,
             target_insts=target_insts,
@@ -146,14 +139,11 @@ class TraceCore(CoreKernel):
             issue_width=config.issue_width,
             rob_size=config.rob_size,
             hierarchy=hierarchy,
-            replay=replay,
-            trace_pos=pos,
             # Calls out of the kernel, bound once here.
+            columns=trace.columns,
             after_l2_miss=hierarchy._after_l2_miss,
             fill_l1=hierarchy._fill_l1,
             schedule=engine.schedule,
-            grow=trace.grow if replay is not None else None,
-            next_op=trace.next_op,
             wake=self._wake,
             on_unblock=self._on_unblock,
             on_load_ready=self._on_load_ready,

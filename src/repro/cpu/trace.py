@@ -3,16 +3,19 @@
 A trace reduces a program to the stream the memory system sees, the way
 trace-driven simulators have always done: each :class:`MemOp` is one memory
 instruction, preceded by ``gap`` ordinary (non-memory) instructions that
-the core retires at full issue rate.  Traces are pulled lazily — the
-synthetic workload generators in :mod:`repro.workloads` are infinite, and
-the core model consumes exactly as much as its instruction budget needs.
+the core retires at full issue rate.  Every :class:`TraceSource` serves its
+ops as typed columns, a window at a time, through one ``columns(pos)``
+call.  Traces are pulled lazily — the synthetic workload generators in
+:mod:`repro.workloads` are infinite, and the core model consumes exactly as
+much as its instruction budget needs.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Optional, Protocol, runtime_checkable
 
-__all__ = ["MemOp", "TraceSource", "ListTrace"]
+__all__ = ["Columns", "MemOp", "TraceSource", "ListTrace"]
 
 
 class MemOp:
@@ -56,39 +59,51 @@ class MemOp:
         return hash((self.gap, self.addr, self.is_write))
 
 
+#: what :meth:`TraceSource.columns` serves: gaps and addresses
+#: (``array('q')``), store flags (``array('B')``), and the op index of
+#: their first entry
+Columns = tuple[array, array, array, int]
+
+
 @runtime_checkable
 class TraceSource(Protocol):
-    """Anything that yields memory operations in program order."""
+    """Anything that serves memory operations in program order."""
 
-    def next_op(self) -> Optional[MemOp]:
-        """The next memory operation, or ``None`` when the trace ends."""
+    def columns(self, pos: int) -> Optional[Columns]:
+        """The typed columns that hold op ``pos`` (at index ``pos - base``)
+        and their ``base``, or ``None`` once the trace ended before
+        ``pos``.  The core asks for ``columns(0)`` first, then for the op
+        just past the end of the columns it holds."""
         ...
 
 
 class ListTrace:
     """A finite, in-memory trace (mainly for tests and examples)."""
 
-    __slots__ = ("_ops", "_pos")
+    __slots__ = ("_cols",)
 
     def __init__(self, ops: Iterable[MemOp]) -> None:
-        self._ops = list(ops)
-        self._pos = 0
+        ops = list(ops)
+        self._cols = (array("q", [op.gap for op in ops]),
+                      array("q", [op.addr for op in ops]),
+                      array("B", [bool(op.is_write) for op in ops]), 0)
 
-    def next_op(self) -> Optional[MemOp]:
-        if self._pos >= len(self._ops):
-            return None
-        op = self._ops[self._pos]
-        self._pos += 1
-        return op
+    @classmethod
+    def from_columns(cls, gaps: array, addrs: array, writes: array) -> "ListTrace":
+        """The trace over ready columns of equal length (gaps and
+        addresses ``array('q')``, store flags ``array('B')``)."""
+        trace = cls(())
+        trace._cols = (gaps, addrs, writes, 0)
+        return trace
 
-    def rewind(self) -> None:
-        """Restart the trace from the beginning."""
-        self._pos = 0
+    def columns(self, pos: int) -> Optional[Columns]:
+        """The whole trace, or ``None`` past its end."""
+        return self._cols if pos < len(self._cols[0]) else None
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._cols[0])
 
     @property
     def total_instructions(self) -> int:
         """Instructions the full trace represents (gaps + memory ops)."""
-        return sum(op.gap + 1 for op in self._ops)
+        return sum(self._cols[0]) + len(self)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import os
+from array import array
 from typing import BinaryIO
 
 import numpy as np
@@ -61,22 +62,26 @@ def load_trace(path: str | os.PathLike) -> ListTrace:
             raise ValueError(f"{path}: not a REPROTR1 trace file")
         count = int(np.frombuffer(_read_exactly(f, 8), dtype="<u8")[0])
         body = _read_exactly(f, count * 3 * 8)
-    arr = np.frombuffer(body, dtype="<u8").reshape(count, 3)
-    ops = [
-        MemOp(gap=int(g), addr=int(a), is_write=bool(w))
-        for g, a, w in arr
-    ]
-    return ListTrace(ops)
+    gaps, addrs, flags = np.frombuffer(body, dtype="<u8").reshape(count, 3).T
+    if count and max(gaps.max(), addrs.max()) >= 1 << 63:
+        raise OverflowError(f"{path}: a gap or address exceeds int64")
+    return ListTrace.from_columns(array("q", gaps.astype(np.int64).tobytes()),
+                                  array("q", addrs.astype(np.int64).tobytes()),
+                                  array("B", (flags != 0).tobytes()))
 
 
 def record_trace(source: TraceSource, num_ops: int) -> list[MemOp]:
-    """Pull up to ``num_ops`` operations from ``source`` into a list."""
+    """The first ``num_ops`` operations of ``source`` (fewer if it ends
+    first), read through its columns."""
     if num_ops < 0:
         raise ValueError("num_ops must be >= 0")
     ops: list[MemOp] = []
-    for _ in range(num_ops):
-        op = source.next_op()
-        if op is None:
+    while len(ops) < num_ops:
+        cols = source.columns(len(ops))
+        if cols is None:
             break
-        ops.append(op)
+        gaps, addrs, writes, base = cols
+        i = len(ops) - base
+        end = min(len(gaps), i + num_ops - len(ops))
+        ops += map(MemOp, gaps[i:end], addrs[i:end], map(bool, writes[i:end]))
     return ops

@@ -4,9 +4,11 @@ The simulator schedules at transaction granularity, but each committed
 transaction implies a concrete DDR2 command sequence (PRE / ACT / RD / WR,
 with auto-precharge folded into the column command for the close-page
 policy).  :class:`CommandLog` reconstructs that sequence from the resolved
-transaction timing so tests and analyses can verify command-level
-behaviour (ordering, bank occupancy, row open/close discipline) without
-the simulator paying per-command event costs.
+transaction timing so tests, analyses and Chrome traces can see
+command-level behaviour (ordering, bank occupancy) without the simulator
+paying per-command event costs.  The DDR2 rules themselves, the row
+open/close discipline among them, are judged with their timing by the
+test suite's checker (``tests/ddr2.py``).
 """
 
 from __future__ import annotations
@@ -128,30 +130,6 @@ class CommandLog:
 
     def count(self, kind: CommandKind) -> int:
         return sum(1 for c in self.commands if c.kind == kind)
-
-    def verify_bank_discipline(self) -> None:
-        """Assert the open/close discipline per bank.
-
-        A column command must follow an ACT of the same row unless the
-        previous column command to that bank kept the row open; raises
-        ``AssertionError`` on violations.
-        """
-        banks: dict[tuple[int, int], list[DramCommand]] = {}
-        for c in sorted(self.commands):
-            banks.setdefault((c.channel, c.bank), []).append(c)
-        for seq in banks.values():
-            open_row: int | None = None
-            for c in seq:
-                if c.kind == CommandKind.ACTIVATE:
-                    assert open_row is None, f"ACT to open bank at {c}"
-                    open_row = c.row
-                elif c.kind == CommandKind.PRECHARGE:
-                    open_row = None
-                elif c.kind in (CommandKind.READ, CommandKind.WRITE):
-                    assert open_row == c.row, f"column command to wrong row: {c}"
-                else:  # auto-precharge variants
-                    assert open_row == c.row, f"column command to wrong row: {c}"
-                    open_row = None
 
     def clear(self) -> None:
         self.commands.clear()

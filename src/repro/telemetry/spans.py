@@ -173,20 +173,6 @@ class SpanCollector(Counters):
 
     # -- producer-facing hooks ---------------------------------------------------
 
-    def note_blocked(self, core_id: int, cycle: int, line: int) -> None:
-        """A core's access to ``line`` hit a structural stall at ``cycle``.
-
-        Only the first stall per (core, line) is kept: retries of the same
-        blocked access must not advance the stamp.  The core kernel
-        (``note_blocked`` in ``cpu/_core.c``) does this on ``_stamps``
-        itself instead of calling here: keep the two in sync.
-        """
-        self.bind_cores(core_id + 1)
-        i = 2 * core_id
-        if self._stamps[i + 1] != line:
-            self._stamps[i] = cycle
-            self._stamps[i + 1] = line
-
     def start_request(
         self, core_id: int, line: int, kind: str, cycle: int
     ) -> RequestSpan | None:

@@ -46,8 +46,9 @@ batch cores can pin it for an entire run and a sparse-access service
 core starves indefinitely (its measured "tail" becomes the run length —
 a simulator artifact, not a queueing effect).  With the pool scaled,
 backpressure binds at the DRAM controller, whose stalls are
-span-stamped (:meth:`~repro.telemetry.spans.SpanCollector.note_blocked`),
-so a request's measured latency *includes* the backlog wait, exactly
+span-stamped (the core kernel stamps a stall on the
+:class:`~repro.telemetry.spans.SpanCollector`'s ``_stamps``), so a
+request's measured latency *includes* the backlog wait, exactly
 like a queueing delay in a real open-loop load generator — and the tail
 is decided by the memory scheduler under study, not by an upstream
 structural accident.
@@ -55,13 +56,14 @@ structural accident.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 
 from repro.config import SystemConfig
-from repro.cpu.trace import MemOp
+from repro.cpu.trace import Columns
 from repro.util.rng import RngStream
 from repro.workloads.spec2000 import AppProfile, app_by_code
-from repro.workloads.synthetic import CORE_ADDR_STRIDE, LINE
+from repro.workloads.synthetic import CHUNK_OPS, CORE_ADDR_STRIDE, LINE
 
 __all__ = [
     "ARRIVALS",
@@ -235,19 +237,19 @@ def arrival_gaps(profile: ServiceProfile, rng: RngStream):
 class CloudStream:
     """Open-loop request stream as a :class:`~repro.cpu.trace.TraceSource`.
 
-    Each :meth:`next_op` emits one demand read of a uniformly random
-    fresh line, preceded by ``Δ·issue_width − 1`` plain instructions —
-    the gap encoding that makes an unstalled ``issue_width``-wide core
-    issue requests exactly Δ cycles apart.  Loads never block fetch in
-    the core model (they block *commit*), so the arrival clock keeps
-    ticking while earlier requests queue — the open-loop property.
+    Each request is one demand read of a uniformly random fresh line,
+    preceded by ``Δ·issue_width − 1`` plain instructions — the gap
+    encoding that makes an unstalled ``issue_width``-wide core issue
+    requests exactly Δ cycles apart.  Loads never block fetch in the core
+    model (they block *commit*), so the arrival clock keeps ticking while
+    earlier requests queue — the open-loop property.
     """
 
     __slots__ = (
         "profile",
         "base_addr",
         "issue_width",
-        "requests_emitted",
+        "_served",
         "_gaps",
         "_addr_rng",
     )
@@ -265,15 +267,26 @@ class CloudStream:
         self.profile = profile
         self.base_addr = base_addr
         self.issue_width = issue_width
-        self.requests_emitted = 0
+        #: requests served so far: the op index the next window starts at
+        self._served = 0
         self._gaps = arrival_gaps(profile, rng.child("gap"))
         self._addr_rng = rng.child("addr")
 
-    def next_op(self) -> MemOp:
-        delta = next(self._gaps)
-        line = _CLOUD_BASE_LINE + self._addr_rng.randint(0, CLOUD_REGION_LINES)
-        self.requests_emitted += 1
-        return MemOp(delta * self.issue_width - 1, self.base_addr + line * LINE, False)
+    def columns(self, pos: int) -> Columns:
+        """The ``CHUNK_OPS`` requests from ``pos`` on, at base ``pos``:
+        ``pos`` must be the stream's next request.  The gap and address
+        draws come from independent streams, so drawing a window ahead
+        serves the values a request at a time would."""
+        if pos != self._served:
+            raise ValueError(f"op {pos} does not follow on from the stream's "
+                             f"next op {self._served}")
+        gaps, addrs = array("q"), array("q")
+        for _ in range(CHUNK_OPS):
+            gaps.append(next(self._gaps) * self.issue_width - 1)
+            line = _CLOUD_BASE_LINE + self._addr_rng.randint(0, CLOUD_REGION_LINES)
+            addrs.append(self.base_addr + line * LINE)
+        self._served = pos + CHUNK_OPS
+        return gaps, addrs, array("B", bytes(CHUNK_OPS)), pos
 
 
 def make_cloud_trace(

@@ -36,7 +36,7 @@ import threading
 from array import array
 from collections import OrderedDict
 
-from repro.cpu.trace import MemOp
+from repro.cpu.trace import Columns, MemOp
 from repro.util.rng import RngStream, geometric_p
 from repro.workloads.spec2000 import AppProfile
 
@@ -74,7 +74,7 @@ _PLACEMENT_SPAN = 1 << 16
 #: the kernel computes addresses in int64: keep base + line * LINE inside it
 _MAX_BASE_ADDR = 1 << 62
 
-#: ops per kernel call when a stream is read op by op or recorded
+#: ops per kernel call, per recording step and per window a stream serves
 CHUNK_OPS = 256
 
 
@@ -84,8 +84,8 @@ class SyntheticApp:
     Implements the :class:`~repro.cpu.trace.TraceSource` protocol.  The
     per-op draws run in the C kernel ``_tracegen.c`` (loaded through
     :mod:`repro.workloads.tracegen` at the first generation), one chunk
-    of ops per call; :meth:`next_op` and :meth:`take` serve the same
-    chunks, so any mix of the two yields one stream.
+    of ops per call; :meth:`columns`, :meth:`next_op` and :meth:`take`
+    serve the same chunks, so any mix of them yields one stream.
 
     Parameters
     ----------
@@ -111,6 +111,7 @@ class SyntheticApp:
         "_addrs",
         "_writes",
         "_pos",
+        "_base",
     )
 
     def __init__(self, profile: AppProfile, rng: RngStream, base_addr: int = 0) -> None:
@@ -129,11 +130,13 @@ class SyntheticApp:
         #: the kernel's state for this stream, from the first generation on
         self._kernel = None
         #: the current chunk as typed columns (gaps, addresses, store
-        #: flags), and the index of its next unserved op
+        #: flags), the index of its next unserved op, and the stream's op
+        #: index of its first
         self._gaps = array("q")
         self._addrs = array("q")
         self._writes = array("B")
         self._pos = 0
+        self._base = 0
 
     def _start(self) -> tuple[array, array, array]:
         """First generation: seat the array streams, then the prologue.
@@ -200,6 +203,7 @@ class SyntheticApp:
         prologue first, then ``n`` ops from the kernel."""
         kernel = self._kernel
         cols = self._start() if kernel is None else kernel.fill(n)
+        self._base += len(self._gaps)
         self._gaps, self._addrs, self._writes = cols
         self._pos = 0
 
@@ -219,6 +223,14 @@ class SyntheticApp:
         return gaps, addrs, writes
 
     # -- TraceSource ---------------------------------------------------------------
+
+    def columns(self, pos: int) -> Columns:
+        """The ``CHUNK_OPS`` ops from ``pos`` on, at base ``pos``: ``pos``
+        must be the stream's next op (an infinite stream never ends)."""
+        if pos != self._base + self._pos:
+            raise ValueError(f"op {pos} does not follow on from the stream's "
+                             f"next op {self._base + self._pos}")
+        return (*self.take_columns(CHUNK_OPS), pos)
 
     def next_op(self) -> MemOp:
         """Generate the next memory operation (never ``None``: infinite)."""
@@ -260,13 +272,13 @@ def _raw_trace(
 # an allocation, and a long-lived recording of objects the cycle collector
 # tracks is scanned by every full collection.  It grows one chunk of
 # ``CHUNK_OPS`` at a time, copied from the trace kernel's output with no
-# Python int per op, so a direct-indexing consumer (TraceCore's kernel,
-# which reads the columns' buffers) leaves its loop once per chunk, not
-# once per op.  Bounds: at most
-# ``_CACHE_MAX_STREAMS`` streams are retained (LRU), and each recording
-# stops at ``_STREAM_OP_CAP`` ops — a consumer running past the cap falls
-# back to live generation (taking over the positioned generator when it is
-# first past the end, or regenerating and fast-forwarding otherwise).
+# Python int per op, and every consumer reads the shared columns through
+# ``ReplayTrace.columns``, so TraceCore's kernel, which indexes their
+# buffers, leaves its loop once per chunk, not once per op.  Bounds: at
+# most ``_CACHE_MAX_STREAMS`` streams are retained (LRU), and each
+# recording stops at ``_STREAM_OP_CAP`` ops; a consumer running past the
+# cap reads ``CHUNK_OPS`` windows of its own generator, fast-forwarded to
+# the cap.
 
 #: max recorded ops per stream (~4.5 MB at the cap; typical runs use a few
 #: tens of thousands of ops per core)
@@ -287,22 +299,19 @@ class _RecordedStream:
     """Shared recording of one deterministic stream.
 
     ``gaps``, ``addrs`` and ``writes`` are the recorded prefix, one typed
-    column per op field; ``source`` is the live generator positioned
-    exactly at ``len(gaps)``, or ``None`` once a consumer past the cap has
-    taken it over.  An extension appends to ``gaps`` last, so a reader
-    that finds ``pos < len(gaps)`` without the lock finds op ``pos`` in
-    every column.  No reader holds a buffer export of a column across a
-    call that may grow it: an exported array refuses to resize.
+    column per op field, and ``app`` is the live generator positioned
+    exactly at ``len(gaps)``.  An extension appends to ``gaps`` last, so a
+    reader that finds ``pos < len(gaps)`` without the lock finds op
+    ``pos`` in every column.  No reader holds a buffer export of a column
+    across a call that may grow it: an exported array refuses to resize.
     """
 
-    __slots__ = ("gaps", "addrs", "writes", "source", "app", "lock")
+    __slots__ = ("gaps", "addrs", "writes", "app", "lock")
 
     def __init__(self, app: SyntheticApp) -> None:
         self.gaps = array("q")
         self.addrs = array("q")
         self.writes = array("B")
-        self.source: SyntheticApp | None = app
-        #: kept (even after detach) for attribute passthrough
         self.app = app
         #: serialises frontier extension: in-process distributed workers
         #: replay the same stream from multiple threads, and an unlocked
@@ -313,88 +322,54 @@ class _RecordedStream:
 class ReplayTrace:
     """TraceSource replaying a shared :class:`_RecordedStream`.
 
-    Multiple replayers may consume the same recording concurrently
-    (each keeps its own cursor); whichever reaches the frontier first
+    Multiple replayers may consume the same recording concurrently (each
+    reader keeps its own cursor); whichever reaches the frontier first
     extends the recording from the live generator.
     """
 
-    __slots__ = ("_rec", "_key", "_pos", "_tail")
+    __slots__ = ("_rec", "_key", "_tail")
 
     def __init__(self, rec: _RecordedStream, key: tuple) -> None:
         self._rec = rec
         self._key = key
-        self._pos = 0
-        #: private live generator once this consumer outran the recording
+        #: this consumer's own generator once it ran past the cap
         self._tail: SyntheticApp | None = None
 
-    def next_op(self) -> MemOp:
-        pos = self._pos
-        if self.grow(pos):
-            rec = self._rec
-            self._pos = pos + 1
-            return MemOp(rec.gaps[pos], rec.addrs[pos], bool(rec.writes[pos]))
-        return self._tail.next_op()
-
-    # -- direct-indexing fast path ------------------------------------------
-    #
-    # A hot consumer (TraceCore) bypasses next_op() while its cursor is
-    # inside the recording: it reads the columns and its start cursor once
-    # via replay_state(), indexes the columns' buffers directly (their
-    # identity is stable; other consumers may extend them in place, so it
-    # re-reads a column's address and length after every call out of its
-    # loop) with a private cursor, and calls grow() when the cursor
-    # reaches their end.  Once
-    # grow() answers False the cursor stays frozen at the cap and the
-    # consumer reads every further op through next_op().
-
-    def replay_state(self) -> tuple[array, array, array, int]:
-        """The shared recording's columns (gaps, addresses, store flags)
-        and this consumer's cursor."""
+    def columns(self, pos: int) -> Columns:
+        """The shared recording at base 0 while ``pos`` is below the cap,
+        grown by a chunk at a time until it holds op ``pos``; past the
+        cap, the next ``CHUNK_OPS`` window of this consumer's own
+        generator."""
         rec = self._rec
-        return rec.gaps, rec.addrs, rec.writes, self._pos
+        if pos < _STREAM_OP_CAP:
+            if pos >= len(rec.gaps):
+                with rec.lock:
+                    # Another consumer thread may have extended the
+                    # recording past this cursor while we waited.
+                    while pos >= len(rec.gaps):
+                        gaps, addrs, writes = rec.app.take_columns(
+                            min(CHUNK_OPS, _STREAM_OP_CAP - len(rec.gaps)))
+                        rec.writes += writes
+                        rec.addrs += addrs
+                        rec.gaps += gaps  # last: publishes the chunk
+            return rec.gaps, rec.addrs, rec.writes, 0
+        if self._tail is None:
+            self._tail = _raw_trace(*self._key)
+            for done in range(0, _STREAM_OP_CAP, CHUNK_OPS):
+                self._tail.take_columns(min(CHUNK_OPS, _STREAM_OP_CAP - done))
+        return self._tail.columns(pos)
 
-    def grow(self, pos: int) -> bool:
-        """Whether the recording holds op ``pos``, growing it by one chunk
-        from the live generator when ``pos`` is its frontier (a cursor
-        never passes the frontier).  ``False`` once ``pos`` is past the
-        cap: this consumer has then gone live, and :meth:`next_op` serves
-        the ops from ``pos`` on."""
-        if self._tail is not None:
-            return False
-        rec = self._rec
-        if pos < len(rec.gaps):
-            return True
-        with rec.lock:
-            # Re-check under the lock: another consumer thread may have
-            # extended the recording past this cursor while we waited.
-            if pos < len(rec.gaps):
-                return True
-            src = rec.source
-            if src is not None and pos < _STREAM_OP_CAP:
-                gaps, addrs, writes = src.take_columns(
-                    min(CHUNK_OPS, _STREAM_OP_CAP - pos))
-                rec.writes += writes
-                rec.addrs += addrs
-                rec.gaps += gaps  # last: publishes the chunk
-                return True
-            if src is not None:
-                # Recording is full and this consumer sits exactly at the
-                # frontier: take exclusive ownership of the positioned
-                # generator and go live.
-                rec.source = None
-                self._tail = src
-                return False
-        # The generator was taken by another consumer: rebuild one and
-        # fast-forward to this cursor (one-time O(pos) cost, cap-bounded
-        # recordings make this path rare).
-        self._tail = _raw_trace(*self._key)
-        self._tail.take_columns(pos)
-        return False
-
-    # Attribute passthrough (profile, _hot_lines, ...) so a ReplayTrace is
-    # a drop-in for the SyntheticApp it wraps in tests and diagnostics.
+    # Data attribute passthrough (profile, base_addr, _hot_lines, ...) so
+    # tests and diagnostics can read a ReplayTrace like the SyntheticApp
+    # it wraps.  No method: one would read or advance the recording's own
+    # generator, which every consumer of the recording shares.
     def __getattr__(self, name: str):
-        return getattr(self._rec.app, name)
+        value = getattr(self._rec.app, name)
+        if callable(value):
+            raise AttributeError(
+                f"{type(self).__name__} serves its ops through columns(); "
+                f"it forwards no method of its generator ({name!r})")
+        return value
 
 
 def clear_trace_cache() -> None:
@@ -407,7 +382,7 @@ def make_trace(
     seed: int,
     phase: str,
     core_id: int = 0,
-) -> "SyntheticApp | ReplayTrace":
+) -> ReplayTrace:
     """Build the reference stream for ``profile`` on ``core_id``.
 
     ``phase`` separates instruction slices: profiling runs use

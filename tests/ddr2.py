@@ -20,9 +20,9 @@ earliest legal ACT and checks:
 * close-page precharge: a bank left closed is not hit next, and is not
   used again before ``data_end`` (+ tWR after a write) + tRP.
 
-It shares no code with the controller: :meth:`CommandLog.verify_bank_discipline
-<repro.dram.command.CommandLog.verify_bank_discipline>` checks the same
-open/close discipline on a reconstructed command stream, without timing.
+It shares no code with the controller, and it is the suite's one judge of
+the open/close-row discipline: :class:`~repro.dram.command.CommandLog`
+only reconstructs the command stream.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ that runs:
 * :class:`DramRig` — a controller whose committed transactions are
   recorded from ``dram.observers``, for DRAM timing tests;
 * :func:`run_traces` — a whole :class:`MultiCoreSystem` over one
-  :class:`ListTrace` per core, for the kernel's cache hit paths.
+  :class:`ListTrace` per core, for the kernel's cache hit paths;
+* :func:`ops` — the first ops of any trace source, read through its
+  checked ``columns``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from repro.config import SystemConfig
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest
 from repro.core import make_policy
-from repro.cpu.trace import ListTrace
+from repro.cpu.trace import ListTrace, MemOp
+from repro.cpu.trace_io import record_trace
 from repro.dram.address import DramCoord
 from repro.dram.channel import TransactionTiming
 from repro.dram.dram_system import DramSystem
@@ -166,3 +169,22 @@ def run_traces(op_lists, *, config=None) -> MultiCoreSystem:
     system = MultiCoreSystem(cfg, make_policy("HF-RF"), traces, target)
     system.run()
     return system
+
+
+def ops(trace, n) -> list[MemOp]:
+    """The first ``n`` ops of a fresh ``trace`` (fewer if it ends first),
+    read by :func:`~repro.cpu.trace_io.record_trace`, with every window
+    ``trace.columns`` serves checked the way the core kernel checks it:
+    typed columns that hold the op asked for."""
+
+    class Checked:
+        def columns(self, pos):
+            cols = trace.columns(pos)
+            if cols is not None:
+                gaps, addrs, writes, base = cols
+                assert (gaps.typecode, addrs.typecode, writes.typecode) == (
+                    "q", "q", "B")
+                assert base <= pos < base + min(map(len, cols[:3]))
+            return cols
+
+    return record_trace(Checked(), n)

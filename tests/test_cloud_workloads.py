@@ -32,6 +32,7 @@ from repro.workloads.cloud import (
 )
 from repro.config import SystemConfig
 from repro.util.rng import RngStream
+from tests.machine import ops as read_ops
 
 
 def _gaps(profile: ServiceProfile, n: int, seed: int = 1) -> list[int]:
@@ -44,27 +45,22 @@ class TestArrivalGeneration:
         svc = service_by_code("K")
         a = make_cloud_trace(svc, seed=7, core_id=0)
         b = make_cloud_trace(svc, seed=7, core_id=0)
-        ops_a = [a.next_op() for _ in range(300)]
-        ops_b = [b.next_op() for _ in range(300)]
-        assert ops_a == ops_b
-        assert a.requests_emitted == b.requests_emitted == 300
+        ops_a = read_ops(a, 300)
+        assert len(ops_a) == 300
+        assert ops_a == read_ops(b, 300)
 
     def test_seeds_and_cores_differ(self):
         svc = service_by_code("K")
-        base = [make_cloud_trace(svc, seed=7, core_id=0).next_op()
-                for _ in range(50)]
-        other_seed = [make_cloud_trace(svc, seed=8, core_id=0).next_op()
-                      for _ in range(50)]
-        other_core = [make_cloud_trace(svc, seed=7, core_id=1).next_op()
-                      for _ in range(50)]
+        base = read_ops(make_cloud_trace(svc, seed=7, core_id=0), 50)
+        other_seed = read_ops(make_cloud_trace(svc, seed=8, core_id=0), 50)
+        other_core = read_ops(make_cloud_trace(svc, seed=7, core_id=1), 50)
         assert base != other_seed
         assert base != other_core  # disjoint address spaces at least
 
     def test_gap_encoding_and_addresses(self):
         svc = service_by_code("S")
         t = make_cloud_trace(svc, seed=3, core_id=2, issue_width=4)
-        for _ in range(200):
-            op = t.next_op()
+        for op in read_ops(t, 200):
             # gap = delta * issue_width - 1 with delta >= 1
             assert op.gap >= 3 and (op.gap + 1) % 4 == 0
             assert not op.is_write

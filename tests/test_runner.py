@@ -191,15 +191,15 @@ class TestReplayPastTheCap:
             return raw_trace(*key)
 
         monkeypatch.setattr(synthetic, "_raw_trace", counted)
-        # The first run records up to the cap, then takes the positioned
-        # generator over ...
+        # The first run records up to the cap, then reads on from a
+        # generator of its own, fast-forwarded to the cap ...
         first = run()
         rec = synthetic._trace_cache[(app, 4, "eval", 0)]
-        assert len(rec.gaps) == 1_500 and rec.source is None
-        assert len(built) == 1
-        # ... so the second regenerates the stream and fast-forwards.
-        second = run()
+        assert len(rec.gaps) == 1_500
         assert len(built) == 2
+        # ... and so does the second, past the recording it replays.
+        second = run()
+        assert len(built) == 3
         assert first == want and second == want
 
 

@@ -68,9 +68,17 @@ class TestSpanCollector:
             c.start_request(0, i, "read", 0) is not None for i in range(5)
         )
 
-    def test_blocked_stamp_consumed_by_reads_only(self):
+    @staticmethod
+    def _stalled(cycle, line):
+        """A one-core collector whose core stalled on ``line`` at
+        ``cycle``, stamped the way the core kernel stamps it."""
         c = SpanCollector(sample_every=1)
-        c.note_blocked(0, cycle=10, line=7)
+        c.bind_cores(1)
+        c._stamps[0], c._stamps[1] = cycle, line
+        return c
+
+    def test_blocked_stamp_consumed_by_reads_only(self):
+        c = self._stalled(cycle=10, line=7)
         # A writeback from the same core must not consume the stamp...
         wb = c.start_request(0, 7, "write", 30)
         assert wb.first_attempt == 30
@@ -79,10 +87,10 @@ class TestSpanCollector:
         assert rd.first_attempt == 10
 
     def test_blocked_stamp_keeps_first_cycle(self):
-        c = SpanCollector(sample_every=1)
-        c.note_blocked(0, cycle=10, line=7)
-        c.note_blocked(0, cycle=25, line=7)  # retry: must not advance
+        c = self._stalled(cycle=10, line=7)
         assert c.start_request(0, 7, "read", 40).first_attempt == 10
+        # The read consumed the stamp: a later read starts when it issues.
+        assert c.start_request(0, 7, "read", 50).first_attempt == 50
 
     def test_merges_count_until_fill_returns(self):
         c = SpanCollector(sample_every=1)
@@ -93,6 +101,50 @@ class TestSpanCollector:
         c.end_inflight(1, 99)
         c.note_merge(1, 99, 12)  # after the fill: no longer merging
         assert span.merged_waiters == 2
+
+
+class TestStallStamp:
+    def test_a_blocked_read_keeps_its_first_stall_cycle(self, monkeypatch):
+        """One core with a one-entry L1D MSHR file: its second read
+        stalls behind the first until that fill returns, and retries in
+        between fail.  Its span starts at the first stall."""
+        from dataclasses import replace
+
+        from repro.config import SystemConfig
+        from repro.core import make_policy
+        from repro.cpu.core_model import TraceCore
+        from repro.cpu.trace import ListTrace, MemOp
+        from repro.sim.system import MultiCoreSystem
+
+        cfg = SystemConfig(num_cores=1)
+        cfg = replace(cfg, caches=replace(
+            cfg.caches, l1d=replace(cfg.caches.l1d, mshrs=1)))
+        failed_retries = []
+        on_unblock = TraceCore._on_unblock
+
+        def counted(core, now):
+            stalls = core.stats.structural_stalls
+            on_unblock(core, now)
+            if core.stats.structural_stalls > stalls:
+                failed_retries.append(now)
+
+        monkeypatch.setattr(TraceCore, "_on_unblock", counted)
+        # At 4-issue the first read is fetched at slot 40 (cycle 10) and
+        # takes the only MSHR; the second at slot 44 (cycle 11) stalls.
+        first, second = MemOp(40, 1 << 20), MemOp(3, 2 << 20)
+        stall_cycle = (first.gap + 1 + second.gap) // cfg.core.issue_width
+        tm = Telemetry(capture_spans=True, span_sample=1)
+        system = MultiCoreSystem(cfg, make_policy("HF-RF"),
+                                 [ListTrace([first, second])], 4000,
+                                 telemetry=tm)
+        system.run()
+        spans = {s.addr: s for s in tm.spans.completed}
+        blocked = spans[second.addr]
+        assert failed_retries and stall_cycle not in failed_retries
+        assert system.cores[0].stats.structural_stalls == 1 + len(failed_retries)
+        assert blocked.first_attempt == stall_cycle
+        assert blocked.first_attempt < blocked.arrival
+        assert spans[first.addr].first_attempt == spans[first.addr].arrival
 
 
 class TestConservation:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu.trace import ListTrace, MemOp, TraceSource
+from tests.machine import ops as read_ops
 
 
 class TestMemOp:
@@ -27,18 +28,14 @@ class TestMemOp:
 
 class TestListTrace:
     def test_iteration_and_exhaustion(self):
-        ops = [MemOp(0, 0), MemOp(1, 64)]
+        ops = [MemOp(0, 0), MemOp(1, 64, True)]
         t = ListTrace(ops)
-        assert t.next_op() == ops[0]
-        assert t.next_op() == ops[1]
-        assert t.next_op() is None
-        assert t.next_op() is None  # stays exhausted
-
-    def test_rewind(self):
-        t = ListTrace([MemOp(0, 0)])
-        t.next_op()
-        t.rewind()
-        assert t.next_op() == MemOp(0, 0)
+        assert read_ops(t, 5) == ops
+        gaps, addrs, writes, base = t.columns(1)
+        assert (list(gaps), list(addrs), list(writes), base) == (
+            [0, 1], [0, 64], [0, 1], 0)
+        assert t.columns(2) is None
+        assert t.columns(3) is None  # stays exhausted
 
     def test_total_instructions(self):
         t = ListTrace([MemOp(3, 0), MemOp(5, 64)])

@@ -6,6 +6,7 @@ from repro.cpu.trace import ListTrace, MemOp
 from repro.cpu.trace_io import load_trace, record_trace, save_trace
 from repro.workloads.spec2000 import app_by_code
 from repro.workloads.synthetic import make_trace
+from tests.machine import ops as read_ops
 
 
 class TestRoundtrip:
@@ -14,21 +15,21 @@ class TestRoundtrip:
         p = tmp_path / "t.trace"
         save_trace(ops, p)
         loaded = load_trace(p)
-        assert [loaded.next_op() for _ in range(3)] == ops
-        assert loaded.next_op() is None
+        assert read_ops(loaded, 4) == ops
+        assert loaded.columns(3) is None
 
     def test_empty_trace(self, tmp_path):
         p = tmp_path / "empty.trace"
         save_trace([], p)
-        assert load_trace(p).next_op() is None
+        assert load_trace(p).columns(0) is None
 
     def test_synthetic_roundtrip(self, tmp_path):
         src = make_trace(app_by_code("c"), seed=3, phase="eval")
         ops = record_trace(src, 500)
         p = tmp_path / "swim.trace"
         save_trace(ops, p)
-        loaded = load_trace(p)
-        assert [loaded.next_op() for _ in range(500)] == ops
+        assert len(ops) == 500
+        assert read_ops(load_trace(p), 500) == ops
 
 
 class TestErrors:

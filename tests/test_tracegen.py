@@ -39,6 +39,7 @@ from repro.workloads.synthetic import (
     _raw_trace,
     make_trace,
 )
+from tests.machine import ops
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -221,14 +222,12 @@ class TestChunking:
         want = _as_tuples(_raw_trace(app, 4, "eval", 0).take(3_000))
         first = make_trace(app, seed=4, phase="eval", core_id=0)
         second = make_trace(app, seed=4, phase="eval", core_id=0)
-        # ``first`` reaches the cap at the frontier and takes the
-        # positioned generator over ...
-        got_first = [first.next_op() for _ in range(3_000)]
-        assert len(first.replay_state()[0]) == small_cap
-        assert first._tail is first._rec.app
-        # ... so ``second`` must regenerate and fast-forward past it.
-        got_second = [second.next_op() for _ in range(3_000)]
-        assert second._tail is not None and second._tail is not first._tail
+        # ``first`` records up to the cap and reads on from its own
+        # generator ...
+        got_first = ops(first, 3_000)
+        assert len(first.columns(0)[0]) == small_cap
+        # ... and ``second`` replays the recording, then does the same.
+        got_second = ops(second, 3_000)
         _assert_same(_as_tuples(got_first), want)
         _assert_same(_as_tuples(got_second), want)
 
@@ -248,7 +247,7 @@ class TestKernelBuild:
         monkeypatch.setenv("PATH", str(tmp_path))  # holds no compiler
         trace = make_trace(app_by_code("c"), seed=1, phase="eval")
         with pytest.raises(tracegen.KernelBuildError) as err:
-            trace.next_op()
+            trace.columns(0)
         assert compiler in str(err.value) and "_tracegen.c" in str(err.value)
         assert not list(empty_cache.iterdir())  # nothing half-built left
 
@@ -332,7 +331,7 @@ class TestCoreKernelLoad:
             assert len(loaded) <= {IMPORT_REPRO_MODULES}, len(loaded)
             from repro.workloads.spec2000 import app_by_code
             from repro.workloads.synthetic import make_trace
-            make_trace(app_by_code("c"), 1, "eval").next_op()
+            make_trace(app_by_code("c"), 1, "eval").columns(0)
             bound = set({KERNEL_BINDERS!r}) & set(sys.modules)
             assert not bound, sorted(bound)
         """)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.workloads.mixes import WORKLOAD_MIXES, mixes_for, workload_by_name
 from repro.workloads.spec2000 import APPS, app_by_code, app_by_name
 from repro.workloads.synthetic import CORE_ADDR_STRIDE, make_trace
+from tests.machine import ops as read_ops
 
 
 class TestAppTable:
@@ -90,30 +91,25 @@ class TestSyntheticStream:
         app = app_by_code("c")
         a = make_trace(app, seed=5, phase="eval", core_id=0)
         b = make_trace(app, seed=5, phase="eval", core_id=0)
-        for _ in range(200):
-            assert a.next_op() == b.next_op()
+        assert read_ops(a, 200) == read_ops(b, 200)
 
     def test_phases_differ(self):
         app = app_by_code("c")
         a = make_trace(app, seed=5, phase="eval", core_id=0)
         b = make_trace(app, seed=5, phase="profile", core_id=0)
-        ops_a = [a.next_op() for _ in range(100)]
-        ops_b = [b.next_op() for _ in range(100)]
-        assert ops_a != ops_b
+        assert read_ops(a, 100) != read_ops(b, 100)
 
     def test_core_address_spaces_disjoint(self):
         app = app_by_code("k")
         lo = make_trace(app, seed=1, phase="eval", core_id=0)
         hi = make_trace(app, seed=1, phase="eval", core_id=3)
-        for _ in range(500):
-            a = lo.next_op().addr
-            b = hi.next_op().addr
-            assert a // CORE_ADDR_STRIDE != b // CORE_ADDR_STRIDE
+        for a, b in zip(read_ops(lo, 500), read_ops(hi, 500)):
+            assert a.addr // CORE_ADDR_STRIDE != b.addr // CORE_ADDR_STRIDE
 
     def test_gap_matches_mem_ratio(self):
         app = app_by_code("c")  # mem_ratio 0.30
         t = make_trace(app, seed=1, phase="eval")
-        ops = [t.next_op() for _ in range(4000)]
+        ops = read_ops(t, 4000)
         total_insts = sum(op.gap + 1 for op in ops)
         ratio = len(ops) / total_insts
         assert abs(ratio - app.mem_ratio) < 0.05
@@ -122,9 +118,8 @@ class TestSyntheticStream:
         app = app_by_code("c")  # store_frac 0.40
         t = make_trace(app, seed=1, phase="eval")
         # skip the (load-only) prologue
-        for _ in range(t._hot_lines + t._l2_lines):
-            t.next_op()
-        ops = [t.next_op() for _ in range(4000)]
+        skip = t._hot_lines + t._l2_lines
+        ops = read_ops(t, skip + 4000)[skip:]
         frac = sum(op.is_write for op in ops) / len(ops)
         assert abs(frac - app.store_frac) < 0.06
 
@@ -132,7 +127,7 @@ class TestSyntheticStream:
         app = app_by_code("a")
         t = make_trace(app, seed=1, phase="eval")
         n = t._hot_lines + t._l2_lines
-        lines = {t.next_op().addr // 64 for _ in range(n)}
+        lines = {op.addr // 64 for op in read_ops(t, n)}
         assert len(lines) == n  # each exactly once
 
     def test_streaming_app_emits_strided_row_runs(self):
@@ -141,9 +136,8 @@ class TestSyntheticStream:
         # stride_lines — consecutive columns of one DRAM row.
         app = app_by_code("c")
         t = make_trace(app, seed=1, phase="eval")
-        for _ in range(t._hot_lines + t._l2_lines):
-            t.next_op()
-        lines = [t.next_op().addr // 64 for _ in range(3000)]
+        skip = t._hot_lines + t._l2_lines
+        lines = [op.addr // 64 for op in read_ops(t, skip + 3000)[skip:]]
         k, stride = app.n_streams, app.stride_lines
         strided_pairs = sum(
             1 for x, y in zip(lines, lines[k:]) if y == x + stride
@@ -153,9 +147,8 @@ class TestSyntheticStream:
     def test_pointer_chaser_has_no_stride_pattern(self):
         app = app_by_code("k")  # mcf: seq_frac 0.05
         t = make_trace(app, seed=1, phase="eval")
-        for _ in range(t._hot_lines + t._l2_lines):
-            t.next_op()
-        lines = [t.next_op().addr // 64 for _ in range(3000)]
+        skip = t._hot_lines + t._l2_lines
+        lines = [op.addr // 64 for op in read_ops(t, skip + 3000)[skip:]]
         k, stride = app.n_streams, app.stride_lines
         strided_pairs = sum(
             1 for x, y in zip(lines, lines[k:]) if y == x + stride
@@ -166,9 +159,9 @@ class TestSyntheticStream:
     @given(st.sampled_from([a.code for a in APPS]), st.integers(1, 100))
     def test_stream_is_infinite_and_valid(self, code, seed):
         t = make_trace(app_by_code(code), seed=seed, phase="eval")
-        for _ in range(300):
-            op = t.next_op()
-            assert op is not None
+        ops = read_ops(t, 300)
+        assert len(ops) == 300
+        for op in ops:
             assert op.gap >= 0
             assert op.addr >= CORE_ADDR_STRIDE  # inside core 0's space
 
@@ -182,10 +175,7 @@ class TestSyntheticStream:
 
             def mk():
                 return make_cloud_trace(service_by_code("K"), seed=5, core_id=0)
-        a, b = mk(), mk()
-        assert [a.next_op() for _ in range(200)] == [
-            b.next_op() for _ in range(200)
-        ]
+        assert read_ops(mk(), 200) == read_ops(mk(), 200)
 
 
 class TestBuilder:
@@ -233,13 +223,11 @@ class TestMpkiContract:
 
         app = app_by_code(code)
         t = make_trace(app, seed=3, phase="eval")
-        for _ in range(t._hot_lines + t._l2_lines):  # skip prologue
-            t.next_op()
+        skip = t._hot_lines + t._l2_lines  # the prologue
         n_ops = 60_000
         insts = 0
         misses = 0
-        for _ in range(n_ops):
-            op = t.next_op()
+        for op in read_ops(t, skip + n_ops)[skip:]:
             insts += op.gap + 1
             line = (op.addr - t.base_addr) // 64
             if line >= _CHASE_BASE_LINE or line >= _STREAM_BASE_LINE:
