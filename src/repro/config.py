@@ -212,6 +212,10 @@ class ControllerConfig:
             raise ValueError(f"unknown page_policy {self.page_policy!r}")
 
 
+#: SystemConfig.digest() results, by the config's repr
+_DIGESTS: dict[str, str] = {}
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Top-level system: cores + caches + DRAM + controller.
@@ -236,14 +240,23 @@ class SystemConfig:
 
         Two runs with equal digests simulated the same machine; telemetry
         exporters stamp it into their artifact headers so results are
-        self-describing.
+        self-describing.  Computed once per distinct configuration in a
+        process (keyed by the repr, which tells apart every value the
+        canonical JSON does).
         """
-        import hashlib
-        import json
-        from dataclasses import asdict
+        key = repr(self)
+        digest = _DIGESTS.get(key)
+        if digest is None:
+            import hashlib
+            import json
+            from dataclasses import asdict
 
-        canonical = json.dumps(asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+            canonical = json.dumps(asdict(self), sort_keys=True, default=str)
+            digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
+            if len(_DIGESTS) >= 256:
+                _DIGESTS.clear()
+            _DIGESTS[key] = digest
+        return digest
 
     def validate(self) -> "SystemConfig":
         """Check cross-component consistency; returns self for chaining."""

@@ -26,9 +26,12 @@ vectors (:class:`~repro.dram.channel.Channel`) in place, resolves the
 committed transaction's DDR2 timing there (the one copy of that model),
 reports it to each of ``dram.observers``, and routes its two event
 shapes through the engine's per-channel lanes (decision slots and read
-completions) instead of the heap.  It calls the policy's ``select_read`` or
-``select_write``, looked up on the policy, once per decision.  What stays
-here is construction and the rare paths: the write-drain transition
+completions) instead of the heap.  At each decision it runs the selection
+rule the policy names (:mod:`repro.core.policy`) itself, while the
+policy's ``select_read``/``select_write`` is the base method that runs
+that rule; otherwise (a policy that selects in Python, an override, a
+wrapped method) it calls the method, looked up on the policy, with the
+candidate list.  What stays here is construction and the rare paths: the write-drain transition
 (:meth:`FastMemoryController._update_drain_mode`) and ``close``.
 
 The class is defined as ``FastMemoryController``, and
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING
 
 from repro.config import ControllerConfig
 from repro.controller.queues import RequestQueues
-from repro.core.policy import SchedulingContext, SchedulingPolicy
+from repro.core.policy import RULE_METHODS, SchedulingContext, SchedulingPolicy
 from repro.cpu.kernel import kernel
 from repro.dram.channel import TransactionTiming
 from repro.dram.dram_system import DramSystem
@@ -170,6 +173,7 @@ class FastMemoryController(ControllerKernel):
             ),
             transaction_timing=TransactionTiming,
             on_read_complete=policy.on_read_complete if notify else None,
+            rule_methods=RULE_METHODS,
             write_drain_high=config.write_drain_high,
             write_drain_low=config.write_drain_low,
             overhead=config.overhead,

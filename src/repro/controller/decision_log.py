@@ -62,7 +62,8 @@ class DecisionLog:
         controller,
         telemetry: "Telemetry | None" = None,
     ) -> "DecisionLog":
-        """Wrap ``controller``'s policy so selections are recorded.
+        """Wrap ``controller``'s policy so selections are recorded (the
+        scheduling point calls instance wrappers at every decision).
 
         With ``telemetry`` given, each decision is also emitted on the
         shared telemetry bus as a ``"decision"`` instant event on the

@@ -14,13 +14,8 @@ HF-RF (:mod:`repro.core.hit_first`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
-from repro.core.policy import SchedulingContext, SchedulingPolicy, oldest
+from repro.core.policy import SchedulingPolicy
 from repro.core.registry import register_policy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.request import MemoryRequest
 
 __all__ = ["FcfsPolicy", "ReadFirstFcfsPolicy"]
 
@@ -30,17 +25,8 @@ class FcfsPolicy(SchedulingPolicy):
     """Strict arrival order, for reads and writes alike."""
 
     hit_first_global = False  # predates hit-first: pure arrival order
-
-    def select_read(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        return oldest(candidates)
-
-    def select_write(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        # No hit-first refinement: pure arrival order.
-        return oldest(candidates)
+    read_rule = "oldest"
+    write_rule = "oldest"  # no hit-first refinement: pure arrival order
 
 
 @register_policy("RF")
@@ -52,8 +38,4 @@ class ReadFirstFcfsPolicy(SchedulingPolicy):
     """
 
     hit_first_global = False  # arrival order among reads, by definition
-
-    def select_read(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        return oldest(candidates)
+    read_rule = "oldest"

@@ -10,14 +10,12 @@ implements any permutation so that experiment (and broader sweeps) can run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from array import array
+from typing import Sequence
 
 from repro.core.complexity import HardwareCost, log2_bits
-from repro.core.policy import SchedulingContext, SchedulingPolicy
+from repro.core.policy import SchedulingPolicy
 from repro.util.rng import RngStream
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.request import MemoryRequest
 
 __all__ = ["FixedPriorityPolicy"]
 
@@ -36,6 +34,8 @@ class FixedPriorityPolicy(SchedulingPolicy):
     """
 
     name = "FIX"
+    #: one fixed priority level per core: rows of depth 1 in ``_rank``
+    read_rule = "ranked"
 
     def __init__(self, order: Sequence[int]) -> None:
         super().__init__()
@@ -43,8 +43,6 @@ class FixedPriorityPolicy(SchedulingPolicy):
         if len(set(self.order)) != len(self.order):
             raise ValueError(f"priority order {self.order} repeats a core")
         self.name = "FIX-" + "".join(str(c) for c in self.order)
-        # priority value per core: first in order = highest
-        self._prio = {c: len(self.order) - i for i, c in enumerate(self.order)}
 
     def setup(self, num_cores: int, rng: RngStream) -> None:
         super().setup(num_cores, rng)
@@ -52,13 +50,11 @@ class FixedPriorityPolicy(SchedulingPolicy):
             raise ValueError(
                 f"order {self.order} is not a permutation of 0..{num_cores - 1}"
             )
-
-    def select_read(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        return self._select_core_then_request(
-            candidates, ctx, lambda core: self._prio[core]
-        )
+        # priority level per core: first in order = highest
+        levels = [0.0] * num_cores
+        for i, c in enumerate(self.order):
+            levels[c] = len(self.order) - i
+        self._rank = array("d", levels)
 
     @classmethod
     def describe_hardware(cls, num_cores: int) -> HardwareCost:

@@ -10,13 +10,8 @@ same average read latency under it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
-from repro.core.policy import SchedulingContext, SchedulingPolicy, hit_first_oldest
+from repro.core.policy import SchedulingPolicy
 from repro.core.registry import register_policy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.request import MemoryRequest
 
 __all__ = ["HitFirstReadFirstPolicy"]
 
@@ -25,7 +20,4 @@ __all__ = ["HitFirstReadFirstPolicy"]
 class HitFirstReadFirstPolicy(SchedulingPolicy):
     """Global hit-first / oldest-first over all cores' reads."""
 
-    def select_read(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        return hit_first_oldest(candidates, ctx)
+    read_rule = "hit_first_oldest"

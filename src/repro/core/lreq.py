@@ -12,14 +12,9 @@ paper's evaluation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 from repro.core.complexity import HardwareCost
-from repro.core.policy import SchedulingContext, SchedulingPolicy
+from repro.core.policy import SchedulingPolicy
 from repro.core.registry import register_policy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.request import MemoryRequest
 
 __all__ = ["LeastRequestPolicy"]
 
@@ -28,13 +23,9 @@ __all__ = ["LeastRequestPolicy"]
 class LeastRequestPolicy(SchedulingPolicy):
     """Fewest-pending-reads core first."""
 
-    def select_read(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        # Higher priority == fewer pending reads, hence the negation.
-        return self._select_core_then_request(
-            candidates, ctx, lambda core: -ctx.pending_reads(core)
-        )
+    # Higher priority == fewer pending reads: the priority is -pending.
+    read_rule = "ranked"
+    rank_kind = "pending"
 
     @classmethod
     def describe_hardware(cls, num_cores: int) -> HardwareCost:

@@ -11,15 +11,13 @@ low-priority cores (Figure 4's 1042-cycle core-3 latency under 4MEM-5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from array import array
+from typing import Sequence
 
 from repro.core.complexity import HardwareCost
-from repro.core.policy import SchedulingContext, SchedulingPolicy
+from repro.core.policy import SchedulingPolicy
 from repro.core.registry import register_policy
 from repro.util.rng import RngStream
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.request import MemoryRequest
 
 __all__ = ["MemoryEfficiencyPolicy"]
 
@@ -36,6 +34,8 @@ class MemoryEfficiencyPolicy(SchedulingPolicy):
     """
 
     reads_me = True
+    #: one fixed priority per core: rows of depth 1 in ``_rank``
+    read_rule = "ranked"
 
     def __init__(self, me_values: Sequence[float]) -> None:
         super().__init__()
@@ -44,6 +44,7 @@ class MemoryEfficiencyPolicy(SchedulingPolicy):
         if any(v < 0 for v in me_values):
             raise ValueError("memory efficiency cannot be negative")
         self.me_values = tuple(float(v) for v in me_values)
+        self._rank = array("d", self.me_values)
 
     def setup(self, num_cores: int, rng: RngStream) -> None:
         super().setup(num_cores, rng)
@@ -51,13 +52,6 @@ class MemoryEfficiencyPolicy(SchedulingPolicy):
             raise ValueError(
                 f"got {len(self.me_values)} ME values for {num_cores} cores"
             )
-
-    def select_read(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        return self._select_core_then_request(
-            candidates, ctx, lambda core: self.me_values[core]
-        )
 
     @classmethod
     def describe_hardware(cls, num_cores: int) -> HardwareCost:

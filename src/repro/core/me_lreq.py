@@ -16,17 +16,15 @@ changes of running phases' sketched in Section 3.1.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from array import array
+from typing import Sequence
 
 from repro.core.complexity import HardwareCost
-from repro.core.policy import SchedulingContext, SchedulingPolicy
+from repro.core.policy import SchedulingPolicy
 from repro.core.priority_table import PriorityTable
 from repro.core.registry import register_policy
 from repro.util.rng import RngStream
 from repro.util.units import gbps
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.request import MemoryRequest
 
 __all__ = ["MeLreqPolicy", "OnlineMeLreqPolicy"]
 
@@ -43,9 +41,15 @@ class MeLreqPolicy(SchedulingPolicy):
         Hardware-table geometry; defaults are the paper's 10 bits x 64
         entries.  ``table_bits=None`` selects an ideal (unquantised)
         implementation, used by the quantisation ablation.
+
+    The kernel's ranked rule reads the table's codes in place
+    (``rank_kind="table"``, a row of ``max_pending`` per core, the last
+    entry repeated past it), or with ``table_bits=None`` divides the ME
+    values by the pending count (``rank_kind="divide"``).
     """
 
     reads_me = True
+    read_rule = "ranked"
 
     def __init__(
         self,
@@ -69,6 +73,11 @@ class MeLreqPolicy(SchedulingPolicy):
                 bits=table_bits,
                 encoding=table_encoding,
             )
+            self._rank = self.table.codes
+            self._rank_depth = max_pending
+        else:
+            self.rank_kind = "divide"
+            self._rank = array("d", self.me_values)
 
     def setup(self, num_cores: int, rng: RngStream) -> None:
         super().setup(num_cores, rng)
@@ -76,20 +85,6 @@ class MeLreqPolicy(SchedulingPolicy):
             raise ValueError(
                 f"got {len(self.me_values)} ME values for {num_cores} cores"
             )
-
-    def _priority(self, core: int, pending: int) -> float:
-        if self.table is not None:
-            return float(self.table.lookup(core, pending))
-        return self.me_values[core] / pending
-
-    def select_read(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        return self._select_core_then_request(
-            candidates,
-            ctx,
-            lambda core: self._priority(core, max(ctx.pending_reads(core), 1)),
-        )
 
     @classmethod
     def describe_hardware(cls, num_cores: int) -> HardwareCost:
@@ -151,13 +146,11 @@ class OnlineMeLreqPolicy(MeLreqPolicy):
         super().setup(num_cores, rng)
 
     def _rebuild_table(self) -> None:
-        if self.table_bits is not None:
-            self.table = PriorityTable(
-                self.me_values,
-                max_pending=self.max_pending,
-                bits=self.table_bits,
-                encoding=self.table_encoding,
-            )
+        """Re-derive the ranked rule's input from ``me_values``, in place."""
+        if self.table is not None:
+            self.table.load(self.me_values)
+        else:
+            self._rank[:] = array("d", self.me_values)
 
     def observe_window(
         self, committed: Sequence[int], bytes_moved: Sequence[int], cycles: int

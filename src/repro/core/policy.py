@@ -22,12 +22,20 @@ Precedence, following the paper exactly:
    ('a tie of equal priority may be broken by a random selection');
 3. oldest-first within the chosen core ('the first read request of the
    selected thread is scheduled').
+
+Each built-in policy names its selection as data (``read_rule``,
+``write_rule``): one of the model kernel's rules ``"oldest"``,
+``"hit_first_oldest"``, ``"ranked"`` (step 2 by ``rank_kind``, then step
+3) and ``"rotate"`` (round-robin, then step 3), whose bodies are in
+``cpu/_core.c``.  At a decision where the policy's method is this base
+class's own, the scheduling point runs the rule with no Python call;
+otherwise (an override, or a wrap on the class or the instance) it calls
+the method.  :func:`oldest`, :func:`hit_first_oldest` and
+``_select_core_then_request`` run the same bodies for a Python caller.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.complexity import HardwareCost
@@ -38,7 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.controller.request import MemoryRequest
     from repro.dram.dram_system import DramSystem
 
-__all__ = ["SchedulingContext", "SchedulingPolicy", "hit_first_oldest", "oldest"]
+__all__ = ["RULE_METHODS", "SchedulingContext", "SchedulingPolicy",
+           "hit_first_oldest", "oldest"]
 
 
 class SchedulingContext:
@@ -64,8 +73,8 @@ class SchedulingContext:
         #: candidate list: either every candidate is a row hit or none is,
         #: and that also holds for any per-core subset — so
         #: :func:`hit_first_oldest` provably reduces to :func:`oldest` and
-        #: skips its per-candidate row-hit probes (a hot-path win; the
-        #: selection outcome is unchanged)
+        #: skips its per-candidate row-hit probes (the selection outcome
+        #: is unchanged)
         self.hits_prefiltered = hits_prefiltered
 
     def is_row_hit(self, req: MemoryRequest) -> bool:
@@ -77,12 +86,20 @@ class SchedulingContext:
         return self.queues.pending_reads[core_id]
 
 
-_by_seq = attrgetter("seq")
+def _rules():
+    """The model kernel, which holds every selection rule's body.
+
+    Candidates are kernel ``MemoryRequest`` objects, so the first
+    selection loads it; importing a policy module does not.
+    """
+    from repro.cpu.kernel import kernel
+
+    return kernel
 
 
 def oldest(candidates: Sequence[MemoryRequest]) -> MemoryRequest:
     """The request with the smallest controller sequence number."""
-    return min(candidates, key=_by_seq)
+    return _rules().oldest(candidates)
 
 
 def hit_first_oldest(
@@ -92,22 +109,20 @@ def hit_first_oldest(
 
     When the controller pre-applied the global hit-first filter
     (``ctx.hits_prefiltered``) the hit/miss split is degenerate on any
-    subset of its candidate list, so the re-filter is skipped outright.
+    subset of its candidate list, so the re-filter is skipped outright;
+    otherwise each candidate is probed with ``ctx.is_row_hit``.
     """
-    if len(candidates) == 1:
-        return candidates[0]
-    if ctx.hits_prefiltered:
-        return min(candidates, key=_by_seq)
-    hits = [r for r in candidates if ctx.is_row_hit(r)]
-    return oldest(hits) if hits else oldest(candidates)
+    return _rules().hit_first_oldest(candidates, ctx)
 
 
-class SchedulingPolicy(ABC):
+class SchedulingPolicy:
     """Base class for all memory-access scheduling schemes.
 
-    Subclasses implement :meth:`select_read`; the shared write path
-    (hit-first, oldest) is policy-independent because the paper schedules
-    writes only in drain mode, outside the policy's core-ranking logic.
+    A subclass either names the kernel rule its reads follow
+    (:attr:`read_rule`, with its inputs) or overrides :meth:`select_read`
+    in Python.  The shared write path (hit-first, oldest) is
+    policy-independent because the paper schedules writes only in drain
+    mode, outside the policy's core-ranking logic.
     """
 
     #: registry name; subclasses override
@@ -122,6 +137,23 @@ class SchedulingPolicy(ABC):
     #: ME profile; ME and ME-LREQ opt in
     reads_me: bool = False
 
+    #: the kernel rule the base :meth:`select_read` runs (see the module
+    #: docstring); None for a policy that overrides the method
+    read_rule: str | None = None
+
+    #: the kernel rule the base :meth:`select_write` runs
+    write_rule: str = "hit_first_oldest"
+
+    #: how the ``"ranked"`` rule reads a core's priority from the float64
+    #: array ``_rank`` and its pending-read count ``p``: ``"table"`` is
+    #: Figure 1's per-core row of ``_rank_depth`` entries, indexed by
+    #: ``min(max(p, 1), _rank_depth) - 1`` (a row of depth 1 is a fixed
+    #: priority); ``"pending"`` is ``-p`` (no ``_rank``); ``"divide"`` is
+    #: ``_rank[core] / max(p, 1)``.  The kernel pins ``_rank`` when the
+    #: machine is built; from then on a policy rewrites it in place
+    rank_kind: str = "table"
+    _rank_depth: int = 1
+
     def __init__(self) -> None:
         self.num_cores: int = 0
 
@@ -131,17 +163,19 @@ class SchedulingPolicy(ABC):
             raise ValueError("num_cores must be >= 1")
         self.num_cores = num_cores
 
-    @abstractmethod
     def select_read(
         self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
     ) -> MemoryRequest:
-        """Choose the read request to commit, from a non-empty candidate list."""
+        """Choose the read request to commit, from a non-empty candidate
+        list: :attr:`read_rule`, run by the kernel."""
+        return _rules().select(self, candidates, ctx, False)
 
     def select_write(
         self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
     ) -> MemoryRequest:
-        """Choose the write to commit during a drain (hit-first, oldest)."""
-        return hit_first_oldest(candidates, ctx)
+        """Choose the write to commit during a drain: :attr:`write_rule`
+        (hit-first, oldest unless a policy says otherwise)."""
+        return _rules().select(self, candidates, ctx, True)
 
     def on_read_complete(self, core_id: int, bytes_moved: int, now: int) -> None:
         """Completion hook (used by the online-ME extension); default no-op."""
@@ -175,28 +209,18 @@ class SchedulingPolicy(ABC):
 
         This is the two-level structure of Section 3.2: 'select the thread
         with the highest priority, and then the first read request of the
-        selected thread is scheduled'.
+        selected thread is scheduled'.  It is the kernel's ``"ranked"``
+        rule with the priority taken from ``core_priority``, called once
+        per core in the order the cores first appear and compared as
+        Python compares; one candidate is returned at once.
         """
-        if len(candidates) == 1:
-            # One candidate: one core, no tie-break draw, one request.
-            return candidates[0]
-        by_core: dict[int, list[MemoryRequest]] = {}
-        for r in candidates:
-            by_core.setdefault(r.core_id, []).append(r)
-        best_cores: list[int] = []
-        best_prio = float("-inf")
-        for core_id in by_core:
-            p = core_priority(core_id)
-            if p > best_prio:
-                best_prio = p
-                best_cores = [core_id]
-            elif p == best_prio:
-                best_cores.append(core_id)
-        if len(best_cores) == 1:
-            chosen = best_cores[0]
-        else:
-            chosen = best_cores[ctx.rng.randint(0, len(best_cores))]
-        return hit_first_oldest(by_core[chosen], ctx)
+        return _rules().select_by(candidates, ctx, core_priority)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+#: the base select_read and select_write as defined here: at a decision the
+#: kernel runs the policy's rule itself while the policy's method resolves
+#: to one of these, and calls the method otherwise
+RULE_METHODS = (SchedulingPolicy.select_read, SchedulingPolicy.select_write)

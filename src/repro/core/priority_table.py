@@ -22,11 +22,17 @@ default here is therefore **logarithmic** encoding (equal relative steps of
 about 1.8 % across 8 decades), which preserves ME ratios at every
 magnitude; linear encoding is available for the quantisation ablation
 (`experiments.ablations`).
+
+The codes live in one flat ``array('d')`` (:attr:`PriorityTable.codes`,
+row-major, ``max_pending`` entries per core): the model kernel's ranked
+rule reads them in place as the comparator's input, and :meth:`load`
+rewrites them in place when the ME values change.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Sequence
 
 from repro.util.fixedpoint import FixedPointCodec
@@ -58,7 +64,8 @@ class PriorityTable:
         do this scaling when it initialises the tables.
     """
 
-    __slots__ = ("me_values", "max_pending", "encoding", "codec", "_log_top", "_table")
+    __slots__ = ("me_values", "max_pending", "bits", "encoding", "scale_to",
+                 "codec", "codes")
 
     def __init__(
         self,
@@ -68,35 +75,44 @@ class PriorityTable:
         encoding: str = "log",
         scale_to: float | None = None,
     ) -> None:
-        if not me_values:
-            raise ValueError("me_values must be non-empty")
-        if any(v < 0 for v in me_values):
-            raise ValueError("memory efficiency cannot be negative")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if encoding not in ("log", "linear"):
             raise ValueError(f"unknown encoding {encoding!r}")
-        self.me_values = tuple(float(v) for v in me_values)
         self.max_pending = max_pending
+        self.bits = bits
         self.encoding = encoding
-        top = scale_to if scale_to is not None else max(self.me_values)
+        self.scale_to = scale_to
+        #: codes[core * max_pending + pending - 1] = the code for
+        #: ME[core]/pending, as float64
+        self.codes = array("d")
+        self.load(me_values)
+
+    def load(self, me_values: Sequence[float]) -> None:
+        """Recompute every code for ``me_values``, rewriting :attr:`codes`
+        in place (a model kernel bound to them reads the new codes at its
+        next decision; it refuses a change in the number of cores)."""
+        if not me_values:
+            raise ValueError("me_values must be non-empty")
+        if any(v < 0 for v in me_values):
+            raise ValueError("memory efficiency cannot be negative")
+        self.me_values = tuple(float(v) for v in me_values)
+        top = self.scale_to if self.scale_to is not None else max(self.me_values)
         if top <= 0:
             # All-zero ME profile: any positive scale works, every entry is 0.
             top = 1.0
-        if encoding == "log":
+        if self.encoding == "log":
             # Codes span [_LOG_FLOOR, top] in equal relative steps.
-            self._log_top = top
             self.codec = FixedPointCodec(
-                bits=bits, max_value=max(math.log(top / _LOG_FLOOR), 1e-9)
+                bits=self.bits, max_value=max(math.log(top / _LOG_FLOOR), 1e-9)
             )
         else:
-            self._log_top = 0.0
-            self.codec = FixedPointCodec(bits=bits, max_value=top)
-        # _table[core][pending-1] = 10-bit code for ME[core]/pending
-        self._table: list[list[int]] = [
-            [self._encode(me / p) for p in range(1, max_pending + 1)]
+            self.codec = FixedPointCodec(bits=self.bits, max_value=top)
+        self.codes[:] = array("d", [
+            self._encode(me / p)
             for me in self.me_values
-        ]
+            for p in range(1, self.max_pending + 1)
+        ])
 
     def _encode(self, priority: float) -> int:
         if self.encoding == "linear":
@@ -125,7 +141,7 @@ class PriorityTable:
         if pending_reads < 1:
             raise ValueError("priority lookup requires pending_reads >= 1")
         idx = min(pending_reads, self.max_pending) - 1
-        return self._table[core_id][idx]
+        return int(self.codes[self._start(core_id) + idx])
 
     def exact(self, core_id: int, pending_reads: int) -> float:
         """Unquantised ``ME/pending`` — reference value for tests/ablations."""
@@ -135,4 +151,10 @@ class PriorityTable:
 
     def row(self, core_id: int) -> tuple[int, ...]:
         """The full quantised row for one core (for inspection/tests)."""
-        return tuple(self._table[core_id])
+        start = self._start(core_id)
+        return tuple(int(c) for c in self.codes[start:start + self.max_pending])
+
+    def _start(self, core_id: int) -> int:
+        if not 0 <= core_id < len(self.me_values):
+            raise IndexError(f"core {core_id} has no table row")
+        return core_id * self.max_pending

@@ -14,15 +14,12 @@ the channel.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from array import array
 
 from repro.core.complexity import HardwareCost, log2_bits
-from repro.core.policy import SchedulingContext, SchedulingPolicy, hit_first_oldest
+from repro.core.policy import SchedulingPolicy
 from repro.core.registry import register_policy
 from repro.util.rng import RngStream
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.request import MemoryRequest
 
 __all__ = ["RoundRobinPolicy"]
 
@@ -31,30 +28,26 @@ __all__ = ["RoundRobinPolicy"]
 class RoundRobinPolicy(SchedulingPolicy):
     """Serve cores in cyclic order, skipping cores with no candidates."""
 
+    # Walk the rotation from the pointer to the first core with work, and
+    # move the pointer past it (even when it is the only candidate).
+    read_rule = "rotate"
+
     def __init__(self) -> None:
         super().__init__()
-        self._next_core = 0
+        #: the rotation pointer, in storage the kernel advances in place
+        self._rotor = array("q", [0])
+
+    @property
+    def _next_core(self) -> int:
+        """The core the rotation tries first at the next read decision."""
+        return self._rotor[0]
 
     def setup(self, num_cores: int, rng: RngStream) -> None:
         super().setup(num_cores, rng)
-        self._next_core = 0
+        self._rotor[0] = 0
 
     def reset(self) -> None:
-        self._next_core = 0
-
-    def select_read(
-        self, candidates: Sequence[MemoryRequest], ctx: SchedulingContext
-    ) -> MemoryRequest:
-        by_core: dict[int, list[MemoryRequest]] = {}
-        for r in candidates:
-            by_core.setdefault(r.core_id, []).append(r)
-        # Walk the rotation from the pointer until a core with work is found.
-        for step in range(self.num_cores):
-            core = (self._next_core + step) % self.num_cores
-            if core in by_core:
-                self._next_core = (core + 1) % self.num_cores
-                return hit_first_oldest(by_core[core], ctx)
-        raise ValueError("select_read called with no candidates")
+        self._rotor[0] = 0
 
     @classmethod
     def describe_hardware(cls, num_cores: int) -> HardwareCost:

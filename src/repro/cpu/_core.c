@@ -1,5 +1,5 @@
-/* The simulator's model kernel: the core model, the memory side and the
- * event loop.
+/* The simulator's model kernel: the core model, the memory side, the
+ * event loop and the scheduling policies' selection rules.
  *
  * Five types, each the base of (or, for MemoryRequest, the whole of) a
  * Python class that validates and binds:
@@ -9,7 +9,8 @@
  *   EngineKernel      EventEngine's heap, per-channel decision slots and
  *                     completion lanes, and its run loop (repro.sim.engine)
  *   ControllerKernel  FastMemoryController's enqueue, scheduling point with
- *                     its DDR2 timing, and delivery (repro.controller)
+ *                     its DDR2 timing and the policy's selection rule,
+ *                     and delivery (repro.controller)
  *   HierarchyKernel   CacheHierarchy's miss path past the L2, fill path and
  *                     structural-stall wake-ups (repro.cache.hierarchy)
  *   CoreKernel        TraceCore's fetch with the L1/L2 hit paths, commit
@@ -26,10 +27,15 @@
  * Python reads the same names and gets the same ints, during a run and
  * after the machine closes.  A trace's columns are the exception: a core
  * re-reads their addresses after every call out (see cols_load).
- * What stays Python is reached through calls: the scheduling policy
- * (select_read or select_write, looked up on the policy at every
- * decision), the write-drain transition, the writeback path, the
- * dram.observers subscribers and the span collector.  Calls between
+ * The selection rules the built-in policies name (oldest, hit-first
+ * oldest, the highest-priority core, round-robin) run here on the
+ * candidate array; their inputs (priority rows, the rotation pointer)
+ * are pinned at _bind like the rest.
+ * What stays Python is reached through calls: a policy that selects in
+ * Python (select_read or select_write, looked up on the policy at every
+ * decision when it is not the base method that runs the rule), the
+ * write-drain transition, the writeback path, the dram.observers
+ * subscribers and the span collector.  Calls between
  * components go through the bound callables each Python class hands to
  * its _bind(), so instrumentation that wraps a method by name before a
  * machine is built sees every call.
@@ -41,6 +47,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
@@ -79,7 +86,9 @@ static PyObject *s_stats, *s_c, *s_tags, *s_dirty, *s_count, *s_off_bits,
     *s_pending_reads, *s_pending_writes, *s_read_count,
     *s_read_latency_sum, *s_read_latency_max, *s_bytes_read,
     *s_bytes_written, *s_write_count, *s_ready, *s_open_row, *s_hits,
-    *s_acts, *s_confs, *s_act_cycles, *s_num_banks, *s_stamps, *kw_timing;
+    *s_acts, *s_confs, *s_act_cycles, *s_num_banks, *s_stamps, *s_read_rule,
+    *s_write_rule, *s_rank_kind, *s_rank_depth, *s_rank, *s_rotor,
+    *s_num_cores, *s_rng, *s_queues, *s_is_row_hit, *kw_timing;
 static PyObject *PastEventError;
 
 /* -- helpers ------------------------------------------------------------ */
@@ -676,6 +685,471 @@ static PyTypeObject RequestType = {
 };
 
 /* ======================================================================
+ * Selection rules
+ * ====================================================================== */
+
+/* The selection rules the built-in policies name (SchedulingPolicy's
+ * read_rule and write_rule), run on an array of candidates in queue
+ * order:
+ *
+ *   oldest            the smallest seq
+ *   hit_first_oldest  the row hits if there are any, then the oldest
+ *   ranked            the highest-priority core, the cores visited in the
+ *                     order they first appear, a tie drawn with
+ *                     ctx.rng.randint(0, k) over the k tied cores; then
+ *                     that core's hit-first oldest.  One candidate is
+ *                     returned at once (no priority read, no draw).
+ *   rotate            round-robin: from the pointer, the first core with a
+ *                     candidate, the pointer moved past it; then that
+ *                     core's hit-first oldest
+ *
+ * The scheduling point runs them on its own candidate array with the
+ * inputs it pinned at _bind; the module functions (select, oldest,
+ * hit_first_oldest, select_by) run the same bodies for a Python call. */
+
+enum { RULE_NONE, RULE_OLDEST, RULE_HIT_FIRST, RULE_RANKED, RULE_ROTATE,
+       NRULES };
+static const char *const rule_names[NRULES] = {
+    NULL, "oldest", "hit_first_oldest", "ranked", "rotate"};
+
+/* How the ranked rule reads the priority of a core with p pending reads
+ * from the policy's _rank (rank_kind): Figure 1's per-core row of depth
+ * entries indexed by min(max(p, 1), depth) - 1 (ME and FIX are rows of
+ * depth 1), -p (LREQ), or _rank[core] / max(p, 1) (ME-LREQ's ideal
+ * divider). */
+enum { RANK_TABLE, RANK_PENDING, RANK_DIVIDE, NRANKS };
+static const char *const rank_names[NRANKS] = {"table", "pending", "divide"};
+
+/* A policy's rules and the typed inputs they read. */
+typedef struct {
+    int read, write, kind;
+    const double *rank;     /* _rank: nrank float64s */
+    int64_t nrank, depth;
+    int64_t *rotor, ncores; /* rotate: _rotor[0], the next core */
+} Rules;
+
+/* The index in names of policy.attr, a str (None matches a NULL name). */
+static int name_code(PyObject *policy, PyObject *attr,
+                     const char *const *names, int n, int *out)
+{
+    PyObject *v = PyObject_GetAttr(policy, attr);
+    int i;
+    if (v == NULL)
+        return -1;
+    for (i = 0; i < n; i++)
+        if (names[i] == NULL ? v == Py_None
+            : PyUnicode_Check(v)
+              && PyUnicode_CompareWithASCIIString(v, names[i]) == 0)
+            break;
+    if (i == n)
+        PyErr_Format(PyExc_ValueError,
+                     "%.200s.%U is %R: the kernel runs no such rule",
+                     Py_TYPE(policy)->tp_name, attr, v);
+    Py_DECREF(v);
+    *out = i;
+    return i == n ? -1 : 0;
+}
+
+/* Read policy's rules and pin the inputs they read into p. */
+static int rules_load(Rules *u, PyObject *policy, Pins *p)
+{
+    memset(u, 0, sizeof *u);
+    if (name_code(policy, s_read_rule, rule_names, NRULES, &u->read) < 0
+        || name_code(policy, s_write_rule, rule_names, NRULES, &u->write) < 0)
+        return -1;
+    if ((u->read == RULE_RANKED || u->write == RULE_RANKED)
+        && (name_code(policy, s_rank_kind, rank_names, NRANKS, &u->kind) < 0
+            || attr_i64(policy, s_rank_depth, &u->depth) < 0))
+        return -1;
+    if ((u->read == RULE_RANKED || u->write == RULE_RANKED)
+        && u->kind != RANK_PENDING) {
+        if (u->depth < 1) {
+            PyErr_SetString(PyExc_ValueError, "_rank_depth must be >= 1");
+            return -1;
+        }
+        if ((u->rank = pin(p, policy, s_rank, sizeof(double), 1)) == NULL)
+            return -1;
+        u->nrank = p->v[p->n - 1].len / (Py_ssize_t)sizeof(double);
+    }
+    if ((u->read == RULE_ROTATE || u->write == RULE_ROTATE)
+        && ((u->rotor = pin(p, policy, s_rotor, sizeof(int64_t), 1)) == NULL
+            || attr_i64(policy, s_num_cores, &u->ncores) < 0))
+        return -1;
+    return 0;
+}
+
+/* Row hits first, then the oldest, among the candidates of core (of all
+ * of them when any is set); hit flags the row hits, NULL when there is no
+ * filter to apply. */
+static Request *first_of(Request **v, const char *hit, Py_ssize_t n, int any,
+                         int64_t core)
+{
+    Request *old = NULL, *hot = NULL;
+    Py_ssize_t i;
+    for (i = 0; i < n; i++) {
+        Request *r = v[i];
+        if (!any && r->core_id != core)
+            continue;
+        if (old == NULL || r->seq < old->seq)
+            old = r;
+        if (hit != NULL && hit[i] && (hot == NULL || r->seq < hot->seq))
+            hot = r;
+    }
+    return hot != NULL ? hot : old;
+}
+
+/* The distinct cores of v in the order they first appear; their count. */
+static Py_ssize_t cores_in_order(Request **v, Py_ssize_t n, int64_t *cores)
+{
+    Py_ssize_t i, j, k = 0;
+    for (i = 0; i < n; i++) {
+        for (j = 0; j < k && cores[j] != v[i]->core_id; j++)
+            ;
+        if (j == k)
+            cores[k++] = v[i]->core_id;
+    }
+    return k;
+}
+
+/* ctx.rng.randint(0, k): which of k tied cores wins. */
+static int tie_draw(PyObject *ctx, Py_ssize_t k, Py_ssize_t *out)
+{
+    PyObject *rng = PyObject_GetAttr(ctx, s_rng), *j;
+    int64_t v;
+    int rc;
+    if (rng == NULL)
+        return -1;
+    j = PyObject_CallMethod(rng, "randint", "nn", (Py_ssize_t)0, k);
+    Py_DECREF(rng);
+    if (j == NULL)
+        return -1;
+    rc = as_i64(j, &v);
+    Py_DECREF(j);
+    if (rc < 0)
+        return -1;
+    if (v < 0 || v >= k)
+        return index_error("tie-break draw");
+    *out = (Py_ssize_t)v;
+    return 0;
+}
+
+/* The ranked rule's priority of core with p pending reads. */
+static int rank_of(const Rules *u, int64_t core, int64_t p, double *out)
+{
+    int64_t q = p > 1 ? p : 1;
+    if (u->kind == RANK_PENDING) {
+        *out = -(double)p;
+        return 0;
+    }
+    if (core < 0 || (core + 1) * (u->kind == RANK_TABLE ? u->depth : 1)
+                        > u->nrank)
+        return index_error("ranked core");
+    *out = u->kind == RANK_DIVIDE
+        ? u->rank[core] / (double)q
+        : u->rank[core * u->depth + (q < u->depth ? q : u->depth) - 1];
+    return 0;
+}
+
+/* The ranked rule with the policy's own inputs: pending is the per-core
+ * pending-read vector (npending cores); scratch holds 2n int64s. */
+static Request *pick_ranked(const Rules *u, Request **v, const char *hit,
+                            Py_ssize_t n, const int64_t *pending,
+                            Py_ssize_t npending, PyObject *ctx,
+                            int64_t *scratch)
+{
+    int64_t *cores = scratch, *tied = scratch + n;
+    Py_ssize_t i, nc, k = 0, j = 0;
+    double best = -INFINITY, p;
+    if (n == 1)
+        return v[0];
+    nc = cores_in_order(v, n, cores);
+    for (i = 0; i < nc; i++) {
+        if (cores[i] < 0 || cores[i] >= npending) {
+            index_error("request core_id");
+            return NULL;
+        }
+        if (rank_of(u, cores[i], pending[cores[i]], &p) < 0)
+            return NULL;
+        if (p > best) {
+            best = p;
+            tied[0] = cores[i];
+            k = 1;
+        } else if (p == best) {
+            tied[k++] = cores[i];
+        }
+    }
+    if (k != 1 && tie_draw(ctx, k, &j) < 0)
+        return NULL;
+    return first_of(v, hit, n, 0, tied[j]);
+}
+
+
+/* bool(v), consuming the reference: 1, 0 or -1 (also for v == NULL). */
+static int truthy_drop(PyObject *v)
+{
+    int t;
+    if (v == NULL)
+        return -1;
+    t = truthy(v);
+    Py_DECREF(v);
+    return t;
+}
+
+/* The ranked rule with the priority core_priority(core) returns, compared
+ * as Python compares (a policy that ranks in Python: CADS, FQ, STFM,
+ * BATCH). */
+static Request *pick_by(PyObject *priority, Request **v, const char *hit,
+                        Py_ssize_t n, PyObject *ctx, int64_t *scratch)
+{
+    int64_t *cores = scratch, *tied = scratch + n;
+    Py_ssize_t i, nc, k = 0, j = 0;
+    PyObject *best, *p, *core;
+    int gt = 0, eq = 0;
+    if (n == 1)
+        return v[0];
+    if ((best = PyFloat_FromDouble(-INFINITY)) == NULL)
+        return NULL;
+    nc = cores_in_order(v, n, cores);
+    for (i = 0; i < nc; i++) {
+        if ((core = PyLong_FromLongLong(cores[i])) == NULL)
+            goto fail;
+        p = PyObject_CallOneArg(priority, core);
+        Py_DECREF(core);
+        /* bool(p > best), then bool(p == best), as Python's if takes them */
+        if (p == NULL
+            || (gt = truthy_drop(PyObject_RichCompare(p, best, Py_GT))) < 0
+            || (!gt && (eq = truthy_drop(PyObject_RichCompare(p, best,
+                                                              Py_EQ))) < 0)) {
+            Py_XDECREF(p);
+            goto fail;
+        }
+        if (gt) {
+            Py_SETREF(best, p);
+            tied[0] = cores[i];
+            k = 1;
+        } else {
+            Py_DECREF(p);
+            if (eq)
+                tied[k++] = cores[i];
+        }
+    }
+    Py_DECREF(best);
+    if (k != 1 && tie_draw(ctx, k, &j) < 0)
+        return NULL;
+    return first_of(v, hit, n, 0, tied[j]);
+fail:
+    Py_DECREF(best);
+    return NULL;
+}
+
+/* a mod n as Python computes it, for n > 0 */
+static int64_t py_mod(int64_t a, int64_t n)
+{
+    int64_t m = a % n;
+    return m < 0 ? m + n : m;
+}
+
+static Request *pick_rotate(const Rules *u, Request **v, const char *hit,
+                            Py_ssize_t n)
+{
+    int64_t step, core;
+    Py_ssize_t i;
+    for (step = 0; step < u->ncores; step++) {
+        core = py_mod(u->rotor[0] + step, u->ncores);
+        for (i = 0; i < n && v[i]->core_id != core; i++)
+            ;
+        if (i < n) {
+            u->rotor[0] = py_mod(core + 1, u->ncores);
+            return first_of(v, hit, n, 0, core);
+        }
+    }
+    PyErr_SetString(PyExc_ValueError, "no candidate of a known core");
+    return NULL;
+}
+
+/* Run rule on v[0..n).  Returns a borrowed request, or NULL with an
+ * exception: ValueError when there are no candidates. */
+static Request *rule_pick(const Rules *u, int rule, Request **v,
+                          const char *hit, Py_ssize_t n,
+                          const int64_t *pending, Py_ssize_t npending,
+                          PyObject *ctx, int64_t *scratch)
+{
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "no candidates to select from");
+        return NULL;
+    }
+    switch (rule) {
+    case RULE_OLDEST:
+        return first_of(v, NULL, n, 1, 0);
+    case RULE_HIT_FIRST:
+        return first_of(v, hit, n, 1, 0);
+    case RULE_RANKED:
+        return pick_ranked(u, v, hit, n, pending, npending, ctx, scratch);
+    case RULE_ROTATE:
+        return pick_rotate(u, v, hit, n);
+    }
+    PyErr_SetString(PyExc_NotImplementedError,
+                    "the policy names no selection rule for this kind: "
+                    "set read_rule/write_rule or override the method");
+    return NULL;
+}
+
+/* The candidates of a call from Python: a tuple that holds them, their
+ * array, and their row-hit flags (ctx.is_row_hit) when the rule filters
+ * hits and ctx.hits_prefiltered is false. */
+typedef struct {
+    PyObject *held;
+    Request **v;
+    char *hit;
+    int64_t *scratch;
+    Py_ssize_t n;
+} Direct;
+
+static void direct_close(Direct *d)
+{
+    Py_CLEAR(d->held);
+    PyMem_Free(d->v);
+    PyMem_Free(d->hit);
+    PyMem_Free(d->scratch);
+}
+
+static int direct_open(Direct *d, PyObject *candidates, PyObject *ctx,
+                       int hits)
+{
+    Py_ssize_t i;
+    int t;
+    memset(d, 0, sizeof *d);
+    if ((d->held = PySequence_Tuple(candidates)) == NULL)
+        return -1;
+    d->n = PyTuple_GET_SIZE(d->held);
+    d->v = PyMem_New(Request *, d->n + 1);
+    d->scratch = PyMem_New(int64_t, 2 * d->n + 1);
+    if (d->v == NULL || d->scratch == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < d->n; i++)
+        if ((d->v[i] = as_request(PyTuple_GET_ITEM(d->held, i))) == NULL)
+            return -1;
+    if (!hits || d->n < 2)
+        return 0;
+    if ((t = truthy_drop(PyObject_GetAttr(ctx, s_hits_prefiltered))) != 0)
+        return t < 0 ? -1 : 0;
+    if ((d->hit = PyMem_New(char, d->n)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < d->n; i++) {
+        t = truthy_drop(PyObject_CallMethodOneArg(ctx, s_is_row_hit,
+                                                  (PyObject *)d->v[i]));
+        if (t < 0)
+            return -1;
+        d->hit[i] = (char)t;
+    }
+    return 0;
+}
+
+static PyObject *picked(Request *r)
+{
+    return r != NULL ? Py_NewRef((PyObject *)r) : NULL;
+}
+
+/* select(policy, candidates, ctx, is_write): the policy's declared rule
+ * (SchedulingPolicy.select_read and select_write). */
+static PyObject *mod_select(PyObject *Py_UNUSED(m), PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    Rules u;
+    Pins p = {NULL, 0};
+    Direct d = {NULL, NULL, NULL, NULL, 0};
+    PyObject *queues = NULL, *res = NULL;
+    const int64_t *pending = NULL;
+    Py_ssize_t npending = 0;
+    int rule, is_write;
+    if (nargs_are(nargs, 4) < 0 || (is_write = PyObject_IsTrue(args[3])) < 0
+        || rules_load(&u, args[0], &p) < 0)
+        goto done;
+    rule = is_write ? u.write : u.read;
+    if (direct_open(&d, args[1], args[2], rule != RULE_OLDEST) < 0)
+        goto done;
+    if (rule == RULE_RANKED && d.n > 1) {
+        if ((queues = PyObject_GetAttr(args[2], s_queues)) == NULL
+            || (pending = pin(&p, queues, s_pending_reads, sizeof(int64_t),
+                              1)) == NULL)
+            goto done;
+        npending = p.v[p.n - 1].len / (Py_ssize_t)sizeof(int64_t);
+    }
+    res = picked(rule_pick(&u, rule, d.v, d.hit, d.n, pending, npending,
+                           args[2], d.scratch));
+done:
+    Py_XDECREF(queues);
+    direct_close(&d);
+    unpin(&p);
+    return res;
+}
+
+/* oldest(candidates) */
+static PyObject *mod_oldest(PyObject *Py_UNUSED(m), PyObject *candidates)
+{
+    Rules u = {.read = RULE_OLDEST};
+    Direct d;
+    PyObject *res = NULL;
+    if (direct_open(&d, candidates, NULL, 0) == 0)
+        res = picked(rule_pick(&u, u.read, d.v, NULL, d.n, NULL, 0, NULL,
+                               d.scratch));
+    direct_close(&d);
+    return res;
+}
+
+/* hit_first_oldest(candidates, ctx) */
+static PyObject *mod_hit_first_oldest(PyObject *Py_UNUSED(m),
+                                      PyObject *const *args, Py_ssize_t nargs)
+{
+    Rules u = {.read = RULE_HIT_FIRST};
+    Direct d = {NULL, NULL, NULL, NULL, 0};
+    PyObject *res = NULL;
+    if (nargs_are(nargs, 2) == 0 && direct_open(&d, args[0], args[1], 1) == 0)
+        res = picked(rule_pick(&u, u.read, d.v, d.hit, d.n, NULL, 0, args[1],
+                               d.scratch));
+    direct_close(&d);
+    return res;
+}
+
+/* select_by(candidates, ctx, core_priority): the ranked rule with the
+ * priority a Python callable gives each core
+ * (SchedulingPolicy._select_core_then_request). */
+static PyObject *mod_select_by(PyObject *Py_UNUSED(m), PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    Direct d = {NULL, NULL, NULL, NULL, 0};
+    PyObject *res = NULL;
+    if (nargs_are(nargs, 3) < 0 || direct_open(&d, args[0], args[1], 1) < 0)
+        goto done;
+    if (d.n == 0)
+        PyErr_SetString(PyExc_ValueError, "no candidates to select from");
+    else
+        res = picked(pick_by(args[2], d.v, d.hit, d.n, args[1], d.scratch));
+done:
+    direct_close(&d);
+    return res;
+}
+
+static PyMethodDef core_functions[] = {
+    {"select", (PyCFunction)(void (*)(void))mod_select, METH_FASTCALL,
+     "select(policy, candidates, ctx, is_write): the policy's read_rule "
+     "or write_rule"},
+    {"oldest", (PyCFunction)mod_oldest, METH_O,
+     "oldest(candidates): the smallest seq"},
+    {"hit_first_oldest", (PyCFunction)(void (*)(void))mod_hit_first_oldest,
+     METH_FASTCALL,
+     "hit_first_oldest(candidates, ctx): row hits first, then the oldest"},
+    {"select_by", (PyCFunction)(void (*)(void))mod_select_by, METH_FASTCALL,
+     "select_by(candidates, ctx, core_priority): the highest-priority core "
+     "(random tie-break), then its hit-first oldest"},
+    {NULL}
+};
+
+/* ======================================================================
  * EngineKernel
  * ====================================================================== */
 
@@ -1199,6 +1673,17 @@ typedef struct {
     PyObject *engine, *dram, *policy, *queues, *stats, *ctx, *spans;
     PyObject *space_waiters, *decode_cache, *timing_cls, *on_read_complete;
     PyObject *observers, *reads, *writes;
+    /* SchedulingPolicy's own select_read and select_write (runs_rule) */
+    PyObject *base_read, *base_write;
+    /* the policy's rules and their pinned inputs */
+    Rules rules;
+    /* one decision's candidates (borrowed from a queue view), their
+     * row-hit flags and the ranked rule's scratch: cap, cap and 2 * cap
+     * entries */
+    Request **cand;
+    char *hit;
+    int64_t *scratch;
+    Py_ssize_t cap;
     /* the queues' and stats' counters and per-core vectors */
     int64_t *qc, *pending_reads, *pending_writes, *sc;
     int64_t *read_count, *lat_sum, *lat_max, *bytes_read, *bytes_written;
@@ -1352,15 +1837,41 @@ static PyObject *ctrl_wait_for_space_py(Ctrl *c, PyObject *callback)
     return done_or_null(ctrl_wait_for_space(c, callback));
 }
 
+/* Room for n candidates in the decision arrays. */
+static int ctrl_reserve(Ctrl *c, Py_ssize_t n)
+{
+    Request **v;
+    char *h;
+    int64_t *s;
+    if (n <= c->cap)
+        return 0;
+    n = n > 2 * c->cap ? n : 2 * c->cap;
+    if ((v = PyMem_Realloc(c->cand, n * sizeof *v)) != NULL)
+        c->cand = v;
+    if ((h = PyMem_Realloc(c->hit, n)) != NULL)
+        c->hit = h;
+    if ((s = PyMem_Realloc(c->scratch, 2 * n * sizeof *s)) != NULL)
+        c->scratch = s;
+    if (v == NULL || h == NULL || s == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    c->cap = n;
+    return 0;
+}
+
 /* Scan one queue view of cv for the scheduling point: arrived requests
- * whose bank is ready within the horizon go to out, the earliest later
- * bank-ready cycle to *wake, the earliest future arrival to *future, and
- * whether any request has arrived to *arrived. */
-static int scan_view(PyObject *view, ChanView *cv, int64_t now,
-                     int64_t horizon, PyObject *out, int64_t *wake,
+ * whose bank is ready within the horizon go to c->cand (*nout of them),
+ * the earliest later bank-ready cycle to *wake, the earliest future
+ * arrival to *future, and whether any request has arrived to *arrived. */
+static int scan_view(Ctrl *c, PyObject *view, ChanView *cv, int64_t now,
+                     int64_t horizon, Py_ssize_t *nout, int64_t *wake,
                      int64_t *future, int *arrived)
 {
     Py_ssize_t i, n = PyList_GET_SIZE(view);
+    *nout = 0;
+    if (ctrl_reserve(c, n) < 0)
+        return -1;
     for (i = 0; i < n; i++) {
         Request *r = as_request(PyList_GET_ITEM(view, i));
         int64_t t;
@@ -1372,8 +1883,7 @@ static int scan_view(PyObject *view, ChanView *cv, int64_t now,
                 return index_error("request bank");
             t = cv->ready[r->bank];
             if (t <= horizon) {
-                if (PyList_Append(out, (PyObject *)r) < 0)
-                    return -1;
+                c->cand[(*nout)++] = r;
             } else if (t < *wake) {
                 *wake = t;
             }
@@ -1610,128 +2120,165 @@ static int ctrl_commit(Ctrl *c, Py_ssize_t channel, Request *r, int64_t now)
     return 0;
 }
 
-/* One scheduling point.  Precedence: drain writes > reads > idle writes.
- * Requests whose arrival_cycle lies in the future are invisible (cores
- * running inside their fetch lookahead enqueue future-dated requests), and
- * requests on banks busy beyond now + horizon are ineligible; when nothing
- * is eligible the point re-arms at the earliest future arrival or
- * bank-ready cycle.  The policy is called once per decision with the
- * candidates in queue order, hit-first filtered when its context says so. */
-static int ctrl_point(Ctrl *c, int64_t now, Py_ssize_t channel)
+/* Whether the policy's select_read (is_write: select_write) resolves to
+ * SchedulingPolicy's own method, which runs the declared rule: the type's
+ * attribute is that function and the instance's dict does not shadow it.
+ * Checked at every decision, so a wrap set on the instance after the
+ * build (DecisionLog.attach) or on the class before it sees every
+ * decision. */
+static int runs_rule(Ctrl *c, int is_write)
 {
-    ChanView *cv = &c->chans[channel];
-    const int64_t horizon = now + c->horizon;
-    int64_t w_wake = NEVER, r_wake = NEVER, future = NEVER, r_future = NEVER;
-    PyObject *cands = NULL, *writes = NULL, *res = NULL, *t = NULL;
-    PyObject *args[3];
-    int is_write = 0, rc = -1, arrived = 0;
-
-    cv->pending = 0;
-    if (ctrl_drain_check(c, now) < 0)
+    PyObject *name = is_write ? s_select_write : s_select_read, *d, *v;
+    if (_PyType_Lookup(Py_TYPE(c->policy), name)
+        != (is_write ? c->base_write : c->base_read))
+        return 0;
+    if ((d = PyObject_GenericGetDict(c->policy, NULL)) == NULL)
         return -1;
-    if (c->drain_mode) {
-        if ((writes = PyList_New(0)) == NULL
-            || scan_view(cv->writes, cv, now, horizon, writes, &w_wake,
-                         &future, &arrived) < 0)
-            goto done;
-        if (arrived) {
-            if (PyList_GET_SIZE(writes)) {
-                cands = writes;
-                writes = NULL;
-                is_write = 1;
-            } else {
-                /* Drain wants a write but none is bank-ready: the re-arm
-                 * horizon spans both queues' future arrivals. */
-                Py_ssize_t i, n = PyList_GET_SIZE(cv->reads);
-                for (i = 0; i < n; i++) {
-                    Request *r = as_request(PyList_GET_ITEM(cv->reads, i));
-                    if (r == NULL)
-                        goto done;
-                    if (r->arrival_cycle > now && r->arrival_cycle < future)
-                        future = r->arrival_cycle;
-                }
-                rc = 0;
-                if (min64(future, w_wake) != NEVER)
-                    rc = ctrl_kick(c, channel, min64(future, w_wake));
-                goto done;
-            }
-        }
+    v = PyDict_GetItemWithError(d, name);
+    Py_DECREF(d);
+    return v != NULL ? 0 : PyErr_Occurred() ? -1 : 1;
+}
+
+/* The policy's Python method over the n candidates, with ctx.now and
+ * ctx.channel set: a new reference to the request it picks. */
+static Request *ctrl_call_policy(Ctrl *c, Py_ssize_t n, int is_write,
+                                 int64_t now, Py_ssize_t channel)
+{
+    PyObject *cands = PyList_New(n), *t, *args[3], *res = NULL;
+    Py_ssize_t i;
+    if (cands == NULL)
+        return NULL;
+    for (i = 0; i < n; i++) {
+        Py_INCREF(c->cand[i]);
+        PyList_SET_ITEM(cands, i, (PyObject *)c->cand[i]);
     }
-    if (cands == NULL) {
-        if ((cands = PyList_New(0)) == NULL
-            || scan_view(cv->reads, cv, now, horizon, cands, &r_wake,
-                         &r_future, &arrived) < 0)
-            goto done;
-        if (PyList_GET_SIZE(cands) == 0) {
-            Py_CLEAR(cands);
-            if (!c->drain_mode) {
-                /* Idle-channel opportunism: writes proceed when no read
-                 * wants the channel; only now is the write view scanned. */
-                future = r_future;
-                if ((writes = PyList_New(0)) == NULL
-                    || scan_view(cv->writes, cv, now, horizon, writes,
-                                 &w_wake, &future, &arrived) < 0)
-                    goto done;
-            } else {
-                /* The drain scan found no arrived write; it holds the
-                 * write-queue future and an empty writes. */
-                future = min64(future, r_future);
-            }
-            if (PyList_GET_SIZE(writes)) {
-                cands = writes;
-                writes = NULL;
-                is_write = 1;
-            } else {
-                int64_t next = min64(future, min64(r_wake, w_wake));
-                rc = next != NEVER ? ctrl_kick(c, channel, next) : 0;
-                goto done; /* idle; the next enqueue kicks the channel */
-            }
-        }
-    }
-    /* -- policy selection -- */
     if ((t = PyLong_FromLongLong(now)) == NULL
         || PyObject_SetAttr(c->ctx, s_now, t) < 0)
         goto done;
     Py_SETREF(t, PyLong_FromSsize_t(channel));
     if (t == NULL || PyObject_SetAttr(c->ctx, s_channel, t) < 0)
         goto done;
-    if (c->prefiltered && PyList_GET_SIZE(cands) > 1) {
-        /* The paper's command-level rule: row-buffer hits beat misses
-         * regardless of core priority (Sections 3.2 / 4.1). */
-        PyObject *hits = PyList_New(0);
-        Py_ssize_t i, n = PyList_GET_SIZE(cands);
-        if (hits == NULL)
-            goto done;
-        for (i = 0; i < n; i++) {
-            Request *r = (Request *)PyList_GET_ITEM(cands, i);
-            if (cv->open_row[r->bank] == r->row
-                && PyList_Append(hits, (PyObject *)r) < 0) {
-                Py_DECREF(hits);
-                goto done;
-            }
-        }
-        if (PyList_GET_SIZE(hits))
-            Py_SETREF(cands, hits);
-        else
-            Py_DECREF(hits);
-    }
     args[0] = c->policy;
     args[1] = cands;
     args[2] = c->ctx;
     res = PyObject_VectorcallMethod(is_write ? s_select_write : s_select_read,
                                     args, 3, NULL);
-    if (res == NULL || as_request(res) == NULL
-        || ctrl_commit(c, channel, (Request *)res, now) < 0
-        || fan_out(&c->space_waiters, now) < 0)
-        goto done;
-    /* More work?  Re-arm at the channel's next issue opportunity. */
-    rc = c->qc[Q_OCCUPANCY] ? ctrl_kick(c, channel, now) : 0;
+    if (res != NULL && as_request(res) == NULL)
+        Py_CLEAR(res);
 done:
-    Py_XDECREF(cands);
-    Py_XDECREF(writes);
-    Py_XDECREF(res);
     Py_XDECREF(t);
+    Py_DECREF(cands);
+    return (Request *)res;
+}
+
+/* One decision over the n candidates in c->cand, in queue order: the
+ * paper's command-level rule (row-buffer hits beat misses regardless of
+ * core priority, Sections 3.2 / 4.1) when the policy's context says so,
+ * then the policy's rule, run here unless its method is not the one that
+ * runs it, then the commit. */
+static int ctrl_decide(Ctrl *c, Py_ssize_t channel, Py_ssize_t n,
+                       int is_write, int64_t now)
+{
+    ChanView *cv = &c->chans[channel];
+    int rule = is_write ? c->rules.write : c->rules.read, native = 0, rc;
+    Py_ssize_t i, m = 0;
+    Request *r;
+    if (c->prefiltered && n > 1) {
+        for (i = 0; i < n; i++)
+            if (cv->open_row[c->cand[i]->bank] == c->cand[i]->row)
+                c->cand[m++] = c->cand[i];
+        if (m)
+            n = m;
+    }
+    if (rule != RULE_NONE && (native = runs_rule(c, is_write)) < 0)
+        return -1;
+    if (native) {
+        const char *hit = NULL;
+        if (!c->prefiltered && rule != RULE_OLDEST && n > 1) {
+            for (i = 0; i < n; i++)
+                c->hit[i] = cv->open_row[c->cand[i]->bank] == c->cand[i]->row;
+            hit = c->hit;
+        }
+        r = rule_pick(&c->rules, rule, c->cand, hit, n, c->pending_reads,
+                      c->ncores, c->ctx, c->scratch);
+        Py_XINCREF(r);
+    } else {
+        r = ctrl_call_policy(c, n, is_write, now, channel);
+    }
+    if (r == NULL)
+        return -1;
+    rc = ctrl_commit(c, channel, r, now) < 0
+        || fan_out(&c->space_waiters, now) < 0 ? -1 : 0;
+    Py_DECREF(r);
+    /* More work?  Re-arm at the channel's next issue opportunity. */
+    if (rc == 0 && c->qc[Q_OCCUPANCY])
+        rc = ctrl_kick(c, channel, now);
     return rc;
+}
+
+/* One scheduling point.  Precedence: drain writes > reads > idle writes.
+ * Requests whose arrival_cycle lies in the future are invisible (cores
+ * running inside their fetch lookahead enqueue future-dated requests), and
+ * requests on banks busy beyond now + horizon are ineligible; when nothing
+ * is eligible the point re-arms at the earliest future arrival or
+ * bank-ready cycle.  Otherwise ctrl_decide picks among the candidates. */
+static int ctrl_point(Ctrl *c, int64_t now, Py_ssize_t channel)
+{
+    ChanView *cv = &c->chans[channel];
+    const int64_t horizon = now + c->horizon;
+    int64_t w_wake = NEVER, r_wake = NEVER, future = NEVER, r_future = NEVER;
+    Py_ssize_t n = 0;
+    int arrived = 0;
+
+    cv->pending = 0;
+    if (ctrl_drain_check(c, now) < 0)
+        return -1;
+    if (c->drain_mode) {
+        if (scan_view(c, cv->writes, cv, now, horizon, &n, &w_wake, &future,
+                      &arrived) < 0)
+            return -1;
+        if (arrived) {
+            Py_ssize_t i, nr = PyList_GET_SIZE(cv->reads);
+            if (n)
+                return ctrl_decide(c, channel, n, 1, now);
+            /* Drain wants a write but none is bank-ready: the re-arm
+             * horizon spans both queues' future arrivals. */
+            for (i = 0; i < nr; i++) {
+                Request *r = as_request(PyList_GET_ITEM(cv->reads, i));
+                if (r == NULL)
+                    return -1;
+                if (r->arrival_cycle > now && r->arrival_cycle < future)
+                    future = r->arrival_cycle;
+            }
+            if (min64(future, w_wake) != NEVER)
+                return ctrl_kick(c, channel, min64(future, w_wake));
+            return 0;
+        }
+    }
+    if (scan_view(c, cv->reads, cv, now, horizon, &n, &r_wake, &r_future,
+                  &arrived) < 0)
+        return -1;
+    if (n)
+        return ctrl_decide(c, channel, n, 0, now);
+    if (!c->drain_mode) {
+        /* Idle-channel opportunism: writes proceed when no read wants the
+         * channel; only now is the write view scanned. */
+        future = r_future;
+        if (scan_view(c, cv->writes, cv, now, horizon, &n, &w_wake, &future,
+                      &arrived) < 0)
+            return -1;
+        if (n)
+            return ctrl_decide(c, channel, n, 1, now);
+    } else {
+        /* The drain scan found no arrived write; it holds the write-queue
+         * future. */
+        future = min64(future, r_future);
+    }
+    {
+        int64_t next = min64(future, min64(r_wake, w_wake));
+        /* idle otherwise; the next enqueue kicks the channel */
+        return next != NEVER ? ctrl_kick(c, channel, next) : 0;
+    }
 }
 
 static int ctrl_channel(Ctrl *c, PyObject *arg, Py_ssize_t *ch)
@@ -1803,9 +2350,11 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
         "engine", "dram", "policy", "queues", "stats", "ctx",
-        "transaction_timing", "on_read_complete", "write_drain_high",
-        "write_drain_low", "overhead", "line_bytes", "open_page", NULL};
+        "transaction_timing", "on_read_complete", "rule_methods",
+        "write_drain_high", "write_drain_low", "overhead", "line_bytes",
+        "open_page", NULL};
     PyObject *engine, *dram, *policy, *queues, *stats, *ctx, *timing_cls;
+    PyObject *base_read, *base_write;
     PyObject *notify, *channels = NULL, *mapper = NULL, *timing = NULL;
     PyObject *rbc = NULL, *wbc = NULL, *pending = NULL, *pre = NULL;
     long long high, low, overhead, line_bytes;
@@ -1818,9 +2367,9 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
         return NULL;
     }
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$OOOOOOOOLLLLp", kwlist, &engine, &dram, &policy,
-            &queues, &stats, &ctx, &timing_cls, &notify, &high, &low,
-            &overhead, &line_bytes, &open_page))
+            args, kwds, "$OOOOOOOO(OO)LLLLp", kwlist, &engine, &dram,
+            &policy, &queues, &stats, &ctx, &timing_cls, &notify, &base_read,
+            &base_write, &high, &low, &overhead, &line_bytes, &open_page))
         return NULL;
     if (!PyObject_TypeCheck(engine, &EngineType)) {
         PyErr_SetString(PyExc_TypeError, "engine must be an EventEngine");
@@ -1834,6 +2383,8 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
     KEEP(c, ctx, ctx);
     KEEP(c, timing_cls, timing_cls);
     KEEP(c, on_read_complete, notify);
+    KEEP(c, base_read, base_read);
+    KEEP(c, base_write, base_write);
     c->drain_high = high;
     c->drain_low = low;
     c->overhead = overhead;
@@ -1844,6 +2395,19 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
         || (prefiltered = PyObject_IsTrue(pre)) < 0)
         goto fail;
     c->prefiltered = (char)prefiltered;
+    if (rules_load(&c->rules, policy, p) < 0)
+        goto fail;
+    /* A policy must name a rule for what its own methods do not pick. */
+    if ((c->rules.read == RULE_NONE
+         && _PyType_Lookup(Py_TYPE(policy), s_select_read) == base_read)
+        || (c->rules.write == RULE_NONE
+            && _PyType_Lookup(Py_TYPE(policy), s_select_write) == base_write)) {
+        PyErr_Format(PyExc_TypeError,
+                     "%.200s names no read_rule/write_rule and does not "
+                     "override select_read/select_write",
+                     Py_TYPE(policy)->tp_name);
+        goto fail;
+    }
     if ((c->space_waiters = PyList_New(0)) == NULL
         || (channels = PyObject_GetAttr(dram, s_channels)) == NULL
         || (mapper = PyObject_GetAttr(dram, s_mapper)) == NULL
@@ -1960,7 +2524,7 @@ static PyObject *ctrl_unbind(Ctrl *c, PyObject *Py_UNUSED(ignored))
 #define CTRL_FIELDS(X) \
     X(engine) X(dram) X(policy) X(queues) X(stats) X(ctx) X(spans) \
     X(space_waiters) X(decode_cache) X(timing_cls) X(on_read_complete) \
-    X(observers) X(reads) X(writes)
+    X(observers) X(reads) X(writes) X(base_read) X(base_write)
 #define CHAN_FIELDS(X) X(ch) X(reads) X(writes)
 
 static int ctrl_traverse(Ctrl *c, visitproc visit, void *arg)
@@ -1997,6 +2561,9 @@ static void ctrl_dealloc(Ctrl *c)
     ctrl_clear(c);
     unpin(&c->pins);
     PyMem_Free(c->chans);
+    PyMem_Free(c->cand);
+    PyMem_Free(c->hit);
+    PyMem_Free(c->scratch);
     Py_TYPE(c)->tp_free((PyObject *)c);
 }
 
@@ -3580,6 +4147,7 @@ static struct PyModuleDef core_module = {
     .m_name = "_core",
     .m_doc = "The simulator's model kernel: core, memory side and event loop.",
     .m_size = -1,
+    .m_methods = core_functions,
 };
 
 static int add_type(PyObject *m, const char *name, PyTypeObject *type)
@@ -3641,6 +4209,11 @@ PyMODINIT_FUNC PyInit__core(void)
     INTERN(s_acts, "acts") INTERN(s_confs, "confs")
     INTERN(s_act_cycles, "_act_cycles") INTERN(s_num_banks, "num_banks")
     INTERN(s_stamps, "_stamps")
+    INTERN(s_read_rule, "read_rule") INTERN(s_write_rule, "write_rule")
+    INTERN(s_rank_kind, "rank_kind") INTERN(s_rank_depth, "_rank_depth")
+    INTERN(s_rank, "_rank") INTERN(s_rotor, "_rotor")
+    INTERN(s_num_cores, "num_cores") INTERN(s_rng, "rng")
+    INTERN(s_queues, "queues") INTERN(s_is_row_hit, "is_row_hit")
 #undef INTERN
     if ((kw_timing = Py_BuildValue("(ssssss)", "cas_cycle", "data_start",
                                    "data_end", "row_hit", "start_cycle",

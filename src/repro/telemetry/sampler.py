@@ -43,6 +43,7 @@ class ChannelSample:
     as immutable all the same.
     """
 
+    # The sampler builds these records positionally: keep the field order.
     index: int
     #: DRAM bytes moved this epoch (reads + writes)
     bytes: int
@@ -108,15 +109,26 @@ class Sampler:
         self.ticks = 0
         self._last_cycle = 0
         self._finalized = False
-        # Previous cumulative counter values, for delta computation.
-        nch = len(system.dram.channels)
-        ncore = system.config.num_cores
-        self._ch_tx = [0] * nch
-        self._ch_hits = [0] * nch
-        self._ch_data_cycles = [0] * nch
-        self._ch_writes = [0] * nch
-        self._core_committed = [0] * ncore
-        self._core_stall_q = [0] * ncore
+        self._line_bytes = system.config.line_bytes
+        self._issue_width = system.config.core.issue_width
+        # What a sample reads, bound once: each channel's counter array and
+        # per-bank hit vector, and each core with its MSHR file's counter
+        # array (typed storage the kernel updates in place, see
+        # repro.util.counters), with the slots read in those arrays; and
+        # the previous cumulative values, for the deltas (per channel
+        # transactions, row hits, data cycles and writes; per core
+        # committed instructions and stall slots).
+        channels = system.dram.channels
+        mshrs = system.hierarchy.mshrs
+        self._channels = [(i, ch._c, ch.hits, [0, 0, 0, 0])
+                          for i, ch in enumerate(channels)]
+        self._cores = [(i, core, mshrs[i]._c, [0, 0])
+                       for i, core in enumerate(system.cores)]
+        self._ch_slots = tuple(
+            channels[0].FIELDS.index(f)
+            for f in ("transactions", "writes", "data_cycles")
+        )
+        self._mshr_slot = mshrs[0].FIELDS.index("occupancy")
         self._events = 0
         self._clamped = 0
 
@@ -148,57 +160,39 @@ class Sampler:
         span = now - self._last_cycle
         if span <= 0:
             return
-        line_bytes = system.config.line_bytes
+        line_bytes = self._line_bytes
 
+        tx_slot, wr_slot, data_slot = self._ch_slots
         channels = []
-        for i, ch in enumerate(system.dram.channels):
-            tx, wr, data = ch.transactions, ch.writes, ch.data_cycles
-            hits = ch.total_row_hits
-            d_tx = tx - self._ch_tx[i]
-            d_hits = hits - self._ch_hits[i]
-            d_data = data - self._ch_data_cycles[i]
-            d_wr = wr - self._ch_writes[i]
-            self._ch_tx[i] = tx
-            self._ch_hits[i] = hits
-            self._ch_data_cycles[i] = data
-            self._ch_writes[i] = wr
+        for i, c, bank_hits, prev in self._channels:
+            tx, hits, data, wr = (c[tx_slot], sum(bank_hits), c[data_slot],
+                                  c[wr_slot])
+            d_tx = tx - prev[0]
+            d_hits = hits - prev[1]
+            d_data = data - prev[2]
+            d_wr = wr - prev[3]
+            prev[:] = tx, hits, data, wr
             nbytes = d_tx * line_bytes
-            channels.append(
-                ChannelSample(
-                    index=i,
-                    bytes=nbytes,
-                    bw_gbps=gbps(nbytes, span),
-                    bus_util=min(d_data / span, 1.0),
-                    row_hit_rate=d_hits / d_tx if d_tx else 0.0,
-                    reads=d_tx - d_wr,
-                    writes=d_wr,
-                )
-            )
+            channels.append(ChannelSample(
+                i, nbytes, gbps(nbytes, span), min(d_data / span, 1.0),
+                d_hits / d_tx if d_tx else 0.0, d_tx - d_wr, d_wr))
 
         ctrl = system.controller
         q = ctrl.queues
         pending_reads = q.pending_reads
-        mshrs = system.hierarchy.mshrs
-
-        Q = system.config.core.issue_width
+        mshr_slot = self._mshr_slot
+        slots = self._issue_width * span
         cores = []
-        for i, core in enumerate(system.cores):
+        for i, core, mshr, prev in self._cores:
             committed, stall_q = core.committed, core.stall_q
-            d_committed = committed - self._core_committed[i]
-            d_stall = stall_q - self._core_stall_q[i]
-            self._core_committed[i] = committed
-            self._core_stall_q[i] = stall_q
-            cores.append(
-                CoreSample(
-                    index=i,
-                    committed=d_committed,
-                    ipc=d_committed / span,
-                    pending_reads=pending_reads[i],
-                    mshr_occupancy=mshrs[i].occupancy,
-                    rob_occupancy=core.fetched - committed,
-                    rob_stall_frac=min(d_stall / (Q * span), 1.0),
-                )
-            )
+            d_committed = committed - prev[0]
+            d_stall = stall_q - prev[1]
+            prev[0] = committed
+            prev[1] = stall_q
+            cores.append(CoreSample(
+                i, d_committed, d_committed / span, pending_reads[i],
+                mshr[mshr_slot], core.fetched - committed,
+                min(d_stall / slots, 1.0)))
 
         engine = system.engine
         events, clamped = engine.events_processed, engine.clamped_events
@@ -208,16 +202,6 @@ class Sampler:
         self._clamped = clamped
 
         self._last_cycle = now
-        self.telemetry.samples.append(
-            Sample(
-                cycle=now,
-                span=span,
-                channels=tuple(channels),
-                cores=tuple(cores),
-                read_queue=len(q.reads),
-                write_queue=len(q.writes),
-                drain_mode=ctrl.drain_mode,
-                events=d_events,
-                clamped_events=d_clamped,
-            )
-        )
+        self.telemetry.samples.append(Sample(
+            now, span, tuple(channels), tuple(cores), len(q.reads),
+            len(q.writes), ctrl.drain_mode, d_events, d_clamped))

@@ -194,11 +194,12 @@ class SpanCollector(Counters):
             if self._stamps[i + 1] == line:
                 first = self._stamps[i]
             self._stamps[i + 1] = -1
-        self.offered += 1
-        self._count += 1
-        if self._count < self.sample_every:
+        c = self._c  # offered, _count
+        c[0] += 1
+        c[1] += 1
+        if c[1] < self.sample_every:
             return None
-        self._count = 0
+        c[1] = 0
         if len(self.completed) >= self.max_spans:
             self.dropped += 1
             return None

@@ -14,6 +14,7 @@ import pytest
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
 from repro.controller.fast import FastMemoryController
+from repro.core.policy import SchedulingPolicy
 from repro.core.registry import make_policy
 from repro.cpu.core_model import TraceCore
 from repro.metrics.memory_efficiency import MeProfiler
@@ -31,6 +32,8 @@ WRAPPED = [
                                     "_flush_writebacks")),
     *((FastMemoryController, a) for a in ("enqueue", "_fast_point",
                                           "_fast_deliver")),
+    (SchedulingPolicy, "select_read"),
+    (SchedulingPolicy, "select_write"),
     (MultiCoreSystem, "__init__"),
     (MultiCoreSystem, "run"),
     (MeProfiler, "profile"),

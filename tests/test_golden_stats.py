@@ -68,6 +68,11 @@ def _run_fingerprint(policy: str) -> dict:
         mix, policy, inst_budget=BUDGET, seed=SEED,
         warmup_insts=WARMUP, me_values=me,
     )
+    return result_fingerprint(result)
+
+
+def result_fingerprint(result) -> dict:
+    """A RunResult's statistics, floats as ``float.hex()``."""
     return {
         "end_cycle": result.end_cycle,
         "row_hit_rate": _hex(result.row_hit_rate),

@@ -321,6 +321,7 @@ class TestCoreKernelLoad:
         return [n for n in names if n.startswith("_core-")]
 
     def test_import_help_and_generation_load_no_core_kernel(self, tmp_path):
+        """Also ``repro policies`` and ``make_policy`` of every name."""
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                    PYTHONPATH=str(SRC))
         script = textwrap.dedent(f"""
@@ -332,11 +333,15 @@ class TestCoreKernelLoad:
             from repro.workloads.spec2000 import app_by_code
             from repro.workloads.synthetic import make_trace
             make_trace(app_by_code("c"), 1, "eval").columns(0)
+            from repro.core.registry import make_policy, registered_policies
+            for name in registered_policies() + ["FIX-3210"]:
+                make_policy(name, me_values=[1.0] * 4)
             bound = set({KERNEL_BINDERS!r}) & set(sys.modules)
             assert not bound, sorted(bound)
         """)
         for cmd in ([sys.executable, "-c", script],
-                    [sys.executable, "-m", "repro", "--help"]):
+                    [sys.executable, "-m", "repro", "--help"],
+                    [sys.executable, "-m", "repro", "policies"]):
             subprocess.run(cmd, env=env, check=True, capture_output=True)
         assert self._cores(tmp_path) == []
         build = textwrap.dedent("""
