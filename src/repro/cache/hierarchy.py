@@ -11,7 +11,7 @@ substrate:
 * dirty evictions  -> writeback requests (attributed to the line's owner
   core so bandwidth accounting stays per-application);
 * structural stalls -> a full MSHR file or controller buffer returns
-  :data:`BLOCKED`; the core joins ``_unblock_waiters`` and retries.
+  :data:`BLOCKED`; the core joins the unblock waiters and retries.
 
 The two hit paths and the stalled core's registration run inside the core
 model's kernel (``advance_fetch`` and ``wait_unblock`` in ``cpu/_core.c``),
@@ -19,9 +19,13 @@ which probes the caches' blocks directly.  The miss path past the L2
 (``_after_l2_miss``), the fill path (``_on_fill``, ``_fill_l1``, the L2
 victim's owner and L1 copy) and the structural-stall wake-ups
 (``_on_space_freed``) run in the same kernel's ``HierarchyKernel``, the
-base of :class:`CacheHierarchy`.  The writeback path below stays Python:
-the kernel calls :meth:`CacheHierarchy._emit_writeback` only for a dirty
-victim.
+base of :class:`CacheHierarchy`.  The kernel's objects call these
+entries' C bodies directly, and the controller's ``enqueue`` and the
+cores' data and unblock waiters likewise, while each callable they hold
+is the kernel's own method; a method wrapped or overridden before the
+machine is built is called through Python (docs/ARCHITECTURE.md, "The
+model in C").  The writeback path below stays Python: the kernel calls
+:meth:`CacheHierarchy._emit_writeback` only for a dirty victim.
 
 Instruction fetch is not simulated: the synthetic SPEC-like traces model
 data references only (SPEC CPU2000 instruction footprints fit comfortably
@@ -64,8 +68,9 @@ class CacheHierarchy(HierarchyKernel):
     """L1-per-core + shared-L2 hierarchy.
 
     ``controller``, ``spans``, ``writebacks`` (dirty lines written back
-    to memory), ``_l2_outstanding``, ``_unblock_waiters`` and
-    ``_space_watch_armed`` are kernel fields.  ``_owner`` is the L2's
+    to memory), ``_l2_outstanding`` and ``_space_watch_armed`` are
+    kernel fields, and the stalled cores' unblock waiters and each MSHR
+    entry's waiters are kernel records.  ``_owner`` is the L2's
     owner column: the core whose fill last installed the line in each L2
     way, the core a dirty victim's writeback is billed to.
     ``_after_l2_miss(core_id, line, is_write, now, waiter)`` returns

@@ -21,7 +21,8 @@ parallelism without letting the scheduler commit far into the future.
 
 ``enqueue``, the scheduling point (``_fast_point``) and completion
 delivery (``_fast_deliver``) run in the model kernel's ``ControllerKernel``
-(``cpu/_core.c``).  A scheduling point reads and writes the channel's bank
+(``cpu/_core.c``).  ``enqueue`` decodes the request's address itself,
+with the mapper's bit layout read once, at construction.  A scheduling point reads and writes the channel's bank
 vectors (:class:`~repro.dram.channel.Channel`) in place, resolves the
 committed transaction's DDR2 timing there (the one copy of that model),
 reports it to each of ``dram.observers``, and routes its two event
@@ -192,23 +193,21 @@ class FastMemoryController(ControllerKernel):
             req.on_complete = None
 
     def _update_drain_mode(self, now: int) -> None:
-        """The write-drain hysteresis transition: drain above
-        ``write_drain_high`` queued writes, stop at ``write_drain_low``
-        (the kernel tests for a transition at every enqueue and point)."""
-        nw = len(self.queues.writes)
-        if not self.drain_mode and nw >= self.config.write_drain_high:
-            self.drain_mode = True
+        """Perform the write-drain transition the kernel found due.
+
+        The kernel holds the hysteresis test (at every enqueue and
+        scheduling point): a drain begins at ``write_drain_high`` queued
+        writes and ends at ``write_drain_low``.  This flips the mode,
+        counts the drain and publishes it on the telemetry bus.
+        """
+        self.drain_mode = not self.drain_mode
+        if self.drain_mode:
             self.stats.drain_entries += 1
-            if self.telemetry is not None:
-                self.telemetry.bus.emit(
-                    "write_drain", "begin", now, TRACK, writes=nw
-                )
-        elif self.drain_mode and nw <= self.config.write_drain_low:
-            self.drain_mode = False
-            if self.telemetry is not None:
-                self.telemetry.bus.emit(
-                    "write_drain", "end", now, TRACK, writes=nw
-                )
+        if self.telemetry is not None:
+            self.telemetry.bus.emit(
+                "write_drain", "begin" if self.drain_mode else "end", now,
+                TRACK, writes=len(self.queues.writes),
+            )
 
 
 #: the memory controller (see the module docstring for the defined name)

@@ -14,10 +14,13 @@ itself.  Attributes:
 ``addr``
     Line-aligned physical byte address.
 ``coord``
-    Decoded DRAM coordinate (channel/bank/row/col), filled by the
-    controller at enqueue time.  Assigning it also mirrors ``bank`` and
-    ``row`` into plain fields: the scheduler's candidate scans read those
-    two for every queued request at every scheduling point.
+    Decoded DRAM coordinate (channel/bank/row/col), ``None`` before
+    enqueue.  The controller decodes the address at enqueue and keeps
+    the four fields; the :class:`~repro.dram.address.DramCoord` is built
+    at the first read of ``coord`` and kept.  Assigning it mirrors
+    ``bank`` and ``row`` into plain fields: the scheduler's candidate
+    scans read those two for every queued request at every scheduling
+    point.
 ``core_id``
     Originating core — the identity every core-aware policy keys on.
 ``is_write``

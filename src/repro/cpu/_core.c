@@ -35,10 +35,21 @@
  * Python (select_read or select_write, looked up on the policy at every
  * decision when it is not the base method that runs the rule), the
  * write-drain transition, the writeback path, the dram.observers
- * subscribers and the span collector.  Calls between
- * components go through the bound callables each Python class hands to
- * its _bind(), so instrumentation that wraps a method by name before a
- * machine is built sees every call.
+ * subscribers and the span collector.
+ *
+ * Calls between components go through the callables each Python class
+ * hands to its _bind() (a read's on_complete, a waiter, a heap event's
+ * fn).  Each entry one kernel object calls on another (a core's _wake,
+ * _on_unblock, _on_load_ready and _store_data_cb, the hierarchy's
+ * _after_l2_miss, _fill_l1, _on_fill and _on_space_freed, the
+ * controller's enqueue, _fast_point and _fast_deliver) has a C body that
+ * takes C ints, and its Python method only parses its arguments and runs
+ * it.  Where the callable held is that entry of a kernel object (see
+ * own()), the caller runs the body directly; any other callable, such as
+ * a method a wrap or a subclass replaced before the machine was built, is
+ * called through Python with the same arguments.  So instrumentation
+ * that wraps a method by name before a machine is built sees every call
+ * (tests/test_golden_calls.py).
  *
  * Time is counted in slots in the core: issue_width slots per cycle (see
  * core_model.py).  All ints are int64; an address or cycle beyond that
@@ -72,15 +83,17 @@ enum { CH_BUS_FREE, CH_BUSY_UNTIL, CH_TRANSACTIONS, CH_WRITES,
        CH_DATA_CYCLES, CH_ACT_COUNT, CH_NFIELDS };   /* Channel */
 
 static PyObject *s_stats, *s_c, *s_tags, *s_dirty, *s_count, *s_off_bits,
-    *s_set_mask, *s_assoc, *s_lines, *s_stores, *s_waiters, *s_capacity,
+    *s_set_mask, *s_assoc, *s_lines, *s_stores, *s_capacity,
     *s_line_mask,
-    *s_l1_hit_latency, *s_l2_hit_latency, *s_on_merge, *s_start_request,
-    *s_end_inflight, *s_sample_every, *s_read, *s_channel, *s_bank, *s_row, *s_observers, *s_now,
+    *s_l1_hit_latency, *s_l2_hit_latency, *s_on_merge,
+    *s_inflight, *s_completed, *s_max_spans, *s_dropped, *s_first_attempt,
+    *s_sample_every, *s_read, *s_channel, *s_bank, *s_row, *s_observers, *s_now,
     *s_hits_prefiltered, *s_select_read, *s_select_write,
-    *s_update_drain_mode, *s_index, *s_arrival, *s_pick, *s_track,
+    *s_update_drain_mode, *s_arrival, *s_pick, *s_track,
     *s_controller_track, *s_bank_start, *s_cas, *s_data_start,
-    *s_data_end, *s_done, *s_row_hit, *s_conflict, *s_finish,
-    *s_channels, *s_mapper, *s_decode_cache, *s_timing, *s_t_rp,
+    *s_data_end, *s_done, *s_row_hit, *s_conflict,
+    *s_channels, *s_mapper, *s_ch_bits, *s_bank_bits, *s_col_bits,
+    *s_timing, *s_t_rp,
     *s_t_rcd, *s_t_cl, *s_t_burst, *s_t_wr, *s_t_rrd, *s_t_faw,
     *s_reads, *s_writes, *s_reads_by_ch, *s_writes_by_ch,
     *s_pending_reads, *s_pending_writes, *s_read_count,
@@ -90,6 +103,16 @@ static PyObject *s_stats, *s_c, *s_tags, *s_dirty, *s_count, *s_off_bits,
     *s_write_rule, *s_rank_kind, *s_rank_depth, *s_rank, *s_rotor,
     *s_num_cores, *s_rng, *s_queues, *s_is_row_hit, *kw_timing;
 static PyObject *PastEventError;
+/* repro.dram.address.DramCoord, imported at the first coordinate read */
+static PyObject *coord_cls;
+/* repro.telemetry.spans.RequestSpan, imported at the first sampled read */
+static PyObject *span_cls;
+
+/* The object types, defined below; their entries call each other. */
+typedef struct Engine Engine;
+typedef struct Ctrl Ctrl;
+typedef struct Hier Hier;
+typedef struct Core Core;
 
 /* -- helpers ------------------------------------------------------------ */
 
@@ -385,7 +408,8 @@ enum { SP_OFFERED, SP_COUNT, SP_NFIELDS };          /* SpanCollector */
  * counters and per-core stall stamps ((cycle, line) pairs, line -1 for
  * none), exported when the collector is attached. */
 typedef struct {
-    PyObject *obj; /* the SpanCollector, or NULL */
+    PyObject *obj;      /* the SpanCollector, or NULL */
+    PyObject *inflight; /* its _inflight dict */
     int64_t *c, *stamps, every, ncores;
     Pins pins;
 } SpanView;
@@ -408,13 +432,19 @@ static int spans_set(SpanView *s, PyObject *v)
     s->c = s->stamps = NULL;
     s->ncores = 0;
     Py_CLEAR(s->obj);
+    Py_CLEAR(s->inflight);
     if (v == Py_None)
         return 0;
     if (attr_i64(v, s_sample_every, &s->every) < 0
         || (s->c = pin_counters(&s->pins, v, SP_NFIELDS)) == NULL
-        || (s->stamps = pin(&s->pins, v, s_stamps, 8, 0)) == NULL) {
+        || (s->stamps = pin(&s->pins, v, s_stamps, 8, 0)) == NULL
+        || (s->inflight = PyObject_GetAttr(v, s_inflight)) == NULL
+        || !PyDict_CheckExact(s->inflight)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "_inflight must be a dict");
         unpin(&s->pins);
         s->c = s->stamps = NULL;
+        Py_CLEAR(s->inflight);
         return -1;
     }
     s->ncores = s->pins.v[s->pins.n - 1].len / 16;
@@ -444,44 +474,165 @@ static int closed(const char *what)
     return -1;
 }
 
+/* A kernel entry as its method table holds it. */
+#define ENTRY(f) ((PyCFunction)(void (*)(void))(f))
+
+/* The kernel object fn is bound to, when fn is that object's own entry
+ * meth: a builtin method, which only looking meth up on an instance of
+ * the entry's type makes.  NULL for any other callable (a wrap, an
+ * override, a Python function), which the caller calls through Python. */
+static PyObject *own(PyObject *fn, PyCFunction meth)
+{
+    if (fn != NULL && Py_IS_TYPE(fn, &PyCFunction_Type)
+        && PyCFunction_GET_FUNCTION(fn) == meth)
+        return PyCFunction_GET_SELF(fn);
+    return NULL;
+}
+
+/* now as a Python int, boxed at most once into *box, which owns it (NULL
+ * with an exception). */
+static PyObject *boxed(PyObject **box, int64_t now)
+{
+    if (*box == NULL)
+        *box = PyLong_FromLongLong(now);
+    return *box;
+}
+
 /* fn(now) */
 static int call_now(PyObject *fn, PyObject *now)
 {
     PyObject *r;
+    if (now == NULL)
+        return -1;
     Py_INCREF(fn);
     r = PyObject_CallOneArg(fn, now);
     Py_DECREF(fn);
     return call_drop(r);
 }
 
-/* Call every callback of a one-shot waiter list with now.  The list is
- * swapped for an empty one first, so callbacks that re-register land in
- * the new list. */
-static int fan_out(PyObject **slot, int64_t now)
+/* A one-shot waiter.  A kernel entry is the object it runs on, so
+ * registering it makes no Python object: a core's load (with its ROB
+ * slot), store or unblock waiter, or a hierarchy's space watch.  Any
+ * other waiter is the callable, called through Python. */
+enum { W_CALL, W_LOAD, W_STORE, W_UNBLOCK, W_SPACE };
+
+typedef struct {
+    PyObject *obj; /* owned: the core or hierarchy, or the callable */
+    int64_t slot;  /* W_LOAD: the ROB slot */
+    int kind;
+} Waiter;
+
+/* Waiters in registration order. */
+typedef struct {
+    Waiter *v;
+    Py_ssize_t n, cap;
+} WaitList;
+
+static int waits_add(WaitList *l, PyObject *obj, int kind, int64_t slot)
 {
-    PyObject *old = *slot, *fresh, *t;
+    Waiter *w;
+    if (l->n == l->cap) {
+        Py_ssize_t cap = l->cap ? 2 * l->cap : 8;
+        Waiter *v = PyMem_Realloc(l->v, cap * sizeof(Waiter));
+        if (v == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        l->v = v;
+        l->cap = cap;
+    }
+    w = &l->v[l->n++];
+    Py_INCREF(obj);
+    w->obj = obj;
+    w->kind = kind;
+    w->slot = slot;
+    return 0;
+}
+
+/* Drop every waiter, keeping the buffer. */
+static void waits_drop(WaitList *l)
+{
+    while (l->n)
+        Py_DECREF(l->v[--l->n].obj);
+}
+
+static void waits_free(WaitList *l)
+{
+    waits_drop(l);
+    PyMem_Free(l->v);
+    l->v = NULL;
+    l->cap = 0;
+}
+
+static int waits_traverse(const WaitList *l, visitproc visit, void *arg)
+{
+    Py_ssize_t i;
+    for (i = 0; i < l->n; i++)
+        Py_VISIT(l->v[i].obj);
+    return 0;
+}
+
+/* A fan-out's waiter list.  Each round fires the live list, detached
+ * first so that a callback that registers lands in the next round; the
+ * round's buffer becomes the spare the next round's list takes, so a
+ * steady state allocates nothing. */
+typedef struct {
+    WaitList live, spare;
+} FanOut;
+
+static int core_unblock_at(Core *c, int64_t now);
+static int hier_space_at(Hier *h, int64_t now);
+static PyObject *core_on_unblock(Core *c, PyObject *const *args,
+                                 Py_ssize_t nargs);
+static PyObject *hier_on_space_freed(Hier *h, PyObject *arg);
+
+/* Register fn(now) for the next round: a kernel core's own _on_unblock
+ * or a hierarchy's own _on_space_freed as the object it runs on. */
+static int fan_out_add(FanOut *f, PyObject *fn)
+{
+    PyObject *k;
+    if ((k = own(fn, ENTRY(core_on_unblock))) != NULL)
+        return waits_add(&f->live, k, W_UNBLOCK, 0);
+    if ((k = own(fn, ENTRY(hier_on_space_freed))) != NULL)
+        return waits_add(&f->live, k, W_SPACE, 0);
+    return waits_add(&f->live, fn, W_CALL, 0);
+}
+
+/* Fire one round in registration order; an error stops the round, whose
+ * remaining waiters are dropped. */
+static int fan_out(FanOut *f, int64_t now)
+{
+    WaitList round = f->live;
+    PyObject *t = NULL;
     Py_ssize_t i;
     int rc = 0;
-    if (old == NULL)
+    if (round.n == 0)
         return 0;
-    if (!PyList_CheckExact(old)) {
-        PyErr_SetString(PyExc_TypeError, "a waiter list must be a list");
-        return -1;
+    f->live = f->spare;
+    f->spare.v = NULL;
+    f->spare.cap = 0;
+    for (i = 0; i < round.n && rc == 0; i++) {
+        Waiter *w = &round.v[i];
+        if (w->kind == W_UNBLOCK)
+            rc = core_unblock_at((Core *)w->obj, now);
+        else if (w->kind == W_SPACE)
+            rc = hier_space_at((Hier *)w->obj, now);
+        else
+            rc = call_now(w->obj, boxed(&t, now));
     }
-    if (PyList_GET_SIZE(old) == 0)
-        return 0;
-    if ((fresh = PyList_New(0)) == NULL)
-        return -1;
-    *slot = fresh;
-    if ((t = PyLong_FromLongLong(now)) == NULL) {
-        Py_DECREF(old);
-        return -1;
-    }
-    for (i = 0; i < PyList_GET_SIZE(old) && rc == 0; i++)
-        rc = call_now(PyList_GET_ITEM(old, i), t);
-    Py_DECREF(t);
-    Py_DECREF(old);
+    Py_XDECREF(t);
+    waits_drop(&round);
+    if (f->spare.v == NULL)
+        f->spare = round;
+    else
+        PyMem_Free(round.v);
     return rc;
+}
+
+static void fan_out_free(FanOut *f)
+{
+    waits_free(&f->live);
+    waits_free(&f->spare);
 }
 
 static PyObject *done_or_null(int rc)
@@ -507,10 +658,12 @@ static int nargs_are(Py_ssize_t nargs, Py_ssize_t want)
  * MemoryRequest
  * ====================================================================== */
 
+/* channel, bank, row and col are the decoded coordinate (-1 before
+ * enqueue); coord is built from them at its first read. */
 typedef struct {
     PyObject_HEAD
     long long addr, core_id, arrival_cycle, seq, issue_cycle, done_cycle;
-    long long bank, row;
+    long long channel, bank, row, col;
     char is_write, row_hit;
     PyObject *coord, *on_complete, *span;
 } Request;
@@ -527,7 +680,8 @@ static Request *new_request(int64_t addr, int64_t core_id, int is_write,
     r->core_id = core_id;
     r->is_write = (char)is_write;
     r->arrival_cycle = arrival;
-    r->seq = r->issue_cycle = r->done_cycle = r->bank = r->row = -1;
+    r->seq = r->issue_cycle = r->done_cycle = -1;
+    r->channel = r->bank = r->row = r->col = -1;
     Py_XINCREF(on_complete);
     r->on_complete = on_complete;
     return r;
@@ -547,7 +701,8 @@ static int request_init(Request *r, PyObject *args, PyObject *kwds)
     r->core_id = core_id;
     r->is_write = (char)is_write;
     r->arrival_cycle = arrival;
-    r->seq = r->issue_cycle = r->done_cycle = r->bank = r->row = -1;
+    r->seq = r->issue_cycle = r->done_cycle = -1;
+    r->channel = r->bank = r->row = r->col = -1;
     r->row_hit = 0;
     KEEP(r, on_complete, done);
     Py_CLEAR(r->coord);
@@ -564,11 +719,40 @@ static Request *as_request(PyObject *o)
     return NULL;
 }
 
+/* The request's DramCoord: the one assigned, else one built from the
+ * decoded fields at the first read and kept, else None (not enqueued). */
+static PyObject *request_coord(Request *r)
+{
+    PyObject *v[4], *mod;
+    int i;
+    if (r->coord == NULL && r->channel >= 0) {
+        if (coord_cls == NULL) {
+            if ((mod = PyImport_ImportModule("repro.dram.address")) == NULL)
+                return NULL;
+            coord_cls = PyObject_GetAttrString(mod, "DramCoord");
+            Py_DECREF(mod);
+            if (coord_cls == NULL)
+                return NULL;
+        }
+        v[0] = PyLong_FromLongLong(r->channel);
+        v[1] = PyLong_FromLongLong(r->bank);
+        v[2] = PyLong_FromLongLong(r->row);
+        v[3] = PyLong_FromLongLong(r->col);
+        if (v[0] && v[1] && v[2] && v[3])
+            r->coord = PyObject_Vectorcall(coord_cls, v, 4, NULL);
+        for (i = 0; i < 4; i++)
+            Py_XDECREF(v[i]);
+        if (r->coord == NULL)
+            return NULL;
+    }
+    v[0] = r->coord != NULL ? r->coord : Py_None;
+    Py_INCREF(v[0]);
+    return v[0];
+}
+
 static PyObject *request_get_coord(Request *r, void *Py_UNUSED(closure))
 {
-    PyObject *v = r->coord != NULL ? r->coord : Py_None;
-    Py_INCREF(v);
-    return v;
+    return request_coord(r);
 }
 
 /* Assigning coord mirrors its bank and row into plain fields, which the
@@ -633,7 +817,8 @@ static void request_dealloc(Request *r)
 
 static PyGetSetDef request_getset[] = {
     {"coord", (getter)request_get_coord, (setter)request_set_coord,
-     "decoded DRAM coordinate, filled by the controller at enqueue "
+     "decoded DRAM coordinate (the controller decodes at enqueue; the "
+     "DramCoord is built at the first read), or None before enqueue "
      "(assigning it mirrors bank and row)", NULL},
     {"latency", (getter)request_get_latency, NULL,
      "arrival-to-data latency in cycles (valid once completed)", NULL},
@@ -1134,6 +1319,11 @@ done:
     return res;
 }
 
+static PyObject *mod_decode(PyObject *m, PyObject *const *args,
+                            Py_ssize_t nargs);
+static PyObject *mod_epoch(PyObject *m, PyObject *const *args,
+                           Py_ssize_t nargs);
+
 static PyMethodDef core_functions[] = {
     {"select", (PyCFunction)(void (*)(void))mod_select, METH_FASTCALL,
      "select(policy, candidates, ctx, is_write): the policy's read_rule "
@@ -1143,6 +1333,12 @@ static PyMethodDef core_functions[] = {
     {"hit_first_oldest", (PyCFunction)(void (*)(void))mod_hit_first_oldest,
      METH_FASTCALL,
      "hit_first_oldest(candidates, ctx): row hits first, then the oldest"},
+    {"decode", (PyCFunction)(void (*)(void))mod_decode, METH_FASTCALL,
+     "decode(addr, off_bits, ch_bits, bank_bits, col_bits) -> (channel, "
+     "bank, row, col): a byte address's DRAM coordinate"},
+    {"epoch", (PyCFunction)(void (*)(void))mod_epoch, METH_FASTCALL,
+     "epoch(controller, cores, engine, prev, now, span, secs, sample_type, "
+     "channel_type, core_type) -> Sample: one telemetry epoch"},
     {"select_by", (PyCFunction)(void (*)(void))mod_select_by, METH_FASTCALL,
      "select_by(candidates, ctx, core_priority): the highest-priority core "
      "(random tie-break), then its hit-first oldest"},
@@ -1153,9 +1349,12 @@ static PyMethodDef core_functions[] = {
  * EngineKernel
  * ====================================================================== */
 
+/* A heap event: fn(now, *args), or a core's own _wake (wake: fn is the
+ * core, args NULL), run as its C body. */
 typedef struct {
     int64_t cycle, seq;
     PyObject *fn, *args; /* args: a tuple, or NULL for fn(now) */
+    int wake;
 } Event;
 
 typedef struct {
@@ -1169,7 +1368,7 @@ typedef struct {
     Py_ssize_t head, len, cap;
 } Lane;
 
-typedef struct {
+struct Engine {
     PyObject_HEAD
     long long now, seq, events_processed, clamped_events;
     char strict, stop_requested;
@@ -1178,7 +1377,7 @@ typedef struct {
     int64_t *dec_cycle, *dec_seq;
     Lane *lanes;
     PyObject *point_fn, *deliver_fn;
-} Engine;
+};
 
 static PyTypeObject EngineType;
 
@@ -1187,7 +1386,8 @@ static int ev_less(const Event *a, const Event *b)
     return a->cycle < b->cycle || (a->cycle == b->cycle && a->seq < b->seq);
 }
 
-static int heap_push(Engine *e, int64_t cycle, PyObject *fn, PyObject *args)
+static int heap_push(Engine *e, int64_t cycle, PyObject *fn, PyObject *args,
+                     int wake)
 {
     Event ev;
     Py_ssize_t i;
@@ -1205,6 +1405,7 @@ static int heap_push(Engine *e, int64_t cycle, PyObject *fn, PyObject *args)
     ev.seq = e->seq++;
     ev.fn = fn;
     ev.args = args;
+    ev.wake = wake;
     Py_INCREF(fn);
     Py_XINCREF(args);
     for (i = e->heap_len++; i > 0;) {
@@ -1328,8 +1529,35 @@ static int engine_lane_index(Engine *e, PyObject *arg, Py_ssize_t *ch)
     return 0;
 }
 
-/* schedule(cycle, fn, *args): run fn(now, *args) at cycle (clamped to the
- * present, counted in clamped_events; strict mode raises instead). */
+static PyObject *core_wake(Core *c, PyObject *const *args, Py_ssize_t nargs);
+
+/* Run fn(now, *args) at cycle (args a tuple or NULL), clamped to the
+ * present and counted in clamped_events (strict mode raises instead).  A
+ * core's own _wake with no args goes on the heap as the core. */
+static int engine_add(Engine *e, int64_t cycle, PyObject *fn, PyObject *args)
+{
+    PyObject *core = args == NULL ? own(fn, ENTRY(core_wake)) : NULL;
+    if (cycle <= e->now) {
+        if (cycle < e->now) {
+            /* Count the clamp before a strict-mode raise: the counter is
+             * the record of causality violations, and an exception a
+             * caller swallows must not make the run look clean. */
+            e->clamped_events++;
+            if (e->strict) {
+                PyErr_Format(PastEventError,
+                             "schedule at cycle %lld while now=%lld",
+                             (long long)cycle, e->now);
+                return -1;
+            }
+        }
+        cycle = e->now;
+    }
+    if (core != NULL)
+        return heap_push(e, cycle, core, NULL, 1);
+    return heap_push(e, cycle, fn, args, 0);
+}
+
+/* schedule(cycle, fn, *args): run fn(now, *args) at cycle. */
 static PyObject *engine_schedule(Engine *e, PyObject *const *args,
                                  Py_ssize_t nargs)
 {
@@ -1344,21 +1572,6 @@ static PyObject *engine_schedule(Engine *e, PyObject *const *args,
     }
     if (as_i64(args[0], &cycle) < 0)
         return NULL;
-    if (cycle <= e->now) {
-        if (cycle < e->now) {
-            /* Count the clamp before a strict-mode raise: the counter is
-             * the record of causality violations, and an exception a
-             * caller swallows must not make the run look clean. */
-            e->clamped_events++;
-            if (e->strict) {
-                PyErr_Format(PastEventError,
-                             "schedule at cycle %lld while now=%lld",
-                             (long long)cycle, e->now);
-                return NULL;
-            }
-        }
-        cycle = e->now;
-    }
     if (nargs > 2) {
         if ((rest = PyTuple_New(nargs - 2)) == NULL)
             return NULL;
@@ -1367,7 +1580,7 @@ static PyObject *engine_schedule(Engine *e, PyObject *const *args,
             PyTuple_SET_ITEM(rest, i - 2, args[i]);
         }
     }
-    rc = heap_push(e, cycle, args[1], rest);
+    rc = engine_add(e, cycle, args[1], rest);
     Py_XDECREF(rest);
     return done_or_null(rc);
 }
@@ -1448,6 +1661,47 @@ static PyObject *call_event(PyObject *fn, PyObject *now, PyObject *args)
     return r;
 }
 
+static int core_wake_at(Core *c, int64_t now);
+static int ctrl_point_at(Ctrl *c, int64_t now, Py_ssize_t channel);
+static int ctrl_deliver(Ctrl *c, PyObject *req, int64_t now);
+static PyObject *ctrl_point_py(Ctrl *c, PyObject *const *args,
+                               Py_ssize_t nargs);
+static PyObject *ctrl_deliver_py(Ctrl *c, PyObject *const *args,
+                                 Py_ssize_t nargs);
+
+/* Dispatch the lane handler fn on (now, arg): the controller's own
+ * _fast_point (arg the channel) or _fast_deliver (arg the request) runs
+ * its body; any other handler is called through Python. */
+static int engine_lane_call(PyObject *fn, int64_t now, Py_ssize_t ch,
+                            PyObject *req)
+{
+    PyObject *k, *args[2];
+    int rc;
+    if (fn == NULL)
+        return closed("engine");
+    k = req == NULL ? own(fn, ENTRY(ctrl_point_py))
+                    : own(fn, ENTRY(ctrl_deliver_py));
+    if (k != NULL) {
+        Py_INCREF(k);
+        rc = req == NULL ? ctrl_point_at((Ctrl *)k, now, ch)
+                         : ctrl_deliver((Ctrl *)k, req, now);
+        Py_DECREF(k);
+        return rc;
+    }
+    args[0] = PyLong_FromLongLong(now);
+    args[1] = req == NULL ? PyLong_FromSsize_t(ch) : req;
+    if (req == NULL)
+        Py_XINCREF(args[1]);
+    Py_INCREF(fn);
+    rc = args[0] != NULL && args[1] != NULL
+        ? call_drop(PyObject_Vectorcall(fn, args, 2, NULL)) : -1;
+    Py_DECREF(fn);
+    Py_XDECREF(args[0]);
+    if (req == NULL)
+        Py_XDECREF(args[1]);
+    return rc;
+}
+
 /* The merged pop: the global (cycle, seq) minimum across the heap, the
  * decision slots and the completion lanes, dispatched until every source
  * is empty or stop_requested is set. */
@@ -1457,9 +1711,8 @@ static int engine_loop(Engine *e, int bounded, long long max_events)
     unsigned long tick = 0;
     for (;;) {
         int64_t bc = NEVER, bs = NEVER;
-        int src = -1;
+        int src = -1, rc;
         Py_ssize_t ch = 0, i;
-        PyObject *now, *r, *args[2];
         if (e->heap_len) {
             bc = e->heap[0].cycle;
             bs = e->heap[0].seq;
@@ -1488,46 +1741,29 @@ static int engine_loop(Engine *e, int bounded, long long max_events)
             return 0;
         e->now = bc;
         e->events_processed++;
-        if ((now = PyLong_FromLongLong(bc)) == NULL)
-            return -1;
-        args[0] = now;
         if (src == 2) {
-            PyObject *fn = e->deliver_fn;
-            args[1] = lane_pop(&e->lanes[ch]);
-            if (fn == NULL) {
-                r = NULL;
-                closed("engine");
-            } else {
-                Py_INCREF(fn);
-                r = PyObject_Vectorcall(fn, args, 2, NULL);
-                Py_DECREF(fn);
-            }
-            Py_DECREF(args[1]);
+            PyObject *req = lane_pop(&e->lanes[ch]);
+            rc = engine_lane_call(e->deliver_fn, bc, ch, req);
+            Py_DECREF(req);
         } else if (src == 1) {
-            PyObject *fn = e->point_fn;
             e->dec_cycle[ch] = NEVER;
             e->dec_seq[ch] = NEVER;
-            if (fn == NULL) {
-                r = NULL;
-                closed("engine");
-            } else if ((args[1] = PyLong_FromSsize_t(ch)) == NULL) {
-                r = NULL;
-            } else {
-                Py_INCREF(fn);
-                r = PyObject_Vectorcall(fn, args, 2, NULL);
-                Py_DECREF(fn);
-                Py_DECREF(args[1]);
-            }
+            rc = engine_lane_call(e->point_fn, bc, ch, NULL);
         } else {
             Event ev = heap_pop(e);
-            r = call_event(ev.fn, now, ev.args);
+            if (ev.wake) {
+                rc = core_wake_at((Core *)ev.fn, bc);
+            } else {
+                PyObject *now = PyLong_FromLongLong(bc);
+                rc = now != NULL ? call_drop(call_event(ev.fn, now, ev.args))
+                                 : -1;
+                Py_XDECREF(now);
+            }
             Py_DECREF(ev.fn);
             Py_XDECREF(ev.args);
         }
-        Py_DECREF(now);
-        if (r == NULL)
+        if (rc < 0)
             return -1;
-        Py_DECREF(r);
         if (e->stop_requested)
             return 0;
         if (bounded && e->events_processed - start > max_events) {
@@ -1667,12 +1903,20 @@ typedef struct {
     char pending;
 } ChanView;
 
+/* The address mapper's bit layout, LSB first: line offset, channel,
+ * bank, column (line in row), then the row (repro.dram.address). */
 typedef struct {
+    int64_t off, ch, bank, col;
+} Layout;
+
+struct Ctrl {
     PyObject_HEAD
     char drain_mode, prefiltered, open_page;
     PyObject *engine, *dram, *policy, *queues, *stats, *ctx, *spans;
-    PyObject *space_waiters, *decode_cache, *timing_cls, *on_read_complete;
+    PyObject *timing_cls, *on_read_complete;
     PyObject *observers, *reads, *writes;
+    /* callbacks waiting for a free buffer slot */
+    FanOut space;
     /* SchedulingPolicy's own select_read and select_write (runs_rule) */
     PyObject *base_read, *base_write;
     /* the policy's rules and their pinned inputs */
@@ -1691,10 +1935,11 @@ typedef struct {
     Py_ssize_t ncores;
     ChanView *chans;
     Py_ssize_t nch;
-    int64_t capacity, off_bits, t_rp, t_rcd, t_cl, t_burst, t_wr, t_rrd;
+    Layout map;
+    int64_t capacity, t_rp, t_rcd, t_cl, t_burst, t_wr, t_rrd;
     int64_t t_faw, drain_high, drain_low, overhead, line_bytes, horizon;
     Pins pins;
-} Ctrl;
+};
 
 static PyTypeObject CtrlType;
 
@@ -1733,8 +1978,10 @@ static int ctrl_kick(Ctrl *c, Py_ssize_t ch, int64_t now)
     return 0;
 }
 
-/* The write-drain hysteresis: the no-transition test here, the transition
- * itself (stats, telemetry) in the Python _update_drain_mode. */
+/* The write-drain hysteresis, tested here alone: a drain begins at
+ * drain_high queued writes and ends at drain_low; the Python
+ * _update_drain_mode performs the transition found due (the mode flip,
+ * drain_entries, the telemetry event). */
 static int ctrl_drain_check(Ctrl *c, int64_t now)
 {
     Py_ssize_t nw = PyList_GET_SIZE(c->writes);
@@ -1750,36 +1997,74 @@ static int ctrl_drain_check(Ctrl *c, int64_t now)
     return rc;
 }
 
-/* Accept r into the buffer: 1, 0 when full, -1 on error.  Decodes through
- * the mapper's shared memo, stamps arrival and age, files the request in
- * its queue and channel view, runs the drain test and kicks the channel. */
+/* Decode byte address addr under layout m into out: channel, bank, row,
+ * col (sub-line bits ignored).  AddressMapper.decode's arithmetic. */
+static int decode(const Layout *m, int64_t addr, int64_t out[4])
+{
+    int64_t line;
+    if (addr < 0) {
+        char buf[64];
+        snprintf(buf, sizeof buf, "negative address -0x%llx",
+                 (unsigned long long)(-(addr + 1)) + 1);
+        PyErr_SetString(PyExc_ValueError, buf);
+        return -1;
+    }
+    line = addr >> m->off;
+    out[0] = line & (((int64_t)1 << m->ch) - 1);
+    line >>= m->ch;
+    out[1] = line & (((int64_t)1 << m->bank) - 1);
+    line >>= m->bank;
+    out[3] = line & (((int64_t)1 << m->col) - 1);
+    out[2] = line >> m->col;
+    return 0;
+}
+
+static int layout_check(const Layout *m)
+{
+    if (m->off < 0 || m->ch < 0 || m->bank < 0 || m->col < 0
+        || m->off + m->ch + m->bank + m->col > 62) {
+        PyErr_SetString(PyExc_ValueError, "bad address layout");
+        return -1;
+    }
+    return 0;
+}
+
+/* decode(addr, off_bits, ch_bits, bank_bits, col_bits) -> (channel, bank,
+ * row, col): AddressMapper.decode's arithmetic. */
+static PyObject *mod_decode(PyObject *Py_UNUSED(m), PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    Layout map;
+    int64_t addr, at[4];
+    if (nargs_are(nargs, 5) < 0 || as_i64(args[0], &addr) < 0
+        || as_i64(args[1], &map.off) < 0 || as_i64(args[2], &map.ch) < 0
+        || as_i64(args[3], &map.bank) < 0 || as_i64(args[4], &map.col) < 0
+        || layout_check(&map) < 0 || decode(&map, addr, at) < 0)
+        return NULL;
+    return Py_BuildValue("(LLLL)", (long long)at[0], (long long)at[1],
+                         (long long)at[2], (long long)at[3]);
+}
+
+/* Accept r into the buffer: 1, 0 when full, -1 on error.  Decodes its
+ * address (req.coord is built only when read), stamps arrival and age,
+ * files the request in its queue and channel view, runs the drain test
+ * and kicks the channel. */
 static int ctrl_enqueue(Ctrl *c, Request *r, int64_t now)
 {
-    int64_t ch, bank, row;
-    PyObject *key, *coord, *view;
+    int64_t ch, bank, at[4];
+    PyObject *view;
     int rc;
     if ((rc = ctrl_can_accept(c)) <= 0)
         return rc;
     if (r->core_id < 0 || r->core_id >= c->ncores)
         return index_error("request core_id");
-    if ((key = PyLong_FromLongLong(r->addr >> c->off_bits)) == NULL)
+    if (decode(&c->map, r->addr, at) < 0)
         return -1;
-    coord = PyDict_GetItemWithError(c->decode_cache, key);
-    Py_DECREF(key);
-    if (coord != NULL)
-        Py_INCREF(coord);
-    else if (PyErr_Occurred()
-             || (coord = PyObject_CallMethod(c->dram, "coord", "L",
-                                             r->addr)) == NULL)
-        return -1;
-    rc = attr_i64(coord, s_channel, &ch) < 0
-        || attr_i64(coord, s_bank, &bank) < 0
-        || attr_i64(coord, s_row, &row) < 0 ? -1 : 0;
-    Py_XSETREF(r->coord, coord);
-    if (rc < 0)
-        return -1;
-    r->bank = bank;
-    r->row = row;
+    r->channel = ch = at[0];
+    r->bank = bank = at[1];
+    r->row = at[2];
+    r->col = at[3];
+    Py_CLEAR(r->coord);
     if (ch < 0 || ch >= c->nch)
         return index_error("decoded channel");
     if (bank < 0 || bank >= c->chans[ch].nbanks)
@@ -1803,7 +2088,8 @@ static int ctrl_enqueue(Ctrl *c, Request *r, int64_t now)
 }
 
 /* enqueue(req, now) -> bool: False when the buffer is full; the caller
- * then stalls and registers through wait_for_space. */
+ * then stalls and registers through wait_for_space.  The hierarchy's miss
+ * path runs ctrl_enqueue directly. */
 static PyObject *ctrl_enqueue_py(Ctrl *c, PyObject *const *args,
                                  Py_ssize_t nargs)
 {
@@ -1826,9 +2112,9 @@ static PyObject *ctrl_can_accept_py(Ctrl *c, PyObject *Py_UNUSED(ignored))
 
 static int ctrl_wait_for_space(Ctrl *c, PyObject *callback)
 {
-    if (c->space_waiters == NULL)
+    if (c->engine == NULL)
         return closed("controller");
-    return PyList_Append(c->space_waiters, callback);
+    return fan_out_add(&c->space, callback);
 }
 
 /* wait_for_space(callback): a one-shot callback for the next freed slot. */
@@ -1935,7 +2221,10 @@ static int notify_observers(Ctrl *c, Request *r, int64_t cas,
     timing = PyObject_Vectorcall(c->timing_cls, v, 0, kw_timing);
     if (timing == NULL)
         goto done;
-    args[0] = r->coord != NULL ? r->coord : Py_None;
+    if ((args[0] = request_coord(r)) == NULL) {
+        Py_DECREF(timing);
+        goto done;
+    }
     args[1] = timing;
     args[2] = r->is_write ? Py_True : Py_False;
     args[3] = keep_open ? Py_True : Py_False;
@@ -1947,6 +2236,7 @@ static int notify_observers(Ctrl *c, Request *r, int64_t cas,
         rc = call_drop(PyObject_Vectorcall(fn, args, 5, NULL));
         Py_DECREF(fn);
     }
+    Py_DECREF(args[0]);
     Py_DECREF(timing);
 done:
     for (i = 0; i < 6; i++)
@@ -1955,25 +2245,19 @@ done:
 }
 
 /* Observation only: copy the resolved stamps onto a sampled request's
- * span and hand it to the collector. */
-static int stamp_span(Ctrl *c, Request *r, PyObject *ch, int64_t now,
+ * span and append it to the collector's completed spans.  Keep in sync
+ * with SpanCollector.finish. */
+static int stamp_span(Ctrl *c, Request *r, Py_ssize_t channel, int64_t now,
                       int64_t bank_start, int64_t cas, int64_t data_start,
                       int64_t data_end, int hit, int conflict)
 {
-    PyObject *span = r->span, *index;
+    PyObject *span = r->span, *done;
     int rc;
     Py_INCREF(span);
     rc = (set_attr_i64(span, s_arrival, r->arrival_cycle) < 0
           || set_attr_i64(span, s_pick, now) < 0
-          || PyObject_SetAttr(span, s_track, s_controller_track) < 0) ? -1 : 0;
-    if (rc == 0) {
-        if ((index = PyObject_GetAttr(ch, s_index)) == NULL)
-            rc = -1;
-        else {
-            rc = PyObject_SetAttr(span, s_channel, index);
-            Py_DECREF(index);
-        }
-    }
+          || PyObject_SetAttr(span, s_track, s_controller_track) < 0
+          || set_attr_i64(span, s_channel, channel) < 0) ? -1 : 0;
     if (rc == 0
         && (set_attr_i64(span, s_bank, r->bank) < 0
             || set_attr_i64(span, s_row, r->row) < 0
@@ -1992,8 +2276,13 @@ static int stamp_span(Ctrl *c, Request *r, PyObject *ch, int64_t now,
                             "a sampled request reached a controller without "
                             "a span collector");
             rc = -1;
+        } else if ((done = PyObject_GetAttr(c->spans, s_completed)) == NULL) {
+            rc = -1;
         } else {
-            rc = call_drop(PyObject_CallMethodOneArg(c->spans, s_finish, span));
+            rc = PyList_Check(done) ? PyList_Append(done, span) : -1;
+            if (rc < 0 && !PyErr_Occurred())
+                PyErr_SetString(PyExc_TypeError, "completed must be a list");
+            Py_DECREF(done);
         }
     }
     Py_DECREF(span);
@@ -2114,7 +2403,7 @@ static int ctrl_commit(Ctrl *c, Py_ssize_t channel, Request *r, int64_t now)
         }
     }
     if (r->span != NULL && r->span != Py_None
-        && stamp_span(c, r, cv->ch, now, bank_start, cas, data_start,
+        && stamp_span(c, r, channel, now, bank_start, cas, data_start,
                       data_end, hit, conflict) < 0)
         return -1;
     return 0;
@@ -2208,7 +2497,7 @@ static int ctrl_decide(Ctrl *c, Py_ssize_t channel, Py_ssize_t n,
     if (r == NULL)
         return -1;
     rc = ctrl_commit(c, channel, r, now) < 0
-        || fan_out(&c->space_waiters, now) < 0 ? -1 : 0;
+        || fan_out(&c->space, now) < 0 ? -1 : 0;
     Py_DECREF(r);
     /* More work?  Re-arm at the channel's next issue opportunity. */
     if (rc == 0 && c->qc[Q_OCCUPANCY])
@@ -2281,61 +2570,78 @@ static int ctrl_point(Ctrl *c, int64_t now, Py_ssize_t channel)
     }
 }
 
-static int ctrl_channel(Ctrl *c, PyObject *arg, Py_ssize_t *ch)
+/* One scheduling point on channel, checked. */
+static int ctrl_point_at(Ctrl *c, int64_t now, Py_ssize_t channel)
 {
-    int64_t v;
-    if (ctrl_bound(c) < 0 || as_i64(arg, &v) < 0)
+    if (ctrl_bound(c) < 0)
         return -1;
-    if (v < 0 || v >= c->nch) {
+    if (channel < 0 || channel >= c->nch) {
         PyErr_SetString(PyExc_IndexError, "no such channel");
         return -1;
     }
-    *ch = (Py_ssize_t)v;
-    return 0;
+    return ctrl_point(c, now, channel);
 }
 
 /* _fast_point(now, channel): one scheduling point. */
 static PyObject *ctrl_point_py(Ctrl *c, PyObject *const *args, Py_ssize_t nargs)
 {
-    int64_t now;
-    Py_ssize_t ch;
+    int64_t now, ch;
     if (nargs_are(nargs, 2) < 0 || as_i64(args[0], &now) < 0
-        || ctrl_channel(c, args[1], &ch) < 0)
+        || as_i64(args[1], &ch) < 0)
         return NULL;
-    return done_or_null(ctrl_point(c, now, ch));
+    return done_or_null(ctrl_point_at(c, now, (Py_ssize_t)ch));
 }
 
-/* _fast_deliver(now, req): hand read data back to the core side, then
- * tell a policy that watches completions. */
-static PyObject *ctrl_deliver_py(Ctrl *c, PyObject *const *args,
-                                 Py_ssize_t nargs)
+static int hier_fill(Hier *h, Request *r, int64_t now);
+static PyObject *hier_on_fill(Hier *h, PyObject *const *args,
+                              Py_ssize_t nargs);
+
+/* Hand a read's data back to the core side through req.on_complete (the
+ * hierarchy's own _on_fill runs its body), then tell a policy that
+ * watches completions. */
+static int ctrl_deliver(Ctrl *c, PyObject *req, int64_t now)
 {
-    PyObject *fn, *argv[3], *r;
-    Request *req;
-    if (nargs_are(nargs, 2) < 0 || (req = as_request(args[1])) == NULL)
-        return NULL;
-    fn = req->on_complete != NULL ? req->on_complete : Py_None;
-    argv[0] = (PyObject *)req;
-    argv[1] = args[0];
+    PyObject *fn, *k, *argv[3], *t = NULL;
+    Request *r;
+    int rc;
+    if ((r = as_request(req)) == NULL)
+        return -1;
+    fn = r->on_complete != NULL ? r->on_complete : Py_None;
     Py_INCREF(fn);
-    r = PyObject_Vectorcall(fn, argv, 2, NULL);
+    if ((k = own(fn, ENTRY(hier_on_fill))) != NULL) {
+        rc = hier_fill((Hier *)k, r, now);
+    } else {
+        argv[0] = req;
+        argv[1] = boxed(&t, now);
+        rc = argv[1] != NULL
+            ? call_drop(PyObject_Vectorcall(fn, argv, 2, NULL)) : -1;
+    }
     Py_DECREF(fn);
-    if (call_drop(r) < 0)
-        return NULL;
-    if (c->on_read_complete != NULL && c->on_read_complete != Py_None) {
-        argv[0] = PyLong_FromLongLong(req->core_id);
+    if (rc == 0 && c->on_read_complete != NULL
+        && c->on_read_complete != Py_None) {
+        argv[0] = PyLong_FromLongLong(r->core_id);
         argv[1] = PyLong_FromLongLong(c->line_bytes);
-        argv[2] = args[0];
+        argv[2] = boxed(&t, now);
         fn = c->on_read_complete;
         Py_INCREF(fn);
-        r = argv[0] && argv[1] ? PyObject_Vectorcall(fn, argv, 3, NULL) : NULL;
+        rc = argv[0] && argv[1] && argv[2]
+            ? call_drop(PyObject_Vectorcall(fn, argv, 3, NULL)) : -1;
         Py_DECREF(fn);
         Py_XDECREF(argv[0]);
         Py_XDECREF(argv[1]);
-        if (call_drop(r) < 0)
-            return NULL;
     }
-    Py_RETURN_NONE;
+    Py_XDECREF(t);
+    return rc;
+}
+
+/* _fast_deliver(now, req): one read completion. */
+static PyObject *ctrl_deliver_py(Ctrl *c, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    int64_t now;
+    if (nargs_are(nargs, 2) < 0 || as_i64(args[0], &now) < 0)
+        return NULL;
+    return done_or_null(ctrl_deliver(c, args[1], now));
 }
 
 /* A per-core vector of the queues or stats, at least ncores long. */
@@ -2408,13 +2714,14 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
                      Py_TYPE(policy)->tp_name);
         goto fail;
     }
-    if ((c->space_waiters = PyList_New(0)) == NULL
-        || (channels = PyObject_GetAttr(dram, s_channels)) == NULL
+    if ((channels = PyObject_GetAttr(dram, s_channels)) == NULL
         || (mapper = PyObject_GetAttr(dram, s_mapper)) == NULL
         || (timing = PyObject_GetAttr(dram, s_timing)) == NULL
         || get_list(dram, s_observers, &c->observers) < 0
-        || attr_i64(mapper, s_off_bits, &c->off_bits) < 0
-        || (c->decode_cache = PyObject_GetAttr(mapper, s_decode_cache)) == NULL
+        || attr_i64(mapper, s_off_bits, &c->map.off) < 0
+        || attr_i64(mapper, s_ch_bits, &c->map.ch) < 0
+        || attr_i64(mapper, s_bank_bits, &c->map.bank) < 0
+        || attr_i64(mapper, s_col_bits, &c->map.col) < 0
         || attr_i64(timing, s_t_rp, &c->t_rp) < 0
         || attr_i64(timing, s_t_rcd, &c->t_rcd) < 0
         || attr_i64(timing, s_t_cl, &c->t_cl) < 0
@@ -2440,9 +2747,10 @@ static PyObject *ctrl_bind(Ctrl *c, PyObject *args, PyObject *kwds)
         || (c->bytes_written = pin_cores(c, stats, s_bytes_written)) == NULL
         || (c->write_count = pin_cores(c, stats, s_write_count)) == NULL)
         goto fail;
-    if (!PyDict_Check(c->decode_cache) || !PyList_CheckExact(channels)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "the decode memo must be a dict, the channels a list");
+    if (layout_check(&c->map) < 0)
+        goto fail;
+    if (!PyList_CheckExact(channels)) {
+        PyErr_SetString(PyExc_TypeError, "the channels must be a list");
         goto fail;
     }
     /* Requests whose bank is busy beyond now + horizon are ineligible:
@@ -2513,17 +2821,14 @@ fail:
 /* _unbind(): drop the space waiters and the policy's completion hook. */
 static PyObject *ctrl_unbind(Ctrl *c, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *fresh = PyList_New(0);
-    if (fresh == NULL)
-        return NULL;
-    Py_XSETREF(c->space_waiters, fresh);
+    waits_drop(&c->space.live);
     Py_CLEAR(c->on_read_complete);
     Py_RETURN_NONE;
 }
 
 #define CTRL_FIELDS(X) \
     X(engine) X(dram) X(policy) X(queues) X(stats) X(ctx) X(spans) \
-    X(space_waiters) X(decode_cache) X(timing_cls) X(on_read_complete) \
+    X(timing_cls) X(on_read_complete) \
     X(observers) X(reads) X(writes) X(base_read) X(base_write)
 #define CHAN_FIELDS(X) X(ch) X(reads) X(writes)
 
@@ -2533,6 +2838,8 @@ static int ctrl_traverse(Ctrl *c, visitproc visit, void *arg)
 #define VISIT(f) Py_VISIT(c->f);
     CTRL_FIELDS(VISIT)
 #undef VISIT
+    if (waits_traverse(&c->space.live, visit, arg) < 0)
+        return -1;
     for (i = 0; c->chans != NULL && i < c->nch; i++) {
 #define VISIT(f) Py_VISIT(c->chans[i].f);
         CHAN_FIELDS(VISIT)
@@ -2547,6 +2854,7 @@ static int ctrl_clear(Ctrl *c)
 #define CLEAR(f) Py_CLEAR(c->f);
     CTRL_FIELDS(CLEAR)
 #undef CLEAR
+    waits_drop(&c->space.live);
     for (i = 0; c->chans != NULL && i < c->nch; i++) {
 #define CLEAR(f) Py_CLEAR(c->chans[i].f);
         CHAN_FIELDS(CLEAR)
@@ -2559,6 +2867,7 @@ static void ctrl_dealloc(Ctrl *c)
 {
     PyObject_GC_UnTrack(c);
     ctrl_clear(c);
+    fan_out_free(&c->space);
     unpin(&c->pins);
     PyMem_Free(c->chans);
     PyMem_Free(c->cand);
@@ -2583,10 +2892,6 @@ static PyMemberDef ctrl_members[] = {
     CMEMBER("stats", T_OBJECT, stats, READONLY, "the ControllerStats"),
     CMEMBER("_ctx", T_OBJECT, ctx, READONLY,
             "the one SchedulingContext, updated at every decision"),
-    CMEMBER("_decode_cache", T_OBJECT, decode_cache, READONLY,
-            "the address mapper's shared decode memo"),
-    CMEMBER("_space_waiters", T_OBJECT, space_waiters, READONLY,
-            "callbacks waiting for a free buffer slot"),
     {NULL}
 };
 
@@ -2631,13 +2936,15 @@ static PyTypeObject CtrlType = {
  * ====================================================================== */
 
 /* One MSHR file's entry table: live entries fill slots 0 .. occupancy - 1
- * of lines, stores (the store-pending flags) and the waiters list (one
- * list of waiters per live slot); retiring an entry moves the last live
- * one into its slot. */
+ * of lines, stores (the store-pending flags) and waits (each entry's
+ * waiters in merge order); retiring an entry moves the last live one into
+ * its slot.  The vacated slot takes the spare waiter buffer, and the
+ * retired entry's buffer becomes the spare once its waiters have fired. */
 typedef struct {
-    PyObject *file, *waiters; /* the MshrFile (its on_merge), _waiters */
+    PyObject *file; /* the MshrFile (its on_merge) */
     int64_t *lines, *ctr;
     unsigned char *stores;
+    WaitList *waits, spare;
     int64_t cap;
 } Mshr;
 
@@ -2651,18 +2958,12 @@ static int64_t mshr_find(const Mshr *m, int64_t line)
     return -1;
 }
 
-/* A new entry for line with its first waiter (None: no waiter). */
-static int mshr_alloc(Mshr *m, int64_t line, PyObject *waiter, int store)
+/* A new entry for line with its first waiter (none when w is NULL). */
+static int mshr_alloc(Mshr *m, int64_t line, const Waiter *w, int store)
 {
     int64_t i = m->ctr[M_OCCUPANCY];
-    PyObject *list = PyList_New(0);
-    if (list == NULL)
+    if (w != NULL && waits_add(&m->waits[i], w->obj, w->kind, w->slot) < 0)
         return -1;
-    if ((waiter != Py_None && PyList_Append(list, waiter) < 0)
-        || PyList_SetItem(m->waiters, i, list) < 0) {
-        Py_XDECREF(list);
-        return -1;
-    }
     m->lines[i] = line;
     m->stores[i] = (unsigned char)store;
     m->ctr[M_OCCUPANCY] = ++i;
@@ -2672,34 +2973,32 @@ static int mshr_alloc(Mshr *m, int64_t line, PyObject *waiter, int store)
     return 0;
 }
 
-/* Retire entry i: returns its waiter list (a new reference); the last
- * live entry moves into slot i. */
-static PyObject *mshr_retire(Mshr *m, int64_t i)
+/* Retire entry i; its waiters move to *fired (the caller fires them and
+ * then hands the buffer to mshr_recycle). */
+static void mshr_retire(Mshr *m, int64_t i, WaitList *fired)
 {
     int64_t last = m->ctr[M_OCCUPANCY] - 1;
-    PyObject *w = PyList_GetItem(m->waiters, i), *moved;
-    if (w == NULL)
-        return NULL;
-    Py_INCREF(w);
+    *fired = m->waits[i];
     if (i != last) {
-        if ((moved = PyList_GetItem(m->waiters, last)) == NULL)
-            goto fail;
-        Py_INCREF(moved);
-        if (PyList_SetItem(m->waiters, i, moved) < 0)
-            goto fail;
+        m->waits[i] = m->waits[last];
         m->lines[i] = m->lines[last];
         m->stores[i] = m->stores[last];
     }
-    Py_INCREF(Py_None);
-    if (PyList_SetItem(m->waiters, last, Py_None) < 0)
-        goto fail;
+    m->waits[last] = m->spare;
+    m->spare.v = NULL;
+    m->spare.n = m->spare.cap = 0;
     m->lines[last] = 0;
     m->stores[last] = 0;
     m->ctr[M_OCCUPANCY] = last;
-    return w;
-fail:
-    Py_DECREF(w);
-    return NULL;
+}
+
+static void mshr_recycle(Mshr *m, WaitList *fired)
+{
+    waits_drop(fired);
+    if (m->spare.v == NULL)
+        m->spare = *fired;
+    else
+        PyMem_Free(fired->v);
 }
 
 /* One core's side of the hierarchy: its L1 and its MSHR file. */
@@ -2708,12 +3007,14 @@ typedef struct {
     Mshr mshr;
 } CoreSide;
 
-typedef struct {
+struct Hier {
     PyObject_HEAD
     long long l2_outstanding, writebacks;
     char space_watch_armed;
-    PyObject *unblock_waiters, *controller;
+    PyObject *controller;
     PyObject *enqueue, *on_fill, *on_space_freed, *emit_writeback;
+    /* the cores stalled on a structural hazard */
+    FanOut unblock;
     SpanView spans;
     Cache l2;
     int64_t *l2_misses, *demand;
@@ -2721,7 +3022,7 @@ typedef struct {
     Py_ssize_t ncores;
     int64_t l2_mshr_cap;
     Pins pins;
-} Hier;
+};
 
 static PyTypeObject HierType;
 
@@ -2765,11 +3066,7 @@ static int hier_would_block(Hier *h, CoreSide *k, int64_t line)
  * (_on_space_freed). */
 static int hier_wait_unblock(Hier *h, PyObject *callback)
 {
-    if (!PyList_CheckExact(h->unblock_waiters)) {
-        PyErr_SetString(PyExc_TypeError, "_unblock_waiters must be a list");
-        return -1;
-    }
-    if (PyList_Append(h->unblock_waiters, callback) < 0)
+    if (fan_out_add(&h->unblock, callback) < 0)
         return -1;
     if (h->space_watch_armed)
         return 0;
@@ -2779,107 +3076,184 @@ static int hier_wait_unblock(Hier *h, PyObject *callback)
     return ctrl_wait_for_space((Ctrl *)h->controller, h->on_space_freed);
 }
 
-/* A sampled read, or the collector's cheap path for an unsampled one.
- * Keep in sync with SpanCollector.start_request: for an offer that will
- * not be sampled (_count + 1 < sample_every) it pops the core's stall
- * stamp and counts the offer; any other offer calls start_request. */
-static int offer_read(Hier *h, int64_t core_id, PyObject *core,
-                      PyObject *line, PyObject *now, Request *r)
+/* A read offered to the span collector.  Keep in sync with the read
+ * branch of SpanCollector.start_request: the core's stall stamp is
+ * popped (its cycle is the span's first attempt when it stamps this
+ * line), the offer counted, and every sample_every-th offer makes a
+ * RequestSpan, registered in flight, unless max_spans spans have
+ * completed (then it counts in dropped). */
+static int offer_read(Hier *h, int64_t core_id, int64_t line, int64_t now,
+                      Request *r)
 {
     SpanView *s = &h->spans;
-    PyObject *span;
-    if (s->c[SP_COUNT] + 1 < s->every) {
-        if (core_id < s->ncores)
-            s->stamps[2 * core_id + 1] = -1;
-        s->c[SP_OFFERED]++;
-        s->c[SP_COUNT]++;
-        return 0;
+    PyObject *v[4], *span = NULL, *done, *key;
+    int64_t first = -1, max, dropped;
+    int i, rc;
+    if (core_id < s->ncores) {
+        int64_t *stamp = s->stamps + 2 * core_id;
+        if (stamp[1] == line)
+            first = stamp[0];
+        stamp[1] = -1;
     }
-    span = PyObject_CallMethodObjArgs(s->obj, s_start_request, core, line,
-                                      s_read, now, NULL);
-    if (span == NULL)
+    s->c[SP_OFFERED]++;
+    if (++s->c[SP_COUNT] < s->every)
+        return 0;
+    s->c[SP_COUNT] = 0;
+    if ((done = PyObject_GetAttr(s->obj, s_completed)) == NULL)
         return -1;
+    rc = attr_i64(s->obj, s_max_spans, &max);
+    if (rc == 0 && PyObject_Length(done) >= max) {
+        Py_DECREF(done);
+        return attr_i64(s->obj, s_dropped, &dropped) < 0 ? -1
+            : set_attr_i64(s->obj, s_dropped, dropped + 1);
+    }
+    Py_DECREF(done);
+    if (rc < 0 || PyErr_Occurred())
+        return -1;
+    if (span_cls == NULL) {
+        PyObject *mod = PyImport_ImportModule("repro.telemetry.spans");
+        if (mod == NULL)
+            return -1;
+        span_cls = PyObject_GetAttrString(mod, "RequestSpan");
+        Py_DECREF(mod);
+        if (span_cls == NULL)
+            return -1;
+    }
+    v[0] = PyLong_FromLongLong(core_id);
+    v[1] = PyLong_FromLongLong(line);
+    v[2] = s_read;
+    v[3] = PyLong_FromLongLong(now);
+    if (v[0] && v[1] && v[3])
+        span = PyObject_Vectorcall(span_cls, v, 4, NULL);
+    rc = span == NULL ? -1 : 0;
+    if (rc == 0 && first >= 0)
+        rc = set_attr_i64(span, s_first_attempt, first);
+    if (rc == 0) {
+        key = v[0] && v[1] ? PyTuple_Pack(2, v[0], v[1]) : NULL;
+        rc = key == NULL ? -1 : PyDict_SetItem(s->inflight, key, span);
+        Py_XDECREF(key);
+    }
+    for (i = 0; i < 4; i++)
+        if (i != 2)
+            Py_XDECREF(v[i]);
+    if (rc < 0) {
+        Py_XDECREF(span);
+        return -1;
+    }
     Py_XSETREF(r->span, span);
     return 0;
 }
 
-/* _after_l2_miss(core_id, line, is_write, now, waiter) -> int: one
- * reference that missed both caches (line aligned).  PENDING (a new
- * memory request) or MERGED (joined an in-flight miss), for both of which
- * waiter fires when the data returns, or BLOCKED (the core registers for
- * an unblock and retries). */
-static PyObject *hier_after_l2_miss(Hier *h, PyObject *const *args,
-                                    Py_ssize_t nargs)
+static int ctrl_enqueue(Ctrl *c, Request *r, int64_t now);
+static PyObject *ctrl_enqueue_py(Ctrl *c, PyObject *const *args,
+                                 Py_ssize_t nargs);
+
+/* req into the controller through the enqueue callable bound at _bind
+ * (the controller's own enqueue runs its body): 1, 0 (full) or -1. */
+static int hier_enqueue(Hier *h, Request *r, int64_t now)
 {
-    PyObject *core = args[0], *line = args[1], *now = args[3];
-    PyObject *waiter = args[4], *r_ok;
-    int64_t core_id, l, t, i;
-    int is_write, rc;
+    PyObject *fn = h->enqueue, *k, *argv[2], *ok;
+    int rc;
+    Py_INCREF(fn);
+    if ((k = own(fn, ENTRY(ctrl_enqueue_py))) != NULL) {
+        rc = ctrl_enqueue((Ctrl *)k, r, now);
+    } else if ((argv[1] = PyLong_FromLongLong(now)) == NULL) {
+        rc = -1;
+    } else {
+        argv[0] = (PyObject *)r;
+        ok = PyObject_Vectorcall(fn, argv, 2, NULL);
+        Py_DECREF(argv[1]);
+        rc = ok == NULL ? -1 : PyObject_IsTrue(ok);
+        Py_XDECREF(ok);
+    }
+    Py_DECREF(fn);
+    return rc;
+}
+
+/* One reference that missed both caches (line aligned), its data waiter
+ * w (NULL: none).  *result is PENDING (a new memory request) or MERGED
+ * (joined an in-flight miss), for both of which w fires when the data
+ * returns, or BLOCKED (the core registers for an unblock and retries). */
+static int hier_miss(Hier *h, int64_t core_id, int64_t line, int is_write,
+                     int64_t now, const Waiter *w, long *result)
+{
     CoreSide *k;
     Request *r;
+    int64_t i;
+    int rc;
 
-    if (nargs_are(nargs, 5) < 0 || as_i64(core, &core_id) < 0
-        || as_i64(line, &l) < 0 || as_i64(now, &t) < 0
-        || (is_write = truthy(args[2])) < 0 || hier_core(h, core_id, &k) < 0)
-        return NULL;
-    if ((i = mshr_find(&k->mshr, l)) >= 0) {
+    if (hier_core(h, core_id, &k) < 0)
+        return -1;
+    if ((i = mshr_find(&k->mshr, line)) >= 0) {
         /* Merge onto the in-flight miss. */
-        PyObject *waiters = PyList_GetItem(k->mshr.waiters, i), *on_merge;
-        if (waiters == NULL)
-            return NULL;
-        if (waiter != Py_None && PyList_Append(waiters, waiter) < 0)
-            return NULL;
+        PyObject *on_merge, *argv[2];
+        if (w != NULL
+            && waits_add(&k->mshr.waits[i], w->obj, w->kind, w->slot) < 0)
+            return -1;
         k->mshr.ctr[M_MERGES]++;
         if (is_write)
             k->mshr.stores[i] = 1;
         if ((on_merge = PyObject_GetAttr(k->mshr.file, s_on_merge)) == NULL)
-            return NULL;
+            return -1;
+        rc = 0;
         if (on_merge != Py_None) {
-            PyObject *argv[2] = {line, now};
-            rc = call_drop(PyObject_Vectorcall(on_merge, argv, 2, NULL));
-        } else {
-            rc = 0;
+            argv[0] = PyLong_FromLongLong(line);
+            argv[1] = PyLong_FromLongLong(now);
+            rc = argv[0] && argv[1]
+                ? call_drop(PyObject_Vectorcall(on_merge, argv, 2, NULL)) : -1;
+            Py_XDECREF(argv[0]);
+            Py_XDECREF(argv[1]);
         }
         Py_DECREF(on_merge);
-        if (rc < 0)
-            return NULL;
-        return PyLong_FromLong(MERGED);
+        *result = MERGED;
+        return rc;
     }
     if ((rc = mshr_blocked(h, k)) < 0)
-        return NULL;
-    if (rc)
-        return PyLong_FromLong(BLOCKED);
+        return -1;
+    if (rc) {
+        *result = BLOCKED;
+        return 0;
+    }
     /* -- a new MSHR entry -- */
-    if (mshr_alloc(&k->mshr, l, waiter, is_write) < 0)
-        return NULL;
+    if (mshr_alloc(&k->mshr, line, w, is_write) < 0)
+        return -1;
     h->l2_outstanding++;
     h->l2_misses[core_id]++;
-    if (h->on_fill == NULL || h->enqueue == NULL) {
-        closed("hierarchy");
-        return NULL;
-    }
-    if ((r = new_request(l, core_id, 0, t, h->on_fill)) == NULL)
-        return NULL;
-    if (h->spans.obj != NULL
-        && offer_read(h, core_id, core, line, now, r) < 0) {
-        Py_DECREF(r);
-        return NULL;
-    }
-    {
-        PyObject *argv[2] = {(PyObject *)r, now};
-        r_ok = PyObject_Vectorcall(h->enqueue, argv, 2, NULL);
+    if (h->on_fill == NULL || h->enqueue == NULL)
+        return closed("hierarchy");
+    if ((r = new_request(line, core_id, 0, now, h->on_fill)) == NULL)
+        return -1;
+    if (h->spans.obj != NULL && offer_read(h, core_id, line, now, r) < 0)
+        rc = -1;
+    else if ((rc = hier_enqueue(h, r, now)) == 0) {
+        PyErr_SetString(PyExc_AssertionError, "can_accept() checked above");
+        rc = -1;
     }
     Py_DECREF(r);
-    if (r_ok == NULL || (rc = PyObject_IsTrue(r_ok)) < 0) {
-        Py_XDECREF(r_ok);
+    *result = PENDING;
+    return rc < 0 ? -1 : 0;
+}
+
+/* _after_l2_miss(core_id, line, is_write, now, waiter) -> int: a miss
+ * with a Python waiter, fn(line, now) or a (method, token) pair that
+ * fires as method(token, now), or None.  The core kernel's miss path
+ * runs hier_miss directly. */
+static PyObject *hier_after_l2_miss(Hier *h, PyObject *const *args,
+                                    Py_ssize_t nargs)
+{
+    int64_t core_id, line, now;
+    int is_write;
+    long result;
+    Waiter w = {NULL, 0, W_CALL};
+    if (nargs_are(nargs, 5) < 0 || as_i64(args[0], &core_id) < 0
+        || as_i64(args[1], &line) < 0 || as_i64(args[3], &now) < 0
+        || (is_write = truthy(args[2])) < 0)
         return NULL;
-    }
-    Py_DECREF(r_ok);
-    if (!rc) {
-        PyErr_SetString(PyExc_AssertionError, "can_accept() checked above");
+    w.obj = args[4];
+    if (hier_miss(h, core_id, line, is_write, now,
+                  args[4] != Py_None ? &w : NULL, &result) < 0)
         return NULL;
-    }
-    return PyLong_FromLong(PENDING);
+    return PyLong_FromLong(result);
 }
 
 /* A dirty line leaves for memory through the Python writeback path,
@@ -2933,27 +3307,55 @@ static int l2_evicted(Hier *h, const Victim *v, int64_t now)
     return dirty ? writeback(h, v->owner, addr, now) : 0;
 }
 
-/* _on_fill(req, now): read data returned from DRAM.  Install the line in
- * the L2 (a resident line keeps its dirty flag) and the requester's L1
- * (dirty when a store merged onto the miss), retire the MSHR entry and
- * wake its waiters, then the cores stalled on a structural hazard. */
-static PyObject *hier_on_fill(Hier *h, PyObject *const *args, Py_ssize_t nargs)
+static int core_load_ready_at(Core *c, int64_t token, int64_t now);
+static int core_store_at(Core *c, int64_t now);
+
+/* Fire one MSHR waiter of a fill of line: a kernel core's load or store
+ * waiter runs its body; a Python one is called as method(token, now)
+ * for a (method, token) pair, else as fn(line, now).  box holds line
+ * and now once boxed. */
+static int fire_fill(const Waiter *w, int64_t line, int64_t now,
+                     PyObject *box[2])
 {
-    PyObject *key = NULL, *core = NULL, *waiters = NULL;
-    int64_t now, line, i;
+    PyObject *fn = w->obj, *argv[2];
+    int rc;
+    if (w->kind == W_LOAD)
+        return core_load_ready_at((Core *)fn, w->slot, now);
+    if (w->kind == W_STORE)
+        return core_store_at((Core *)fn, now);
+    if (PyTuple_CheckExact(fn) && PyTuple_GET_SIZE(fn) == 2) {
+        argv[0] = PyTuple_GET_ITEM(fn, 1);
+        fn = PyTuple_GET_ITEM(fn, 0);
+    } else if ((argv[0] = boxed(&box[0], line)) == NULL) {
+        return -1;
+    }
+    if ((argv[1] = boxed(&box[1], now)) == NULL)
+        return -1;
+    Py_INCREF(fn);
+    rc = call_drop(PyObject_Vectorcall(fn, argv, 2, NULL));
+    Py_DECREF(fn);
+    return rc;
+}
+
+/* Read data of r returned from DRAM.  Install the line in the L2 (a
+ * resident line keeps its dirty flag) and the requester's L1 (dirty when
+ * a store merged onto the miss), retire the MSHR entry and fire its
+ * waiters in merge order, then the cores stalled on a structural hazard. */
+static int hier_fill(Hier *h, Request *r, int64_t now)
+{
+    PyObject *box[2] = {NULL, NULL}, *key = NULL;
+    int64_t line = r->addr, i;
+    WaitList fired;
     Victim v;
-    Request *r;
     CoreSide *k;
     int dirty, rc = -1;
     Py_ssize_t j;
 
-    if (nargs_are(nargs, 2) < 0 || (r = as_request(args[0])) == NULL
-        || as_i64(args[1], &now) < 0 || hier_core(h, r->core_id, &k) < 0)
-        return NULL;
-    line = r->addr;
+    if (hier_core(h, r->core_id, &k) < 0)
+        return -1;
     if ((i = mshr_find(&k->mshr, line)) < 0) {
-        if ((key = PyLong_FromLongLong(line)) != NULL)
-            PyErr_SetObject(PyExc_KeyError, key);
+        if (boxed(&box[0], line) != NULL)
+            PyErr_SetObject(PyExc_KeyError, box[0]);
         goto done;
     }
     dirty = k->mshr.stores[i];
@@ -2970,47 +3372,48 @@ static PyObject *hier_on_fill(Hier *h, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_RuntimeError, "an MSHR entry vanished");
         goto done;
     }
-    if ((waiters = mshr_retire(&k->mshr, i)) == NULL)
+    mshr_retire(&k->mshr, i, &fired);
+    for (j = 0, rc = 0; j < fired.n && rc == 0; j++)
+        rc = fire_fill(&fired.v[j], line, now, box);
+    mshr_recycle(&k->mshr, &fired);
+    if (rc < 0)
         goto done;
-    if (!PyList_CheckExact(waiters)) {
-        PyErr_SetString(PyExc_TypeError, "MSHR waiters must be a list");
-        goto done;
-    }
-    if ((key = PyLong_FromLongLong(line)) == NULL
-        || (core = PyLong_FromLongLong(r->core_id)) == NULL)
-        goto done;
-    for (j = 0; j < PyList_GET_SIZE(waiters); j++) {
-        PyObject *w = PyList_GET_ITEM(waiters, j), *argv[2], *res;
-        Py_INCREF(w);
-        argv[1] = args[1];
-        if (PyTuple_CheckExact(w) && PyTuple_GET_SIZE(w) == 2) {
-            /* A (method, token) pair is the core kernel's closure-free
-             * load waiter: the method takes the ROB token, not the line. */
-            argv[0] = PyTuple_GET_ITEM(w, 1);
-            res = PyObject_Vectorcall(PyTuple_GET_ITEM(w, 0), argv, 2, NULL);
-        } else {
-            argv[0] = key;
-            res = PyObject_Vectorcall(w, argv, 2, NULL);
-        }
-        Py_DECREF(w);
-        if (call_drop(res) < 0)
+    rc = -1;
+    /* The collector tracks merges only onto sampled reads: the fill ends
+     * the read's registration.  Keep in sync with
+     * SpanCollector.end_inflight. */
+    if (r->span != NULL && r->span != Py_None && h->spans.obj != NULL) {
+        if ((key = Py_BuildValue("(LL)", (long long)r->core_id,
+                                 (long long)line)) == NULL)
             goto done;
+        if (PyDict_DelItem(h->spans.inflight, key) < 0) {
+            if (!PyErr_ExceptionMatches(PyExc_KeyError))
+                goto done;
+            PyErr_Clear();
+        }
     }
-    /* The collector tracks merges only onto sampled reads. */
-    if (r->span != NULL && r->span != Py_None && h->spans.obj != NULL
-        && call_drop(PyObject_CallMethodObjArgs(h->spans.obj, s_end_inflight,
-                                                core, key, NULL)) < 0)
-        goto done;
-    rc = fan_out(&h->unblock_waiters, now);
+    rc = fan_out(&h->unblock, now);
 done:
+    Py_XDECREF(box[0]);
+    Py_XDECREF(box[1]);
     Py_XDECREF(key);
-    Py_XDECREF(core);
-    Py_XDECREF(waiters);
-    return done_or_null(rc);
+    return rc;
+}
+
+/* _on_fill(req, now): read data returned from DRAM (every read's
+ * on_complete; delivery runs hier_fill directly). */
+static PyObject *hier_on_fill(Hier *h, PyObject *const *args, Py_ssize_t nargs)
+{
+    Request *r;
+    int64_t now;
+    if (nargs_are(nargs, 2) < 0 || (r = as_request(args[0])) == NULL
+        || as_i64(args[1], &now) < 0)
+        return NULL;
+    return done_or_null(hier_fill(h, r, now));
 }
 
 /* _fill_l1(core_id, line, dirty, now): install line in core_id's L1 (the
- * core kernel's L2 hit path). */
+ * core kernel's L2 hit path, which runs l1_install directly). */
 static PyObject *hier_fill_l1(Hier *h, PyObject *const *args, Py_ssize_t nargs)
 {
     int64_t core_id, line, now;
@@ -3023,18 +3426,25 @@ static PyObject *hier_fill_l1(Hier *h, PyObject *const *args, Py_ssize_t nargs)
     return done_or_null(l1_install(h, k, core_id, line, dirty, now));
 }
 
-/* _on_space_freed(now): a controller buffer slot freed; wake every core
- * stalled on a structural hazard (the hottest wake fan-out after fills). */
+/* A controller buffer slot freed; wake every core stalled on a structural
+ * hazard (the hottest wake fan-out after fills). */
+static int hier_space_at(Hier *h, int64_t now)
+{
+    h->space_watch_armed = 0;
+    return fan_out(&h->unblock, now);
+}
+
+/* _on_space_freed(now) */
 static PyObject *hier_on_space_freed(Hier *h, PyObject *arg)
 {
     int64_t now;
     if (as_i64(arg, &now) < 0)
         return NULL;
-    h->space_watch_armed = 0;
-    return done_or_null(fan_out(&h->unblock_waiters, now));
+    return done_or_null(hier_space_at(h, now));
 }
 
-/* One MSHR file's table and counters. */
+/* One MSHR file's table and counters, and an empty waiter list per
+ * entry. */
 static int mshr_bind(Mshr *m, Pins *p, PyObject *file)
 {
     m->file = file;
@@ -3042,11 +3452,10 @@ static int mshr_bind(Mshr *m, Pins *p, PyObject *file)
     if (attr_i64(file, s_capacity, &m->cap) < 0
         || (m->lines = pin(p, file, s_lines, 8, m->cap)) == NULL
         || (m->stores = pin(p, file, s_stores, 1, m->cap)) == NULL
-        || (m->ctr = pin_counters(p, file, M_NFIELDS)) == NULL
-        || get_list(file, s_waiters, &m->waiters) < 0)
+        || (m->ctr = pin_counters(p, file, M_NFIELDS)) == NULL)
         return -1;
-    if (PyList_GET_SIZE(m->waiters) < m->cap) {
-        PyErr_SetString(PyExc_TypeError, "_waiters must have a slot per entry");
+    if ((m->waits = PyMem_Calloc(m->cap, sizeof(WaitList))) == NULL) {
+        PyErr_NoMemory();
         return -1;
     }
     return 0;
@@ -3087,8 +3496,7 @@ static PyObject *hier_bind(Hier *h, PyObject *args, PyObject *kwds)
     KEEP(h, on_space_freed, freed);
     KEEP(h, emit_writeback, wb);
     h->l2_mshr_cap = cap;
-    if ((h->unblock_waiters = PyList_New(0)) == NULL
-        || cache_bind(&h->l2, p, l2) < 0
+    if (cache_bind(&h->l2, p, l2) < 0
         || (h->l2.owner = pin(p, owner, NULL, 8,
                               (h->l2.mask + 1) * h->l2.assoc)) == NULL
         || (h->l2_misses = pin(p, misses, NULL, 8, n)) == NULL
@@ -3107,46 +3515,52 @@ static PyObject *hier_bind(Hier *h, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
+/* Drop every waiter the hierarchy holds: the stalled cores' and each
+ * MSHR entry's. */
+static void hier_drop_waiters(Hier *h)
+{
+    Py_ssize_t i;
+    int64_t j;
+    waits_drop(&h->unblock.live);
+    for (i = 0; h->cores != NULL && i < h->ncores; i++) {
+        Mshr *m = &h->cores[i].mshr;
+        for (j = 0; m->waits != NULL && j < m->cap; j++)
+            waits_drop(&m->waits[j]);
+    }
+}
+
 /* _unbind(): drop the callables and waiters that tie the hierarchy, its
  * controller and the cores into reference cycles.  The MSHR entries keep
- * their lines and flags; their waiter lists go. */
+ * their lines and flags; their waiters go. */
 static PyObject *hier_unbind(Hier *h, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *fresh = PyList_New(0);
-    Py_ssize_t i, j;
-    if (fresh == NULL)
-        return NULL;
-    Py_XSETREF(h->unblock_waiters, fresh);
+    hier_drop_waiters(h);
     Py_CLEAR(h->enqueue);
     Py_CLEAR(h->on_fill);
     Py_CLEAR(h->on_space_freed);
     Py_CLEAR(h->emit_writeback);
-    for (i = 0; h->cores != NULL && i < h->ncores; i++) {
-        PyObject *w = h->cores[i].mshr.waiters;
-        for (j = 0; w != NULL && j < PyList_GET_SIZE(w); j++) {
-            Py_INCREF(Py_None);
-            if (PyList_SetItem(w, j, Py_None) < 0)
-                return NULL;
-        }
-    }
     Py_RETURN_NONE;
 }
 
 #define HIER_FIELDS(X) \
-    X(unblock_waiters) X(spans.obj) X(controller) X(enqueue) X(on_fill) \
+    X(spans.obj) X(spans.inflight) X(controller) X(enqueue) X(on_fill) \
     X(on_space_freed) X(emit_writeback)
-#define SIDE_FIELDS(X) X(mshr.file) X(mshr.waiters)
 
 static int hier_traverse(Hier *h, visitproc visit, void *arg)
 {
     Py_ssize_t i;
+    int64_t j;
 #define VISIT(f) Py_VISIT(h->f);
     HIER_FIELDS(VISIT)
 #undef VISIT
+    if (waits_traverse(&h->unblock.live, visit, arg) < 0)
+        return -1;
     for (i = 0; h->cores != NULL && i < h->ncores; i++) {
-#define VISIT(f) Py_VISIT(h->cores[i].f);
-        SIDE_FIELDS(VISIT)
-#undef VISIT
+        Mshr *m = &h->cores[i].mshr;
+        Py_VISIT(m->file);
+        for (j = 0; m->waits != NULL && j < m->cap; j++)
+            if (waits_traverse(&m->waits[j], visit, arg) < 0)
+                return -1;
     }
     return 0;
 }
@@ -3157,18 +3571,26 @@ static int hier_clear(Hier *h)
 #define CLEAR(f) Py_CLEAR(h->f);
     HIER_FIELDS(CLEAR)
 #undef CLEAR
-    for (i = 0; h->cores != NULL && i < h->ncores; i++) {
-#define CLEAR(f) Py_CLEAR(h->cores[i].f);
-        SIDE_FIELDS(CLEAR)
-#undef CLEAR
-    }
+    hier_drop_waiters(h);
+    for (i = 0; h->cores != NULL && i < h->ncores; i++)
+        Py_CLEAR(h->cores[i].mshr.file);
     return 0;
 }
 
 static void hier_dealloc(Hier *h)
 {
+    Py_ssize_t i;
+    int64_t j;
     PyObject_GC_UnTrack(h);
     hier_clear(h);
+    fan_out_free(&h->unblock);
+    for (i = 0; h->cores != NULL && i < h->ncores; i++) {
+        Mshr *m = &h->cores[i].mshr;
+        for (j = 0; m->waits != NULL && j < m->cap; j++)
+            waits_free(&m->waits[j]);
+        waits_free(&m->spare);
+        PyMem_Free(m->waits);
+    }
     unpin(&h->pins);
     unpin(&h->spans.pins);
     PyMem_Free(h->cores);
@@ -3185,8 +3607,6 @@ static PyMemberDef hier_members[] = {
             "dirty lines written back to memory"),
     HMEMBER("_space_watch_armed", T_BOOL, space_watch_armed, 0,
             "whether a controller-space watch is armed (one at a time)"),
-    HMEMBER("_unblock_waiters", T_OBJECT, unblock_waiters, 0,
-            "one-shot callbacks of cores stalled on a structural hazard"),
     HMEMBER("controller", T_OBJECT, controller, READONLY, NULL),
     {NULL}
 };
@@ -3243,7 +3663,7 @@ static PyTypeObject HierType = {
  * CoreKernel
  * ====================================================================== */
 
-typedef struct {
+struct Core {
     PyObject_HEAD
     /* identity, budget and geometry (read-only from Python) */
     long long core_id, target_insts, warmup_insts, lookahead;
@@ -3282,7 +3702,7 @@ typedef struct {
     /* calls out of the kernel */
     PyObject *after_l2_miss, *fill_l1, *schedule, *columns;
     PyObject *wake_cb, *unblock_cb, *load_ready_cb, *store_cb;
-} Core;
+};
 
 static int core_closed(void)
 {
@@ -3496,29 +3916,65 @@ static int advance_commit(Core *c)
 
 /* -- fetch --------------------------------------------------------------- */
 
+static PyObject *core_on_load_ready(Core *c, PyObject *const *args,
+                                    Py_ssize_t nargs);
+static PyObject *core_store_data(Core *c, PyObject *const *args,
+                                 Py_ssize_t nargs);
+
+static PyObject *load_pair(Core *c, int64_t token)
+{
+    PyObject *t = PyLong_FromLongLong(token), *pair;
+    if (t == NULL)
+        return NULL;
+    pair = PyTuple_Pack(2, c->load_ready_cb, t);
+    Py_DECREF(t);
+    return pair;
+}
+
 /* A memory op that missed both caches continues in
- * CacheHierarchy._after_l2_miss; a load hands it (core._on_load_ready,
- * token) as its data waiter, where the token is the ROB slot the load
- * will occupy, a store core._store_data_cb.  Stores the hierarchy's
- * result code in *result; 0 or -1. */
+ * CacheHierarchy._after_l2_miss with its data waiter: a load's is
+ * core._on_load_ready with the ROB slot the load will occupy as its
+ * token, a store's core._store_data_cb.  The hierarchy's own method runs
+ * hier_miss directly, with this core's own callbacks as kernel waiters;
+ * otherwise the method is called through Python, a load's waiter the
+ * pair (core._on_load_ready, token).  Stores the hierarchy's result code
+ * in *result; 0 or -1. */
 static int l2_miss(Core *c, int64_t line, int64_t cycle, long *result)
 {
-    PyObject *args[5], *waiter, *r;
+    PyObject *args[5], *waiter = NULL, *r, *k;
+    int64_t token = c->rob_tail & c->rob_mask;
+    int rc;
     if (c->after_l2_miss == NULL || c->store_cb == NULL || c->load_ready_cb == NULL)
         return core_closed();
+    c->cols_stale = 1;
+    if ((k = own(c->after_l2_miss, ENTRY(hier_after_l2_miss))) != NULL) {
+        Waiter w = {NULL, token, W_LOAD};
+        if (c->cur_write) {
+            w.kind = W_STORE;
+            if ((w.obj = own(c->store_cb, ENTRY(core_store_data))) == NULL) {
+                w.obj = c->store_cb;
+                w.kind = W_CALL;
+            }
+        } else if ((w.obj = own(c->load_ready_cb,
+                                ENTRY(core_on_load_ready))) == NULL) {
+            /* an overridden _on_load_ready: the Python pair */
+            if ((w.obj = waiter = load_pair(c, token)) == NULL)
+                return -1;
+            w.kind = W_CALL;
+        }
+        Py_INCREF(k);
+        rc = hier_miss((Hier *)k, c->core_id, line, c->cur_write, cycle, &w,
+                       result);
+        Py_DECREF(k);
+        Py_XDECREF(waiter);
+        return rc;
+    }
     if (c->cur_write) {
         waiter = c->store_cb;
         Py_INCREF(waiter);
-    } else {
-        PyObject *token = PyLong_FromLongLong(c->rob_tail & c->rob_mask);
-        if (token == NULL)
-            return -1;
-        waiter = PyTuple_Pack(2, c->load_ready_cb, token);
-        Py_DECREF(token);
-        if (waiter == NULL)
-            return -1;
+    } else if ((waiter = load_pair(c, token)) == NULL) {
+        return -1;
     }
-    c->cols_stale = 1;
     args[0] = c->py_core_id;
     args[1] = PyLong_FromLongLong(line);
     args[2] = c->cur_write ? Py_True : Py_False;
@@ -3536,14 +3992,24 @@ static int l2_miss(Core *c, int64_t line, int64_t cycle, long *result)
     return *result == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* hierarchy._fill_l1(core_id, line, is_write, cycle) */
+/* hierarchy._fill_l1(core_id, line, is_write, cycle); the hierarchy's own
+ * method runs l1_install directly. */
 static int fill_l1(Core *c, int64_t line, int64_t cycle)
 {
-    PyObject *args[4];
+    PyObject *args[4], *k;
+    CoreSide *side;
     int rc;
     if (c->fill_l1 == NULL)
         return core_closed();
     c->cols_stale = 1;
+    if ((k = own(c->fill_l1, ENTRY(hier_fill_l1))) != NULL) {
+        Py_INCREF(k);
+        rc = hier_core((Hier *)k, c->core_id, &side) < 0 ? -1
+            : l1_install((Hier *)k, side, c->core_id, line, c->cur_write,
+                         cycle);
+        Py_DECREF(k);
+        return rc;
+    }
     args[0] = c->py_core_id;
     args[1] = PyLong_FromLongLong(line);
     args[2] = c->cur_write ? Py_True : Py_False;
@@ -3737,12 +4203,16 @@ done:
 
 /* -- the simulation loop ------------------------------------------------- */
 
+/* engine.schedule(cycle, core._wake); the engine's own method queues the
+ * event directly. */
 static int schedule_wake(Core *c, int64_t cycle)
 {
-    PyObject *args[2];
+    PyObject *args[2], *e;
     int rc;
     if (c->schedule == NULL || c->wake_cb == NULL)
         return core_closed();
+    if ((e = own(c->schedule, ENTRY(engine_schedule))) != NULL)
+        return engine_add((Engine *)e, cycle, c->wake_cb, NULL);
     if ((args[0] = PyLong_FromLongLong(cycle)) == NULL)
         return -1;
     args[1] = c->wake_cb;
@@ -3828,77 +4298,101 @@ static int parse_now(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want,
     return as_i64(args[want - 1], now);
 }
 
-/* _wake(now): a timer or the first activation. */
+/* A timer or the first activation. */
+static int core_wake_at(Core *c, int64_t now)
+{
+    return c->stopped ? 0 : run(c, now);
+}
+
+/* _wake(now) */
 static PyObject *core_wake(Core *c, PyObject *const *args, Py_ssize_t nargs)
 {
     int64_t now;
     if (parse_now(args, nargs, 1, &now) < 0)
         return NULL;
-    return done_or_null(c->stopped ? 0 : run(c, now));
+    return done_or_null(core_wake_at(c, now));
 }
 
-/* _on_unblock(now): a structural resource freed.  Resource-freed wakes fan
- * out to every blocked core, so most retries find the freed slot already
- * taken.  Those charge what the failed attempt would have charged (demand
+/* A structural resource freed.  Resource-freed wakes fan out to every
+ * blocked core, so most retries find the freed slot already taken.
+ * Those charge what the failed attempt would have charged (demand
  * access, L1 and L2 miss, structural stall) and wait again, without the
  * run loop: commit is already maximal at every event boundary and
  * fetch_was_full is never set while blocked, so the skipped passes would
  * be no-ops.  A retry leaves the span collector alone: it keeps only the
  * first stall per (core, line), and only this core's next read request,
  * which a blocked core cannot issue, clears that stamp. */
-static PyObject *core_on_unblock(Core *c, PyObject *const *args,
-                                 Py_ssize_t nargs)
+static int core_unblock_at(Core *c, int64_t now)
 {
-    int64_t now;
     int again;
-    if (parse_now(args, nargs, 1, &now) < 0)
-        return NULL;
     if (c->stopped || !c->blocked)
-        Py_RETURN_NONE; /* stale wake: another resource freed us already */
+        return 0; /* stale wake: another resource freed us already */
     if (c->side == NULL)
-        return done_or_null(core_closed());
+        return core_closed();
     /* The front end lost the stalled cycles; resume from the wake point. */
     if (c->fetch_q < now * c->q)
         c->fetch_q = now * c->q;
     if (!c->trace_done) {
         if ((again = blocks_again(c)) < 0)
-            return NULL;
+            return -1;
         if (again) {
             *c->demand += 1;
             c->side->l1.stats[C_MISSES]++;
             c->l2->stats[C_MISSES]++;
             c->ks[K_STALLS]++;
-            return done_or_null(wait_unblock(c)); /* still blocked */
+            return wait_unblock(c); /* still blocked */
         }
     }
     c->blocked = 0;
-    return done_or_null(run(c, now));
+    return run(c, now);
 }
 
-/* _on_load_ready(token, now): a missing load's data arrived. */
+/* _on_unblock(now) */
+static PyObject *core_on_unblock(Core *c, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    int64_t now;
+    if (parse_now(args, nargs, 1, &now) < 0)
+        return NULL;
+    return done_or_null(core_unblock_at(c, now));
+}
+
+/* A missing load's data arrived; token is its ROB slot. */
+static int core_load_ready_at(Core *c, int64_t token, int64_t now)
+{
+    if (token < 0 || token > c->rob_mask || c->rob_ready == NULL) {
+        PyErr_SetString(PyExc_ValueError, "not a ROB token of this core");
+        return -1;
+    }
+    c->rob_ready[token] = now;
+    return c->stopped ? 0 : run(c, now);
+}
+
+/* _on_load_ready(token, now) */
 static PyObject *core_on_load_ready(Core *c, PyObject *const *args,
                                     Py_ssize_t nargs)
 {
     int64_t now, token;
     if (parse_now(args, nargs, 2, &now) < 0 || as_i64(args[0], &token) < 0)
         return NULL;
-    if (token < 0 || token > c->rob_mask || c->rob_ready == NULL) {
-        PyErr_SetString(PyExc_ValueError, "not a ROB token of this core");
-        return NULL;
-    }
-    c->rob_ready[token] = now;
-    return done_or_null(c->stopped ? 0 : run(c, now));
+    return done_or_null(core_load_ready_at(c, token, now));
 }
 
-/* _store_data_cb(line, now): a store miss's data arrived.  Nothing waits
- * on it, but the MSHR slot it frees may unblock the front end. */
+/* A store miss's data arrived.  Nothing waits on it, but the MSHR slot
+ * it frees may unblock the front end. */
+static int core_store_at(Core *c, int64_t now)
+{
+    return c->stopped || c->blocked ? 0 : run(c, now);
+}
+
+/* _store_data_cb(line, now) */
 static PyObject *core_store_data(Core *c, PyObject *const *args,
                                  Py_ssize_t nargs)
 {
     int64_t now;
     if (parse_now(args, nargs, 2, &now) < 0)
         return NULL;
-    return done_or_null(c->stopped || c->blocked ? 0 : run(c, now));
+    return done_or_null(core_store_at(c, now));
 }
 
 /* -- binding --------------------------------------------------------------- */
@@ -4005,8 +4499,8 @@ static PyObject *core_unbind(Core *c, PyObject *Py_UNUSED(ignored))
 /* -- type ------------------------------------------------------------------ */
 
 #define OBJECT_FIELDS(X) \
-    X(stats) X(spans.obj) X(on_warmup) X(on_finish) X(replay_ops) \
-    X(hierarchy) X(py_core_id) X(columns) X(after_l2_miss) X(fill_l1) \
+    X(stats) X(spans.obj) X(spans.inflight) X(on_warmup) X(on_finish) \
+    X(replay_ops) X(hierarchy) X(py_core_id) X(columns) X(after_l2_miss) X(fill_l1) \
     X(schedule) X(wake_cb) X(unblock_cb) X(load_ready_cb) X(store_cb)
 
 static int core_traverse(Core *c, visitproc visit, void *arg)
@@ -4139,6 +4633,147 @@ static PyTypeObject CoreKernelType = {
 };
 
 /* ======================================================================
+ * Telemetry epochs
+ * ====================================================================== */
+
+/* type(*v), the n values new references (stolen) */
+static PyObject *record(PyObject *type, PyObject **v, int n)
+{
+    PyObject *r = NULL;
+    int i;
+    for (i = 0; i < n && v[i] != NULL; i++)
+        ;
+    if (i == n)
+        r = PyObject_Vectorcall(type, v, n, NULL);
+    for (i = 0; i < n; i++)
+        Py_XDECREF(v[i]);
+    return r;
+}
+
+/* epoch(controller, cores, engine, prev, now, span, secs, sample_type,
+ * channel_type, core_type) -> Sample: one telemetry epoch of span cycles
+ * (secs seconds) ending at now, of the controller's channels and queues,
+ * the cores and the engine (repro.telemetry.sampler.Sampler).  Its
+ * records hold the deltas of the cumulative counters against prev, an
+ * int64 array the call updates: per channel its transactions, row hits,
+ * data cycles and writes, per core its committed instructions and stall
+ * slots, then the engine's events and clamped events. */
+static PyObject *mod_epoch(PyObject *Py_UNUSED(m), PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    Ctrl *c;
+    Engine *e;
+    PyObject *cores, *out[2] = {NULL, NULL}, *v[9];
+    Py_buffer pv;
+    int64_t now, span, *prev;
+    double secs;
+    Py_ssize_t i, nb, n;
+    if (nargs_are(nargs, 10) < 0)
+        return NULL;
+    cores = args[1];
+    if (!PyObject_TypeCheck(args[0], &CtrlType) || !PyList_CheckExact(cores)
+        || !PyObject_TypeCheck(args[2], &EngineType)) {
+        PyErr_SetString(PyExc_TypeError, "epoch() takes a controller, a list "
+                        "of cores and an engine");
+        return NULL;
+    }
+    c = (Ctrl *)args[0];
+    e = (Engine *)args[2];
+    if (ctrl_bound(c) < 0 || as_i64(args[4], &now) < 0
+        || as_i64(args[5], &span) < 0
+        || ((secs = PyFloat_AsDouble(args[6])) == -1.0 && PyErr_Occurred()))
+        return NULL;
+    n = PyList_GET_SIZE(cores);
+    if (span <= 0 || n > c->ncores) {
+        PyErr_SetString(PyExc_ValueError, "bad epoch");
+        return NULL;
+    }
+    if (PyObject_GetBuffer(args[3], &pv, PyBUF_WRITABLE) < 0)
+        return NULL;
+    if (pv.itemsize != 8 || pv.len < (4 * c->nch + 2 * n + 2) * 8) {
+        PyErr_SetString(PyExc_TypeError, "prev must be an int64 array of "
+                        "4 per channel, 2 per core and 2");
+        goto done;
+    }
+    prev = pv.buf;
+    if ((out[0] = PyTuple_New(c->nch)) == NULL
+        || (out[1] = PyTuple_New(n)) == NULL)
+        goto done;
+    for (i = 0; i < c->nch; i++, prev += 4) {
+        ChanView *cv = &c->chans[i];
+        int64_t tx = cv->c[CH_TRANSACTIONS], wr = cv->c[CH_WRITES];
+        int64_t data = cv->c[CH_DATA_CYCLES], hits = 0, d_tx, d_wr, bytes;
+        double util;
+        for (nb = 0; nb < cv->nbanks; nb++)
+            hits += cv->hits[nb];
+        d_tx = tx - prev[0];
+        d_wr = wr - prev[3];
+        util = (double)(data - prev[2]) / (double)span;
+        bytes = d_tx * c->line_bytes;
+        v[0] = PyLong_FromSsize_t(i);
+        v[1] = PyLong_FromLongLong(bytes);
+        v[2] = PyFloat_FromDouble((double)bytes / secs / 1e9);
+        v[3] = PyFloat_FromDouble(util < 1.0 ? util : 1.0);
+        v[4] = PyFloat_FromDouble(
+            d_tx ? (double)(hits - prev[1]) / (double)d_tx : 0.0);
+        v[5] = PyLong_FromLongLong(d_tx - d_wr);
+        v[6] = PyLong_FromLongLong(d_wr);
+        prev[0] = tx;
+        prev[1] = hits;
+        prev[2] = data;
+        prev[3] = wr;
+        if ((v[0] = record(args[8], v, 7)) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(out[0], i, v[0]);
+    }
+    for (i = 0; i < n; i++, prev += 2) {
+        Core *k = (Core *)PyList_GET_ITEM(cores, i);
+        int64_t d_committed;
+        double stall;
+        if (!PyObject_TypeCheck((PyObject *)k, &CoreKernelType)
+            || k->side == NULL) {
+            PyErr_SetString(PyExc_TypeError, "a core is a bound TraceCore");
+            goto done;
+        }
+        d_committed = k->committed - prev[0];
+        stall = (double)(k->stall_q - prev[1]) / (double)(k->q * span);
+        prev[0] = k->committed;
+        prev[1] = k->stall_q;
+        v[0] = PyLong_FromSsize_t(i);
+        v[1] = PyLong_FromLongLong(d_committed);
+        v[2] = PyFloat_FromDouble((double)d_committed / (double)span);
+        v[3] = PyLong_FromLongLong(c->pending_reads[i]);
+        v[4] = PyLong_FromLongLong(k->side->mshr.ctr[M_OCCUPANCY]);
+        v[5] = PyLong_FromLongLong(k->fetched - k->committed);
+        v[6] = PyFloat_FromDouble(stall < 1.0 ? stall : 1.0);
+        if ((v[0] = record(args[9], v, 7)) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(out[1], i, v[0]);
+    }
+    /* Sample(cycle, span, channels, cores, read_queue, write_queue,
+     * drain_mode, events, clamped_events) */
+    v[0] = PyLong_FromLongLong(now);
+    v[1] = PyLong_FromLongLong(span);
+    v[2] = out[0];
+    v[3] = out[1];
+    out[0] = out[1] = NULL;
+    v[4] = PyLong_FromSsize_t(PyList_GET_SIZE(c->reads));
+    v[5] = PyLong_FromSsize_t(PyList_GET_SIZE(c->writes));
+    v[6] = PyBool_FromLong(c->drain_mode);
+    v[7] = PyLong_FromLongLong(e->events_processed - prev[0]);
+    v[8] = PyLong_FromLongLong(e->clamped_events - prev[1]);
+    prev[0] = e->events_processed;
+    prev[1] = e->clamped_events;
+    PyBuffer_Release(&pv);
+    return record(args[7], v, 9);
+done:
+    PyBuffer_Release(&pv);
+    Py_XDECREF(out[0]);
+    Py_XDECREF(out[1]);
+    return NULL;
+}
+
+/* ======================================================================
  * module
  * ====================================================================== */
 
@@ -4171,28 +4806,31 @@ PyMODINIT_FUNC PyInit__core(void)
     INTERN(s_tags, "_tags") INTERN(s_dirty, "_dirty") INTERN(s_count, "_count")
     INTERN(s_off_bits, "_off_bits") INTERN(s_set_mask, "_set_mask")
     INTERN(s_assoc, "_assoc") INTERN(s_lines, "_lines")
-    INTERN(s_stores, "_stores") INTERN(s_waiters, "_waiters")
+    INTERN(s_stores, "_stores")
     INTERN(s_capacity, "capacity")
     INTERN(s_line_mask, "_line_mask")
     INTERN(s_l1_hit_latency, "_l1_hit_latency")
     INTERN(s_l2_hit_latency, "_l2_hit_latency")
-    INTERN(s_on_merge, "on_merge") INTERN(s_start_request, "start_request")
-    INTERN(s_end_inflight, "end_inflight")
+    INTERN(s_on_merge, "on_merge")
+    INTERN(s_inflight, "_inflight") INTERN(s_completed, "completed")
+    INTERN(s_max_spans, "max_spans") INTERN(s_dropped, "dropped")
+    INTERN(s_first_attempt, "first_attempt")
     INTERN(s_sample_every, "sample_every") INTERN(s_read, "read")
     INTERN(s_channel, "channel") INTERN(s_bank, "bank") INTERN(s_row, "row")
     INTERN(s_observers, "observers") INTERN(s_now, "now")
     INTERN(s_hits_prefiltered, "hits_prefiltered")
     INTERN(s_select_read, "select_read") INTERN(s_select_write, "select_write")
     INTERN(s_update_drain_mode, "_update_drain_mode")
-    INTERN(s_index, "index") INTERN(s_arrival, "arrival")
+    INTERN(s_arrival, "arrival")
     INTERN(s_pick, "pick") INTERN(s_track, "track")
     INTERN(s_controller_track, "controller")
     INTERN(s_bank_start, "bank_start") INTERN(s_cas, "cas")
     INTERN(s_data_start, "data_start") INTERN(s_data_end, "data_end")
     INTERN(s_done, "done") INTERN(s_row_hit, "row_hit")
-    INTERN(s_conflict, "conflict") INTERN(s_finish, "finish")
+    INTERN(s_conflict, "conflict")
     INTERN(s_channels, "channels") INTERN(s_mapper, "mapper")
-    INTERN(s_decode_cache, "_decode_cache") INTERN(s_timing, "timing")
+    INTERN(s_ch_bits, "_ch_bits") INTERN(s_bank_bits, "_bank_bits")
+    INTERN(s_col_bits, "_col_bits") INTERN(s_timing, "timing")
     INTERN(s_t_rp, "t_rp") INTERN(s_t_rcd, "t_rcd") INTERN(s_t_cl, "t_cl")
     INTERN(s_t_burst, "t_burst") INTERN(s_t_wr, "t_wr")
     INTERN(s_t_rrd, "t_rrd") INTERN(s_t_faw, "t_faw")

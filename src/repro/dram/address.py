@@ -12,6 +12,13 @@ lines; the 'column' coordinate here is the line index within the row.
 
 The mapping is a bijection between line-aligned addresses and
 ``(channel, bank, row, col)`` tuples, which the property tests verify.
+
+The decode arithmetic is the model kernel's (``cpu/_core.c``): the memory
+controller reads the mapper's bit layout once, when it is built, and
+decodes every request it accepts in C, building the request's
+:class:`DramCoord` only when something reads ``req.coord``;
+:meth:`AddressMapper.decode` runs the same function, loading the kernel
+at its first call (importing this module loads none).
 """
 
 from __future__ import annotations
@@ -21,20 +28,6 @@ from dataclasses import dataclass
 from repro.config import DramTopologyConfig
 
 __all__ = ["DramCoord", "AddressMapper"]
-
-#: decode memos shared across mapper instances, keyed by bit layout.
-#: Sweeps build one system per (mix, policy) cell with an identical
-#: geometry; sharing the line -> coordinate table means only the first
-#: run of a sweep pays for decoding.  Safe because decode is a pure
-#: function of the layout and DramCoord is immutable.
-_SHARED_DECODE: dict[tuple, dict[int, "DramCoord"]] = {}
-
-#: most coordinates one layout's memo keeps: a decode that would go past it
-#: empties the memo in place first (controllers hold the dict itself), so a
-#: long sweep or worker does not keep every line it ever decoded.  Above
-#: the distinct lines of one ``repro run`` (53 202 for 4MEM-1 at its
-#: defaults), so a run of that size decodes each line once.
-_DECODE_CAP = 1 << 16
 
 
 @dataclass(frozen=True, order=True)
@@ -73,7 +66,6 @@ class AddressMapper:
         "channels",
         "banks_per_channel",
         "lines_per_row",
-        "_decode_cache",
     )
 
     def __init__(self, topology: DramTopologyConfig, line_bytes: int = 64) -> None:
@@ -88,38 +80,17 @@ class AddressMapper:
         self._ch_bits = _log2(self.channels)
         self._bank_bits = _log2(self.banks_per_channel)
         self._col_bits = _log2(self.lines_per_row)
-        # Memoised line -> coordinate table.  The bit layout is fixed at
-        # construction, workloads re-reference the same lines heavily
-        # (hot sets, streams, writebacks of resident lines), and
-        # DramCoord is a frozen dataclass whose __init__ dominates the
-        # decode cost — so decoding each distinct line once and sharing
-        # the immutable coordinate is a large hot-path win.  The table is
-        # shared process-wide between mappers with the same layout (see
-        # _SHARED_DECODE), so repeated runs of a sweep start warm.
-        layout = (line_bytes, self.channels, self.banks_per_channel, self.lines_per_row)
-        self._decode_cache = _SHARED_DECODE.setdefault(layout, {})
 
     def decode(self, addr: int) -> DramCoord:
-        """Map a byte address to its DRAM coordinate.
+        """Map a byte address (an int64) to its DRAM coordinate.
 
-        Sub-line bits are ignored (the memory system moves whole lines).
+        Sub-line bits are ignored (the memory system moves whole lines);
+        a negative address raises ``ValueError``.
         """
-        if addr < 0:
-            raise ValueError(f"negative address {addr:#x}")
-        line = addr >> self._off_bits
-        coord = self._decode_cache.get(line)
-        if coord is None:
-            channel = line & (self.channels - 1)
-            rest = line >> self._ch_bits
-            bank = rest & (self.banks_per_channel - 1)
-            rest >>= self._bank_bits
-            col = rest & (self.lines_per_row - 1)
-            row = rest >> self._col_bits
-            coord = DramCoord(channel=channel, bank=bank, row=row, col=col)
-            if len(self._decode_cache) >= _DECODE_CAP:
-                self._decode_cache.clear()
-            self._decode_cache[line] = coord
-        return coord
+        from repro.cpu.kernel import kernel
+
+        return DramCoord(*kernel.decode(addr, self._off_bits, self._ch_bits,
+                                        self._bank_bits, self._col_bits))
 
     def encode(self, coord: DramCoord) -> int:
         """Inverse of :meth:`decode` (line-aligned address)."""

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.util.units import gbps
+from repro.util.counters import int64s
+from repro.util.units import seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.hub import Telemetry
@@ -109,40 +110,30 @@ class Sampler:
         self.ticks = 0
         self._last_cycle = 0
         self._finalized = False
-        self._line_bytes = system.config.line_bytes
-        self._issue_width = system.config.core.issue_width
-        # What a sample reads, bound once: each channel's counter array and
-        # per-bank hit vector, and each core with its MSHR file's counter
-        # array (typed storage the kernel updates in place, see
-        # repro.util.counters), with the slots read in those arrays; and
-        # the previous cumulative values, for the deltas (per channel
-        # transactions, row hits, data cycles and writes; per core
-        # committed instructions and stall slots).
-        channels = system.dram.channels
-        mshrs = system.hierarchy.mshrs
-        self._channels = [(i, ch._c, ch.hits, [0, 0, 0, 0])
-                          for i, ch in enumerate(channels)]
-        self._cores = [(i, core, mshrs[i]._c, [0, 0])
-                       for i, core in enumerate(system.cores)]
-        self._ch_slots = tuple(
-            channels[0].FIELDS.index(f)
-            for f in ("transactions", "writes", "data_cycles")
-        )
-        self._mshr_slot = mshrs[0].FIELDS.index("occupancy")
-        self._events = 0
-        self._clamped = 0
+        # The model kernel's epoch() reads what a sample holds where the
+        # kernel keeps it (each channel's counters and per-bank hits, each
+        # core's cursors and MSHR occupancy, the per-core pending reads,
+        # the queues, the engine's counters) and builds the epoch's
+        # Sample; _prev keeps the cumulative values of the last epoch, for
+        # the deltas.
+        from repro.cpu.kernel import kernel
+
+        self._epoch = kernel.epoch
+        self._prev = int64s(4 * len(system.dram.channels)
+                            + 2 * len(system.cores) + 2)
+        self._engine = system.engine
 
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
         """Arm the first tick (call once, before the system runs)."""
-        self.system.engine.schedule(self.every, self._tick)
+        self._engine.schedule(self.every, self._tick)
 
     def _tick(self, now: int) -> None:
         self.ticks += 1
         self._take(now)
         if not self.system.all_finished:
-            self.system.engine.schedule(now + self.every, self._tick)
+            self._engine.schedule(now + self.every, self._tick)
 
     def finalize(self, end_cycle: int | None = None) -> None:
         """Emit the trailing partial epoch after the run stops."""
@@ -156,52 +147,11 @@ class Sampler:
     # -- snapshotting -------------------------------------------------------------
 
     def _take(self, now: int) -> None:
-        system = self.system
         span = now - self._last_cycle
         if span <= 0:
             return
-        line_bytes = self._line_bytes
-
-        tx_slot, wr_slot, data_slot = self._ch_slots
-        channels = []
-        for i, c, bank_hits, prev in self._channels:
-            tx, hits, data, wr = (c[tx_slot], sum(bank_hits), c[data_slot],
-                                  c[wr_slot])
-            d_tx = tx - prev[0]
-            d_hits = hits - prev[1]
-            d_data = data - prev[2]
-            d_wr = wr - prev[3]
-            prev[:] = tx, hits, data, wr
-            nbytes = d_tx * line_bytes
-            channels.append(ChannelSample(
-                i, nbytes, gbps(nbytes, span), min(d_data / span, 1.0),
-                d_hits / d_tx if d_tx else 0.0, d_tx - d_wr, d_wr))
-
-        ctrl = system.controller
-        q = ctrl.queues
-        pending_reads = q.pending_reads
-        mshr_slot = self._mshr_slot
-        slots = self._issue_width * span
-        cores = []
-        for i, core, mshr, prev in self._cores:
-            committed, stall_q = core.committed, core.stall_q
-            d_committed = committed - prev[0]
-            d_stall = stall_q - prev[1]
-            prev[0] = committed
-            prev[1] = stall_q
-            cores.append(CoreSample(
-                i, d_committed, d_committed / span, pending_reads[i],
-                mshr[mshr_slot], core.fetched - committed,
-                min(d_stall / slots, 1.0)))
-
-        engine = system.engine
-        events, clamped = engine.events_processed, engine.clamped_events
-        d_events = events - self._events
-        d_clamped = clamped - self._clamped
-        self._events = events
-        self._clamped = clamped
-
         self._last_cycle = now
-        self.telemetry.samples.append(Sample(
-            now, span, tuple(channels), tuple(cores), len(q.reads),
-            len(q.writes), ctrl.drain_mode, d_events, d_clamped))
+        system = self.system
+        self.telemetry.samples.append(self._epoch(
+            system.controller, system.cores, self._engine, self._prev, now,
+            span, seconds(span), Sample, ChannelSample, CoreSample))

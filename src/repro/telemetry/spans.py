@@ -182,10 +182,10 @@ class SpanCollector(Counters):
         A demand read consumes any pending structural-stall stamp for its
         core either way, so a stale stamp can never leak onto a later
         request (writebacks are not core-issued and leave the stamp
-        alone).  For a read this call would not sample, the hierarchy
-        kernel (``offer_read`` in ``cpu/_core.c``) pops the stamp and
-        counts the offer in this collector's storage itself, without the
-        call: keep the two in sync.
+        alone).  The hierarchy kernel offers a read itself, without the
+        call (``offer_read`` in ``cpu/_core.c``: it pops the stamp, counts
+        the offer in this collector's storage and makes and registers the
+        span): keep the two in sync.
         """
         first = None
         if kind == "read":
@@ -223,15 +223,20 @@ class SpanCollector(Counters):
 
         The in-flight registration survives until :meth:`end_inflight` —
         misses may still merge onto the line between the transaction
-        commit and the fill delivery.
+        commit and the fill delivery.  The controller kernel
+        (``stamp_span`` in ``cpu/_core.c``) stamps a committed request's
+        span and appends it to :attr:`completed` itself, without the
+        call: keep the two in sync.
         """
         self.completed.append(span)
 
     def end_inflight(self, core_id: int, line: int) -> None:
         """The fill for (core, line) delivered; stop accepting merges.
 
-        Only a sampled read registers, so the fill path calls this only
-        for a request that carries a span."""
+        Only a sampled read registers.  The hierarchy kernel's fill path
+        (``hier_fill`` in ``cpu/_core.c``) drops the registration of a
+        request that carries a span itself, without the call: keep the
+        two in sync."""
         self._inflight.pop((core_id, line), None)
 
     # -- queries -------------------------------------------------------------------

@@ -16,7 +16,9 @@ line has exactly one owner, a core of the machine, and each core's L1
 lines are resident in the L2, checked at every :data:`BLOCK_STRIDE`-th
 commit (a scan of the 4 MB L2's 65 536 ways costs about a millisecond).  At the end of a run every MSHR allocation
 is a committed or queued read and every writeback a committed, queued or
-overflowed write.  The laws hold for any configuration, so they judge
+overflowed write.  Write drains keep their hysteresis: one begins only
+at the high watermark and ends only at the low one
+(:func:`drain_violations`).  The laws hold for any configuration, so they judge
 the model without the golden files: a counter the model forgets to
 charge, or charges twice, breaks one of them.
 """
@@ -34,6 +36,7 @@ from repro.config import SystemConfig
 from repro.core.registry import make_policy
 from repro.cpu.trace import MemOp
 from repro.sim.system import MultiCoreSystem
+from repro.telemetry.hub import Telemetry
 from repro.workloads import APPS, mixes_for, workload_by_name
 from repro.workloads.synthetic import make_trace
 from tests.machine import run_traces
@@ -45,14 +48,16 @@ PAPER_POLICIES = ("FCFS", "HF-RF", "RR", "LREQ", "ME", "ME-LREQ")
 
 
 def run_system(apps, policy: str, budget: int, warmup: int, seed: int,
-               me=None, config: SystemConfig | None = None) -> MultiCoreSystem:
+               me=None, config: SystemConfig | None = None,
+               telemetry: Telemetry | None = None) -> MultiCoreSystem:
     """Run a machine with :class:`MemoryLaws` on its ``dram.observers``."""
     cfg = config or SystemConfig().with_cores(len(apps))
     traces = [make_trace(app, seed, "eval", core_id=i)
               for i, app in enumerate(apps)]
     kwargs = {"me_values": me or [1.0] * len(apps)}
     system = MultiCoreSystem(cfg, make_policy(policy, **kwargs), traces,
-                             budget, warmup_insts=warmup, seed=seed)
+                             budget, warmup_insts=warmup, seed=seed,
+                             telemetry=telemetry)
     MemoryLaws(system)
     system.run()
     return system
@@ -231,6 +236,64 @@ def violations(system: MultiCoreSystem) -> list[str]:
     return broken
 
 
+def drain_violations(system: MultiCoreSystem) -> list[str]:
+    """The write-drain hysteresis law, judged from the ``write_drain``
+    events on the run's telemetry bus (each carries the queued
+    ``writes``): drains begin and end in turn, one begins only with at
+    least ``write_drain_high`` writes queued and ends only at or below
+    ``write_drain_low``, and ``drain_entries`` counts the begins."""
+    cfg = system.config.controller
+    events = system.telemetry.bus.named("write_drain")
+    broken: list[str] = []
+    law = _lawbook(broken)
+    for i, ev in enumerate(events):
+        law(ev.kind == ("begin", "end")[i % 2],
+            f"drain event {i} at cycle {ev.cycle} is a second {ev.kind}")
+        if ev.kind == "begin":
+            law(ev.args["writes"] >= cfg.write_drain_high,
+                f"a drain began at cycle {ev.cycle} with "
+                f"{ev.args['writes']} writes < {cfg.write_drain_high}")
+        else:
+            law(ev.args["writes"] <= cfg.write_drain_low,
+                f"a drain ended at cycle {ev.cycle} with "
+                f"{ev.args['writes']} writes > {cfg.write_drain_low}")
+    begins = sum(ev.kind == "begin" for ev in events)
+    law(system.controller.stats.drain_entries == begins,
+        f"drain_entries {system.controller.stats.drain_entries} != "
+        f"{begins} drains begun")
+    law(system.controller.drain_mode == (len(events) % 2 == 1),
+        "the drain mode is not the last drain event's")
+    return broken
+
+
+def _write_back_config(cores: int, **controller) -> SystemConfig:
+    """A machine whose 128 KB L2 evicts dirty lines within the budgets
+    here (``golden_writeback.json``'s), with ``controller`` fields set."""
+    cfg = SystemConfig().with_cores(cores)
+    l2 = replace(cfg.caches.l2, size_bytes=128 * 1024)
+    return replace(cfg, caches=replace(cfg.caches, l2=l2),
+                   controller=replace(cfg.controller, **controller))
+
+
+class TestWriteDrain:
+    """The hysteresis law on machines that drain: the write-back machine
+    at the Table 1 watermarks, and a small buffer whose low watermarks
+    make drains frequent."""
+
+    @pytest.mark.parametrize("controller", [
+        {},
+        {"buffer_entries": 16, "write_drain_high": 6, "write_drain_low": 2},
+    ], ids=["table1", "small-buffer"])
+    def test_drains_obey_the_hysteresis(self, controller):
+        apps = workload_by_name("4MEM-1").apps()
+        system = run_system(apps, "HF-RF", 6000, WARMUP, SEED,
+                            config=_write_back_config(4, **controller),
+                            telemetry=Telemetry(sample_every=10**9))
+        assert system.controller.stats.drain_entries > 0
+        assert drain_violations(system) == []
+        assert violations(system) == []
+
+
 class TestGoldenConfigurations:
     """The laws on the golden files' runs."""
 
@@ -262,10 +325,8 @@ class TestGoldenConfigurations:
 
     def test_write_back_machine(self):
         apps = workload_by_name("4MEM-1").apps()
-        cfg = SystemConfig().with_cores(len(apps))
-        l2 = replace(cfg.caches.l2, size_bytes=128 * 1024)
-        cfg = replace(cfg, caches=replace(cfg.caches, l2=l2))
-        system = run_system(apps, "HF-RF", 6000, WARMUP, SEED, config=cfg)
+        system = run_system(apps, "HF-RF", 6000, WARMUP, SEED,
+                            config=_write_back_config(len(apps)))
         assert system.hierarchy.writebacks > 100
         assert violations(system) == []
 

@@ -1,7 +1,7 @@
 """Tests for the cache-line-interleaved address mapping."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DramTopologyConfig
@@ -103,32 +103,95 @@ class TestErrors:
             AddressMapper(topo, line_bytes=64)
 
 
-class TestSharedDecodeMemo:
-    def test_memo_stays_under_its_cap_and_keeps_its_identity(self, monkeypatch):
-        from repro import make_policy
-        from repro.config import SystemConfig
-        from repro.controller.controller import MemoryController
-        from repro.dram import address
-        from repro.dram.dram_system import DramSystem
-        from repro.sim.engine import EventEngine
-        from repro.util.rng import RngStream
+@st.composite
+def layouts(draw):
+    """A DRAM layout and line size no built-in config uses: 1, 2 or 4
+    channels, 1 to 64 banks per channel, rows down to one line, lines of
+    32 to 128 bytes, so any field may have zero bits."""
+    line = draw(st.sampled_from((32, 64, 128)))
+    topo = DramTopologyConfig(
+        logic_channels=draw(st.sampled_from((1, 2, 4))),
+        phys_per_logic=draw(st.sampled_from((1, 2))),
+        dimms_per_phys=draw(st.sampled_from((1, 2))),
+        banks_per_dimm=draw(st.sampled_from((1, 2, 4, 8, 16))),
+        row_bytes=line << draw(st.integers(0, 7)),
+    )
+    return topo, line
 
-        monkeypatch.setattr(address, "_DECODE_CAP", 64)
-        monkeypatch.setattr(address, "_SHARED_DECODE", {})
-        cfg = SystemConfig(num_cores=1)
-        dram = DramSystem(cfg.dram_topology, cfg.dram_timing, cfg.line_bytes)
-        ctrl = MemoryController(cfg.controller, dram, make_policy("FCFS"), 1,
-                                EventEngine(), RngStream(0, "t"),
-                                line_bytes=cfg.line_bytes)
-        memo = dram.mapper._decode_cache
-        assert ctrl._decode_cache is memo
-        fresh = AddressMapper(cfg.dram_topology, line_bytes=cfg.line_bytes)
-        fresh._decode_cache = {}  # a private memo: decodes from scratch
-        for line in range(1000):
-            coord = dram.mapper.decode(line * 64 * 37)
-            assert len(memo) <= 64
-            assert coord == fresh.decode(line * 64 * 37)
-        assert ctrl._decode_cache is memo is dram.mapper._decode_cache
-        assert address._SHARED_DECODE[
-            (64, fresh.channels, fresh.banks_per_channel, fresh.lines_per_row)
-        ] is memo
+
+@st.composite
+def coords(draw, mapper):
+    return DramCoord(
+        channel=draw(st.integers(0, mapper.channels - 1)),
+        bank=draw(st.integers(0, mapper.banks_per_channel - 1)),
+        row=draw(st.integers(0, 2**30)),
+        col=draw(st.integers(0, mapper.lines_per_row - 1)),
+    )
+
+
+def _controller(topo, line):
+    """A controller over a DRAM system of ``topo`` with ``line``-byte lines."""
+    from repro import make_policy
+    from repro.config import SystemConfig
+    from repro.controller.controller import MemoryController
+    from repro.dram.dram_system import DramSystem
+    from repro.sim.engine import EventEngine
+    from repro.util.rng import RngStream
+
+    cfg = SystemConfig(num_cores=1)
+    dram = DramSystem(topo, cfg.dram_timing, line)
+    ctrl = MemoryController(cfg.controller, dram, make_policy("FCFS"), 1,
+                            EventEngine(), RngStream(0, "t"), line_bytes=line)
+    return dram, ctrl
+
+
+class TestKernelDecode:
+    """The one decode (the model kernel's), judged by its inverse, on any
+    layout, through the mapper and through the controller's enqueue."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), layouts())
+    def test_decode_inverts_encode_on_any_layout(self, data, layout):
+        from repro.controller.request import MemoryRequest
+
+        topo, line = layout
+        dram, ctrl = _controller(topo, line)
+        coord = data.draw(coords(dram.mapper))
+        addr = dram.mapper.encode(coord)
+        assert dram.mapper.decode(addr) == coord
+        assert dram.mapper.decode(addr + data.draw(st.integers(0, line - 1))) \
+            == coord
+        req = MemoryRequest(addr, 0, data.draw(st.booleans()), 0)
+        assert req.coord is None and (req.bank, req.row) == (-1, -1)
+        assert ctrl.enqueue(req, 0)
+        assert (req.bank, req.row) == (coord.bank, coord.row)
+        assert req.coord == coord == dram.coord(req.addr)
+        assert req.coord is req.coord  # built once, then kept
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), layouts())
+    def test_assigning_coord_mirrors_bank_and_row(self, data, layout):
+        from repro.controller.request import MemoryRequest
+
+        topo, line = layout
+        mapper = AddressMapper(topo, line_bytes=line)
+        coord = data.draw(coords(mapper))
+        req = MemoryRequest(0, 0, False, 0)
+        req.coord = coord
+        assert req.coord is coord
+        assert (req.bank, req.row) == (coord.bank, coord.row)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(-2**63, -1), layouts())
+    def test_a_negative_address_raises_the_same_error(self, addr, layout):
+        from repro.controller.request import MemoryRequest
+
+        topo, line = layout
+        dram, ctrl = _controller(topo, line)
+        with pytest.raises(ValueError) as by_mapper:
+            dram.mapper.decode(addr)
+        with pytest.raises(ValueError) as by_enqueue:
+            ctrl.enqueue(MemoryRequest(addr, 0, False, 0), 0)
+        assert str(by_mapper.value) == str(by_enqueue.value) \
+            == f"negative address {addr:#x}"
+        assert ctrl.queues.occupancy == 0
