@@ -141,7 +141,7 @@ class CacheHierarchy(HierarchyKernel):
             addr=line, core_id=core_id, is_write=True, arrival_cycle=now
         )
         if self.spans is not None:
-            req.span = self.spans.start_request(core_id, line, "write", now)
+            req.span = self.spans.offer_write(core_id, line, now)
         if not self.controller.enqueue(req, now):
             self._wb_overflow.append(req)
             self._arm_wb_flush()

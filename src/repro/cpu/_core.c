@@ -1,8 +1,9 @@
-/* The simulator's model kernel: the core model, the memory side, the
- * event loop and the scheduling policies' selection rules.
+/* The simulator's model kernel: the synthetic traces' draw loop, the
+ * core model, the memory side, the event loop and the scheduling
+ * policies' selection rules.
  *
- * Five types, each the base of (or, for MemoryRequest, the whole of) a
- * Python class that validates and binds:
+ * Six types, each the base of (or, for MemoryRequest and TraceStream, the
+ * whole of) a Python class that validates and binds:
  *
  *   MemoryRequest     one line read or write between the L2 and DRAM
  *                     (repro.controller.request)
@@ -13,6 +14,10 @@
  *                     and delivery (repro.controller)
  *   HierarchyKernel   CacheHierarchy's miss path past the L2, fill path and
  *                     structural-stall wake-ups (repro.cache.hierarchy)
+ *   TraceStream       one application's reference stream: its draw loop,
+ *                     through numpy's own distribution functions, and the
+ *                     ops it holds, a recording or a window
+ *                     (repro.workloads.synthetic)
  *   CoreKernel        TraceCore's fetch with the L1/L2 hit paths, commit
  *                     and callbacks (repro.cpu.core_model)
  *
@@ -25,8 +30,9 @@
  * kernel takes a buffer export of each array and keeps it until dealloc
  * (an exported array refuses to resize, so the storage cannot move), so
  * Python reads the same names and gets the same ints, during a run and
- * after the machine closes.  A trace's columns are the exception: a core
- * re-reads their addresses after every call out (see cols_load).
+ * after the machine closes.  A trace's ops are the exception: a
+ * recording's columns move as its readers grow them, so a core reads
+ * them through the stream (see take_op).
  * The selection rules the built-in policies name (oldest, hit-first
  * oldest, the highest-priority core, round-robin) run here on the
  * candidate array; their inputs (priority rows, the rotation pointer)
@@ -62,6 +68,8 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
+
+#include "numpy/random/distributions.h"
 
 /* ready cycle of a load still waiting on memory; an empty decision slot */
 #define NEVER ((int64_t)1 << 62)
@@ -101,7 +109,8 @@ static PyObject *s_stats, *s_c, *s_tags, *s_dirty, *s_count, *s_off_bits,
     *s_bytes_written, *s_write_count, *s_ready, *s_open_row, *s_hits,
     *s_acts, *s_confs, *s_act_cycles, *s_num_banks, *s_stamps, *s_read_rule,
     *s_write_rule, *s_rank_kind, *s_rank_depth, *s_rank, *s_rotor,
-    *s_num_cores, *s_rng, *s_queues, *s_is_row_hit, *kw_timing;
+    *s_num_cores, *s_rng, *s_queues, *s_is_row_hit, *s_acquire, *s_release,
+    *kw_timing;
 static PyObject *PastEventError;
 /* repro.dram.address.DramCoord, imported at the first coordinate read */
 static PyObject *coord_cls;
@@ -2245,8 +2254,7 @@ done:
 }
 
 /* Observation only: copy the resolved stamps onto a sampled request's
- * span and append it to the collector's completed spans.  Keep in sync
- * with SpanCollector.finish. */
+ * span and append it to the collector's completed spans. */
 static int stamp_span(Ctrl *c, Request *r, Py_ssize_t channel, int64_t now,
                       int64_t bank_start, int64_t cas, int64_t data_start,
                       int64_t data_end, int hit, int conflict)
@@ -3076,12 +3084,12 @@ static int hier_wait_unblock(Hier *h, PyObject *callback)
     return ctrl_wait_for_space((Ctrl *)h->controller, h->on_space_freed);
 }
 
-/* A read offered to the span collector.  Keep in sync with the read
- * branch of SpanCollector.start_request: the core's stall stamp is
- * popped (its cycle is the span's first attempt when it stamps this
- * line), the offer counted, and every sample_every-th offer makes a
- * RequestSpan, registered in flight, unless max_spans spans have
- * completed (then it counts in dropped). */
+/* A read offered to the span collector (which offers writebacks itself,
+ * SpanCollector.offer_write): the core's stall stamp is popped (its
+ * cycle is the span's first attempt when it stamps this line), the offer
+ * counted, and every sample_every-th offer makes a RequestSpan,
+ * registered in flight, unless max_spans spans have completed (then it
+ * counts in dropped). */
 static int offer_read(Hier *h, int64_t core_id, int64_t line, int64_t now,
                       Request *r)
 {
@@ -3380,8 +3388,7 @@ static int hier_fill(Hier *h, Request *r, int64_t now)
         goto done;
     rc = -1;
     /* The collector tracks merges only onto sampled reads: the fill ends
-     * the read's registration.  Keep in sync with
-     * SpanCollector.end_inflight. */
+     * the read's registration. */
     if (r->span != NULL && r->span != Py_None && h->spans.obj != NULL) {
         if ((key = Py_BuildValue("(LL)", (long long)r->core_id,
                                  (long long)line)) == NULL)
@@ -3660,6 +3667,487 @@ static PyTypeObject HierType = {
 };
 
 /* ======================================================================
+ * TraceStream
+ * ====================================================================== */
+
+/* One column of a stream's ops, int64 or byte items, which Python reads
+ * through a memoryview.  A live view pins the items it covers (the first
+ * len at its export): growing the column past alloc while it is viewed,
+ * or overwriting it, hands the stream a fresh column, and the old one
+ * lives on with its views. */
+typedef struct {
+    PyObject_HEAD
+    char *buf;
+    Py_ssize_t len, alloc, exports, itemsize;
+} Column;
+
+static int column_getbuffer(Column *col, Py_buffer *view, int flags)
+{
+    if (PyBuffer_FillInfo(view, (PyObject *)col, col->buf,
+                          col->len * col->itemsize, 1, flags) < 0)
+        return -1;
+    col->exports++;
+    return 0;
+}
+
+static void column_releasebuffer(Column *col, Py_buffer *Py_UNUSED(view))
+{
+    col->exports--;
+}
+
+static void column_dealloc(Column *col)
+{
+    PyMem_Free(col->buf);
+    PyObject_Free(col);
+}
+
+static PyBufferProcs column_as_buffer = {
+    .bf_getbuffer = (getbufferproc)column_getbuffer,
+    .bf_releasebuffer = (releasebufferproc)column_releasebuffer,
+};
+
+static PyTypeObject ColumnType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cpu._core.Column",
+    .tp_basicsize = sizeof(Column),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "One column of a TraceStream's ops (read it as a memoryview).",
+    .tp_dealloc = (destructor)column_dealloc,
+    .tp_as_buffer = &column_as_buffer,
+};
+
+static Column *column_new(Py_ssize_t itemsize, Py_ssize_t alloc)
+{
+    Column *col = PyObject_New(Column, &ColumnType);
+    if (col == NULL)
+        return NULL;
+    col->len = col->exports = 0;
+    col->itemsize = itemsize;
+    col->alloc = alloc;
+    if ((col->buf = PyMem_Malloc(alloc * itemsize)) == NULL) {
+        Py_DECREF(col);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    return col;
+}
+
+/* A column as Python reads it: a memoryview of int64 or of bytes. */
+static PyObject *column_view(Column *col)
+{
+    PyObject *mv = PyMemoryView_FromObject((PyObject *)col), *typed;
+    if (mv == NULL || col->itemsize == 1)
+        return mv;
+    typed = PyObject_CallMethod(mv, "cast", "s", "q");
+    Py_DECREF(mv);
+    return typed;
+}
+
+/* The ops a reader holds, [base, end): their gaps, addresses and store
+ * flags from index 0. */
+typedef struct {
+    const int64_t *gaps, *addrs;
+    const unsigned char *writes;
+    int64_t base, end;
+} Feed;
+
+/* One application's reference stream: the draw loop's knobs and state,
+ * bound to its numpy bit generator, and the ops it holds.  A recording
+ * (limit > 0) holds every op from 0 and grows a chunk at a time up to
+ * limit ops; a window (limit 0) holds the last chunk it drew. */
+typedef struct {
+    PyObject_HEAD
+    Feed feed;
+    Column *col[3]; /* gaps, addresses, store flags */
+    int64_t limit, chunk;
+    /* the knobs (synthetic.py's module docstring) */
+    double gap_p;         /* geometric p of the gap before an op */
+    double burst_start_p; /* a roll below this starts a miss burst */
+    double burst_len_p;   /* geometric p of a burst's length */
+    double l2_frac;       /* share of rolls that hit the L2-resident set */
+    double seq_frac;      /* share of misses that step an array stream */
+    double store_frac;
+    int64_t base_addr, line_bytes;
+    int64_t hot_base, hot_lines, l2_base, l2_lines; /* in lines */
+    int64_t chase_base, chase_lines;
+    int64_t stream_base, stream_regions, stream_run, stride, n_streams;
+    /* the state */
+    int64_t stream_idx, burst_left;
+    int64_t *streams; /* n_streams pairs: next line, steps left */
+    PyObject *bitgen, *lock;
+    bitgen_t *bg;
+} Stream;
+
+/* Generator.integers(0, n); n == 1 draws nothing. */
+static int64_t below(bitgen_t *bg, int64_t n)
+{
+    uint64_t v;
+    random_bounded_uint64_fill(bg, 0, (uint64_t)(n - 1), 1, false, &v);
+    return (int64_t)v;
+}
+
+/* Point one array stream at a fresh region.  The sub-stride offset picks
+ * the (channel, bank) it lives in; without it every stream would start
+ * at line 0 of its region and alias onto channel 0 / bank 0. */
+static void reseat(Stream *s, int64_t *a)
+{
+    int64_t region = below(s->bg, s->stream_regions);
+    int64_t span = s->stride < s->stream_run ? s->stride : s->stream_run;
+    int64_t steps = s->stream_run / s->stride;
+    a[0] = s->stream_base + region * s->stream_run + below(s->bg, span);
+    a[1] = steps > 1 ? steps : 1;
+}
+
+/* A line expected to miss the L2: the next step of the round-robin
+ * array stream, or a random chase line. */
+static int64_t miss_line(Stream *s)
+{
+    if (random_standard_uniform(s->bg) < s->seq_frac) {
+        int64_t *a = s->streams + 2 * s->stream_idx;
+        int64_t line;
+        s->stream_idx = (s->stream_idx + 1) % s->n_streams;
+        if (a[1] <= 0)
+            reseat(s, a);
+        line = a[0];
+        a[0] += s->stride;
+        a[1] -= 1;
+        return line;
+    }
+    return s->chase_base + below(s->bg, s->chase_lines);
+}
+
+/* Draw ops first .. first + n - 1 of the stream.  Every draw goes through
+ * numpy's own distribution functions on the generator's bit generator,
+ * in the order and with the arguments Generator.geometric, .random and
+ * .integers would use, so the stream is bit-identical to drawing op by
+ * op in Python (tests/test_tracegen.py keeps that loop as the
+ * reference).  Built without -ffast-math and with -ffp-contract=off:
+ * burst_start_p + l2_frac must round as Python rounds it. */
+static void draw(Stream *s, int64_t first, int64_t n, int64_t *gap,
+                 int64_t *addr, unsigned char *is_write)
+{
+    bitgen_t *bg = s->bg;
+    int64_t i = 0, prologue = s->hot_lines + s->l2_lines;
+    /* The prologue loads every hot line, then every L2-set line, once,
+     * so the caches warm inside the warm-up window. */
+    for (; i < n && first + i < prologue; i++) {
+        int64_t k = first + i;
+        int64_t line = k < s->hot_lines ? s->hot_base + k
+                                        : s->l2_base + (k - s->hot_lines);
+        gap[i] = random_geometric(bg, s->gap_p) - 1;
+        addr[i] = s->base_addr + line * s->line_bytes;
+        is_write[i] = 0;
+    }
+    for (; i < n; i++) {
+        int64_t line;
+        if (s->burst_left > 0) {
+            /* Inside a miss burst: gaps of mean 1 keep the misses in one
+             * ROB window, so they overlap. */
+            s->burst_left -= 1;
+            gap[i] = random_geometric(bg, 0.5) - 1;
+            line = miss_line(s);
+        } else {
+            double roll;
+            gap[i] = random_geometric(bg, s->gap_p) - 1;
+            roll = random_standard_uniform(bg);
+            if (roll < s->burst_start_p) {
+                /* This op is the first miss of a new burst. */
+                s->burst_left = random_geometric(bg, s->burst_len_p) - 1;
+                line = miss_line(s);
+            } else if (roll < s->burst_start_p + s->l2_frac) {
+                line = s->l2_base + below(bg, s->l2_lines);
+            } else {
+                line = s->hot_base + below(bg, s->hot_lines);
+            }
+        }
+        addr[i] = s->base_addr + line * s->line_bytes;
+        is_write[i] = random_standard_uniform(bg) < s->store_frac;
+    }
+}
+
+/* Make each column hold need items with its first keep kept and the rest
+ * writable.  A recording grows as array('q') does, to at most limit. */
+static int stream_room(Stream *s, int64_t keep, int64_t need)
+{
+    int i;
+    for (i = 0; i < 3; i++) {
+        Column *col = s->col[i], *fresh;
+        Py_ssize_t alloc = need;
+        if (need <= col->alloc && (col->exports == 0 || keep >= col->len))
+            continue;
+        if (s->limit) {
+            alloc = need + (need >> 4) + 7;
+            if (alloc > s->limit)
+                alloc = s->limit;
+        }
+        if (col->exports == 0) {
+            char *buf = PyMem_Realloc(col->buf, alloc * col->itemsize);
+            if (buf == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            col->buf = buf;
+            col->alloc = alloc;
+            continue;
+        }
+        if ((fresh = column_new(col->itemsize, alloc)) == NULL)
+            return -1;
+        memcpy(fresh->buf, col->buf, keep * col->itemsize);
+        fresh->len = keep;
+        Py_SETREF(s->col[i], fresh);
+    }
+    s->feed.gaps = (const int64_t *)s->col[0]->buf;
+    s->feed.addrs = (const int64_t *)s->col[1]->buf;
+    s->feed.writes = (const unsigned char *)s->col[2]->buf;
+    return 0;
+}
+
+/* Draw the next n ops into the columns and publish them: a recording
+ * appends them, a window replaces its ops with them.  The caller holds
+ * the bit generator's lock. */
+static int stream_fill(Stream *s, int64_t n)
+{
+    int64_t at = s->limit ? s->feed.end : 0, i;
+    int64_t *gap, *addr;
+    if (stream_room(s, at, at + n) < 0)
+        return -1;
+    gap = (int64_t *)s->col[0]->buf + at;
+    addr = (int64_t *)s->col[1]->buf + at;
+    draw(s, s->feed.end, n, gap, addr, (unsigned char *)s->col[2]->buf + at);
+    for (i = 0; i < n; i++)
+        if ((gap[i] | addr[i]) < 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "the trace kernel drew a negative gap or address");
+            return -1;
+        }
+    for (i = 0; i < 3; i++)
+        s->col[i]->len = at + n;
+    if (!s->limit)
+        s->feed.base = s->feed.end;
+    s->feed.end += n;
+    return 0;
+}
+
+/* Take the bit generator's lock, as numpy's own methods do; an acquire
+ * that waits lets other threads run, so read the stream's frontier only
+ * once it is held. */
+static int bg_lock(Stream *s)
+{
+    return call_drop(PyObject_CallMethodNoArgs(s->lock, s_acquire));
+}
+
+/* Release it after draws that returned rc, keeping their exception. */
+static int bg_unlock(Stream *s, int rc)
+{
+    PyObject *type, *value, *tb;
+    PyErr_Fetch(&type, &value, &tb);
+    if (call_drop(PyObject_CallMethodNoArgs(s->lock, s_release)) < 0) {
+        if (type == NULL)
+            return -1;
+        PyErr_Clear();
+    }
+    PyErr_Restore(type, value, tb);
+    return rc;
+}
+
+/* Draw until the stream holds op pos where it can: a recording grows a
+ * chunk at a time up to its limit, and a window moves on a chunk when pos
+ * is the op just past it.  Nothing calls into Python between reading the
+ * frontier and publishing the new end, so threads replaying one
+ * recording each see whole chunks.  0 whether or not the stream then
+ * holds pos, -1 with an exception. */
+static int stream_serve(Stream *s, int64_t pos)
+{
+    int rc = 0;
+    if (pos < s->feed.end)
+        return 0;
+    if (bg_lock(s) < 0)
+        return -1;
+    while (rc == 0 && pos >= s->feed.end) {
+        int64_t n = s->chunk;
+        if (s->limit) {
+            if (n > s->limit - s->feed.end)
+                n = s->limit - s->feed.end;
+            if (n <= 0)
+                break;
+        } else if (pos != s->feed.end) {
+            break;
+        }
+        rc = stream_fill(s, n);
+    }
+    return bg_unlock(s, rc);
+}
+
+/* (gaps, addresses, store flags, base) of the ops the stream holds. */
+static PyObject *stream_view(Stream *s)
+{
+    PyObject *v[3] = {NULL, NULL, NULL}, *r = NULL;
+    int i;
+    for (i = 0; i < 3; i++)
+        if ((v[i] = column_view(s->col[i])) == NULL)
+            goto done;
+    r = Py_BuildValue("(OOOL)", v[0], v[1], v[2], (long long)s->feed.base);
+done:
+    for (i = 0; i < 3; i++)
+        Py_XDECREF(v[i]);
+    return r;
+}
+
+static void stream_dealloc(Stream *s)
+{
+    int i;
+    for (i = 0; i < 3; i++)
+        Py_XDECREF(s->col[i]);
+    Py_XDECREF(s->bitgen);
+    Py_XDECREF(s->lock);
+    PyMem_Free(s->streams);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+/* TraceStream(bit_generator, *, limit, chunk, <knobs>): the generator's
+ * capsule gives the draw loop its bitgen_t, and the array streams are
+ * seated (two integers draws each) before any op is drawn. */
+static PyObject *stream_new(PyTypeObject *type, PyObject *args,
+                            PyObject *kwds)
+{
+    static char *kwlist[] = {
+        "bit_generator", "limit", "chunk", "gap_p", "burst_start_p",
+        "burst_len_p", "l2_frac", "seq_frac", "store_frac", "base_addr",
+        "line_bytes", "hot_base", "hot_lines", "l2_base", "l2_lines",
+        "chase_base", "chase_lines", "stream_base", "stream_regions",
+        "stream_run", "stride", "n_streams", NULL};
+    long long limit, chunk, v[13];
+    double d[6];
+    PyObject *bitgen, *capsule;
+    Stream *s;
+    int64_t i;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "O$LLddddddLLLLLLLLLLLLL", kwlist, &bitgen, &limit,
+            &chunk, d, d + 1, d + 2, d + 3, d + 4, d + 5, v, v + 1, v + 2,
+            v + 3, v + 4, v + 5, v + 6, v + 7, v + 8, v + 9, v + 10, v + 11,
+            v + 12))
+        return NULL;
+    /* The draw loop divides by both. */
+    if (v[11] < 1 || v[12] < 1) {
+        PyErr_SetString(PyExc_ValueError, "n_streams and stride must be >= 1");
+        return NULL;
+    }
+    if (limit < 0 || chunk < 1) {
+        PyErr_SetString(PyExc_ValueError, "bad stream limit or chunk");
+        return NULL;
+    }
+    if ((s = (Stream *)type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    s->limit = limit;
+    s->chunk = chunk;
+    s->gap_p = d[0];
+    s->burst_start_p = d[1];
+    s->burst_len_p = d[2];
+    s->l2_frac = d[3];
+    s->seq_frac = d[4];
+    s->store_frac = d[5];
+    s->base_addr = v[0];
+    s->line_bytes = v[1];
+    s->hot_base = v[2];
+    s->hot_lines = v[3];
+    s->l2_base = v[4];
+    s->l2_lines = v[5];
+    s->chase_base = v[6];
+    s->chase_lines = v[7];
+    s->stream_base = v[8];
+    s->stream_regions = v[9];
+    s->stream_run = v[10];
+    s->stride = v[11];
+    s->n_streams = v[12];
+    s->bitgen = Py_NewRef(bitgen);
+    if ((capsule = PyObject_GetAttrString(bitgen, "capsule")) == NULL)
+        goto fail;
+    /* The capsule is the bit generator's own, alive as long as it is. */
+    s->bg = PyCapsule_GetPointer(capsule, "BitGenerator");
+    Py_DECREF(capsule);
+    if (s->bg == NULL
+        || (s->lock = PyObject_GetAttrString(bitgen, "lock")) == NULL)
+        goto fail;
+    if ((s->streams = PyMem_New(int64_t, 2 * s->n_streams)) == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (i = 0; i < 3; i++)
+        if ((s->col[i] = column_new(i < 2 ? 8 : 1, limit && limit < chunk
+                                                       ? limit : chunk))
+            == NULL)
+            goto fail;
+    if (stream_room(s, 0, 0) < 0 || bg_lock(s) < 0)
+        goto fail;
+    for (i = 0; i < s->n_streams; i++)
+        reseat(s, s->streams + 2 * i);
+    if (bg_unlock(s, 0) < 0)
+        goto fail;
+    return (PyObject *)s;
+fail:
+    Py_DECREF(s);
+    return NULL;
+}
+
+/* columns(pos) */
+static PyObject *stream_columns(Stream *s, PyObject *arg)
+{
+    int64_t pos;
+    if (as_i64(arg, &pos) < 0 || stream_serve(s, pos) < 0)
+        return NULL;
+    if (pos >= s->feed.base && pos < s->feed.end)
+        return stream_view(s);
+    if (s->limit && pos >= s->limit)
+        Py_RETURN_NONE;
+    PyErr_Format(PyExc_ValueError,
+                 "op %lld does not follow on from the stream's ops "
+                 "[%lld, %lld)", (long long)pos, (long long)s->feed.base,
+                 (long long)s->feed.end);
+    return NULL;
+}
+
+/* skip(n) */
+static PyObject *stream_skip(Stream *s, PyObject *arg)
+{
+    int64_t n;
+    int rc = 0;
+    if (as_i64(arg, &n) < 0)
+        return NULL;
+    if (s->limit || n < s->feed.end) {
+        PyErr_SetString(PyExc_ValueError,
+                        "only a window skips, and only forward");
+        return NULL;
+    }
+    if (bg_lock(s) < 0)
+        return NULL;
+    while (rc == 0 && s->feed.end < n)
+        rc = stream_fill(s, n - s->feed.end < s->chunk ? n - s->feed.end
+                                                        : s->chunk);
+    return done_or_null(bg_unlock(s, rc));
+}
+
+static PyMethodDef stream_methods[] = {
+    {"columns", (PyCFunction)stream_columns, METH_O,
+     "columns(pos): the held ops, drawn on until they hold op pos, as "
+     "(gaps, addresses, store flags, base); None past a recording's limit"},
+    {"skip", (PyCFunction)stream_skip, METH_O,
+     "skip(n): draw a window on until op n is its next"},
+    {NULL}
+};
+
+static PyTypeObject StreamType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cpu._core.TraceStream",
+    .tp_basicsize = sizeof(Stream),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "One application's reference stream: its draw loop and the "
+              "ops it holds.",
+    .tp_new = stream_new,
+    .tp_dealloc = (destructor)stream_dealloc,
+    .tp_methods = stream_methods,
+};
+
+/* ======================================================================
  * CoreKernel
  * ====================================================================== */
 
@@ -3691,16 +4179,18 @@ struct Core {
     Cache *l2;
     int64_t *ks, *demand;
     Pins pins;
-    /* the columns trace.columns() last served (replay_ops: gaps,
-     * addresses, store flags, base), as of the last cols_load: their
-     * addresses, the op index of their first entry and the op index one
-     * past their common length */
-    const int64_t *gaps, *addrs;
-    const unsigned char *writes;
-    int64_t base, end;
-    char cols_stale;
+    /* the trace's ops the core reads, [feed->base, feed->end): a kernel
+     * stream's own feed (stream, from trace.stream(pos)), which the core
+     * reads in place and draws on itself, or own, over the columns
+     * trace.columns(pos) last served (replay_ops), whose buffer exports
+     * (held) the core keeps until its next call */
+    const Feed *feed;
+    Feed own;
+    Stream *stream;
+    Py_buffer held[3];
+    int nheld;
     /* calls out of the kernel */
-    PyObject *after_l2_miss, *fill_l1, *schedule, *columns;
+    PyObject *after_l2_miss, *fill_l1, *schedule, *columns, *stream_fn;
     PyObject *wake_cb, *unblock_cb, *load_ready_cb, *store_cb;
 };
 
@@ -3718,101 +4208,136 @@ static void rob_push(Core *c, int64_t inst, int64_t ready)
 
 /* -- trace feed ---------------------------------------------------------- */
 
-/* Read the held columns' addresses and their common length.  Other
- * consumers (threaded in-process workers replay one recording) may grow a
- * column, which can move it, whenever Python code runs, and an exported
- * array refuses to grow.  So the export taken here is released at once,
- * the addresses hold only until the next call out of the kernel, and
- * every call out (and every entry to run()) marks them stale. */
-static int cols_load(Core *c)
-{
-    const void *bufs[3];
-    Py_ssize_t i, n = PY_SSIZE_T_MAX;
-    Py_buffer v;
-    if (c->replay_ops == NULL) {
-        c->cols_stale = 0; /* nothing served yet: end stays 0 */
-        return 0;
-    }
-    for (i = 0; i < 3; i++) {
-        Py_ssize_t size = i < 2 ? 8 : 1;
-        if (PyObject_GetBuffer(PyTuple_GET_ITEM(c->replay_ops, i), &v,
-                               PyBUF_SIMPLE) < 0)
-            return -1;
-        bufs[i] = v.buf;
-        if (v.itemsize != size) {
-            PyBuffer_Release(&v);
-            PyErr_SetString(PyExc_TypeError,
-                            "recording columns must be int64, int64 and "
-                            "byte arrays");
-            return -1;
-        }
-        if (v.len / size < n)
-            n = v.len / size;
-        PyBuffer_Release(&v);
-    }
-    c->gaps = bufs[0];
-    c->addrs = bufs[1];
-    c->writes = bufs[2];
-    c->end = c->base + n;
-    c->cols_stale = 0;
-    return 0;
-}
-
-/* Op pos of the held columns (base <= pos < end, columns fresh) becomes
- * the pending op. */
+/* Op pos of the feed (base <= pos < end) becomes the pending op.  The
+ * feed's addresses are read afresh: a recording's columns move when any
+ * of its readers grows them. */
 static void take_op(Core *c, int64_t pos, int64_t fetched)
 {
-    int64_t i = pos - c->base;
-    c->cur_inst = fetched + c->gaps[i];
-    c->cur_addr = c->addrs[i];
-    c->cur_write = c->writes[i] != 0;
+    const Feed *f = c->feed;
+    int64_t i = pos - f->base;
+    c->cur_inst = fetched + f->gaps[i];
+    c->cur_addr = f->addrs[i];
+    c->cur_write = f->writes[i] != 0;
     c->trace_pos = pos + 1;
 }
 
+static void release_held(Core *c)
+{
+    while (c->nheld)
+        PyBuffer_Release(&c->held[--c->nheld]);
+    memset(&c->own, 0, sizeof c->own);
+    c->feed = &c->own;
+}
+
+/* Hold r, what trace.columns() served, as the feed: a (gaps, addresses,
+ * store flags, base) tuple whose buffers the core exports until its next
+ * call (the columns cannot resize meanwhile).  Steals r. */
+static int hold(Core *c, PyObject *r)
+{
+    Py_buffer v[3];
+    Py_ssize_t i, n = PY_SSIZE_T_MAX;
+    int64_t base;
+    if (!PyTuple_Check(r) || PyTuple_GET_SIZE(r) != 4
+        || as_i64(PyTuple_GET_ITEM(r, 3), &base) < 0) {
+        Py_DECREF(r);
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "columns() must return (gaps, addresses, "
+                            "store flags, base) or None");
+        return -1;
+    }
+    for (i = 0; i < 3; i++) {
+        Py_ssize_t size = i < 2 ? 8 : 1;
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(r, i), &v[i], PyBUF_SIMPLE)
+            < 0)
+            break;
+        if (v[i].itemsize != size) {
+            PyBuffer_Release(&v[i]);
+            PyErr_SetString(PyExc_TypeError,
+                            "recording columns must be int64, int64 and "
+                            "byte arrays");
+            break;
+        }
+        if (v[i].len / size < n)
+            n = v[i].len / size;
+    }
+    if (i < 3) {
+        while (i)
+            PyBuffer_Release(&v[--i]);
+        Py_DECREF(r);
+        return -1;
+    }
+    release_held(c);
+    memcpy(c->held, v, sizeof v);
+    c->nheld = 3;
+    c->own.gaps = v[0].buf;
+    c->own.addrs = v[1].buf;
+    c->own.writes = v[2].buf;
+    c->own.base = base;
+    c->own.end = base + n;
+    Py_XSETREF(c->replay_ops, r);
+    return 0;
+}
+
+/* The feed ends before op pos: take the source that holds it from the
+ * trace.  A trace with a stream() serves a kernel stream, which the core
+ * then reads in place and draws on itself until it ends; any other trace
+ * serves columns, and None from columns() ends the trace. */
+static int next_source(Core *c, int64_t pos)
+{
+    PyObject *v, *r;
+    if (c->columns == NULL)
+        return core_closed();
+    if ((v = PyLong_FromLongLong(pos)) == NULL)
+        return -1;
+    r = PyObject_CallOneArg(c->stream_fn != NULL ? c->stream_fn : c->columns,
+                            v);
+    Py_DECREF(v);
+    if (r == NULL)
+        return -1;
+    if (c->stream_fn != NULL) {
+        if (!PyObject_TypeCheck(r, &StreamType)) {
+            Py_DECREF(r);
+            PyErr_SetString(PyExc_TypeError,
+                            "stream() must return a TraceStream");
+            return -1;
+        }
+        release_held(c);
+        Py_XSETREF(c->stream, (Stream *)r);
+        c->feed = &c->stream->feed;
+        if (stream_serve(c->stream, pos) < 0)
+            return -1;
+    } else if (r == Py_None) {
+        Py_DECREF(r);
+        c->trace_done = 1;
+        return 0;
+    } else if (hold(c, r) < 0) {
+        return -1;
+    }
+    if (pos < c->feed->base || pos >= c->feed->end) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "trace columns out of step: op %lld is not in "
+                     "[%lld, %lld)", (long long)pos,
+                     (long long)c->feed->base, (long long)c->feed->end);
+        return -1;
+    }
+    return 0;
+}
+
 /* Make the trace's next op the pending one, `fetched` instructions into
- * the stream.  Past the end of the held columns, trace.columns(pos)
- * serves the columns that hold it; None ends the trace. */
+ * the stream.  Past the end of the feed, a kernel stream draws on in
+ * place, and where it cannot the trace serves the next source. */
 static int pull_next_op(Core *c, int64_t fetched)
 {
-    int64_t pos = c->trace_pos, base;
-    PyObject *v, *r;
-    if (c->cols_stale && cols_load(c) < 0)
+    int64_t pos = c->trace_pos;
+    if (pos >= c->feed->end && c->feed != &c->own
+        && stream_serve(c->stream, pos) < 0)
         return -1;
-    if (pos >= c->end) {
-        if (c->columns == NULL)
-            return core_closed();
-        if ((v = PyLong_FromLongLong(pos)) == NULL)
+    if (pos >= c->feed->end) {
+        if (next_source(c, pos) < 0)
             return -1;
-        c->cols_stale = 1;
-        r = PyObject_CallOneArg(c->columns, v);
-        Py_DECREF(v);
-        if (r == NULL)
-            return -1;
-        if (r == Py_None) {
-            Py_DECREF(r);
-            c->trace_done = 1;
+        if (c->trace_done)
             return 0;
-        }
-        if (!PyTuple_Check(r) || PyTuple_GET_SIZE(r) != 4
-            || as_i64(PyTuple_GET_ITEM(r, 3), &base) < 0) {
-            Py_DECREF(r);
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError,
-                                "columns() must return (gaps, addresses, "
-                                "store flags, base) or None");
-            return -1;
-        }
-        Py_XSETREF(c->replay_ops, r);
-        c->base = base;
-        if (cols_load(c) < 0)
-            return -1;
-        if (pos < c->base || pos >= c->end) {
-            PyErr_Format(PyExc_RuntimeError,
-                         "trace columns out of step: op %lld is not in "
-                         "[%lld, %lld)", (long long)pos,
-                         (long long)c->base, (long long)c->end);
-            return -1;
-        }
     }
     take_op(c, pos, fetched);
     return 0;
@@ -3836,7 +4361,6 @@ static int fire(Core *c, PyObject *hook)
     int rc;
     if (hook == NULL || hook == Py_None)
         return 0;
-    c->cols_stale = 1;
     Py_INCREF(hook);
     rc = call_drop(PyObject_CallOneArg(hook, (PyObject *)c));
     Py_DECREF(hook);
@@ -3946,7 +4470,6 @@ static int l2_miss(Core *c, int64_t line, int64_t cycle, long *result)
     int rc;
     if (c->after_l2_miss == NULL || c->store_cb == NULL || c->load_ready_cb == NULL)
         return core_closed();
-    c->cols_stale = 1;
     if ((k = own(c->after_l2_miss, ENTRY(hier_after_l2_miss))) != NULL) {
         Waiter w = {NULL, token, W_LOAD};
         if (c->cur_write) {
@@ -4001,7 +4524,6 @@ static int fill_l1(Core *c, int64_t line, int64_t cycle)
     int rc;
     if (c->fill_l1 == NULL)
         return core_closed();
-    c->cols_stale = 1;
     if ((k = own(c->fill_l1, ENTRY(hier_fill_l1))) != NULL) {
         Py_INCREF(k);
         rc = hier_core((Hier *)k, c->core_id, &side) < 0 ? -1
@@ -4031,8 +4553,8 @@ static int wait_unblock(Core *c)
 
 /* Stamp a structural stall on the span collector's _stamps: keep the
  * first stall per (core, line), so the eventual request's span can
- * attribute the structural-stall wait (SpanCollector.start_request
- * consumes the stamp). */
+ * attribute the structural-stall wait (offer_read consumes the
+ * stamp). */
 static int note_blocked(Core *c, int64_t cycle, int64_t line)
 {
     int64_t *stamp;
@@ -4179,7 +4701,7 @@ static int advance_fetch(Core *c, int64_t limit_q, int *progressed)
         }
         fetched += 1;
         fetch_q += 1;
-        if (!c->cols_stale && c->trace_pos < c->end)
+        if (c->trace_pos < c->feed->end)
             take_op(c, c->trace_pos, fetched);
         else if (pull_next_op(c, fetched) < 0)
             goto done;
@@ -4254,8 +4776,6 @@ static int run(Core *c, int64_t now)
     int progressed;
     if (c->side == NULL)
         return core_closed();
-    /* Python code ran since the kernel last held the columns. */
-    c->cols_stale = 1;
     for (;;) {
         if (advance_commit(c) < 0)
             return -1;
@@ -4398,17 +4918,18 @@ static PyObject *core_store_data(Core *c, PyObject *const *args,
 /* -- binding --------------------------------------------------------------- */
 
 /* _bind(...): attach the core to its memory path, take the callables the
- * kernel calls out through (the trace's columns among them), and pull the
- * first op.  Called once, by TraceCore.__init__, after it sets stats. */
+ * kernel calls out through (the trace's columns, and its stream or None,
+ * among them), and pull the first op.  Called once, by
+ * TraceCore.__init__, after it sets stats. */
 static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
         "core_id", "target_insts", "warmup_insts", "lookahead",
-        "issue_width", "rob_size", "hierarchy", "columns", "after_l2_miss",
-        "fill_l1", "schedule", "wake", "on_unblock", "on_load_ready",
-        "store_data", NULL};
+        "issue_width", "rob_size", "hierarchy", "columns", "stream",
+        "after_l2_miss", "fill_l1", "schedule", "wake", "on_unblock",
+        "on_load_ready", "store_data", NULL};
     long long core_id, target, warmup, lookahead, width, rob_size;
-    PyObject *h, *columns, *after, *fill, *sched;
+    PyObject *h, *columns, *stream, *after, *fill, *sched;
     PyObject *wake, *unblock, *ready, *store;
     int64_t n;
     Hier *hier;
@@ -4418,9 +4939,9 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
         return NULL;
     }
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$LLLLLLOOOOOOOOO", kwlist, &core_id, &target,
-            &warmup, &lookahead, &width, &rob_size, &h, &columns, &after,
-            &fill, &sched, &wake, &unblock, &ready, &store))
+            args, kwds, "$LLLLLLOOOOOOOOOO", kwlist, &core_id, &target,
+            &warmup, &lookahead, &width, &rob_size, &h, &columns, &stream,
+            &after, &fill, &sched, &wake, &unblock, &ready, &store))
         return NULL;
     if (core_id < 0 || target < 1 || warmup < 0 || lookahead < 1 || width < 1
         || rob_size < 1) {
@@ -4471,6 +4992,9 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
         return NULL;
 
     KEEP(c, columns, columns);
+    if (stream != Py_None)
+        KEEP(c, stream_fn, stream);
+    c->feed = &c->own;
     KEEP(c, after_l2_miss, after);
     KEEP(c, fill_l1, fill);
     KEEP(c, schedule, sched);
@@ -4482,13 +5006,16 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
 }
 
 /* _unbind(): drop every callable the kernel calls out through; they tie
- * the core, its trace, engine and hierarchy into reference cycles. */
+ * the core, its trace, engine and hierarchy into reference cycles.  The
+ * held columns go too; the stream stays readable through _replay_ops. */
 static PyObject *core_unbind(Core *c, PyObject *Py_UNUSED(ignored))
 {
+    release_held(c);
     Py_CLEAR(c->after_l2_miss);
     Py_CLEAR(c->fill_l1);
     Py_CLEAR(c->schedule);
     Py_CLEAR(c->columns);
+    Py_CLEAR(c->stream_fn);
     Py_CLEAR(c->wake_cb);
     Py_CLEAR(c->unblock_cb);
     Py_CLEAR(c->load_ready_cb);
@@ -4500,8 +5027,9 @@ static PyObject *core_unbind(Core *c, PyObject *Py_UNUSED(ignored))
 
 #define OBJECT_FIELDS(X) \
     X(stats) X(spans.obj) X(spans.inflight) X(on_warmup) X(on_finish) \
-    X(replay_ops) X(hierarchy) X(py_core_id) X(columns) X(after_l2_miss) X(fill_l1) \
-    X(schedule) X(wake_cb) X(unblock_cb) X(load_ready_cb) X(store_cb)
+    X(replay_ops) X(stream) X(hierarchy) X(py_core_id) X(columns) X(stream_fn) \
+    X(after_l2_miss) X(fill_l1) X(schedule) X(wake_cb) X(unblock_cb) \
+    X(load_ready_cb) X(store_cb)
 
 static int core_traverse(Core *c, visitproc visit, void *arg)
 {
@@ -4514,6 +5042,7 @@ static int core_traverse(Core *c, visitproc visit, void *arg)
 /* The hierarchy goes, and with it the storage side and l2 point into. */
 static int core_clear(Core *c)
 {
+    release_held(c);
 #define CLEAR(f) Py_CLEAR(c->f);
     OBJECT_FIELDS(CLEAR)
 #undef CLEAR
@@ -4550,6 +5079,13 @@ static PyObject *get_finish_cycle(Core *c, void *Py_UNUSED(closure))
     return get_cycle(c->finish_cycle);
 }
 
+static PyObject *core_get_replay_ops(Core *c, void *Py_UNUSED(closure))
+{
+    if (c->stream != NULL)
+        return stream_view(c->stream);
+    return Py_NewRef(c->replay_ops != NULL ? c->replay_ops : Py_None);
+}
+
 static PyObject *core_get_spans(Core *c, void *Py_UNUSED(closure))
 {
     return spans_get(&c->spans);
@@ -4561,6 +5097,10 @@ static int core_set_spans(Core *c, PyObject *v, void *Py_UNUSED(closure))
 }
 
 static PyGetSetDef core_getset[] = {
+    {"_replay_ops", (getter)core_get_replay_ops, NULL,
+     "the ops the core last read: its stream's (gaps, addresses, store "
+     "flags, base), or the columns trace.columns() last served; or None",
+     NULL},
     {"spans", (getter)core_get_spans, (setter)core_set_spans,
      "span collector for structural-stall stamps, or None", NULL},
     {"warmup_cycle", (getter)get_warmup_cycle, NULL,
@@ -4589,9 +5129,6 @@ static PyMemberDef core_members[] = {
            "cumulative commit slots lost waiting on head loads"),
     MEMBER("_trace_pos", T_LONGLONG, trace_pos, READONLY,
            "the index of the trace's next op (ops taken so far)"),
-    MEMBER("_replay_ops", T_OBJECT, replay_ops, READONLY,
-           "the columns trace.columns() last served (gaps, addresses, "
-           "store flags, base), or None"),
     MEMBER("_stopped", T_BOOL, stopped, 0, NULL),
     MEMBER("stats", T_OBJECT, stats, 0,
            "the core's CoreStats (the kernel binds its slots at _bind)"),
@@ -4852,6 +5389,7 @@ PyMODINIT_FUNC PyInit__core(void)
     INTERN(s_rank, "_rank") INTERN(s_rotor, "_rotor")
     INTERN(s_num_cores, "num_cores") INTERN(s_rng, "rng")
     INTERN(s_queues, "queues") INTERN(s_is_row_hit, "is_row_hit")
+    INTERN(s_acquire, "acquire") INTERN(s_release, "release")
 #undef INTERN
     if ((kw_timing = Py_BuildValue("(ssssss)", "cas_cycle", "data_start",
                                    "data_end", "row_hit", "start_cycle",
@@ -4869,7 +5407,9 @@ PyMODINIT_FUNC PyInit__core(void)
         || add_type(m, "EngineKernel", &EngineType) < 0
         || add_type(m, "ControllerKernel", &CtrlType) < 0
         || add_type(m, "HierarchyKernel", &HierType) < 0
-        || add_type(m, "CoreKernel", &CoreKernelType) < 0) {
+        || add_type(m, "CoreKernel", &CoreKernelType) < 0
+        || PyType_Ready(&ColumnType) < 0
+        || add_type(m, "TraceStream", &StreamType) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -141,6 +141,7 @@ class TraceCore(CoreKernel):
             hierarchy=hierarchy,
             # Calls out of the kernel, bound once here.
             columns=trace.columns,
+            stream=getattr(trace, "stream", None),
             after_l2_miss=hierarchy._after_l2_miss,
             fill_l1=hierarchy._fill_l1,
             schedule=engine.schedule,

@@ -5,9 +5,11 @@ trace-driven simulators have always done: each :class:`MemOp` is one memory
 instruction, preceded by ``gap`` ordinary (non-memory) instructions that
 the core retires at full issue rate.  Every :class:`TraceSource` serves its
 ops as typed columns, a window at a time, through one ``columns(pos)``
-call.  Traces are pulled lazily — the synthetic workload generators in
-:mod:`repro.workloads` are infinite, and the core model consumes exactly as
-much as its instruction budget needs.
+call; a synthetic source also serves the kernel stream that holds them
+(``stream(pos)``), which the core reads and draws on in place.  Traces are
+pulled lazily — the synthetic workload generators in :mod:`repro.workloads`
+are infinite, and the core model consumes exactly as much as its
+instruction budget needs.
 """
 
 from __future__ import annotations
@@ -59,21 +61,32 @@ class MemOp:
         return hash((self.gap, self.addr, self.is_write))
 
 
-#: what :meth:`TraceSource.columns` serves: gaps and addresses
-#: (``array('q')``), store flags (``array('B')``), and the op index of
+#: what :meth:`TraceSource.columns` serves: gaps and addresses (int64:
+#: ``array('q')`` or a memoryview of format ``q``), store flags (bytes:
+#: ``array('B')`` or a memoryview of format ``B``), and the op index of
 #: their first entry
-Columns = tuple[array, array, array, int]
+Columns = tuple[array | memoryview, array | memoryview, array | memoryview,
+                int]
 
 
 @runtime_checkable
 class TraceSource(Protocol):
-    """Anything that serves memory operations in program order."""
+    """Anything that serves memory operations in program order.
+
+    A source whose ops a kernel ``TraceStream`` draws and holds (the
+    synthetic ones, :mod:`repro.workloads.synthetic`) also has
+    ``stream(pos)``: the stream that holds op ``pos``.  The core then
+    reads that stream in place and draws its next chunks itself, and
+    asks again only where the stream ends; it calls ``columns`` only for
+    a source without ``stream``.
+    """
 
     def columns(self, pos: int) -> Optional[Columns]:
         """The typed columns that hold op ``pos`` (at index ``pos - base``)
         and their ``base``, or ``None`` once the trace ended before
         ``pos``.  The core asks for ``columns(0)`` first, then for the op
-        just past the end of the columns it holds."""
+        just past the end of the columns it holds, and holds their buffer
+        exports until it asks again."""
         ...
 
 

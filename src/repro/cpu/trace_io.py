@@ -70,18 +70,19 @@ def load_trace(path: str | os.PathLike) -> ListTrace:
                                   array("B", (flags != 0).tobytes()))
 
 
-def record_trace(source: TraceSource, num_ops: int) -> list[MemOp]:
-    """The first ``num_ops`` operations of ``source`` (fewer if it ends
-    first), read through its columns."""
+def record_trace(source: TraceSource, num_ops: int,
+                 start: int = 0) -> list[MemOp]:
+    """Operations ``start`` .. ``start + num_ops - 1`` of ``source`` (fewer
+    if it ends first), read through its columns."""
     if num_ops < 0:
         raise ValueError("num_ops must be >= 0")
     ops: list[MemOp] = []
     while len(ops) < num_ops:
-        cols = source.columns(len(ops))
+        cols = source.columns(start + len(ops))
         if cols is None:
             break
         gaps, addrs, writes, base = cols
-        i = len(ops) - base
+        i = start + len(ops) - base
         end = min(len(gaps), i + num_ops - len(ops))
         ops += map(MemOp, gaps[i:end], addrs[i:end], map(bool, writes[i:end]))
     return ops

@@ -173,27 +173,18 @@ class SpanCollector(Counters):
 
     # -- producer-facing hooks ---------------------------------------------------
 
-    def start_request(
-        self, core_id: int, line: int, kind: str, cycle: int
-    ) -> RequestSpan | None:
-        """Offer a newly created request for tracing.
+    def offer_write(self, core_id: int, line: int, cycle: int
+                    ) -> RequestSpan | None:
+        """Offer a writeback for tracing: a span for every
+        ``sample_every``-th offer, else ``None``.
 
-        Returns a span for every ``sample_every``-th offer, else ``None``.
-        A demand read consumes any pending structural-stall stamp for its
-        core either way, so a stale stamp can never leak onto a later
-        request (writebacks are not core-issued and leave the stamp
-        alone).  The hierarchy kernel offers a read itself, without the
-        call (``offer_read`` in ``cpu/_core.c``: it pops the stamp, counts
-        the offer in this collector's storage and makes and registers the
-        span): keep the two in sync.
+        The hierarchy kernel offers reads itself (``offer_read`` in
+        ``cpu/_core.c``): it counts a read's offer here too, pops its
+        core's structural-stall stamp, and registers a sampled read in
+        :attr:`_inflight` until its fill returns; the controller kernel
+        stamps a committed span and appends it to :attr:`completed`.  A
+        writeback is not core-issued and leaves the stamp alone.
         """
-        first = None
-        if kind == "read":
-            self.bind_cores(core_id + 1)
-            i = 2 * core_id
-            if self._stamps[i + 1] == line:
-                first = self._stamps[i]
-            self._stamps[i + 1] = -1
         c = self._c  # offered, _count
         c[0] += 1
         c[1] += 1
@@ -203,41 +194,13 @@ class SpanCollector(Counters):
         if len(self.completed) >= self.max_spans:
             self.dropped += 1
             return None
-        span = RequestSpan(core_id, line, kind, cycle)
-        if first is not None:
-            span.first_attempt = first
-        if kind != "write":
-            # Reads own an MSHR entry until the fill returns; later
-            # misses can merge onto them.
-            self._inflight[(core_id, line)] = span
-        return span
+        return RequestSpan(core_id, line, "write", cycle)
 
     def note_merge(self, core_id: int, line: int, _now: int) -> None:
         """A later miss merged onto an in-flight line of ``core_id``."""
         span = self._inflight.get((core_id, line))
         if span is not None:
             span.merged_waiters += 1
-
-    def finish(self, span: RequestSpan) -> None:
-        """Record a span whose request just committed (all stamps set).
-
-        The in-flight registration survives until :meth:`end_inflight` —
-        misses may still merge onto the line between the transaction
-        commit and the fill delivery.  The controller kernel
-        (``stamp_span`` in ``cpu/_core.c``) stamps a committed request's
-        span and appends it to :attr:`completed` itself, without the
-        call: keep the two in sync.
-        """
-        self.completed.append(span)
-
-    def end_inflight(self, core_id: int, line: int) -> None:
-        """The fill for (core, line) delivered; stop accepting merges.
-
-        Only a sampled read registers.  The hierarchy kernel's fill path
-        (``hier_fill`` in ``cpu/_core.c``) drops the registration of a
-        request that carries a span itself, without the call: keep the
-        two in sync."""
-        self._inflight.pop((core_id, line), None)
 
     # -- queries -------------------------------------------------------------------
 

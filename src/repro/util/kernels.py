@@ -1,22 +1,20 @@
-"""Build, cache and load the simulator's C kernels.
+"""Build, cache and load the simulator's C kernel.
 
-Two kernels ship as C source in the package: the trace generator
-(``workloads/_tracegen.c``, loaded with ctypes by
-:mod:`repro.workloads.tracegen`) and the core model
-(``cpu/_core.c``, a CPython extension type that
-:class:`~repro.cpu.core_model.TraceCore` subclasses).  Each is compiled on
-first use with sysconfig's compiler and cached under
-``$XDG_CACHE_HOME/repro/`` (default ``~/.cache/repro/``) as
-``<stem>-<source digest><tag>``, where the tag names whatever else the
-object depends on: numpy's version and the platform for the trace kernel,
-the interpreter's extension suffix for the core.  A changed source or
-interpreter therefore gets a new entry, and a build is installed with an
-atomic ``os.replace``, so concurrent first users each load a whole
-object.  A failed build raises :class:`KernelBuildError`; there is no
-Python fallback.
+The model kernel ships as C source in the package (``cpu/_core.c``, a
+CPython extension module: the synthetic traces' draw loop and the core,
+memory side and event loop types).  It is compiled on first use with
+sysconfig's compiler and flags for this interpreter's extensions, against
+numpy's headers and its random-distributions library
+(``numpy/random/lib/libnpyrandom.a``), so the trace draws are numpy's own.
+The build is cached under ``$XDG_CACHE_HOME/repro/`` (default
+``~/.cache/repro/``) as ``<stem>-<source digest>-numpy<version><extension
+suffix>``: a changed source, numpy version or interpreter gets a new
+entry.  A build is installed with an atomic ``os.replace``, so concurrent
+first users each load a whole object.  A failed build raises
+:class:`KernelBuildError`; there is no Python fallback.
 
 Nothing imports this module before the first trace generation or the
-first machine build, so ``import repro`` neither loads nor builds a
+first machine build, so ``import repro`` neither loads nor builds the
 kernel.
 """
 
@@ -32,12 +30,14 @@ import tempfile
 from pathlib import Path
 from types import ModuleType
 
-__all__ = ["KernelBuildError", "build", "cache_dir", "cached_object",
-           "load_extension"]
+import numpy as np
+
+__all__ = ["KernelBuildError", "build", "cache_dir", "load_extension",
+           "object_path"]
 
 
 class KernelBuildError(RuntimeError):
-    """A C kernel could not be compiled."""
+    """The C kernel could not be compiled."""
 
 
 def cache_dir() -> Path:
@@ -47,10 +47,11 @@ def cache_dir() -> Path:
     return Path(root) / "repro"
 
 
-def cached_object(source: Path, tag: str) -> Path:
-    """The cache entry for ``source`` built under ``tag``."""
+def object_path(source: Path) -> Path:
+    """The cache entry for ``source`` under this numpy and interpreter."""
     digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
-    return cache_dir() / f"{source.stem}-{digest}{tag}"
+    return cache_dir() / (f"{source.stem}-{digest}-numpy{np.__version__}"
+                          f"{sysconfig.get_config_var('EXT_SUFFIX')}")
 
 
 def build(source: Path, target: Path, command: list[str]) -> None:
@@ -70,7 +71,7 @@ def build(source: Path, target: Path, command: list[str]) -> None:
         os.unlink(tmp)
         raise KernelBuildError(
             f"cannot compile {source.name}: {shlex.join(cmd)!r} did not "
-            f"run ({exc}); the simulator's kernels need a C compiler"
+            f"run ({exc}); the simulator's kernel needs a C compiler"
         ) from exc
     if proc.returncode != 0:
         os.unlink(tmp)
@@ -86,16 +87,19 @@ def load_extension(name: str, source: Path) -> ModuleType:
     compiling it into the cache first if it is missing.
 
     The build is the one sysconfig describes for this interpreter's
-    extensions (``LDSHARED`` with ``CFLAGS`` and ``CCSHARED``), and the
-    entry's name ends in the interpreter's extension suffix.
+    extensions (``LDSHARED`` with ``CFLAGS`` and ``CCSHARED``), plus
+    numpy's include directory and random-distributions library, with
+    floating-point contraction off so the draws round as numpy's do.
     """
-    path = cached_object(source, sysconfig.get_config_var("EXT_SUFFIX"))
+    path = object_path(source)
     if not path.is_file():
         var = sysconfig.get_config_var
+        npyrandom = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
         build(source, path, [
             *shlex.split(var("LDSHARED")), *shlex.split(var("CFLAGS") or ""),
-            *shlex.split(var("CCSHARED") or ""),
-            "-I", sysconfig.get_paths()["include"], str(source)])
+            *shlex.split(var("CCSHARED") or ""), "-fno-fast-math",
+            "-ffp-contract=off", "-I", sysconfig.get_paths()["include"],
+            "-I", np.get_include(), str(source), str(npyrandom), "-lm"])
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -33,7 +33,6 @@ exactly like the paper's setup.
 from __future__ import annotations
 
 import threading
-from array import array
 from collections import OrderedDict
 
 from repro.cpu.trace import Columns, MemOp
@@ -74,18 +73,24 @@ _PLACEMENT_SPAN = 1 << 16
 #: the kernel computes addresses in int64: keep base + line * LINE inside it
 _MAX_BASE_ADDR = 1 << 62
 
-#: ops per kernel call, per recording step and per window a stream serves
+#: ops per draw step: a recording grows, and a window moves on, by this many
 CHUNK_OPS = 256
+
+#: serialises first generations: threads replaying one recording would
+#: otherwise seat two kernel streams on its one generator
+_start_lock = threading.Lock()
 
 
 class SyntheticApp:
     """Infinite reference stream for one application on one core.
 
     Implements the :class:`~repro.cpu.trace.TraceSource` protocol.  The
-    per-op draws run in the C kernel ``_tracegen.c`` (loaded through
-    :mod:`repro.workloads.tracegen` at the first generation), one chunk
-    of ops per call; :meth:`columns`, :meth:`next_op` and :meth:`take`
-    serve the same chunks, so any mix of them yields one stream.
+    ops are drawn and held by a kernel ``TraceStream`` (``cpu/_core.c``),
+    made at the first generation: with ``limit`` ops to hold it is a
+    recording of every op from 0 (what :func:`make_trace` shares),
+    otherwise a window of the last ``CHUNK_OPS`` ops drawn.  A core reads
+    the stream in place and draws on it itself; :meth:`columns`,
+    :meth:`next_op` and :meth:`take` read the same ops.
 
     Parameters
     ----------
@@ -96,30 +101,31 @@ class SyntheticApp:
         ``(seed, app_code, phase, core_id)``.
     base_addr:
         Start of this instance's private address space.
+    limit:
+        Ops a recording holds at most; 0 for a window.
     """
 
     __slots__ = (
         "profile",
         "rng",
         "base_addr",
+        "limit",
         "_hot_lines",
         "_l2_lines",
         "_hot_base",
         "_l2_base",
-        "_kernel",
-        "_gaps",
-        "_addrs",
-        "_writes",
+        "_stream",
         "_pos",
-        "_base",
     )
 
-    def __init__(self, profile: AppProfile, rng: RngStream, base_addr: int = 0) -> None:
+    def __init__(self, profile: AppProfile, rng: RngStream, base_addr: int = 0,
+                 limit: int = 0) -> None:
         if not 0 <= base_addr < _MAX_BASE_ADDR:
             raise ValueError(f"base_addr must be in [0, {_MAX_BASE_ADDR:#x})")
         self.profile = profile
         self.rng = rng
         self.base_addr = base_addr
+        self.limit = limit
         # Hot and L2-resident sets as fixed line pools.
         self._hot_lines = max(profile.hot_kb * 1024 // LINE, 1)
         self._l2_lines = max(profile.l2_set_kb * 1024 // LINE, 1)
@@ -127,46 +133,47 @@ class SyntheticApp:
         # across program instances).
         self._hot_base = _HOT_BASE_LINE + rng.randint(0, _PLACEMENT_SPAN)
         self._l2_base = _L2SET_BASE_LINE + rng.randint(0, _PLACEMENT_SPAN)
-        #: the kernel's state for this stream, from the first generation on
-        self._kernel = None
-        #: the current chunk as typed columns (gaps, addresses, store
-        #: flags), the index of its next unserved op, and the stream's op
-        #: index of its first
-        self._gaps = array("q")
-        self._addrs = array("q")
-        self._writes = array("B")
+        #: the kernel stream, from the first generation on
+        self._stream = None
+        #: the op :meth:`next_op` and :meth:`take` read next
         self._pos = 0
-        self._base = 0
 
-    def _start(self) -> tuple[array, array, array]:
-        """First generation: seat the array streams, then the prologue.
+    def stream(self, pos: int = 0):
+        """The kernel stream that draws and holds this application's ops
+        (every ``pos`` is on it)."""
+        if self._stream is None:
+            with _start_lock:
+                if self._stream is None:
+                    self._stream = self._start()
+        return self._stream
 
-        The prologue touches every resident line once, so the caches warm
-        deterministically inside the measurement warmup window (models
-        program initialisation; without it, 'resident' sets would leak
-        cold misses through the whole run and swamp the per-application
-        mpki targets).
+    def _start(self):
+        """First generation: the kernel stream with this application's
+        knobs, its array streams seated.
+
+        Its first ops are the prologue, which touches every resident line
+        once, so the caches warm deterministically inside the measurement
+        warmup window (models program initialisation; without it,
+        'resident' sets would leak cold misses through the whole run and
+        swamp the per-application mpki targets).
         """
-        import numpy as np
-
-        from repro.workloads.tracegen import TraceKernel
+        from repro.cpu.kernel import kernel
 
         p = self.profile
         # Mean gap between memory ops: (1 - mem_ratio)/mem_ratio plain
         # instructions per memory instruction.
         mean_gap = (1.0 - p.mem_ratio) / p.mem_ratio
-        gap_p = geometric_p(1.0 / (1.0 + mean_gap))
         # Miss bursts: expected misses per kilo-instruction is p.mpki; each
         # burst carries ~burst_mean misses, ops per kinst is mem_ratio*1000.
         ops_per_kinst = p.mem_ratio * 1000.0
         bursts_per_kinst = p.mpki / max(p.burst_mean, 1.0)
         # Geometric continuation keeps the mean burst length at burst_mean.
         burst_cont_p = 1.0 - 1.0 / max(p.burst_mean, 1.0)
-        generator = self.rng.generator()
-        self._kernel = TraceKernel(
-            generator,
-            p.n_streams,
-            gap_p=gap_p,
+        return kernel.TraceStream(
+            self.rng.generator().bit_generator,
+            limit=self.limit,
+            chunk=CHUNK_OPS,
+            gap_p=geometric_p(1.0 / (1.0 + mean_gap)),
             burst_start_p=min(bursts_per_kinst / ops_per_kinst, 1.0),
             burst_len_p=geometric_p(1.0 - burst_cont_p),
             l2_frac=p.l2_frac,
@@ -184,75 +191,37 @@ class SyntheticApp:
             stream_regions=STREAM_REGIONS,
             stream_run=STREAM_RUN_LINES,
             stride=p.stride_lines,
+            n_streams=p.n_streams,
         )
-        # Hot set first, then the L2 set.  The prologue's gap draws are
-        # consecutive, and a vectorized geometric draw is element-wise
-        # stream-identical to the scalar loop.
-        n_hot, n_l2 = self._hot_lines, self._l2_lines
-        gaps = array("q")
-        gaps.frombytes((generator.geometric(gap_p, n_hot + n_l2) - 1).tobytes())
-        lines = np.concatenate((
-            np.arange(self._hot_base, self._hot_base + n_hot, dtype=np.int64),
-            np.arange(self._l2_base, self._l2_base + n_l2, dtype=np.int64)))
-        addrs = array("q")
-        addrs.frombytes((self.base_addr + lines * LINE).tobytes())
-        return gaps, addrs, array("B", bytes(len(addrs)))
-
-    def _refill(self, n: int) -> None:
-        """Replace the spent chunk with the stream's next one: the whole
-        prologue first, then ``n`` ops from the kernel."""
-        kernel = self._kernel
-        cols = self._start() if kernel is None else kernel.fill(n)
-        self._base += len(self._gaps)
-        self._gaps, self._addrs, self._writes = cols
-        self._pos = 0
-
-    def take_columns(self, n: int) -> tuple[array, array, array]:
-        """The stream's next ``n`` ops as typed columns (gaps, addresses,
-        store flags)."""
-        gaps, addrs, writes = array("q"), array("q"), array("B")
-        while len(gaps) < n:
-            if self._pos == len(self._gaps):
-                self._refill(n - len(gaps))
-            pos = self._pos
-            end = min(pos + n - len(gaps), len(self._gaps))
-            gaps += self._gaps[pos:end]
-            addrs += self._addrs[pos:end]
-            writes += self._writes[pos:end]
-            self._pos = end
-        return gaps, addrs, writes
 
     # -- TraceSource ---------------------------------------------------------------
 
-    def columns(self, pos: int) -> Columns:
-        """The ``CHUNK_OPS`` ops from ``pos`` on, at base ``pos``: ``pos``
-        must be the stream's next op (an infinite stream never ends)."""
-        if pos != self._base + self._pos:
-            raise ValueError(f"op {pos} does not follow on from the stream's "
-                             f"next op {self._base + self._pos}")
-        return (*self.take_columns(CHUNK_OPS), pos)
+    def columns(self, pos: int) -> Columns | None:
+        """The ops the stream holds once drawn on to op ``pos``: a window
+        moves on a chunk when ``pos`` is the op just past it; a recording
+        holds every op from 0, and ends (``None``) at its limit."""
+        return self.stream().columns(pos)
 
     def next_op(self) -> MemOp:
         """Generate the next memory operation (never ``None``: infinite)."""
-        pos = self._pos
-        if pos == len(self._gaps):
-            self._refill(CHUNK_OPS)
-            pos = 0
-        self._pos = pos + 1
-        return MemOp(self._gaps[pos], self._addrs[pos], bool(self._writes[pos]))
+        return self.take(1)[0]
 
     def take(self, n: int) -> list[MemOp]:
         """The stream's next ``n`` ops."""
-        gaps, addrs, writes = self.take_columns(n)
-        return list(map(MemOp, gaps, addrs, map(bool, writes)))
+        from repro.cpu.trace_io import record_trace
+
+        ops = record_trace(self, n, start=self._pos)
+        self._pos += len(ops)
+        return ops
 
 
 def _raw_trace(
-    profile: AppProfile, seed: int, phase: str, core_id: int
+    profile: AppProfile, seed: int, phase: str, core_id: int, limit: int = 0
 ) -> SyntheticApp:
     """Build a fresh live generator (no caching)."""
     rng = RngStream(seed, "app", profile.code, phase, core_id)
-    return SyntheticApp(profile, rng, base_addr=(core_id + 1) * CORE_ADDR_STRIDE)
+    return SyntheticApp(profile, rng, base_addr=(core_id + 1) * CORE_ADDR_STRIDE,
+                        limit=limit)
 
 
 # -- trace replay cache ----------------------------------------------------------
@@ -266,19 +235,15 @@ def _raw_trace(
 # Replayed ops are the same values in the same order, so every simulated
 # statistic is bit-identical to regeneration.
 #
-# A recording is three typed columns — gaps and addresses as ``array('q')``,
-# store flags as ``array('B')`` — not one ``MemOp`` per op: building a
-# ``MemOp`` costs more than drawing the op, a Python int per value costs
-# an allocation, and a long-lived recording of objects the cycle collector
-# tracks is scanned by every full collection.  It grows one chunk of
-# ``CHUNK_OPS`` at a time, copied from the trace kernel's output with no
-# Python int per op, and every consumer reads the shared columns through
-# ``ReplayTrace.columns``, so TraceCore's kernel, which indexes their
-# buffers, leaves its loop once per chunk, not once per op.  Bounds: at
-# most ``_CACHE_MAX_STREAMS`` streams are retained (LRU), and each
-# recording stops at ``_STREAM_OP_CAP`` ops; a consumer running past the
-# cap reads ``CHUNK_OPS`` windows of its own generator, fast-forwarded to
-# the cap.
+# A recording is a SyntheticApp whose kernel stream holds every op from 0
+# as three typed columns (gaps and addresses int64, store flags bytes),
+# not one ``MemOp`` per op.  Every consumer reads it with a cursor of its
+# own, and whichever reaches the frontier first draws the next chunk of
+# ``CHUNK_OPS`` into it: a core does that in the kernel, with no Python
+# call.  Bounds: at most ``_CACHE_MAX_STREAMS`` streams are retained
+# (LRU), and each recording stops at ``_STREAM_OP_CAP`` ops; a consumer
+# running past the cap reads windows of its own generator, fast-forwarded
+# to the cap in the kernel.
 
 #: max recorded ops per stream (~4.5 MB at the cap; typical runs use a few
 #: tens of thousands of ops per core)
@@ -288,83 +253,53 @@ _STREAM_OP_CAP = 1 << 18
 #: active mix per phase, far below this
 _CACHE_MAX_STREAMS = 32
 
-_trace_cache: "OrderedDict[tuple, _RecordedStream]" = OrderedDict()
+_trace_cache: "OrderedDict[tuple, SyntheticApp]" = OrderedDict()
 
-#: guards cache lookup/insert/eviction (threaded in-process workers);
-#: recording extension has its own per-stream lock
+#: guards cache lookup/insert/eviction (threaded in-process workers); the
+#: kernel grows a recording under the GIL and its bit generator's lock
 _trace_cache_lock = threading.Lock()
 
 
-class _RecordedStream:
-    """Shared recording of one deterministic stream.
-
-    ``gaps``, ``addrs`` and ``writes`` are the recorded prefix, one typed
-    column per op field, and ``app`` is the live generator positioned
-    exactly at ``len(gaps)``.  An extension appends to ``gaps`` last, so a
-    reader that finds ``pos < len(gaps)`` without the lock finds op
-    ``pos`` in every column.  No reader holds a buffer export of a column
-    across a call that may grow it: an exported array refuses to resize.
-    """
-
-    __slots__ = ("gaps", "addrs", "writes", "app", "lock")
-
-    def __init__(self, app: SyntheticApp) -> None:
-        self.gaps = array("q")
-        self.addrs = array("q")
-        self.writes = array("B")
-        self.app = app
-        #: serialises frontier extension: in-process distributed workers
-        #: replay the same stream from multiple threads, and an unlocked
-        #: generator pull would hand interleaved ops to the wrong cursors
-        self.lock = threading.Lock()
-
-
 class ReplayTrace:
-    """TraceSource replaying a shared :class:`_RecordedStream`.
+    """TraceSource replaying a shared recording.
 
     Multiple replayers may consume the same recording concurrently (each
     reader keeps its own cursor); whichever reaches the frontier first
-    extends the recording from the live generator.
+    draws the next chunk into it.
     """
 
     __slots__ = ("_rec", "_key", "_tail")
 
-    def __init__(self, rec: _RecordedStream, key: tuple) -> None:
+    def __init__(self, rec: SyntheticApp, key: tuple) -> None:
         self._rec = rec
         self._key = key
         #: this consumer's own generator once it ran past the cap
         self._tail: SyntheticApp | None = None
 
-    def columns(self, pos: int) -> Columns:
-        """The shared recording at base 0 while ``pos`` is below the cap,
-        grown by a chunk at a time until it holds op ``pos``; past the
-        cap, the next ``CHUNK_OPS`` window of this consumer's own
-        generator."""
+    def stream(self, pos: int):
+        """The kernel stream that holds op ``pos``: the shared recording
+        below its limit; past it, a window of this consumer's own
+        generator, drawn on to the limit."""
         rec = self._rec
-        if pos < _STREAM_OP_CAP:
-            if pos >= len(rec.gaps):
-                with rec.lock:
-                    # Another consumer thread may have extended the
-                    # recording past this cursor while we waited.
-                    while pos >= len(rec.gaps):
-                        gaps, addrs, writes = rec.app.take_columns(
-                            min(CHUNK_OPS, _STREAM_OP_CAP - len(rec.gaps)))
-                        rec.writes += writes
-                        rec.addrs += addrs
-                        rec.gaps += gaps  # last: publishes the chunk
-            return rec.gaps, rec.addrs, rec.writes, 0
+        if pos < rec.limit:
+            return rec.stream()
         if self._tail is None:
             self._tail = _raw_trace(*self._key)
-            for done in range(0, _STREAM_OP_CAP, CHUNK_OPS):
-                self._tail.take_columns(min(CHUNK_OPS, _STREAM_OP_CAP - done))
-        return self._tail.columns(pos)
+            self._tail.stream().skip(rec.limit)
+        return self._tail.stream()
+
+    def columns(self, pos: int) -> Columns:
+        """The shared recording at base 0, drawn on until it holds op
+        ``pos``, while ``pos`` is below its limit; past it, the window of
+        this consumer's own generator that holds ``pos``."""
+        return self.stream(pos).columns(pos)
 
     # Data attribute passthrough (profile, base_addr, _hot_lines, ...) so
     # tests and diagnostics can read a ReplayTrace like the SyntheticApp
     # it wraps.  No method: one would read or advance the recording's own
     # generator, which every consumer of the recording shares.
     def __getattr__(self, name: str):
-        value = getattr(self._rec.app, name)
+        value = getattr(self._rec, name)
         if callable(value):
             raise AttributeError(
                 f"{type(self).__name__} serves its ops through columns(); "
@@ -397,7 +332,7 @@ def make_trace(
     with _trace_cache_lock:
         rec = _trace_cache.get(key)
         if rec is None:
-            rec = _RecordedStream(_raw_trace(profile, seed, phase, core_id))
+            rec = _raw_trace(profile, seed, phase, core_id, _STREAM_OP_CAP)
             _trace_cache[key] = rec
             if len(_trace_cache) > _CACHE_MAX_STREAMS:
                 _trace_cache.popitem(last=False)

@@ -182,7 +182,7 @@ def ops(trace, n) -> list[MemOp]:
             cols = trace.columns(pos)
             if cols is not None:
                 gaps, addrs, writes, base = cols
-                assert (gaps.typecode, addrs.typecode, writes.typecode) == (
+                assert tuple(memoryview(c).format for c in cols[:3]) == (
                     "q", "q", "B")
                 assert base <= pos < base + min(map(len, cols[:3]))
             return cols

@@ -13,9 +13,11 @@ Covers the PR's acceptance criteria:
 """
 
 import json
+from functools import partial
 
 import pytest
 
+from repro.cache.hierarchy import MERGED, PENDING
 from repro.metrics.memory_efficiency import MeProfiler
 from repro.sim.runner import run_multicore
 from repro.telemetry import (
@@ -31,6 +33,7 @@ from repro.telemetry import (
 from repro.telemetry.attribution import COMPONENTS, drain_windows
 from repro.telemetry.spans import RequestSpan, SpanCollector
 from repro.workloads.mixes import workload_by_name
+from tests.machine import make_stack
 
 BUDGET = 8000
 
@@ -52,54 +55,80 @@ def traced():
     return tm, result
 
 
+class Offers:
+    """A one-core stack (``tests/machine.py``) whose hierarchy offers its
+    reads to a span collector through the kernel's miss path, wired as a
+    machine wires it.  ``stamp`` is a ``(cycle, line)`` structural stall,
+    stamped the way the core kernel stamps it."""
+
+    def __init__(self, sample_every, stamp=None):
+        _, self.engine, ctrl, self.hier = make_stack(num_cores=1)
+        self.ctrl = ctrl
+        self.spans = c = SpanCollector(sample_every=sample_every)
+        c.bind_cores(1)
+        self.hier.spans = ctrl.spans = c
+        self.hier.mshrs[0].on_merge = partial(c.note_merge, 0)
+        if stamp is not None:
+            c._stamps[0], c._stamps[1] = stamp
+
+    def read(self, line, cycle=None, result=PENDING):
+        """A demand read of ``line`` misses both caches at ``cycle`` (now
+        by default): the span it registers in flight, or ``None``."""
+        cycle = self.engine.now if cycle is None else cycle
+        assert self.hier._after_l2_miss(0, line, False, cycle, None) == result
+        return self.spans._inflight.get((0, line))
+
+
+#: a line address
+LINE = 7 << 6
+
+
 class TestSpanCollector:
     def test_deterministic_sampling_rate(self):
-        c = SpanCollector(sample_every=3)
-        traced = [
-            c.start_request(0, line, "read", cycle=line) is not None
-            for line in range(12)
-        ]
+        m = Offers(sample_every=3)
+        traced = []
+        for i in range(12):
+            traced.append(m.read((i + 1) << 6) is not None)
+            m.engine.run()  # the fill returns: its MSHR entry frees
         assert traced == [False, False, True] * 4
-        assert c.offered == 12
+        assert m.spans.offered == 12
 
     def test_sample_every_one_traces_everything(self):
-        c = SpanCollector(sample_every=1)
-        assert all(
-            c.start_request(0, i, "read", 0) is not None for i in range(5)
-        )
-
-    @staticmethod
-    def _stalled(cycle, line):
-        """A one-core collector whose core stalled on ``line`` at
-        ``cycle``, stamped the way the core kernel stamps it."""
-        c = SpanCollector(sample_every=1)
-        c.bind_cores(1)
-        c._stamps[0], c._stamps[1] = cycle, line
-        return c
+        m = Offers(sample_every=1)
+        assert all(m.read((i + 1) << 6) is not None for i in range(5))
 
     def test_blocked_stamp_consumed_by_reads_only(self):
-        c = self._stalled(cycle=10, line=7)
+        m = Offers(sample_every=1, stamp=(10, LINE))
         # A writeback from the same core must not consume the stamp...
-        wb = c.start_request(0, 7, "write", 30)
+        wb = m.spans.offer_write(0, LINE, 30)
         assert wb.first_attempt == 30
         # ...so the demand read that was actually stalled still gets it.
-        rd = c.start_request(0, 7, "read", 40)
+        rd = m.read(LINE, 40)
         assert rd.first_attempt == 10
 
     def test_blocked_stamp_keeps_first_cycle(self):
-        c = self._stalled(cycle=10, line=7)
-        assert c.start_request(0, 7, "read", 40).first_attempt == 10
+        m = Offers(sample_every=1, stamp=(10, LINE))
+        assert m.read(LINE, 40).first_attempt == 10
+        m.engine.run()  # the fill returns: the line's MSHR entry frees
         # The read consumed the stamp: a later read starts when it issues.
-        assert c.start_request(0, 7, "read", 50).first_attempt == 50
+        later = m.engine.now + 10
+        assert m.read(LINE, later).first_attempt == later
 
     def test_merges_count_until_fill_returns(self):
-        c = SpanCollector(sample_every=1)
-        span = c.start_request(1, 99, "read", 0)
-        c.note_merge(1, 99, 5)
-        c.finish(span)
-        c.note_merge(1, 99, 9)  # between commit and fill delivery
-        c.end_inflight(1, 99)
-        c.note_merge(1, 99, 12)  # after the fill: no longer merging
+        m = Offers(sample_every=1)
+        span = m.read(LINE, 0)
+        m.read(LINE, 5, result=MERGED)
+        # Stop right after the read commits, before its fill delivers.
+        m.ctrl.dram.observers.append(
+            lambda *_: setattr(m.engine, "stop_requested", True))
+        m.engine.run()
+        assert m.spans.completed == [span]
+        m.read(LINE, m.engine.now, result=MERGED)  # between commit and fill
+        m.ctrl.dram.observers.clear()
+        m.engine.stop_requested = False
+        m.engine.run()
+        # After the fill: no longer merging; the miss is a new request.
+        m.read(LINE)
         assert span.merged_waiters == 2
 
 

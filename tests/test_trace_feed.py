@@ -7,6 +7,8 @@ protocol; and a core that runs past a recording's cap must hold one
 window of its own generator, not a growing copy of the stream.
 """
 
+import os
+import sys
 from array import array
 
 import pytest
@@ -165,9 +167,37 @@ def test_a_run_past_the_real_cap_holds_one_window(fresh_cache):
     system.run()
     cap = synthetic._STREAM_OP_CAP
     rec = synthetic._trace_cache[(mix.apps()[0], 1, "eval", 0)]
-    assert len(rec.gaps) == len(rec.addrs) == len(rec.writes) == cap
+    gaps, addrs, writes, _ = rec.columns(0)
+    assert len(gaps) == len(addrs) == len(writes) == cap
     core = system.cores[0]
     assert core._trace_pos > cap
     gaps, _, _, base = core._replay_ops
     assert len(gaps) <= synthetic.CHUNK_OPS
     assert base < core._trace_pos <= base + len(gaps)
+
+
+def test_growth_of_a_cold_recording_runs_no_python(fresh_cache):
+    """A core draws its recording's next chunks in the kernel: ``run()`` on
+    a machine over cold recordings runs no frame of ``repro/workloads``."""
+    mix = workload_by_name("2MEM-1")
+    traces = [synthetic.make_trace(app, 1, "eval", i)
+              for i, app in enumerate(mix.apps())]
+    system = MultiCoreSystem(SystemConfig().with_cores(2), make_policy("HF-RF"),
+                             traces, 20_000, warmup_insts=DEFAULT_WARMUP,
+                             seed=1)
+    workloads_dir = os.sep + os.path.join("repro", "workloads") + os.sep
+    frames = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and workloads_dir in frame.f_code.co_filename:
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        system.run()
+    finally:
+        sys.setprofile(None)
+    for i, app in enumerate(mix.apps()):
+        gaps = synthetic._trace_cache[(app, 1, "eval", i)].columns(0)[0]
+        assert len(gaps) > 20 * synthetic.CHUNK_OPS  # grown in run()
+    assert frames == []
