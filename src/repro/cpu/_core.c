@@ -14,10 +14,11 @@
  *                     and delivery (repro.controller)
  *   HierarchyKernel   CacheHierarchy's miss path past the L2, fill path and
  *                     structural-stall wake-ups (repro.cache.hierarchy)
- *   TraceStream       one application's reference stream: its draw loop,
- *                     through numpy's own distribution functions, and the
- *                     ops it holds, a recording or a window
- *                     (repro.workloads.synthetic)
+ *   TraceStream       the ops a core reads: an application's reference
+ *                     stream, with its draw loop through numpy's own
+ *                     distribution functions, as a recording or a window
+ *                     (repro.workloads.synthetic), or a copy of given
+ *                     columns (repro.cpu.trace, repro.workloads.cloud)
  *   CoreKernel        TraceCore's fetch with the L1/L2 hit paths, commit
  *                     and callbacks (repro.cpu.core_model)
  *
@@ -30,9 +31,9 @@
  * kernel takes a buffer export of each array and keeps it until dealloc
  * (an exported array refuses to resize, so the storage cannot move), so
  * Python reads the same names and gets the same ints, during a run and
- * after the machine closes.  A trace's ops are the exception: a
- * recording's columns move as its readers grow them, so a core reads
- * them through the stream (see take_op).
+ * after the machine closes.  A trace's ops are the exception: a core
+ * reads them in the columns of the TraceStream its trace serves, which
+ * move as a recording's readers grow them (see take_op).
  * The selection rules the built-in policies name (oldest, hit-first
  * oldest, the highest-priority core, round-robin) run here on the
  * candidate array; their inputs (priority rows, the rotation pointer)
@@ -3751,10 +3752,12 @@ typedef struct {
     int64_t base, end;
 } Feed;
 
-/* One application's reference stream: the draw loop's knobs and state,
- * bound to its numpy bit generator, and the ops it holds.  A recording
- * (limit > 0) holds every op from 0 and grows a chunk at a time up to
- * limit ops; a window (limit 0) holds the last chunk it drew. */
+/* The ops a core reads.  An application's reference stream has the draw
+ * loop's knobs and state, bound to its numpy bit generator, and the ops
+ * it holds: a recording (limit > 0) holds every op from 0 and grows a
+ * chunk at a time up to limit ops; a window (limit 0) holds the last
+ * chunk it drew.  A stream over given columns (TraceStream.over) has no
+ * bit generator and holds its copy of them, and nothing more. */
 typedef struct {
     PyObject_HEAD
     Feed feed;
@@ -3952,14 +3955,14 @@ static int bg_unlock(Stream *s, int rc)
 
 /* Draw until the stream holds op pos where it can: a recording grows a
  * chunk at a time up to its limit, and a window moves on a chunk when pos
- * is the op just past it.  Nothing calls into Python between reading the
- * frontier and publishing the new end, so threads replaying one
- * recording each see whole chunks.  0 whether or not the stream then
- * holds pos, -1 with an exception. */
+ * is the op just past it; a stream over given columns draws nothing.
+ * Nothing calls into Python between reading the frontier and publishing
+ * the new end, so threads replaying one recording each see whole chunks.
+ * 0 whether or not the stream then holds pos, -1 with an exception. */
 static int stream_serve(Stream *s, int64_t pos)
 {
     int rc = 0;
-    if (pos < s->feed.end)
+    if (pos < s->feed.end || s->bg == NULL)
         return 0;
     if (bg_lock(s) < 0)
         return -1;
@@ -4089,6 +4092,67 @@ fail:
     return NULL;
 }
 
+/* TraceStream.over(gaps, addresses, store_flags, base=0): a stream with
+ * no bit generator over a copy of the columns, as ops base onwards.  The
+ * gaps and addresses must have int64 items and the store flags byte
+ * items, as many of each, and no gap or address may be negative. */
+static PyObject *stream_over(PyTypeObject *type, PyObject *args,
+                             PyObject *kwds)
+{
+    static char *kwlist[] = {"gaps", "addresses", "store_flags", "base",
+                             NULL};
+    PyObject *obj[3];
+    Py_buffer v[3];
+    long long base = 0;
+    Stream *s = NULL;
+    Py_ssize_t i, n;
+    int got = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO|L", kwlist, obj,
+                                     obj + 1, obj + 2, &base))
+        return NULL;
+    for (; got < 3; got++)
+        if (PyObject_GetBuffer(obj[got], &v[got], PyBUF_SIMPLE) < 0)
+            goto done;
+    n = v[2].len;
+    if (v[0].itemsize != 8 || v[1].itemsize != 8 || v[2].itemsize != 1) {
+        PyErr_SetString(PyExc_TypeError, "TraceStream columns must be "
+                        "int64, int64 and byte arrays");
+        goto done;
+    }
+    if (v[0].len != 8 * n || v[1].len != 8 * n || base < 0
+        || base > INT64_MAX - n) {
+        PyErr_SetString(PyExc_ValueError, "TraceStream columns must be of "
+                        "one length, from a base >= 0");
+        goto done;
+    }
+    if ((s = (Stream *)type->tp_alloc(type, 0)) == NULL)
+        goto done;
+    for (i = 0; i < 3; i++) {
+        if ((s->col[i] = column_new(v[i].itemsize, n)) == NULL)
+            goto fail;
+        memcpy(s->col[i]->buf, v[i].buf, v[i].len);
+        s->col[i]->len = n;
+    }
+    if (stream_room(s, n, n) < 0)
+        goto fail;
+    for (i = 0; i < n; i++)
+        if ((s->feed.gaps[i] | s->feed.addrs[i]) < 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "TraceStream columns hold a negative gap or "
+                         "address (op %lld)", base + (long long)i);
+            goto fail;
+        }
+    s->feed.base = base;
+    s->feed.end = base + n;
+    goto done;
+fail:
+    Py_CLEAR(s);
+done:
+    while (got)
+        PyBuffer_Release(&v[--got]);
+    return (PyObject *)s;
+}
+
 /* columns(pos) */
 static PyObject *stream_columns(Stream *s, PyObject *arg)
 {
@@ -4097,7 +4161,7 @@ static PyObject *stream_columns(Stream *s, PyObject *arg)
         return NULL;
     if (pos >= s->feed.base && pos < s->feed.end)
         return stream_view(s);
-    if (s->limit && pos >= s->limit)
+    if (s->bg == NULL ? pos >= s->feed.end : s->limit && pos >= s->limit)
         Py_RETURN_NONE;
     PyErr_Format(PyExc_ValueError,
                  "op %lld does not follow on from the stream's ops "
@@ -4113,7 +4177,7 @@ static PyObject *stream_skip(Stream *s, PyObject *arg)
     int rc = 0;
     if (as_i64(arg, &n) < 0)
         return NULL;
-    if (s->limit || n < s->feed.end) {
+    if (s->bg == NULL || s->limit || n < s->feed.end) {
         PyErr_SetString(PyExc_ValueError,
                         "only a window skips, and only forward");
         return NULL;
@@ -4127,9 +4191,14 @@ static PyObject *stream_skip(Stream *s, PyObject *arg)
 }
 
 static PyMethodDef stream_methods[] = {
+    {"over", (PyCFunction)(void (*)(void))stream_over,
+     METH_VARARGS | METH_KEYWORDS | METH_CLASS,
+     "over(gaps, addresses, store_flags, base=0): a stream over a checked "
+     "copy of the columns, as ops base onwards"},
     {"columns", (PyCFunction)stream_columns, METH_O,
      "columns(pos): the held ops, drawn on until they hold op pos, as "
-     "(gaps, addresses, store flags, base); None past a recording's limit"},
+     "(gaps, addresses, store flags, base); None past a recording's limit "
+     "or the end of given columns"},
     {"skip", (PyCFunction)stream_skip, METH_O,
      "skip(n): draw a window on until op n is its next"},
     {NULL}
@@ -4140,8 +4209,9 @@ static PyTypeObject StreamType = {
     .tp_name = "repro.cpu._core.TraceStream",
     .tp_basicsize = sizeof(Stream),
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "One application's reference stream: its draw loop and the "
-              "ops it holds.",
+    .tp_doc = "The ops a core reads: an application's reference stream, "
+              "its draw loop and the ops it holds, or a copy of given "
+              "columns (TraceStream.over).",
     .tp_new = stream_new,
     .tp_dealloc = (destructor)stream_dealloc,
     .tp_methods = stream_methods,
@@ -4170,7 +4240,7 @@ struct Core {
     int64_t *rob_inst, *rob_ready;
     int64_t rob_head, rob_tail, rob_mask;
     /* Python-visible objects */
-    PyObject *stats, *on_warmup, *on_finish, *replay_ops;
+    PyObject *stats, *on_warmup, *on_finish;
     SpanView spans;
     /* the shared memory path: the hierarchy, this core's side of it and
      * the L2, the CoreStats slots and this core's demand counter */
@@ -4179,18 +4249,13 @@ struct Core {
     Cache *l2;
     int64_t *ks, *demand;
     Pins pins;
-    /* the trace's ops the core reads, [feed->base, feed->end): a kernel
-     * stream's own feed (stream, from trace.stream(pos)), which the core
-     * reads in place and draws on itself, or own, over the columns
-     * trace.columns(pos) last served (replay_ops), whose buffer exports
-     * (held) the core keeps until its next call */
+    /* the trace's ops the core reads, [feed->base, feed->end): the feed
+     * of the kernel stream trace.stream(pos) last served, which the core
+     * reads in place and draws on itself (no_ops before the first) */
     const Feed *feed;
-    Feed own;
     Stream *stream;
-    Py_buffer held[3];
-    int nheld;
     /* calls out of the kernel */
-    PyObject *after_l2_miss, *fill_l1, *schedule, *columns, *stream_fn;
+    PyObject *after_l2_miss, *fill_l1, *schedule, *stream_fn;
     PyObject *wake_cb, *unblock_cb, *load_ready_cb, *store_cb;
 };
 
@@ -4208,6 +4273,9 @@ static void rob_push(Core *c, int64_t inst, int64_t ready)
 
 /* -- trace feed ---------------------------------------------------------- */
 
+/* The feed of a core that holds no stream. */
+static const Feed no_ops;
+
 /* Op pos of the feed (base <= pos < end) becomes the pending op.  The
  * feed's addresses are read afresh: a recording's columns move when any
  * of its readers grows them. */
@@ -4221,102 +4289,38 @@ static void take_op(Core *c, int64_t pos, int64_t fetched)
     c->trace_pos = pos + 1;
 }
 
-static void release_held(Core *c)
-{
-    while (c->nheld)
-        PyBuffer_Release(&c->held[--c->nheld]);
-    memset(&c->own, 0, sizeof c->own);
-    c->feed = &c->own;
-}
-
-/* Hold r, what trace.columns() served, as the feed: a (gaps, addresses,
- * store flags, base) tuple whose buffers the core exports until its next
- * call (the columns cannot resize meanwhile).  Steals r. */
-static int hold(Core *c, PyObject *r)
-{
-    Py_buffer v[3];
-    Py_ssize_t i, n = PY_SSIZE_T_MAX;
-    int64_t base;
-    if (!PyTuple_Check(r) || PyTuple_GET_SIZE(r) != 4
-        || as_i64(PyTuple_GET_ITEM(r, 3), &base) < 0) {
-        Py_DECREF(r);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "columns() must return (gaps, addresses, "
-                            "store flags, base) or None");
-        return -1;
-    }
-    for (i = 0; i < 3; i++) {
-        Py_ssize_t size = i < 2 ? 8 : 1;
-        if (PyObject_GetBuffer(PyTuple_GET_ITEM(r, i), &v[i], PyBUF_SIMPLE)
-            < 0)
-            break;
-        if (v[i].itemsize != size) {
-            PyBuffer_Release(&v[i]);
-            PyErr_SetString(PyExc_TypeError,
-                            "recording columns must be int64, int64 and "
-                            "byte arrays");
-            break;
-        }
-        if (v[i].len / size < n)
-            n = v[i].len / size;
-    }
-    if (i < 3) {
-        while (i)
-            PyBuffer_Release(&v[--i]);
-        Py_DECREF(r);
-        return -1;
-    }
-    release_held(c);
-    memcpy(c->held, v, sizeof v);
-    c->nheld = 3;
-    c->own.gaps = v[0].buf;
-    c->own.addrs = v[1].buf;
-    c->own.writes = v[2].buf;
-    c->own.base = base;
-    c->own.end = base + n;
-    Py_XSETREF(c->replay_ops, r);
-    return 0;
-}
-
-/* The feed ends before op pos: take the source that holds it from the
- * trace.  A trace with a stream() serves a kernel stream, which the core
- * then reads in place and draws on itself until it ends; any other trace
- * serves columns, and None from columns() ends the trace. */
-static int next_source(Core *c, int64_t pos)
+/* The feed ends before op pos: take the stream that holds op pos from
+ * trace.stream(pos), which the core then reads in place and draws on
+ * itself until it ends; None from stream() ends the trace. */
+static int next_stream(Core *c, int64_t pos)
 {
     PyObject *v, *r;
-    if (c->columns == NULL)
+    if (c->stream_fn == NULL)
         return core_closed();
     if ((v = PyLong_FromLongLong(pos)) == NULL)
         return -1;
-    r = PyObject_CallOneArg(c->stream_fn != NULL ? c->stream_fn : c->columns,
-                            v);
+    r = PyObject_CallOneArg(c->stream_fn, v);
     Py_DECREF(v);
     if (r == NULL)
         return -1;
-    if (c->stream_fn != NULL) {
-        if (!PyObject_TypeCheck(r, &StreamType)) {
-            Py_DECREF(r);
-            PyErr_SetString(PyExc_TypeError,
-                            "stream() must return a TraceStream");
-            return -1;
-        }
-        release_held(c);
-        Py_XSETREF(c->stream, (Stream *)r);
-        c->feed = &c->stream->feed;
-        if (stream_serve(c->stream, pos) < 0)
-            return -1;
-    } else if (r == Py_None) {
+    if (r == Py_None) {
         Py_DECREF(r);
         c->trace_done = 1;
         return 0;
-    } else if (hold(c, r) < 0) {
+    }
+    if (!PyObject_TypeCheck(r, &StreamType)) {
+        Py_DECREF(r);
+        PyErr_SetString(PyExc_TypeError,
+                        "stream() must return a TraceStream or None");
         return -1;
     }
+    Py_XSETREF(c->stream, (Stream *)r);
+    c->feed = &c->stream->feed;
+    if (stream_serve(c->stream, pos) < 0)
+        return -1;
     if (pos < c->feed->base || pos >= c->feed->end) {
         PyErr_Format(PyExc_RuntimeError,
-                     "trace columns out of step: op %lld is not in "
+                     "trace stream out of step: op %lld is not in "
                      "[%lld, %lld)", (long long)pos,
                      (long long)c->feed->base, (long long)c->feed->end);
         return -1;
@@ -4325,16 +4329,16 @@ static int next_source(Core *c, int64_t pos)
 }
 
 /* Make the trace's next op the pending one, `fetched` instructions into
- * the stream.  Past the end of the feed, a kernel stream draws on in
- * place, and where it cannot the trace serves the next source. */
+ * the stream.  Past the end of the feed, the stream draws on in place,
+ * and where it cannot the trace serves the next stream. */
 static int pull_next_op(Core *c, int64_t fetched)
 {
     int64_t pos = c->trace_pos;
-    if (pos >= c->feed->end && c->feed != &c->own
+    if (pos >= c->feed->end && c->stream != NULL
         && stream_serve(c->stream, pos) < 0)
         return -1;
     if (pos >= c->feed->end) {
-        if (next_source(c, pos) < 0)
+        if (next_stream(c, pos) < 0)
             return -1;
         if (c->trace_done)
             return 0;
@@ -4918,18 +4922,17 @@ static PyObject *core_store_data(Core *c, PyObject *const *args,
 /* -- binding --------------------------------------------------------------- */
 
 /* _bind(...): attach the core to its memory path, take the callables the
- * kernel calls out through (the trace's columns, and its stream or None,
- * among them), and pull the first op.  Called once, by
- * TraceCore.__init__, after it sets stats. */
+ * kernel calls out through (the trace's stream among them), and pull the
+ * first op.  Called once, by TraceCore.__init__, after it sets stats. */
 static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
         "core_id", "target_insts", "warmup_insts", "lookahead",
-        "issue_width", "rob_size", "hierarchy", "columns", "stream",
-        "after_l2_miss", "fill_l1", "schedule", "wake", "on_unblock",
-        "on_load_ready", "store_data", NULL};
+        "issue_width", "rob_size", "hierarchy", "stream", "after_l2_miss",
+        "fill_l1", "schedule", "wake", "on_unblock", "on_load_ready",
+        "store_data", NULL};
     long long core_id, target, warmup, lookahead, width, rob_size;
-    PyObject *h, *columns, *stream, *after, *fill, *sched;
+    PyObject *h, *stream, *after, *fill, *sched;
     PyObject *wake, *unblock, *ready, *store;
     int64_t n;
     Hier *hier;
@@ -4939,9 +4942,9 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
         return NULL;
     }
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$LLLLLLOOOOOOOOOO", kwlist, &core_id, &target,
-            &warmup, &lookahead, &width, &rob_size, &h, &columns, &stream,
-            &after, &fill, &sched, &wake, &unblock, &ready, &store))
+            args, kwds, "$LLLLLLOOOOOOOOO", kwlist, &core_id, &target,
+            &warmup, &lookahead, &width, &rob_size, &h, &stream, &after,
+            &fill, &sched, &wake, &unblock, &ready, &store))
         return NULL;
     if (core_id < 0 || target < 1 || warmup < 0 || lookahead < 1 || width < 1
         || rob_size < 1) {
@@ -4991,10 +4994,8 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
         || attr_i64(h, s_l2_hit_latency, &c->l2_lat) < 0)
         return NULL;
 
-    KEEP(c, columns, columns);
-    if (stream != Py_None)
-        KEEP(c, stream_fn, stream);
-    c->feed = &c->own;
+    KEEP(c, stream_fn, stream);
+    c->feed = &no_ops;
     KEEP(c, after_l2_miss, after);
     KEEP(c, fill_l1, fill);
     KEEP(c, schedule, sched);
@@ -5007,14 +5008,14 @@ static PyObject *core_bind(Core *c, PyObject *args, PyObject *kwds)
 
 /* _unbind(): drop every callable the kernel calls out through; they tie
  * the core, its trace, engine and hierarchy into reference cycles.  The
- * held columns go too; the stream stays readable through _replay_ops. */
+ * core reads no further op; its stream stays readable through
+ * _replay_ops. */
 static PyObject *core_unbind(Core *c, PyObject *Py_UNUSED(ignored))
 {
-    release_held(c);
+    c->feed = &no_ops;
     Py_CLEAR(c->after_l2_miss);
     Py_CLEAR(c->fill_l1);
     Py_CLEAR(c->schedule);
-    Py_CLEAR(c->columns);
     Py_CLEAR(c->stream_fn);
     Py_CLEAR(c->wake_cb);
     Py_CLEAR(c->unblock_cb);
@@ -5027,9 +5028,9 @@ static PyObject *core_unbind(Core *c, PyObject *Py_UNUSED(ignored))
 
 #define OBJECT_FIELDS(X) \
     X(stats) X(spans.obj) X(spans.inflight) X(on_warmup) X(on_finish) \
-    X(replay_ops) X(stream) X(hierarchy) X(py_core_id) X(columns) X(stream_fn) \
-    X(after_l2_miss) X(fill_l1) X(schedule) X(wake_cb) X(unblock_cb) \
-    X(load_ready_cb) X(store_cb)
+    X(stream) X(hierarchy) X(py_core_id) X(stream_fn) X(after_l2_miss) \
+    X(fill_l1) X(schedule) X(wake_cb) X(unblock_cb) X(load_ready_cb) \
+    X(store_cb)
 
 static int core_traverse(Core *c, visitproc visit, void *arg)
 {
@@ -5039,13 +5040,14 @@ static int core_traverse(Core *c, visitproc visit, void *arg)
     return 0;
 }
 
-/* The hierarchy goes, and with it the storage side and l2 point into. */
+/* The hierarchy goes, and with it the storage side and l2 point into;
+ * the stream goes, and with it the feed. */
 static int core_clear(Core *c)
 {
-    release_held(c);
 #define CLEAR(f) Py_CLEAR(c->f);
     OBJECT_FIELDS(CLEAR)
 #undef CLEAR
+    c->feed = &no_ops;
     c->side = NULL;
     c->l2 = NULL;
     return 0;
@@ -5083,7 +5085,7 @@ static PyObject *core_get_replay_ops(Core *c, void *Py_UNUSED(closure))
 {
     if (c->stream != NULL)
         return stream_view(c->stream);
-    return Py_NewRef(c->replay_ops != NULL ? c->replay_ops : Py_None);
+    Py_RETURN_NONE;
 }
 
 static PyObject *core_get_spans(Core *c, void *Py_UNUSED(closure))
@@ -5099,7 +5101,7 @@ static int core_set_spans(Core *c, PyObject *v, void *Py_UNUSED(closure))
 static PyGetSetDef core_getset[] = {
     {"_replay_ops", (getter)core_get_replay_ops, NULL,
      "the ops the core last read: its stream's (gaps, addresses, store "
-     "flags, base), or the columns trace.columns() last served; or None",
+     "flags, base), or None before the first",
      NULL},
     {"spans", (getter)core_get_spans, (setter)core_set_spans,
      "span collector for structural-stall stamps, or None", NULL},

@@ -21,7 +21,7 @@ monotone slot cursor; converting ``slots // issue_width`` yields cycles.
 Between memory events the model advances analytically over whole gaps of
 non-memory instructions instead of iterating per cycle.  The fetch and
 commit loops run in the model kernel's ``CoreKernel`` type (``_core.c``),
-which reads the caches' blocks, the trace's columns and the counters
+which reads the caches' blocks, the trace's stream and the counters
 in place (docs/ARCHITECTURE.md, "The model in C"); this module keeps the
 constructor and the public surface.
 
@@ -140,8 +140,7 @@ class TraceCore(CoreKernel):
             rob_size=config.rob_size,
             hierarchy=hierarchy,
             # Calls out of the kernel, bound once here.
-            columns=trace.columns,
-            stream=getattr(trace, "stream", None),
+            stream=trace.stream,
             after_l2_miss=hierarchy._after_l2_miss,
             fill_l1=hierarchy._fill_l1,
             schedule=engine.schedule,

@@ -4,20 +4,19 @@ A trace reduces a program to the stream the memory system sees, the way
 trace-driven simulators have always done: each :class:`MemOp` is one memory
 instruction, preceded by ``gap`` ordinary (non-memory) instructions that
 the core retires at full issue rate.  Every :class:`TraceSource` serves its
-ops as typed columns, a window at a time, through one ``columns(pos)``
-call; a synthetic source also serves the kernel stream that holds them
-(``stream(pos)``), which the core reads and draws on in place.  Traces are
-pulled lazily — the synthetic workload generators in :mod:`repro.workloads`
-are infinite, and the core model consumes exactly as much as its
-instruction budget needs.
+ops through one ``stream(pos)`` call: the model kernel's ``TraceStream``
+that holds op ``pos``, which the core reads in place (and, for a synthetic
+source, draws on itself).  Traces are pulled lazily — the synthetic
+workload generators in :mod:`repro.workloads` are infinite, and the core
+model consumes exactly as much as its instruction budget needs.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Optional, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
-__all__ = ["Columns", "MemOp", "TraceSource", "ListTrace"]
+__all__ = ["MemOp", "TraceSource", "ListTrace"]
 
 
 class MemOp:
@@ -61,62 +60,55 @@ class MemOp:
         return hash((self.gap, self.addr, self.is_write))
 
 
-#: what :meth:`TraceSource.columns` serves: gaps and addresses (int64:
-#: ``array('q')`` or a memoryview of format ``q``), store flags (bytes:
-#: ``array('B')`` or a memoryview of format ``B``), and the op index of
-#: their first entry
-Columns = tuple[array | memoryview, array | memoryview, array | memoryview,
-                int]
-
-
 @runtime_checkable
 class TraceSource(Protocol):
-    """Anything that serves memory operations in program order.
+    """Anything that serves memory operations in program order."""
 
-    A source whose ops a kernel ``TraceStream`` draws and holds (the
-    synthetic ones, :mod:`repro.workloads.synthetic`) also has
-    ``stream(pos)``: the stream that holds op ``pos``.  The core then
-    reads that stream in place and draws its next chunks itself, and
-    asks again only where the stream ends; it calls ``columns`` only for
-    a source without ``stream``.
-    """
-
-    def columns(self, pos: int) -> Optional[Columns]:
-        """The typed columns that hold op ``pos`` (at index ``pos - base``)
-        and their ``base``, or ``None`` once the trace ended before
-        ``pos``.  The core asks for ``columns(0)`` first, then for the op
-        just past the end of the columns it holds, and holds their buffer
-        exports until it asks again."""
+    def stream(self, pos: int):
+        """The kernel ``TraceStream`` that holds op ``pos`` or draws on to
+        it, or ``None`` once the trace ended before ``pos``.  The core asks
+        for ``stream(0)`` first, reads the stream in place and draws on it
+        where it can, and asks again for the op just past the ops it
+        holds.  ``stream(pos).columns(pos)`` reads the ops from Python:
+        gaps and addresses (int64) and store flags (bytes) as memoryviews,
+        and the op index of their first entry."""
         ...
 
 
 class ListTrace:
-    """A finite, in-memory trace (mainly for tests and examples)."""
+    """A finite, in-memory trace (mainly for tests and examples), held as
+    one kernel stream over a copy of its ops."""
 
-    __slots__ = ("_cols",)
+    __slots__ = ("_stream", "_len")
 
     def __init__(self, ops: Iterable[MemOp]) -> None:
         ops = list(ops)
-        self._cols = (array("q", [op.gap for op in ops]),
-                      array("q", [op.addr for op in ops]),
-                      array("B", [bool(op.is_write) for op in ops]), 0)
+        self._hold(array("q", [op.gap for op in ops]),
+                   array("q", [op.addr for op in ops]),
+                   bytes(bool(op.is_write) for op in ops))
 
     @classmethod
-    def from_columns(cls, gaps: array, addrs: array, writes: array) -> "ListTrace":
-        """The trace over ready columns of equal length (gaps and
-        addresses ``array('q')``, store flags ``array('B')``)."""
-        trace = cls(())
-        trace._cols = (gaps, addrs, writes, 0)
+    def from_columns(cls, gaps, addrs, writes) -> "ListTrace":
+        """The trace over ready columns of one length (gaps and addresses
+        of int64 items, store flags of bytes), which it copies."""
+        trace = cls.__new__(cls)
+        trace._hold(gaps, addrs, writes)
         return trace
 
-    def columns(self, pos: int) -> Optional[Columns]:
+    def _hold(self, gaps, addrs, writes) -> None:
+        from repro.cpu.kernel import kernel
+
+        self._stream = kernel.TraceStream.over(gaps, addrs, writes)
+        self._len = len(writes)
+
+    def stream(self, pos: int):
         """The whole trace, or ``None`` past its end."""
-        return self._cols if pos < len(self._cols[0]) else None
+        return self._stream if pos < self._len else None
 
     def __len__(self) -> int:
-        return len(self._cols[0])
+        return self._len
 
     @property
     def total_instructions(self) -> int:
         """Instructions the full trace represents (gaps + memory ops)."""
-        return sum(self._cols[0]) + len(self)
+        return sum(self._stream.columns(0)[0]) + self._len if self._len else 0

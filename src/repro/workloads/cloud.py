@@ -60,7 +60,6 @@ from array import array
 from dataclasses import dataclass, replace
 
 from repro.config import SystemConfig
-from repro.cpu.trace import Columns
 from repro.util.rng import RngStream
 from repro.workloads.spec2000 import AppProfile, app_by_code
 from repro.workloads.synthetic import CHUNK_OPS, CORE_ADDR_STRIDE, LINE
@@ -272,11 +271,13 @@ class CloudStream:
         self._gaps = arrival_gaps(profile, rng.child("gap"))
         self._addr_rng = rng.child("addr")
 
-    def columns(self, pos: int) -> Columns:
-        """The ``CHUNK_OPS`` requests from ``pos`` on, at base ``pos``:
-        ``pos`` must be the stream's next request.  The gap and address
-        draws come from independent streams, so drawing a window ahead
-        serves the values a request at a time would."""
+    def stream(self, pos: int):
+        """A kernel stream over the ``CHUNK_OPS`` requests from ``pos`` on,
+        at base ``pos``: ``pos`` must be the stream's next request.  The
+        gap and address draws come from independent streams, so drawing a
+        window ahead serves the values a request at a time would."""
+        from repro.cpu.kernel import kernel
+
         if pos != self._served:
             raise ValueError(f"op {pos} does not follow on from the stream's "
                              f"next op {self._served}")
@@ -286,7 +287,7 @@ class CloudStream:
             line = _CLOUD_BASE_LINE + self._addr_rng.randint(0, CLOUD_REGION_LINES)
             addrs.append(self.base_addr + line * LINE)
         self._served = pos + CHUNK_OPS
-        return gaps, addrs, array("B", bytes(CHUNK_OPS)), pos
+        return kernel.TraceStream.over(gaps, addrs, bytes(CHUNK_OPS), pos)
 
 
 def make_cloud_trace(

@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.cpu.trace import Columns, MemOp
+from repro.cpu.trace import MemOp
 from repro.util.rng import RngStream, geometric_p
 from repro.workloads.spec2000 import AppProfile
 
@@ -89,8 +89,8 @@ class SyntheticApp:
     made at the first generation: with ``limit`` ops to hold it is a
     recording of every op from 0 (what :func:`make_trace` shares),
     otherwise a window of the last ``CHUNK_OPS`` ops drawn.  A core reads
-    the stream in place and draws on it itself; :meth:`columns`,
-    :meth:`next_op` and :meth:`take` read the same ops.
+    the stream in place and draws on it itself; :meth:`next_op` and
+    :meth:`take` read the same ops through its ``columns``.
 
     Parameters
     ----------
@@ -140,7 +140,9 @@ class SyntheticApp:
 
     def stream(self, pos: int = 0):
         """The kernel stream that draws and holds this application's ops
-        (every ``pos`` is on it)."""
+        (every ``pos`` is on it): a window moves on a chunk when ``pos``
+        is the op just past it; a recording holds every op from 0, and
+        ends (its ``columns`` serve ``None``) at its limit."""
         if self._stream is None:
             with _start_lock:
                 if self._stream is None:
@@ -193,14 +195,6 @@ class SyntheticApp:
             stride=p.stride_lines,
             n_streams=p.n_streams,
         )
-
-    # -- TraceSource ---------------------------------------------------------------
-
-    def columns(self, pos: int) -> Columns | None:
-        """The ops the stream holds once drawn on to op ``pos``: a window
-        moves on a chunk when ``pos`` is the op just past it; a recording
-        holds every op from 0, and ends (``None``) at its limit."""
-        return self.stream().columns(pos)
 
     def next_op(self) -> MemOp:
         """Generate the next memory operation (never ``None``: infinite)."""
@@ -288,12 +282,6 @@ class ReplayTrace:
             self._tail.stream().skip(rec.limit)
         return self._tail.stream()
 
-    def columns(self, pos: int) -> Columns:
-        """The shared recording at base 0, drawn on until it holds op
-        ``pos``, while ``pos`` is below its limit; past it, the window of
-        this consumer's own generator that holds ``pos``."""
-        return self.stream(pos).columns(pos)
-
     # Data attribute passthrough (profile, base_addr, _hot_lines, ...) so
     # tests and diagnostics can read a ReplayTrace like the SyntheticApp
     # it wraps.  No method: one would read or advance the recording's own
@@ -302,7 +290,7 @@ class ReplayTrace:
         value = getattr(self._rec, name)
         if callable(value):
             raise AttributeError(
-                f"{type(self).__name__} serves its ops through columns(); "
+                f"{type(self).__name__} serves its ops through stream(); "
                 f"it forwards no method of its generator ({name!r})")
         return value
 

@@ -12,8 +12,8 @@ that runs:
   recorded from ``dram.observers``, for DRAM timing tests;
 * :func:`run_traces` — a whole :class:`MultiCoreSystem` over one
   :class:`ListTrace` per core, for the kernel's cache hit paths;
-* :func:`ops` — the first ops of any trace source, read through its
-  checked ``columns``.
+* :func:`ops` — the first ops of any trace source, read through the
+  checked streams it serves.
 """
 
 from __future__ import annotations
@@ -173,18 +173,21 @@ def run_traces(op_lists, *, config=None) -> MultiCoreSystem:
 
 def ops(trace, n) -> list[MemOp]:
     """The first ``n`` ops of a fresh ``trace`` (fewer if it ends first),
-    read by :func:`~repro.cpu.trace_io.record_trace`, with every window
-    ``trace.columns`` serves checked the way the core kernel checks it:
-    typed columns that hold the op asked for."""
+    read by :func:`~repro.cpu.trace_io.record_trace`, with every stream
+    ``trace.stream`` serves checked the way the core kernel reads it: a
+    kernel ``TraceStream`` whose views hold the op asked for as typed
+    columns of one length."""
+    from repro.cpu.kernel import kernel
 
     class Checked:
-        def columns(self, pos):
-            cols = trace.columns(pos)
-            if cols is not None:
-                gaps, addrs, writes, base = cols
-                assert tuple(memoryview(c).format for c in cols[:3]) == (
-                    "q", "q", "B")
-                assert base <= pos < base + min(map(len, cols[:3]))
-            return cols
+        def stream(self, pos):
+            stream = trace.stream(pos)
+            if stream is not None:
+                assert isinstance(stream, kernel.TraceStream)
+                *cols, base = stream.columns(pos)
+                assert [c.format for c in cols] == ["q", "q", "B"]
+                assert len({len(c) for c in cols}) == 1
+                assert base <= pos < base + len(cols[0])
+            return stream
 
     return record_trace(Checked(), n)

@@ -195,7 +195,7 @@ class TestReplayPastTheCap:
         # generator of its own, fast-forwarded to the cap ...
         first = run()
         rec = synthetic._trace_cache[(app, 4, "eval", 0)]
-        assert len(rec.columns(0)[0]) == 1_500
+        assert len(rec.stream().columns(0)[0]) == 1_500
         assert len(built) == 2
         # ... and so does the second, past the recording it replays.
         second = run()

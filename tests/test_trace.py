@@ -31,11 +31,11 @@ class TestListTrace:
         ops = [MemOp(0, 0), MemOp(1, 64, True)]
         t = ListTrace(ops)
         assert read_ops(t, 5) == ops
-        gaps, addrs, writes, base = t.columns(1)
+        gaps, addrs, writes, base = t.stream(1).columns(1)
         assert (list(gaps), list(addrs), list(writes), base) == (
             [0, 1], [0, 64], [0, 1], 0)
-        assert t.columns(2) is None
-        assert t.columns(3) is None  # stays exhausted
+        assert t.stream(2) is None
+        assert t.stream(3) is None  # stays exhausted
 
     def test_total_instructions(self):
         t = ListTrace([MemOp(3, 0), MemOp(5, 64)])

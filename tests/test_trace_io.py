@@ -16,12 +16,12 @@ class TestRoundtrip:
         save_trace(ops, p)
         loaded = load_trace(p)
         assert read_ops(loaded, 4) == ops
-        assert loaded.columns(3) is None
+        assert loaded.stream(3) is None
 
     def test_empty_trace(self, tmp_path):
         p = tmp_path / "empty.trace"
         save_trace([], p)
-        assert load_trace(p).columns(0) is None
+        assert load_trace(p).stream(0) is None
 
     def test_synthetic_roundtrip(self, tmp_path):
         src = make_trace(app_by_code("c"), seed=3, phase="eval")
@@ -45,6 +45,32 @@ class TestErrors:
         data = p.read_bytes()
         p.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_trace(p)
+
+    @pytest.mark.parametrize("count", [1 << 40, (1 << 64) - 1])
+    def test_a_count_the_file_cannot_hold(self, tmp_path, count):
+        # refused from the file's size, before any body is read
+        p = tmp_path / "huge.trace"
+        p.write_bytes(b"REPROTR1" + count.to_bytes(8, "little") + bytes(48))
+        with pytest.raises(ValueError,
+                           match=f"truncated trace file: {count} ops"):
+            load_trace(p)
+
+    def test_bytes_after_the_last_op(self, tmp_path):
+        p = tmp_path / "long.trace"
+        save_trace([MemOp(1, 64)], p)
+        p.write_bytes(p.read_bytes() + bytes(26))
+        with pytest.raises(ValueError, match="overlong trace file: 1 ops "
+                                             "need 24 bytes, the body holds 50"):
+            load_trace(p)
+
+    def test_a_word_past_int64(self, tmp_path):
+        p = tmp_path / "wide.trace"
+        save_trace([MemOp(1, 64)], p)
+        data = bytearray(p.read_bytes())
+        data[16 + 8:16 + 16] = (1 << 63).to_bytes(8, "little")  # the address
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="negative gap or address"):
             load_trace(p)
 
     def test_record_negative(self):

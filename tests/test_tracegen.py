@@ -230,7 +230,7 @@ class TestChunking:
         # ``first`` records up to the cap and reads on from its own
         # generator ...
         got_first = ops(first, 3_000)
-        assert len(first.columns(0)[0]) == small_cap
+        assert len(first.stream(0).columns(0)[0]) == small_cap
         # ... and ``second`` replays the recording, then does the same.
         got_second = ops(second, 3_000)
         _assert_same(_as_tuples(got_first), want)
@@ -304,7 +304,7 @@ class TestKernelBuild:
         generate = textwrap.dedent("""
             from repro.workloads.spec2000 import app_by_code
             from repro.workloads.synthetic import make_trace
-            make_trace(app_by_code("c"), 1, "eval").columns(0)
+            make_trace(app_by_code("c"), 1, "eval").stream(0).columns(0)
         """)
         [(code, _, err)] = _run_fresh(tmp_path, [sys.executable, "-c", generate])
         assert code == 0, err
@@ -321,7 +321,7 @@ class TestKernelBuild:
             from repro.workloads.synthetic import make_trace
             trace = make_trace(app_by_code("c"), seed=1, phase="eval")
             try:
-                trace.columns(0)
+                trace.stream(0)
             except KernelBuildError as err:
                 print(err)
             else:
